@@ -9,9 +9,13 @@
 //! where an entry was rebound wholesale — and propagated through
 //! maintained query plans instead of recomputing them.
 //!
-//! Diffing leans on the cached [`DataKey`](crate::DataKey) fingerprints:
-//! deciding whether a shared key actually changed costs one hash compare
-//! in the steady state, the same trick the PR 3 merge setops use.
+//! Diffing leans on two things. Structure sharing: versions of a stored
+//! relation share every subtree no write touched, and
+//! [`fdm_storage::PMap::diff`] skips shared subtrees whole, so a diff costs
+//! in proportion to what changed. And the cached
+//! [`DataKey`](crate::DataKey) fingerprints: deciding whether a key present
+//! on both sides actually changed costs one hash compare in the steady
+//! state, the same trick the PR 3 merge setops use.
 
 use crate::error::{Name, Result};
 use crate::relation::RelationF;
@@ -19,6 +23,7 @@ use crate::relationship::RelationshipF;
 use crate::tuple::TupleF;
 use crate::value::Value;
 use crate::DatabaseF;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// One key's transition in a relation: `old` is the tuple before, `new`
@@ -101,7 +106,9 @@ impl DbDelta {
     }
 
     /// Diffs two database values into a delta: relation entries present
-    /// on both sides diff row-by-row ([`diff_relations`]); entries that
+    /// on both sides diff row-by-row ([`diff_relations`] — delta-sized for
+    /// stored relations, so two roots one commit apart cost O(log n), not
+    /// a walk of every relation); entries that
     /// appeared, disappeared, or are not relations on both sides become
     /// [`EntryDelta::Replaced`]. Non-relation entries that are untouched
     /// (same underlying value on both sides) are skipped.
@@ -136,126 +143,80 @@ impl DbDelta {
     }
 }
 
-/// Diffs two relation values by stored key: a two-pointer merge over the
-/// key-sorted entry lists, emitting one [`TupleChange`] per key whose
-/// tuple appeared, disappeared, or changed data (compared through the
-/// cached fingerprints via [`TupleF::eq_data`]).
-pub fn diff_relations(old: &RelationF, new: &RelationF) -> Result<Vec<TupleChange>> {
-    let a = old.tuples()?;
-    let b = new.tuples()?;
-    let mut out = Vec::new();
+/// One key of a diff walk: the key and its tuple on either side.
+type Transition<'a> = (&'a Value, Option<&'a Arc<TupleF>>, Option<&'a Arc<TupleF>>);
+
+/// True when a key's transition is no change at all: the same tuple on
+/// both sides, by pointer or by data (the cached fingerprints, via
+/// [`TupleF::eq_data`]).
+fn unchanged((_, old, new): &Transition<'_>) -> bool {
+    matches!((old, new), (Some(o), Some(n)) if Arc::ptr_eq(o, n) || o.eq_data(n))
+}
+
+/// The two-pointer merge over two key-sorted entry lists, for bodies that
+/// are not one stored map (multi, computed, hybrid): every key of either
+/// list, in order, with its tuple on each side.
+fn walk_sorted<'a>(
+    a: &'a [(Value, Arc<TupleF>)],
+    b: &'a [(Value, Arc<TupleF>)],
+) -> impl Iterator<Item = Transition<'a>> {
     let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some((ka, ta)), Some((kb, tb))) => match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    out.push(TupleChange {
-                        key: ka.clone(),
-                        old: Some(ta.clone()),
-                        new: None,
-                    });
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(TupleChange {
-                        key: kb.clone(),
-                        old: None,
-                        new: Some(tb.clone()),
-                    });
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if !Arc::ptr_eq(ta, tb) && !ta.eq_data(tb) {
-                        out.push(TupleChange {
-                            key: ka.clone(),
-                            old: Some(ta.clone()),
-                            new: Some(tb.clone()),
-                        });
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            },
-            (Some((ka, ta)), None) => {
-                out.push(TupleChange {
-                    key: ka.clone(),
-                    old: Some(ta.clone()),
-                    new: None,
-                });
-                i += 1;
-            }
-            (None, Some((kb, tb))) => {
-                out.push(TupleChange {
-                    key: kb.clone(),
-                    old: None,
-                    new: Some(tb.clone()),
-                });
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
+    std::iter::from_fn(move || {
+        let order = match (a.get(i), b.get(j)) {
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return None,
+        };
+        let old = (order != Ordering::Greater).then(|| &a[i]);
+        let new = (order != Ordering::Less).then(|| &b[j]);
+        i += usize::from(old.is_some());
+        j += usize::from(new.is_some());
+        let key = &old.or(new).expect("one side is present").0;
+        Some((key, old.map(|e| &e.1), new.map(|e| &e.1)))
+    })
+}
+
+/// Diffs two relation values by stored key, emitting one [`TupleChange`]
+/// per key whose tuple appeared, disappeared, or changed data.
+///
+/// Two plain stored relations are diffed through
+/// [`fdm_storage::PMap::diff`], which skips every subtree the two versions
+/// share: two snapshots that differ in k rows cost about O(k · log n), not
+/// O(n) (the visit count is pinned by `diff_skips_shared_subtrees` in
+/// `fdm-storage`'s `pmap.rs`; `snapshot_diff_matches_the_sorted_walk`
+/// below pins the result). Other bodies fall back to a two-pointer merge
+/// over their enumerated tuples.
+pub fn diff_relations(old: &RelationF, new: &RelationF) -> Result<Vec<TupleChange>> {
+    fn changes<'a>(walk: impl Iterator<Item = Transition<'a>>) -> Vec<TupleChange> {
+        walk.filter(|t| !unchanged(t))
+            .map(|(key, old, new)| TupleChange {
+                key: key.clone(),
+                old: old.cloned(),
+                new: new.cloned(),
+            })
+            .collect()
     }
-    Ok(out)
+    Ok(match (old.stored_map(), new.stored_map()) {
+        (Some(a), Some(b)) => changes(a.diff(b)),
+        _ => changes(walk_sorted(&old.tuples()?, &new.tuples()?)),
+    })
 }
 
 /// Diffs two relationship values by participant-key combination, the
-/// [`diff_relations`] counterpart for link functions.
+/// [`diff_relations`] counterpart for link functions (always delta-sized:
+/// a relationship body is one stored map).
 pub fn diff_relationships(old: &RelationshipF, new: &RelationshipF) -> Result<Vec<LinkChange>> {
-    let a: Vec<(Vec<Value>, Arc<TupleF>)> = old.iter().collect();
-    let b: Vec<(Vec<Value>, Arc<TupleF>)> = new.iter().collect();
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some((ka, ta)), Some((kb, tb))) => match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    out.push(LinkChange {
-                        keys: ka.clone(),
-                        old: Some(ta.clone()),
-                        new: None,
-                    });
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(LinkChange {
-                        keys: kb.clone(),
-                        old: None,
-                        new: Some(tb.clone()),
-                    });
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    if !Arc::ptr_eq(ta, tb) && !ta.eq_data(tb) {
-                        out.push(LinkChange {
-                            keys: ka.clone(),
-                            old: Some(ta.clone()),
-                            new: Some(tb.clone()),
-                        });
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            },
-            (Some((ka, ta)), None) => {
-                out.push(LinkChange {
-                    keys: ka.clone(),
-                    old: Some(ta.clone()),
-                    new: None,
-                });
-                i += 1;
-            }
-            (None, Some((kb, tb))) => {
-                out.push(LinkChange {
-                    keys: kb.clone(),
-                    old: None,
-                    new: Some(tb.clone()),
-                });
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-    Ok(out)
+    Ok(old
+        .entry_map()
+        .diff(new.entry_map())
+        .filter(|t| !unchanged(t))
+        .map(|(key, old, new)| LinkChange {
+            keys: RelationshipF::key_args(key).to_vec(),
+            old: old.cloned(),
+            new: new.cloned(),
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -292,6 +253,42 @@ mod tests {
         assert!(d[2].is_insert() && d[2].key == Value::Int(4));
         // key 3 is untouched: no change emitted
         assert!(d.iter().all(|c| c.key != Value::Int(3)));
+    }
+
+    #[test]
+    fn snapshot_diff_matches_the_sorted_walk() {
+        // a few thousand rows, then edits that rotate the tree: the
+        // structural diff must report exactly what the linear walk does
+        let mut b = crate::RelationBuilder::new("people", &["id"]);
+        for id in 0..4000i64 {
+            b.push(
+                Value::Int(2 * id),
+                TupleF::builder("p").attr("age", id % 90).build(),
+            );
+        }
+        let old = b.build().unwrap();
+        let mut new = old.clone();
+        for i in 0..25i64 {
+            let row = |age: i64| TupleF::builder("p").attr("age", age).build();
+            new = new.upsert(Value::Int(2 * (i * 151) + 1), row(i)).unwrap(); // insert
+            new = new.upsert(Value::Int(2 * (i * 149)), row(-1)).unwrap(); // update
+            new = new.delete(&Value::Int(2 * (i * 157 + 3))).unwrap(); // remove
+            let same = 2 * (i * 139 + 2); // rewritten with identical data: not a change
+            new = new.upsert(Value::Int(same), row((same / 2) % 90)).unwrap();
+        }
+        let shape = |c: &TupleChange| (c.key.clone(), c.old.is_some(), c.new.is_some());
+        let got: Vec<_> = diff_relations(&old, &new)
+            .unwrap()
+            .iter()
+            .map(shape)
+            .collect();
+        let (a, b) = (old.tuples().unwrap(), new.tuples().unwrap());
+        let want: Vec<_> = walk_sorted(&a, &b)
+            .filter(|t| !unchanged(t))
+            .map(|(k, o, n)| (k.clone(), o.is_some(), n.is_some()))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 75);
     }
 
     #[test]

@@ -240,15 +240,25 @@ impl RelationshipF {
         self.map.get(&key).cloned()
     }
 
+    /// The underlying persistent composite-key → attribute-tuple map
+    /// (what [`crate::delta::diff_relationships`] diffs structurally).
+    pub(crate) fn entry_map(&self) -> &PMap<Value, Arc<TupleF>> {
+        &self.map
+    }
+
+    /// The argument list a stored composite key stands for.
+    pub(crate) fn key_args(key: &Value) -> &[Value] {
+        match key {
+            Value::List(items) => items,
+            other => std::slice::from_ref(other),
+        }
+    }
+
     /// Iterates all `(arg-list, attrs)` entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Vec<Value>, Arc<TupleF>)> + '_ {
-        self.map.iter().map(|(k, t)| {
-            let args = match k {
-                Value::List(items) => items.to_vec(),
-                other => vec![other.clone()],
-            };
-            (args, t.clone())
-        })
+        self.map
+            .iter()
+            .map(|(k, t)| (Self::key_args(k).to_vec(), t.clone()))
     }
 
     /// Non-materializing variant of [`Self::iter`]: yields each entry's
@@ -256,13 +266,7 @@ impl RelationshipF {
     /// per-entry allocation or clone. This is the bulk-operator fast path
     /// (FQL's join walks every entry of a relationship exactly once).
     pub fn iter_entries(&self) -> impl Iterator<Item = (&[Value], &Arc<TupleF>)> + '_ {
-        self.map.iter().map(|(k, t)| {
-            let args: &[Value] = match k {
-                Value::List(items) => items,
-                other => std::slice::from_ref(other),
-            };
-            (args, t)
-        })
+        self.map.iter().map(|(k, t)| (Self::key_args(k), t))
     }
 
     /// All distinct values appearing in parameter position `i` — the image
@@ -436,10 +440,7 @@ impl RelationshipBuilder {
         }
         let stats = RelationshipStats::from_entries(
             proto.participants.len(),
-            entries.iter().map(|(k, _)| match k {
-                Value::List(items) => &items[..],
-                other => std::slice::from_ref(other),
-            }),
+            entries.iter().map(|(k, _)| RelationshipF::key_args(k)),
         );
         Ok(RelationshipF {
             map: PMap::from_sorted_vec(entries),

@@ -8,9 +8,13 @@
 //! delta rule needs. Feeding a base-table [`DbDelta`] into
 //! [`MaintainedView::apply`] walks the tree bottom-up; every node
 //! translates its input's row changes into its own and batches them into
-//! its output through the PR 2 merge machinery
-//! ([`fdm_storage::PMap::merge_union`] / difference — one O(n + m) merge
-//! per node per delta, never a rebuild).
+//! its output through the join-based merge setops
+//! ([`fdm_storage::PMap::merge_union`] / `merge_difference`): a delta of k
+//! rows against an n-row output costs O(k · log(n/k + 1)) per node and the
+//! new output shares every untouched subtree with the previous one — one
+//! copied path per changed row, never a rebuild. The per-plan node-count
+//! pin is `one_row_deltas_allocate_logarithmically` in
+//! `tests/tests/view_maintenance.rs`.
 //!
 //! Per-operator delta rules:
 //!
@@ -26,7 +30,10 @@
 //!   buckets those rows touch;
 //! * **group/aggregate** — keeps each group's member set keyed by the
 //!   grouping value; only *dirty* groups re-aggregate (counted in
-//!   [`IvmStats::dirty_groups`]);
+//!   [`IvmStats::dirty_groups`]), and within a dirty group `Count` is the
+//!   member count and an all-`Int` `Sum` is a running total, so neither
+//!   re-reads the group; `Min`/`Max`/`Avg` and sums with a non-`Int`
+//!   contribution re-fold the members;
 //! * **order-by / limit** — no delta rule: when their input changed they
 //!   fall back to a *scoped recompute* (re-running just that operator
 //!   over its incrementally-maintained input), counted in
@@ -69,10 +76,83 @@ pub struct IvmStats {
     pub fallback_recomputes: u64,
 }
 
-/// Group/aggregate state: group key → (input key → member tuple).
-/// Both levels iterate in ascending key order, so re-aggregated folds
-/// visit members in exactly the order the batch operator does.
-type GroupState = BTreeMap<Value, BTreeMap<Value, Arc<TupleF>>>;
+/// Group/aggregate state: group key → that group's members and running
+/// sums. Both levels iterate in ascending key order, so re-aggregated
+/// folds visit members in exactly the order the batch operator does.
+type GroupState = BTreeMap<Value, Group>;
+
+/// A `Sum` kept current without re-folding: the wrapping total of the
+/// members' `Int` contributions, and how many members contribute anything
+/// else (a `Float`, a non-number, a failing computed attribute). While
+/// `other` is 0 the batch fold is `Int`-only, and wrapping `i64` addition
+/// is commutative and associative, so `Value::Int(total)` is bit-identical
+/// to it in whatever order members came and went.
+#[derive(Clone, Copy, Default)]
+struct IntSum {
+    total: i64,
+    other: usize,
+}
+
+/// One group: its members by input key, and one [`IntSum`] per aggregate
+/// (in `aggs` order; only the `Sum` slots are used).
+#[derive(Clone)]
+struct Group {
+    members: BTreeMap<Value, Arc<TupleF>>,
+    sums: Vec<IntSum>,
+}
+
+impl Group {
+    fn new(aggs: &[(String, AggSpec)]) -> Group {
+        Group {
+            members: BTreeMap::new(),
+            sums: vec![IntSum::default(); aggs.len()],
+        }
+    }
+
+    /// Adds (`joined`) or retracts one member's contribution to every sum.
+    fn track(&mut self, aggs: &[(String, AggSpec)], t: &TupleF, joined: bool) {
+        for (sum, (_, spec)) in self.sums.iter_mut().zip(aggs) {
+            let AggSpec::Sum(attr) = spec else { continue };
+            match (t.get(attr), joined) {
+                (Ok(Value::Int(i)), true) => sum.total = sum.total.wrapping_add(i),
+                (Ok(Value::Int(i)), false) => sum.total = sum.total.wrapping_sub(i),
+                (_, true) => sum.other += 1,
+                (_, false) => sum.other -= 1,
+            }
+        }
+    }
+
+    /// Stores `t` under `key`, replacing (and retracting) a previous member.
+    fn insert(&mut self, aggs: &[(String, AggSpec)], key: Value, t: Arc<TupleF>) {
+        self.track(aggs, &t, true);
+        if let Some(prev) = self.members.insert(key, t) {
+            self.track(aggs, &prev, false);
+        }
+    }
+
+    fn remove(&mut self, aggs: &[(String, AggSpec)], key: &Value) {
+        if let Some(prev) = self.members.remove(key) {
+            self.track(aggs, &prev, false);
+        }
+    }
+
+    /// The `i`-th aggregate over the current members — exactly
+    /// [`AggSpec::eval`] over them in key order, read off the running
+    /// state where that is provably the same value. `folded` caches the
+    /// member list across the aggregates of one group.
+    fn agg_value(
+        &self,
+        i: usize,
+        spec: &AggSpec,
+        folded: &mut Option<Vec<Arc<TupleF>>>,
+    ) -> Result<Value> {
+        match spec {
+            AggSpec::Count => Ok(Value::Int(self.members.len() as i64)),
+            AggSpec::Sum(_) if self.sums[i].other == 0 => Ok(Value::Int(self.sums[i].total)),
+            _ => spec.eval(folded.get_or_insert_with(|| self.members.values().cloned().collect())),
+        }
+    }
+}
 
 /// Join state: the cached (key-inlined) right side, hash bindings from
 /// join value to the keys carrying it on each side, the provenance of
@@ -141,9 +221,10 @@ enum Node {
 }
 
 /// Batches a node's output changes into its materialized relation via
-/// the sorted-merge setops: one `merge_union` for inserts/updates, one
-/// `merge_difference` for removes — O(n + m), structure-shared with the
-/// previous output, never a rebuild.
+/// the join-based merge setops: one `merge_union` for inserts/updates, one
+/// `merge_difference` for removes. For k changes against n rows that is
+/// O(k · log(n/k + 1)) time and allocation; every subtree of the previous
+/// output no change falls into is shared, not copied.
 fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> {
     if changes.is_empty() {
         return Ok(out.clone());
@@ -163,7 +244,7 @@ fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> 
     // left-biased union: a changed key's new tuple wins over the old one
     let mut merged = PMap::from_sorted_vec(ups).merge_union(&base);
     if !dels.is_empty() {
-        merged = merged.merge_difference_with(&PMap::from_sorted_vec(dels), |_, _, _| None);
+        merged = merged.merge_difference(&PMap::from_sorted_vec(dels));
     }
     Ok(RelationF::from_stored_map(
         out.name(),
@@ -219,7 +300,7 @@ fn agg_tuple_for(
     key: &Value,
     by: &[String],
     aggs: &[(String, AggSpec)],
-    members: &[Arc<TupleF>],
+    group: &Group,
 ) -> Result<TupleF> {
     let mut t = TupleF::builder(format!("agg[{key}]"));
     match (key, by.len()) {
@@ -232,8 +313,9 @@ fn agg_tuple_for(
             t = t.attr(by[0].as_str(), v.clone());
         }
     }
-    for (name, spec) in aggs {
-        t = t.attr(name.as_str(), spec.eval(members)?);
+    let mut folded = None;
+    for (i, (name, spec)) in aggs.iter().enumerate() {
+        t = t.attr(name.as_str(), group.agg_value(i, spec, &mut folded)?);
     }
     Ok(t.build())
 }
@@ -429,8 +511,8 @@ impl Node {
                 for (key, tuple) in child.out().tuples()? {
                     state
                         .entry(group_key(&tuple, by)?)
-                        .or_default()
-                        .insert(key, tuple);
+                        .or_insert_with(|| Group::new(aggs))
+                        .insert(aggs, key, tuple);
                 }
                 let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
                 let agg_refs: Vec<(&str, AggSpec)> =
@@ -705,9 +787,9 @@ impl Node {
                 for c in &child_changes {
                     if let Some(ot) = &c.old {
                         let gk = group_key(ot, by)?;
-                        if let Some(members) = state.get_mut(&gk) {
-                            members.remove(&c.key);
-                            if members.is_empty() {
+                        if let Some(group) = state.get_mut(&gk) {
+                            group.remove(aggs, &c.key);
+                            if group.members.is_empty() {
                                 state.remove(&gk);
                             }
                         }
@@ -717,8 +799,8 @@ impl Node {
                         let gk = group_key(nt, by)?;
                         state
                             .entry(gk.clone())
-                            .or_default()
-                            .insert(c.key.clone(), nt.clone());
+                            .or_insert_with(|| Group::new(aggs))
+                            .insert(aggs, c.key.clone(), nt.clone());
                         dirty.insert(gk);
                     }
                 }
@@ -726,11 +808,8 @@ impl Node {
                 let mut changes = Vec::new();
                 for gk in dirty {
                     let new = match state.get(&gk) {
-                        Some(members) if !members.is_empty() => {
-                            let members: Vec<Arc<TupleF>> = members.values().cloned().collect();
-                            Some(Arc::new(agg_tuple_for(&gk, by, aggs, &members)?))
-                        }
-                        _ => None,
+                        Some(group) => Some(Arc::new(agg_tuple_for(&gk, by, aggs, group)?)),
+                        None => None, // the group emptied out
                     };
                     let old = out.lookup(&gk);
                     match (&old, &new) {
@@ -831,6 +910,30 @@ impl MaintainedView {
     pub fn stats(&self) -> &IvmStats {
         &self.stats
     }
+
+    /// Every relation the view keeps materialized — each operator's
+    /// output, root first, and after a join's output its cached right
+    /// side (test support for the structure-sharing pins).
+    #[doc(hidden)]
+    pub fn maintained_relations(&self) -> Vec<RelationF> {
+        let mut out = Vec::new();
+        let mut node = Some(&self.root);
+        while let Some(n) = node {
+            out.push(n.out().clone());
+            node = match n {
+                Node::Scan { .. } => None,
+                Node::Join { input, state, .. } => {
+                    out.push(state.right.clone());
+                    Some(input)
+                }
+                Node::Filter { input, .. }
+                | Node::Project { input, .. }
+                | Node::GroupAgg { input, .. }
+                | Node::Fallback { input, .. } => Some(input),
+            };
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -839,6 +942,67 @@ mod tests {
     use crate::testutil::{retail_db, skewed_db};
     use fdm_core::FnValue;
     use fdm_expr::Params;
+    use proptest::prelude::*;
+
+    /// One step of a member stream: `(input key, Some(value of "x") | None = delete)`.
+    fn member_step() -> impl Strategy<Value = (i64, Option<Value>)> {
+        let x = prop_oneof![
+            (-50i64..50).prop_map(Value::Int),
+            // near the ends of i64, so running totals wrap around
+            (0i64..4).prop_map(|d| Value::Int(i64::MAX - d)),
+            (0i64..4).prop_map(|d| Value::Int(i64::MIN + d)),
+            (-8i64..8).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        ];
+        (
+            0i64..12,
+            prop_oneof![x.prop_map(Some), (0i64..1).prop_map(|_| None)],
+        )
+    }
+
+    proptest! {
+        /// The running-state path of a group ≡ `AggSpec::eval` over its
+        /// member set, bit for bit, after every step of a random
+        /// insert/update/delete stream — through Int→Float and Float→Int
+        /// transitions of a member and `i64` wrap-around of the total.
+        #[test]
+        fn group_running_state_matches_refold(steps in prop::collection::vec(member_step(), 1..60)) {
+            let aggs: Vec<(String, AggSpec)> = [
+                AggSpec::Count,
+                AggSpec::Sum("x".into()),
+                AggSpec::Min("x".into()),
+                AggSpec::Max("x".into()),
+                AggSpec::Avg("x".into()),
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| (format!("a{i}"), spec))
+            .collect();
+            let mut group = Group::new(&aggs);
+            for (key, x) in steps {
+                match x {
+                    Some(x) => group.insert(
+                        &aggs,
+                        Value::Int(key),
+                        Arc::new(TupleF::builder("m").attr("x", x).build()),
+                    ),
+                    None => group.remove(&aggs, &Value::Int(key)),
+                }
+                let members: Vec<Arc<TupleF>> = group.members.values().cloned().collect();
+                let mut folded = None;
+                for (i, (_, spec)) in aggs.iter().enumerate() {
+                    let got = group.agg_value(i, spec, &mut folded);
+                    let want = spec.eval(&members);
+                    prop_assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{:?} over {} members",
+                        spec,
+                        members.len()
+                    );
+                }
+            }
+        }
+    }
 
     fn keyed(rel: &RelationF) -> Vec<(Value, Value)> {
         rel.tuples()

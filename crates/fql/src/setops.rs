@@ -16,10 +16,19 @@
 //! per input).
 
 //! Implementation note: each relation's mappings are (or become) a
-//! persistent key-ordered map, and the set operations run as **O(n + m)
-//! sorted two-pointer merges** ([`fdm_storage::PMap::merge_union`] and
-//! friends) feeding one bulk tree build — not a per-element
-//! insert/lookup loop. For plain stored relations the input map is shared
+//! persistent key-ordered map, and the set operations run as the storage
+//! layer's **join-based merges** ([`fdm_storage::PMap::merge_union`] and
+//! friends) — not a per-element insert/lookup loop. Two relations of n and
+//! m ≤ n mappings cost O(m · log(n/m + 1)): linear when the sides are
+//! comparable, logarithmic per mapping when one side is a small delta, and
+//! the result shares the larger side's untouched subtrees. Fig. 9's own
+//! case — a database against an edited copy of itself — is cheaper still
+//! for `union`: subtrees the two versions share are taken whole without
+//! being walked (`intersect`/`minus` compare data under every shared key,
+//! so they visit each one). The bounds and the sharing are pinned in
+//! `crates/storage/tests/prop_pmap.rs` and by
+//! `merge_shares_the_larger_operand` in `crates/storage/src/pmap.rs`. For
+//! plain stored relations the input map is shared
 //! O(1) from the relation body; data keys (the expensive part: a
 //! materialized, order-insensitive attribute fingerprint) are needed only
 //! for the keys both inputs share, where data equality actually decides

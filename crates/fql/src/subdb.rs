@@ -85,7 +85,7 @@ fn semi_join_fixpoint(db: &DatabaseF) -> Result<ActiveKeys> {
                 }
             }
             // restrict each participant to keys seen in surviving entries:
-            // an O(n) two-pointer merge intersection per participant
+            // one bulk merge intersection per participant
             for (i, p) in rsf.participants().iter().enumerate() {
                 if let Some(keys) = active.get_mut(&p.function) {
                     let before = keys.len();

@@ -5,9 +5,20 @@
 //! that shares all untouched subtrees with the original. Cloning a map is
 //! O(1). This is the backbone of FDM relation functions and database
 //! functions: a "snapshot" of a relation is just a clone of its root.
+//!
+//! The bulk set algebra (`merge_union` / `merge_intersection` /
+//! `merge_difference`, their `_with` variants) and [`PMap::diff`] are
+//! **join-based**: they are written on two primitives, `join` (glue two
+//! trees of any heights around a middle entry) and `split` (cut a tree at
+//! a key). Combining a small map (m entries) with a large one (n entries)
+//! costs O(m · log(n/m + 1)), and the result *shares* every subtree of the
+//! larger operand that the smaller one does not reach: a one-entry delta
+//! against a million-entry relation allocates one root-to-leaf path, not a
+//! million nodes.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -144,6 +155,245 @@ fn build_balanced<K: Clone, V: Clone, I: Iterator<Item = (K, V)>>(
     let (key, val) = it.next().expect("iterator holds n entries");
     let right = build_balanced(it, n - n / 2 - 1);
     Some(Node::new(key, val, left, right))
+}
+
+/// `true` when both links are the same subtree (or both empty).
+fn same_link<K, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
+    match (a, b) {
+        (None, None) => true,
+        (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
+/// Removes the minimum entry of a non-empty subtree, returning the
+/// remaining subtree and the removed (key, value).
+fn take_min<K: Clone, V: Clone>(n: &Arc<Node<K, V>>) -> (Link<K, V>, (K, V)) {
+    match &n.left {
+        None => (n.right.clone(), (n.key.clone(), n.val.clone())),
+        Some(l) => {
+            let (rest, min) = take_min(l);
+            (
+                Some(balance(n.key.clone(), n.val.clone(), rest, n.right.clone())),
+                min,
+            )
+        }
+    }
+}
+
+/// AVL **join**: the tree holding `left`, then `key -> val`, then `right`,
+/// for trees of *any* heights (every key of `left` < `key` < every key of
+/// `right` is the caller's contract). It descends the taller tree's inner
+/// spine until the heights meet, so it allocates O(|height(left) −
+/// height(right)| + 1) nodes and shares everything off that spine.
+fn join<K: Clone, V: Clone>(
+    left: Link<K, V>,
+    key: K,
+    val: V,
+    right: Link<K, V>,
+) -> Arc<Node<K, V>> {
+    let (hl, hr) = (height(&left), height(&right));
+    if hl > hr + 1 {
+        let l = left.expect("taller than an empty tree");
+        let inner = join(l.right.clone(), key, val, right);
+        balance(l.key.clone(), l.val.clone(), l.left.clone(), Some(inner))
+    } else if hr > hl + 1 {
+        let r = right.expect("taller than an empty tree");
+        let inner = join(left, key, val, r.left.clone());
+        balance(r.key.clone(), r.val.clone(), Some(inner), r.right.clone())
+    } else {
+        Node::new(key, val, left, right)
+    }
+}
+
+/// [`join`] without a middle entry: concatenates two trees whose key
+/// ranges do not overlap.
+fn join2<K: Clone, V: Clone>(left: Link<K, V>, right: Link<K, V>) -> Link<K, V> {
+    match (left, right) {
+        (left, None) => left,
+        (None, right) => right,
+        (left, Some(r)) => {
+            let (rest, (key, val)) = take_min(&r);
+            Some(join(left, key, val, rest))
+        }
+    }
+}
+
+/// A tree cut at a key: the entries below it, the node holding it (if
+/// any), and the entries above it.
+type Split<'a, K, V> = (Link<K, V>, Option<&'a Node<K, V>>, Link<K, V>);
+
+/// AVL **split** of `link` at `key` — O(log n), sharing every subtree
+/// that lies wholly on one side of `key`.
+fn split<'a, K: Ord + Clone, V: Clone>(link: &'a Link<K, V>, key: &K) -> Split<'a, K, V> {
+    let Some(n) = link else {
+        return (None, None, None);
+    };
+    match key.cmp(&n.key) {
+        Ordering::Equal => (n.left.clone(), Some(&**n), n.right.clone()),
+        Ordering::Less => {
+            let (below, hit, above) = split(&n.left, key);
+            if hit.is_none() && below.is_none() {
+                return (None, None, link.clone()); // the whole subtree is above
+            }
+            let above = join(above, n.key.clone(), n.val.clone(), n.right.clone());
+            (below, hit, Some(above))
+        }
+        Ordering::Greater => {
+            let (below, hit, above) = split(&n.right, key);
+            if hit.is_none() && above.is_none() {
+                return (link.clone(), None, None); // the whole subtree is below
+            }
+            let below = join(n.left.clone(), n.key.clone(), n.val.clone(), below);
+            (Some(below), hit, above)
+        }
+    }
+}
+
+/// Which entries a [`merge`] keeps. `shared` decides the keys both sides
+/// hold without looking at their values — `Some(true)` keeps the left
+/// entry, `Some(false)` drops the key — or, when `None`, asks the
+/// combiner. Only a rule with `shared: Some(_)` may skip pointer-equal
+/// subtrees: a combiner must see every shared key.
+#[derive(Clone, Copy)]
+struct MergeRule {
+    left_only: bool,
+    right_only: bool,
+    shared: Option<bool>,
+}
+
+impl MergeRule {
+    const UNION: MergeRule = MergeRule::combining(true, true);
+    const INTERSECTION: MergeRule = MergeRule::combining(false, false);
+    const DIFFERENCE: MergeRule = MergeRule::combining(true, false);
+
+    const fn combining(left_only: bool, right_only: bool) -> MergeRule {
+        MergeRule {
+            left_only,
+            right_only,
+            shared: None,
+        }
+    }
+
+    /// The same rule with shared keys settled without the combiner.
+    const fn keeping_shared(self, keep: bool) -> MergeRule {
+        MergeRule {
+            shared: Some(keep),
+            ..self
+        }
+    }
+}
+
+/// What becomes of the pivot key once both halves are merged.
+enum Pivot<K, V> {
+    /// The pivot node's own entry survives unchanged.
+    Keep,
+    /// This entry stands at the pivot key.
+    Put(K, V),
+    /// No entry at the pivot key.
+    Drop,
+}
+
+/// The pivot outcome for a key both operands hold (`l` is the left
+/// operand's node, whose key the result carries).
+fn shared_pivot<K: Clone, V: Clone>(
+    rule: MergeRule,
+    l: &Node<K, V>,
+    r: &Node<K, V>,
+    combine: &mut impl FnMut(&K, &V, &V) -> Option<V>,
+) -> Pivot<K, V> {
+    match rule.shared {
+        Some(true) => Pivot::Put(l.key.clone(), l.val.clone()),
+        Some(false) => Pivot::Drop,
+        None => match combine(&l.key, &l.val, &r.val) {
+            Some(v) => Pivot::Put(l.key.clone(), v),
+            None => Pivot::Drop,
+        },
+    }
+}
+
+/// The one join-based routine behind union, intersection and difference
+/// (Blelloch, Ferizovic & Sun, "Just Join for Parallel Ordered Sets"):
+/// pivot on the root of the larger operand, [`split`] the smaller one
+/// there, merge the two halves recursively and [`join`] the results. Work
+/// is O(m · log(n/m + 1)). A half the smaller operand does not reach comes
+/// back as the larger operand's own `Arc`, and a pivot whose entry and
+/// children are untouched comes back as the pivot node itself. `combine(key,
+/// left_value, right_value)` runs once per shared key, in ascending key
+/// order (left half, pivot, right half).
+fn merge<K: Ord + Clone, V: Clone>(
+    a: &Link<K, V>,
+    b: &Link<K, V>,
+    rule: MergeRule,
+    combine: &mut impl FnMut(&K, &V, &V) -> Option<V>,
+) -> Link<K, V> {
+    let (na, nb) = match (a, b) {
+        (None, _) => return if rule.right_only { b.clone() } else { None },
+        (_, None) => return if rule.left_only { a.clone() } else { None },
+        (Some(na), Some(nb)) => (na, nb),
+    };
+    if Arc::ptr_eq(na, nb) {
+        return match rule.shared {
+            Some(true) => a.clone(),
+            Some(false) => None,
+            // a combiner over one shared subtree: nothing to split, the
+            // node's children pair up as they are
+            None => merge_around(na, true, &na.left, Some(na), &na.right, rule, combine),
+        };
+    }
+    if na.size >= nb.size {
+        let (below, hit, above) = split(b, &na.key);
+        merge_around(na, true, &below, hit, &above, rule, combine)
+    } else {
+        let (below, hit, above) = split(a, &nb.key);
+        merge_around(nb, false, &below, hit, &above, rule, combine)
+    }
+}
+
+/// One [`merge`] step: `node` is the pivot, taken from the left operand
+/// when `node_is_left`, and `below` / `hit` / `above` are the other operand
+/// split at the pivot's key.
+fn merge_around<K: Ord + Clone, V: Clone>(
+    node: &Arc<Node<K, V>>,
+    node_is_left: bool,
+    below: &Link<K, V>,
+    hit: Option<&Node<K, V>>,
+    above: &Link<K, V>,
+    rule: MergeRule,
+    combine: &mut impl FnMut(&K, &V, &V) -> Option<V>,
+) -> Link<K, V> {
+    // (left operand's half, right operand's half)
+    let sides = |mine, theirs| {
+        if node_is_left {
+            (mine, theirs)
+        } else {
+            (theirs, mine)
+        }
+    };
+    let (l, r) = sides(&node.left, below);
+    let left = merge(l, r, rule, combine);
+    let keep_alone = if node_is_left {
+        rule.left_only
+    } else {
+        rule.right_only
+    };
+    let pivot = match hit {
+        None if keep_alone => Pivot::Keep,
+        None => Pivot::Drop,
+        Some(_) if node_is_left && rule.shared == Some(true) => Pivot::Keep,
+        Some(h) if node_is_left => shared_pivot(rule, node, h, combine),
+        Some(h) => shared_pivot(rule, h, node, combine),
+    };
+    let (l, r) = sides(&node.right, above);
+    let right = merge(l, r, rule, combine);
+    match pivot {
+        Pivot::Keep if same_link(&left, &node.left) && same_link(&right, &node.right) => {
+            Some(node.clone())
+        }
+        Pivot::Keep => Some(join(left, node.key.clone(), node.val.clone(), right)),
+        Pivot::Put(key, val) => Some(join(left, key, val, right)),
+        Pivot::Drop => join2(left, right),
+    }
 }
 
 /// A persistent (immutable, structurally shared) ordered map.
@@ -335,20 +585,6 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        /// Removes the minimum entry of a non-empty subtree, returning the
-        /// remaining subtree and the removed (key, value).
-        fn take_min<K: Ord + Clone, V: Clone>(n: &Arc<Node<K, V>>) -> (Link<K, V>, (K, V)) {
-            match &n.left {
-                None => (n.right.clone(), (n.key.clone(), n.val.clone())),
-                Some(l) => {
-                    let (rest, min) = take_min(l);
-                    (
-                        Some(balance(n.key.clone(), n.val.clone(), rest, n.right.clone())),
-                        min,
-                    )
-                }
-            }
-        }
         fn go<K, V, Q>(link: &Link<K, V>, key: &Q) -> Option<(Link<K, V>, V)>
         where
             K: Ord + Clone + Borrow<Q>,
@@ -371,18 +607,7 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
                         old,
                     ))
                 }
-                Ordering::Equal => {
-                    let old = n.val.clone();
-                    let merged = match (&n.left, &n.right) {
-                        (None, r) => r.clone(),
-                        (l, None) => l.clone(),
-                        (Some(_), Some(r)) => {
-                            let (rest, (sk, sv)) = take_min(r);
-                            Some(balance(sk, sv, n.left.clone(), rest))
-                        }
-                    };
-                    Some((merged, old))
-                }
+                Ordering::Equal => Some((join2(n.left.clone(), n.right.clone()), n.val.clone())),
             }
         }
         match go(&self.root, key) {
@@ -486,146 +711,136 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         Self::from_sorted_vec(it.into_iter().collect())
     }
 
-    /// O(n + m) **merge union**: every key of either map, with `self`'s
-    /// value winning when a key appears in both (left bias).
+    /// **Splits** the map at `key`: the entries below it, the value stored
+    /// under it (if any), and the entries above it. O(log n); both halves
+    /// share every subtree of `self` that lies wholly on their side.
+    pub fn split(&self, key: &K) -> (Self, Option<V>, Self) {
+        let (below, hit, above) = split(&self.root, key);
+        (
+            PMap { root: below },
+            hit.map(|n| n.val.clone()),
+            PMap { root: above },
+        )
+    }
+
+    /// **Joins** `left`, the entry `key -> val` and `right` into one map, in
+    /// O(|height(left) − height(right)| + 1) whatever the two sizes are,
+    /// sharing both operands. Every key of `left` must be below `key` and
+    /// every key of `right` above it; like [`Self::from_sorted_vec`], that
+    /// contract is checked by `debug_assert` only.
+    pub fn join(left: &Self, key: K, val: V, right: &Self) -> Self {
+        debug_assert!(
+            left.last().is_none_or(|(k, _)| *k < key)
+                && right.first().is_none_or(|(k, _)| key < *k),
+            "join: left < key < right must hold"
+        );
+        PMap {
+            root: Some(join(left.root.clone(), key, val, right.root.clone())),
+        }
+    }
+
+    /// **Merge union**: every key of either map, with `self`'s entry
+    /// winning when a key appears in both (left bias).
     ///
-    /// This is the merge-style counterpart of inserting `other`'s entries
-    /// one by one (O(m log n) time and allocation): both trees are walked
-    /// in key order with two pointers and the result is bulk-built via
-    /// [`Self::from_sorted_vec`].
+    /// Join-based: for a small side of m entries and a large side of n the
+    /// cost is O(m · log(n/m + 1)) — O(log n) for a one-entry delta, O(n)
+    /// when the sides are comparable — and the result shares with the
+    /// larger operand every subtree the smaller one does not reach.
+    /// Subtrees the two maps already share (`Arc::ptr_eq`, e.g. two
+    /// snapshots of one relation) are taken whole without being walked, so
+    /// the union of a map with a lightly edited copy of itself costs only
+    /// the edited paths. Pinned by `merge_shares_the_larger_operand` below
+    /// and `crates/storage/tests/prop_pmap.rs`.
     pub fn merge_union(&self, other: &Self) -> Self {
-        self.merge_union_with(other, |_, a, _| a.clone())
+        self.merge_by(other, MergeRule::UNION.keeping_shared(true), |_, _, _| None)
     }
 
     /// [`Self::merge_union`] with an explicit combiner for keys present in
     /// both maps: `combine(key, self_value, other_value)` produces the
-    /// value stored under the shared key.
+    /// value stored under the shared key (which keeps `self`'s key). The
+    /// combiner runs exactly once per shared key, in ascending key order —
+    /// also inside subtrees the two maps share, which is why only the
+    /// plain [`Self::merge_union`] can skip those.
     pub fn merge_union_with(&self, other: &Self, mut combine: impl FnMut(&K, &V, &V) -> V) -> Self {
-        if other.is_empty() {
-            return self.clone();
-        }
-        if self.is_empty() {
-            return other.clone();
-        }
-        let mut out: Vec<(K, V)> = Vec::with_capacity(self.len() + other.len());
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
-                    Ordering::Less => {
-                        let (k, v) = a.next().expect("peeked");
-                        out.push((k.clone(), v.clone()));
-                    }
-                    Ordering::Greater => {
-                        let (k, v) = b.next().expect("peeked");
-                        out.push((k.clone(), v.clone()));
-                    }
-                    Ordering::Equal => {
-                        let (k, va) = a.next().expect("peeked");
-                        let (_, vb) = b.next().expect("peeked");
-                        out.push((k.clone(), combine(k, va, vb)));
-                    }
-                },
-                (Some(_), None) => {
-                    let (k, v) = a.next().expect("peeked");
-                    out.push((k.clone(), v.clone()));
-                }
-                (None, Some(_)) => {
-                    let (k, v) = b.next().expect("peeked");
-                    out.push((k.clone(), v.clone()));
-                }
-                (None, None) => break,
-            }
-        }
-        Self::from_sorted_vec(out)
+        self.merge_by(other, MergeRule::UNION, |k, a, b| Some(combine(k, a, b)))
     }
 
-    /// O(n + m) **merge intersection**: the keys present in both maps,
-    /// carrying `self`'s values.
+    /// **Merge intersection**: the keys present in both maps, carrying
+    /// `self`'s entries. Same O(m · log(n/m + 1)) bound and sharing as
+    /// [`Self::merge_union`]; shared subtrees are their own intersection.
     pub fn merge_intersection(&self, other: &Self) -> Self {
-        self.merge_intersection_with(other, |_, a, _| Some(a.clone()))
+        self.merge_by(
+            other,
+            MergeRule::INTERSECTION.keeping_shared(true),
+            |_, _, _| None,
+        )
     }
 
     /// [`Self::merge_intersection`] with a per-key decision:
     /// `combine(key, self_value, other_value)` returns the value to keep,
     /// or `None` to drop the key (e.g. when the two values are not
-    /// considered equal by the caller's notion of identity).
+    /// considered equal by the caller's notion of identity). Runs once per
+    /// shared key, in ascending key order.
     pub fn merge_intersection_with(
         &self,
         other: &Self,
-        mut combine: impl FnMut(&K, &V, &V) -> Option<V>,
+        combine: impl FnMut(&K, &V, &V) -> Option<V>,
     ) -> Self {
-        let mut out: Vec<(K, V)> = Vec::new();
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        while let (Some((ka, _)), Some((kb, _))) = (a.peek(), b.peek()) {
-            match ka.cmp(kb) {
-                Ordering::Less => {
-                    a.next();
-                }
-                Ordering::Greater => {
-                    b.next();
-                }
-                Ordering::Equal => {
-                    let (k, va) = a.next().expect("peeked");
-                    let (_, vb) = b.next().expect("peeked");
-                    if let Some(v) = combine(k, va, vb) {
-                        out.push((k.clone(), v));
-                    }
-                }
-            }
-        }
-        Self::from_sorted_vec(out)
+        self.merge_by(other, MergeRule::INTERSECTION, combine)
     }
 
-    /// O(n + m) **merge difference**: the entries of `self` whose keys are
-    /// absent from `other`.
+    /// **Merge difference**: the entries of `self` whose keys are absent
+    /// from `other`. Same O(m · log(n/m + 1)) bound as
+    /// [`Self::merge_union`]; removing a few keys from a large map shares
+    /// everything off the removed paths, and a subtree both maps share
+    /// contributes nothing without being walked.
     pub fn merge_difference(&self, other: &Self) -> Self {
-        self.merge_difference_with(other, |_, _, _| None)
+        self.merge_by(
+            other,
+            MergeRule::DIFFERENCE.keeping_shared(false),
+            |_, _, _| None,
+        )
     }
 
     /// [`Self::merge_difference`] with a per-key decision for keys present
     /// in both maps: `combine(key, self_value, other_value)` returns
     /// `Some(value)` to keep the key anyway (e.g. a residual after a
-    /// value-level difference) or `None` to drop it.
+    /// value-level difference) or `None` to drop it. Runs once per shared
+    /// key, in ascending key order.
     pub fn merge_difference_with(
         &self,
         other: &Self,
+        combine: impl FnMut(&K, &V, &V) -> Option<V>,
+    ) -> Self {
+        self.merge_by(other, MergeRule::DIFFERENCE, combine)
+    }
+
+    /// All six merges are [`merge`] under a different [`MergeRule`].
+    fn merge_by(
+        &self,
+        other: &Self,
+        rule: MergeRule,
         mut combine: impl FnMut(&K, &V, &V) -> Option<V>,
     ) -> Self {
-        if other.is_empty() {
-            return self.clone();
+        PMap {
+            root: merge(&self.root, &other.root, rule, &mut combine),
         }
-        let mut out: Vec<(K, V)> = Vec::new();
-        let mut a = self.iter().peekable();
-        let mut b = other.iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
-                    Ordering::Less => {
-                        let (k, v) = a.next().expect("peeked");
-                        out.push((k.clone(), v.clone()));
-                    }
-                    Ordering::Greater => {
-                        b.next();
-                    }
-                    Ordering::Equal => {
-                        let (k, va) = a.next().expect("peeked");
-                        let (_, vb) = b.next().expect("peeked");
-                        if let Some(v) = combine(k, va, vb) {
-                            out.push((k.clone(), v));
-                        }
-                    }
-                },
-                (Some(_), None) => {
-                    let (k, v) = a.next().expect("peeked");
-                    out.push((k.clone(), v.clone()));
-                }
-                (None, _) => break,
-            }
+    }
+
+    /// Walks the **difference** of two maps in ascending key order without
+    /// visiting what they share: subtrees the maps hold in common
+    /// (`Arc::ptr_eq` — the normal case for two versions of one relation)
+    /// are skipped whole, so diffing two versions that differ in k keys
+    /// costs about O(k · log n), not O(n). Each item is `(key, value in
+    /// self, value in other)`: a key in only one map has `None` on the
+    /// other side; a key in both is reported whenever its two entries live
+    /// in different nodes, so callers compare the two values themselves
+    /// (`V` need not be `PartialEq`).
+    pub fn diff<'a>(&'a self, other: &'a Self) -> Diff<'a, K, V> {
+        Diff {
+            a: self.root.iter().map(Frame::Tree).collect(),
+            b: other.root.iter().map(Frame::Tree).collect(),
         }
-        Self::from_sorted_vec(out)
     }
 
     /// Checks the AVL and size invariants of the whole tree (test support).
@@ -659,6 +874,32 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             }
         }
         go(&self.root, None, None).is_some()
+    }
+
+    /// Number of nodes of `self` that are not nodes of `prev` — what
+    /// building `self` from `prev` had to allocate (test support: the
+    /// structure-sharing pins count nodes instead of timing anything).
+    /// O(|prev|) to index `prev`, then only `self`'s fresh nodes are walked.
+    #[doc(hidden)]
+    pub fn fresh_nodes(&self, prev: &Self) -> usize {
+        fn index<K, V>(link: &Link<K, V>, seen: &mut HashSet<*const Node<K, V>>) {
+            if let Some(n) = link {
+                seen.insert(Arc::as_ptr(n));
+                index(&n.left, seen);
+                index(&n.right, seen);
+            }
+        }
+        fn count<K, V>(link: &Link<K, V>, seen: &HashSet<*const Node<K, V>>) -> usize {
+            match link {
+                Some(n) if !seen.contains(&Arc::as_ptr(n)) => {
+                    1 + count(&n.left, seen) + count(&n.right, seen)
+                }
+                _ => 0,
+            }
+        }
+        let mut seen = HashSet::new();
+        index(&prev.root, &mut seen);
+        count(&self.root, &seen)
     }
 }
 
@@ -728,6 +969,93 @@ impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
         }
         self.push_left(n.right.as_deref());
         Some((&n.key, &n.val))
+    }
+}
+
+/// One pending step of a [`Diff`] cursor: a subtree not yet opened, or an
+/// entry whose left subtree is already behind the cursor.
+enum Frame<'a, K, V> {
+    Tree(&'a Arc<Node<K, V>>),
+    Entry(&'a Node<K, V>),
+}
+
+impl<K, V> Clone for Frame<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, V> Copy for Frame<'_, K, V> {}
+
+/// Opens the subtree on top of an in-order stack: its right subtree, its
+/// root entry and its left subtree take its place.
+fn open<'a, K, V>(stack: &mut Vec<Frame<'a, K, V>>) {
+    if let Some(Frame::Tree(n)) = stack.pop() {
+        stack.extend(n.right.as_ref().map(Frame::Tree));
+        stack.push(Frame::Entry(n));
+        stack.extend(n.left.as_ref().map(Frame::Tree));
+    }
+}
+
+/// The iterator behind [`PMap::diff`]: two in-order cursors advanced in
+/// step. When both are about to enter the *same* subtree it is skipped on
+/// both sides; otherwise the larger pending subtree is opened, which is
+/// what brings the cursors back onto a shared subtree after the two trees
+/// were shaped differently by a rotation.
+pub struct Diff<'a, K, V> {
+    a: Vec<Frame<'a, K, V>>,
+    b: Vec<Frame<'a, K, V>>,
+}
+
+impl<'a, K: Ord, V> Iterator for Diff<'a, K, V> {
+    type Item = (&'a K, Option<&'a V>, Option<&'a V>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            match (self.a.last().copied(), self.b.last().copied()) {
+                (None, None) => return None,
+                (Some(Frame::Tree(x)), Some(Frame::Tree(y))) => {
+                    if Arc::ptr_eq(x, y) {
+                        self.a.pop();
+                        self.b.pop();
+                        continue;
+                    }
+                    if x.size >= y.size {
+                        open(&mut self.a);
+                    }
+                    if y.size >= x.size {
+                        open(&mut self.b);
+                    }
+                }
+                (Some(Frame::Tree(_)), _) => open(&mut self.a),
+                (_, Some(Frame::Tree(_))) => open(&mut self.b),
+                (Some(Frame::Entry(x)), Some(Frame::Entry(y))) => match x.key.cmp(&y.key) {
+                    Ordering::Less => {
+                        self.a.pop();
+                        return Some((&x.key, Some(&x.val), None));
+                    }
+                    Ordering::Greater => {
+                        self.b.pop();
+                        return Some((&y.key, None, Some(&y.val)));
+                    }
+                    Ordering::Equal => {
+                        self.a.pop();
+                        self.b.pop();
+                        if !std::ptr::eq(x, y) {
+                            return Some((&x.key, Some(&x.val), Some(&y.val)));
+                        }
+                    }
+                },
+                (Some(Frame::Entry(x)), None) => {
+                    self.a.pop();
+                    return Some((&x.key, Some(&x.val), None));
+                }
+                (None, Some(Frame::Entry(y))) => {
+                    self.b.pop();
+                    return Some((&y.key, None, Some(&y.val)));
+                }
+            }
+        }
     }
 }
 
@@ -917,6 +1245,160 @@ mod tests {
             d.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
             vec![(1, 10), (2, 18)]
         );
+    }
+
+    fn entries(m: &PMap<i64, i64>) -> Vec<(i64, i64)> {
+        m.iter().map(|(k, v)| (*k, *v)).collect()
+    }
+
+    #[test]
+    fn split_and_join_round_trip() {
+        let m = PMap::from_sorted_vec((0..500).map(|i| (2 * i, i)).collect());
+        for key in [-1, 0, 1, 2, 499, 500, 997, 998, 999, 2000] {
+            let (below, hit, above) = m.split(&key);
+            assert!(below.check_invariants() && above.check_invariants());
+            assert_eq!(hit, m.get(&key).copied());
+            assert!(below.keys().all(|k| *k < key) && above.keys().all(|k| *k > key));
+            assert_eq!(below.len() + above.len() + usize::from(hit.is_some()), 500);
+            // glue the halves back around the cut (any value: the key is new or overwritten)
+            let back = PMap::join(&below, key, -7, &above);
+            assert!(back.check_invariants());
+            assert_eq!(entries(&back), entries(&m.insert(key, -7).0));
+        }
+        // joins of wildly different heights stay balanced
+        let tall = PMap::from_sorted_vec((0..4096).map(|i| (i, i)).collect());
+        let tiny = PMap::from_sorted_vec(vec![(5000, 0)]);
+        let empty = PMap::new();
+        for (l, r) in [(&tall, &tiny), (&tall, &empty), (&empty, &tiny)] {
+            let j = PMap::join(l, 4500, 1, r);
+            assert!(j.check_invariants());
+            assert_eq!(j.len(), l.len() + r.len() + 1);
+        }
+        let j = PMap::join(
+            &tiny,
+            6000,
+            1,
+            &tall.split(&-1).2.split(&-1).2.split(&7000).2,
+        );
+        assert!(j.check_invariants() && j.len() == 2);
+    }
+
+    /// The structure-sharing pin: merging m entries into (or out of) a
+    /// 64k-entry map allocates O(m · height) nodes — everything else of
+    /// the result is the larger operand's own nodes.
+    #[test]
+    fn merge_shares_the_larger_operand() {
+        let n = 1 << 16;
+        let large: PMap<i64, i64> = PMap::from_sorted_vec((0..n).map(|i| (2 * i, i)).collect());
+        let h = large.tree_height();
+        for m in [1usize, 16] {
+            let stride = n / m as i64;
+            let at = |i: usize| 2 * (i as i64 * stride + stride / 2);
+            // odd keys are new, even ones the large map already holds
+            let fresh_keys = m / 2;
+            let small = PMap::from_sorted_vec(
+                (0..m)
+                    .map(|i| (at(i) + (i % 2) as i64, -1))
+                    .collect::<Vec<_>>(),
+            );
+            let budget = 3 * m * h;
+            let results = [
+                (
+                    "small ∪ large",
+                    small.merge_union(&large),
+                    n as usize + fresh_keys,
+                ),
+                (
+                    "large ∪ small",
+                    large.merge_union(&small),
+                    n as usize + fresh_keys,
+                ),
+                (
+                    "large ∪ small (combined)",
+                    large.merge_union_with(&small, |_, a, b| a + b),
+                    n as usize + fresh_keys,
+                ),
+                (
+                    "large − small",
+                    large.merge_difference(&small),
+                    n as usize - m + fresh_keys,
+                ),
+                (
+                    "large − small (combined)",
+                    large.merge_difference_with(&small, |_, _, _| None),
+                    n as usize - m + fresh_keys,
+                ),
+                (
+                    "large ∩ small",
+                    large.merge_intersection(&small),
+                    m - fresh_keys,
+                ),
+                (
+                    "small ∩ large",
+                    small.merge_intersection(&large),
+                    m - fresh_keys,
+                ),
+            ];
+            for (what, result, want_len) in results {
+                assert!(result.check_invariants(), "{what}, m = {m}");
+                assert_eq!(result.len(), want_len, "{what}, m = {m}");
+                let fresh = result.fresh_nodes(&large);
+                assert!(
+                    fresh <= budget,
+                    "{what}, m = {m}: {fresh} fresh nodes > 3·m·height = {budget}"
+                );
+            }
+        }
+        // shared subtrees are taken (or cancelled) whole
+        let edited = large.insert(7, 7).0.remove(&40_000).0;
+        assert_eq!(large.merge_union(&large).fresh_nodes(&large), 0);
+        assert!(large.merge_union(&edited).fresh_nodes(&large) <= 3 * h);
+        assert!(large.merge_intersection(&edited).fresh_nodes(&large) <= 3 * h);
+        assert_eq!(
+            entries(&large.merge_difference(&edited)),
+            vec![(40_000, 20_000)]
+        );
+        assert_eq!(entries(&edited.merge_difference(&large)), vec![(7, 7)]);
+    }
+
+    #[test]
+    fn diff_skips_shared_subtrees() {
+        let n = 1 << 16;
+        let base: PMap<i64, i64> = PMap::from_sorted_vec((0..n).map(|i| (2 * i, i)).collect());
+        let h = base.tree_height();
+        assert_eq!(base.diff(&base).count(), 0);
+        // an update copies one path: the diff visits that path and nothing else
+        let updated = base.insert(40_000, -1).0;
+        let seen: Vec<_> = base.diff(&updated).collect();
+        assert!(seen.len() <= h, "{} items for a one-key update", seen.len());
+        let real: Vec<_> = seen.iter().filter(|(_, a, b)| a != b).collect();
+        assert_eq!(real, vec![&(&40_000, Some(&20_000), Some(&-1))]);
+        // inserts and removes rotate: the trees are shaped differently, the
+        // walk still re-aligns on the shared subtrees
+        let mut edited = base.clone();
+        for i in 0..8 {
+            edited = edited.insert(2 * (i * 7919) + 1, -2).0;
+            edited = edited.remove(&(2 * (i * 6007 + 3))).0;
+        }
+        let seen: Vec<_> = base.diff(&edited).collect();
+        assert!(
+            seen.len() <= 16 * 4 * h,
+            "{} items for 16 one-key edits",
+            seen.len()
+        );
+        let real: Vec<_> = seen.into_iter().filter(|(_, a, b)| a != b).collect();
+        assert_eq!(real.len(), 16);
+        assert!(real.windows(2).all(|w| w[0].0 < w[1].0), "ascending keys");
+        assert_eq!(real.iter().filter(|(_, a, _)| a.is_none()).count(), 8);
+        assert_eq!(real.iter().filter(|(_, _, b)| b.is_none()).count(), 8);
+        // unrelated trees: every key of either side, once
+        let other: PMap<i64, i64> = PMap::from_iter((0..100).map(|i| (3 * i, i)));
+        let small: PMap<i64, i64> = PMap::from_iter((0..100).map(|i| (2 * i, i)));
+        let keys: Vec<i64> = small.diff(&other).map(|(k, _, _)| *k).collect();
+        let mut want: Vec<i64> = (0..100).flat_map(|i| [2 * i, 3 * i]).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(keys, want);
     }
 
     #[test]

@@ -165,43 +165,47 @@ impl<K: Ord + Clone, V: Ord + Clone> PMultiMap<K, V> {
         }
     }
 
-    /// O(n + m) **merge union**: every key of either multimap, with the
-    /// value sets of shared keys merged set-union-wise — equivalent to
-    /// inserting every `(key, value)` pair of `other`, without the
-    /// per-pair persistent-insert cost.
+    /// **Merge union**: every key of either multimap, with the value sets
+    /// of shared keys merged set-union-wise — equivalent to inserting
+    /// every `(key, value)` pair of `other`, without the per-pair
+    /// persistent-insert cost. Join-based like [`PMap::merge_union_with`]
+    /// (O(m · log(n/m + 1)) key steps for m and n ≥ m distinct keys,
+    /// sharing the larger side's untouched subtrees); `total_len` is kept
+    /// by the shared-key combiner, not recounted.
     pub fn merge_union(&self, other: &Self) -> Self {
-        let map = self
-            .map
-            .merge_union_with(&other.map, |_, a, b| a.merge_union(b));
-        Self::from_merged(map)
+        let mut total = self.total + other.total;
+        let map = self.map.merge_union_with(&other.map, |_, a, b| {
+            let both = a.merge_union(b);
+            total -= a.len() + b.len() - both.len();
+            both
+        });
+        PMultiMap { map, total }
     }
 
-    /// O(n + m) **merge intersection**: keys present in both multimaps,
-    /// holding the intersection of their value sets; keys whose value sets
-    /// share nothing are dropped.
+    /// **Merge intersection** (join-based, see [`Self::merge_union`]): keys
+    /// present in both multimaps, holding the intersection of their value
+    /// sets; keys whose value sets share nothing are dropped.
     pub fn merge_intersection(&self, other: &Self) -> Self {
+        let mut total = 0;
         let map = self.map.merge_intersection_with(&other.map, |_, a, b| {
             let s = a.merge_intersection(b);
+            total += s.len();
             (!s.is_empty()).then_some(s)
         });
-        Self::from_merged(map)
+        PMultiMap { map, total }
     }
 
-    /// O(n + m) **merge difference**: the `(key, value)` pairs of `self`
-    /// not present in `other`; keys whose value sets empty out are
-    /// dropped (matching repeated [`Self::remove`]).
+    /// **Merge difference** (join-based, see [`Self::merge_union`]): the
+    /// `(key, value)` pairs of `self` not present in `other`; keys whose
+    /// value sets empty out are dropped (matching repeated
+    /// [`Self::remove`]).
     pub fn merge_difference(&self, other: &Self) -> Self {
+        let mut total = self.total;
         let map = self.map.merge_difference_with(&other.map, |_, a, b| {
             let s = a.merge_difference(b);
+            total -= a.len() - s.len();
             (!s.is_empty()).then_some(s)
         });
-        Self::from_merged(map)
-    }
-
-    /// Wraps a merged key map, recounting `total` (each set's `len` is
-    /// O(1), so this is O(distinct keys)).
-    fn from_merged(map: PMap<K, PSet<V>>) -> Self {
-        let total = map.values().map(|s| s.len()).sum();
         PMultiMap { map, total }
     }
 

@@ -133,24 +133,29 @@ impl<T: Ord + Clone> PSet<T> {
         out
     }
 
-    /// O(n + m) **merge union**: both trees are walked in order with two
-    /// pointers and the result is bulk-built, instead of inserting
-    /// `other`'s members one by one (O(m log n) each). Equivalent to
-    /// [`Self::union`] (property-tested), just algorithmically cheaper.
+    /// **Merge union**, join-based ([`PMap::merge_union`]): O(m · log(n/m +
+    /// 1)) for a small side of m and a large side of n — linear for
+    /// comparable sides, logarithmic per member for a small delta — sharing
+    /// the larger operand's untouched subtrees and taking subtrees both
+    /// sets already share whole. Equivalent to the per-member
+    /// [`Self::union`], which stays as its reference (property-tested in
+    /// `tests/prop_pmap.rs`).
     pub fn merge_union(&self, other: &Self) -> Self {
         PSet {
             map: self.map.merge_union(&other.map),
         }
     }
 
-    /// O(n + m) merge counterpart of [`Self::intersection`].
+    /// Join-based counterpart of [`Self::intersection`]; same bound and
+    /// sharing as [`Self::merge_union`].
     pub fn merge_intersection(&self, other: &Self) -> Self {
         PSet {
             map: self.map.merge_intersection(&other.map),
         }
     }
 
-    /// O(n + m) merge counterpart of [`Self::difference`].
+    /// Join-based counterpart of [`Self::difference`]; same bound and
+    /// sharing as [`Self::merge_union`].
     pub fn merge_difference(&self, other: &Self) -> Self {
         PSet {
             map: self.map.merge_difference(&other.map),

@@ -1,5 +1,11 @@
 //! Property-based differential tests: `PMap` against `std::collections::BTreeMap`
 //! as the reference model, plus structural-sharing/snapshot properties.
+//!
+//! The join-based bulk set algebra (`merge_*`, `split`, `join`, `diff`) is
+//! pinned against per-element insert/lookup/remove oracles, on random
+//! inputs and on the adversarial shapes a merge can meet: disjoint ranges,
+//! perfectly interleaved keys, one entry against 64k, an empty side, and
+//! two handles on the same tree.
 
 use fdm_storage::{PMap, PMultiMap, PSet};
 use proptest::prelude::*;
@@ -19,6 +25,259 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<i64>().prop_map(|k| k % 64)).prop_map(Op::Remove),
         (any::<i64>().prop_map(|k| k % 64), any::<i64>()).prop_map(|(k, d)| Op::UpdateWith(k, d)),
     ]
+}
+
+type Map = PMap<i64, i64>;
+
+fn entries(m: &Map) -> Vec<(i64, i64)> {
+    m.iter().map(|(k, v)| (*k, *v)).collect()
+}
+
+/// Left-biased union by per-entry insert: the reference for
+/// `merge_union[_with]`.
+fn union_by_insert(a: &Map, b: &Map, mut combine: impl FnMut(&i64, &i64, &i64) -> i64) -> Map {
+    let mut out = a.clone();
+    for (k, vb) in b.iter() {
+        let v = match a.get(k) {
+            Some(va) => combine(k, va, vb),
+            None => *vb,
+        };
+        out = out.insert(*k, v).0;
+    }
+    out
+}
+
+/// Intersection by per-entry lookup + insert.
+fn intersection_by_insert(
+    a: &Map,
+    b: &Map,
+    mut combine: impl FnMut(&i64, &i64, &i64) -> Option<i64>,
+) -> Map {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let mut out = Map::new();
+    for (k, _) in small.iter().filter(|(k, _)| large.contains_key(k)) {
+        if let Some(v) = combine(k, a.get(k).unwrap(), b.get(k).unwrap()) {
+            out = out.insert(*k, v).0;
+        }
+    }
+    out
+}
+
+/// Difference by per-entry remove (or overwrite with the residual).
+fn difference_by_remove(
+    a: &Map,
+    b: &Map,
+    mut combine: impl FnMut(&i64, &i64, &i64) -> Option<i64>,
+) -> Map {
+    let mut out = a.clone();
+    for (k, vb) in b.iter() {
+        if let Some(va) = a.get(k) {
+            out = match combine(k, va, vb) {
+                Some(v) => out.insert(*k, v).0,
+                None => out.remove(k).0,
+            };
+        }
+    }
+    out
+}
+
+/// Every join-based operation on `(a, b)` against its per-element oracle:
+/// same entries, AVL + size invariants after every operation, and each
+/// `_with` combiner fired exactly once per shared key, in ascending key
+/// order, with `a`'s value first.
+fn check_bulk_ops(a: &Map, b: &Map, ctx: &str) {
+    let shared: Vec<(i64, i64, i64)> = a
+        .iter()
+        .filter_map(|(k, va)| b.get(k).map(|vb| (*k, *va, *vb)))
+        .collect();
+    let check = |got: Map, want: Map, op: &str| {
+        assert!(
+            got.check_invariants(),
+            "{ctx}: {op} broke the AVL invariants"
+        );
+        assert_eq!(got.len(), want.len(), "{ctx}: {op} len");
+        assert!(
+            got == want,
+            "{ctx}: {op} differs from its per-element oracle"
+        );
+    };
+    let mix = |k: &i64, x: &i64, y: &i64| k.wrapping_mul(31) ^ x.wrapping_sub(*y);
+    let some = |k: &i64, x: &i64, y: &i64| (mix(k, x, y) % 3 != 0).then(|| mix(k, x, y));
+
+    check(
+        a.merge_union(b),
+        union_by_insert(a, b, |_, x, _| *x),
+        "merge_union",
+    );
+    check(
+        a.merge_intersection(b),
+        intersection_by_insert(a, b, |_, x, _| Some(*x)),
+        "merge_intersection",
+    );
+    check(
+        a.merge_difference(b),
+        difference_by_remove(a, b, |_, _, _| None),
+        "merge_difference",
+    );
+
+    let mut calls = Vec::new();
+    let got = a.merge_union_with(b, |k, x, y| {
+        calls.push((*k, *x, *y));
+        mix(k, x, y)
+    });
+    check(got, union_by_insert(a, b, mix), "merge_union_with");
+    assert_eq!(calls, shared, "{ctx}: merge_union_with combiner calls");
+
+    let mut calls = Vec::new();
+    let got = a.merge_intersection_with(b, |k, x, y| {
+        calls.push((*k, *x, *y));
+        some(k, x, y)
+    });
+    check(
+        got,
+        intersection_by_insert(a, b, some),
+        "merge_intersection_with",
+    );
+    assert_eq!(
+        calls, shared,
+        "{ctx}: merge_intersection_with combiner calls"
+    );
+
+    let mut calls = Vec::new();
+    let got = a.merge_difference_with(b, |k, x, y| {
+        calls.push((*k, *x, *y));
+        some(k, x, y)
+    });
+    check(
+        got,
+        difference_by_remove(a, b, some),
+        "merge_difference_with",
+    );
+    assert_eq!(calls, shared, "{ctx}: merge_difference_with combiner calls");
+
+    // diff: every key whose entry differs is reported, in ascending order
+    let want: Vec<(i64, Option<i64>, Option<i64>)> = a
+        .keys()
+        .chain(b.keys().filter(|k| !a.contains_key(k)))
+        .map(|k| (*k, a.get(k).copied(), b.get(k).copied()))
+        .filter(|(_, x, y)| x != y)
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let got: Vec<_> = a
+        .diff(b)
+        .map(|(k, x, y)| (*k, x.copied(), y.copied()))
+        .filter(|(_, x, y)| x != y)
+        .collect();
+    assert_eq!(got, want, "{ctx}: diff");
+}
+
+/// The shapes a merge can meet, each in both operand orders.
+#[test]
+fn join_based_ops_match_oracles_on_adversarial_shapes() {
+    let range = |lo: i64, hi: i64, step: i64, tag: i64| {
+        Map::from_sorted_vec(
+            (lo..hi)
+                .step_by(step as usize)
+                .map(|k| (k, k ^ tag))
+                .collect(),
+        )
+    };
+    let n = 4096;
+    let big = range(0, 1 << 16, 1, 0);
+    let base = range(0, 2 * n, 2, 1);
+    let mut edited = base.clone();
+    for i in 0..40 {
+        edited = edited.insert(2 * (i * 97) + 1, -i).0;
+        edited = edited.insert(2 * (i * 89), -i).0;
+        edited = edited.remove(&(2 * (i * 83 + 5))).0;
+    }
+    let shapes: Vec<(&str, Map, Map)> = vec![
+        ("disjoint ranges", range(0, n, 1, 1), range(n, 2 * n, 1, 2)),
+        (
+            "touching ranges",
+            range(0, n, 1, 1),
+            range(n - 1, 2 * n, 1, 2),
+        ),
+        (
+            "interleaved, nothing shared",
+            base.clone(),
+            range(1, 2 * n, 2, 2),
+        ),
+        (
+            "interleaved, every sixth shared",
+            base.clone(),
+            range(0, 2 * n, 3, 2),
+        ),
+        (
+            "same keys, separate trees",
+            base.clone(),
+            range(0, 2 * n, 2, 2),
+        ),
+        ("same tree", base.clone(), base.clone()),
+        ("edited copy", base.clone(), edited),
+        ("empty side", base.clone(), Map::new()),
+        ("both empty", Map::new(), Map::new()),
+        (
+            "1 present key vs 64k",
+            range(40_000, 40_001, 1, 7),
+            big.clone(),
+        ),
+        ("1 key below 64k", range(-5, -4, 1, 7), big.clone()),
+        (
+            "1 key above 64k",
+            range(1 << 20, (1 << 20) + 1, 1, 7),
+            big.clone(),
+        ),
+        (
+            "16 spread keys vs 64k",
+            range(100, 1 << 16, 1 << 12, 7),
+            big.clone(),
+        ),
+    ];
+    for (name, a, b) in &shapes {
+        check_bulk_ops(a, b, name);
+        check_bulk_ops(b, a, &format!("{name} (swapped)"));
+    }
+}
+
+proptest! {
+    #[test]
+    fn join_based_ops_match_oracles_on_random_maps(
+        a in prop::collection::btree_map(-300i64..300, any::<i64>(), 0..200),
+        b in prop::collection::btree_map(-300i64..300, any::<i64>(), 0..200),
+        edits in prop::collection::vec((-300i64..300, any::<i64>()), 0..12),
+    ) {
+        // independently built (insert order = shape differs from the bulk build)
+        let pa = Map::from_iter(a.clone());
+        let pb = Map::from_sorted_vec(b.into_iter().collect());
+        check_bulk_ops(&pa, &pb, "random maps");
+        // a lightly edited snapshot of the same tree: shared subtrees everywhere
+        let mut edited = pa.clone();
+        for (k, v) in edits {
+            edited = if v % 3 == 0 { edited.remove(&k).0 } else { edited.insert(k, v).0 };
+        }
+        check_bulk_ops(&pa, &edited, "edited snapshot");
+        check_bulk_ops(&edited, &pa, "edited snapshot (swapped)");
+    }
+
+    #[test]
+    fn split_then_join_is_identity(
+        entries in prop::collection::btree_map(-200i64..200, any::<i64>(), 0..150),
+        key in -220i64..220,
+    ) {
+        let m = Map::from_iter(entries.clone());
+        let (below, hit, above) = m.split(&key);
+        prop_assert!(below.check_invariants() && above.check_invariants());
+        prop_assert_eq!(hit, entries.get(&key).copied());
+        let want_below: Vec<_> = entries.range(..key).map(|(k, v)| (*k, *v)).collect();
+        let want_above: Vec<_> = entries.range(key + 1..).map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(self::entries(&below), want_below);
+        prop_assert_eq!(self::entries(&above), want_above);
+        let back = Map::join(&below, key, 0, &above);
+        prop_assert!(back.check_invariants());
+        prop_assert!(back == m.insert(key, 0).0);
+    }
 }
 
 proptest! {
@@ -226,7 +485,7 @@ proptest! {
     ) {
         let pa = PSet::from_iter(a.iter().copied());
         let pb = PSet::from_iter(b.iter().copied());
-        // the O(n) two-pointer merges must be observably identical to the
+        // the join-based merges must be observably identical to the
         // per-element insert/lookup versions
         prop_assert_eq!(pa.merge_union(&pb), pa.union(&pb));
         prop_assert_eq!(pa.merge_intersection(&pb), pa.intersection(&pb));

@@ -36,7 +36,7 @@
 //! byte-identical to the one-at-a-time store at the matching operation
 //! prefix.
 
-use crate::store::{CommitOutcome, CommitPolicy, Store};
+use crate::store::{CommitOutcome, CommitPolicy, Store, Validation};
 use crate::txn::Transaction;
 use crate::writeset::{apply_ops, Op, WriteSet};
 use fdm_core::{FdmError, Result};
@@ -175,41 +175,38 @@ impl Store {
 
             // Per-member validation against commits since that member's
             // snapshot — the same first-committer-wins check the single
-            // commit path runs, genuine overlaps terminal per member.
-            {
-                let log = self.log.lock();
-                members.retain(|m| {
-                    if current.version == m.base_version {
-                        return true;
+            // commit path runs ([`Store::validate`]): genuine overlaps are
+            // terminal per member, a winner not yet in the log is a
+            // transient loss for the whole group.
+            let mut unrecorded = false;
+            let log = self.log.lock();
+            members.retain(|m| {
+                match self.validate(&log, m.base_version, current.version, &m.writes) {
+                    Validation::Clear => true,
+                    Validation::Conflict(e) => {
+                        outcomes[m.index] = Some(Err(e));
+                        false
                     }
-                    let oldest = log.first().map(|(v, _)| *v).unwrap_or(current.version);
-                    if m.base_version + 1 < oldest {
-                        outcomes[m.index] = Some(Err(FdmError::TransactionConflict {
-                            detail: format!(
-                                "snapshot v{} is older than the retained commit log (oldest v{oldest})",
-                                m.base_version
-                            ),
-                            keys: Vec::new(),
-                        }));
-                        return false;
+                    Validation::Unrecorded => {
+                        unrecorded = true;
+                        true
                     }
-                    for (v, ws) in log.iter() {
-                        if *v > m.base_version && m.writes.conflicts_with(ws) {
-                            outcomes[m.index] = Some(Err(FdmError::TransactionConflict {
-                                detail: format!(
-                                    "write-write conflict with commit v{v} on {}",
-                                    m.writes.describe_overlap(ws)
-                                ),
-                                keys: m.writes.conflict_keys(ws),
-                            }));
-                            return false;
-                        }
-                    }
-                    true
-                });
-            }
+                }
+            });
+            drop(log);
             if members.is_empty() {
                 return;
+            }
+            if unrecorded {
+                conflicts.push(("<unrecorded>".to_string(), format!("v{}", current.version)));
+                if let Err(e) = self.pace_batch(policy, &mut backoff, attempts, max_attempts, start)
+                {
+                    for m in &members {
+                        outcomes[m.index] = Some(Err(e.clone()));
+                    }
+                    return;
+                }
+                continue;
             }
 
             // One candidate root: every surviving member's ops replayed

@@ -256,6 +256,18 @@ pub struct Store {
     pub(crate) faults: Mutex<Option<Arc<FaultPlan>>>,
 }
 
+/// What [`Store::validate`] found between a snapshot and the root a commit
+/// attempt is about to build on.
+pub(crate) enum Validation {
+    /// Every version in between is recorded and none overlaps.
+    Clear,
+    /// A genuine write-write overlap (or a trimmed log): terminal.
+    Conflict(FdmError),
+    /// Some version in between is installed but not yet in the log: the
+    /// attempt is a transient loss — pace, reload, validate again.
+    Unrecorded,
+}
+
 impl Store {
     /// Creates a store with the given initial database (version 0) and
     /// default configuration.
@@ -671,6 +683,59 @@ impl Store {
     /// The hot-tuple cache's counters, when one is configured.
     pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
+    }
+
+    /// First-committer-wins validation of a write set staged at snapshot
+    /// `base` against the commits in `(base, current]`. `log` is the locked
+    /// commit log: a batch validates all its members under one acquisition,
+    /// and no caller holds it across replay, install or a backoff sleep.
+    ///
+    /// The commit transition is enabled only on a *fully recorded prefix*
+    /// (the DB-nets reading of it, Montali & Rivkin): a winner installs its
+    /// root and only then records its write set, so a version in `(base,
+    /// current]` can be missing from the log for a moment. Treating that as
+    /// "no conflict" is the lost update `unrecorded_winner_blocks_validation`
+    /// pins; it is [`Validation::Unrecorded`] instead — a transient loss the
+    /// caller paces and revalidates. Only a log that is full, and so has
+    /// trimmed, makes a snapshot older than its oldest entry terminal.
+    pub(crate) fn validate(
+        &self,
+        log: &[(Version, WriteSet)],
+        base: Version,
+        current: Version,
+        writes: &WriteSet,
+    ) -> Validation {
+        if current == base {
+            return Validation::Clear;
+        }
+        let mut recorded = 0;
+        // the log is version-sorted: skip straight past the snapshot
+        for (v, ws) in &log[log.partition_point(|(v, _)| *v <= base)..] {
+            if writes.conflicts_with(ws) {
+                return Validation::Conflict(FdmError::TransactionConflict {
+                    detail: format!(
+                        "write-write conflict with commit v{v} on {}",
+                        writes.describe_overlap(ws)
+                    ),
+                    keys: writes.conflict_keys(ws),
+                });
+            }
+            recorded += u64::from(*v <= current);
+        }
+        if recorded == current - base {
+            return Validation::Clear;
+        }
+        match log.first() {
+            Some((oldest, _)) if log.len() >= self.log_cap && base + 1 < *oldest => {
+                Validation::Conflict(FdmError::TransactionConflict {
+                    detail: format!(
+                        "snapshot v{base} is older than the retained commit log (oldest v{oldest})"
+                    ),
+                    keys: Vec::new(),
+                })
+            }
+            _ => Validation::Unrecorded,
+        }
     }
 
     /// Records a successful commit: the write set into the validation log

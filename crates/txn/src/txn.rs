@@ -11,7 +11,7 @@
 //! the newest root and win; overlapping writers get
 //! [`FdmError::TransactionConflict`] — first committer wins.
 
-use crate::store::{CommitOutcome, CommitPolicy, Store};
+use crate::store::{CommitOutcome, CommitPolicy, Store, Validation};
 use crate::writeset::{Op, WriteSet};
 use fdm_core::{DatabaseF, FdmError, FnValue, Name, Result, TupleF, Value};
 use fdm_fql::{db_delete, db_upsert};
@@ -176,8 +176,10 @@ impl Transaction {
     /// differently:
     ///
     /// * **Transient** losses — a CAS race lost to a concurrent
-    ///   committer whose writes were *disjoint* from ours, or an injected
-    ///   fault — are replayed automatically: the policy's seeded backoff
+    ///   committer whose writes were *disjoint* from ours, a winner that
+    ///   has installed its root but not yet recorded its write set (see
+    ///   `Store::validate`), or an injected fault — are replayed
+    ///   automatically: the policy's seeded backoff
     ///   paces up to `max_attempts` revalidate-and-install rounds, and
     ///   the survived races are reported in
     ///   [`CommitOutcome::conflicts`]. Exhausting the budget yields
@@ -223,30 +225,20 @@ impl Transaction {
             }
 
             // Validate against commits after our snapshot. Genuine
-            // overlaps are terminal (see above); the log lock is scoped
-            // so it is never held across replay or install.
-            if current.version != self.base_version {
+            // overlaps are terminal (see above); a winner that installed
+            // but has not recorded its write set yet is a transient loss.
+            let verdict = {
                 let log = self.store.log.lock();
-                let oldest = log.first().map(|(v, _)| *v).unwrap_or(current.version);
-                if self.base_version + 1 < oldest {
-                    return Err(FdmError::TransactionConflict {
-                        detail: format!(
-                            "snapshot v{} is older than the retained commit log (oldest v{oldest})",
-                            self.base_version
-                        ),
-                        keys: Vec::new(),
-                    });
-                }
-                for (v, ws) in log.iter() {
-                    if *v > self.base_version && self.writes.conflicts_with(ws) {
-                        return Err(FdmError::TransactionConflict {
-                            detail: format!(
-                                "write-write conflict with commit v{v} on {}",
-                                self.writes.describe_overlap(ws)
-                            ),
-                            keys: self.writes.conflict_keys(ws),
-                        });
-                    }
+                self.store
+                    .validate(&log, self.base_version, current.version, &self.writes)
+            };
+            match verdict {
+                Validation::Clear => {}
+                Validation::Conflict(e) => return Err(e),
+                Validation::Unrecorded => {
+                    conflicts.push(("<unrecorded>".to_string(), format!("v{}", current.version)));
+                    self.pace(policy, &mut backoff, attempts, max_attempts, start)?;
+                    continue;
                 }
             }
 
@@ -396,6 +388,76 @@ mod tests {
         assert_eq!(balance(&db, 42), 900);
         assert_eq!(balance(&db, 84), 600);
         assert_eq!(balance(&db, 42) + balance(&db, 84), 1500, "money conserved");
+    }
+
+    /// The lost update of benchmark finding 4, made deterministic: a winner
+    /// has installed its root but not yet recorded its write set. A
+    /// committer whose snapshot predates the winner must not validate
+    /// against the incomplete log and replay its stale value over it — on
+    /// the single path or the batched one — and once the winner is
+    /// recorded the overlap is the ordinary terminal conflict.
+    #[test]
+    fn unrecorded_winner_blocks_validation() {
+        let store = bank();
+        let policy = CommitPolicy::default().with_max_attempts(3);
+        let stale = |id: i64| {
+            let mut t = store.begin(); // snapshot v0
+            t.modify_attr("accounts", &Value::Int(id), "balance", |v| {
+                v.add(&Value::Int(1))
+            })
+            .unwrap();
+            t
+        };
+        let (single, batched, later, disjoint) = (stale(42), stale(42), stale(42), stale(84));
+
+        // the winner: +100 on account 42, installed as v1 — and nothing else yet
+        let mut winner = store.begin();
+        winner
+            .modify_attr("accounts", &Value::Int(42), "balance", |v| {
+                v.add(&Value::Int(100))
+            })
+            .unwrap();
+        let installed = winner.working.clone();
+        let (_, writes, ops) = winner.into_parts();
+        assert_eq!(store.root.try_install(0, installed.clone()).unwrap(), 1);
+
+        let err = single.commit_with(&policy).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FdmError::TransactionRetriesExhausted { attempts: 3, .. }
+            ),
+            "an unrecorded version is a transient loss, got {err:?}"
+        );
+        let batch_policy = crate::BatchPolicy {
+            commit: policy.clone(),
+            ..crate::BatchPolicy::default()
+        };
+        let err = store
+            .commit_batch(vec![batched], &batch_policy)
+            .remove(0)
+            .unwrap_err();
+        assert!(
+            matches!(err, FdmError::TransactionRetriesExhausted { .. }),
+            "{err:?}"
+        );
+        assert_eq!(store.version(), 1, "nothing committed over the winner");
+        assert_eq!(balance(&store.snapshot(), 42), 1100);
+
+        // the winner's bookkeeping arrives: the overlap is now visible...
+        store
+            .record_commit(1, writes, &ops, None, installed)
+            .unwrap();
+        let err = later.commit_with(&policy).unwrap_err();
+        assert!(
+            matches!(err, FdmError::TransactionConflict { .. }),
+            "{err:?}"
+        );
+        // ...and a disjoint stale writer replays cleanly on top of it
+        let outcome = disjoint.commit_with(&policy).unwrap();
+        assert_eq!(outcome.version, 2);
+        let db = store.snapshot();
+        assert_eq!((balance(&db, 42), balance(&db, 84)), (1100, 501));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * proptest: random plan trees (the optimizer-rules generator shapes)
 //!   × random mutation streams — run under whatever `THREADS` the
 //!   harness pins (the CI determinism job runs this file at 1 and 4);
-//! * `docs/VIEWS.md`'s worked transcript equals live output.
+//! * `docs/VIEWS.md`'s worked transcript equals live output;
+//! * the structure-sharing pin: a one-row delta allocates O(log n) tree
+//!   nodes per maintained relation — counted, not timed.
 
 use fdm_core::delta::{DbDelta, EntryDelta};
 use fdm_core::{DatabaseF, FnValue, TupleF, Value};
@@ -154,6 +156,88 @@ fn every_operator_tracks_every_mutation_kind() {
         for (label, after) in mutation_script(&db0) {
             step(&mut view, &before, &after, &format!("{op}: after {label}"));
             before = after;
+        }
+    }
+}
+
+/// Where `scaled_db`'s row ids and join values start. A `Value::Int` hashes
+/// through the bits of its `f64` form, whose low ~30 bits are all zero for
+/// small integers, and the Fx hasher never mixes high bits down — so a hash
+/// map keyed by tens of thousands of *small* ints (the join executor's and
+/// the join node's bindings) degrades to one long probe chain: 32k of them
+/// cost ≈ 20 s per join plan in a debug build, against < 1 s from here up,
+/// where the low mantissa bits are in use. What this test counts is
+/// unaffected by the choice.
+const BIG: i64 = 1 << 52;
+
+/// `skewed_db`'s schema at `n` base rows: `wide` holds one row per join
+/// value `k` in `1..=n` (so the join outputs grow with n), `narrow` six,
+/// and `base.nk` cycles through six values (so the groups grow with n).
+fn scaled_db(n: i64) -> DatabaseF {
+    let mut base = fdm_core::RelationBuilder::new("base", &["id"]);
+    let mut wide = fdm_core::RelationBuilder::new("wide", &["wid"]);
+    for i in 1..=n {
+        base.push(Value::Int(BIG + i), base_row(BIG + i, 1 + i % 6));
+        wide.push(Value::Int(BIG + i), wide_row(BIG + i, 10 * i));
+    }
+    let mut narrow = fdm_core::RelationBuilder::new("narrow", &["nid"]);
+    for k in 1..=6 {
+        narrow.push(Value::Int(k), narrow_row(k, 10 * k));
+    }
+    DatabaseF::new("scaled")
+        .with_relation(base.build().unwrap())
+        .with_relation(wide.build().unwrap())
+        .with_relation(narrow.build().unwrap())
+}
+
+/// The view-path sharing pin (a count, so it cannot flake): applying a
+/// one-row delta allocates O(log n) tree nodes in every relation a view
+/// maintains — each operator's output and each join's cached right side
+/// — and shares the rest with the version before. At the parent commit
+/// every one of them was rebuilt node for node (n fresh nodes).
+#[test]
+fn one_row_deltas_allocate_logarithmically() {
+    for n in [2_000i64, 32_000] {
+        let db0 = scaled_db(n);
+        let mid = BIG + n / 2 + 1;
+        let rewired = base_row(mid + 7, 1 + (mid + 3) % 6);
+        let db1 = db_upsert(&db0, "base", Value::Int(mid), rewired).unwrap();
+        let db2 = db_upsert(&db1, "wide", Value::Int(mid + 1), wide_row(mid + 1, -1)).unwrap();
+        let db3 = db_delete(&db2, "base", &Value::Int(mid)).unwrap();
+        let steps = [
+            ("rewire one base row", &db0, &db1),
+            ("update one wide row", &db1, &db2),
+            ("remove one base row", &db2, &db3),
+        ];
+        for (name, plan) in operator_corpus() {
+            if name == "order_by_limit" {
+                continue; // no delta rule: a scoped recompute by design
+            }
+            let mut view = MaintainedView::new(name, plan, &db0).expect("build");
+            for (what, before_db, after_db) in steps {
+                let ctx = format!("n={n}, plan={name}, {what}");
+                let before = view.maintained_relations();
+                let delta = DbDelta::between(before_db, after_db).unwrap();
+                view.apply(after_db, &delta).expect("delta application");
+                let after = view.maintained_relations();
+                assert_eq!(before.len(), after.len(), "{ctx}");
+                for (i, (old, new)) in before.iter().zip(&after).enumerate() {
+                    let (old, new) = (old.stored_map().unwrap(), new.stored_map().unwrap());
+                    let fresh = new.fresh_nodes(old);
+                    // a removed and an added row: two paths, plus rotations
+                    let budget = 4 * old.tree_height().max(1) + 8;
+                    assert!(
+                        fresh <= budget,
+                        "{ctx}: maintained relation #{i} ({} rows) allocated {fresh} nodes, \
+                         budget {budget}",
+                        new.len()
+                    );
+                }
+            }
+            assert_eq!(view.stats().fallback_recomputes, 0, "n={n}, plan={name}");
+            // the shared result is still the right one (once per plan: the
+            // recompute is the expensive part of this test)
+            assert_view_equiv(&view, &db3, &format!("n={n}, plan={name}"));
         }
     }
 }
