@@ -1194,7 +1194,7 @@ fn main() {
     let (fig12, wal_commit_overhead, recovery_replay_per_sec) = measure_recovery(quick);
     let entry = if quick {
         format!(
-            "{{\n  \"entry\": \"pr9_view_maintenance\",\n  \"scales\": [\n{}\n  ],\n  \"fig12_recovery\":\n{fig12}\n}}",
+            "{{\n  \"entry\": \"pr13_linear_fql_executor\",\n  \"scales\": [\n{}\n  ],\n  \"fig12_recovery\":\n{fig12}\n}}",
             scale_reports.join(",\n")
         )
     } else {
@@ -1206,7 +1206,7 @@ fn main() {
         // `*_speedup` keys, so its placement is inert to the gate.)
         let (baseline, _) = measure_scale(2_000, samples, par_threads);
         format!(
-            "{{\n  \"entry\": \"pr9_view_maintenance\",\n  \"scales\": [\n{}\n  ],\n  \"fig12_recovery\":\n{fig12},\n  \"quick_gate_baseline\":\n{baseline}\n}}",
+            "{{\n  \"entry\": \"pr13_linear_fql_executor\",\n  \"scales\": [\n{}\n  ],\n  \"fig12_recovery\":\n{fig12},\n  \"quick_gate_baseline\":\n{baseline}\n}}",
             scale_reports.join(",\n")
         )
     };

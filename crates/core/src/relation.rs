@@ -463,11 +463,17 @@ impl RelationF {
 
     /// The keys at which the function is (storedly) defined.
     pub fn stored_keys(&self) -> Vec<Value> {
+        self.stored_key_refs().cloned().collect()
+    }
+
+    /// [`Self::stored_keys`] by reference: each distinct stored key once,
+    /// ascending, nothing cloned.
+    pub fn stored_key_refs(&self) -> Box<dyn Iterator<Item = &Value> + '_> {
         match &self.body {
-            Body::Unique(m) => m.keys().cloned().collect(),
-            Body::Multi(m) => m.keys().cloned().collect(),
-            Body::Computed { .. } => Vec::new(),
-            Body::Hybrid { map, .. } => map.keys().cloned().collect(),
+            Body::Unique(m) => Box::new(m.keys()),
+            Body::Multi(m) => Box::new(m.keys()),
+            Body::Computed { .. } => Box::new(std::iter::empty()),
+            Body::Hybrid { map, .. } => Box::new(map.keys()),
         }
     }
 

@@ -136,15 +136,17 @@ impl TupleF {
     /// Builds a stored-only tuple directly from already-interned
     /// `(name, value)` pairs — the bulk-construction companion used by join
     /// and projection hot paths, where re-allocating every attribute name
-    /// through [`TupleBuilder::attr`] would dominate.
-    pub fn from_parts(name: impl AsRef<str>, parts: Vec<(Name, Value)>) -> TupleF {
+    /// through [`TupleBuilder::attr`] would dominate. The tuple name may be
+    /// an interned [`Name`] too: a join names every output row alike and
+    /// shares one.
+    pub fn from_parts(name: impl Into<Name>, parts: Vec<(Name, Value)>) -> TupleF {
         TupleF {
-            name: Arc::from(name.as_ref()),
+            name: name.into(),
+            // an exact-size iterator collects straight into the shared slice
             attrs: parts
                 .into_iter()
                 .map(|(n, v)| (n, AttrDef::Stored(v)))
-                .collect::<Vec<_>>()
-                .into(),
+                .collect(),
             data_key_cache: OnceLock::new(),
         }
     }
@@ -167,6 +169,14 @@ impl TupleF {
     /// `true` if the tuple has this attribute.
     pub fn has_attr(&self, attr: &str) -> bool {
         self.attrs.iter().any(|(n, _)| n.as_ref() == attr)
+    }
+
+    /// `true` if any attribute is computed — such a tuple's answers may
+    /// depend on every other attribute it carries.
+    pub fn has_computed_attrs(&self) -> bool {
+        self.attrs
+            .iter()
+            .any(|(_, d)| matches!(d, AttrDef::Computed(_)))
     }
 
     /// `true` if the attribute exists and is computed (not stored).

@@ -38,17 +38,27 @@ pub fn filter_fn(
     rel: &RelationF,
     pred: impl Fn(&TupleF) -> Result<bool> + Sync,
 ) -> Result<RelationF> {
+    filter_map_entries(rel, |_, tuple| Ok(pred(tuple)?.then(|| tuple.clone())))
+}
+
+/// The body every filter shares: enumerates `rel` in key order and keeps
+/// the tuple `keep` answers with (usually the input tuple itself), chunked
+/// across threads on large inputs exactly as [`filter_fn`] documents.
+fn filter_map_entries(
+    rel: &RelationF,
+    keep: impl Fn(&Value, &Arc<TupleF>) -> Result<Option<Arc<TupleF>>> + Sync,
+) -> Result<RelationF> {
     let entries = rel.tuples()?;
     let cfg = ParConfig::from_env();
     if cfg.should_parallelize(entries.len()) {
         let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            let mut keep = Vec::new();
+            let mut kept = Vec::new();
             for (key, tuple) in chunk {
-                if pred(tuple)? {
-                    keep.push((key.clone(), tuple.clone()));
+                if let Some(tuple) = keep(key, tuple)? {
+                    kept.push((key.clone(), tuple));
                 }
             }
-            Ok(keep)
+            Ok(kept)
         });
         let mut out = ParallelBuilder::for_relation(rel);
         for run in runs {
@@ -60,7 +70,7 @@ pub fn filter_fn(
     // already-sorted bulk path — no per-tuple persistent insert.
     let mut out = rel.builder_like();
     for (key, tuple) in entries {
-        if pred(&tuple)? {
+        if let Some(tuple) = keep(&key, &tuple)? {
             out.push_arc(key, tuple);
         }
     }
@@ -129,6 +139,31 @@ pub fn filter_bound(rel: &RelationF, expr: &Expr) -> Result<RelationF> {
     filter_fn(rel, |t| eval_predicate(expr, t).map_err(FdmError::from))
 }
 
+/// `filter_bound(&with_inlined_keys(rel)?, expr)` — a scan under a filter —
+/// without inlining the key into tuples the predicate drops. The predicate
+/// is evaluated on the stored tuple as it is, and only kept rows get their
+/// key attributes; a tuple is inlined *before* evaluation only when that
+/// can change the answer: the predicate names a key attribute the tuple
+/// lacks, or the tuple has computed attributes (which may read the key).
+/// Output and first error are byte-identical to the eager composition
+/// (pinned by `tests/tests/lazy_inlining.rs`).
+pub(crate) fn filter_scan(rel: &RelationF, expr: &Expr) -> Result<RelationF> {
+    let key_names = rel.key_attrs();
+    let referenced = expr.referenced_attrs();
+    let pred_keys: Vec<&Name> = key_names
+        .iter()
+        .filter(|k| referenced.contains(k))
+        .collect();
+    filter_map_entries(rel, |key, tuple| {
+        if tuple.has_computed_attrs() || pred_keys.iter().any(|k| !tuple.has_attr(k)) {
+            let inlined = inline_tuple(key, tuple, key_names);
+            Ok(eval_predicate(expr, &inlined)?.then_some(inlined))
+        } else {
+            Ok(eval_predicate(expr, tuple)?.then(|| inline_tuple(key, tuple, key_names)))
+        }
+    })
+}
+
 /// `filter` one level up: keep only the database entries whose
 /// `(name, entry)` pair satisfies the predicate (paper Fig. 5:
 /// `filter(lambda kv: kv[0] in relations, DB)`).
@@ -176,16 +211,16 @@ pub(crate) fn key_attr_strs(rel: &RelationF) -> Vec<&str> {
 /// output being re-scanned), the relation is returned **unchanged** — an
 /// O(1) structural share instead of an O(n) copy of every tuple.
 pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
-    let key_names: Vec<Name> = rel.key_attrs().to_vec();
+    let key_names = rel.key_attrs();
     // Pass-through: a plain stored body whose tuples all have the key
     // attributes inline needs no rebuild — share the map O(1), rewrapped
     // unconstrained so both paths produce the same output shape.
     // (Multi/computed bodies always rebuild — their enumeration is what
     // materializes the output.)
     if let Some(map) = rel.stored_map() {
-        if rel
-            .iter_stored()
-            .all(|(_, t)| key_names.iter().all(|n| t.has_attr(n)))
+        if map
+            .values()
+            .all(|t| key_names.iter().all(|n| t.has_attr(n)))
         {
             return Ok(RelationF::from_stored_map(
                 rel.name(),
@@ -194,30 +229,13 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
             ));
         }
     }
-    let inline = |key: &Value, tuple: &Arc<TupleF>| -> TupleF {
-        let mut t = (**tuple).clone();
-        match (key, key_names.len()) {
-            (Value::List(parts), n) if n > 1 && parts.len() == n => {
-                for (name, v) in key_names.iter().zip(parts.iter()) {
-                    if !t.has_attr(name) {
-                        t = t.with_attr(name.as_ref(), v.clone());
-                    }
-                }
-            }
-            (v, 1) if !t.has_attr(&key_names[0]) => {
-                t = t.with_attr(key_names[0].as_ref(), v.clone());
-            }
-            _ => {}
-        }
-        t
-    };
     let entries = rel.tuples()?;
     let cfg = ParConfig::from_env();
     if cfg.should_parallelize(entries.len()) {
         let runs = par_map_chunks(&entries, cfg.threads, |chunk| {
             chunk
                 .iter()
-                .map(|(key, tuple)| (key.clone(), Arc::new(inline(key, tuple))))
+                .map(|(key, tuple)| (key.clone(), inline_tuple(key, tuple, key_names)))
                 .collect::<Vec<_>>()
         });
         let mut out = ParallelBuilder::for_relation(rel);
@@ -228,10 +246,67 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
     }
     let mut out = rel.builder_like();
     for (key, tuple) in entries {
-        let t = inline(&key, &tuple);
-        out.push(key, t);
+        let inlined = inline_tuple(&key, &tuple, key_names);
+        out.push_arc(key, inlined);
     }
     out.build()
+}
+
+/// The per-tuple half of [`with_inlined_keys`]: returns the tuple with
+/// its key attribute(s) inlined, sharing the input when nothing is
+/// missing.
+pub(crate) fn inline_tuple(key: &Value, tuple: &Arc<TupleF>, key_names: &[Name]) -> Arc<TupleF> {
+    match (key, key_names.len()) {
+        (Value::List(parts), n) if n > 1 && parts.len() == n => {
+            if key_names.iter().all(|name| tuple.has_attr(name)) {
+                return tuple.clone();
+            }
+            let mut t = (**tuple).clone();
+            for (name, v) in key_names.iter().zip(parts.iter()) {
+                if !t.has_attr(name) {
+                    t = t.with_attr(name.as_ref(), v.clone());
+                }
+            }
+            Arc::new(t)
+        }
+        (v, 1) if !tuple.has_attr(&key_names[0]) => Arc::new(
+            (**tuple)
+                .clone()
+                .with_attr(key_names[0].as_ref(), v.clone()),
+        ),
+        _ => tuple.clone(),
+    }
+}
+
+/// The value [`inline_tuple`] files under `attr` when the tuple lacks it:
+/// the key itself, or its part at `attr`'s position in a composite key.
+fn key_part<'a>(key: &'a Value, key_names: &[Name], attr: &str) -> Option<&'a Value> {
+    let at = key_names.iter().position(|k| k.as_ref() == attr)?;
+    match key {
+        Value::List(parts) if key_names.len() > 1 => {
+            (parts.len() == key_names.len()).then(|| &parts[at])
+        }
+        whole => (key_names.len() == 1).then_some(whole),
+    }
+}
+
+/// `inline_tuple(key, tuple, key_names).get(attr)` without building the
+/// inlined tuple: a stored attribute answers for itself, a key attribute
+/// the tuple lacks is read off the key. Tuples with computed attributes
+/// (which may read the key) do inline first.
+pub(crate) fn get_inlined(
+    key: &Value,
+    tuple: &Arc<TupleF>,
+    key_names: &[Name],
+    attr: &str,
+) -> Result<Value> {
+    if tuple.has_computed_attrs() {
+        return inline_tuple(key, tuple, key_names).get(attr);
+    }
+    match key_part(key, key_names, attr) {
+        Some(part) if !tuple.has_attr(attr) => Ok(part.clone()),
+        _ => tuple.get(attr),
+    }
 }
 
 #[cfg(test)]

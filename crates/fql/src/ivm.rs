@@ -46,7 +46,7 @@
 //! the contract.
 
 use crate::aggregate::AggSpec;
-use crate::filter::{key_attr_strs, with_inlined_keys};
+use crate::filter::{inline_tuple, key_attr_strs, with_inlined_keys};
 use crate::optimizer::Optimizer;
 use crate::plan::Query;
 use crate::setops::key_map;
@@ -251,32 +251,6 @@ fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> 
         &key_attr_strs(out),
         merged,
     ))
-}
-
-/// The per-tuple half of [`with_inlined_keys`]: returns the tuple with
-/// its key attribute(s) inlined, sharing the input when nothing is
-/// missing.
-fn inline_tuple(key: &Value, tuple: &Arc<TupleF>, key_names: &[Name]) -> Arc<TupleF> {
-    match (key, key_names.len()) {
-        (Value::List(parts), n) if n > 1 && parts.len() == n => {
-            if key_names.iter().all(|name| tuple.has_attr(name)) {
-                return tuple.clone();
-            }
-            let mut t = (**tuple).clone();
-            for (name, v) in key_names.iter().zip(parts.iter()) {
-                if !t.has_attr(name) {
-                    t = t.with_attr(name.as_ref(), v.clone());
-                }
-            }
-            Arc::new(t)
-        }
-        (v, 1) if !tuple.has_attr(&key_names[0]) => Arc::new(
-            (**tuple)
-                .clone()
-                .with_attr(key_names[0].as_ref(), v.clone()),
-        ),
-        _ => tuple.clone(),
-    }
 }
 
 /// The batch group-key rule: the single by-value, or a `Value::List` of

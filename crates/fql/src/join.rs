@@ -60,7 +60,7 @@ impl JoinOn {
 }
 
 /// A qualified attribute run shared across output rows.
-type AttrRun = Arc<[(Name, Value)]>;
+pub(crate) type AttrRun = Arc<[(Name, Value)]>;
 
 /// A partially joined row: which relation keys are bound, and the merged
 /// attribute list accumulated so far. The bound set is a flat vec — join
@@ -109,8 +109,9 @@ impl Qualifier {
 
     /// Qualifies every materialized attribute of `tuple` into `out`.
     pub(crate) fn qualify(&mut self, tuple: &TupleF, out: &mut Vec<(Name, Value)>) -> Result<()> {
-        for (attr, v) in tuple.materialize()? {
-            out.push((self.name(&attr), v));
+        out.reserve(tuple.attr_count());
+        for attr in tuple.attr_names() {
+            out.push((self.name(attr), tuple.get(attr)?));
         }
         Ok(())
     }
@@ -122,10 +123,12 @@ impl Qualifier {
 fn rows_to_relation(rows: impl IntoIterator<Item = Vec<(Name, Value)>>) -> Result<RelationF> {
     let rows = rows.into_iter();
     let mut out = RelationBuilder::new("join_result", &["row"]).with_capacity(rows.size_hint().0);
+    // every row is named alike, as `Query::Join` names its rows: one name
+    let name = Name::from("j");
     for (i, attrs) in rows.enumerate() {
         out.push(
             Value::Int(i as i64),
-            TupleF::from_parts(format!("j{i}"), attrs),
+            TupleF::from_parts(name.clone(), attrs),
         );
     }
     out.build()
@@ -387,7 +390,7 @@ fn join_one_relationship(
                             Some(tuple) => {
                                 let mut attrs = vec![(key_names[i].clone(), arg.clone())];
                                 w.part_quals[i].qualify(&tuple, &mut attrs)?;
-                                Some(AttrRun::from(attrs.into_boxed_slice()))
+                                Some(AttrRun::from(attrs))
                             }
                             None => None,
                         };
@@ -457,7 +460,7 @@ fn join_one_relationship(
         for (ei, (_, rattrs)) in entries.iter().enumerate() {
             let mut attrs = Vec::new();
             rel_qual.qualify(rattrs, &mut attrs)?;
-            entry_attrs[ei] = Some(Arc::from(attrs.into_boxed_slice()));
+            entry_attrs[ei] = Some(Arc::from(attrs));
         }
     }
 
@@ -487,7 +490,7 @@ fn join_one_relationship(
                 let (_, rattrs) = &entries[ei];
                 let mut attrs = Vec::new();
                 rel_qual.qualify(rattrs, &mut attrs)?;
-                let a: AttrRun = Arc::from(attrs.into_boxed_slice());
+                let a: AttrRun = Arc::from(attrs);
                 local_attrs.insert(ei, a.clone());
                 Ok(a)
             };
@@ -550,7 +553,7 @@ fn join_one_relationship(
                     let (_, rattrs) = &entries[ei];
                     let mut attrs = Vec::new();
                     rel_qual.qualify(rattrs, &mut attrs)?;
-                    let a: AttrRun = Arc::from(attrs.into_boxed_slice());
+                    let a: AttrRun = Arc::from(attrs);
                     entry_attrs[ei] = Some(a.clone());
                     Ok(a)
                 }
@@ -652,7 +655,7 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
             table
                 .entry(t.get(build_attr)?)
                 .or_default()
-                .push(Arc::from(attrs.into_boxed_slice()));
+                .push(Arc::from(attrs));
         }
         let probe_q = Name::from(format!("{probe_rel}.{probe_attr}").as_str());
         let probe_rows = |chunk: &[Vec<(Name, Value)>]| {

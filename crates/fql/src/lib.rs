@@ -68,7 +68,7 @@ pub use optimizer::{
 pub use pivot::pivot;
 pub use plan::{Query, QueryStats};
 pub use setops::{deep_copy, deep_copy_relation, difference, intersect, minus, union};
-pub use subdb::{outer, reduce_db, subdatabase};
+pub use subdb::{outer, reduce_db, reduce_db_with_stats, subdatabase, ReduceStats};
 pub use transform::{
     antijoin, distinct, extend, extend_stored, limit, order_by, rename_attrs, semijoin,
     semijoin_keys, top_k, Order,

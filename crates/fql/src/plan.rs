@@ -38,7 +38,7 @@
 use crate::aggregate::{group_and_aggregate, AggSpec};
 use crate::filter::filter_bound;
 use crate::optimizer::Optimizer;
-use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
+use fdm_core::{DatabaseF, FdmError, Name, RelationF, Result, TupleF, Value};
 use fdm_expr::{Expr, Params};
 use std::sync::Arc;
 
@@ -282,8 +282,20 @@ impl Query {
             // can filter/project/join on it (`cid` etc.).
             Query::Scan { rel } => crate::filter::with_inlined_keys(db.relation(rel)?.as_ref())?,
             Query::Filter { input, pred } => {
-                let rel = input.run(db, stats)?;
-                filter_bound(&rel, pred)?
+                // A scan under a filter inlines the key only into the rows
+                // the predicate keeps (plain stored bodies; the others
+                // enumerate through the scan's inlined copy).
+                let scanned = match &**input {
+                    Query::Scan { rel } => Some(db.relation(rel)?),
+                    _ => None,
+                };
+                match scanned.filter(|rel| rel.is_plain_stored()) {
+                    Some(rel) => {
+                        stats.produced.push((input.describe(), rel.len()));
+                        crate::filter::filter_scan(&rel, pred)?
+                    }
+                    None => filter_bound(&input.run(db, stats)?, pred)?,
+                }
             }
             Query::Project { input, attrs } => {
                 let rel = input.run(db, stats)?;
@@ -324,26 +336,50 @@ impl Query {
                 rel_attr,
             } => {
                 let left = input.run(db, stats)?;
-                let right = crate::filter::with_inlined_keys(db.relation(rel)?.as_ref())?;
+                // A plain stored right side is read in place: the join
+                // attribute comes off the tuple or its key, and the key is
+                // inlined only into tuples some left row matches. Other
+                // bodies enumerate through an inlined copy.
+                let right = db.relation(rel)?;
+                let right = if right.is_plain_stored() {
+                    right
+                } else {
+                    Arc::new(crate::filter::with_inlined_keys(&right)?)
+                };
+                let key_names = right.key_attrs();
+                let right_rows = right.tuples()?;
                 // hash-build the right side
-                let mut table: fdm_core::FxHashMap<Value, Vec<Arc<TupleF>>> =
+                let mut table: fdm_core::FxHashMap<Value, Vec<usize>> =
                     fdm_core::FxHashMap::default();
-                for (_, t) in right.tuples()? {
-                    table.entry(t.get(rel_attr)?).or_default().push(t);
+                for (i, (key, t)) in right_rows.iter().enumerate() {
+                    let on = crate::filter::get_inlined(key, t, key_names, rel_attr)?;
+                    table.entry(on).or_default().push(i);
                 }
-                // qualified right-side names interned once per attribute
+                // qualified right-side names interned once per attribute,
+                // qualified right-side attributes built once per tuple
                 let mut qual = crate::join::Qualifier::new(rel);
-                let mut rows: Vec<TupleF> = Vec::new();
+                let mut right_attrs: Vec<Option<crate::join::AttrRun>> =
+                    vec![None; right_rows.len()];
+                let name = Name::from("j");
+                let mut rows: Vec<Arc<TupleF>> = Vec::new();
                 for (_, lt) in left.tuples()? {
-                    let key = lt.get(input_attr)?;
-                    if let Some(matches) = table.get(&key) {
-                        for rt in matches {
-                            let mut attrs = lt.materialize()?;
-                            for (n, v) in rt.materialize()? {
-                                attrs.push((qual.name(&n), v));
-                            }
-                            rows.push(TupleF::from_parts("j", attrs));
+                    let Some(matches) = table.get(&lt.get(input_attr)?) else {
+                        continue;
+                    };
+                    let left_attrs = lt.materialize()?;
+                    for &i in matches {
+                        if right_attrs[i].is_none() {
+                            let (key, t) = &right_rows[i];
+                            let mut attrs = Vec::new();
+                            let inlined = crate::filter::inline_tuple(key, t, key_names);
+                            qual.qualify(&inlined, &mut attrs)?;
+                            right_attrs[i] = Some(attrs.into());
                         }
+                        let right_attrs = right_attrs[i].as_deref().expect("filled above");
+                        let mut attrs = Vec::with_capacity(left_attrs.len() + right_attrs.len());
+                        attrs.extend_from_slice(&left_attrs);
+                        attrs.extend_from_slice(right_attrs);
+                        rows.push(Arc::new(TupleF::from_parts(name.clone(), attrs)));
                     }
                 }
                 canonical_keyed(rows)?
@@ -539,40 +575,32 @@ impl Query {
 /// therefore a pure function of the produced row **data**: every join
 /// order that yields the same rows yields the same keyed relation, which
 /// is the contract `Query::optimize_for`'s reordering relies on.
-fn canonical_keyed(rows: Vec<TupleF>) -> Result<RelationF> {
-    // group row indices by fingerprint hash (computing — and caching on
-    // the tuple — each fingerprint exactly once)
-    let mut groups: fdm_core::FxHashMap<u64, Vec<usize>> = fdm_core::FxHashMap::default();
-    groups.reserve(rows.len());
-    for (i, t) in rows.iter().enumerate() {
-        groups.entry(t.fingerprint()?.hash()).or_default().push(i);
+fn canonical_keyed(rows: Vec<Arc<TupleF>>) -> Result<RelationF> {
+    // computing — and caching on the tuple — each fingerprint exactly once
+    let mut keyed: Vec<(i64, Arc<TupleF>)> = Vec::with_capacity(rows.len());
+    for t in rows {
+        keyed.push((t.fingerprint()?.hash() as i64, t));
     }
-    let mut ranks: Vec<i64> = vec![0; rows.len()];
-    for bucket in groups.values_mut() {
-        if bucket.len() > 1 {
-            bucket.sort_by(|&a, &b| {
-                let ka = rows[a].fingerprint().expect("cached above").value();
-                let kb = rows[b].fingerprint().expect("cached above").value();
-                ka.cmp(kb)
-            });
-            for (rank, &i) in bucket.iter().enumerate() {
-                ranks[i] = rank as i64;
-            }
-        }
+    // by hash as the `Value::Int` the id carries it in, colliding rows by
+    // canonical data key; stable, so identical rows keep emission order
+    fn data_key(t: &TupleF) -> &Value {
+        t.fingerprint().expect("cached above").value()
     }
-    // sort by the native (hash, rank) pair — the same order the
-    // `[Int, Int]` list keys compare in — so the builder sees strictly
-    // ascending keys and takes its presorted O(n) bulk path instead of
-    // re-sorting n Value::List keys with the generic comparator
-    let mut keyed: Vec<(i64, i64, TupleF)> = Vec::with_capacity(rows.len());
-    for (i, t) in rows.into_iter().enumerate() {
-        let hash = t.fingerprint()?.hash() as i64;
-        keyed.push((hash, ranks[i], t));
-    }
-    keyed.sort_unstable_by_key(|(hash, rank, _)| (*hash, *rank));
+    keyed.sort_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| data_key(&a.1).cmp(data_key(&b.1)))
+    });
+    // ids now ascend, so the builder takes its presorted O(n) bulk path;
+    // a row's rank is its position in its run of equal hashes
     let mut out = fdm_core::RelationBuilder::new("join", &["row"]).with_capacity(keyed.len());
-    for (hash, rank, t) in keyed {
-        out.push(Value::list([Value::Int(hash), Value::Int(rank)]), t);
+    let mut prev: Option<(i64, i64)> = None;
+    for (hash, t) in keyed {
+        let rank = match prev {
+            Some((h, rank)) if h == hash => rank + 1,
+            _ => 0,
+        };
+        prev = Some((hash, rank));
+        out.push_arc(Value::list([Value::Int(hash), Value::Int(rank)]), t);
     }
     out.build()
 }

@@ -15,9 +15,10 @@
 //! participants can be marked.
 
 use crate::filter::filter_db;
-use fdm_core::{DatabaseF, FnValue, Name, RelationF, Result, Value};
-use fdm_storage::PSet;
-use std::collections::{BTreeMap, BTreeSet};
+use fdm_core::{
+    DatabaseF, FnValue, Name, RelationF, RelationshipBuilder, RelationshipF, Result, Value,
+};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Picks a subset of entries by name (Fig. 5's
@@ -33,14 +34,33 @@ pub fn subdatabase(db: &DatabaseF, names: &[&str]) -> DatabaseF {
     with_rels
 }
 
-/// The per-relation key sets that survive the semi-join fixpoint.
-#[derive(Debug)]
-struct ActiveKeys {
-    /// relation name → surviving keys (None = relation not constrained by
-    /// any relationship, keep everything). Persistent sets so each
-    /// fixpoint round shrinks them with an O(n) merge intersection
-    /// instead of a per-element retain.
-    keys: BTreeMap<Name, PSet<Value>>,
+/// How much work [`reduce_db_with_stats`] did to reach the fixpoint.
+#[derive(Debug, Clone, Default)]
+pub struct ReduceStats {
+    /// `(relationship, times its entries were scanned)` in name order: once,
+    /// plus once for every time *another* relationship shrank one of its
+    /// participants afterwards.
+    pub scans: Vec<(Name, usize)>,
+}
+
+/// The stored keys of one relation that survive the semi-join fixpoint,
+/// borrowed from the relation itself.
+struct ActiveKeys<'a> {
+    /// Ascending and distinct; only ever shrinks.
+    keys: Vec<&'a Value>,
+    /// How many stored keys the relation has, so `keys.len() == stored`
+    /// says nothing was reduced away.
+    stored: usize,
+}
+
+/// What the semi-join fixpoint leaves of a database.
+struct Survivors<'a> {
+    /// Relation name → surviving keys. A relation no relationship touches
+    /// has no entry and keeps everything.
+    keys: BTreeMap<&'a str, ActiveKeys<'a>>,
+    /// Relationship name → one flag per entry, in entry order.
+    entries: BTreeMap<&'a str, Vec<bool>>,
+    stats: ReduceStats,
 }
 
 /// Computes the semi-join fixpoint over all relationship functions in
@@ -48,71 +68,151 @@ struct ActiveKeys {
 /// the participant relation *and still survives*; a participant tuple
 /// survives iff its key appears in some surviving entry of every
 /// relationship that touches its relation.
-fn semi_join_fixpoint(db: &DatabaseF) -> Result<ActiveKeys> {
+///
+/// A worklist, not rounds: scanning relationship R restricts R's
+/// participants to the keys R's surviving entries name, which cannot
+/// invalidate any of those entries, so only the *other* relationships
+/// touching a participant that shrank go back on the list (and R itself
+/// just when one relation sits at two of its positions, where the two
+/// restrictions intersect). A database with one relationship converges in
+/// one scan.
+fn semi_join_fixpoint(db: &DatabaseF) -> Survivors<'_> {
+    let relationships: Vec<(&Name, &Arc<RelationshipF>)> = db.relationships().collect();
     // start: every stored key of every participating relation is active
-    let mut active: BTreeMap<Name, PSet<Value>> = BTreeMap::new();
-    let relationships: Vec<(Name, Arc<fdm_core::RelationshipF>)> = db
-        .relationships()
-        .map(|(n, r)| (n.clone(), r.clone()))
-        .collect();
+    let mut keys: BTreeMap<&str, ActiveKeys> = BTreeMap::new();
     for (_, rsf) in &relationships {
         for p in rsf.participants() {
-            if let Ok(rel) = db.relation(&p.function) {
-                // stored_keys is key-ordered: the O(n) bulk set build
-                active
-                    .entry(p.function.clone())
-                    .or_insert_with(|| PSet::from_sorted_vec(rel.stored_keys()));
-            }
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (_, rsf) in &relationships {
-            // surviving entries of this relationship
-            let mut per_participant: Vec<BTreeSet<Value>> =
-                vec![BTreeSet::new(); rsf.participants().len()];
-            for (args, _) in rsf.iter() {
-                let ok = rsf.participants().iter().zip(&args).all(|(p, arg)| {
-                    active
-                        .get(&p.function)
-                        .map(|keys| keys.contains(arg))
-                        .unwrap_or(true)
+            if let Ok(FnValue::Relation(rel)) = db.entry(&p.function) {
+                keys.entry(p.function.as_ref()).or_insert_with(|| {
+                    let keys: Vec<&Value> = rel.stored_key_refs().collect();
+                    ActiveKeys {
+                        stored: keys.len(),
+                        keys,
+                    }
                 });
-                if ok {
-                    for (i, arg) in args.iter().enumerate() {
-                        per_participant[i].insert(arg.clone());
-                    }
-                }
             }
-            // restrict each participant to keys seen in surviving entries:
-            // one bulk merge intersection per participant
-            for (i, p) in rsf.participants().iter().enumerate() {
-                if let Some(keys) = active.get_mut(&p.function) {
-                    let before = keys.len();
-                    let seen = PSet::from_sorted_iter(per_participant[i].iter().cloned());
-                    *keys = keys.merge_intersection(&seen);
-                    if keys.len() != before {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
         }
     }
-    Ok(ActiveKeys { keys: active })
+    let mut entries: Vec<Vec<bool>> = vec![Vec::new(); relationships.len()];
+    let mut scans = vec![0usize; relationships.len()];
+    let mut queue: VecDeque<usize> = (0..relationships.len()).collect();
+    let mut queued = vec![true; relationships.len()];
+    while let Some(r) = queue.pop_front() {
+        queued[r] = false;
+        scans[r] += 1;
+        let rsf = relationships[r].1;
+        let parts = rsf.participants();
+        // per position: the participant's active keys (none: not a relation
+        // of this database, so unconstrained) and which of them a surviving
+        // entry names
+        let active: Vec<Option<&[&Value]>> = parts
+            .iter()
+            .map(|p| keys.get(p.function.as_ref()).map(|a| a.keys.as_slice()))
+            .collect();
+        let mut named: Vec<Vec<bool>> = active
+            .iter()
+            .map(|a| vec![false; a.map_or(0, <[_]>::len)])
+            .collect();
+        let mut at = vec![0usize; parts.len()];
+        entries[r] = rsf
+            .iter_entries()
+            .map(|(args, _)| {
+                for (i, arg) in args.iter().enumerate() {
+                    let Some(active) = active[i] else { continue };
+                    // entries arrive in key order: the leading positions
+                    // mostly repeat their previous hit
+                    if active.get(at[i]).is_some_and(|k| *k == arg) {
+                        continue;
+                    }
+                    match active.binary_search(&arg) {
+                        Ok(found) => at[i] = found,
+                        Err(_) => return false,
+                    }
+                }
+                for (named, &at) in named.iter_mut().zip(&at) {
+                    if let Some(flag) = named.get_mut(at) {
+                        *flag = true;
+                    }
+                }
+                true
+            })
+            .collect();
+        // restrict every participant relation to the keys a surviving entry
+        // named, at each position the relation holds
+        for (i, p) in parts.iter().enumerate() {
+            let relation = &p.function;
+            if parts[..i].iter().any(|q| q.function == *relation) {
+                continue;
+            }
+            let Some(active) = keys.get_mut(relation.as_ref()) else {
+                continue;
+            };
+            let positions: Vec<usize> = (i..parts.len())
+                .filter(|&j| parts[j].function == *relation)
+                .collect();
+            let before = active.keys.len();
+            let mut kept = (0..before).map(|k| positions.iter().all(|&j| named[j][k]));
+            active
+                .keys
+                .retain(|_| kept.next().expect("one flag per active key"));
+            if active.keys.len() == before {
+                continue;
+            }
+            for (o, (_, other)) in relationships.iter().enumerate() {
+                let invalidated = (o != r || positions.len() > 1)
+                    && other.participants().iter().any(|q| q.function == *relation);
+                if invalidated && !queued[o] {
+                    queued[o] = true;
+                    queue.push_back(o);
+                }
+            }
+        }
+    }
+    Survivors {
+        keys,
+        entries: relationships
+            .iter()
+            .map(|&(name, _)| name.as_ref())
+            .zip(entries)
+            .collect(),
+        stats: ReduceStats {
+            scans: relationships
+                .iter()
+                .map(|&(name, _)| name.clone())
+                .zip(scans)
+                .collect(),
+        },
+    }
 }
 
-fn restrict_relation(rel: &RelationF, keep: &PSet<Value>) -> Result<RelationF> {
-    // iter_stored is key-ordered → the builder's no-sort bulk path
+/// The stored tuples of `rel` whose key is (`inside`) or is not in the
+/// ascending `keys`: one merge walk over two key-ordered runs, feeding the
+/// builder's no-sort bulk path.
+fn restrict_relation(rel: &RelationF, keys: &[&Value], inside: bool) -> Result<RelationF> {
     let mut out = rel.builder_like();
+    let mut keys = keys.iter().peekable();
     for (key, tuple) in rel.iter_stored() {
-        if keep.contains(&key) {
+        while keys.next_if(|k| ***k < key).is_some() {}
+        if keys.peek().is_some_and(|k| ***k == key) == inside {
             out.push_arc(key, tuple);
         }
     }
     out.build()
+}
+
+/// A relation entry after reduction: the input's own entry when nothing was
+/// reduced away, otherwise the restriction to the surviving keys.
+fn reduced_relation(
+    entry: &FnValue,
+    rel: &RelationF,
+    active: Option<&ActiveKeys>,
+) -> Result<FnValue> {
+    match active {
+        Some(active) if active.keys.len() < active.stored => {
+            restrict_relation(rel, &active.keys, true).map(FnValue::from)
+        }
+        _ => Ok(entry.clone()),
+    }
 }
 
 /// `reduce_DB` (Fig. 5): returns the subdatabase in which every relation
@@ -120,46 +220,49 @@ fn restrict_relation(rel: &RelationF, keep: &PSet<Value>) -> Result<RelationF> {
 /// by the relationship functions, and every relationship holds exactly
 /// the surviving entries. The output schema *is* the input schema — the
 /// result is a database, not a flattened table.
+///
+/// A relation or relationship from which nothing is removed comes back as
+/// the input's own `Arc` (constraints, statistics and caches included);
+/// the others are bulk-built from their key-ordered survivors.
 pub fn reduce_db(db: &DatabaseF) -> Result<DatabaseF> {
-    let active = semi_join_fixpoint(db)?;
+    reduce_db_with_stats(db).map(|(reduced, _)| reduced)
+}
+
+/// [`reduce_db`], also reporting how many relationship scans the fixpoint
+/// took.
+pub fn reduce_db_with_stats(db: &DatabaseF) -> Result<(DatabaseF, ReduceStats)> {
+    let survivors = semi_join_fixpoint(db);
     let mut out = DatabaseF::new(format!("{}_reduced", db.name()));
     for (name, entry) in db.iter() {
-        match entry {
-            FnValue::Relation(rel) => match active.keys.get(name) {
-                Some(keep) => {
-                    out =
-                        out.with_entry(name.as_ref(), FnValue::from(restrict_relation(rel, keep)?));
-                }
-                None => {
-                    out = out.with_entry(name.as_ref(), entry.clone());
-                }
-            },
+        let reduced = match entry {
+            FnValue::Relation(rel) => {
+                reduced_relation(entry, rel, survivors.keys.get(name.as_ref()))?
+            }
             FnValue::Relationship(rsf) => {
-                let mut reduced =
-                    fdm_core::RelationshipF::new(rsf.name(), rsf.participants().to_vec());
-                for (args, attrs) in rsf.iter() {
-                    let ok = rsf.participants().iter().zip(&args).all(|(p, arg)| {
-                        active
-                            .keys
-                            .get(&p.function)
-                            .map(|keys| keys.contains(arg))
-                            .unwrap_or(true)
-                    });
-                    if ok {
-                        reduced = reduced.insert(&args, (*attrs).clone())?;
+                let alive = &survivors.entries[name.as_ref()];
+                let kept = alive.iter().filter(|a| **a).count();
+                if kept == rsf.len() {
+                    entry.clone()
+                } else {
+                    // entries arrive key-ordered: the builder's O(n) path,
+                    // statistics counted once at the end
+                    let mut reduced =
+                        RelationshipBuilder::new(rsf.name(), rsf.participants().to_vec())
+                            .with_capacity(kept);
+                    for ((args, attrs), _) in rsf.iter_entries().zip(alive).filter(|(_, a)| **a) {
+                        reduced.push_arc(args, attrs.clone())?;
                     }
+                    FnValue::from(reduced.build()?)
                 }
-                out = out.with_entry(name.as_ref(), FnValue::from(reduced));
             }
-            other => {
-                out = out.with_entry(name.as_ref(), other.clone());
-            }
-        }
+            other => other.clone(),
+        };
+        out = out.with_entry(name.as_ref(), reduced);
     }
     for (_, d) in db.shared_domains() {
         out = out.with_domain(d.clone());
     }
-    Ok(out)
+    Ok((out, survivors.stats))
 }
 
 /// The generalized outer join (Fig. 7): like [`reduce_db`], but every
@@ -168,28 +271,24 @@ pub fn reduce_db(db: &DatabaseF) -> Result<DatabaseF> {
 /// `"<rel>.outer"` (tuples that do not). No NULL padding anywhere.
 pub fn outer(db: &DatabaseF, outer_marked: &[&str]) -> Result<DatabaseF> {
     let marked: BTreeSet<&str> = outer_marked.iter().copied().collect();
-    let active = semi_join_fixpoint(db)?;
+    let survivors = semi_join_fixpoint(db);
     let mut out = DatabaseF::new(format!("{}_outer", db.name()));
     for (name, entry) in db.iter() {
+        let active = survivors.keys.get(name.as_ref());
         match entry {
             FnValue::Relation(rel) if marked.contains(name.as_ref()) => {
-                let keep = active.keys.get(name).cloned().unwrap_or_default();
-                let inner = restrict_relation(rel, &keep)?.renamed(format!("{name}.inner"));
-                let all = PSet::from_sorted_vec(rel.stored_keys());
-                let outer_keys = all.merge_difference(&keep);
+                // a relation no relationship touches participates in nothing
+                let keep = active.map_or(&[][..], |a| &a.keys);
+                let inner = restrict_relation(rel, keep, true)?.renamed(format!("{name}.inner"));
                 let outer_rel =
-                    restrict_relation(rel, &outer_keys)?.renamed(format!("{name}.outer"));
+                    restrict_relation(rel, keep, false)?.renamed(format!("{name}.outer"));
                 out = out
                     .with_entry(format!("{name}.inner"), FnValue::from(inner))
                     .with_entry(format!("{name}.outer"), FnValue::from(outer_rel));
             }
-            FnValue::Relation(rel) => match active.keys.get(name) {
-                Some(keep) => {
-                    out =
-                        out.with_entry(name.as_ref(), FnValue::from(restrict_relation(rel, keep)?));
-                }
-                None => out = out.with_entry(name.as_ref(), entry.clone()),
-            },
+            FnValue::Relation(rel) => {
+                out = out.with_entry(name.as_ref(), reduced_relation(entry, rel, active)?);
+            }
             other => {
                 out = out.with_entry(name.as_ref(), other.clone());
             }

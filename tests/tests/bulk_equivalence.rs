@@ -7,11 +7,15 @@
 //! scan for `join`) and compares fingerprints: the exact key sequence plus
 //! every tuple's materialized, name-sorted attribute list.
 
-use fdm_core::{DatabaseF, RelationF, TupleF, Value};
+use fdm_core::{
+    DatabaseF, Domain, FnValue, Name, Participant, RelationBuilder, RelationF, RelationshipBuilder,
+    RelationshipF, SharedDomain, TupleF, Value, ValueType,
+};
 use fdm_expr::Params;
 use fdm_fql::prelude::*;
-use fdm_fql::{aggregate, group, join_on, pivot, JoinOn, Query};
+use fdm_fql::{aggregate, group, join_on, pivot, reduce_db_with_stats, JoinOn, Query};
 use fdm_workload::{generate, to_fdm, RetailConfig};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn shop() -> DatabaseF {
@@ -239,28 +243,390 @@ fn join_on_matches_schema_join_cardinality_and_data() {
     assert_eq!(schema_dates, on_dates);
 }
 
-#[test]
-fn reduce_db_matches_insert_loop_restriction() {
-    let db = shop();
-    let reduced = reduce_db(&db).unwrap();
-    // reference restriction: keys that appear in any order entry
-    let order = db.relationship("order").unwrap();
-    let customers = db.relation("customers").unwrap();
-    let active: std::collections::BTreeSet<Value> =
-        order.iter().map(|(args, _)| args[0].clone()).collect();
-    let reference = insert_loop(
-        "customers",
-        &["cid"],
-        customers
-            .tuples()
-            .unwrap()
-            .into_iter()
-            .filter(|(k, _)| active.contains(k)),
+// ───────────── reduce_db / outer: bulk ≡ per-entry insert, plus sharing ─────────────
+
+/// The semi-join fixpoint as `subdb.rs` computed it before the worklist:
+/// whole rounds over every relationship until nothing changes, cloning the
+/// surviving keys into ordered sets.
+fn reference_fixpoint(db: &DatabaseF) -> BTreeMap<Name, BTreeSet<Value>> {
+    let relationships: Vec<Arc<RelationshipF>> =
+        db.relationships().map(|(_, r)| r.clone()).collect();
+    let mut active: BTreeMap<Name, BTreeSet<Value>> = BTreeMap::new();
+    for rsf in &relationships {
+        for p in rsf.participants() {
+            if let Ok(rel) = db.relation(&p.function) {
+                active
+                    .entry(p.function.clone())
+                    .or_insert_with(|| rel.stored_keys().into_iter().collect());
+            }
+        }
+    }
+    loop {
+        let mut changed = false;
+        for rsf in &relationships {
+            let mut per_participant = vec![BTreeSet::new(); rsf.participants().len()];
+            for (args, _) in rsf.iter() {
+                if survives(rsf, &args, &active) {
+                    for (i, arg) in args.iter().enumerate() {
+                        per_participant[i].insert(arg.clone());
+                    }
+                }
+            }
+            for (i, p) in rsf.participants().iter().enumerate() {
+                if let Some(keys) = active.get_mut(&p.function) {
+                    let before = keys.len();
+                    keys.retain(|k| per_participant[i].contains(k));
+                    changed |= keys.len() != before;
+                }
+            }
+        }
+        if !changed {
+            return active;
+        }
+    }
+}
+
+fn survives(rsf: &RelationshipF, args: &[Value], active: &BTreeMap<Name, BTreeSet<Value>>) -> bool {
+    rsf.participants().iter().zip(args).all(|(p, arg)| {
+        active
+            .get(&p.function)
+            .is_none_or(|keys| keys.contains(arg))
+    })
+}
+
+fn reference_restrict(rel: &RelationF, keep: impl Fn(&Value) -> bool) -> RelationF {
+    let key_attrs: Vec<&str> = rel.key_attrs().iter().map(|k| k.as_ref()).collect();
+    insert_loop(
+        rel.name(),
+        &key_attrs,
+        rel.iter_stored().filter(|(k, _)| keep(k)),
+    )
+}
+
+/// The deleted `reduce_db`: every relation restricted tuple by tuple, every
+/// relationship rebuilt with one persistent `RelationshipF::insert` (and
+/// its statistics upkeep) per surviving entry. Nothing is shared.
+fn reference_reduce_db(db: &DatabaseF) -> DatabaseF {
+    let active = reference_fixpoint(db);
+    let mut out = DatabaseF::new(format!("{}_reduced", db.name()));
+    for (name, entry) in db.iter() {
+        out = match entry {
+            FnValue::Relation(rel) => match active.get(name) {
+                Some(keep) => out.with_entry(
+                    name.as_ref(),
+                    FnValue::from(reference_restrict(rel, |k| keep.contains(k))),
+                ),
+                None => out.with_entry(name.as_ref(), entry.clone()),
+            },
+            FnValue::Relationship(rsf) => {
+                let mut reduced = RelationshipF::new(rsf.name(), rsf.participants().to_vec());
+                for (args, attrs) in rsf.iter() {
+                    if survives(rsf, &args, &active) {
+                        reduced = reduced.insert(&args, (*attrs).clone()).unwrap();
+                    }
+                }
+                out.with_entry(name.as_ref(), FnValue::from(reduced))
+            }
+            other => out.with_entry(name.as_ref(), other.clone()),
+        };
+    }
+    for (_, d) in db.shared_domains() {
+        out = out.with_domain(d.clone());
+    }
+    out
+}
+
+/// The deleted `outer`, on the same reference fixpoint.
+fn reference_outer(db: &DatabaseF, marked: &[&str]) -> DatabaseF {
+    let active = reference_fixpoint(db);
+    let mut out = DatabaseF::new(format!("{}_outer", db.name()));
+    for (name, entry) in db.iter() {
+        out = match entry {
+            FnValue::Relation(rel) if marked.contains(&name.as_ref()) => {
+                let keep = active.get(name).cloned().unwrap_or_default();
+                let inner =
+                    reference_restrict(rel, |k| keep.contains(k)).renamed(format!("{name}.inner"));
+                let outer =
+                    reference_restrict(rel, |k| !keep.contains(k)).renamed(format!("{name}.outer"));
+                out.with_entry(format!("{name}.inner"), FnValue::from(inner))
+                    .with_entry(format!("{name}.outer"), FnValue::from(outer))
+            }
+            FnValue::Relation(rel) => match active.get(name) {
+                Some(keep) => out.with_entry(
+                    name.as_ref(),
+                    FnValue::from(reference_restrict(rel, |k| keep.contains(k))),
+                ),
+                None => out.with_entry(name.as_ref(), entry.clone()),
+            },
+            other => out.with_entry(name.as_ref(), other.clone()),
+        };
+    }
+    out
+}
+
+/// Every entry of the two databases agrees: relations by name, key
+/// attributes, keys and tuple data; relationships by name, participants,
+/// entries **and statistics** — entry count, per-position distinct counts
+/// and the sketch registers themselves.
+fn assert_same_db(got: &DatabaseF, want: &DatabaseF, what: &str) {
+    assert_eq!(got.name(), want.name(), "{what}: database name");
+    assert_eq!(got.names(), want.names(), "{what}: entry names");
+    for (name, entry) in want.iter() {
+        match (got.entry(name).unwrap(), entry) {
+            (FnValue::Relation(g), FnValue::Relation(w)) => {
+                assert_eq!(g.name(), w.name(), "{what}/{name}: relation name");
+                assert_eq!(
+                    g.key_attrs(),
+                    w.key_attrs(),
+                    "{what}/{name}: key attributes"
+                );
+                assert_same(g, w, &format!("{what}/{name}"));
+            }
+            (FnValue::Relationship(g), FnValue::Relationship(w)) => {
+                assert_eq!(g.name(), w.name(), "{what}/{name}: relationship name");
+                let sig = |r: &RelationshipF| -> Vec<(Name, Name)> {
+                    r.participants()
+                        .iter()
+                        .map(|p| (p.function.clone(), p.key.clone()))
+                        .collect()
+                };
+                assert_eq!(sig(g), sig(w), "{what}/{name}: participants");
+                assert_eq!(g.len(), w.len(), "{what}/{name}: entry count");
+                for ((ga, gt), (wa, wt)) in g.iter().zip(w.iter()) {
+                    assert_eq!(ga, wa, "{what}/{name}: entry keys");
+                    assert!(gt.eq_data(&wt), "{what}/{name}: attributes of {ga:?}");
+                }
+                assert_eq!(g.stats().entries(), w.stats().entries(), "{what}/{name}");
+                for pos in 0..w.arity_k() {
+                    assert_eq!(
+                        g.stats().distinct(pos),
+                        w.stats().distinct(pos),
+                        "{what}/{name}: distinct keys at position {pos}"
+                    );
+                    assert!(
+                        g.stats().sketch(pos) == w.stats().sketch(pos),
+                        "{what}/{name}: sketch registers at position {pos}"
+                    );
+                }
+            }
+            (g, w) => assert_eq!(g.kind(), w.kind(), "{what}/{name}: entry kind"),
+        }
+    }
+    let domains =
+        |db: &DatabaseF| -> Vec<Name> { db.shared_domains().map(|(n, _)| n.clone()).collect() };
+    assert_eq!(domains(got), domains(want), "{what}: shared domains");
+}
+
+/// Where the reference removed nothing from an entry, the output entry is
+/// the input's own `Arc`; where it removed something, it is not.
+fn assert_shares_untouched(db: &DatabaseF, reduced: &DatabaseF, reference: &DatabaseF) {
+    for (name, entry) in db.iter() {
+        let (len, kept) = match (entry, reference.entry(name).unwrap()) {
+            (FnValue::Relation(a), FnValue::Relation(b)) => (a.len(), b.len()),
+            (FnValue::Relationship(a), FnValue::Relationship(b)) => (a.len(), b.len()),
+            _ => continue,
+        };
+        assert_eq!(
+            entry.identity() == reduced.entry(name).unwrap().identity(),
+            len == kept,
+            "'{name}' ({kept} of {len} kept) must be shared exactly when nothing is reduced"
+        );
+    }
+}
+
+fn int_domain(name: &str) -> SharedDomain {
+    SharedDomain::new(name, Domain::Typed(ValueType::Int))
+}
+
+fn ids(name: &str, key: &str, keys: impl IntoIterator<Item = i64>) -> RelationF {
+    let mut b = RelationBuilder::new(name, &[key]);
+    for k in keys {
+        b.push(
+            Value::Int(k),
+            TupleF::builder("t").attr("n", k * 10).build(),
+        );
+    }
+    b.build().unwrap()
+}
+
+fn links(
+    name: &str,
+    left: (&str, &str),
+    right: (&str, &str),
+    pairs: &[(i64, i64)],
+) -> RelationshipF {
+    let mut b = RelationshipBuilder::new(
+        name,
+        vec![
+            Participant::new(left.0, left.1, int_domain(left.1)),
+            Participant::new(right.0, right.1, int_domain(right.1)),
+        ],
     );
-    assert_same(
-        &reduced.relation("customers").unwrap(),
-        &reference,
-        "reduce_db",
+    for (l, r) in pairs {
+        b.push(
+            &[Value::Int(*l), Value::Int(*r)],
+            TupleF::builder("l").attr("w", l + r).build(),
+        )
+        .unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// The retail fixture without the two orders of product 10: Bob, who
+/// ordered nothing else, goes with them.
+fn cascade_db() -> DatabaseF {
+    let db = fdm_fql::testutil::retail_db();
+    let order = db.relationship("order").unwrap();
+    let mut rebuilt = RelationshipBuilder::new("order", order.participants().to_vec());
+    for (args, attrs) in order.iter_entries().filter(|(a, _)| a[1] != Value::Int(10)) {
+        rebuilt.push_arc(args, attrs.clone()).unwrap();
+    }
+    db.with_relationship(rebuilt.build().unwrap())
+}
+
+/// a —ab— b —bc— c —cd— d, where only `cd` knows that c2 is dead: `bc`
+/// and then `ab` learn it one rescan each, so rounds alone need three.
+fn chain_db() -> DatabaseF {
+    DatabaseF::new("chain")
+        .with_relation(ids("a", "ak", 1..=3))
+        .with_relation(ids("b", "bk", 1..=3))
+        .with_relation(ids("c", "ck", 1..=3))
+        .with_relation(ids("d", "dk", [1, 3]))
+        .with_relationship(links(
+            "ab",
+            ("a", "ak"),
+            ("b", "bk"),
+            &[(1, 1), (2, 2), (3, 3)],
+        ))
+        .with_relationship(links(
+            "bc",
+            ("b", "bk"),
+            ("c", "ck"),
+            &[(1, 1), (2, 2), (3, 3)],
+        ))
+        .with_relationship(links("cd", ("c", "ck"), ("d", "dk"), &[(1, 1), (3, 3)]))
+}
+
+/// `order` names a `products` relation the database does not hold (that
+/// position is unconstrained) and a customer 9 nobody stored (that entry
+/// dies, and takes nothing with it).
+fn dangling_db() -> DatabaseF {
+    DatabaseF::new("dangling")
+        .with_relation(ids("customers", "cid", 1..=4))
+        .with_relationship(links(
+            "order",
+            ("customers", "cid"),
+            ("products", "pid"),
+            &[(1, 70), (1, 71), (3, 70), (9, 72)],
+        ))
+}
+
+/// One relation at both positions: the two restrictions intersect, which
+/// can kill entries the same scan kept.
+fn self_db() -> DatabaseF {
+    DatabaseF::new("org")
+        .with_relation(ids("people", "pid", 1..=5))
+        .with_relationship(links(
+            "manages",
+            ("people", "eid"),
+            ("people", "mid"),
+            &[(2, 1), (3, 2), (1, 3), (4, 1), (5, 5)],
+        ))
+}
+
+#[test]
+fn reduce_db_and_outer_match_per_entry_reference() {
+    for (what, db, marked) in [
+        ("retail", shop(), vec!["customers", "products"]),
+        ("cascade", cascade_db(), vec!["products"]),
+        ("chain", chain_db(), vec!["a", "d"]),
+        ("dangling", dangling_db(), vec!["customers", "nowhere"]),
+        ("self", self_db(), vec!["people"]),
+    ] {
+        let reference = reference_reduce_db(&db);
+        let reduced = reduce_db(&db).unwrap();
+        assert_same_db(&reduced, &reference, what);
+        assert_shares_untouched(&db, &reduced, &reference);
+        // a reduced database is its own reduction, entry for entry
+        let again = reduce_db(&reduced).unwrap();
+        for (name, entry) in reduced.iter() {
+            assert_eq!(
+                entry.identity(),
+                again.entry(name).unwrap().identity(),
+                "{what}/{name}: nothing left to reduce, so the entry is shared"
+            );
+        }
+        assert_same_db(
+            &outer(&db, &marked).unwrap(),
+            &reference_outer(&db, &marked),
+            &format!("{what} outer"),
+        );
+    }
+    // the fixtures do reduce what their names promise
+    let sizes = |db: &DatabaseF, names: &[&str]| -> Vec<usize> {
+        names
+            .iter()
+            .map(|n| db.relation(n).unwrap().len())
+            .collect()
+    };
+    let cascade = reduce_db(&cascade_db()).unwrap();
+    assert_eq!(sizes(&cascade, &["customers", "products"]), [1, 1]);
+    let chain = reduce_db(&chain_db()).unwrap();
+    assert_eq!(sizes(&chain, &["a", "b", "c", "d"]), [2, 2, 2, 2]);
+    assert_eq!(chain.relationship("ab").unwrap().len(), 2);
+    let dangling = reduce_db(&dangling_db()).unwrap();
+    assert_eq!(sizes(&dangling, &["customers"]), [2]);
+    assert_eq!(dangling.relationship("order").unwrap().len(), 3);
+    let org = reduce_db(&self_db()).unwrap();
+    assert_eq!(sizes(&org, &["people"]), [4], "4 manages, is never managed");
+}
+
+#[test]
+fn reduce_db_worklist_scans_only_what_a_shrink_invalidates() {
+    let scans = |db: &DatabaseF| -> Vec<(String, usize)> {
+        reduce_db_with_stats(db)
+            .unwrap()
+            .1
+            .scans
+            .into_iter()
+            .map(|(name, n)| (name.to_string(), n))
+            .collect()
+    };
+    // one relationship: its own restriction cannot invalidate its entries
+    assert_eq!(scans(&shop()), [("order".to_string(), 1)]);
+    assert_eq!(scans(&cascade_db()), [("order".to_string(), 1)]);
+    // the chain: `cd` shrinks c (rescan `bc`), which shrinks b (rescan `ab`)
+    assert_eq!(
+        scans(&chain_db()),
+        [
+            ("ab".to_string(), 2),
+            ("bc".to_string(), 2),
+            ("cd".to_string(), 1)
+        ]
+    );
+    // one relation at two positions: the intersection can invalidate the
+    // scan that produced it, so the relationship rescans itself
+    assert!(scans(&self_db())[0].1 >= 2);
+}
+
+#[test]
+fn reduce_db_shared_relationship_keeps_its_statistics() {
+    // Entries removed *before* reduce_db leave their keys in the
+    // insert-monotone sketches; a relationship reduce_db has nothing to
+    // remove from comes back as the same Arc, those statistics included.
+    let db = fdm_fql::testutil::retail_db();
+    let order = db.relationship("order").unwrap();
+    let order = order.remove(&[Value::Int(2), Value::Int(10)]).unwrap();
+    let db = db.with_relationship(order);
+    let reduced = reduce_db(&db).unwrap();
+    assert!(Arc::ptr_eq(
+        &db.relationship("order").unwrap(),
+        &reduced.relationship("order").unwrap()
+    ));
+    assert_eq!(
+        reduced.relation("customers").unwrap().len(),
+        1,
+        "Bob is gone"
     );
 }
 

@@ -295,7 +295,7 @@ proptest! {
     #[test]
     fn fixpoint_terminates_and_preserves_results(
         join_shape in 0usize..4,
-        filter_shape in 0usize..4,
+        filter_shape in 0usize..6,
         tail_shape in 0usize..4,
         strategy in 0usize..3,
     ) {
@@ -311,6 +311,10 @@ proptest! {
             1 => q.filter("nk > 1", Params::new()),
             2 => q.filter("2 > 1 and nk >= 2 and wk <= 5", Params::new()),
             3 => q.filter("1 > 2", Params::new()),
+            // on base's key: pushed down to the scan, which then reads
+            // `id` off the function input instead of an inlined copy
+            4 => q.filter("id > 2", Params::new()),
+            5 => q.filter("id >= 2 and nk <= 5 and 2 > 1", Params::new()),
             _ => q,
         };
         q = match tail_shape {

@@ -165,6 +165,39 @@ fn plan_pipeline_parallel_matches_sequential() {
 }
 
 #[test]
+fn lazy_inlining_parallel_matches_sequential() {
+    // a scan under a filter and a join's right side read keys lazily; the
+    // chunked path must keep and inline exactly the sequential path's rows
+    let db = shop();
+    let orders = db
+        .relationship("order")
+        .unwrap()
+        .to_relation()
+        .renamed("orders");
+    let db = db.with_relation(orders);
+    assert_par_equal("scan under a key predicate", || {
+        Query::scan("customers")
+            .filter("cid > $min", Params::new().set("min", 150))
+            .eval(&db)
+            .unwrap()
+    });
+    assert_par_equal("scan under a key and a stored predicate", || {
+        Query::scan("customers")
+            .filter("cid <= $max and age > 30", Params::new().set("max", 300))
+            .eval(&db)
+            .unwrap()
+    });
+    assert_par_equal("join on the right side's key", || {
+        Query::scan("orders")
+            .filter("pid < 30", Params::new())
+            .join("customers", "cid", "cid")
+            .join("products", "pid", "pid")
+            .eval(&db)
+            .unwrap()
+    });
+}
+
+#[test]
 fn duplicate_key_error_is_identical() {
     // A multi-body relation (secondary index) enumerates duplicate keys;
     // rebuilding it as a unique relation must fail with the *same*

@@ -160,25 +160,19 @@ fn every_operator_tracks_every_mutation_kind() {
     }
 }
 
-/// Where `scaled_db`'s row ids and join values start. A `Value::Int` hashes
-/// through the bits of its `f64` form, whose low ~30 bits are all zero for
-/// small integers, and the Fx hasher never mixes high bits down — so a hash
-/// map keyed by tens of thousands of *small* ints (the join executor's and
-/// the join node's bindings) degrades to one long probe chain: 32k of them
-/// cost ≈ 20 s per join plan in a debug build, against < 1 s from here up,
-/// where the low mantissa bits are in use. What this test counts is
-/// unaffected by the choice.
-const BIG: i64 = 1 << 52;
-
 /// `skewed_db`'s schema at `n` base rows: `wide` holds one row per join
 /// value `k` in `1..=n` (so the join outputs grow with n), `narrow` six,
 /// and `base.nk` cycles through six values (so the groups grow with n).
+/// Ids and join values are small ints on purpose: they are what the join
+/// executor's and the join node's hash maps are keyed by in practice, and
+/// what the unfinished Fx hash once put on a single probe chain
+/// (`fdm_core::fxhash`).
 fn scaled_db(n: i64) -> DatabaseF {
     let mut base = fdm_core::RelationBuilder::new("base", &["id"]);
     let mut wide = fdm_core::RelationBuilder::new("wide", &["wid"]);
     for i in 1..=n {
-        base.push(Value::Int(BIG + i), base_row(BIG + i, 1 + i % 6));
-        wide.push(Value::Int(BIG + i), wide_row(BIG + i, 10 * i));
+        base.push(Value::Int(i), base_row(i, 1 + i % 6));
+        wide.push(Value::Int(i), wide_row(i, 10 * i));
     }
     let mut narrow = fdm_core::RelationBuilder::new("narrow", &["nid"]);
     for k in 1..=6 {
@@ -199,7 +193,7 @@ fn scaled_db(n: i64) -> DatabaseF {
 fn one_row_deltas_allocate_logarithmically() {
     for n in [2_000i64, 32_000] {
         let db0 = scaled_db(n);
-        let mid = BIG + n / 2 + 1;
+        let mid = n / 2 + 1;
         let rewired = base_row(mid + 7, 1 + (mid + 3) % 6);
         let db1 = db_upsert(&db0, "base", Value::Int(mid), rewired).unwrap();
         let db2 = db_upsert(&db1, "wide", Value::Int(mid + 1), wide_row(mid + 1, -1)).unwrap();
