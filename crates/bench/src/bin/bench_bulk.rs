@@ -33,8 +33,8 @@
 //!   produce identical keyed data; the sanity block asserts it).
 //! * **PR 6 (hardened concurrent commit path)** — `fig11_txn_commit`:
 //!   Zipf-contended writer threads committing read-modify-writes through
-//!   `Store::run_with` (closure re-derivation on conflict, seeded-backoff
-//!   retries on CAS races). Reported as absolute commits/second plus the
+//!   `Store::run_with` (closure re-derivation on conflict, paced by the
+//!   seeded backoff). Reported as absolute commits/second plus the
 //!   mean attempts per commit. **Recorded, never gated** — it is an
 //!   absolute machine-dependent number, unlike the before/after ratios
 //!   above, so `bench_gate` ignores it by design.

@@ -335,8 +335,8 @@ fn measure_serving(scale: &RetailConfig, samples: usize, quick: bool) -> String 
     // ── serve_write_speedup: one commit per request vs group commit ──
     //
     // Both sides run on a *durable* store so the ratio covers what group
-    // commit actually amortizes: one writeset encode + WAL append + log
-    // insert + history record + CAS install per group instead of per
+    // commit actually amortizes: one writeset encode + WAL record + log
+    // entry + history record + sequencer turn per group instead of per
     // request. The sync policy is `Never` on both sides — fsync latency
     // is medium-dependent and would not cancel in the ratio (the fig12
     // series records the fsync axis separately); buffered appends keep

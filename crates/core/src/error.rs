@@ -91,8 +91,9 @@ pub enum FdmError {
         keys: Vec<(String, String)>,
     },
     /// A commit exhausted its retry budget: every attempt hit a transient
-    /// conflict (a CAS race with concurrent committers, or an injected
-    /// fault) and the `CommitPolicy` allowed no further attempts.
+    /// conflict (an injected fault, or for `Store::run` a genuine conflict
+    /// on every re-derivation) and the `CommitPolicy` allowed no further
+    /// attempts.
     TransactionRetriesExhausted {
         /// Number of commit attempts made before giving up.
         attempts: usize,

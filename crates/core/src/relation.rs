@@ -477,9 +477,15 @@ impl RelationF {
         }
     }
 
-    fn check_constraints_for_insert(
+    /// Validates `tuple` for storage under `key` and returns the unique
+    /// indexes as they stand afterwards. `old` is the tuple `key` held
+    /// before (a replace): its unique values leave the indexes first, so
+    /// the outcome — including which constraint fails first — is that of
+    /// deleting `old` and then inserting `tuple`.
+    fn check_constraints(
         &self,
         key: &Value,
+        old: Option<&TupleF>,
         tuple: &TupleF,
     ) -> Result<Vec<PMap<Value, Value>>> {
         let mut new_indexes = Vec::with_capacity(self.unique_indexes.len());
@@ -489,7 +495,18 @@ impl RelationF {
                 Constraint::Unique(_) => {
                     let idx = &self.unique_indexes[uniq_i];
                     uniq_i += 1;
-                    match c.unique_key(tuple) {
+                    let new_uk = c.unique_key(tuple);
+                    let idx = match old.and_then(|o| c.unique_key(o)) {
+                        // the tuple keeps its own unique value: the
+                        // index already says `uk -> key`
+                        Some(old_uk) if Some(&old_uk) == new_uk.as_ref() => {
+                            new_indexes.push(idx.clone());
+                            continue;
+                        }
+                        Some(old_uk) => idx.remove(&old_uk).0,
+                        None => idx.clone(),
+                    };
+                    match new_uk {
                         Some(uk) => {
                             if let Some(existing) = idx.get(&uk) {
                                 if existing != key {
@@ -503,7 +520,7 @@ impl RelationF {
                             }
                             new_indexes.push(idx.insert(uk, key.clone()).0);
                         }
-                        None => new_indexes.push(idx.clone()),
+                        None => new_indexes.push(idx),
                     }
                 }
                 Constraint::AttrDomain { attr, domain } => {
@@ -549,7 +566,7 @@ impl RelationF {
                         key: key.to_string(),
                     });
                 }
-                let indexes = self.check_constraints_for_insert(&key, &tuple)?;
+                let indexes = self.check_constraints(&key, None, &tuple)?;
                 let map = map.insert(key, tuple).0;
                 Ok(self.rebuild(Body::Unique(map), indexes))
             }
@@ -575,7 +592,7 @@ impl RelationF {
                         key: key.to_string(),
                     });
                 }
-                let indexes = self.check_constraints_for_insert(&key, &tuple)?;
+                let indexes = self.check_constraints(&key, None, &tuple)?;
                 let map = map.insert(key, tuple).0;
                 Ok(self.rebuild(
                     Body::Hybrid {
@@ -618,21 +635,38 @@ impl RelationF {
     /// `customers[3] = {...}`); inserts if absent (upsert, mirroring the
     /// Python costume's assignment semantics).
     pub fn upsert(&self, key: Value, tuple: TupleF) -> Result<RelationF> {
-        match &self.body {
-            Body::Unique(map) => {
-                let removed = self.delete(&key).unwrap_or_else(|_| self.clone());
-                let _ = map; // old map only needed for the delete path above
-                removed.insert(key, tuple)
+        self.upsert_arc(key, Arc::new(tuple))
+    }
+
+    /// [`Self::upsert`] taking an already-shared tuple. One path copy:
+    /// the single [`PMap::insert`] hands back the tuple it replaced, and
+    /// that is all the unique indexes need to stay in step — the result
+    /// (contents, index state, first error) is that of `delete` followed
+    /// by `insert`, pinned by the `upsert_matches_delete_then_insert`
+    /// proptest below.
+    pub fn upsert_arc(&self, key: Value, tuple: Arc<TupleF>) -> Result<RelationF> {
+        let stored = match &self.body {
+            Body::Unique(map) | Body::Hybrid { map, .. } => map,
+            _ => {
+                return Err(FdmError::Other(format!(
+                    "upsert unsupported for this body of '{}'",
+                    self.name
+                )))
             }
-            Body::Hybrid { .. } => {
-                let removed = self.delete(&key).unwrap_or_else(|_| self.clone());
-                removed.insert(key, tuple)
-            }
-            _ => Err(FdmError::Other(format!(
-                "upsert unsupported for this body of '{}'",
-                self.name
-            ))),
-        }
+        };
+        let (map, old) = stored.insert(key.clone(), Arc::clone(&tuple));
+        let indexes = self.check_constraints(&key, old.as_deref(), &tuple)?;
+        let body = match &self.body {
+            Body::Hybrid {
+                domain, fallback, ..
+            } => Body::Hybrid {
+                map,
+                domain: domain.clone(),
+                fallback: fallback.clone(),
+            },
+            _ => Body::Unique(map),
+        };
+        Ok(self.rebuild(body, indexes))
     }
 
     /// Updates one attribute of the tuple under `key` (paper Fig. 10:
@@ -1133,6 +1167,7 @@ mod tests {
     use super::*;
     use crate::function::apply1;
     use crate::types::ValueType;
+    use proptest::prelude::*;
 
     fn alice() -> TupleF {
         TupleF::builder("t1")
@@ -1350,6 +1385,140 @@ mod tests {
             .attr("foo", 2)
             .build();
         assert!(r.insert(Value::Int(7), alice2).is_ok());
+        // a replace that keeps its own unique value is no collision...
+        let zoe2 = TupleF::builder("z")
+            .attr("name", "Zoe")
+            .attr("foo", 9)
+            .build();
+        let r = r.upsert(Value::Int(1), zoe2).unwrap();
+        assert_eq!(r.len(), 2);
+        // ...one that takes another key's is, and leaves `r` as it was
+        let err = r.upsert(Value::Int(1), bob()).unwrap_err();
+        assert!(
+            matches!(&err, FdmError::ConstraintViolation { detail, .. }
+                if detail.contains("already present under key 3")),
+            "{err}"
+        );
+        let kept = r.lookup(&Value::Int(1)).unwrap();
+        assert_eq!(kept.get("name").unwrap(), Value::str("Zoe"));
+    }
+
+    /// What `upsert` must equal: the previous two-step implementation.
+    fn delete_then_insert(r: &RelationF, key: Value, tuple: TupleF) -> Result<RelationF> {
+        r.delete(&key)
+            .unwrap_or_else(|_| r.clone())
+            .insert(key, tuple)
+    }
+
+    /// Stored contents and unique-index state, comparably.
+    type Observed = (Vec<(Value, Value)>, Vec<Vec<(Value, Value)>>);
+    fn observe(r: &RelationF) -> Observed {
+        let rows = r
+            .iter_stored()
+            .map(|(k, t)| {
+                let email = t.try_get("email").unwrap_or(Value::Unit);
+                (k, Value::list([email, t.get("age").unwrap()]))
+            })
+            .collect();
+        let indexes = r
+            .unique_indexes
+            .iter()
+            .map(|idx| idx.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+            .collect();
+        (rows, indexes)
+    }
+
+    /// `(key, email or none, age)`; small spaces, so replaces, unique
+    /// collisions, kept unique values and out-of-domain ages all occur.
+    fn write_strategy() -> impl Strategy<Value = (i64, Option<i64>, i64)> {
+        (0i64..8, -1i64..6, -5i64..30).prop_map(|(k, e, a)| (k, (e >= 0).then_some(e), a))
+    }
+
+    proptest! {
+        /// The oracle for the one-path-copy `upsert`: on `Unique` and
+        /// `Hybrid` bodies, with and without constraints, every upsert in
+        /// a random history gives what `delete` (if present) then
+        /// `insert` gives — contents, unique-index state, and on failure
+        /// the same first error with the receiver unchanged.
+        #[test]
+        fn upsert_matches_delete_then_insert(
+            hybrid in any::<bool>(),
+            constrained in any::<bool>(),
+            writes in prop::collection::vec(write_strategy(), 1..48),
+            deletes in prop::collection::vec(0i64..8, 0..8),
+        ) {
+            let mut r = RelationF::new("people", &["id"]);
+            if constrained {
+                r = r
+                    .with_constraint(Constraint::unique(&["email"])).unwrap()
+                    .with_constraint(Constraint::attr_domain("age", Domain::IntRange(0, 20))).unwrap()
+                    .with_constraint(Constraint::unique(&["email", "age"])).unwrap();
+            }
+            if hybrid {
+                r = r.with_fallback(Domain::Typed(ValueType::Int), |_| Ok(Value::Unit)).unwrap();
+            }
+            let mut deletes = deletes.into_iter();
+            for (i, (key, email, age)) in writes.into_iter().enumerate() {
+                let mut t = TupleF::builder("p").attr("age", age);
+                if let Some(e) = email {
+                    t = t.attr("email", e);
+                }
+                let t = t.build();
+                let before = observe(&r);
+                let got = r.upsert(Value::Int(key), t.clone());
+                let want = delete_then_insert(&r, Value::Int(key), t);
+                prop_assert_eq!(observe(&r), before, "the receiver is persistent");
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert_eq!(observe(&got), observe(&want));
+                        r = got;
+                    }
+                    (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                    (got, want) => prop_assert!(
+                        false,
+                        "upsert {:?} vs delete+insert {:?}",
+                        got.map(|r| observe(&r)),
+                        want.map(|r| observe(&r))
+                    ),
+                }
+                // interleave deletes so upserts meet absent keys again
+                if i % 5 == 4 {
+                    if let Some(k) = deletes.next() {
+                        r = r.delete(&Value::Int(k)).unwrap_or(r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A replace is one path copy: at most one fresh node per level plus
+    /// rebalancing slack of one — `delete` + `insert` made two.
+    #[test]
+    fn upsert_replace_is_one_path_copy() {
+        let n = 64 * 1024i64;
+        let entries = (0..n)
+            .map(|i| {
+                (
+                    Value::Int(i),
+                    Arc::new(TupleF::builder("t").attr("v", i).build()),
+                )
+            })
+            .collect();
+        let r = RelationF::from_sorted("big", &["id"], entries);
+        let height = r.stored_map().unwrap().tree_height();
+        for key in [0, 1, n / 3, n / 2, n - 1] {
+            let t = TupleF::builder("t").attr("v", -1).build();
+            let r2 = r.upsert(Value::Int(key), t).unwrap();
+            let fresh = r2
+                .stored_map()
+                .unwrap()
+                .fresh_nodes(r.stored_map().unwrap());
+            assert!(
+                (1..=height + 1).contains(&fresh),
+                "key {key}: {fresh} fresh nodes for height {height}"
+            );
+            assert_eq!(r2.len(), n as usize);
+        }
     }
 
     #[test]

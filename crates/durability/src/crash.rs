@@ -8,6 +8,11 @@
 //! counters prove each fault actually triggered (a fault test that
 //! silently injects nothing is worse than no test).
 //!
+//! [`CrashPlan::stall`] models a slow medium instead of a dead one: while
+//! its guard lives, every write and fsync through the plan waits — which
+//! lets a test hold a committer *inside* its durable I/O and observe what
+//! the rest of the store can still do.
+//!
 //! The plan models the durable medium with two global byte counters:
 //! everything the writer pushed ([`CrashPlan::written_bytes`]) and
 //! everything a *successful* fsync has made durable
@@ -17,7 +22,7 @@
 //! `durable_bytes()` and proving recovery never loses anything *below*
 //! that boundary.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -39,6 +44,9 @@ pub struct CrashPlan {
     drop_fsync: AtomicBool,
     /// Set once a cut fires; all further I/O through the plan fails.
     crashed: AtomicBool,
+    /// Held by [`CrashPlan::stall`]'s guard; every write and fsync passes
+    /// through it.
+    gate: Mutex<()>,
     /// Total bytes pushed through faulty writes.
     written: AtomicU64,
     /// Bytes made durable by the last *successful* fsync.
@@ -87,6 +95,12 @@ impl CrashPlan {
         self.drop_fsync.store(true, Ordering::SeqCst);
     }
 
+    /// Stalls the medium: until the returned guard is dropped, every write
+    /// and fsync through this plan blocks before touching anything.
+    pub fn stall(&self) -> MutexGuard<'_, ()> {
+        self.gate.lock()
+    }
+
     /// `true` once an armed cut has fired (the simulated machine is dead).
     pub fn crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
@@ -108,6 +122,7 @@ impl CrashPlan {
     /// `None` if the plan has already crashed — the caller must fail with
     /// `Crashed` without writing.
     pub(crate) fn filter_write(&self, buf: &mut [u8]) -> Option<usize> {
+        drop(self.gate.lock());
         if self.crashed() {
             return None;
         }
@@ -151,6 +166,7 @@ impl CrashPlan {
     /// the durable boundary when the fsync is real. Returns `None` when
     /// crashed.
     pub(crate) fn filter_fsync(&self) -> Option<bool> {
+        drop(self.gate.lock());
         if self.crashed() {
             return None;
         }

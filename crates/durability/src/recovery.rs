@@ -377,7 +377,7 @@ mod tests {
         let dir = scratch(tag);
         let cfg = DurabilityConfig::new(&dir);
         write_checkpoint(&dir, 0, &base_db()).unwrap();
-        let mut wal = Wal::create(&cfg, 1).unwrap();
+        let wal = Wal::create(&cfg, 1).unwrap();
         for v in 1..=n {
             wal.append(v, &upsert(v as i64, (v * 10) as i64)).unwrap();
         }
@@ -473,7 +473,7 @@ mod tests {
     fn missing_checkpoint_is_a_typed_error() {
         let dir = scratch("nockpt");
         let cfg = DurabilityConfig::new(&dir);
-        let mut wal = Wal::create(&cfg, 1).unwrap();
+        let wal = Wal::create(&cfg, 1).unwrap();
         wal.append(1, &upsert(1, 10)).unwrap();
         assert!(matches!(
             recover(&cfg).unwrap_err(),

@@ -75,6 +75,7 @@ pub use transform::{
 };
 pub use update::{
     db_add, db_assign, db_delete, db_insert, db_modify_attr, db_rewrite, db_update_attr, db_upsert,
+    db_upsert_arc,
 };
 pub use view::{materialize_view, DynamicView};
 

@@ -7,12 +7,24 @@
 //! untouched, which is what the transaction layer (`fdm-txn`) builds on.
 
 use fdm_core::{DatabaseF, FnValue, RelationF, Result, TupleF, Value};
+use std::sync::Arc;
 
 /// `customers[3] = {'name': 'Tom', 'age': 42}` — keyed insert (or
 /// replacement) of a tuple in a relation of `db`.
 pub fn db_upsert(db: &DatabaseF, rel: &str, key: Value, tuple: TupleF) -> Result<DatabaseF> {
+    db_upsert_arc(db, rel, key, Arc::new(tuple))
+}
+
+/// [`db_upsert`] taking an already-shared tuple — the transaction layer
+/// stages, logs and replays one `Arc<TupleF>` per write.
+pub fn db_upsert_arc(
+    db: &DatabaseF,
+    rel: &str,
+    key: Value,
+    tuple: Arc<TupleF>,
+) -> Result<DatabaseF> {
     let r = db.relation(rel)?;
-    let r2 = r.upsert(key, tuple)?;
+    let r2 = r.upsert_arc(key, tuple)?;
     Ok(db.with_entry(rel, FnValue::from(r2)))
 }
 

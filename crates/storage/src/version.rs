@@ -208,46 +208,6 @@ impl<T: Clone> VersionedRoot<T> {
         Ok(guard.version)
     }
 
-    /// Optimistic install with bounded, backoff-paced retries: each
-    /// attempt snapshots the current version, computes a candidate with
-    /// `next`, and CAS-installs it; on a lost race the thread sleeps the
-    /// backoff's next delay and recomputes from the fresh snapshot.
-    /// Returns `(new_version, attempts_used)` on success, or the last
-    /// [`VersionConflict`] once `max_attempts` (min 1) are spent.
-    ///
-    /// Unlike [`Self::update`] this never holds the write lock across the
-    /// computation, so `next` may be arbitrarily slow without blocking
-    /// readers or other writers.
-    pub fn install_with_retry<F>(
-        &self,
-        max_attempts: usize,
-        backoff: &mut Backoff,
-        mut next: F,
-    ) -> Result<(Version, usize), VersionConflict>
-    where
-        F: FnMut(&Snapshot<T>) -> T,
-    {
-        let max_attempts = max_attempts.max(1);
-        let mut last = VersionConflict {
-            expected: 0,
-            found: 0,
-        };
-        for attempt in 1..=max_attempts {
-            let snap = self.load();
-            let candidate = next(&snap);
-            match self.try_install(snap.version, candidate) {
-                Ok(v) => return Ok((v, attempt)),
-                Err(conflict) => {
-                    last = conflict;
-                    if attempt < max_attempts {
-                        backoff.sleep_next();
-                    }
-                }
-            }
-        }
-        Err(last)
-    }
-
     /// Atomically applies `f` to the current value and installs the result;
     /// returns the new version. Unlike [`Self::try_install`] this cannot
     /// fail, because it holds the write lock across the transformation.
@@ -325,10 +285,6 @@ mod tests {
         assert_eq!(root.load().value.len(), 2);
     }
 
-    fn tiny_backoff(seed: u64) -> Backoff {
-        Backoff::new(Duration::from_nanos(10), Duration::from_nanos(100), seed)
-    }
-
     #[test]
     fn backoff_is_deterministic_under_a_fixed_seed() {
         let mut a = Backoff::new(Duration::from_micros(20), Duration::from_millis(2), 0xFD17);
@@ -358,42 +314,6 @@ mod tests {
             );
         }
         assert_eq!(b.attempts(), 32);
-    }
-
-    #[test]
-    fn install_with_retry_is_bounded_under_permanent_contention() {
-        let root = VersionedRoot::new(0i64);
-        let mut calls = 0;
-        let err = root
-            .install_with_retry(5, &mut tiny_backoff(3), |snap| {
-                calls += 1;
-                // a contender always sneaks in between load and install
-                root.install(snap.value + 100);
-                snap.value + 1
-            })
-            .unwrap_err();
-        assert_eq!(calls, 5, "exactly max_attempts candidate computations");
-        assert!(err.found > err.expected);
-    }
-
-    #[test]
-    fn install_with_retry_recomputes_from_the_fresh_snapshot() {
-        let root = VersionedRoot::new(10i64);
-        let mut first = true;
-        let (v, attempts) = root
-            .install_with_retry(5, &mut tiny_backoff(4), |snap| {
-                if first {
-                    first = false;
-                    root.install(snap.value + 5); // lose exactly one race
-                }
-                snap.value * 2
-            })
-            .unwrap();
-        assert_eq!(attempts, 2);
-        assert_eq!(v, 2);
-        // the winning candidate saw the contender's value (15), not the
-        // original snapshot (10)
-        assert_eq!(root.load().value, 30);
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Write batching: coalescing compatible small commits into one CAS
-//! install and one WAL append.
+//! Write batching: coalescing compatible small commits into one install
+//! and one WAL record.
 //!
 //! The serving workload is dominated by tiny transactions (a single
 //! read-modify-write of one tuple). Committed one at a time, each pays a
-//! full CAS round on the versioned root, a commit-log insertion, a
-//! history record, and — on a durable store — its own WAL append and,
-//! under [`SyncPolicy::Always`](fdm_durability::SyncPolicy), its own
-//! fsync. [`Store::commit_batch`] amortizes all of that: a *group* of
+//! turn in the commit sequencer, a commit-log entry, a history record,
+//! and — on a durable store — its own WAL record and, under
+//! [`SyncPolicy::Always`](fdm_durability::SyncPolicy), its own wait for
+//! an fsync. [`Store::commit_batch`] amortizes all of that: a *group* of
 //! transactions whose write sets are pairwise disjoint is validated,
 //! replayed onto the current root in submission order, and installed as
-//! **one** version with **one** WAL append — so an fsync-per-commit
-//! store pays one fsync per group (group commit at the transaction
-//! layer, stacking with the WAL's own group commit underneath).
+//! **one** version with **one** WAL record (group commit at the
+//! transaction layer, stacking with the WAL's own group buffer
+//! underneath). A plain `commit` is the group of one: both go through
+//! the same `Store::commit_group`.
 //!
 //! # Conflict semantics are unchanged
 //!
@@ -36,12 +37,10 @@
 //! byte-identical to the one-at-a-time store at the matching operation
 //! prefix.
 
-use crate::store::{CommitOutcome, CommitPolicy, Store, Validation};
+use crate::store::{CommitOutcome, CommitPolicy, Group, Store};
 use crate::txn::Transaction;
-use crate::writeset::{apply_ops, Op, WriteSet};
 use fdm_core::{FdmError, Result};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How aggressively [`Store::commit_batch`] coalesces.
 #[derive(Debug, Clone)]
@@ -53,8 +52,8 @@ pub struct BatchPolicy {
     /// single WAL record a group becomes (the WAL enforces a hard
     /// payload ceiling; keep groups well under it).
     pub max_ops: usize,
-    /// CAS retry policy for each group's install, same semantics as a
-    /// single commit's [`CommitPolicy`].
+    /// Retry policy for each group's commit, same semantics as a single
+    /// commit's [`CommitPolicy`].
     pub commit: CommitPolicy,
 }
 
@@ -82,14 +81,6 @@ impl BatchPolicy {
     }
 }
 
-/// One submitted transaction, decomposed and awaiting its group flush.
-struct Member {
-    index: usize,
-    base_version: fdm_storage::Version,
-    writes: WriteSet,
-    ops: Vec<Op>,
-}
-
 impl Store {
     /// Commits `txns` in submission order, coalescing compatible runs
     /// into single installed versions (see the module docs). Returns one
@@ -101,8 +92,7 @@ impl Store {
     ) -> Vec<Result<CommitOutcome>> {
         let n = txns.len();
         let mut outcomes: Vec<Option<Result<CommitOutcome>>> = (0..n).map(|_| None).collect();
-        let mut group: Vec<Member> = Vec::new();
-        let mut group_ops = 0usize;
+        let mut group = Group::default();
         for (index, txn) in txns.into_iter().enumerate() {
             let (base_version, writes, ops) = txn.into_parts();
             if writes.is_empty() {
@@ -118,7 +108,11 @@ impl Store {
             // first-committer-wins *inside* the batch: an overlap with an
             // earlier member is the conflict sequential submission would
             // have raised after that member committed
-            if let Some(winner) = group.iter().find(|m| m.writes.conflicts_with(&writes)) {
+            if let Some(winner) = group
+                .members
+                .iter()
+                .find(|m| m.writes.conflicts_with(&writes))
+            {
                 outcomes[index] = Some(Err(FdmError::TransactionConflict {
                     detail: format!(
                         "write-write conflict with batched transaction #{} on {}",
@@ -129,178 +123,20 @@ impl Store {
                 }));
                 continue;
             }
-            if group.len() >= policy.max_txns.max(1)
-                || (!group.is_empty() && group_ops + ops.len() > policy.max_ops.max(1))
+            if group.members.len() >= policy.max_txns.max(1)
+                || (!group.members.is_empty()
+                    && group.ops.len() + ops.len() > policy.max_ops.max(1))
             {
-                self.flush_group(&mut group, policy, &mut outcomes);
-                group_ops = 0;
+                let full = std::mem::take(&mut group);
+                self.commit_group(full, None, &policy.commit, &mut outcomes);
             }
-            group_ops += ops.len();
-            group.push(Member {
-                index,
-                base_version,
-                writes,
-                ops,
-            });
+            group.push(index, base_version, writes, ops);
         }
-        self.flush_group(&mut group, policy, &mut outcomes);
+        self.commit_group(group, None, &policy.commit, &mut outcomes);
         outcomes
             .into_iter()
             .map(|o| o.expect("every transaction got a result"))
             .collect()
-    }
-
-    /// Validates, replays, and installs one group as a single version
-    /// with a single WAL append. Members that fail validation are
-    /// dropped from the group (their error recorded) without failing the
-    /// rest.
-    fn flush_group(
-        self: &Arc<Self>,
-        group: &mut Vec<Member>,
-        policy: &BatchPolicy,
-        outcomes: &mut [Option<Result<CommitOutcome>>],
-    ) {
-        let mut members = std::mem::take(group);
-        if members.is_empty() {
-            return;
-        }
-        let start = Instant::now();
-        let mut backoff = policy.commit.backoff();
-        let max_attempts = policy.commit.max_attempts.max(1);
-        let mut attempts = 0usize;
-        let mut conflicts: Vec<(String, String)> = Vec::new();
-        loop {
-            attempts += 1;
-            let current = self.root.load();
-
-            // Per-member validation against commits since that member's
-            // snapshot — the same first-committer-wins check the single
-            // commit path runs ([`Store::validate`]): genuine overlaps are
-            // terminal per member, a winner not yet in the log is a
-            // transient loss for the whole group.
-            let mut unrecorded = false;
-            let log = self.log.lock();
-            members.retain(|m| {
-                match self.validate(&log, m.base_version, current.version, &m.writes) {
-                    Validation::Clear => true,
-                    Validation::Conflict(e) => {
-                        outcomes[m.index] = Some(Err(e));
-                        false
-                    }
-                    Validation::Unrecorded => {
-                        unrecorded = true;
-                        true
-                    }
-                }
-            });
-            drop(log);
-            if members.is_empty() {
-                return;
-            }
-            if unrecorded {
-                conflicts.push(("<unrecorded>".to_string(), format!("v{}", current.version)));
-                if let Err(e) = self.pace_batch(policy, &mut backoff, attempts, max_attempts, start)
-                {
-                    for m in &members {
-                        outcomes[m.index] = Some(Err(e.clone()));
-                    }
-                    return;
-                }
-                continue;
-            }
-
-            // One candidate root: every surviving member's ops replayed
-            // in submission order (disjoint write sets — order within
-            // the group cannot change the result, but determinism is
-            // free). One WAL payload for the whole group.
-            let all_ops: Vec<Op> = members.iter().flat_map(|m| m.ops.iter().cloned()).collect();
-            let wal_payload = match self.encode_for_wal(&all_ops) {
-                Ok(p) => p,
-                Err(e) => {
-                    for m in &members {
-                        outcomes[m.index] = Some(Err(e.clone()));
-                    }
-                    return;
-                }
-            };
-            let candidate = match apply_ops(&current.value, &all_ops) {
-                Ok(db) => db,
-                Err(e) => {
-                    for m in &members {
-                        outcomes[m.index] = Some(Err(e.clone()));
-                    }
-                    return;
-                }
-            };
-
-            let installed = candidate.clone();
-            match self.root.try_install(current.version, candidate) {
-                Ok(v) => {
-                    let mut writes = WriteSet::default();
-                    for m in &members {
-                        writes.merge(&m.writes);
-                    }
-                    let recorded =
-                        self.record_commit(v, writes, &all_ops, wal_payload.as_deref(), installed);
-                    for m in &members {
-                        outcomes[m.index] = Some(match &recorded {
-                            Ok(()) => Ok(CommitOutcome {
-                                version: v,
-                                attempts,
-                                conflicts: conflicts.clone(),
-                            }),
-                            Err(e) => Err(e.clone()),
-                        });
-                    }
-                    return;
-                }
-                Err(race) => {
-                    // a non-batched commit landed between load and
-                    // install — transient; revalidate the group and retry
-                    conflicts.push((
-                        "<cas>".to_string(),
-                        format!("v{}->v{}", race.expected, race.found),
-                    ));
-                    if let Err(e) =
-                        self.pace_batch(policy, &mut backoff, attempts, max_attempts, start)
-                    {
-                        for m in &members {
-                            outcomes[m.index] = Some(Err(e.clone()));
-                        }
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn pace_batch(
-        &self,
-        policy: &BatchPolicy,
-        backoff: &mut fdm_storage::Backoff,
-        attempts: usize,
-        max_attempts: usize,
-        start: Instant,
-    ) -> Result<()> {
-        if attempts >= max_attempts {
-            return Err(FdmError::TransactionRetriesExhausted {
-                attempts,
-                detail: format!(
-                    "transient batch-commit conflicts persisted at v{}",
-                    self.version()
-                ),
-            });
-        }
-        if let Some(t) = policy.commit.timeout {
-            if start.elapsed() >= t {
-                return Err(FdmError::TransactionTimeout {
-                    attempts,
-                    elapsed_ms: start.elapsed().as_millis() as u64,
-                });
-            }
-        }
-        backoff.sleep_next();
-        Ok(())
     }
 }
 
@@ -347,7 +183,7 @@ mod tests {
         }
         let before = store.version();
         let outcomes = store.commit_batch(txns, &BatchPolicy::default());
-        assert_eq!(store.version(), before + 1, "one CAS install for the group");
+        assert_eq!(store.version(), before + 1, "one install for the group");
         for (i, o) in outcomes.iter().enumerate() {
             let o = o.as_ref().unwrap();
             assert_eq!(o.version, before + 1, "member {i} shares the group version");

@@ -8,11 +8,12 @@
 //! reading a view always answers "the view as of version v" for a
 //! concrete, known v.
 //!
-//! Commits can reach the catalog out of version order (the installing
-//! CAS and the post-install bookkeeping are not one atomic step), so the
-//! catalog buffers `(version, ops, root)` entries and advances each view
-//! only through a *contiguous* version prefix — a view's watermark never
-//! jumps a gap that a straggling committer might still fill.
+//! Commits can reach the catalog out of version order (they install in
+//! order under the commit sequencer, but reach the catalog after it is
+//! released), so the catalog buffers `(version, ops, root)` entries and
+//! advances each view only through a *contiguous* version prefix — a
+//! view's watermark never jumps a gap that a straggling committer might
+//! still fill.
 //!
 //! Maintenance errors never fail the commit that triggered them: the
 //! commit is already installed and durable by the time the catalog sees
@@ -314,6 +315,40 @@ mod tests {
             key: Value::Int(cid),
             tuple: customer(cid, name, age),
         }
+    }
+
+    /// View maintenance is a post-install step: a committer held at the
+    /// catalog's lock has installed, logged and released the sequencer.
+    #[test]
+    fn view_maintenance_runs_outside_the_commit_sequencer() {
+        let store = Store::new(retail_db());
+        store.register_view("olds", olds_query()).unwrap();
+        let catalog = store.views.inner.lock();
+        std::thread::scope(|s| {
+            let store = &store;
+            s.spawn(move || {
+                let mut t = store.begin();
+                t.upsert(
+                    "customers",
+                    Value::Int(9),
+                    (*customer(9, "Zoe", 70)).clone(),
+                )
+                .unwrap();
+                t.commit().unwrap()
+            });
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while store.version() == 0 || store.sequencer.try_lock().is_none() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the commit installs and releases the sequencer"
+                );
+                std::thread::yield_now();
+            }
+            assert_eq!(store.log_versions(), vec![1]);
+            assert_eq!(store.history().versions(), vec![0, 1]);
+            drop(catalog);
+        });
+        assert_eq!(store.view("olds").unwrap().0, 1);
     }
 
     #[test]

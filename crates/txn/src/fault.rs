@@ -1,8 +1,8 @@
 //! Fault injection for the commit path.
 //!
-//! Degradation paths — lost CAS races, conflict storms, stalls between
-//! validation and install — are exactly the code that never runs in clean
-//! unit tests. A [`FaultPlan`] installed on a [`crate::Store`] forces them
+//! Degradation paths — transient losses, conflict storms, commits that
+//! find the root moved and must replay — are exactly the code that never
+//! runs in clean unit tests. A [`FaultPlan`] installed on a [`crate::Store`] forces them
 //! at chosen version numbers, so retry/backoff discipline and isolation
 //! invariants are testable as first-class behavior instead of hoping the
 //! scheduler produces the interleaving.
@@ -15,16 +15,16 @@
 //! commit attempt observes:
 //!
 //! * **Forced conflict** (`force_conflict_at`) — the attempt is treated as
-//!   having lost a transient CAS race. Consumed once per registered
-//!   version, so a retrying commit succeeds on a later attempt; a commit
-//!   without retries surfaces the conflict. This is the scenario the old
-//!   code failed: an immediate raw error where one retry would have won.
-//! * **Delay before CAS** (`delay_before_cas_at`) — the attempt sleeps
-//!   between validation and install, widening the race window so real
-//!   contenders land in between. Sticky (fires every time the version
-//!   matches).
-//! * **Poisoned write set** (`poison_writeset_at`) — validation treats the
-//!   transaction's write set as conflicting, and keeps doing so (sticky).
+//!   a transient loss. Consumed once per registered version, so a
+//!   retrying commit succeeds on a later attempt; a commit without
+//!   retries surfaces it. The commit sequencer leaves no real transient
+//!   loss, so this is what keeps the retry budget exercised.
+//! * **Delay** (`delay_before_cas_at`; the name predates the sequencer)
+//!   — the attempt sleeps before it asks for the commit sequencer, so
+//!   real contenders install in between and the attempt takes the replay
+//!   path. Sticky (fires every time the version matches).
+//! * **Poisoned write set** (`poison_writeset_at`) — every attempt at
+//!   that version is a transient loss, and keeps being one (sticky).
 //!   With no concurrent committers the version never advances, so a
 //!   bounded policy must exhaust its retries and return
 //!   `TransactionRetriesExhausted` — the degradation path under a
@@ -76,8 +76,8 @@ impl FaultPlan {
         self.conflicts.lock().insert(v);
     }
 
-    /// Sleep `delay` before the CAS on every commit attempt that observes
-    /// current version `v` (sticky).
+    /// Sleep `delay` before asking for the commit sequencer on every
+    /// commit attempt that observes current version `v` (sticky).
     pub fn delay_before_cas_at(&self, v: Version, delay: Duration) {
         self.delays.lock().insert(v, delay);
     }
@@ -93,7 +93,7 @@ impl FaultPlan {
         self.injected_conflicts.load(Ordering::Relaxed)
     }
 
-    /// Number of pre-CAS delays that actually fired.
+    /// Number of delays that actually fired.
     pub fn injected_delays(&self) -> usize {
         self.injected_delays.load(Ordering::Relaxed)
     }

@@ -11,6 +11,7 @@
 use fdm_core::{DatabaseF, FdmError, Result};
 use fdm_storage::Version;
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 
 /// A bounded history of committed database versions.
 ///
@@ -27,7 +28,7 @@ use parking_lot::RwLock;
 /// assert_eq!(h.latest().unwrap().0, 1);
 /// ```
 pub struct History {
-    inner: RwLock<Vec<(Version, DatabaseF)>>,
+    inner: RwLock<VecDeque<(Version, DatabaseF)>>,
     capacity: usize,
 }
 
@@ -35,33 +36,39 @@ impl History {
     /// Creates a history retaining up to `capacity` versions.
     pub fn new(capacity: usize) -> History {
         History {
-            inner: RwLock::new(Vec::new()),
+            inner: RwLock::new(VecDeque::new()),
             capacity: capacity.max(1),
         }
     }
 
     /// Records a committed version (drops the oldest beyond capacity).
     ///
-    /// Entries are kept sorted by version: two committers that install
-    /// versions `v` and `v+1` may reach the history in either order (the
-    /// record happens after the root CAS), so the insert position is
-    /// found from the rear rather than assumed to be the end. Recording
-    /// the same version twice replaces the earlier value.
+    /// Versions arrive in commit order — the store records from inside
+    /// its commit sequencer — so this is a `push_back`.
+    ///
+    /// # Panics
+    ///
+    /// If `version` is not newer than everything recorded: history is
+    /// append-only.
     pub fn record(&self, version: Version, db: DatabaseF) {
+        drop(self.push(version, db));
+    }
+
+    /// [`History::record`], handing the entry the capacity bound evicted
+    /// back to the caller: the commit path frees that root's unshared
+    /// nodes only after it has left the sequencer.
+    pub(crate) fn push(&self, version: Version, db: DatabaseF) -> Option<(Version, DatabaseF)> {
         let mut g = self.inner.write();
-        let at = g
-            .iter()
-            .rposition(|(v, _)| *v <= version)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        if at > 0 && g[at - 1].0 == version {
-            g[at - 1].1 = db;
-        } else {
-            g.insert(at, (version, db));
-        }
+        assert!(
+            g.back().is_none_or(|(newest, _)| *newest < version),
+            "history is append-only: v{version} recorded after v{:?}",
+            g.back().map(|(v, _)| *v)
+        );
+        g.push_back((version, db));
         if g.len() > self.capacity {
-            let excess = g.len() - self.capacity;
-            g.drain(..excess);
+            g.pop_front()
+        } else {
+            None
         }
     }
 
@@ -76,8 +83,8 @@ impl History {
             .map(|(_, db)| db.clone())
             .ok_or_else(|| FdmError::VersionEvicted {
                 version,
-                oldest: g.first().map(|(v, _)| *v),
-                newest: g.last().map(|(v, _)| *v),
+                oldest: g.front().map(|(v, _)| *v),
+                newest: g.back().map(|(v, _)| *v),
             })
     }
 
@@ -98,12 +105,12 @@ impl History {
 
     /// The oldest retained version, if any.
     pub fn oldest(&self) -> Option<Version> {
-        self.inner.read().first().map(|(v, _)| *v)
+        self.inner.read().front().map(|(v, _)| *v)
     }
 
     /// The newest recorded version, if any.
     pub fn latest(&self) -> Option<(Version, DatabaseF)> {
-        self.inner.read().last().cloned()
+        self.inner.read().back().cloned()
     }
 
     /// Number of retained versions.
@@ -175,18 +182,25 @@ mod tests {
         assert_eq!(h.oldest(), Some(1));
     }
 
+    /// Replaces `out_of_order_records_are_insert_sorted`: the commit
+    /// sequencer records versions in order, so the history no longer
+    /// sorts — recording an older (or the same) version is a bug.
     #[test]
-    fn out_of_order_records_are_insert_sorted() {
+    #[should_panic(expected = "append-only")]
+    fn recording_an_older_version_panics() {
         let h = History::new(10);
         h.record(2, DatabaseF::new("v2"));
-        h.record(0, DatabaseF::new("v0"));
         h.record(1, DatabaseF::new("v1"));
-        assert_eq!(h.versions(), vec![0, 1, 2]);
-        assert_eq!(h.as_of(1).unwrap().name(), "v1");
-        // re-recording a version replaces it
-        h.record(1, DatabaseF::new("v1b"));
-        assert_eq!(h.versions(), vec![0, 1, 2]);
-        assert_eq!(h.as_of(1).unwrap().name(), "v1b");
+    }
+
+    #[test]
+    fn push_hands_back_the_evicted_root() {
+        let h = History::new(2);
+        assert!(h.push(0, DatabaseF::new("v0")).is_none());
+        assert!(h.push(1, DatabaseF::new("v1")).is_none());
+        let (v, db) = h.push(2, DatabaseF::new("v2")).expect("over capacity");
+        assert_eq!((v, db.name()), (0, "v0"));
+        assert_eq!(h.versions(), vec![1, 2]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The transactional store: a versioned root holding the committed
-//! database function, the commit log used for snapshot-isolation
-//! validation, and the bounded version history behind time-travel reads.
+//! database function, the commit sequencer every install runs under —
+//! with the commit log it guards, used for snapshot-isolation validation
+//! — and the bounded version history behind time-travel reads.
 
 use crate::catalog::{RefreshMode, ViewCatalog};
 use crate::history::History;
@@ -9,27 +10,34 @@ use crate::writeset::{apply_ops, Op, WriteSet};
 use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_durability::{
     check_record_payload, encode_ops, list_checkpoints, prune_checkpoints, recover,
-    write_checkpoint, DurabilityConfig, DurabilityError, IntegrityReport, SyncPolicy, Wal, WalOp,
+    write_checkpoint, DurabilityConfig, DurabilityError, IntegrityReport, Wal, WalOp,
 };
 use fdm_storage::VersionedRoot;
 use fdm_storage::{Backoff, Version};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::FaultPlan;
 #[cfg(any(test, feature = "fault-injection"))]
 use fdm_durability::{write_checkpoint_faulty, CrashPlan};
 
-/// How a commit behaves under contention: how many attempts it makes, how
-/// it paces them, and when it gives up.
+/// How a commit behaves when it has to be tried again: how many attempts
+/// it makes, how it paces them, and when it gives up.
 ///
-/// The backoff between attempts is exponential with **deterministic
-/// seeded jitter** ([`fdm_storage::Backoff`]): a fixed `jitter_seed`
-/// replays the same delay schedule, so contention tests are reproducible,
-/// while different seeds desynchronize contending committers.
+/// Installing never races — every commit takes its turn in the store's
+/// commit sequencer — so what is left to retry is [`Store::run_with`]
+/// re-deriving a transaction after a *genuine* write-write conflict, and
+/// (test and `fault-injection` builds only) injected transient faults.
+/// The backoff between those attempts is exponential with
+/// **deterministic seeded jitter** ([`fdm_storage::Backoff`]): a fixed
+/// `jitter_seed` replays the same delay schedule, so contention tests are
+/// reproducible, while different seeds desynchronize contending
+/// committers. It never runs with the sequencer held.
 #[derive(Debug, Clone)]
 pub struct CommitPolicy {
     /// Total commit attempts, including the first (min 1).
@@ -106,11 +114,14 @@ pub struct CommitOutcome {
     /// Commit attempts spent, including the successful one (0 for a
     /// read-only transaction, which never reaches the commit path).
     pub attempts: usize,
-    /// Transient conflicts survived along the way, in display form:
-    /// `("<cas>", "v{expected}->v{found}")` for lost install races and
-    /// `("<injected>", "v{n}")` for injected faults. Genuine first-
-    /// committer-wins conflicts never appear here — they are terminal and
-    /// carry their keys on [`FdmError::TransactionConflict`] instead.
+    /// Transient conflicts survived along the way, in display form. The
+    /// commit sequencer leaves no install race to lose, so a commit
+    /// itself only ever reports injected faults here (`("<injected>",
+    /// "v{n}")`, test and `fault-injection` builds); [`Store::run_with`]
+    /// adds the keys of the genuine conflicts it re-derived after. A
+    /// genuine first-committer-wins conflict met by a bare commit is
+    /// terminal and carries its keys on
+    /// [`FdmError::TransactionConflict`] instead.
     pub conflicts: Vec<(String, String)>,
 }
 
@@ -157,16 +168,9 @@ impl Default for StoreConfig {
 pub(crate) struct Durable {
     /// Directory, fsync cadence, retention — fixed at open time.
     cfg: DurabilityConfig,
-    /// The append half of the write-ahead log. A `std` mutex (not the
-    /// vendored `parking_lot` shim) because waiters on the durable
-    /// watermark need a [`std::sync::Condvar`] paired with this exact
-    /// lock; access goes through [`Durable::wal`].
-    wal: std::sync::Mutex<Wal>,
-    /// Signaled (with `wal` held) whenever an append advances the
-    /// durable watermark. Under [`SyncPolicy::Always`] an out-of-order
-    /// committer parks here until the gap-filling append's fsync covers
-    /// its version — see [`Store::record_commit`].
-    wal_synced: std::sync::Condvar,
+    /// The append half of the write-ahead log; internally synchronized
+    /// (see [`Wal`] for who writes and fsyncs a group).
+    wal: Wal,
     /// Commits since the last checkpoint (drives
     /// [`DurabilityConfig::checkpoint_every`]).
     since_checkpoint: Mutex<u64>,
@@ -174,14 +178,6 @@ pub(crate) struct Durable {
     /// copy (test/fault-injection builds only).
     #[cfg(any(test, feature = "fault-injection"))]
     plan: Mutex<Option<Arc<CrashPlan>>>,
-}
-
-impl Durable {
-    /// Locks the WAL, recovering from poison — the same non-poisoning
-    /// discipline as the `parking_lot` locks used everywhere else.
-    fn wal(&self) -> std::sync::MutexGuard<'_, Wal> {
-        self.wal.lock().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// A transactional FDM store.
@@ -192,9 +188,11 @@ impl Durable {
 /// transaction that committed after the snapshot was taken. Disjoint
 /// writers merge (their recorded operations replay onto the latest root);
 /// overlapping writers lose with [`FdmError::TransactionConflict`] —
-/// first committer wins. Transient losses (CAS races, injected faults)
-/// are retried under the store's [`CommitPolicy`] with deterministic
-/// seeded backoff.
+/// first committer wins. Commits take turns in one short **commit
+/// sequencer** (validate, build, install, log — nothing that sleeps or
+/// makes a syscall), so versions reach the commit log, the history and
+/// the WAL in order by construction and no install is ever lost to a
+/// race.
 ///
 /// Every commit is also recorded into a bounded [`History`], so
 /// [`Store::as_of`] serves time-travel reads without blocking writers.
@@ -229,12 +227,10 @@ impl Durable {
 /// ```
 pub struct Store {
     pub(crate) root: Arc<VersionedRoot<DatabaseF>>,
-    /// Commit log: `(version, write set)` of every commit, version-sorted,
-    /// newest last. Trimming below the oldest version any conflict check
-    /// can need would require tracking active transactions; we keep a
-    /// bounded tail instead, which is correct as long as snapshots are not
-    /// older than the tail — enforced in commit validation.
-    pub(crate) log: Mutex<Vec<(Version, WriteSet)>>,
+    /// The **commit sequencer**: the one lock every install runs under
+    /// ([`Store::install`]), guarding the commit log. Acquire it through
+    /// [`Store::sequencer`] only.
+    pub(crate) sequencer: Mutex<CommitLog>,
     /// Maximum retained commit-log entries.
     pub(crate) log_cap: usize,
     /// Default commit policy (see [`Transaction::commit_with`] to
@@ -247,7 +243,7 @@ pub struct Store {
     /// Maintained views subscribed to commits (see [`Store::register_view`]).
     pub(crate) views: ViewCatalog,
     /// Hot-tuple cache fronting point reads, when configured
-    /// (`StoreConfig::hot_cache`); invalidated inside
+    /// (`StoreConfig::hot_cache`); invalidated by
     /// [`Store::record_commit`] before anything else.
     pub(crate) cache: Option<crate::cache::HotTupleCache>,
     /// Injected faults, if a plan is installed (test/fault-injection
@@ -256,16 +252,103 @@ pub struct Store {
     pub(crate) faults: Mutex<Option<Arc<FaultPlan>>>,
 }
 
-/// What [`Store::validate`] found between a snapshot and the root a commit
-/// attempt is about to build on.
-pub(crate) enum Validation {
-    /// Every version in between is recorded and none overlaps.
-    Clear,
-    /// A genuine write-write overlap (or a trimmed log): terminal.
-    Conflict(FdmError),
-    /// Some version in between is installed but not yet in the log: the
-    /// attempt is a transient loss — pace, reload, validate again.
-    Unrecorded,
+/// The commit log: `(version, write set)` of the newest commits, oldest
+/// first. Only the sequencer's holder appends, one entry per installed
+/// version, so it is gapless and ends at the store's current version.
+/// Trimming below the oldest version any conflict check can need would
+/// require tracking active transactions; we keep a bounded tail instead,
+/// which is correct as long as snapshots are not older than the tail —
+/// enforced in commit validation.
+pub(crate) type CommitLog = VecDeque<(Version, Arc<WriteSet>)>;
+
+/// `try_lock` rounds a committer spins for the sequencer before it starts
+/// yielding. The section is a few microseconds, a futex wake 50–90 µs on
+/// a small VM: a blocked committer would spend longer being woken than
+/// the holder spends inside.
+const SEQUENCER_SPINS: usize = 256;
+/// `yield_now` rounds after the spins and before the blocking `lock`.
+const SEQUENCER_YIELDS: usize = 64;
+
+/// One transaction decomposed for commit.
+pub(crate) struct Member {
+    /// Where its result goes in the caller's outcome slice.
+    pub(crate) index: usize,
+    pub(crate) base_version: Version,
+    pub(crate) writes: Arc<WriteSet>,
+    /// Its recorded operations, as a range of [`Group::ops`].
+    ops: Range<usize>,
+}
+
+/// What one installed version is made of: one transaction (a plain
+/// commit) or several with pairwise disjoint write sets (a batch).
+#[derive(Default)]
+pub(crate) struct Group {
+    pub(crate) members: Vec<Member>,
+    /// Every member's recorded operations, in member order.
+    pub(crate) ops: Vec<Op>,
+    /// Union of the members' write sets ([`Group::union_writes`]).
+    writes: Arc<WriteSet>,
+    /// The encoded `ops`, on a durable store ([`Store::seal`]).
+    payload: Option<Vec<u8>>,
+}
+
+impl Group {
+    pub(crate) fn push(
+        &mut self,
+        index: usize,
+        base_version: Version,
+        writes: WriteSet,
+        ops: Vec<Op>,
+    ) {
+        let start = self.ops.len();
+        self.ops.extend(ops);
+        self.members.push(Member {
+            index,
+            base_version,
+            writes: Arc::new(writes),
+            ops: start..self.ops.len(),
+        });
+    }
+
+    /// Sets `writes` to the union of the members' write sets.
+    fn union_writes(&mut self) {
+        self.writes = match self.members.as_slice() {
+            [only] => Arc::clone(&only.writes),
+            members => {
+                let mut union = WriteSet::default();
+                for m in members {
+                    union.merge(&m.writes);
+                }
+                Arc::new(union)
+            }
+        };
+    }
+
+    /// Drops the operations of members no longer in the group.
+    fn compact(&mut self) {
+        let mut ops = Vec::with_capacity(self.ops.len());
+        for m in &mut self.members {
+            let start = ops.len();
+            ops.extend_from_slice(&self.ops[m.ops.clone()]);
+            m.ops = start..ops.len();
+        }
+        self.ops = ops;
+    }
+}
+
+/// What [`Store::install`] hands to the post-install steps.
+pub(crate) struct Installed {
+    pub(crate) version: Version,
+    db: DatabaseF,
+    /// The WAL's answer to the enqueue, on a durable store: `Ok(true)`
+    /// means this committer closes its WAL group.
+    wal: Option<Result<bool, DurabilityError>>,
+}
+
+fn durability(e: DurabilityError) -> FdmError {
+    FdmError::Durability {
+        detail: e.to_string(),
+    }
 }
 
 impl Store {
@@ -310,7 +393,7 @@ impl Store {
         history.record(version, db.clone());
         Arc::new(Store {
             root: Arc::new(VersionedRoot::with_version(db, version)),
-            log: Mutex::new(Vec::new()),
+            sequencer: Mutex::new(VecDeque::new()),
             log_cap: config.log_cap.max(1),
             policy: config.policy,
             history,
@@ -355,8 +438,7 @@ impl Store {
             config,
             Some(Durable {
                 cfg: dcfg,
-                wal: std::sync::Mutex::new(wal),
-                wal_synced: std::sync::Condvar::new(),
+                wal,
                 since_checkpoint: Mutex::new(0),
                 #[cfg(any(test, feature = "fault-injection"))]
                 plan: Mutex::new(None),
@@ -403,39 +485,34 @@ impl Store {
             config,
             Some(Durable {
                 cfg: dcfg,
-                wal: std::sync::Mutex::new(wal),
-                wal_synced: std::sync::Condvar::new(),
+                wal,
                 since_checkpoint: Mutex::new(0),
                 #[cfg(any(test, feature = "fault-injection"))]
                 plan: Mutex::new(None),
             }),
         );
-        let mut db = rec.db;
         for commit in rec.commits {
+            // the same install routine live commits use, minus the WAL
+            // append: these records are already on disk
+            let mut group = Group::default();
             let ops: Vec<Op> = commit.ops.into_iter().map(Op::from).collect();
-            db = apply_ops(&db, &ops).map_err(|e| DurabilityError::Corrupt {
+            group.push(0, commit.version - 1, WriteSet::from_ops(&ops), ops);
+            group.union_writes();
+            let replayed = match store.install(&mut group, None, &mut [None]) {
+                // nothing was enqueued, so this is the cache and catalog
+                // bookkeeping alone
+                Ok(Some(installed)) if installed.version == commit.version => {
+                    store.record_commit(installed, &group)
+                }
+                Ok(_) => Err(FdmError::Other(format!(
+                    "it does not follow v{}",
+                    store.version()
+                ))),
+                Err(e) => Err(e),
+            };
+            replayed.map_err(|e| DurabilityError::Corrupt {
                 detail: format!("replaying recovered commit v{}: {e}", commit.version),
             })?;
-            store
-                .root
-                .try_install(commit.version - 1, db.clone())
-                .map_err(|race| DurabilityError::Corrupt {
-                    detail: format!(
-                        "recovery replay raced: expected v{}, found v{}",
-                        race.expected, race.found
-                    ),
-                })?;
-            store
-                .record_commit(
-                    commit.version,
-                    WriteSet::from_ops(&ops),
-                    &ops,
-                    None,
-                    db.clone(),
-                )
-                .map_err(|e| DurabilityError::Corrupt {
-                    detail: format!("recording recovered commit v{}: {e}", commit.version),
-                })?;
         }
         Ok(store)
     }
@@ -535,9 +612,9 @@ impl Store {
     /// `begin()`).
     ///
     /// Deliberately touches only the versioned root's read lock — never
-    /// the commit-log mutex — so a reader-heavy workload cannot stall
+    /// the commit sequencer — so a reader-heavy workload cannot stall
     /// committers and a stalled committer cannot stall `begin()`. Pinned
-    /// by `begin_and_snapshot_never_take_the_commit_log_lock` below.
+    /// by `begin_and_snapshot_never_take_the_commit_sequencer` below.
     pub fn begin(self: &Arc<Self>) -> Transaction {
         let snap = self.root.load();
         Transaction::new(Arc::clone(self), snap.version, snap.value)
@@ -561,15 +638,15 @@ impl Store {
     /// correct discipline instead.
     ///
     /// Up to `policy.max_attempts` executions, paced by the policy's
-    /// seeded backoff; each inner commit also retries *transient* races
-    /// under the same policy. Returns the closure's value and the final
-    /// [`CommitOutcome`] (attempts = closure executions).
+    /// seeded backoff (slept between executions, with no lock held).
+    /// Returns the closure's value and the final [`CommitOutcome`]
+    /// (attempts = closure executions).
     pub fn run_with<T>(
         self: &Arc<Self>,
         policy: &CommitPolicy,
         mut f: impl FnMut(&mut Transaction) -> Result<T>,
     ) -> Result<(T, CommitOutcome)> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let mut backoff = policy.backoff();
         let max_attempts = policy.max_attempts.max(1);
         let mut conflicts: Vec<(String, String)> = Vec::new();
@@ -637,7 +714,15 @@ impl Store {
 
     /// Number of commits retained in the validation log.
     pub fn log_len(&self) -> usize {
-        self.log.lock().len()
+        self.sequencer().len()
+    }
+
+    /// The versions in the validation log, oldest first, read with the
+    /// commit sequencer held: gapless, and ending at a version no older
+    /// than any [`Store::version`] read before the call — a version is
+    /// never installed without being logged in the same critical section.
+    pub fn log_versions(&self) -> Vec<Version> {
+        self.sequencer().iter().map(|(v, _)| *v).collect()
     }
 
     /// Point read of one tuple at the current version, served through
@@ -685,34 +770,50 @@ impl Store {
         self.cache.as_ref().map(|c| c.stats())
     }
 
+    /// Acquires the commit sequencer: bounded `try_lock` spinning, then
+    /// yielding, then a blocking `lock` (see [`SEQUENCER_SPINS`]).
+    pub(crate) fn sequencer(&self) -> MutexGuard<'_, CommitLog> {
+        for _ in 0..SEQUENCER_SPINS {
+            if let Some(log) = self.sequencer.try_lock() {
+                return log;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..SEQUENCER_YIELDS {
+            if let Some(log) = self.sequencer.try_lock() {
+                return log;
+            }
+            std::thread::yield_now();
+        }
+        self.sequencer.lock()
+    }
+
     /// First-committer-wins validation of a write set staged at snapshot
-    /// `base` against the commits in `(base, current]`. `log` is the locked
-    /// commit log: a batch validates all its members under one acquisition,
-    /// and no caller holds it across replay, install or a backoff sleep.
-    ///
-    /// The commit transition is enabled only on a *fully recorded prefix*
-    /// (the DB-nets reading of it, Montali & Rivkin): a winner installs its
-    /// root and only then records its write set, so a version in `(base,
-    /// current]` can be missing from the log for a moment. Treating that as
-    /// "no conflict" is the lost update `unrecorded_winner_blocks_validation`
-    /// pins; it is [`Validation::Unrecorded`] instead — a transient loss the
-    /// caller paces and revalidates. Only a log that is full, and so has
-    /// trimmed, makes a snapshot older than its oldest entry terminal.
-    pub(crate) fn validate(
+    /// `base` against the commits in `(base, current]`, with the sequencer
+    /// held. The log is gapless and ends at `current` — a version is
+    /// installed and logged in one critical section — so those commits
+    /// are exactly its last `current - base` entries. Only a log that has
+    /// trimmed them away makes a snapshot too old to validate.
+    fn validate(
         &self,
-        log: &[(Version, WriteSet)],
+        log: &CommitLog,
         base: Version,
         current: Version,
         writes: &WriteSet,
-    ) -> Validation {
-        if current == base {
-            return Validation::Clear;
+    ) -> Result<()> {
+        let since = (current - base) as usize;
+        if since > log.len() {
+            return Err(FdmError::TransactionConflict {
+                detail: format!(
+                    "snapshot v{base} is older than the retained commit log (oldest v{})",
+                    current + 1 - log.len() as Version
+                ),
+                keys: Vec::new(),
+            });
         }
-        let mut recorded = 0;
-        // the log is version-sorted: skip straight past the snapshot
-        for (v, ws) in &log[log.partition_point(|(v, _)| *v <= base)..] {
+        for (v, ws) in log.range(log.len() - since..) {
             if writes.conflicts_with(ws) {
-                return Validation::Conflict(FdmError::TransactionConflict {
+                return Err(FdmError::TransactionConflict {
                     detail: format!(
                         "write-write conflict with commit v{v} on {}",
                         writes.describe_overlap(ws)
@@ -720,157 +821,240 @@ impl Store {
                     keys: writes.conflict_keys(ws),
                 });
             }
-            recorded += u64::from(*v <= current);
-        }
-        if recorded == current - base {
-            return Validation::Clear;
-        }
-        match log.first() {
-            Some((oldest, _)) if log.len() >= self.log_cap && base + 1 < *oldest => {
-                Validation::Conflict(FdmError::TransactionConflict {
-                    detail: format!(
-                        "snapshot v{base} is older than the retained commit log (oldest v{oldest})"
-                    ),
-                    keys: Vec::new(),
-                })
-            }
-            _ => Validation::Unrecorded,
-        }
-    }
-
-    /// Records a successful commit: the write set into the validation log
-    /// (version-sorted — concurrent winners may arrive out of order), the
-    /// new root into the time-travel history, and — on a durable store
-    /// with `wal_payload` — the encoded writeset into the WAL, fsynced
-    /// per the configured [`fdm_durability::SyncPolicy`]. Recovery replay
-    /// passes `None`: those commits are already on disk.
-    ///
-    /// Under [`SyncPolicy::Always`] this returns only once the commit's
-    /// record is actually covered by an fsync: a record that arrived out
-    /// of version order (parked in the WAL's pending buffer) blocks on
-    /// [`Durable::wal_synced`] until the gap-filling append syncs past
-    /// it, and fails with [`FdmError::Durability`] if the gap never
-    /// fills ([`DurabilityConfig::gap_sync_timeout`]) — never a false
-    /// acknowledgement.
-    ///
-    /// The in-memory bookkeeping always completes (the commit *is*
-    /// installed); a WAL or checkpoint failure is then surfaced as
-    /// [`FdmError::Durability`] — the memory state may be ahead of the
-    /// log, exactly as after a crash, and recovery replays the durable
-    /// prefix.
-    pub(crate) fn record_commit(
-        &self,
-        version: Version,
-        writes: WriteSet,
-        ops: &[Op],
-        wal_payload: Option<&[u8]>,
-        db: DatabaseF,
-    ) -> Result<()> {
-        // Cache invalidation first: evict the written keys and advance
-        // the watermark before this commit's version becomes servable
-        // (readers at this version miss until the watermark covers it —
-        // see `crate::cache` for why that ordering is the safe one).
-        if let Some(cache) = &self.cache {
-            cache.invalidate(version, &writes);
-        }
-        {
-            let mut log = self.log.lock();
-            let at = log
-                .iter()
-                .rposition(|(v, _)| *v <= version)
-                .map(|i| i + 1)
-                .unwrap_or(0);
-            log.insert(at, (version, writes));
-            if log.len() > self.log_cap {
-                let excess = log.len() - self.log_cap;
-                log.drain(..excess);
-            }
-        }
-        self.history.record(version, db.clone());
-        // Maintain registered views before the WAL section: the commit is
-        // installed and in the history, so views must see it even if the
-        // durability acknowledgement below fails. Per-view maintenance
-        // errors never fail the commit (they poison that view only).
-        self.views.observe(version, ops, &db);
-        if let (Some(d), Some(payload)) = (self.durable.as_ref(), wal_payload) {
-            {
-                let mut wal = d.wal();
-                let ack = wal
-                    .append(version, payload)
-                    .map_err(|e| FdmError::Durability {
-                        detail: e.to_string(),
-                    })?;
-                // This append may have drained buffered successors past
-                // their covering fsync — wake any committer parked on
-                // the durable watermark below.
-                d.wal_synced.notify_all();
-                if matches!(d.cfg.sync, SyncPolicy::Always) && !ack.durable {
-                    // Out-of-order arrival: the record sits in the
-                    // pending buffer behind a version gap, with no fsync
-                    // covering it. `Always` promises an acknowledged
-                    // commit is on the medium, so block until the
-                    // gap-filling committer writes and syncs past this
-                    // version — and fail the commit (durability NOT
-                    // acknowledged) if it never does, e.g. because that
-                    // committer died between its install and its append.
-                    let deadline = std::time::Instant::now() + d.cfg.gap_sync_timeout;
-                    while wal.synced_version() < version {
-                        let left = deadline.saturating_duration_since(std::time::Instant::now());
-                        if left.is_zero() {
-                            return Err(FdmError::Durability {
-                                detail: format!(
-                                    "commit v{version} is buffered behind a WAL version gap \
-                                     (durable watermark v{}) that did not fill within {:?}; \
-                                     durability cannot be acknowledged",
-                                    wal.synced_version(),
-                                    d.cfg.gap_sync_timeout
-                                ),
-                            });
-                        }
-                        wal = d
-                            .wal_synced
-                            .wait_timeout(wal, left)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0;
-                    }
-                }
-            }
-            let due = {
-                let mut since = d.since_checkpoint.lock();
-                *since += 1;
-                match d.cfg.checkpoint_every {
-                    Some(every) if *since >= every => {
-                        *since = 0;
-                        true
-                    }
-                    _ => false,
-                }
-            };
-            if due {
-                self.write_checkpoint_now(d, version, &db)
-                    .map_err(|e| FdmError::Durability {
-                        detail: e.to_string(),
-                    })?;
-            }
         }
         Ok(())
     }
 
-    /// Encodes a transaction's recorded ops for the WAL — *before* the
-    /// CAS loop, so an unserializable write (a closure-valued assign) or
-    /// a writeset too large for the record format fails the commit
-    /// before anything installs. `None` on an in-memory store.
-    pub(crate) fn encode_for_wal(&self, ops: &[Op]) -> Result<Option<Vec<u8>>> {
+    /// Commits `group` as one version — the path every write takes:
+    /// [`Transaction::commit_with`] brings a group of one and its working
+    /// copy, [`Store::commit_batch`] groups of many. Writes each member's
+    /// result into `outcomes[member.index]`.
+    ///
+    /// Outside the sequencer, before: the WAL payload is encoded, so an
+    /// unserializable or oversized write fails before anything installs.
+    /// Inside: [`Store::install`]. Outside, after:
+    /// [`Store::record_commit`]. The loop re-enters only after an
+    /// injected fault (test and `fault-injection` builds): a genuine
+    /// conflict is terminal for its member and nothing else can lose.
+    pub(crate) fn commit_group(
+        &self,
+        mut group: Group,
+        working: Option<DatabaseF>,
+        policy: &CommitPolicy,
+        outcomes: &mut [Option<Result<CommitOutcome>>],
+    ) {
+        let committed = self.try_commit_group(&mut group, working.as_ref(), policy, outcomes);
+        // `Ok(None)`: every member lost validation and has its own error
+        if let Some(outcome) = committed.transpose() {
+            for m in &group.members {
+                outcomes[m.index] = Some(outcome.clone());
+            }
+        }
+    }
+
+    fn try_commit_group(
+        &self,
+        group: &mut Group,
+        working: Option<&DatabaseF>,
+        policy: &CommitPolicy,
+        outcomes: &mut [Option<Result<CommitOutcome>>],
+    ) -> Result<Option<CommitOutcome>> {
+        if group.members.is_empty() {
+            return Ok(None);
+        }
+        self.seal(group)?;
+        // the retry clock and the backoff schedule start with the first
+        // fault: a commit that meets none pays for neither
+        let mut pacing = None;
+        let mut attempts = 0usize;
+        let mut conflicts: Vec<(String, String)> = Vec::new();
+        let installed = loop {
+            attempts += 1;
+            match self.injected_fault() {
+                Some(fault) => {
+                    conflicts.push(fault);
+                    let (start, backoff) =
+                        pacing.get_or_insert_with(|| (Instant::now(), policy.backoff()));
+                    self.pace(policy, backoff, attempts, *start)?;
+                }
+                None => break self.install(group, working, outcomes)?,
+            }
+        };
+        let Some(installed) = installed else {
+            return Ok(None);
+        };
+        let version = installed.version;
+        self.record_commit(installed, group)?;
+        Ok(Some(CommitOutcome {
+            version,
+            attempts,
+            conflicts,
+        }))
+    }
+
+    /// Fills in what the group installs and logs as a whole: the union of
+    /// its members' write sets and, on a durable store, the WAL payload.
+    fn seal(&self, group: &mut Group) -> Result<()> {
+        group.union_writes();
+        group.payload = self.encode_for_wal(&group.ops)?;
+        Ok(())
+    }
+
+    /// Between-attempt bookkeeping after an injected transient fault:
+    /// errors out when the attempt or wall-clock budget is spent,
+    /// otherwise sleeps the next backoff delay. Never called with the
+    /// sequencer held.
+    fn pace(
+        &self,
+        policy: &CommitPolicy,
+        backoff: &mut Backoff,
+        attempts: usize,
+        start: Instant,
+    ) -> Result<()> {
+        if attempts >= policy.max_attempts.max(1) {
+            return Err(FdmError::TransactionRetriesExhausted {
+                attempts,
+                detail: format!(
+                    "transient commit conflicts persisted at v{}",
+                    self.version()
+                ),
+            });
+        }
+        if let Some(t) = policy.timeout {
+            if start.elapsed() >= t {
+                return Err(FdmError::TransactionTimeout {
+                    attempts,
+                    elapsed_ms: start.elapsed().as_millis() as u64,
+                });
+            }
+        }
+        backoff.sleep_next();
+        Ok(())
+    }
+
+    /// **The install routine** — the one commit transition, run by one
+    /// committer at a time under the sequencer: load the root, validate
+    /// every member against the log (a loser gets its terminal conflict
+    /// and leaves the group), build the candidate — `working` as it is
+    /// when the root has not moved since its snapshot, else the group's
+    /// ops replayed onto the current root — install it, append to the
+    /// commit log and the history, enqueue the WAL record. Memory only:
+    /// no sleep, no syscall, no view maintenance, no checkpoint, and what
+    /// the log and the history evict is dropped after release.
+    ///
+    /// `Ok(None)`: no member survived validation and nothing installed.
+    pub(crate) fn install(
+        &self,
+        group: &mut Group,
+        working: Option<&DatabaseF>,
+        outcomes: &mut [Option<Result<CommitOutcome>>],
+    ) -> Result<Option<Installed>> {
+        let mut log = self.sequencer();
+        let current = self.root.load();
+        let submitted = group.members.len();
+        group.members.retain(|m| {
+            match self.validate(&log, m.base_version, current.version, &m.writes) {
+                Ok(()) => true,
+                Err(e) => {
+                    outcomes[m.index] = Some(Err(e));
+                    false
+                }
+            }
+        });
+        if group.members.is_empty() {
+            return Ok(None);
+        }
+        if group.members.len() < submitted {
+            // rare: a batch member lost first-committer-wins; what the
+            // group installs and logs no longer includes it
+            group.compact();
+            self.seal(group)?;
+        }
+        let db = match working {
+            Some(db) if group.members[0].base_version == current.version => db.clone(),
+            _ => apply_ops(&current.value, &group.ops)?,
+        };
+        let version = self
+            .root
+            .try_install(current.version, db.clone())
+            .expect("only the sequencer's holder installs");
+        log.push_back((version, Arc::clone(&group.writes)));
+        let trimmed = (log.len() > self.log_cap).then(|| log.pop_front());
+        let evicted = self.history.push(version, db.clone());
+        let wal = match (&self.durable, &group.payload) {
+            (Some(d), Some(payload)) => Some(d.wal.enqueue(version, payload)),
+            _ => None,
+        };
+        drop(log);
+        drop((trimmed, evicted));
+        Ok(Some(Installed { version, db, wal }))
+    }
+
+    /// What follows an install, with the sequencer released: cache
+    /// invalidation, view maintenance and — on a durable store — the
+    /// closing of the WAL group and the checkpoint cadence. Concurrent
+    /// committers may run these steps out of version order; the cache's
+    /// and the catalog's contiguous watermarks absorb that.
+    ///
+    /// A WAL record is written and fsynced by the committer that closes
+    /// its group ([`Wal::complete`]): under
+    /// [`fdm_durability::SyncPolicy::Always`] that is every committer,
+    /// and none returns before an fsync covers its version — never a
+    /// false acknowledgement.
+    ///
+    /// The commit *is* installed whatever happens here; a WAL or
+    /// checkpoint failure is surfaced as [`FdmError::Durability`] — the
+    /// memory state may be ahead of the log, exactly as after a crash,
+    /// and recovery replays the durable prefix.
+    fn record_commit(&self, installed: Installed, group: &Group) -> Result<()> {
+        let Installed { version, db, wal } = installed;
+        // Cache invalidation first: evict the written keys and advance
+        // the watermark (readers at this version miss until the watermark
+        // covers it — see `crate::cache` for why that ordering is the
+        // safe one).
+        if let Some(cache) = &self.cache {
+            cache.invalidate(version, &group.writes);
+        }
+        // Maintain registered views before the WAL section: the commit is
+        // installed and in the history, so views must see it even if the
+        // durability acknowledgement below fails. Per-view maintenance
+        // errors never fail the commit (they poison that view only).
+        self.views.observe(version, &group.ops, &db);
+        let (Some(d), Some(enqueued)) = (self.durable.as_ref(), wal) else {
+            return Ok(());
+        };
+        if enqueued.map_err(durability)? {
+            d.wal.complete(version).map_err(durability)?;
+        }
+        let due = {
+            let mut since = d.since_checkpoint.lock();
+            *since += 1;
+            match d.cfg.checkpoint_every {
+                Some(every) if *since >= every => {
+                    *since = 0;
+                    true
+                }
+                _ => false,
+            }
+        };
+        if due {
+            self.write_checkpoint_now(d, version, &db)
+                .map_err(durability)?;
+        }
+        Ok(())
+    }
+
+    /// Encodes recorded ops for the WAL — *before* the sequencer, so an
+    /// unserializable write (a closure-valued assign) or a writeset too
+    /// large for the record format fails the commit before anything
+    /// installs. `None` on an in-memory store.
+    fn encode_for_wal(&self, ops: &[Op]) -> Result<Option<Vec<u8>>> {
         if self.durable.is_none() {
             return Ok(None);
         }
         let wal_ops: Vec<WalOp> = ops.iter().map(WalOp::from).collect();
-        let payload = encode_ops(&wal_ops).map_err(|e| FdmError::Durability {
-            detail: e.to_string(),
-        })?;
-        check_record_payload(payload.len()).map_err(|e| FdmError::Durability {
-            detail: e.to_string(),
-        })?;
+        let payload = encode_ops(&wal_ops).map_err(durability)?;
+        check_record_payload(payload.len()).map_err(durability)?;
         Ok(Some(payload))
     }
 
@@ -899,17 +1083,17 @@ impl Store {
 
     /// The highest version known durable (its fsync ran), or `None` on
     /// an in-memory store. Under [`fdm_durability::SyncPolicy::Always`]
-    /// this equals [`Store::version`] after every commit; under group
-    /// commit it can lag by up to the group size.
+    /// this is at least the version of every acknowledged commit; under
+    /// group commit it can lag by up to the group size.
     pub fn durable_version(&self) -> Option<Version> {
-        self.durable.as_ref().map(|d| d.wal().synced_version())
+        self.durable.as_ref().map(|d| d.wal.synced_version())
     }
 
-    /// Forces an fsync of the WAL, draining any group-commit window.
-    /// A no-op on an in-memory store.
+    /// Writes and fsyncs whatever the WAL has buffered, closing any open
+    /// group. A no-op on an in-memory store.
     pub fn sync_wal(&self) -> Result<(), DurabilityError> {
         match &self.durable {
-            Some(d) => d.wal().sync(),
+            Some(d) => d.wal.sync(),
             None => Ok(()),
         }
     }
@@ -967,27 +1151,38 @@ impl Store {
     /// dropping the store and calling [`Store::open`].
     pub fn install_crash_plan(&self, plan: Arc<CrashPlan>) {
         if let Some(d) = &self.durable {
-            d.wal().install_crash_plan(Arc::clone(&plan));
+            d.wal.install_crash_plan(Arc::clone(&plan));
             *d.plan.lock() = Some(plan);
         }
     }
 
-    fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        self.faults.lock().clone()
-    }
-
-    pub(crate) fn fault_take_conflict(&self, v: Version) -> bool {
-        self.fault_plan().is_some_and(|p| p.take_conflict(v))
-    }
-
-    pub(crate) fn fault_poisoned(&self, v: Version) -> bool {
-        self.fault_plan().is_some_and(|p| p.poisoned(v))
-    }
-
-    pub(crate) fn fault_delay_before_cas(&self, v: Version) {
-        if let Some(delay) = self.fault_plan().and_then(|p| p.delay_for(v)) {
+    /// Consults the installed fault plan for the version this commit
+    /// attempt observes, before it asks for the sequencer: a forced
+    /// conflict or a poisoned write set makes the attempt a transient
+    /// loss (returned in [`CommitOutcome::conflicts`] form); a delay is
+    /// slept here, so real contenders install in between and the attempt
+    /// takes the replay path.
+    fn injected_fault(&self) -> Option<(String, String)> {
+        let plan = self.faults.lock().clone()?;
+        let v = self.version();
+        if plan.take_conflict(v) {
+            return Some(("<injected>".to_string(), format!("v{v}")));
+        }
+        if plan.poisoned(v) {
+            return Some(("<poisoned>".to_string(), format!("v{v}")));
+        }
+        if let Some(delay) = plan.delay_for(v) {
             std::thread::sleep(delay);
         }
+        None
+    }
+}
+
+#[cfg(not(any(test, feature = "fault-injection")))]
+impl Store {
+    /// No fault plan in production builds: a commit attempt never loses.
+    fn injected_fault(&self) -> Option<(String, String)> {
+        None
     }
 }
 
@@ -1362,96 +1557,136 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regression pin for the `SyncPolicy::Always` acknowledgement
-    /// contract: a commit whose WAL record arrives out of version order
-    /// (parked in the pending buffer, `AppendAck::durable == false`)
-    /// must not return `Ok` until the gap-filling append's fsync covers
-    /// it.
-    #[test]
-    fn out_of_order_wal_append_blocks_until_durable() {
-        let dir = scratch("gap-fill");
-        let store = Store::create(
-            DatabaseF::new("d"),
-            StoreConfig {
-                durability: Some(fdm_durability::DurabilityConfig::new(&dir)),
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        let payload = store.encode_for_wal(&[]).unwrap().unwrap();
-        let db = store.snapshot();
-        // v2 reaches the WAL first, as if its committer won the race to
-        // record_commit after losing the install race
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel();
-            let v2_store = Arc::clone(&store);
-            let v2_payload = payload.clone();
-            let v2_db = db.clone();
-            let handle = s.spawn(move || {
-                let out = v2_store.record_commit(
-                    2,
-                    WriteSet::from_ops(&[]),
-                    &[],
-                    Some(&v2_payload),
-                    v2_db,
-                );
-                tx.send(()).unwrap();
-                out
-            });
-            assert!(
-                rx.recv_timeout(Duration::from_millis(100)).is_err(),
-                "v2 must stay parked while the v1 gap is open"
-            );
-            store
-                .record_commit(1, WriteSet::from_ops(&[]), &[], Some(&payload), db.clone())
-                .unwrap();
-            rx.recv_timeout(Duration::from_secs(10))
-                .expect("filling the gap must release the parked committer");
-            handle.join().unwrap().unwrap();
-        });
-        assert_eq!(store.durable_version(), Some(2));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Spins (yielding) until `cond` holds; panics after ten seconds.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
     }
 
-    /// The dual: if the gap never fills (the missing version's committer
-    /// died between its install and its WAL append), the parked commit
-    /// fails with a durability error — it is never falsely acknowledged.
+    fn put(store: &Arc<Store>, k: i64) -> Result<Version> {
+        store.upsert_one(
+            "r",
+            Value::Int(k),
+            TupleF::builder("t").attr("v", k).build(),
+        )
+    }
+
+    /// Replaces `out_of_order_wal_append_blocks_until_durable` and
+    /// `unfilled_wal_gap_fails_the_commit_instead_of_acking`. WAL records
+    /// can no longer arrive out of order (the sequencer enqueues them),
+    /// so what is left to pin is where the I/O happens and what `Always`
+    /// acknowledges: a committer held inside its write/fsync by a stalled
+    /// medium has already released the sequencer — a second commit
+    /// installs behind it — and neither is acknowledged before an fsync
+    /// covers it.
     #[test]
-    fn unfilled_wal_gap_fails_the_commit_instead_of_acking() {
-        let dir = scratch("gap-timeout");
+    fn wal_io_runs_outside_the_sequencer_and_always_never_acks_early() {
+        let dir = scratch("stalled-wal");
+        let db = DatabaseF::new("d").with_relation(RelationF::new("r", &["k"]));
         let store = Store::create(
-            DatabaseF::new("d"),
+            db,
             StoreConfig {
                 durability: Some(
-                    fdm_durability::DurabilityConfig::new(&dir)
-                        .with_gap_sync_timeout(Duration::from_millis(50)),
+                    fdm_durability::DurabilityConfig::new(&dir).with_checkpoint_every(None),
                 ),
                 ..StoreConfig::default()
             },
         )
         .unwrap();
-        let payload = store.encode_for_wal(&[]).unwrap().unwrap();
-        let db = store.snapshot();
-        let err = store
-            .record_commit(2, WriteSet::from_ops(&[]), &[], Some(&payload), db)
-            .unwrap_err();
-        assert!(
-            matches!(&err, FdmError::Durability { detail } if detail.contains("version gap")),
-            "{err:?}"
-        );
-        assert_eq!(store.durable_version(), Some(0), "nothing acknowledged");
+        let plan = CrashPlan::new();
+        store.install_crash_plan(Arc::clone(&plan));
+        let stall = plan.stall();
+        let acked = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            let (store, acked) = (&store, &acked);
+            for k in 1..=2 {
+                s.spawn(move || {
+                    put(store, k).unwrap();
+                    acked.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                });
+                // installed, logged — and out of the sequencer again, though
+                // its WAL write has not returned
+                wait_until("the commit is installed and the sequencer free", || {
+                    store.version() == k as u64 && store.sequencer.try_lock().is_some()
+                });
+            }
+            assert_eq!(store.log_versions(), vec![1, 2]);
+            assert_eq!(acked.load(std::sync::atomic::Ordering::SeqCst), 0);
+            assert_eq!(store.durable_version(), Some(0), "nothing synced yet");
+            drop(stall);
+        });
+        assert_eq!(store.durable_version(), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regression pin for the commit-log locking discipline: `begin()`
-    /// and snapshot reads must never touch the commit-log mutex, so a
-    /// stalled committer (or anything else holding the log) cannot block
+    /// The checkpoint cadence runs in the post-install steps too: a
+    /// committer stuck writing a checkpoint holds no sequencer.
+    #[test]
+    fn checkpoints_run_outside_the_sequencer() {
+        let dir = scratch("stalled-checkpoint");
+        let db = DatabaseF::new("d").with_relation(RelationF::new("r", &["k"]));
+        let store = Store::create(
+            db,
+            StoreConfig {
+                durability: Some(
+                    fdm_durability::DurabilityConfig::new(&dir)
+                        .with_sync(fdm_durability::SyncPolicy::Never)
+                        .with_checkpoint_every(Some(1)),
+                ),
+                ..StoreConfig::default()
+            },
+        )
+        .unwrap();
+        let plan = CrashPlan::new();
+        store.install_crash_plan(Arc::clone(&plan));
+        let stall = plan.stall();
+        std::thread::scope(|s| {
+            let store = &store;
+            s.spawn(move || put(store, 1).unwrap());
+            wait_until("the commit is installed and the sequencer free", || {
+                store.version() == 1 && store.sequencer.try_lock().is_some()
+            });
+            assert_eq!(store.log_versions(), vec![1]);
+            drop(stall);
+        });
+        assert_eq!(store.verify_integrity().unwrap().checkpoint_version, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The one sleep left on the commit path — the backoff after an
+    /// injected fault, and the injected delay itself — happens before the
+    /// committer asks for the sequencer.
+    #[test]
+    fn no_sleep_holds_the_sequencer() {
+        let store = bank();
+        let plan = FaultPlan::new();
+        plan.delay_before_cas_at(0, Duration::from_millis(200));
+        store.install_fault_plan(Arc::clone(&plan));
+        std::thread::scope(|s| {
+            let store = &store;
+            s.spawn(move || {
+                store
+                    .run(|txn| txn.update_attr("accounts", &Value::Int(1), "balance", 5))
+                    .unwrap()
+            });
+            wait_until("the committer sleeps", || plan.injected_delays() == 1);
+            assert!(store.sequencer.try_lock().is_some());
+        });
+        assert_eq!(store.version(), 1);
+    }
+
+    /// Regression pin for the sequencer's locking discipline: `begin()`
+    /// and snapshot reads must never touch the commit sequencer, so a
+    /// stalled committer (or anything else holding it) cannot block
     /// readers — and long-running readers, holding only persistent
     /// clones, cannot block commits.
     #[test]
-    fn begin_and_snapshot_never_take_the_commit_log_lock() {
+    fn begin_and_snapshot_never_take_the_commit_sequencer() {
         let store = bank();
-        let guard = store.log.lock(); // a "stalled committer"
+        let guard = store.sequencer(); // a "stalled committer"
         let (tx, rx) = mpsc::channel();
         let reader_store = Arc::clone(&store);
         let handle = std::thread::spawn(move || {
@@ -1467,7 +1702,7 @@ mod tests {
         });
         let got = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("begin()/snapshot()/as_of() must not block on the commit-log mutex");
+            .expect("begin()/snapshot()/as_of() must not block on the commit sequencer");
         assert_eq!(got, (0, 0, 1));
         drop(guard);
         handle.join().unwrap();

@@ -6,18 +6,18 @@
 //! (Fig. 10 caption). Persistence makes this safe: the working copy
 //! shares structure with the committed root but never disturbs it.
 //!
-//! `commit()` validates the write set against everything committed since
-//! the snapshot: disjoint writers replay their recorded operations onto
-//! the newest root and win; overlapping writers get
+//! `commit()` takes its turn in the store's commit sequencer and
+//! validates the write set against everything committed since the
+//! snapshot: disjoint writers replay their recorded operations onto the
+//! newest root and win; overlapping writers get
 //! [`FdmError::TransactionConflict`] — first committer wins.
 
-use crate::store::{CommitOutcome, CommitPolicy, Store, Validation};
+use crate::store::{CommitOutcome, CommitPolicy, Group, Store};
 use crate::writeset::{Op, WriteSet};
 use fdm_core::{DatabaseF, FdmError, FnValue, Name, Result, TupleF, Value};
-use fdm_fql::{db_delete, db_upsert};
+use fdm_fql::{db_delete, db_upsert_arc};
 use fdm_storage::Version;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// An in-flight transaction.
 pub struct Transaction {
@@ -68,13 +68,16 @@ impl Transaction {
 
     /// `rel[key] = tuple` — insert-or-replace.
     pub fn upsert(&mut self, rel: &str, key: Value, tuple: TupleF) -> Result<()> {
-        self.working = db_upsert(&self.working, rel, key.clone(), tuple.clone())?;
+        // one shared tuple for the working copy, the recorded op (and so
+        // the WAL record) and any replay
+        let tuple = Arc::new(tuple);
+        self.working = db_upsert_arc(&self.working, rel, key.clone(), Arc::clone(&tuple))?;
         let rel_name = Name::from(rel);
         self.writes.touch_key(&rel_name, &key);
         self.ops.push(Op::Upsert {
             rel: rel_name,
             key,
-            tuple: Arc::new(tuple),
+            tuple,
         });
         Ok(())
     }
@@ -171,29 +174,29 @@ impl Transaction {
     /// Validates and commits under an explicit [`CommitPolicy`],
     /// reporting a structured [`CommitOutcome`].
     ///
-    /// Each attempt revalidates the write set against everything
-    /// committed since the snapshot. Two failure classes are treated
-    /// differently:
+    /// A commit is the batch of one: it goes through the same
+    /// `Store::commit_group` as [`Store::commit_batch`], bringing its
+    /// working copy as the candidate root. Inside the commit sequencer
+    /// the write set is validated against everything committed since the
+    /// snapshot; if nothing was, the working copy installs as it is, else
+    /// the recorded operations replay onto the newest root. There is no
+    /// install race to lose, so a commit either lands on its first
+    /// attempt or fails for good:
     ///
-    /// * **Transient** losses — a CAS race lost to a concurrent
-    ///   committer whose writes were *disjoint* from ours, a winner that
-    ///   has installed its root but not yet recorded its write set (see
-    ///   `Store::validate`), or an injected fault — are replayed
-    ///   automatically: the policy's seeded backoff
-    ///   paces up to `max_attempts` revalidate-and-install rounds, and
-    ///   the survived races are reported in
-    ///   [`CommitOutcome::conflicts`]. Exhausting the budget yields
-    ///   [`FdmError::TransactionRetriesExhausted`]; exceeding
-    ///   `policy.timeout` yields [`FdmError::TransactionTimeout`].
     /// * **Genuine** write-write conflicts — another commit since our
     ///   snapshot touched the same `(relation, key)` — are terminal:
     ///   [`FdmError::TransactionConflict`] carries the conflicting keys
-    ///   and is returned on the *first* detection, never retried.
-    ///   Recorded operations hold final values (a read-modify-write's
-    ///   result, not its delta), so blindly replaying them over the
-    ///   other committer's version would silently lose its update. The
-    ///   safe retry is to re-derive the writes from a fresh snapshot —
-    ///   [`Store::run_with`] does exactly that.
+    ///   and is never retried. Recorded operations hold final values (a
+    ///   read-modify-write's result, not its delta), so blindly replaying
+    ///   them over the other committer's version would silently lose its
+    ///   update. The safe retry is to re-derive the writes from a fresh
+    ///   snapshot — [`Store::run_with`] does exactly that.
+    /// * **Injected** faults (test and `fault-injection` builds) are the
+    ///   one transient loss left: the policy's seeded backoff paces up to
+    ///   `max_attempts` rounds, the survived faults are reported in
+    ///   [`CommitOutcome::conflicts`], exhausting the budget yields
+    ///   [`FdmError::TransactionRetriesExhausted`] and exceeding
+    ///   `policy.timeout` yields [`FdmError::TransactionTimeout`].
     pub fn commit_with(mut self, policy: &CommitPolicy) -> Result<CommitOutcome> {
         self.finished = true;
         if self.writes.is_empty() {
@@ -203,130 +206,13 @@ impl Transaction {
                 conflicts: Vec::new(),
             });
         }
-        // Durable stores encode the writeset for the WAL *before* the
-        // CAS loop: an unserializable write (e.g. a closure-valued
-        // assign) must fail the commit before anything installs.
-        let wal_payload = self.store.encode_for_wal(&self.ops)?;
-        let start = Instant::now();
-        let mut backoff = policy.backoff();
-        let max_attempts = policy.max_attempts.max(1);
-        let mut attempts = 0usize;
-        let mut conflicts: Vec<(String, String)> = Vec::new();
-        loop {
-            attempts += 1;
-            let current = self.store.root.load();
-
-            // Injected fault: pretend this attempt lost a transient race.
-            #[cfg(any(test, feature = "fault-injection"))]
-            if self.store.fault_take_conflict(current.version) {
-                conflicts.push(("<injected>".to_string(), format!("v{}", current.version)));
-                self.pace(policy, &mut backoff, attempts, max_attempts, start)?;
-                continue;
-            }
-
-            // Validate against commits after our snapshot. Genuine
-            // overlaps are terminal (see above); a winner that installed
-            // but has not recorded its write set yet is a transient loss.
-            let verdict = {
-                let log = self.store.log.lock();
-                self.store
-                    .validate(&log, self.base_version, current.version, &self.writes)
-            };
-            match verdict {
-                Validation::Clear => {}
-                Validation::Conflict(e) => return Err(e),
-                Validation::Unrecorded => {
-                    conflicts.push(("<unrecorded>".to_string(), format!("v{}", current.version)));
-                    self.pace(policy, &mut backoff, attempts, max_attempts, start)?;
-                    continue;
-                }
-            }
-
-            // Injected fault: validation "sees" a conflict storm — every
-            // attempt at this version loses, so bounded budgets exhaust.
-            #[cfg(any(test, feature = "fault-injection"))]
-            if self.store.fault_poisoned(current.version) {
-                conflicts.push(("<poisoned>".to_string(), format!("v{}", current.version)));
-                self.pace(policy, &mut backoff, attempts, max_attempts, start)?;
-                continue;
-            }
-
-            // Disjoint (or first): build the candidate root. The fast
-            // path installs the working copy as-is; the merge path
-            // replays our recorded ops onto the newest root.
-            let candidate = if current.version == self.base_version {
-                self.working.clone()
-            } else {
-                self.replay_onto(&current.value)?
-            };
-
-            // Injected fault: widen the validate→install race window.
-            #[cfg(any(test, feature = "fault-injection"))]
-            self.store.fault_delay_before_cas(current.version);
-
-            let installed = candidate.clone();
-            match self.store.root.try_install(current.version, candidate) {
-                Ok(v) => {
-                    self.store.record_commit(
-                        v,
-                        self.writes.clone(),
-                        &self.ops,
-                        wal_payload.as_deref(),
-                        installed,
-                    )?;
-                    return Ok(CommitOutcome {
-                        version: v,
-                        attempts,
-                        conflicts,
-                    });
-                }
-                Err(race) => {
-                    // another commit landed between load and install —
-                    // transient by definition; revalidate and retry
-                    conflicts.push((
-                        "<cas>".to_string(),
-                        format!("v{}->v{}", race.expected, race.found),
-                    ));
-                    self.pace(policy, &mut backoff, attempts, max_attempts, start)?;
-                }
-            }
-        }
-    }
-
-    /// Between-attempt bookkeeping for transient losses: errors out when
-    /// the attempt or wall-clock budget is spent, otherwise sleeps the
-    /// next backoff delay.
-    fn pace(
-        &self,
-        policy: &CommitPolicy,
-        backoff: &mut fdm_storage::Backoff,
-        attempts: usize,
-        max_attempts: usize,
-        start: Instant,
-    ) -> Result<()> {
-        if attempts >= max_attempts {
-            return Err(FdmError::TransactionRetriesExhausted {
-                attempts,
-                detail: format!(
-                    "transient commit conflicts persisted at v{}",
-                    self.store.version()
-                ),
-            });
-        }
-        if let Some(t) = policy.timeout {
-            if start.elapsed() >= t {
-                return Err(FdmError::TransactionTimeout {
-                    attempts,
-                    elapsed_ms: start.elapsed().as_millis() as u64,
-                });
-            }
-        }
-        backoff.sleep_next();
-        Ok(())
-    }
-
-    fn replay_onto(&self, base: &DatabaseF) -> Result<DatabaseF> {
-        crate::writeset::apply_ops(base, &self.ops)
+        let mut group = Group::default();
+        group.push(0, self.base_version, self.writes, self.ops);
+        let mut outcome = [None];
+        self.store
+            .commit_group(group, Some(self.working), policy, &mut outcome);
+        let [outcome] = outcome;
+        outcome.expect("the sole member got a result")
     }
 
     /// Decomposes the transaction into its commit ingredients — the
@@ -390,14 +276,15 @@ mod tests {
         assert_eq!(balance(&db, 42) + balance(&db, 84), 1500, "money conserved");
     }
 
-    /// The lost update of benchmark finding 4, made deterministic: a winner
-    /// has installed its root but not yet recorded its write set. A
-    /// committer whose snapshot predates the winner must not validate
-    /// against the incomplete log and replay its stale value over it — on
-    /// the single path or the batched one — and once the winner is
-    /// recorded the overlap is the ordinary terminal conflict.
+    /// Replaces `unrecorded_winner_blocks_validation`. The lost update of
+    /// benchmark finding 4 needed a version that was installed but not yet
+    /// in the commit log; the sequencer installs and logs in one critical
+    /// section, so with it free every version up to the store's is logged
+    /// — and a stale overlapping writer meets the ordinary terminal
+    /// conflict on the single path and the batched one, while a disjoint
+    /// stale writer replays cleanly.
     #[test]
-    fn unrecorded_winner_blocks_validation() {
+    fn every_installed_version_is_logged_so_a_stale_writer_conflicts() {
         let store = bank();
         let policy = CommitPolicy::default().with_max_attempts(3);
         let stale = |id: i64| {
@@ -408,56 +295,42 @@ mod tests {
             .unwrap();
             t
         };
-        let (single, batched, later, disjoint) = (stale(42), stale(42), stale(42), stale(84));
+        let (single, batched, disjoint) = (stale(42), stale(42), stale(84));
 
-        // the winner: +100 on account 42, installed as v1 — and nothing else yet
-        let mut winner = store.begin();
-        winner
-            .modify_attr("accounts", &Value::Int(42), "balance", |v| {
-                v.add(&Value::Int(100))
+        // the winner: +100 on account 42
+        store
+            .run(|t| {
+                t.modify_attr("accounts", &Value::Int(42), "balance", |v| {
+                    v.add(&Value::Int(100))
+                })
             })
             .unwrap();
-        let installed = winner.working.clone();
-        let (_, writes, ops) = winner.into_parts();
-        assert_eq!(store.root.try_install(0, installed.clone()).unwrap(), 1);
+        assert_eq!(store.log_versions(), vec![1]);
+        assert_eq!(store.history().versions(), vec![0, 1]);
 
         let err = single.commit_with(&policy).unwrap_err();
         assert!(
-            matches!(
-                err,
-                FdmError::TransactionRetriesExhausted { attempts: 3, .. }
-            ),
-            "an unrecorded version is a transient loss, got {err:?}"
+            matches!(err, FdmError::TransactionConflict { .. }),
+            "{err:?}"
         );
-        let batch_policy = crate::BatchPolicy {
-            commit: policy.clone(),
-            ..crate::BatchPolicy::default()
-        };
         let err = store
-            .commit_batch(vec![batched], &batch_policy)
+            .commit_batch(vec![batched], &crate::BatchPolicy::default())
             .remove(0)
             .unwrap_err();
         assert!(
-            matches!(err, FdmError::TransactionRetriesExhausted { .. }),
+            matches!(err, FdmError::TransactionConflict { .. }),
             "{err:?}"
         );
         assert_eq!(store.version(), 1, "nothing committed over the winner");
         assert_eq!(balance(&store.snapshot(), 42), 1100);
 
-        // the winner's bookkeeping arrives: the overlap is now visible...
-        store
-            .record_commit(1, writes, &ops, None, installed)
-            .unwrap();
-        let err = later.commit_with(&policy).unwrap_err();
-        assert!(
-            matches!(err, FdmError::TransactionConflict { .. }),
-            "{err:?}"
-        );
-        // ...and a disjoint stale writer replays cleanly on top of it
+        // a disjoint stale writer replays cleanly on top of it, first try
         let outcome = disjoint.commit_with(&policy).unwrap();
-        assert_eq!(outcome.version, 2);
+        assert_eq!((outcome.version, outcome.attempts), (2, 1));
+        assert!(outcome.conflicts.is_empty());
         let db = store.snapshot();
         assert_eq!((balance(&db, 42), balance(&db, 84)), (1100, 501));
+        assert_eq!(store.log_versions(), vec![1, 2]);
     }
 
     #[test]

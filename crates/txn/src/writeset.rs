@@ -2,7 +2,7 @@
 
 use fdm_core::{DatabaseF, FnValue, Name, Result, TupleF, Value};
 use fdm_durability::WalOp;
-use fdm_fql::{db_delete, db_upsert};
+use fdm_fql::{db_delete, db_upsert_arc};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -194,7 +194,7 @@ pub(crate) fn apply_ops(base: &DatabaseF, ops: &[Op]) -> Result<DatabaseF> {
     for op in ops {
         match op {
             Op::Upsert { rel, key, tuple } => {
-                db = db_upsert(&db, rel, key.clone(), (**tuple).clone())?;
+                db = db_upsert_arc(&db, rel, key.clone(), Arc::clone(tuple))?;
             }
             Op::Delete { rel, key } => {
                 db = db_delete(&db, rel, key)?;
@@ -335,5 +335,34 @@ mod tests {
         assert!(a.is_empty());
         assert_eq!(a.len(), 0);
         assert!(!a.conflicts_with(&a.clone()));
+    }
+
+    /// Staging, the recorded op (so the WAL record) and a replay all hold
+    /// the *same* tuple: nothing on the commit path deep-clones it.
+    #[test]
+    fn replay_shares_the_ops_tuple() {
+        use fdm_core::RelationF;
+        let store =
+            crate::Store::new(DatabaseF::new("d").with_relation(RelationF::new("r", &["k"])));
+        let mut txn = store.begin();
+        txn.upsert(
+            "r",
+            Value::Int(1),
+            TupleF::builder("t").attr("v", 1).build(),
+        )
+        .unwrap();
+        let staged = txn.get("r", &Value::Int(1)).unwrap().unwrap();
+        let (_, _, ops) = txn.into_parts();
+        let Op::Upsert { tuple, .. } = &ops[0] else {
+            panic!("an upsert was recorded");
+        };
+        assert!(Arc::ptr_eq(tuple, &staged), "staging shares the op's tuple");
+        let replayed = apply_ops(&store.snapshot(), &ops).unwrap();
+        let stored = replayed
+            .relation("r")
+            .unwrap()
+            .lookup(&Value::Int(1))
+            .unwrap();
+        assert!(Arc::ptr_eq(tuple, &stored), "replay shares it too");
     }
 }
