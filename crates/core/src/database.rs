@@ -91,7 +91,14 @@ impl DatabaseF {
 
     /// Looks up a relation function entry.
     pub fn relation(&self, name: &str) -> Result<Arc<RelationF>> {
-        Ok(self.entry(name)?.as_relation()?.clone())
+        self.relation_ref(name).cloned()
+    }
+
+    /// [`Self::relation`] without the clone: the entry borrowed from this
+    /// database, for a caller that only looks at it while the database is
+    /// in hand (the store's point read) and should touch no refcount.
+    pub fn relation_ref(&self, name: &str) -> Result<&Arc<RelationF>> {
+        self.entry(name)?.as_relation()
     }
 
     /// Cardinality statistics of the relation entry `name` — the planner's

@@ -19,8 +19,9 @@
 //!   the shape of a non-unique secondary index (the paper's `R3` relation
 //!   function returning a *set* of tuple functions, §2.4).
 //! * [`VersionedRoot`] — a concurrent cell holding the current committed
-//!   root, supporting lock-free-ish snapshot loads and atomic
-//!   compare-and-swap installs for first-committer-wins commit protocols.
+//!   root, lane-sharded so readers on different threads share no lock
+//!   word: snapshot loads, borrowed reads, and atomic compare-and-swap
+//!   installs for first-committer-wins commit protocols.
 //!
 //! ## Bulk construction fast path
 //!

@@ -926,32 +926,36 @@ impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
 /// In-order iterator over a [`PMap`] with optional inclusive bounds.
 pub struct Iter<'a, K, V> {
     stack: Vec<&'a Node<K, V>>,
-    lo: Option<&'a K>,
     hi: Option<&'a K>,
 }
 
 impl<'a, K: Ord, V> Iter<'a, K, V> {
+    /// Stacks the spine towards the first key `>= lo`, skipping the
+    /// subtrees entirely below it. That is the only place the lower bound
+    /// is looked at: everything visited afterwards hangs off the right of
+    /// a stacked node, so it is `>= lo` already.
     fn new(root: &'a Link<K, V>, lo: Option<&'a K>, hi: Option<&'a K>) -> Self {
         let mut it = Iter {
             stack: Vec::new(),
-            lo,
             hi,
         };
-        it.push_left(root.as_deref());
+        let mut node = root.as_deref();
+        while let Some(n) = node {
+            if lo.is_some_and(|lo| n.key < *lo) {
+                node = n.right.as_deref();
+            } else {
+                it.stack.push(n);
+                node = n.left.as_deref();
+            }
+        }
         it
     }
 
-    /// Pushes the left spine of `node`, skipping subtrees entirely below
-    /// the lower bound.
+    /// Pushes the left spine of `node`.
     fn push_left(&mut self, mut node: Option<&'a Node<K, V>>) {
         while let Some(n) = node {
-            match self.lo {
-                Some(lo) if n.key < *lo => node = n.right.as_deref(),
-                _ => {
-                    self.stack.push(n);
-                    node = n.left.as_deref();
-                }
-            }
+            self.stack.push(n);
+            node = n.left.as_deref();
         }
     }
 }

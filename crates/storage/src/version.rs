@@ -2,12 +2,14 @@
 //!
 //! [`VersionedRoot`] holds the *current committed version* of an arbitrary
 //! persistent value (in the engine: the database function root). Readers
-//! take O(1) snapshots; writers install new versions with an optimistic
+//! take O(1) snapshots — or borrow the current one for the length of a
+//! closure — and writers install new versions with an optimistic
 //! compare-and-swap keyed on the version number, which is exactly the
 //! primitive a first-committer-wins snapshot-isolation commit needs.
 
 use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The splitmix64 finalizer: a fast, high-quality 64-bit avalanche.
@@ -134,10 +136,53 @@ impl std::fmt::Display for VersionConflict {
 
 impl std::error::Error for VersionConflict {}
 
+/// Upper bound on the number of lanes of a [`VersionedRoot`], whatever the
+/// host: an install writes every lane, so lanes beyond the threads that
+/// read at once only lengthen the commit section.
+const MAX_LANES: usize = 16;
+
+/// Lanes per root on this host: `available_parallelism()` rounded up to a
+/// power of two (so a slot maps to a lane with a mask), at most
+/// [`MAX_LANES`]. Asked once — the answer reads cgroup files on Linux.
+fn lane_count() -> usize {
+    static LANES: OnceLock<usize> = OnceLock::new();
+    *LANES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .next_power_of_two()
+            .min(MAX_LANES)
+    })
+}
+
+/// Slots are handed out round-robin, one per thread, on the thread's first
+/// root access; a slot picks the same lane index in every root.
+static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    // Relaxed: the counter publishes nothing, it only spreads threads
+    static SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
+}
+
+/// One copy of the current snapshot behind its own lock, alone on its
+/// cache lines (128: adjacent-line prefetch pairs 64-byte lines), so the
+/// reader count of one lane is never written by a reader of another.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Lane<T>(RwLock<Snapshot<T>>);
+
 /// A concurrent cell holding the current committed version of a value.
 ///
 /// `T` is expected to be a persistent structure (e.g. [`crate::PMap`]) whose
-/// clone is O(1); `load` then costs a lock acquisition plus a pointer copy.
+/// clone is O(1); `load` then costs a lock acquisition plus a pointer copy,
+/// and [`Self::read_with`] not even the copy.
+///
+/// The cell is **lane-sharded**: it keeps one clone of the snapshot per
+/// lane, each behind its own cache-line-aligned lock. A reader locks only
+/// its thread's lane, so readers on different lanes write no memory in
+/// common; [`Self::try_install`] holds **every** lane while it switches
+/// them, so the switch is as atomic to readers as with a single lock —
+/// no reader sees the new version on one lane while another can still see
+/// the old one.
 ///
 /// # Examples
 ///
@@ -148,19 +193,17 @@ impl std::error::Error for VersionConflict {}
 /// let snap = root.load();
 /// let updated = snap.value.insert(1, 100).0;
 /// root.try_install(snap.version, updated).unwrap();
-/// assert_eq!(root.load().value.get(&1), Some(&100));
+/// assert_eq!(root.read_with(|s| s.value.get(&1).copied()), Some(100));
 /// ```
 #[derive(Debug)]
 pub struct VersionedRoot<T> {
-    inner: RwLock<Snapshot<T>>,
+    lanes: Box<[Lane<T>]>,
 }
 
 impl<T: Clone> VersionedRoot<T> {
     /// Creates a root at version 0 holding `value`.
     pub fn new(value: T) -> Self {
-        VersionedRoot {
-            inner: RwLock::new(Snapshot { version: 0, value }),
-        }
+        VersionedRoot::with_version(value, 0)
     }
 
     /// Creates a root at an explicit `version` holding `value` — the
@@ -168,55 +211,67 @@ impl<T: Clone> VersionedRoot<T> {
     /// replay must resume version numbering where the crashed process
     /// stopped, not restart at 0.
     pub fn with_version(value: T, version: Version) -> Self {
+        let snap = Snapshot { version, value };
         VersionedRoot {
-            inner: RwLock::new(Snapshot { version, value }),
+            lanes: (0..lane_count())
+                .map(|_| Lane(RwLock::new(snap.clone())))
+                .collect(),
         }
+    }
+
+    /// The calling thread's lane. `try_with` fails only while the thread's
+    /// locals are being destroyed; a read from a destructor takes lane 0.
+    fn lane(&self) -> &RwLock<Snapshot<T>> {
+        let slot = SLOT.try_with(|s| *s).unwrap_or(0);
+        &self.lanes[slot & (self.lanes.len() - 1)].0
+    }
+
+    /// Runs `f` on the current snapshot **without cloning it**, holding
+    /// the calling thread's lane for the duration: an install waits for
+    /// `f`, so `f` must be short and must not touch this root again — a
+    /// second read of the same lane deadlocks once an install is waiting
+    /// between the two.
+    pub fn read_with<R>(&self, f: impl FnOnce(&Snapshot<T>) -> R) -> R {
+        f(&self.lane().read())
     }
 
     /// Takes a snapshot of the current version.
     pub fn load(&self) -> Snapshot<T> {
-        self.inner.read().clone()
+        self.read_with(Snapshot::clone)
     }
 
     /// Current version number.
     pub fn version(&self) -> Version {
-        self.inner.read().version
-    }
-
-    /// Unconditionally installs `value` as the next version and returns the
-    /// new version number.
-    pub fn install(&self, value: T) -> Version {
-        let mut guard = self.inner.write();
-        guard.version += 1;
-        guard.value = value;
-        guard.version
+        self.read_with(|s| s.version)
     }
 
     /// Installs `value` only if the current version is still `expected`
     /// (optimistic concurrency / first-committer-wins). On success returns
     /// the new version.
+    ///
+    /// The one writer routine: takes every lane's write lock in index
+    /// order (two installers cannot deadlock), checks `expected` once —
+    /// with all lanes held they all hold the same snapshot — writes every
+    /// lane, and only then releases. The last clone of what the lanes held
+    /// before is dropped after the locks are.
     pub fn try_install(&self, expected: Version, value: T) -> Result<Version, VersionConflict> {
-        let mut guard = self.inner.write();
-        if guard.version != expected {
-            return Err(VersionConflict {
-                expected,
-                found: guard.version,
-            });
+        let mut guards: Vec<_> = self.lanes.iter().map(|lane| lane.0.write()).collect();
+        let found = guards[0].version;
+        if found != expected {
+            return Err(VersionConflict { expected, found });
         }
-        guard.version += 1;
-        guard.value = value;
-        Ok(guard.version)
-    }
-
-    /// Atomically applies `f` to the current value and installs the result;
-    /// returns the new version. Unlike [`Self::try_install`] this cannot
-    /// fail, because it holds the write lock across the transformation.
-    pub fn update<F: FnOnce(&T) -> T>(&self, f: F) -> Version {
-        let mut guard = self.inner.write();
-        let next = f(&guard.value);
-        guard.version += 1;
-        guard.value = next;
-        guard.version
+        let version = expected + 1;
+        let next = Snapshot { version, value };
+        let (first, rest) = guards.split_first_mut().expect("a root has a lane");
+        for lane in rest {
+            // drops a clone of what lane 0 still holds: for a persistent
+            // value a refcount step, nothing is freed under the locks
+            **lane = next.clone();
+        }
+        let replaced = std::mem::replace(&mut **first, next);
+        drop(guards);
+        drop(replaced);
+        Ok(version)
     }
 }
 
@@ -257,19 +312,10 @@ mod tests {
     }
 
     #[test]
-    fn load_install_roundtrip() {
-        let root = VersionedRoot::new(0i64);
-        assert_eq!(root.version(), 0);
-        let v1 = root.install(10);
-        assert_eq!(v1, 1);
-        assert_eq!(root.load().value, 10);
-    }
-
-    #[test]
     fn try_install_detects_conflict() {
         let root = VersionedRoot::new(0i64);
         let snap = root.load();
-        root.install(1); // someone else commits
+        root.try_install(0, 1).unwrap(); // someone else commits
         let err = root.try_install(snap.version, 2).unwrap_err();
         assert_eq!(err.expected, 0);
         assert_eq!(err.found, 1);
@@ -280,7 +326,7 @@ mod tests {
     fn snapshots_survive_installs() {
         let root = VersionedRoot::new(PMap::from_iter([(1, "one")]));
         let snap = root.load();
-        root.update(|m| m.insert(2, "two").0);
+        root.try_install(0, snap.value.insert(2, "two").0).unwrap();
         assert_eq!(snap.value.len(), 1, "old snapshot unchanged");
         assert_eq!(root.load().value.len(), 2);
     }
@@ -317,22 +363,196 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_updates_all_apply() {
-        use std::sync::Arc;
-        let root = Arc::new(VersionedRoot::new(PMap::<i64, i64>::new()));
-        let mut handles = Vec::new();
-        for t in 0..8 {
+    fn read_with_borrows_version_and_value_together() {
+        let root = VersionedRoot::with_version(PMap::from_iter([(1, "one")]), 3);
+        let before = root.load().value;
+        let got = root.read_with(|s| (s.version, s.value.get(&1).copied()));
+        assert_eq!(got, (3, Some("one")));
+        root.try_install(3, before.insert(1, "uno").0).unwrap();
+        let got = root.read_with(|s| (s.version, s.value.get(&1).copied()));
+        assert_eq!(got, (4, Some("uno")));
+    }
+
+    #[test]
+    fn lane_count_is_a_capped_power_of_two() {
+        let root = VersionedRoot::new(0i64);
+        let lanes = root.lanes.len();
+        assert!(lanes.is_power_of_two() && lanes <= MAX_LANES, "{lanes}");
+        assert_eq!(std::mem::align_of::<Lane<i64>>(), 128);
+        assert_eq!(std::mem::size_of::<Lane<i64>>() % 128, 0);
+    }
+
+    /// A root read from a thread-local destructor — when this thread's
+    /// lane slot may already be gone — is served (from lane 0 then), not
+    /// a panic inside a destructor.
+    #[test]
+    fn a_read_from_a_thread_local_destructor_is_served() {
+        use std::sync::mpsc;
+        struct ReadsOnDrop(Arc<VersionedRoot<i64>>, mpsc::Sender<(Version, i64)>);
+        impl Drop for ReadsOnDrop {
+            fn drop(&mut self) {
+                let snap = self.0.load();
+                let _ = self.1.send((self.0.version(), snap.value));
+            }
+        }
+        thread_local! {
+            static HELD: std::cell::RefCell<Option<ReadsOnDrop>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let root = Arc::new(VersionedRoot::with_version(7i64, 41));
+        let (tx, rx) = mpsc::channel();
+        let handle = {
             let root = Arc::clone(&root);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    root.update(|m| m.insert(t * 1000 + i, i).0);
+            std::thread::spawn(move || {
+                // registered before the lane slot is first used, so on the
+                // platforms that run destructors in reverse order of
+                // registration the slot goes first
+                HELD.with(|h| *h.borrow_mut() = Some(ReadsOnDrop(Arc::clone(&root), tx)));
+                assert_eq!(root.version(), 41);
+            })
+        };
+        handle.join().expect("the destructor must not panic");
+        assert_eq!(rx.recv().expect("the destructor read the root"), (41, 7));
+    }
+
+    /// What one thread of the lane model test does next.
+    #[derive(Debug, Clone)]
+    enum LaneOp {
+        Load,
+        ReadWith,
+        Version,
+        /// `try_install` expecting the newest version this thread has
+        /// seen, minus `stale`.
+        Install {
+            stale: u64,
+        },
+    }
+
+    fn lane_op() -> impl proptest::strategy::Strategy<Value = LaneOp> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(LaneOp::Load),
+            Just(LaneOp::ReadWith),
+            Just(LaneOp::Version),
+            (0u64..3).prop_map(|stale| LaneOp::Install { stale }),
+            Just(LaneOp::Install { stale: 0 }),
+        ]
+    }
+
+    /// What a thread saw of the root, to be checked against the history
+    /// the winners' installs add up to.
+    #[derive(Default)]
+    struct Seen {
+        /// `(version, value)` of every successful install.
+        wins: Vec<(Version, (Version, usize))>,
+        /// `(version, value)` of every `load`/`read_with`.
+        reads: Vec<(Version, (Version, usize))>,
+    }
+
+    /// The values installed are `(version the install expects to get,
+    /// thread)`, so a torn `(version, value)` pair shows in the value.
+    fn run_lane_script(
+        root: &VersionedRoot<(Version, usize)>,
+        thread: usize,
+        script: &[LaneOp],
+    ) -> Seen {
+        let mut seen = Seen::default();
+        // the newest version this thread has observed: nothing it does
+        // later may report an older one
+        let mut newest = 0;
+        for op in script {
+            match op {
+                LaneOp::Load => {
+                    let snap = root.load();
+                    assert!(snap.version >= newest, "load went back");
+                    newest = snap.version;
+                    seen.reads.push((snap.version, snap.value));
                 }
-            }));
+                LaneOp::ReadWith => {
+                    let (version, value) = root.read_with(|s| (s.version, s.value));
+                    assert!(version >= newest, "read_with went back");
+                    newest = version;
+                    seen.reads.push((version, value));
+                }
+                LaneOp::Version => {
+                    let version = root.version();
+                    assert!(version >= newest, "version went back");
+                    newest = version;
+                }
+                LaneOp::Install { stale } => {
+                    let expected = newest.saturating_sub(*stale);
+                    let value = (expected + 1, thread);
+                    match root.try_install(expected, value) {
+                        Ok(version) => {
+                            assert_eq!(version, expected + 1);
+                            assert_eq!(expected, newest, "a stale install won");
+                            newest = version;
+                            seen.wins.push((version, value));
+                        }
+                        Err(conflict) => {
+                            assert_eq!(conflict.expected, expected);
+                            assert_ne!(conflict.found, expected);
+                            assert!(conflict.found >= newest, "found went back");
+                            newest = conflict.found;
+                        }
+                    }
+                }
+            }
         }
-        for h in handles {
-            h.join().unwrap();
+        // a loser's `found` was the current version: not ahead of what
+        // the same thread reads next
+        assert!(root.version() >= newest);
+        seen
+    }
+
+    proptest::proptest! {
+        /// k threads mixing `load`/`read_with`/`version` with
+        /// `try_install` (fresh and stale `expected`) behave as one
+        /// `RwLock<Snapshot>` would: the wins, in version order, are one
+        /// consecutive version each — that order is the model's history —
+        /// every read is a `(version, value)` of that history, no thread
+        /// sees it run backwards, and after the join every lane holds its
+        /// last entry.
+        #[test]
+        fn lanes_behave_as_one_locked_snapshot(
+            scripts in proptest::collection::vec(
+                proptest::collection::vec(lane_op(), 0..48), 2..5),
+        ) {
+            let root = VersionedRoot::new((0, usize::MAX));
+            let start = std::sync::Barrier::new(scripts.len());
+            let seen: Vec<Seen> = std::thread::scope(|s| {
+                let handles: Vec<_> = scripts
+                    .iter()
+                    .enumerate()
+                    .map(|(thread, script)| {
+                        let (root, start) = (&root, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            run_lane_script(root, thread, script)
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a lane thread panicked"))
+                    .collect()
+            });
+            let mut wins: Vec<_> = seen.iter().flat_map(|s| s.wins.iter().copied()).collect();
+            wins.sort_unstable();
+            // the one-lock model's history: version `i` held `history[i]`
+            let mut history = vec![(0, usize::MAX)];
+            for (version, value) in wins {
+                proptest::prop_assert_eq!(version, history.len() as Version, "wins are consecutive");
+                history.push(value);
+            }
+            for (version, value) in seen.iter().flat_map(|s| s.reads.iter()) {
+                proptest::prop_assert_eq!(history.get(*version as usize), Some(value));
+            }
+            let last = (history.len() as Version - 1, history[history.len() - 1]);
+            for lane in root.lanes.iter() {
+                let held = lane.0.read();
+                proptest::prop_assert_eq!((held.version, held.value), last);
+            }
         }
-        assert_eq!(root.load().value.len(), 8 * 50);
-        assert_eq!(root.version(), 8 * 50);
     }
 }

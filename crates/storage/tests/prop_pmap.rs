@@ -320,15 +320,53 @@ proptest! {
         entries in prop::collection::btree_map(-100i64..100, any::<i64>(), 0..100),
         lo in -120i64..120,
         hi in -120i64..120,
+        gone in 0usize..100,
     ) {
+        use std::ops::Bound::{Included, Unbounded};
+        let keys = |m: &PMap<i64, i64>, lo: Option<&i64>, hi: Option<&i64>| -> Vec<i64> {
+            m.range(lo, hi).map(|(k, _)| *k).collect()
+        };
+        let oracle = |m: &BTreeMap<i64, i64>, lo: Option<i64>, hi: Option<i64>| -> Vec<i64> {
+            if matches!((lo, hi), (Some(l), Some(h)) if l > h) {
+                // An inverted range is simply empty (BTreeMap::range would panic).
+                return Vec::new();
+            }
+            let bound = |b: Option<i64>| b.map_or(Unbounded, Included);
+            m.range((bound(lo), bound(hi))).map(|(k, _)| *k).collect()
+        };
         let map = PMap::from_iter(entries.clone());
-        let got: Vec<_> = map.range(Some(&lo), Some(&hi)).map(|(k, _)| *k).collect();
-        if lo > hi {
-            // An inverted range is simply empty (BTreeMap::range would panic).
-            prop_assert!(got.is_empty());
-        } else {
-            let want: Vec<_> = entries.range(lo..=hi).map(|(k, _)| *k).collect();
-            prop_assert_eq!(got, want);
+        // closed, inverted (the drawn pair and its swap cover both), open
+        // on either side or both, and a lower bound below the minimum
+        let below_min = entries.keys().next().map_or(-121, |min| min - 1);
+        for (l, h) in [
+            (Some(lo), Some(hi)),
+            (Some(hi), Some(lo)),
+            (None, Some(hi)),
+            (Some(lo), None),
+            (None, None),
+            (Some(below_min), Some(hi)),
+            (Some(below_min), None),
+        ] {
+            prop_assert_eq!(
+                keys(&map, l.as_ref(), h.as_ref()),
+                oracle(&entries, l, h),
+                "range({:?}, {:?})", l, h
+            );
+        }
+        // a lower bound equal to a key that was just removed: the walk
+        // starts at its successor
+        if let Some(&k) = entries.keys().nth(gone % entries.len().max(1)) {
+            let (map, old) = map.remove(&k);
+            prop_assert!(old.is_some());
+            let mut model = entries.clone();
+            model.remove(&k);
+            for h in [Some(hi), None] {
+                prop_assert_eq!(
+                    keys(&map, Some(&k), h.as_ref()),
+                    oracle(&model, Some(k), h),
+                    "range({}, {:?}) after remove({})", k, h, k
+                );
+            }
         }
     }
 

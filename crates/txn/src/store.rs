@@ -611,10 +611,11 @@ impl Store {
     /// Begins a transaction on the current snapshot (paper Fig. 11
     /// `begin()`).
     ///
-    /// Deliberately touches only the versioned root's read lock — never
-    /// the commit sequencer — so a reader-heavy workload cannot stall
-    /// committers and a stalled committer cannot stall `begin()`. Pinned
-    /// by `begin_and_snapshot_never_take_the_commit_sequencer` below.
+    /// Deliberately touches only this thread's lane of the versioned root
+    /// — never the commit sequencer — so a reader-heavy workload cannot
+    /// stall committers and a stalled committer cannot stall `begin()`.
+    /// Pinned by `begin_and_snapshot_never_take_the_commit_sequencer`
+    /// below.
     pub fn begin(self: &Arc<Self>) -> Transaction {
         let snap = self.root.load();
         Transaction::new(Arc::clone(self), snap.version, snap.value)
@@ -730,7 +731,8 @@ impl Store {
     /// (`StoreConfig::hot_cache`). The cache can only serve a value at
     /// or after the reader's snapshot version, never before it (the
     /// [`crate::cache`] invalidation contract); without a cache this is
-    /// a plain snapshot lookup.
+    /// [`Store::snapshot`]`.relation(rel)?.lookup(key)` without the
+    /// snapshot: the tuple is looked up in the root where it stands.
     pub fn read_point(&self, rel: &str, key: &Value) -> Result<Option<Arc<TupleF>>> {
         self.read_point_versioned(rel, key).map(|(_, t)| t)
     }
@@ -743,26 +745,46 @@ impl Store {
         rel: &str,
         key: &Value,
     ) -> Result<(Version, Option<Arc<TupleF>>)> {
-        if let Some(cache) = &self.cache {
-            // Hit fast path: the version number alone suffices — no
-            // snapshot clone. A hit at version `v` requires the cache to
-            // have processed every invalidation `<= v`, so the entry is
-            // the newest committed value *at or after* `v` (a commit can
-            // land between the version read and the probe; serving its
-            // newer value is within the contract, never older).
-            let version = self.root.version();
-            if let Some(t) = cache.get(rel, key, version) {
-                return Ok((version, Some(t)));
-            }
-            let current = self.root.load();
-            let found = current.value.relation(rel)?.lookup(key);
-            if let Some(t) = &found {
-                cache.fill(rel, key, t, current.version);
-            }
-            return Ok((current.version, found));
+        let Some(cache) = &self.cache else {
+            return self.read_current(rel, key);
+        };
+        // Hit fast path: the version number alone suffices. A hit at
+        // version `v` requires the cache to have processed every
+        // invalidation `<= v`, so the entry is the newest committed value
+        // *at or after* `v` (a commit can land between the version read
+        // and the probe; serving its newer value is within the contract,
+        // never older).
+        let version = self.root.version();
+        if let Some(t) = cache.get(rel, key, version) {
+            return Ok((version, Some(t)));
         }
-        let current = self.root.load();
-        Ok((current.version, current.value.relation(rel)?.lookup(key)))
+        let (version, found) = self.read_current(rel, key)?;
+        if let Some(t) = &found {
+            cache.fill(rel, key, t, version);
+        }
+        Ok((version, found))
+    }
+
+    /// The uncached point read, borrowing the committed root instead of
+    /// snapshotting it: it writes this thread's root lane and the refcount
+    /// of the tuple it returns, nothing else.
+    ///
+    /// No user code runs with the lane held. A plain stored or multi body
+    /// is a pure tree descent and is looked up under the guard; a computed
+    /// or hybrid body calls the relation's closure, which may read this
+    /// store again — a recursive read of the lane deadlocks once a commit
+    /// waits between the two — so that relation is cloned out and looked
+    /// up after release.
+    fn read_current(&self, rel: &str, key: &Value) -> Result<(Version, Option<Arc<TupleF>>)> {
+        let (version, found, computed) = self.root.read_with(|current| -> Result<_> {
+            let relation = current.value.relation_ref(rel)?;
+            Ok(if relation.is_plain_stored() || relation.is_multi() {
+                (current.version, relation.lookup(key), None)
+            } else {
+                (current.version, None, Some(Arc::clone(relation)))
+            })
+        })?;
+        Ok((version, computed.map_or(found, |r| r.lookup(key))))
     }
 
     /// The hot-tuple cache's counters, when one is configured.
@@ -1678,11 +1700,11 @@ mod tests {
         assert_eq!(store.version(), 1);
     }
 
-    /// Regression pin for the sequencer's locking discipline: `begin()`
-    /// and snapshot reads must never touch the commit sequencer, so a
-    /// stalled committer (or anything else holding it) cannot block
-    /// readers — and long-running readers, holding only persistent
-    /// clones, cannot block commits.
+    /// Regression pin for the sequencer's locking discipline: `begin()`,
+    /// snapshot reads and point reads must never touch the commit
+    /// sequencer, so a stalled committer (or anything else holding it)
+    /// cannot block readers — and long-running readers, holding only
+    /// persistent clones, cannot block commits.
     #[test]
     fn begin_and_snapshot_never_take_the_commit_sequencer() {
         let store = bank();
@@ -1693,17 +1715,22 @@ mod tests {
             let txn = reader_store.begin();
             let (v, db) = reader_store.snapshot_versioned();
             let _ = reader_store.as_of(v);
+            let (read_at, read) = reader_store
+                .read_point_versioned("accounts", &Value::Int(1))
+                .unwrap();
             tx.send((
                 txn.base_version(),
                 v,
                 db.relation("accounts").unwrap().len(),
+                read_at,
+                read.is_some(),
             ))
             .unwrap();
         });
-        let got = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("begin()/snapshot()/as_of() must not block on the commit sequencer");
-        assert_eq!(got, (0, 0, 1));
+        let got = rx.recv_timeout(Duration::from_secs(10)).expect(
+            "begin()/snapshot()/as_of()/read_point() must not block on the commit sequencer",
+        );
+        assert_eq!(got, (0, 0, 1, 0, true));
         drop(guard);
         handle.join().unwrap();
 

@@ -27,7 +27,6 @@ pub struct Transaction {
     working: DatabaseF,
     writes: WriteSet,
     ops: Vec<Op>,
-    finished: bool,
 }
 
 impl Transaction {
@@ -38,7 +37,6 @@ impl Transaction {
             working: snapshot,
             writes: WriteSet::default(),
             ops: Vec::new(),
-            finished: false,
         }
     }
 
@@ -158,9 +156,7 @@ impl Transaction {
 
     /// Abandons the transaction; the committed database is untouched
     /// (trivially so — the working copy was private all along).
-    pub fn rollback(mut self) {
-        self.finished = true;
-    }
+    pub fn rollback(self) {}
 
     /// Validates and commits under the store's default [`CommitPolicy`].
     /// On success returns the new version.
@@ -197,8 +193,7 @@ impl Transaction {
     ///   [`CommitOutcome::conflicts`], exhausting the budget yields
     ///   [`FdmError::TransactionRetriesExhausted`] and exceeding
     ///   `policy.timeout` yields [`FdmError::TransactionTimeout`].
-    pub fn commit_with(mut self, policy: &CommitPolicy) -> Result<CommitOutcome> {
-        self.finished = true;
+    pub fn commit_with(self, policy: &CommitPolicy) -> Result<CommitOutcome> {
         if self.writes.is_empty() {
             return Ok(CommitOutcome {
                 version: self.base_version,
