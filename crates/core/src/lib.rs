@@ -28,9 +28,9 @@
 //! operators iterate their input in key order), then `build()` bulk-loads
 //! a balanced tree in O(n) via `fdm-storage`'s `from_sorted_vec`.
 //! [`RelationF::from_sorted`] is the direct constructor for callers that
-//! already hold a sorted run, and [`TupleF::from_parts`] builds a tuple
-//! from pre-interned attribute names without re-allocating them — the
-//! hot-path combination the FQL join uses.
+//! already hold a sorted run, and [`TupleF::from_shape`] builds a tuple
+//! over a shared [`Shape`] from its values alone — the hot-path
+//! combination the FQL joins use.
 //!
 //! ## Quick tour
 //!
@@ -70,6 +70,7 @@ pub mod fxhash;
 pub mod par;
 pub mod relation;
 pub mod relationship;
+pub mod shape;
 pub mod shard;
 pub mod stats;
 pub mod tuple;
@@ -87,6 +88,7 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use par::{par_map_chunks, ParConfig, ParallelBuilder};
 pub use relation::{RelationBuilder, RelationF};
 pub use relationship::{Participant, RelationshipBuilder, RelationshipF};
+pub use shape::{Shape, ShapeMemo};
 pub use shard::{ShardMap, ShardedRelation};
 pub use stats::{
     distinct_hint, estimate_distinct, AttrSketches, DistinctSketch, RelationStats,

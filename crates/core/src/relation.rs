@@ -919,19 +919,29 @@ impl RelationBuilder {
         self
     }
 
-    /// Appends a tuple under `key`.
+    /// Starts a tuple hinted with the previously pushed tuple's shape:
+    /// a loader whose tuples repeat one attribute list allocates no names
+    /// after the first (see [`TupleBuilder`](crate::TupleBuilder)).
+    pub fn tuple(&self, name: impl AsRef<str>) -> crate::TupleBuilder {
+        let prev = self.entries.last().map(|(_, prev)| &**prev);
+        crate::TupleBuilder::after(prev, name.as_ref())
+    }
+
+    /// Appends a tuple under `key`. A tuple whose shape equals the
+    /// previous one's is re-pointed at it, so tuples built independently
+    /// converge on one shape per run of like tuples.
     pub fn push(&mut self, key: Value, tuple: TupleF) {
         self.push_arc(key, Arc::new(tuple));
     }
 
-    /// [`Self::push`] taking an already-shared tuple.
-    pub fn push_arc(&mut self, key: Value, tuple: Arc<TupleF>) {
-        if self.sorted {
-            if let Some((last, _)) = self.entries.last() {
-                if *last >= key {
-                    self.sorted = false;
-                }
+    /// [`Self::push`] taking an already-shared tuple (re-pointed only
+    /// while this is its sole handle).
+    pub fn push_arc(&mut self, key: Value, mut tuple: Arc<TupleF>) {
+        if let Some((last, prev)) = self.entries.last() {
+            if self.sorted && *last >= key {
+                self.sorted = false;
             }
+            TupleF::unify_shape(&mut tuple, prev);
         }
         self.entries.push((key, tuple));
     }

@@ -383,15 +383,24 @@ impl RelationshipBuilder {
         self.push_arc(args, Arc::new(attrs))
     }
 
-    /// [`Self::push`] taking an already-shared attribute tuple.
-    pub fn push_arc(&mut self, args: &[Value], attrs: Arc<TupleF>) -> Result<()> {
+    /// Starts an attribute tuple hinted with the previously pushed one's
+    /// shape (see [`RelationBuilder::tuple`](crate::RelationBuilder::tuple)).
+    pub fn tuple(&self, name: impl AsRef<str>) -> crate::TupleBuilder {
+        let prev = self.entries.last().map(|(_, prev)| &**prev);
+        crate::TupleBuilder::after(prev, name.as_ref())
+    }
+
+    /// [`Self::push`] taking an already-shared attribute tuple. Like
+    /// [`RelationBuilder::push_arc`](crate::RelationBuilder::push_arc), a
+    /// solely held tuple whose shape equals the previous one's is
+    /// re-pointed at it.
+    pub fn push_arc(&mut self, args: &[Value], mut attrs: Arc<TupleF>) -> Result<()> {
         let key = self.proto.composite_key(args)?;
-        if self.sorted {
-            if let Some((last, _)) = self.entries.last() {
-                if *last >= key {
-                    self.sorted = false;
-                }
+        if let Some((last, prev)) = self.entries.last() {
+            if self.sorted && *last >= key {
+                self.sorted = false;
             }
+            TupleF::unify_shape(&mut attrs, prev);
         }
         self.entries.push((key, attrs));
         Ok(())

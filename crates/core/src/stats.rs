@@ -286,11 +286,11 @@ impl DistinctSketch {
 /// Per-attribute [`DistinctSketch`]es over a relation's stored tuples —
 /// the statistics behind [`estimate_distinct`] for non-key attributes.
 ///
-/// Built in one pass over the stored tuples from their cached canonical
-/// fingerprints (`fdm_core::tuple::DataKey`), so every attribute a tuple
-/// answers for — stored *or* computed — is sketched under its canonical
-/// name. Tuples whose fingerprint fails to compute (a failing computed
-/// attribute) are skipped; their attributes simply do not contribute.
+/// Built in one pass over the stored tuples' materialized values, so
+/// every attribute a tuple answers for — stored *or* computed — is
+/// sketched under its name. Tuples that fail to materialize (a failing
+/// computed attribute) are skipped; their attributes simply do not
+/// contribute.
 ///
 /// Instances live in a `OnceLock` inside `RelationF` under the
 /// freshness-by-construction contract (see the module docs): every
@@ -326,17 +326,14 @@ impl AttrSketches {
     /// Sketches every attribute appearing in the given stored tuples.
     pub fn from_stored(tuples: impl Iterator<Item = (Value, Arc<TupleF>)>) -> AttrSketches {
         let mut map: FxHashMap<Name, DistinctSketch> = FxHashMap::default();
+        let mut values = Vec::new();
         for (_, tuple) in tuples {
-            let Ok(fp) = tuple.fingerprint() else {
+            values.clear();
+            if tuple.values_into(&mut values).is_err() {
                 continue; // failing computed attribute: tuple contributes nothing
-            };
-            let Value::List(pairs) = fp.value() else {
-                continue;
-            };
-            for pair in pairs.chunks(2) {
-                if let [Value::Str(name), v] = pair {
-                    map.entry(name.clone()).or_default().observe(v);
-                }
+            }
+            for (name, v) in tuple.attr_names().zip(&values) {
+                map.entry(name.clone()).or_default().observe(v);
             }
         }
         let mut by_attr: Vec<(Name, DistinctSketch)> = map.into_iter().collect();

@@ -1,8 +1,8 @@
 //! Canonical binary serialization of FDM values.
 //!
 //! The encoding is **deterministic and canonical**: tuple attributes are
-//! written in sorted name order (the same discipline as the tuple
-//! fingerprint cache from the grouping layer), relations in key order
+//! written in sorted name order (the tuple shape's canonical permutation,
+//! the same one the fingerprint hashes in), relations in key order
 //! (their persistent-map iteration order), floats by IEEE bit pattern.
 //! Two equal values therefore encode to identical bytes, which is what
 //! makes checkpoint comparison and the recovery-equivalence tests
@@ -30,9 +30,10 @@
 
 use crate::error::{DurabilityError, Result};
 use fdm_core::{
-    Constraint, DatabaseF, Domain, FnValue, Name, Participant, RelationF, RelationshipF,
+    Constraint, DatabaseF, Domain, FnValue, Name, Participant, RelationF, RelationshipF, Shape,
     SharedDomain, TupleF, Value, ValueType,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One logged operation of a committed writeset — the durable mirror of
@@ -114,14 +115,31 @@ pub fn encode_ops(ops: &[WalOp]) -> Result<Vec<u8>> {
 
 /// Decodes a WAL record payload back into its writeset.
 pub fn decode_ops(bytes: &[u8]) -> Result<Vec<WalOp>> {
-    let mut d = Decoder::new(bytes);
-    let n = d.count()?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
-        ops.push(d.wal_op()?);
+    OpsDecoder::default().decode(bytes)
+}
+
+/// [`decode_ops`] over a run of record payloads — one recovery's worth:
+/// a record's tuples may share the shape of the previous record's (a WAL
+/// tail mostly upserts like tuples; decoded one by one, every replayed
+/// tuple would own its shape).
+#[derive(Default)]
+pub(crate) struct OpsDecoder {
+    last_shape: Option<Arc<Shape>>,
+}
+
+impl OpsDecoder {
+    pub(crate) fn decode(&mut self, bytes: &[u8]) -> Result<Vec<WalOp>> {
+        let mut d = Decoder::new(bytes);
+        d.last_shape = self.last_shape.take();
+        let n = d.count()?;
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            ops.push(d.wal_op()?);
+        }
+        d.finish()?;
+        self.last_shape = d.last_shape;
+        Ok(ops)
     }
-    d.finish()?;
-    Ok(ops)
 }
 
 /// Encodes a whole database function for a checkpoint payload.
@@ -234,23 +252,21 @@ impl Encoder {
         }
     }
 
-    /// Canonical tuple encoding: attributes sorted by name.
+    /// Canonical tuple encoding: attributes in name order — the shape's
+    /// canonical permutation, computed once per shape, not per tuple.
     fn tuple(&mut self, t: &TupleF) -> Result<()> {
-        let mut names: Vec<&Name> = t.attr_names().collect();
-        names.sort();
+        let shape = t.shape();
         self.str(t.name());
-        self.u32(names.len() as u32);
-        for n in names {
-            if t.is_computed(n) {
+        self.u32(shape.len() as u32);
+        for &slot in shape.canonical() {
+            let n = &shape.names()[slot];
+            let Some(v) = t.stored(slot) else {
                 return Err(DurabilityError::Unserializable {
                     what: format!("computed attribute '{n}' of tuple function '{}'", t.name()),
                 });
-            }
-            let v = t.get(n).map_err(|e| DurabilityError::Corrupt {
-                detail: format!("attribute '{n}' unreadable: {e}"),
-            })?;
+            };
             self.str(n);
-            self.value(&v)?;
+            self.value(v)?;
         }
         Ok(())
     }
@@ -449,6 +465,14 @@ struct Decoder<'a> {
     pos: usize,
     /// Shared domains decoded so far, indexed by definition order.
     domains: Vec<SharedDomain>,
+    /// One shape per distinct attribute-name list decoded so far, so the
+    /// tuples of a relation come back sharing theirs. (The default hasher:
+    /// these keys come from a file.)
+    shapes: HashMap<Vec<&'a str>, Arc<Shape>>,
+    /// The previous tuple's shape — nearly always the next one's too.
+    last_shape: Option<Arc<Shape>>,
+    /// The attribute names of the tuple being decoded (reused).
+    names: Vec<&'a str>,
 }
 
 impl<'a> Decoder<'a> {
@@ -457,6 +481,9 @@ impl<'a> Decoder<'a> {
             buf,
             pos: 0,
             domains: Vec::new(),
+            shapes: HashMap::new(),
+            last_shape: None,
+            names: Vec::new(),
         }
     }
 
@@ -564,13 +591,29 @@ impl<'a> Decoder<'a> {
     fn tuple(&mut self) -> Result<TupleF> {
         let name = self.name()?;
         let n = self.count()?;
-        let mut parts = Vec::with_capacity(n);
+        // a nested tuple value decodes through here too: it finds the
+        // buffer taken, uses its own, and ours is put back after it
+        let mut names = std::mem::take(&mut self.names);
+        names.clear();
+        let mut values = Vec::with_capacity(n);
         for _ in 0..n {
-            let attr = self.name()?;
-            let v = self.value()?;
-            parts.push((attr, v));
+            names.push(self.str()?);
+            values.push(self.value()?);
         }
-        Ok(TupleF::from_parts(name, parts))
+        let shape = match &self.last_shape {
+            Some(s) if s.names().iter().map(|n| &**n).eq(names.iter().copied()) => s.clone(),
+            _ => match self.shapes.get(names.as_slice()) {
+                Some(s) => s.clone(),
+                None => {
+                    let s = Shape::new(names.iter().map(|n| Name::from(*n)));
+                    self.shapes.insert(names.clone(), s.clone());
+                    s
+                }
+            },
+        };
+        self.last_shape = Some(shape.clone());
+        self.names = names;
+        Ok(TupleF::from_shape(name, shape, values))
     }
 
     fn constraint(&mut self) -> Result<Constraint> {

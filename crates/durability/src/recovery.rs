@@ -29,7 +29,7 @@
 //! history, and the prefix covers every commit whose fsync completed.
 
 use crate::checkpoint::{list_checkpoints, load_checkpoint};
-use crate::codec::{crc32, decode_ops, WalOp};
+use crate::codec::{crc32, OpsDecoder, WalOp};
 use crate::error::{DurabilityError, Result};
 use crate::wal::{
     parse_segment_name, DurabilityConfig, MAX_RECORD_BYTES, RECORD_HEADER, WAL_MAGIC,
@@ -291,6 +291,7 @@ pub fn recover(cfg: &DurabilityConfig) -> Result<Recovered> {
     }
 
     let mut commits = Vec::new();
+    let mut decoder = OpsDecoder::default();
     for (expected, (v, ops_bytes)) in
         (checkpoint_version + 1..).zip(by_version.range(checkpoint_version + 1..))
     {
@@ -302,7 +303,7 @@ pub fn recover(cfg: &DurabilityConfig) -> Result<Recovered> {
         }
         commits.push(WalCommit {
             version: *v,
-            ops: decode_ops(ops_bytes)?,
+            ops: decoder.decode(ops_bytes)?,
         });
     }
 

@@ -20,7 +20,7 @@
 
 use fdm_core::{
     par_map_chunks, DatabaseF, FdmError, FnValue, Name, ParConfig, ParallelBuilder, RelationF,
-    Result, TupleF, Value,
+    Result, Shape, ShapeMemo, TupleF, Value,
 };
 use fdm_expr::{by_suffix, eval_predicate, parse, CmpOp, Expr, Params};
 use std::sync::Arc;
@@ -38,23 +38,31 @@ pub fn filter_fn(
     rel: &RelationF,
     pred: impl Fn(&TupleF) -> Result<bool> + Sync,
 ) -> Result<RelationF> {
-    filter_map_entries(rel, |_, tuple| Ok(pred(tuple)?.then(|| tuple.clone())))
+    filter_map_entries(
+        rel,
+        || (),
+        |_, _, tuple| Ok(pred(tuple)?.then(|| tuple.clone())),
+    )
 }
 
 /// The body every filter shares: enumerates `rel` in key order and keeps
 /// the tuple `keep` answers with (usually the input tuple itself), chunked
-/// across threads on large inputs exactly as [`filter_fn`] documents.
-fn filter_map_entries(
+/// across threads on large inputs exactly as [`filter_fn`] documents. Each
+/// chunk works on its own `state()` — pure memoization, so how the input
+/// is chunked changes cost, never content.
+fn filter_map_entries<S>(
     rel: &RelationF,
-    keep: impl Fn(&Value, &Arc<TupleF>) -> Result<Option<Arc<TupleF>>> + Sync,
+    state: impl Fn() -> S + Sync,
+    keep: impl Fn(&mut S, &Value, &Arc<TupleF>) -> Result<Option<Arc<TupleF>>> + Sync,
 ) -> Result<RelationF> {
     let entries = rel.tuples()?;
     let cfg = ParConfig::from_env();
     if cfg.should_parallelize(entries.len()) {
         let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
+            let mut state = state();
             let mut kept = Vec::new();
             for (key, tuple) in chunk {
-                if let Some(tuple) = keep(key, tuple)? {
+                if let Some(tuple) = keep(&mut state, key, tuple)? {
                     kept.push((key.clone(), tuple));
                 }
             }
@@ -69,8 +77,9 @@ fn filter_map_entries(
     // Input tuples arrive in key order, so the builder takes the O(n)
     // already-sorted bulk path — no per-tuple persistent insert.
     let mut out = rel.builder_like();
+    let mut state = state();
     for (key, tuple) in entries {
-        if let Some(tuple) = keep(&key, &tuple)? {
+        if let Some(tuple) = keep(&mut state, &key, &tuple)? {
             out.push_arc(key, tuple);
         }
     }
@@ -154,14 +163,18 @@ pub(crate) fn filter_scan(rel: &RelationF, expr: &Expr) -> Result<RelationF> {
         .iter()
         .filter(|k| referenced.contains(k))
         .collect();
-    filter_map_entries(rel, |key, tuple| {
-        if tuple.has_computed_attrs() || pred_keys.iter().any(|k| !tuple.has_attr(k)) {
-            let inlined = inline_tuple(key, tuple, key_names);
-            Ok(eval_predicate(expr, &inlined)?.then_some(inlined))
-        } else {
-            Ok(eval_predicate(expr, tuple)?.then(|| inline_tuple(key, tuple, key_names)))
-        }
-    })
+    filter_map_entries(
+        rel,
+        || KeyInliner::new(key_names),
+        |inliner, key, tuple| {
+            if tuple.has_computed_attrs() || pred_keys.iter().any(|k| !tuple.has_attr(k)) {
+                let inlined = inliner.inline(key, tuple);
+                Ok(eval_predicate(expr, &inlined)?.then_some(inlined))
+            } else {
+                Ok(eval_predicate(expr, tuple)?.then(|| inliner.inline(key, tuple)))
+            }
+        },
+    )
 }
 
 /// `filter` one level up: keep only the database entries whose
@@ -233,9 +246,10 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
     let cfg = ParConfig::from_env();
     if cfg.should_parallelize(entries.len()) {
         let runs = par_map_chunks(&entries, cfg.threads, |chunk| {
+            let mut inliner = KeyInliner::new(key_names);
             chunk
                 .iter()
-                .map(|(key, tuple)| (key.clone(), inline_tuple(key, tuple, key_names)))
+                .map(|(key, tuple)| (key.clone(), inliner.inline(key, tuple)))
                 .collect::<Vec<_>>()
         });
         let mut out = ParallelBuilder::for_relation(rel);
@@ -245,40 +259,68 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
         return out.build();
     }
     let mut out = rel.builder_like();
+    let mut inliner = KeyInliner::new(key_names);
     for (key, tuple) in entries {
-        let inlined = inline_tuple(&key, &tuple, key_names);
+        let inlined = inliner.inline(&key, &tuple);
         out.push_arc(key, inlined);
     }
     out.build()
 }
 
-/// The per-tuple half of [`with_inlined_keys`]: returns the tuple with
-/// its key attribute(s) inlined, sharing the input when nothing is
-/// missing.
-pub(crate) fn inline_tuple(key: &Value, tuple: &Arc<TupleF>, key_names: &[Name]) -> Arc<TupleF> {
-    match (key, key_names.len()) {
-        (Value::List(parts), n) if n > 1 && parts.len() == n => {
-            if key_names.iter().all(|name| tuple.has_attr(name)) {
-                return tuple.clone();
+/// The per-tuple half of [`with_inlined_keys`]: returns tuples with their
+/// key attribute(s) inlined, sharing the input when nothing is missing.
+/// The `shape + missing key attributes` shape is derived once per distinct
+/// input shape (a per-operator-call [`ShapeMemo`]), so a row costs its
+/// values — no name is looked at, let alone allocated, per tuple.
+pub(crate) struct KeyInliner<'a> {
+    key_names: &'a [Name],
+    /// Per input shape: the key positions it lacks and the shape with
+    /// their names appended; `None` when it lacks none.
+    memo: ShapeMemo<Option<(Vec<usize>, Arc<Shape>)>>,
+}
+
+impl<'a> KeyInliner<'a> {
+    pub(crate) fn new(key_names: &'a [Name]) -> Self {
+        KeyInliner {
+            key_names,
+            memo: ShapeMemo::new(),
+        }
+    }
+
+    pub(crate) fn inline(&mut self, key: &Value, tuple: &Arc<TupleF>) -> Arc<TupleF> {
+        let key_names = self.key_names;
+        let parts = match key {
+            Value::List(parts) if key_names.len() > 1 && parts.len() == key_names.len() => {
+                &parts[..]
             }
-            let mut t = (**tuple).clone();
-            for (name, v) in key_names.iter().zip(parts.iter()) {
-                if !t.has_attr(name) {
-                    t = t.with_attr(name.as_ref(), v.clone());
+            whole if key_names.len() == 1 => std::slice::from_ref(whole),
+            _ => return tuple.clone(),
+        };
+        let shape = tuple.shape();
+        let missing = self.memo.get_or_derive([shape], || {
+            let mut lacks: Vec<usize> = Vec::new();
+            for (at, name) in key_names.iter().enumerate() {
+                let seen = lacks.iter().any(|&a| key_names[a] == *name);
+                if !seen && shape.position(name).is_none() {
+                    lacks.push(at);
                 }
             }
-            Arc::new(t)
+            if lacks.is_empty() {
+                return None;
+            }
+            let extended = shape.with_names(lacks.iter().map(|&at| key_names[at].clone()));
+            Some((lacks, extended))
+        });
+        match missing {
+            Some((lacks, shape)) => {
+                Arc::new(tuple.appended(shape.clone(), lacks.iter().map(|&at| parts[at].clone())))
+            }
+            None => tuple.clone(),
         }
-        (v, 1) if !tuple.has_attr(&key_names[0]) => Arc::new(
-            (**tuple)
-                .clone()
-                .with_attr(key_names[0].as_ref(), v.clone()),
-        ),
-        _ => tuple.clone(),
     }
 }
 
-/// The value [`inline_tuple`] files under `attr` when the tuple lacks it:
+/// The value [`KeyInliner::inline`] files under `attr` when the tuple lacks it:
 /// the key itself, or its part at `attr`'s position in a composite key.
 fn key_part<'a>(key: &'a Value, key_names: &[Name], attr: &str) -> Option<&'a Value> {
     let at = key_names.iter().position(|k| k.as_ref() == attr)?;
@@ -290,7 +332,7 @@ fn key_part<'a>(key: &'a Value, key_names: &[Name], attr: &str) -> Option<&'a Va
     }
 }
 
-/// `inline_tuple(key, tuple, key_names).get(attr)` without building the
+/// `KeyInliner::new(key_names).inline(key, tuple).get(attr)` without building the
 /// inlined tuple: a stored attribute answers for itself, a key attribute
 /// the tuple lacks is read off the key. Tuples with computed attributes
 /// (which may read the key) do inline first.
@@ -301,7 +343,7 @@ pub(crate) fn get_inlined(
     attr: &str,
 ) -> Result<Value> {
     if tuple.has_computed_attrs() {
-        return inline_tuple(key, tuple, key_names).get(attr);
+        return KeyInliner::new(key_names).inline(key, tuple).get(attr);
     }
     match key_part(key, key_names, attr) {
         Some(part) if !tuple.has_attr(attr) => Ok(part.clone()),

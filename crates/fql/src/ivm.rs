@@ -46,7 +46,7 @@
 //! the contract.
 
 use crate::aggregate::AggSpec;
-use crate::filter::{inline_tuple, key_attr_strs, with_inlined_keys};
+use crate::filter::{key_attr_strs, with_inlined_keys, KeyInliner};
 use crate::optimizer::Optimizer;
 use crate::plan::Query;
 use crate::setops::key_map;
@@ -307,15 +307,15 @@ fn probe_rows(
     let Some(rkeys) = state.right_idx.get(&jv) else {
         return Ok(Vec::new());
     };
-    let mut qual = crate::join::Qualifier::new(rel);
+    let mut joiner = crate::join::RowJoiner::new(rel);
+    let mut left_values = Vec::new();
+    lt.values_into(&mut left_values)?;
     let mut rows = Vec::with_capacity(rkeys.len());
     for rk in rkeys {
         let rt = state.right.lookup(rk).ok_or_else(|| {
             FdmError::Other(format!("ivm join: right index points at missing key {rk}"))
         })?;
-        let mut attrs = lt.materialize()?;
-        qual.qualify(&rt, &mut attrs)?;
-        rows.push(Arc::new(TupleF::from_parts("j", attrs)));
+        rows.push(Arc::new(joiner.tuple(lt.shape(), &left_values, &rt)?));
     }
     Ok(rows)
 }
@@ -542,9 +542,10 @@ impl Node {
                 None => Ok(Vec::new()),
                 Some(EntryDelta::Rows(base_changes)) => {
                     let mut changes = Vec::new();
+                    let mut inliner = KeyInliner::new(key_names);
                     for c in base_changes {
                         let old = out.lookup(&c.key);
-                        let new = c.new.as_ref().map(|t| inline_tuple(&c.key, t, key_names));
+                        let new = c.new.as_ref().map(|t| inliner.inline(&c.key, t));
                         match (&old, &new) {
                             (Some(a), Some(b)) if a.eq_data(b) => continue,
                             (None, None) => continue,
@@ -641,6 +642,7 @@ impl Node {
                 // to an affected join value
                 if let Some(EntryDelta::Rows(base_changes)) = delta.entry(rel) {
                     let mut right_changes = Vec::new();
+                    let mut inliner = KeyInliner::new(&state.right_key_names);
                     for c in base_changes {
                         let old = state.right.lookup(&c.key);
                         if let Some(ot) = &old {
@@ -650,10 +652,7 @@ impl Node {
                             }
                             unbind(&mut state.right_idx, &jv, &c.key);
                         }
-                        let new = c
-                            .new
-                            .as_ref()
-                            .map(|t| inline_tuple(&c.key, t, &state.right_key_names));
+                        let new = c.new.as_ref().map(|t| inliner.inline(&c.key, t));
                         if let Some(nt) = &new {
                             if let Some(ot) = &old {
                                 if ot.eq_data(nt) {

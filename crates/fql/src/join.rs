@@ -12,10 +12,15 @@
 //!
 //! Output attributes are qualified `relation.attr` (and
 //! `relationship.attr` for the relationship's own attributes) so that a
-//! denormalized row never has ambiguous names. Qualified names are interned
-//! once per (relation, attribute) by the internal `Qualifier` — not re-formatted per
-//! tuple — and results are assembled through [`fdm_core::RelationBuilder`]'s
-//! O(n) bulk path.
+//! denormalized row never has ambiguous names. A working row is a value
+//! vector over a shared [`Shape`]: the qualified output shape is derived
+//! once per distinct combination of input shapes (one, for homogeneous
+//! relations), rows move values only, and results are assembled through
+//! [`TupleF::from_shape`] and [`fdm_core::RelationBuilder`]'s O(n) bulk
+//! path.
+//!
+//! Every join in this crate — the schema join, [`join_on`] and the plan's
+//! `Query::Join` — runs its probe side through the one `probe` loop here.
 //!
 //! **Join order** is cost-modeled: among the relationships connected to
 //! the already-bound relations, [`join`] binds the one with the smallest
@@ -28,8 +33,8 @@
 //! and attribute order following the executed order.
 
 use fdm_core::{
-    par_map_chunks, DatabaseF, FdmError, FxHashMap, Name, ParConfig, RelationBuilder, RelationF,
-    RelationshipF, Result, TupleF, Value,
+    DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, RelationshipF, Result, Shape,
+    ShapeMemo, TupleF, Value,
 };
 use std::sync::Arc;
 
@@ -59,31 +64,15 @@ impl JoinOn {
     }
 }
 
-/// A qualified attribute run shared across output rows.
-pub(crate) type AttrRun = Arc<[(Name, Value)]>;
-
-/// A partially joined row: which relation keys are bound, and the merged
-/// attribute list accumulated so far. The bound set is a flat vec — join
-/// chains touch a handful of relations, and a linear scan beats a tree map
-/// (and its per-row node allocations) at that size.
-#[derive(Clone)]
-struct JoinRow {
-    /// `(relation name, bound key)` pairs
-    bound: Vec<(Name, Value)>,
-    /// qualified attribute values accumulated so far
-    attrs: Vec<(Name, Value)>,
-}
-
-impl JoinRow {
-    fn bound_key(&self, rel: &Name) -> Option<&Value> {
-        self.bound.iter().find(|(n, _)| n == rel).map(|(_, v)| v)
-    }
-}
+/// A denormalized row in the making: its values, over the shape that
+/// names them.
+type Row = (Arc<Shape>, Vec<Value>);
 
 /// Interns `prefix.attr` qualified names once per distinct attribute, so
-/// qualification never re-formats per tuple. The cache is a flat vec with a
-/// linear scan: a relation has a handful of distinct attribute names, and a
-/// short-string compare beats a SipHash probe at that size.
+/// deriving a qualified shape never formats a name twice. The cache is a
+/// flat vec with a linear scan: a relation has a handful of distinct
+/// attribute names, and a short-string compare beats a SipHash probe at
+/// that size.
 pub(crate) struct Qualifier {
     prefix: String,
     cache: Vec<(Name, Name)>,
@@ -106,29 +95,104 @@ impl Qualifier {
         self.cache.push((attr.clone(), q.clone()));
         q
     }
+}
 
-    /// Qualifies every materialized attribute of `tuple` into `out`.
-    pub(crate) fn qualify(&mut self, tuple: &TupleF, out: &mut Vec<(Name, Value)>) -> Result<()> {
-        out.reserve(tuple.attr_count());
-        for attr in tuple.attr_names() {
-            out.push((self.name(attr), tuple.get(attr)?));
-        }
-        Ok(())
+/// A tuple a join can copy values out of any number of times: itself if
+/// every attribute is stored, otherwise a copy with the computed ones
+/// evaluated (once, not once per output row).
+pub(crate) fn frozen(tuple: Arc<TupleF>) -> Result<Arc<TupleF>> {
+    match tuple.has_computed_attrs() {
+        true => Ok(Arc::new(tuple.frozen()?)),
+        false => Ok(tuple),
     }
 }
 
-/// Builds the `join_result` relation from denormalized attribute rows
-/// through the bulk fast path (row ids ascend, so no sort happens; the
-/// interned attribute names move straight into the tuples, unre-allocated).
-fn rows_to_relation(rows: impl IntoIterator<Item = Vec<(Name, Value)>>) -> Result<RelationF> {
+/// Builds the rows a binary equi-join emits — the left values followed by
+/// the right tuple's, the latter named `rel.attr` — deriving the output
+/// shape once per distinct (left shape, right shape).
+pub(crate) struct RowJoiner {
+    name: Name,
+    qual: Qualifier,
+    shapes: ShapeMemo<Arc<Shape>>,
+}
+
+impl RowJoiner {
+    pub(crate) fn new(rel: &str) -> Self {
+        RowJoiner {
+            // every row is named alike; one name per joiner, not per row
+            name: Name::from("j"),
+            qual: Qualifier::new(rel),
+            shapes: ShapeMemo::new(),
+        }
+    }
+
+    pub(crate) fn row(
+        &mut self,
+        left: &Arc<Shape>,
+        values: &[Value],
+        right: &TupleF,
+    ) -> Result<Row> {
+        let qual = &mut self.qual;
+        let shape = self.shapes.get_or_derive([left, right.shape()], || {
+            // every value is materialized: the row is all stored, whatever
+            // the two sides compute
+            let qualified = right.attr_names().map(|n| qual.name(n));
+            let names: Vec<Name> = left.names().iter().cloned().chain(qualified).collect();
+            Shape::new(names)
+        });
+        let mut out = Vec::with_capacity(shape.len());
+        out.extend_from_slice(values);
+        right.values_into(&mut out)?;
+        Ok((shape.clone(), out))
+    }
+
+    /// [`Self::row`] as the tuple `Query::Join` emits.
+    pub(crate) fn tuple(
+        &mut self,
+        left: &Arc<Shape>,
+        values: &[Value],
+        right: &TupleF,
+    ) -> Result<TupleF> {
+        let (shape, values) = self.row(left, values, right)?;
+        Ok(TupleF::from_shape(self.name.clone(), shape, values))
+    }
+}
+
+/// The probe loop every join shares: for each `left` item, `emit` the
+/// output rows of its `matches` (indices into the build side; empty for
+/// none), in order.
+///
+/// Sequential by measurement, not by omission: chunking whichever side is
+/// large across threads (the left items, or the one seed row's 60k
+/// matches of a schema join) ran the Fig. 6 join at 0.75× and the fig13
+/// chain at 0.81× of this loop on the 2-vCPU bench host (PR 19,
+/// `CHANGES.md`).
+pub(crate) fn probe<'m, L, R>(
+    left: &[L],
+    mut matches: impl FnMut(&L) -> Result<&'m [usize]>,
+    mut emit: impl FnMut(&L, &[usize], &mut Vec<R>) -> Result<()>,
+) -> Result<Vec<R>> {
+    let mut out = Vec::new();
+    for l in left {
+        let hits = matches(l)?;
+        out.reserve(hits.len());
+        emit(l, hits, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// Builds the `join_result` relation from denormalized rows through the
+/// bulk fast path (row ids ascend, so no sort happens; the value vectors
+/// move straight into the tuples).
+fn rows_to_relation(rows: impl IntoIterator<Item = Row>) -> Result<RelationF> {
     let rows = rows.into_iter();
     let mut out = RelationBuilder::new("join_result", &["row"]).with_capacity(rows.size_hint().0);
     // every row is named alike, as `Query::Join` names its rows: one name
     let name = Name::from("j");
-    for (i, attrs) in rows.enumerate() {
+    for (i, (shape, values)) in rows.enumerate() {
         out.push(
             Value::Int(i as i64),
-            TupleF::from_parts(name.clone(), attrs),
+            TupleF::from_shape(name.clone(), shape, values),
         );
     }
     out.build()
@@ -150,6 +214,17 @@ pub fn join(db: &DatabaseF) -> Result<RelationF> {
     join_with(db, &crate::optimizer::OptimizerConfig::new())
 }
 
+/// A partially joined row of the schema join: the denormalized values so
+/// far, and the key each already-joined relation is bound to (in the
+/// order the join's `bound_rels` lists them — all rows are built through
+/// the same relationship sequence, so the relation names are kept once,
+/// not per row).
+struct JoinRow {
+    shape: Arc<Shape>,
+    values: Vec<Value>,
+    bound: Vec<Value>,
+}
+
 /// [`join`] with an explicit [`OptimizerConfig`](crate::optimizer::OptimizerConfig):
 /// the config's [`join_cost`](crate::optimizer::OptimizerConfig::join_cost)
 /// resolution (explicit setting > `FDM_JOIN_COST` env > stats default)
@@ -169,9 +244,11 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
     }
 
     let mut rows: Vec<JoinRow> = vec![JoinRow {
+        shape: Shape::new([]),
+        values: Vec::new(),
         bound: Vec::new(),
-        attrs: Vec::new(),
     }];
+    let mut bound_rels: Vec<Name> = Vec::new();
     let mut pending: Vec<(Name, Arc<RelationshipF>)> = relationships;
     // Process relationships, preferring ones that share a participant with
     // what is already bound (so chains connect instead of going cartesian),
@@ -186,10 +263,6 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
     // minimum).
     let cost_by_entries = config.join_cost() == crate::optimizer::JoinCostModel::Entries;
     while !pending.is_empty() {
-        let bound_rels: std::collections::BTreeSet<Name> = rows
-            .first()
-            .map(|r| r.bound.iter().map(|(n, _)| n.clone()).collect())
-            .unwrap_or_default();
         let connected = |rsf: &RelationshipF| {
             rsf.participants()
                 .iter()
@@ -236,13 +309,13 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
             .unwrap_or(0)
         });
         let (rname, rsf) = pending.remove(idx);
-        // The bound set only exists to connect later relationships; the
-        // last one can skip maintaining it.
+        // The bound keys only exist to connect later relationships; the
+        // last one can skip maintaining them.
         let need_bound = !pending.is_empty();
-        rows = join_one_relationship(db, &rname, &rsf, rows, need_bound)?;
+        rows = join_one_relationship(db, &rname, &rsf, rows, &mut bound_rels, need_bound)?;
     }
 
-    rows_to_relation(rows.into_iter().map(|r| r.attrs))
+    rows_to_relation(rows.into_iter().map(|r| (r.shape, r.values)))
 }
 
 /// Extends each working row with the matching entries of one relationship.
@@ -251,12 +324,13 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
 /// (hash build over the relationship side), so each row probes once instead
 /// of scanning every entry; unbound participants are then bound by key
 /// lookup into their relations (inner join: a dangling key drops the
-/// entry).
+/// entry) and their relations appended to `bound_rels`.
 fn join_one_relationship(
     db: &DatabaseF,
     rname: &str,
     rsf: &RelationshipF,
     rows: Vec<JoinRow>,
+    bound_rels: &mut Vec<Name>,
     need_bound: bool,
 ) -> Result<Vec<JoinRow>> {
     // Resolve participant relations.
@@ -270,18 +344,13 @@ fn join_one_relationship(
         })?;
         parts.push((p.function.clone(), rel));
     }
-    if rows.is_empty() {
-        return Ok(rows);
-    }
 
-    // Which participant positions are already bound in the working rows?
-    // All rows share one bound set (they are built through the same
-    // relationship sequence), so the first row decides.
-    let bound_positions: Vec<usize> = parts
+    // Which participant positions are already bound in the working rows,
+    // and where in a row's `bound` their key sits?
+    let bound_positions: Vec<(usize, usize)> = parts
         .iter()
         .enumerate()
-        .filter(|(_, (pname, _))| rows[0].bound_key(pname).is_some())
-        .map(|(i, _)| i)
+        .filter_map(|(i, (pname, _))| Some((i, bound_rels.iter().position(|b| b == pname)?)))
         .collect();
     // Each relation binds once: a second participant position backed by an
     // already-seen relation contributes no further binding (matching the
@@ -289,7 +358,7 @@ fn join_one_relationship(
     // qualified names that shadow each other in the output tuple.
     let mut unbound_positions: Vec<usize> = Vec::new();
     for i in 0..parts.len() {
-        if bound_positions.contains(&i) {
+        if bound_positions.iter().any(|&(b, _)| b == i) {
             continue;
         }
         if unbound_positions.iter().any(|&j| parts[j].0 == parts[i].0) {
@@ -297,6 +366,7 @@ fn join_one_relationship(
         }
         unbound_positions.push(i);
     }
+    bound_rels.extend(unbound_positions.iter().map(|&i| parts[i].0.clone()));
 
     // One `Value` per probe: the single bound key directly, or a key list —
     // both hash without a per-probe `Vec` allocation for the common
@@ -324,7 +394,7 @@ fn join_one_relationship(
     if !bound_positions.is_empty() {
         index.reserve(entries.len());
         for (ei, (args, _)) in entries.iter().enumerate() {
-            let probe = probe_key(&mut bound_positions.iter().map(|&i| args[i].clone()));
+            let probe = probe_key(&mut bound_positions.iter().map(|&(i, _)| args[i].clone()));
             index.entry(probe).or_default().push(ei);
         }
     }
@@ -336,243 +406,99 @@ fn join_one_relationship(
         .map(|p| Name::from(format!("{}.{}", p.function, p.key).as_str()))
         .collect();
 
-    /// Per-worker mutable state: one qualifier per participant (interned
-    /// qualified names) and the participant-tuple attribute-run cache
-    /// (participant tuples repeat across many output rows; `None` caches a
-    /// dangling key). Each thread owns its own — the caches are pure
-    /// memoization, so duplicating them across chunks changes cost, never
-    /// content.
-    struct Worker {
-        part_quals: Vec<Qualifier>,
-        part_cache: Vec<FxHashMap<Value, Option<AttrRun>>>,
-        scratch: Vec<AttrRun>,
-    }
-
-    impl Worker {
-        fn new(parts: &[(Name, Arc<RelationF>)]) -> Worker {
-            Worker {
-                part_quals: parts.iter().map(|(p, _)| Qualifier::new(p)).collect(),
-                part_cache: parts.iter().map(|_| FxHashMap::default()).collect(),
-                scratch: Vec::new(),
-            }
-        }
-    }
-
-    /// Extends one working row with its matching entries — the shared body
-    /// of the sequential and parallel paths. `entry_attrs` supplies the
-    /// relationship's own qualified attributes per entry index (lazy in the
-    /// sequential path, precomputed in the parallel one).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_rows_for(
-        row: &JoinRow,
-        matches: &[usize],
-        entries: &[(&[Value], &Arc<TupleF>)],
-        parts: &[(Name, Arc<RelationF>)],
-        unbound_positions: &[usize],
-        key_names: &[Name],
-        need_bound: bool,
-        entry_attrs: &mut dyn FnMut(usize) -> Result<AttrRun>,
-        w: &mut Worker,
-        next: &mut Vec<JoinRow>,
-    ) -> Result<()> {
-        'entry: for &ei in matches {
-            let (args, _) = &entries[ei];
-            // Resolve every unbound participant to its cached qualified
-            // attribute run first (inner join: a dangling key drops the
-            // entry before any row is allocated).
-            w.scratch.clear();
-            for &i in unbound_positions {
-                let arg = &args[i];
-                let cached = match w.part_cache[i].get(arg) {
-                    Some(c) => c.clone(),
-                    None => {
-                        let computed = match parts[i].1.lookup(arg) {
-                            Some(tuple) => {
-                                let mut attrs = vec![(key_names[i].clone(), arg.clone())];
-                                w.part_quals[i].qualify(&tuple, &mut attrs)?;
-                                Some(AttrRun::from(attrs))
-                            }
-                            None => None,
-                        };
-                        w.part_cache[i].insert(arg.clone(), computed.clone());
-                        computed
-                    }
-                };
-                match cached {
-                    Some(attrs) => w.scratch.push(attrs),
-                    None => continue 'entry,
-                }
-            }
-            let rel_attrs = entry_attrs(ei)?;
-            // Assemble the output row in one exact-capacity allocation.
-            let cap = row.attrs.len()
-                + w.scratch.iter().map(|r| r.len()).sum::<usize>()
-                + rel_attrs.len();
-            let mut attrs = Vec::with_capacity(cap);
-            attrs.extend_from_slice(&row.attrs);
-            for run in &w.scratch {
-                attrs.extend(run.iter().cloned());
-            }
-            attrs.extend(rel_attrs.iter().cloned());
-            let bound = if need_bound {
-                let mut bound = Vec::with_capacity(row.bound.len() + unbound_positions.len());
-                bound.extend_from_slice(&row.bound);
-                for &i in unbound_positions {
-                    bound.push((parts[i].0.clone(), args[i].clone()));
-                }
-                bound
-            } else {
-                Vec::new()
-            };
-            next.push(JoinRow { bound, attrs });
-        }
-        Ok(())
-    }
-
-    /// Which entries does a working row match? With nothing bound, all of
-    /// them; otherwise the hash index filters by the bound keys.
-    fn matches_for<'a>(
-        row: &JoinRow,
-        bound_positions: &[usize],
-        parts: &[(Name, Arc<RelationF>)],
-        all_entries: &'a [usize],
-        index: &'a FxHashMap<Value, Vec<usize>>,
-        probe_key: &dyn Fn(&mut dyn Iterator<Item = Value>) -> Value,
-    ) -> Option<&'a [usize]> {
-        if bound_positions.is_empty() {
-            Some(all_entries)
-        } else {
-            let probe = probe_key(&mut bound_positions.iter().map(|&i| {
-                row.bound_key(&parts[i].0)
-                    .expect("position is bound")
-                    .clone()
-            }));
-            index.get(&probe).map(Vec::as_slice)
-        }
-    }
-
-    // The relationship's own attributes are qualified once per entry —
-    // eagerly in one cache-friendly pass when every entry will be visited,
-    // lazily when an index filters them.
+    // Memoization across the probe: the participant tuples already looked
+    // up (participant keys repeat across many entries; `None` caches a
+    // dangling key) — held as indices into `tuples`, not `Arc` clones, so
+    // an output row touches no participant refcount — the interned
+    // qualified names, and the output shape per combination of input
+    // shapes.
+    let mut part_quals: Vec<Qualifier> = parts.iter().map(|(p, _)| Qualifier::new(p)).collect();
     let mut rel_qual = Qualifier::new(rname);
-    let mut entry_attrs: Vec<Option<AttrRun>> = vec![None; entries.len()];
-    if bound_positions.is_empty() {
-        for (ei, (_, rattrs)) in entries.iter().enumerate() {
-            let mut attrs = Vec::new();
-            rel_qual.qualify(rattrs, &mut attrs)?;
-            entry_attrs[ei] = Some(Arc::from(attrs));
-        }
-    }
+    let mut part_cache: Vec<FxHashMap<Value, Option<usize>>> =
+        parts.iter().map(|_| FxHashMap::default()).collect();
+    let mut tuples: Vec<Arc<TupleF>> = Vec::new();
+    let mut scratch: Vec<usize> = Vec::new();
+    let mut shapes: ShapeMemo<Arc<Shape>> = ShapeMemo::new();
 
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(rows.len()) {
-        // Probing is pure per-row work over read-only state (index, entry
-        // table, participant relations), so chunk the working rows across
-        // threads; concatenating the chunk outputs in order reproduces the
-        // sequential row order exactly. Entry attrs pre-qualified in the
-        // visit-everything case are shared read-only; when an index
-        // filters, each chunk memoizes lazily (like the sequential path —
-        // unmatched entries are never qualified, just at worst once per
-        // chunk instead of once).
-        let entry_attrs = entry_attrs; // frozen, shared across chunks
-        let chunk_outputs = par_map_chunks(&rows, cfg.threads, |chunk| -> Result<Vec<JoinRow>> {
-            let mut w = Worker::new(&parts);
-            let mut out = Vec::with_capacity(chunk.len());
-            let mut rel_qual = Qualifier::new(rname);
-            let mut local_attrs: FxHashMap<usize, AttrRun> = FxHashMap::default();
-            let mut get_attrs = |ei: usize| -> Result<AttrRun> {
-                if let Some(a) = &entry_attrs[ei] {
-                    return Ok(a.clone());
-                }
-                if let Some(a) = local_attrs.get(&ei) {
-                    return Ok(a.clone());
-                }
-                let (_, rattrs) = &entries[ei];
-                let mut attrs = Vec::new();
-                rel_qual.qualify(rattrs, &mut attrs)?;
-                let a: AttrRun = Arc::from(attrs);
-                local_attrs.insert(ei, a.clone());
-                Ok(a)
-            };
-            for row in chunk {
-                let Some(matches) = matches_for(
-                    row,
-                    &bound_positions,
-                    &parts,
-                    &all_entries,
-                    &index,
-                    &probe_key,
-                ) else {
-                    continue;
-                };
-                emit_rows_for(
-                    row,
-                    matches,
-                    &entries,
-                    &parts,
-                    &unbound_positions,
-                    &key_names,
-                    need_bound,
-                    &mut get_attrs,
-                    &mut w,
-                    &mut out,
-                )?;
+    probe(
+        &rows,
+        // With nothing bound every row matches every entry; otherwise the
+        // hash index filters by the row's bound keys.
+        |row| {
+            if bound_positions.is_empty() {
+                return Ok(&all_entries[..]);
             }
-            Ok(out)
-        });
-        let mut next = Vec::new();
-        for out in chunk_outputs {
-            next.extend(out?);
-        }
-        return Ok(next);
-    }
-
-    // Sequential path. Upper bound for the unfiltered case; later
-    // relationships grow on demand.
-    let mut next = Vec::with_capacity(if bound_positions.is_empty() {
-        entries.len()
-    } else {
-        rows.len()
-    });
-    let mut w = Worker::new(&parts);
-    for row in &rows {
-        let Some(matches) = matches_for(
-            row,
-            &bound_positions,
-            &parts,
-            &all_entries,
-            &index,
-            &probe_key,
-        ) else {
-            continue;
-        };
-        let mut get_attrs = |ei: usize| -> Result<AttrRun> {
-            match &entry_attrs[ei] {
-                Some(a) => Ok(a.clone()),
-                None => {
-                    let (_, rattrs) = &entries[ei];
-                    let mut attrs = Vec::new();
-                    rel_qual.qualify(rattrs, &mut attrs)?;
-                    let a: AttrRun = Arc::from(attrs);
-                    entry_attrs[ei] = Some(a.clone());
-                    Ok(a)
+            let probe = probe_key(&mut bound_positions.iter().map(|&(_, b)| row.bound[b].clone()));
+            Ok(index.get(&probe).map_or(&[][..], Vec::as_slice))
+        },
+        |row, matches, next| {
+            'entry: for &ei in matches {
+                let (args, rattrs) = entries[ei];
+                // Resolve every unbound participant to its tuple first
+                // (inner join: a dangling key drops the entry before any
+                // row is allocated).
+                scratch.clear();
+                for &i in &unbound_positions {
+                    let arg = &args[i];
+                    let cached = match part_cache[i].get(arg) {
+                        Some(c) => *c,
+                        None => {
+                            let found = match parts[i].1.lookup(arg) {
+                                Some(tuple) => {
+                                    tuples.push(frozen(tuple)?);
+                                    Some(tuples.len() - 1)
+                                }
+                                None => None,
+                            };
+                            part_cache[i].insert(arg.clone(), found);
+                            found
+                        }
+                    };
+                    match cached {
+                        Some(at) => scratch.push(at),
+                        None => continue 'entry,
+                    }
                 }
+                // The output shape: the row so far, then per newly bound
+                // participant its key and its tuple's attributes, then the
+                // relationship's own — all qualified, derived once per
+                // combination of the shapes involved.
+                let found = scratch.iter().map(|&at| tuples[at].shape());
+                let inputs = [&row.shape]
+                    .into_iter()
+                    .chain(found)
+                    .chain([rattrs.shape()]);
+                let shape = shapes.get_or_derive(inputs, || {
+                    let mut names = Vec::new();
+                    for (&i, &at) in unbound_positions.iter().zip(&scratch) {
+                        names.push(key_names[i].clone());
+                        names.extend(tuples[at].attr_names().map(|n| part_quals[i].name(n)));
+                    }
+                    names.extend(rattrs.attr_names().map(|n| rel_qual.name(n)));
+                    row.shape.with_names(names)
+                });
+                let mut values = Vec::with_capacity(shape.len());
+                values.extend_from_slice(&row.values);
+                for (&i, &at) in unbound_positions.iter().zip(&scratch) {
+                    values.push(args[i].clone());
+                    tuples[at].values_into(&mut values)?;
+                }
+                rattrs.values_into(&mut values)?;
+                let mut bound = Vec::new();
+                if need_bound {
+                    bound.reserve_exact(row.bound.len() + unbound_positions.len());
+                    bound.extend_from_slice(&row.bound);
+                    bound.extend(unbound_positions.iter().map(|&i| args[i].clone()));
+                }
+                next.push(JoinRow {
+                    shape: shape.clone(),
+                    values,
+                    bound,
+                });
             }
-        };
-        emit_rows_for(
-            row,
-            matches,
-            &entries,
-            &parts,
-            &unbound_positions,
-            &key_names,
-            need_bound,
-            &mut get_attrs,
-            &mut w,
-            &mut next,
-        )?;
-    }
-    Ok(next)
+            Ok(())
+        },
+    )
 }
 
 /// Joins relations by explicit equi-conditions (Fig. 6, second costume),
@@ -582,19 +508,18 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
     if conditions.is_empty() {
         return Err(FdmError::Other("join_on: no conditions given".to_string()));
     }
-    // working rows: qualified attrs + set of bound relation names
+    // working rows over qualified shapes + set of bound relation names
     let mut bound: Vec<Name> = Vec::new();
-    let mut rows: Vec<Vec<(Name, Value)>> = Vec::new();
 
     // seed with the first condition's left relation (keys inlined so
     // conditions may reference key attributes like `customers.cid`)
     let first = &conditions[0];
     let left = crate::filter::with_inlined_keys(db.relation(&first.left_rel)?.as_ref())?;
-    let mut left_qual = Qualifier::new(&first.left_rel);
+    let mut seed = RowJoiner::new(&first.left_rel);
+    let nothing = Shape::new([]);
+    let mut rows: Vec<Row> = Vec::with_capacity(left.len());
     for (_, t) in left.tuples()? {
-        let mut attrs = Vec::new();
-        left_qual.qualify(&t, &mut attrs)?;
-        rows.push(attrs);
+        rows.push(seed.row(&nothing, &[], &t)?);
     }
     bound.push(Name::from(first.left_rel.as_str()));
 
@@ -622,21 +547,24 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
             };
         if bound.iter().any(|b| b.as_ref() == build_rel.as_str()) {
             // both sides already bound: apply as a post-filter
-            let lq = Name::from(format!("{}.{}", cond.left_rel, cond.left_attr).as_str());
-            let rq = Name::from(format!("{}.{}", cond.right_rel, cond.right_attr).as_str());
-            rows.retain(|attrs| {
-                let l = attrs.iter().find(|(n, _)| *n == lq).map(|(_, v)| v);
-                let r = attrs.iter().find(|(n, _)| *n == rq).map(|(_, v)| v);
+            let lq = format!("{}.{}", cond.left_rel, cond.left_attr);
+            let rq = format!("{}.{}", cond.right_rel, cond.right_attr);
+            rows.retain(|(shape, values)| {
+                let l = shape.position(&lq).map(|at| &values[at]);
+                let r = shape.position(&rq).map(|at| &values[at]);
                 matches!((l, r), (Some(a), Some(b)) if a == b)
             });
             continue;
         }
-        // hash-build the new side by its join attribute (keys inlined),
-        // qualifying each build tuple once — probe hits just clone the
-        // prepared attribute run
+        // hash-build the new side by its join attribute (keys inlined);
+        // probe hits copy values straight out of the build tuples
         let build_src = db.relation(build_rel)?;
         let build = crate::filter::with_inlined_keys(build_src.as_ref())?;
-        let mut build_qual = Qualifier::new(build_rel);
+        let build_rows: Vec<Arc<TupleF>> = build
+            .tuples()?
+            .into_iter()
+            .map(|(_, t)| frozen(t))
+            .collect::<Result<_>>()?;
         // pre-size the hash table from the stats layer's distinct-count
         // *hint* — the table holds one entry per distinct join-attribute
         // value, not one per row (exact for key/unique attrs). The hint
@@ -645,47 +573,30 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
         // always fresh-empty) so it can see sketches a planner already
         // computed there; it never triggers the O(n) sketch build itself,
         // because a capacity guess is not worth an analyze scan per join.
-        let mut table: FxHashMap<Value, Vec<AttrRun>> = FxHashMap::with_capacity_and_hasher(
+        let mut table: FxHashMap<Value, Vec<usize>> = FxHashMap::with_capacity_and_hasher(
             fdm_core::distinct_hint(&build_src, build_attr),
             Default::default(),
         );
-        for (_, t) in build.tuples()? {
-            let mut attrs = Vec::new();
-            build_qual.qualify(&t, &mut attrs)?;
-            table
-                .entry(t.get(build_attr)?)
-                .or_default()
-                .push(Arc::from(attrs));
+        for (bi, t) in build_rows.iter().enumerate() {
+            table.entry(t.get(build_attr)?).or_default().push(bi);
         }
-        let probe_q = Name::from(format!("{probe_rel}.{probe_attr}").as_str());
-        let probe_rows = |chunk: &[Vec<(Name, Value)>]| {
-            let mut out = Vec::with_capacity(chunk.len());
-            for attrs in chunk {
-                let Some((_, pv)) = attrs.iter().find(|(n, _)| *n == probe_q) else {
-                    continue;
-                };
-                if let Some(matches) = table.get(pv) {
-                    for t in matches {
-                        let mut merged = attrs.clone();
-                        merged.extend(t.iter().cloned());
-                        out.push(merged);
-                    }
+        let probe_q = format!("{probe_rel}.{probe_attr}");
+        let mut joiner = RowJoiner::new(build_rel);
+        rows = probe(
+            &rows,
+            |(shape, values)| {
+                let hits = shape
+                    .position(&probe_q)
+                    .and_then(|at| table.get(&values[at]));
+                Ok(hits.map_or(&[][..], Vec::as_slice))
+            },
+            |(shape, values), hits, out| {
+                for &bi in hits {
+                    out.push(joiner.row(shape, values, &build_rows[bi])?);
                 }
-            }
-            out
-        };
-        // The probe side is pure per-row work against the read-only hash
-        // table — chunk it across threads on large inputs; chunk outputs
-        // concatenate back in row order.
-        let cfg = ParConfig::from_env();
-        rows = if cfg.should_parallelize(rows.len()) {
-            par_map_chunks(&rows, cfg.threads, probe_rows)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            probe_rows(&rows)
-        };
+                Ok(())
+            },
+        )?;
         bound.push(Name::from(build_rel.as_str()));
     }
 

@@ -24,7 +24,13 @@
 //! hash collisions by canonical data-key order — instead of by emission
 //! order. Row identity is then a function of the row's **data**, not of
 //! the order the executor happened to produce it in, so two join orders
-//! that produce the same data produce the same keyed relation. The
+//! that produce the same data produce the same keyed relation. Only a
+//! join whose keys somebody can observe pays for this — the plan root,
+//! or one under `Limit`/`OrderBy`/`GroupAgg`; a join whose rows reach
+//! another join through nothing but `Filter`/`Project` is keyed by
+//! emission index, which the join above never reads. The ids are opaque:
+//! their values changed in PR 13 and again in PR 19 (the hash now
+//! continues the shape's name hash with the values). The
 //! pinned contract (`tests/tests/plan_reordering.rs`): an optimized plan
 //! yields the **same keys** mapping to **data-identical tuples** as the
 //! declared plan; only attribute declaration order (and therefore
@@ -36,9 +42,10 @@
 //! fallback). See `docs/OPTIMIZER.md` for the full cost model.
 
 use crate::aggregate::{group_and_aggregate, AggSpec};
-use crate::filter::filter_bound;
+use crate::filter::{filter_bound, KeyInliner};
+use crate::join::{frozen, RowJoiner};
 use crate::optimizer::Optimizer;
-use fdm_core::{DatabaseF, FdmError, Name, RelationF, Result, TupleF, Value};
+use fdm_core::{DatabaseF, FdmError, RelationF, Result, ShapeMemo, TupleF, Value};
 use fdm_expr::{Expr, Params};
 use std::sync::Arc;
 
@@ -81,10 +88,11 @@ pub enum Query {
     /// Left-deep equi-join: extend each input tuple with the matching
     /// tuples of `rel` (attributes prefixed `rel.`).
     ///
-    /// Output rows are keyed **canonically**: `[fingerprint hash, rank]`
-    /// derived from each row's cached `DataKey`, never from emission
-    /// order — the invariant that lets the optimizer reorder adjacent
-    /// joins without changing observable results (see the module docs).
+    /// Output rows whose keys are observable are keyed **canonically**:
+    /// `[fingerprint hash, rank]` derived from each row's cached
+    /// `DataKey`, never from emission order — the invariant that lets the
+    /// optimizer reorder adjacent joins without changing observable
+    /// results (see the module docs).
     Join {
         /// Input plan (left side).
         input: Box<Query>,
@@ -272,11 +280,16 @@ impl Query {
     /// (innermost first) — the EXPLAIN ANALYZE of this engine.
     pub fn eval_with_stats(&self, db: &DatabaseF) -> Result<(RelationF, QueryStats)> {
         let mut stats = QueryStats::default();
-        let rel = self.run(db, &mut stats)?;
+        let rel = self.run(db, &mut stats, true)?;
         Ok((rel, stats))
     }
 
-    fn run(&self, db: &DatabaseF, stats: &mut QueryStats) -> Result<RelationF> {
+    /// `keyed`: are this operator's output keys observable — at the plan
+    /// root, or by a parent that reads them (`Limit`, `OrderBy`,
+    /// `GroupAgg`)? `Filter` and `Project` pass their own answer down; a
+    /// `Join` reads only its input's tuples, so a join below it skips the
+    /// canonical row ids (see the module docs).
+    fn run(&self, db: &DatabaseF, stats: &mut QueryStats, keyed: bool) -> Result<RelationF> {
         let out = match self {
             // Scans inline the key as an attribute so downstream operators
             // can filter/project/join on it (`cid` etc.).
@@ -294,12 +307,21 @@ impl Query {
                         stats.produced.push((input.describe(), rel.len()));
                         crate::filter::filter_scan(&rel, pred)?
                     }
-                    None => filter_bound(&input.run(db, stats)?, pred)?,
+                    None => filter_bound(&input.run(db, stats, keyed)?, pred)?,
                 }
             }
             Query::Project { input, attrs } => {
-                let rel = input.run(db, stats)?;
+                let rel = input.run(db, stats, keyed)?;
                 let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                // the projected shape is derived once per input shape; one
+                // that lacks an attribute reports it through `project`
+                let project = |shapes: &mut ShapeMemo<_>, tuple: &TupleF| -> Result<TupleF> {
+                    let shape = tuple.shape();
+                    match shapes.get_or_derive([shape], || shape.project(&keep).ok()) {
+                        Some((shape, slots)) => Ok(tuple.select(shape.clone(), slots)),
+                        None => tuple.project(&keep),
+                    }
+                };
                 let entries = rel.tuples()?;
                 let cfg = fdm_core::ParConfig::from_env();
                 if cfg.should_parallelize(entries.len()) {
@@ -308,10 +330,11 @@ impl Query {
                         &entries,
                         cfg.threads,
                         |chunk| -> Result<Vec<_>> {
+                            let mut shapes = ShapeMemo::new();
                             chunk
                                 .iter()
                                 .map(|(key, tuple)| {
-                                    Ok((key.clone(), Arc::new(tuple.project(&keep)?)))
+                                    Ok((key.clone(), Arc::new(project(&mut shapes, tuple)?)))
                                 })
                                 .collect()
                         },
@@ -323,8 +346,9 @@ impl Query {
                     out.build()?
                 } else {
                     let mut out = rel.builder_like();
+                    let mut shapes = ShapeMemo::new();
                     for (key, tuple) in entries {
-                        out.push(key, tuple.project(&keep)?);
+                        out.push(key, project(&mut shapes, &tuple)?);
                     }
                     out.build()?
                 }
@@ -335,7 +359,7 @@ impl Query {
                 input_attr,
                 rel_attr,
             } => {
-                let left = input.run(db, stats)?;
+                let left = input.run(db, stats, false)?;
                 // A plain stored right side is read in place: the join
                 // attribute comes off the tuple or its key, and the key is
                 // inlined only into tuples some left row matches. Other
@@ -355,48 +379,58 @@ impl Query {
                     let on = crate::filter::get_inlined(key, t, key_names, rel_attr)?;
                     table.entry(on).or_default().push(i);
                 }
-                // qualified right-side names interned once per attribute,
-                // qualified right-side attributes built once per tuple
-                let mut qual = crate::join::Qualifier::new(rel);
-                let mut right_attrs: Vec<Option<crate::join::AttrRun>> =
-                    vec![None; right_rows.len()];
-                let name = Name::from("j");
-                let mut rows: Vec<Arc<TupleF>> = Vec::new();
-                for (_, lt) in left.tuples()? {
-                    let Some(matches) = table.get(&lt.get(input_attr)?) else {
-                        continue;
-                    };
-                    let left_attrs = lt.materialize()?;
-                    for &i in matches {
-                        if right_attrs[i].is_none() {
-                            let (key, t) = &right_rows[i];
-                            let mut attrs = Vec::new();
-                            let inlined = crate::filter::inline_tuple(key, t, key_names);
-                            qual.qualify(&inlined, &mut attrs)?;
-                            right_attrs[i] = Some(attrs.into());
+                // Memoization across the probe: the output shape per (left
+                // shape, right shape), each matched right tuple with its
+                // key inlined, and the current left row's values.
+                let mut joiner = RowJoiner::new(rel);
+                let mut inliner = KeyInliner::new(key_names);
+                let mut inlined: Vec<Option<Arc<TupleF>>> = vec![None; right_rows.len()];
+                let mut left_values = Vec::new();
+                let rows = crate::join::probe(
+                    &left.tuples()?,
+                    |(_, lt)| {
+                        let hits = table.get(&lt.get(input_attr)?);
+                        Ok(hits.map_or(&[][..], Vec::as_slice))
+                    },
+                    |(_, lt), hits, rows| {
+                        left_values.clear();
+                        lt.values_into(&mut left_values)?;
+                        for &i in hits {
+                            let rt = match &mut inlined[i] {
+                                Some(rt) => rt,
+                                slot => {
+                                    let (key, t) = &right_rows[i];
+                                    slot.insert(frozen(inliner.inline(key, t))?)
+                                }
+                            };
+                            let row = joiner.tuple(lt.shape(), &left_values, rt)?;
+                            rows.push(Arc::new(row));
                         }
-                        let right_attrs = right_attrs[i].as_deref().expect("filled above");
-                        let mut attrs = Vec::with_capacity(left_attrs.len() + right_attrs.len());
-                        attrs.extend_from_slice(&left_attrs);
-                        attrs.extend_from_slice(right_attrs);
-                        rows.push(Arc::new(TupleF::from_parts(name.clone(), attrs)));
-                    }
+                        Ok(())
+                    },
+                )?;
+                if keyed {
+                    canonical_keyed(rows)?
+                } else {
+                    // nobody reads these keys: emission order will do
+                    let rows = rows.into_iter().enumerate();
+                    let keyed = rows.map(|(i, t)| (Value::Int(i as i64), t)).collect();
+                    RelationF::from_sorted("join", &["row"], keyed)
                 }
-                canonical_keyed(rows)?
             }
             Query::GroupAgg { input, by, aggs } => {
-                let rel = input.run(db, stats)?;
+                let rel = input.run(db, stats, true)?;
                 let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
                 let agg_refs: Vec<(&str, AggSpec)> =
                     aggs.iter().map(|(n, a)| (n.as_str(), a.clone())).collect();
                 group_and_aggregate(&rel, &by_refs, &agg_refs)?
             }
             Query::OrderBy { input, attr, order } => {
-                let rel = input.run(db, stats)?;
+                let rel = input.run(db, stats, true)?;
                 crate::transform::order_by(&rel, attr, *order)?
             }
             Query::Limit { input, k } => {
-                let rel = input.run(db, stats)?;
+                let rel = input.run(db, stats, true)?;
                 crate::transform::limit(&rel, *k)?
             }
             // a deferred plan-construction error surfaces here, as the

@@ -53,10 +53,7 @@ use std::sync::Arc;
 /// ([`par_map_chunks`]) k-way-merged back in key order — byte-identical
 /// to the sequential copy.
 pub fn deep_copy_relation(rel: &RelationF) -> Result<RelationF> {
-    let copy_tuple = |tuple: &Arc<TupleF>| -> Result<TupleF> {
-        // names are already interned — no re-allocation
-        Ok(TupleF::from_parts(tuple.name(), tuple.materialize()?))
-    };
+    let copy_tuple = |tuple: &Arc<TupleF>| tuple.frozen();
     let entries = rel.tuples()?;
     let cfg = ParConfig::from_env();
     if cfg.should_parallelize(entries.len()) {

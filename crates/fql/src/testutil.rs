@@ -134,20 +134,16 @@ pub fn chain_db(fanout: usize) -> DatabaseF {
 pub fn chain_db_scaled(base_rows: usize, fanout: usize) -> DatabaseF {
     let mut base = fdm_core::RelationBuilder::new("base", &["id"]);
     for i in 1..=base_rows as i64 {
-        base.push(
-            Value::Int(i),
-            TupleF::builder("b").attr("ak", i).attr("ck", i).build(),
-        );
+        let t = base.tuple("b").attr("ak", i).attr("ck", i).build();
+        base.push(Value::Int(i), t);
     }
     let mut a = fdm_core::RelationBuilder::new("a", &["aid"]);
     let mut av = 0i64;
     for k in 1..=base_rows as i64 {
         for _ in 0..fanout {
             av += 1;
-            a.push(
-                Value::Int(av),
-                TupleF::builder("a").attr("k", k).attr("av", av).build(),
-            );
+            let t = a.tuple("a").attr("k", k).attr("av", av).build();
+            a.push(Value::Int(av), t);
         }
     }
     // b and c are *keyed* by their join attributes so their distinct
@@ -155,17 +151,13 @@ pub fn chain_db_scaled(base_rows: usize, fanout: usize) -> DatabaseF {
     // joins, making (b, c) an exact cost tie for the adjacent pass.
     let mut b = fdm_core::RelationBuilder::new("b", &["k2"]);
     for v in 1..=(base_rows * fanout) as i64 {
-        b.push(
-            Value::Int(v),
-            TupleF::builder("bb").attr("bv", v * 2).build(),
-        );
+        let t = b.tuple("bb").attr("bv", v * 2).build();
+        b.push(Value::Int(v), t);
     }
     let mut c = fdm_core::RelationBuilder::new("c", &["k3"]);
     for k in 1..=base_rows as i64 {
-        c.push(
-            Value::Int(k),
-            TupleF::builder("cc").attr("cv", k * 7).build(),
-        );
+        let t = c.tuple("cc").attr("cv", k * 7).build();
+        c.push(Value::Int(k), t);
     }
     DatabaseF::new("chain")
         .with_relation(base.build().unwrap())

@@ -8,9 +8,9 @@
 //! replays. Concurrency still interleaves nondeterministically; the
 //! point is that the *inputs* never vary.
 
-use crate::retail::{generate, to_fdm, RetailConfig};
+use crate::retail::{generate, RetailConfig};
 use crate::zipf::Zipf;
-use fdm_core::{RelationBuilder, Result, TupleF, Value};
+use fdm_core::{RelationBuilder, Result, Value};
 use fdm_txn::{CommitPolicy, DurabilityConfig, DurabilityError, Store, Transaction, Version};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,25 +35,21 @@ pub fn retail_store_with(cfg: &RetailConfig, config: fdm_txn::StoreConfig) -> Ar
 /// stores with custom [`fdm_txn::StoreConfig`]s over the same schema.
 pub fn retail_db(cfg: &RetailConfig) -> fdm_core::DatabaseF {
     let data = generate(cfg);
-    let db = to_fdm(&data);
     let mut customers = RelationBuilder::new("customers", &["cid"]);
     for (cid, name, age, state) in &data.customers {
-        customers.push_arc(
-            Value::Int(*cid),
-            Arc::new(
-                TupleF::builder(format!("c{cid}"))
-                    .attr("name", name.as_str())
-                    .attr("age", *age)
-                    .attr("state", *state)
-                    .attr("credit", 0i64)
-                    .build(),
-            ),
-        );
+        let tuple = customers
+            .tuple(format!("c{cid}"))
+            .attr("name", name.as_str())
+            .attr("age", *age)
+            .attr("state", *state)
+            .attr("credit", 0i64)
+            .build();
+        customers.push(Value::Int(*cid), tuple);
     }
     let customers = customers
         .build()
         .expect("generated cids are unique and sorted");
-    db.with_relation(customers)
+    crate::retail::fdm_around(&data, customers)
 }
 
 /// [`retail_store`], but **durable**: creates a fresh WAL + checkpoint

@@ -5,13 +5,12 @@
 
 use crate::zipf::Zipf;
 use fdm_core::{
-    Constraint, DatabaseF, Domain, Participant, RelationBuilder, RelationshipBuilder, SharedDomain,
-    TupleF, Value, ValueType,
+    Constraint, DatabaseF, Domain, Participant, RelationBuilder, RelationF, RelationshipBuilder,
+    SharedDomain, Value, ValueType,
 };
 use fdm_relational::{Cell, Relation, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Parameters of the retail generator.
 #[derive(Debug, Clone)]
@@ -127,9 +126,6 @@ pub fn generate(cfg: &RetailConfig) -> RetailData {
 /// Builds the FDM database (relation functions + the `order` relationship
 /// function over shared domains) from generated data.
 pub fn to_fdm(data: &RetailData) -> DatabaseF {
-    let cid_dom = SharedDomain::new("cid", Domain::Typed(ValueType::Int));
-    let pid_dom = SharedDomain::new("pid", Domain::Typed(ValueType::Int));
-
     // The generator emits cids/pids in ascending order, so both relations
     // take the O(n) bulk path instead of n persistent inserts — and the
     // schema's attribute-domain constraints are validated in the same
@@ -137,16 +133,13 @@ pub fn to_fdm(data: &RetailData) -> DatabaseF {
     // re-scanning per constraint afterwards.
     let mut customers = RelationBuilder::new("customers", &["cid"]);
     for (cid, name, age, state) in &data.customers {
-        customers.push_arc(
-            Value::Int(*cid),
-            Arc::new(
-                TupleF::builder(format!("c{cid}"))
-                    .attr("name", name.as_str())
-                    .attr("age", *age)
-                    .attr("state", *state)
-                    .build(),
-            ),
-        );
+        let tuple = customers
+            .tuple(format!("c{cid}"))
+            .attr("name", name.as_str())
+            .attr("age", *age)
+            .attr("state", *state)
+            .build();
+        customers.push(Value::Int(*cid), tuple);
     }
     let customers = customers
         .build_with_constraints(&[
@@ -155,18 +148,24 @@ pub fn to_fdm(data: &RetailData) -> DatabaseF {
             Constraint::attr_domain("state", Domain::Typed(ValueType::Str)),
         ])
         .expect("generated customers satisfy the retail schema");
+    fdm_around(data, customers)
+}
+
+/// [`to_fdm`] around a caller-built `customers` relation (the serving
+/// driver's carries a `credit` attribute): products, the `order`
+/// relationship and the shared domains.
+pub(crate) fn fdm_around(data: &RetailData, customers: RelationF) -> DatabaseF {
+    let cid_dom = SharedDomain::new("cid", Domain::Typed(ValueType::Int));
+    let pid_dom = SharedDomain::new("pid", Domain::Typed(ValueType::Int));
     let mut products = RelationBuilder::new("products", &["pid"]);
     for (pid, name, price, category) in &data.products {
-        products.push_arc(
-            Value::Int(*pid),
-            Arc::new(
-                TupleF::builder(format!("p{pid}"))
-                    .attr("name", name.as_str())
-                    .attr("price", *price)
-                    .attr("category", *category)
-                    .build(),
-            ),
-        );
+        let tuple = products
+            .tuple(format!("p{pid}"))
+            .attr("name", name.as_str())
+            .attr("price", *price)
+            .attr("category", *category)
+            .build();
+        products.push(Value::Int(*pid), tuple);
     }
     let products = products
         .build_with_constraints(&[
@@ -188,14 +187,13 @@ pub fn to_fdm(data: &RetailData) -> DatabaseF {
     )
     .with_capacity(data.orders.len());
     for (cid, pid, date, qty) in &data.orders {
+        let attrs = order
+            .tuple("o")
+            .attr("date", date.as_str())
+            .attr("quantity", *qty)
+            .build();
         order
-            .push(
-                &[Value::Int(*cid), Value::Int(*pid)],
-                TupleF::builder("o")
-                    .attr("date", date.as_str())
-                    .attr("quantity", *qty)
-                    .build(),
-            )
+            .push(&[Value::Int(*cid), Value::Int(*pid)], attrs)
             .expect("generated keys lie in the shared domains");
     }
     let order = order.build().expect("generator emits unique (cid, pid)");

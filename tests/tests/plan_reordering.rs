@@ -21,7 +21,7 @@
 //! `explain_with_cost` example in sync with the real tool output.
 
 use fdm_core::{DatabaseF, RelationBuilder, RelationF, TupleF, Value};
-use fdm_expr::Params;
+use fdm_expr::{BinOp, Expr, Params};
 use fdm_fql::plan::Query;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -195,6 +195,53 @@ fn reordering_composes_with_pushdown() {
     assert_eq!(
         keyed_data(&q.eval(&db).unwrap()),
         keyed_data(&opt.eval(&db).unwrap())
+    );
+}
+
+#[test]
+fn three_joins_keep_root_ids_under_every_strategy() {
+    // Only a join whose keys somebody can see carries canonical row ids;
+    // the two joins below the root (one under a filter) are keyed by
+    // emission order, which every strategy is free to change. The root's
+    // ids and data — and what a `limit` over them keeps — must not move.
+    let db = fdm_fql::testutil::chain_db_scaled(12, 3);
+    let q = Query::scan("base")
+        .join("a", "ak", "k")
+        .join("c", "ck", "k3")
+        .filter_expr(Expr::bin(
+            BinOp::Gt,
+            Expr::Attr("c.cv".into()),
+            Expr::lit(7),
+        ))
+        .join("b", "a.av", "k2");
+    let declared = q.eval(&db).unwrap();
+    assert_eq!(declared.len(), (12 - 1) * 3);
+    for (key, t) in declared.tuples().unwrap() {
+        let id = key.as_list("row id").unwrap();
+        let hash = t.fingerprint().unwrap().hash() as i64;
+        assert_eq!(id, [Value::Int(hash), Value::Int(0)], "canonical root id");
+    }
+    let top = q.clone().limit(5).eval(&db).unwrap();
+    let mut plans = Vec::new();
+    for mode in [Some("off"), Some("adjacent"), None] {
+        let opt = with_reorder(mode, || q.clone().optimize_for(&db));
+        assert_eq!(
+            keyed_data(&opt.eval(&db).unwrap()),
+            keyed_data(&declared),
+            "{mode:?}"
+        );
+        let opt_top = with_reorder(mode, || q.clone().limit(5).optimize_for(&db));
+        assert_eq!(
+            keyed_data(&opt_top.eval(&db).unwrap()),
+            keyed_data(&top),
+            "limit under {mode:?}"
+        );
+        plans.push(opt.explain());
+    }
+    assert!(
+        plans.iter().any(|p| *p != plans[0]),
+        "some strategy really reorders the chain:\n{}",
+        plans[0]
     );
 }
 
