@@ -4,24 +4,27 @@
 //! [`MaintainedView`] compiles a [`Query`] once (through
 //! [`Optimizer::default`], so the maintained plan is the plan ad-hoc
 //! evaluation would run) into a tree of maintenance nodes, each holding
-//! its operator's materialized output plus whatever auxiliary state its
-//! delta rule needs. Feeding a base-table [`DbDelta`] into
-//! [`MaintainedView::apply`] walks the tree bottom-up; every node
-//! translates its input's row changes into its own and batches them into
-//! its output through the join-based merge setops
-//! ([`fdm_storage::PMap::merge_union`] / `merge_difference`): a delta of k
-//! rows against an n-row output costs O(k · log(n/k + 1)) per node and the
-//! new output shares every untouched subtree with the previous one — one
-//! copied path per changed row, never a rebuild. The per-plan node-count
-//! pin is `one_row_deltas_allocate_logarithmically` in
-//! `tests/tests/view_maintenance.rs`.
+//! only what its delta rule reads back. Feeding a base-table [`DbDelta`]
+//! into [`MaintainedView::apply`] walks the tree bottom-up; every node
+//! translates its input's row changes into its own, and a node that keeps
+//! its output batches them into it through the join-based merge setops
+//! ([`fdm_storage::PMap::merge_union`] / `merge_difference`): k rows
+//! against an n-row output cost O(k · log(n/k + 1)), and the new output
+//! shares every untouched subtree with the previous one — one copied path
+//! per changed row, never a rebuild (`one_row_deltas_allocate_logarithmically`
+//! in `tests/tests/view_maintenance.rs`).
 //!
 //! Per-operator delta rules:
 //!
-//! * **scan** — base changes pass through the same key-inlining the
-//!   executor's [`with_inlined_keys`] applies, one tuple at a time;
-//! * **filter** — re-evaluates the predicate on changed tuples only;
-//! * **project** — projects changed tuples only;
+//! * **scan / filter / project** — pure change transformers: both sides of
+//!   a change come from the incoming [`TupleChange`] (the scan inlines the
+//!   key as the executor's `with_inlined_keys` does, the filter
+//!   re-evaluates its predicate, the projection projects — `apply` trusts
+//!   the delta's `old` side, as its contract says). They keep **no**
+//!   relation unless they are the plan root or the direct input of an
+//!   operator that re-reads it (a join's left side, order-by, limit) —
+//!   decided from the plan, one rule either way
+//!   (`stateless_operators_keep_no_relation`);
 //! * **join** — relies on the executor's canonical-row-id contract
 //!   (output keys `[fingerprint hash, rank]` are a pure function of the
 //!   produced row *multiset*): the node keeps per-key hash bindings on
@@ -38,8 +41,10 @@
 //!   fall back to a *scoped recompute* (re-running just that operator
 //!   over its incrementally-maintained input), counted in
 //!   [`IvmStats::fallback_recomputes`]. A wholesale entry rebind
-//!   ([`EntryDelta::Replaced`]) likewise falls back at the affected scan
-//!   or join, so correctness never depends on delta-rule coverage.
+//!   ([`EntryDelta::Replaced`]) likewise falls back where state lives: a
+//!   join rebuilds over a rebound right side, and a rebound scan is
+//!   re-run, with the operators above it, by the nearest node that holds
+//!   state — so correctness never depends on delta-rule coverage.
 //!
 //! The differential-oracle suite (`tests/tests/view_maintenance.rs`)
 //! pins every rule against full recomputation; `docs/VIEWS.md` documents
@@ -50,12 +55,12 @@ use crate::filter::{key_attr_strs, with_inlined_keys, KeyInliner};
 use crate::optimizer::Optimizer;
 use crate::plan::Query;
 use crate::setops::key_map;
-use crate::transform::{self, Order};
+use crate::transform;
 use fdm_core::delta::{diff_relations, DbDelta, EntryDelta, TupleChange};
 use fdm_core::{
-    DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, Result, TupleF, Value,
+    DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape, TupleF, Value,
 };
-use fdm_expr::{eval_predicate, Expr};
+use fdm_expr::eval_predicate;
 use fdm_storage::PMap;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -71,8 +76,8 @@ pub struct IvmStats {
     /// Groups re-aggregated across all group/aggregate nodes.
     pub dirty_groups: u64,
     /// Scoped recomputes: operators without a delta rule (order-by,
-    /// limit) re-running over their maintained input, plus scans/joins
-    /// recovering from a wholesale entry rebind.
+    /// limit) re-running over their maintained input, plus one per node
+    /// that rebuilt its state after a wholesale entry rebind.
     pub fallback_recomputes: u64,
 }
 
@@ -161,7 +166,6 @@ impl Group {
 struct JoinState {
     /// Right side with key attributes inlined, kept current from deltas.
     right: RelationF,
-    right_key_names: Vec<Name>,
     /// join value → right-side keys holding it.
     right_idx: FxHashMap<Value, Vec<Value>>,
     /// join value → left-side keys holding it.
@@ -172,52 +176,35 @@ struct JoinState {
     buckets: FxHashMap<u64, Vec<Arc<TupleF>>>,
 }
 
-/// An operator without a delta rule, maintained by scoped recompute.
-#[derive(Clone)]
-enum FallbackOp {
-    OrderBy { attr: String, order: Order },
-    Limit { k: usize },
-}
-
-/// One maintenance node: the operator, its materialized output, and its
-/// delta state.
+/// One maintenance node: the state its operator's delta rule reads back
+/// (the operator itself is read off the plan, which [`Node::apply`] walks
+/// in step with the tree). Scan, filter and project read nothing back:
+/// their `out` is `None` — *released* — unless [`Node::build`] keeps it.
 #[derive(Clone)]
 enum Node {
     Scan {
-        rel: String,
         key_names: Vec<Name>,
-        out: RelationF,
+        out: Option<RelationF>,
     },
-    Filter {
+    /// A filter or a projection.
+    Map {
         input: Box<Node>,
-        pred: Expr,
-        out: RelationF,
-    },
-    Project {
-        input: Box<Node>,
-        attrs: Vec<String>,
-        out: RelationF,
+        out: Option<RelationF>,
     },
     Join {
         input: Box<Node>,
-        rel: String,
-        input_attr: String,
-        rel_attr: String,
         state: Box<JoinState>,
         out: RelationF,
     },
     GroupAgg {
         input: Box<Node>,
-        by: Vec<String>,
-        aggs: Vec<(String, AggSpec)>,
+        /// The name and the one shape every output row is built with.
+        row: (Name, Arc<Shape>),
         state: GroupState,
         out: RelationF,
     },
-    Fallback {
-        input: Box<Node>,
-        op: FallbackOp,
-        out: RelationF,
-    },
+    /// An order-by or a limit: no delta rule, maintained by scoped recompute.
+    Fallback { input: Box<Node>, out: RelationF },
 }
 
 /// Batches a node's output changes into its materialized relation via
@@ -253,6 +240,89 @@ fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> 
     ))
 }
 
+/// One key's transition — `None` when it is no change at all: absent on
+/// both sides, or the same data.
+fn transition(
+    key: &Value,
+    old: Option<Arc<TupleF>>,
+    new: Option<Arc<TupleF>>,
+) -> Option<TupleChange> {
+    match (&old, &new) {
+        (None, None) => None,
+        (Some(a), Some(b)) if a.eq_data(b) => None,
+        _ => Some(TupleChange {
+            key: key.clone(),
+            old,
+            new,
+        }),
+    }
+}
+
+/// The delta rule of scan, filter and project: `row` — the operator on one
+/// tuple, `None` when it drops the row — maps both sides of every change,
+/// so `old` is what the operator emitted for that key before.
+fn map_changes(
+    input: &[TupleChange],
+    mut row: impl FnMut(&Value, &Arc<TupleF>) -> Result<Option<Arc<TupleF>>>,
+) -> Result<Vec<TupleChange>> {
+    let mut changes = Vec::new();
+    for c in input {
+        let mut side = |t: &Option<Arc<TupleF>>| match t {
+            Some(t) => row(&c.key, t),
+            None => Ok(None),
+        };
+        changes.extend(transition(&c.key, side(&c.old)?, side(&c.new)?));
+    }
+    Ok(changes)
+}
+
+/// What a node emits for one delta: its output's row changes — or `None`,
+/// when a wholesale rebind reached a released node, which has no output to
+/// diff; a node that holds state never answers so.
+type Emitted = Result<Option<Vec<TupleChange>>>;
+
+/// A scan, filter or project emits `changes`: folded into its output where
+/// it keeps one.
+fn emit(out: &mut Option<RelationF>, changes: Vec<TupleChange>) -> Emitted {
+    if let Some(out) = out {
+        *out = apply_changes(out, &changes)?;
+    }
+    Ok(Some(changes))
+}
+
+/// A scoped recompute: `fresh` takes `out`'s place and the node emits
+/// what the two differ by.
+fn replace(out: &mut RelationF, fresh: RelationF, stats: &mut IvmStats) -> Emitted {
+    let changes = diff_relations(out, &fresh)?;
+    *out = fresh;
+    stats.fallback_recomputes += 1;
+    Ok(Some(changes))
+}
+
+/// A wholesale rebind reached a scan, filter or project: one that keeps
+/// its output re-runs its sub-plan through the executor, a released one
+/// answers `None` and so hands the rebind to the nearest state above it.
+fn rerun(
+    out: &mut Option<RelationF>,
+    plan: &Query,
+    db: &DatabaseF,
+    stats: &mut IvmStats,
+) -> Emitted {
+    match out {
+        Some(out) => replace(out, plan.eval(db)?, stats),
+        None => Ok(None),
+    }
+}
+
+/// An order-by or limit `plan` over its input's current output.
+fn reorder(plan: &Query, input: &RelationF) -> Result<RelationF> {
+    match plan {
+        Query::OrderBy { attr, order, .. } => transform::order_by(input, attr, *order),
+        Query::Limit { k, .. } => transform::limit(input, *k),
+        _ => unreachable!("a fallback node mirrors an order-by or a limit"),
+    }
+}
+
 /// The batch group-key rule: the single by-value, or a `Value::List` of
 /// them for composite groupings.
 fn group_key(t: &TupleF, by: &[String]) -> Result<Value> {
@@ -267,31 +337,49 @@ fn group_key(t: &TupleF, by: &[String]) -> Result<Value> {
     })
 }
 
-/// Re-aggregates one group, reproducing the batch operator's output
-/// tuple exactly (name, by-attributes, aggregate attributes, member
-/// fold order).
+/// Re-aggregates one group into the batch operator's output row (the
+/// by-attributes, then the aggregates, folded in member order), built
+/// over the node's one shared shape.
 fn agg_tuple_for(
     key: &Value,
     by: &[String],
     aggs: &[(String, AggSpec)],
+    (name, shape): &(Name, Arc<Shape>),
     group: &Group,
 ) -> Result<TupleF> {
-    let mut t = TupleF::builder(format!("agg[{key}]"));
-    match (key, by.len()) {
-        (Value::List(parts), n) if n > 1 => {
-            for (name, v) in by.iter().zip(parts.iter()) {
-                t = t.attr(name.as_str(), v.clone());
-            }
-        }
-        (v, _) => {
-            t = t.attr(by[0].as_str(), v.clone());
-        }
+    let mut values = Vec::with_capacity(shape.len());
+    match key {
+        Value::List(parts) if by.len() > 1 => values.extend(parts.iter().cloned()),
+        v => values.push(v.clone()),
     }
     let mut folded = None;
-    for (i, (name, spec)) in aggs.iter().enumerate() {
-        t = t.attr(name.as_str(), group.agg_value(i, spec, &mut folded)?);
+    for (i, (_, spec)) in aggs.iter().enumerate() {
+        values.push(group.agg_value(i, spec, &mut folded)?);
     }
-    Ok(t.build())
+    Ok(TupleF::from_shape(name.clone(), shape.clone(), values))
+}
+
+/// Groups `input` and aggregates every group: a group/aggregate node's
+/// state and output, at registration and after a rebind below it.
+fn build_groups(
+    input: &RelationF,
+    by: &[String],
+    aggs: &[(String, AggSpec)],
+    row: &(Name, Arc<Shape>),
+) -> Result<(GroupState, RelationF)> {
+    let mut state = GroupState::new();
+    for (key, tuple) in input.tuples()? {
+        state
+            .entry(group_key(&tuple, by)?)
+            .or_insert_with(|| Group::new(aggs))
+            .insert(aggs, key, tuple);
+    }
+    let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
+    let mut out = RelationBuilder::new("aggregates", &by_refs).with_capacity(state.len());
+    for (gk, group) in &state {
+        out.push(gk.clone(), agg_tuple_for(gk, by, aggs, row, group)?);
+    }
+    Ok((state, out.build()?))
 }
 
 /// The probe results of one left tuple against the current right index:
@@ -384,7 +472,6 @@ fn build_join_state(
     rel_name: &str,
 ) -> Result<(JoinState, RelationF)> {
     let mut state = JoinState {
-        right_key_names: right.key_attrs().to_vec(),
         right,
         right_idx: FxHashMap::default(),
         left_idx: FxHashMap::default(),
@@ -415,265 +502,168 @@ fn build_join_state(
 }
 
 impl Node {
-    /// This node's materialized output.
-    fn out(&self) -> &RelationF {
+    /// This node's output, where it keeps one.
+    fn out(&self) -> Option<&RelationF> {
         match self {
-            Node::Scan { out, .. }
-            | Node::Filter { out, .. }
-            | Node::Project { out, .. }
-            | Node::Join { out, .. }
-            | Node::GroupAgg { out, .. }
-            | Node::Fallback { out, .. } => out,
+            Node::Scan { out, .. } | Node::Map { out, .. } => out.as_ref(),
+            Node::Join { out, .. } | Node::GroupAgg { out, .. } | Node::Fallback { out, .. } => {
+                Some(out)
+            }
         }
     }
 
-    /// Builds the maintenance tree for `plan`, materializing every
-    /// operator's output exactly as [`Query::eval`] would.
-    fn build(plan: &Query, db: &DatabaseF) -> Result<Node> {
-        match plan {
-            Query::Scan { rel } => {
-                let out = with_inlined_keys(db.relation(rel)?.as_ref())?;
-                Ok(Node::Scan {
-                    rel: rel.clone(),
-                    key_names: out.key_attrs().to_vec(),
-                    out,
-                })
-            }
-            Query::Filter { input, pred } => {
-                let child = Node::build(input, db)?;
-                let out = crate::filter::filter_bound(child.out(), pred)?;
-                Ok(Node::Filter {
-                    input: Box::new(child),
-                    pred: pred.clone(),
-                    out,
-                })
-            }
-            Query::Project { input, attrs } => {
-                let child = Node::build(input, db)?;
-                let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                let mut out = child.out().builder_like();
-                for (key, tuple) in child.out().tuples()? {
-                    out.push(key, tuple.project(&keep)?);
-                }
-                Ok(Node::Project {
-                    input: Box::new(child),
-                    attrs: attrs.clone(),
-                    out: out.build()?,
-                })
-            }
+    /// The output of a node [`Node::build`] was told to keep.
+    fn kept(&self) -> &RelationF {
+        self.out()
+            .expect("the root and the input of a join, order-by or limit keep their output")
+    }
+
+    /// Builds the maintenance tree for `plan`. `keep`: does somebody read
+    /// this node's output — the view's reader at the root, or a parent that
+    /// re-reads its input? A scan, filter or project kept for them starts
+    /// from its sub-plan run through the executor; others build nothing.
+    fn build(plan: &Query, db: &DatabaseF, keep: bool) -> Result<Node> {
+        let first_out = || keep.then(|| plan.eval(db)).transpose();
+        Ok(match plan {
+            Query::Scan { rel } => Node::Scan {
+                key_names: db.relation(rel)?.key_attrs().to_vec(),
+                out: first_out()?,
+            },
+            Query::Filter { input, .. } | Query::Project { input, .. } => Node::Map {
+                input: Box::new(Node::build(input, db, false)?),
+                out: first_out()?,
+            },
             Query::Join {
                 input,
                 rel,
                 input_attr,
                 rel_attr,
             } => {
-                let child = Node::build(input, db)?;
+                let input = Box::new(Node::build(input, db, true)?);
                 let right = with_inlined_keys(db.relation(rel)?.as_ref())?;
-                let (state, out) = build_join_state(child.out(), right, input_attr, rel_attr, rel)?;
-                Ok(Node::Join {
-                    input: Box::new(child),
-                    rel: rel.clone(),
-                    input_attr: input_attr.clone(),
-                    rel_attr: rel_attr.clone(),
-                    state: Box::new(state),
-                    out,
-                })
+                let (state, out) =
+                    build_join_state(input.kept(), right, input_attr, rel_attr, rel)?;
+                let state = Box::new(state);
+                Node::Join { input, state, out }
             }
-            Query::GroupAgg { input, by, aggs } => {
-                let child = Node::build(input, db)?;
-                let mut state = GroupState::new();
-                for (key, tuple) in child.out().tuples()? {
-                    state
-                        .entry(group_key(&tuple, by)?)
-                        .or_insert_with(|| Group::new(aggs))
-                        .insert(aggs, key, tuple);
+            Query::GroupAgg {
+                input: sub,
+                by,
+                aggs,
+            } => {
+                if by.is_empty() {
+                    return Err(FdmError::Other("group: 'by' names no attribute".into()));
                 }
-                let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
-                let agg_refs: Vec<(&str, AggSpec)> =
-                    aggs.iter().map(|(n, a)| (n.as_str(), a.clone())).collect();
-                let out = crate::aggregate::group_and_aggregate(child.out(), &by_refs, &agg_refs)?;
-                Ok(Node::GroupAgg {
-                    input: Box::new(child),
-                    by: by.clone(),
-                    aggs: aggs.clone(),
+                let input = Box::new(Node::build(sub, db, false)?);
+                let names = by.iter().chain(aggs.iter().map(|(name, _)| name));
+                let shape = Shape::new(names.map(|n| Name::from(n.as_str())));
+                let row = (Name::from("agg"), shape);
+                let members = match input.out() {
+                    Some(out) => out.clone(),
+                    None => sub.eval(db)?,
+                };
+                let (state, out) = build_groups(&members, by, aggs, &row)?;
+                Node::GroupAgg {
+                    input,
+                    row,
                     state,
                     out,
-                })
+                }
             }
-            Query::OrderBy { input, attr, order } => {
-                let child = Node::build(input, db)?;
-                let out = transform::order_by(child.out(), attr, *order)?;
-                Ok(Node::Fallback {
-                    input: Box::new(child),
-                    op: FallbackOp::OrderBy {
-                        attr: attr.clone(),
-                        order: *order,
-                    },
-                    out,
-                })
+            Query::OrderBy { input, .. } | Query::Limit { input, .. } => {
+                let input = Box::new(Node::build(input, db, true)?);
+                let out = reorder(plan, input.kept())?;
+                Node::Fallback { input, out }
             }
-            Query::Limit { input, k } => {
-                let child = Node::build(input, db)?;
-                let out = transform::limit(child.out(), *k)?;
-                Ok(Node::Fallback {
-                    input: Box::new(child),
-                    op: FallbackOp::Limit { k: *k },
-                    out,
-                })
-            }
-            Query::Invalid { message } => Err(FdmError::Expr(message.clone())),
-        }
+            Query::Invalid { message } => return Err(FdmError::Expr(message.clone())),
+        })
     }
 
-    /// Propagates a base delta through this node, updating its output
-    /// and returning the output's own row changes.
+    /// Propagates a base delta through this node — `plan` is its sub-plan
+    /// — updating its state and returning its output's own row changes.
     fn apply(
         &mut self,
+        plan: &Query,
         db: &DatabaseF,
         delta: &DbDelta,
         stats: &mut IvmStats,
-    ) -> Result<Vec<TupleChange>> {
-        match self {
-            Node::Scan {
-                rel,
-                key_names,
-                out,
-            } => match delta.entry(rel) {
-                None => Ok(Vec::new()),
+    ) -> Emitted {
+        match (self, plan) {
+            (Node::Scan { key_names, out }, Query::Scan { rel }) => match delta.entry(rel) {
+                None => Ok(Some(Vec::new())),
                 Some(EntryDelta::Rows(base_changes)) => {
-                    let mut changes = Vec::new();
                     let mut inliner = KeyInliner::new(key_names);
-                    for c in base_changes {
-                        let old = out.lookup(&c.key);
-                        let new = c.new.as_ref().map(|t| inliner.inline(&c.key, t));
-                        match (&old, &new) {
-                            (Some(a), Some(b)) if a.eq_data(b) => continue,
-                            (None, None) => continue,
-                            _ => changes.push(TupleChange {
-                                key: c.key.clone(),
-                                old,
-                                new,
-                            }),
-                        }
-                    }
-                    *out = apply_changes(out, &changes)?;
-                    Ok(changes)
+                    let inline = |key: &Value, t: &Arc<TupleF>| Ok(Some(inliner.inline(key, t)));
+                    emit(out, map_changes(base_changes, inline)?)
                 }
                 Some(EntryDelta::Replaced) => {
-                    let new_out = with_inlined_keys(db.relation(rel)?.as_ref())?;
-                    let changes = diff_relations(out, &new_out)?;
-                    *key_names = new_out.key_attrs().to_vec();
-                    *out = new_out;
-                    stats.fallback_recomputes += 1;
-                    Ok(changes)
+                    *key_names = db.relation(rel)?.key_attrs().to_vec();
+                    rerun(out, plan, db, stats)
                 }
             },
-            Node::Filter { input, pred, out } => {
-                let child_changes = input.apply(db, delta, stats)?;
-                let mut changes = Vec::new();
-                for c in &child_changes {
-                    let new = match &c.new {
-                        Some(t) if eval_predicate(pred, t).map_err(FdmError::from)? => {
-                            Some(t.clone())
-                        }
-                        _ => None,
-                    };
-                    let old = out.lookup(&c.key);
-                    match (&old, &new) {
-                        (Some(a), Some(b)) if a.eq_data(b) => continue,
-                        (None, None) => continue,
-                        _ => changes.push(TupleChange {
-                            key: c.key.clone(),
-                            old,
-                            new,
-                        }),
+            (Node::Map { input, out }, Query::Filter { input: sub, pred }) => {
+                match input.apply(sub, db, delta, stats)? {
+                    None => rerun(out, plan, db, stats),
+                    Some(child_changes) => {
+                        let keep = |_: &Value, t: &Arc<TupleF>| {
+                            Ok(eval_predicate(pred, t)?.then(|| t.clone()))
+                        };
+                        emit(out, map_changes(&child_changes, keep)?)
                     }
                 }
-                *out = apply_changes(out, &changes)?;
-                Ok(changes)
             }
-            Node::Project { input, attrs, out } => {
-                let child_changes = input.apply(db, delta, stats)?;
-                let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                let mut changes = Vec::new();
-                for c in &child_changes {
-                    let new = match &c.new {
-                        Some(t) => Some(Arc::new(t.project(&keep)?)),
-                        None => None,
-                    };
-                    let old = out.lookup(&c.key);
-                    match (&old, &new) {
-                        (Some(a), Some(b)) if a.eq_data(b) => continue,
-                        (None, None) => continue,
-                        _ => changes.push(TupleChange {
-                            key: c.key.clone(),
-                            old,
-                            new,
-                        }),
+            (Node::Map { input, out }, Query::Project { input: sub, attrs }) => {
+                match input.apply(sub, db, delta, stats)? {
+                    None => rerun(out, plan, db, stats),
+                    Some(child_changes) => {
+                        let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                        let project =
+                            |_: &Value, t: &Arc<TupleF>| Ok(Some(Arc::new(t.project(&keep)?)));
+                        emit(out, map_changes(&child_changes, project)?)
                     }
                 }
-                *out = apply_changes(out, &changes)?;
-                Ok(changes)
             }
-            Node::Join {
-                input,
-                rel,
-                input_attr,
-                rel_attr,
-                state,
-                out,
-            } => {
-                let child_changes = input.apply(db, delta, stats)?;
+            (
+                Node::Join { input, state, out },
+                Query::Join {
+                    input: sub,
+                    rel,
+                    input_attr,
+                    rel_attr,
+                },
+            ) => {
+                let child_changes = input
+                    .apply(sub, db, delta, stats)?
+                    .expect("a kept input turns a rebind into row changes");
                 if matches!(delta.entry(rel), Some(EntryDelta::Replaced)) {
                     // wholesale right-side rebind: scoped rebuild of this
                     // operator from its (already maintained) input
                     let right = with_inlined_keys(db.relation(rel)?.as_ref())?;
                     let (new_state, new_out) =
-                        build_join_state(input.out(), right, input_attr, rel_attr, rel)?;
-                    let changes = diff_relations(out, &new_out)?;
+                        build_join_state(input.kept(), right, input_attr, rel_attr, rel)?;
                     **state = new_state;
-                    *out = new_out;
-                    stats.fallback_recomputes += 1;
-                    return Ok(changes);
+                    return replace(out, new_out, stats);
                 }
                 let mut dirty_left: BTreeSet<Value> = BTreeSet::new();
                 // 1. right-side base changes: refresh the cached right
                 // relation + hash bindings, dirtying every left key bound
                 // to an affected join value
                 if let Some(EntryDelta::Rows(base_changes)) = delta.entry(rel) {
-                    let mut right_changes = Vec::new();
-                    let mut inliner = KeyInliner::new(&state.right_key_names);
-                    for c in base_changes {
-                        let old = state.right.lookup(&c.key);
-                        if let Some(ot) = &old {
-                            let jv = ot.get(rel_attr)?;
+                    let mut inliner = KeyInliner::new(state.right.key_attrs());
+                    let inline = |key: &Value, t: &Arc<TupleF>| Ok(Some(inliner.inline(key, t)));
+                    let right_changes = map_changes(base_changes, inline)?;
+                    for c in &right_changes {
+                        for (side, binds) in [(&c.old, false), (&c.new, true)] {
+                            let Some(t) = side else { continue };
+                            let jv = t.get(rel_attr)?;
                             if let Some(lks) = state.left_idx.get(&jv) {
                                 dirty_left.extend(lks.iter().cloned());
                             }
-                            unbind(&mut state.right_idx, &jv, &c.key);
-                        }
-                        let new = c.new.as_ref().map(|t| inliner.inline(&c.key, t));
-                        if let Some(nt) = &new {
-                            if let Some(ot) = &old {
-                                if ot.eq_data(nt) {
-                                    // no-op after inlining: rebind and move on
-                                    let jv = nt.get(rel_attr)?;
-                                    state.right_idx.entry(jv).or_default().push(c.key.clone());
-                                    continue;
-                                }
+                            if binds {
+                                state.right_idx.entry(jv).or_default().push(c.key.clone());
+                            } else {
+                                unbind(&mut state.right_idx, &jv, &c.key);
                             }
-                            let jv = nt.get(rel_attr)?;
-                            if let Some(lks) = state.left_idx.get(&jv) {
-                                dirty_left.extend(lks.iter().cloned());
-                            }
-                            state.right_idx.entry(jv).or_default().push(c.key.clone());
-                        }
-                        if old.is_some() || new.is_some() {
-                            right_changes.push(TupleChange {
-                                key: c.key.clone(),
-                                old,
-                                new,
-                            });
                         }
                     }
                     state.right = apply_changes(&state.right, &right_changes)?;
@@ -711,7 +701,7 @@ impl Node {
                             dirty_hashes.insert(h);
                         }
                     }
-                    if let Some(lt) = input.out().lookup(lk) {
+                    if let Some(lt) = input.kept().lookup(lk) {
                         let rows = probe_rows(&lt, input_attr, rel, state)?;
                         for row in &rows {
                             let h = row.fingerprint()?.hash();
@@ -732,30 +722,37 @@ impl Node {
                         Some(bucket) => ranked(bucket)?,
                         None => Vec::new(),
                     };
-                    let mut rank = 0usize;
-                    loop {
+                    for rank in 0.. {
                         let key = row_key(h, rank);
-                        let old = out.lookup(&key);
-                        let new = new_ranked.get(rank).cloned();
-                        match (&old, &new) {
-                            (None, None) => break,
-                            (Some(a), Some(b)) if a.eq_data(b) => {}
-                            _ => changes.push(TupleChange { key, old, new }),
+                        let (old, new) = (out.lookup(&key), new_ranked.get(rank).cloned());
+                        if old.is_none() && new.is_none() {
+                            break;
                         }
-                        rank += 1;
+                        changes.extend(transition(&key, old, new));
                     }
                 }
                 *out = apply_changes(out, &changes)?;
-                Ok(changes)
+                Ok(Some(changes))
             }
-            Node::GroupAgg {
-                input,
-                by,
-                aggs,
-                state,
-                out,
-            } => {
-                let child_changes = input.apply(db, delta, stats)?;
+            (
+                Node::GroupAgg {
+                    input,
+                    row,
+                    state,
+                    out,
+                },
+                Query::GroupAgg {
+                    input: sub,
+                    by,
+                    aggs,
+                },
+            ) => {
+                let Some(child_changes) = input.apply(sub, db, delta, stats)? else {
+                    // a rebind came up a released chain: regroup its output
+                    let (new_state, new_out) = build_groups(&sub.eval(db)?, by, aggs, row)?;
+                    *state = new_state;
+                    return replace(out, new_out, stats);
+                };
                 let mut dirty: BTreeSet<Value> = BTreeSet::new();
                 for c in &child_changes {
                     if let Some(ot) = &c.old {
@@ -781,35 +778,27 @@ impl Node {
                 let mut changes = Vec::new();
                 for gk in dirty {
                     let new = match state.get(&gk) {
-                        Some(group) => Some(Arc::new(agg_tuple_for(&gk, by, aggs, group)?)),
+                        Some(group) => Some(Arc::new(agg_tuple_for(&gk, by, aggs, row, group)?)),
                         None => None, // the group emptied out
                     };
-                    let old = out.lookup(&gk);
-                    match (&old, &new) {
-                        (Some(a), Some(b)) if a.eq_data(b) => continue,
-                        (None, None) => continue,
-                        _ => changes.push(TupleChange { key: gk, old, new }),
-                    }
+                    changes.extend(transition(&gk, out.lookup(&gk), new));
                 }
                 *out = apply_changes(out, &changes)?;
-                Ok(changes)
+                Ok(Some(changes))
             }
-            Node::Fallback { input, op, out } => {
-                let child_changes = input.apply(db, delta, stats)?;
+            (
+                Node::Fallback { input, out },
+                Query::OrderBy { input: sub, .. } | Query::Limit { input: sub, .. },
+            ) => {
+                let child_changes = input
+                    .apply(sub, db, delta, stats)?
+                    .expect("a kept input turns a rebind into row changes");
                 if child_changes.is_empty() {
-                    return Ok(Vec::new());
+                    return Ok(Some(child_changes));
                 }
-                let new_out = match op {
-                    FallbackOp::OrderBy { attr, order } => {
-                        transform::order_by(input.out(), attr, *order)?
-                    }
-                    FallbackOp::Limit { k } => transform::limit(input.out(), *k)?,
-                };
-                let changes = diff_relations(out, &new_out)?;
-                *out = new_out;
-                stats.fallback_recomputes += 1;
-                Ok(changes)
+                replace(out, reorder(plan, input.kept())?, stats)
             }
+            _ => unreachable!("node and plan trees are built in step"),
         }
     }
 }
@@ -845,7 +834,7 @@ impl MaintainedView {
         plan: Query,
         db: &DatabaseF,
     ) -> Result<MaintainedView> {
-        let root = Node::build(&plan, db)?;
+        let root = Node::build(&plan, db, true)?;
         Ok(MaintainedView {
             name: name.into(),
             plan,
@@ -858,7 +847,10 @@ impl MaintainedView {
     /// the view is current for, to `db`) through the plan. Returns the
     /// number of output rows that changed.
     pub fn apply(&mut self, db: &DatabaseF, delta: &DbDelta) -> Result<usize> {
-        let changes = self.root.apply(db, delta, &mut self.stats)?;
+        let changes = self
+            .root
+            .apply(&self.plan, db, delta, &mut self.stats)?
+            .expect("the root keeps its output");
         self.stats.deltas_applied += 1;
         self.stats.rows_changed += changes.len() as u64;
         Ok(changes.len())
@@ -866,7 +858,7 @@ impl MaintainedView {
 
     /// The maintained result, renamed to the view's name.
     pub fn relation(&self) -> RelationF {
-        self.root.out().renamed(&self.name)
+        self.root.kept().renamed(&self.name)
     }
 
     /// The view's name.
@@ -884,23 +876,22 @@ impl MaintainedView {
         &self.stats
     }
 
-    /// Every relation the view keeps materialized — each operator's
-    /// output, root first, and after a join's output its cached right
-    /// side (test support for the structure-sharing pins).
+    /// Every relation the view keeps materialized — the outputs its
+    /// operators keep, root first, and after a join's output its cached
+    /// right side (test support for the structure-sharing pins).
     #[doc(hidden)]
     pub fn maintained_relations(&self) -> Vec<RelationF> {
         let mut out = Vec::new();
         let mut node = Some(&self.root);
         while let Some(n) = node {
-            out.push(n.out().clone());
+            out.extend(n.out().cloned());
             node = match n {
                 Node::Scan { .. } => None,
                 Node::Join { input, state, .. } => {
                     out.push(state.right.clone());
                     Some(input)
                 }
-                Node::Filter { input, .. }
-                | Node::Project { input, .. }
+                Node::Map { input, .. }
                 | Node::GroupAgg { input, .. }
                 | Node::Fallback { input, .. } => Some(input),
             };
@@ -913,6 +904,7 @@ impl MaintainedView {
 mod tests {
     use super::*;
     use crate::testutil::{retail_db, skewed_db};
+    use crate::transform::Order;
     use fdm_core::FnValue;
     use fdm_expr::Params;
     use proptest::prelude::*;

@@ -2,16 +2,17 @@
 //!
 //! [`Store::register_view`](crate::Store::register_view) compiles an FQL
 //! plan into a [`MaintainedView`] (see `fdm-fql`'s `ivm` module) and
-//! subscribes it to the store's commit stream. Every committed writeset
-//! becomes a [`DbDelta`] and is propagated through the view's operator
-//! tree *under the same version watermark the commit installed*, so
-//! reading a view always answers "the view as of version v" for a
-//! concrete, known v.
+//! subscribes it to the store's commit stream. The [`DbDelta`] of version
+//! v is a property of the commit, not of a view: `ViewCatalog::observe`
+//! computes it once, from the roots on either side of the install, and
+//! every view applies that same delta *under the version watermark the
+//! commit installed*, so reading a view always answers "the view as of
+//! version v" for a concrete, known v.
 //!
 //! Commits can reach the catalog out of version order (they install in
 //! order under the commit sequencer, but reach the catalog after it is
-//! released), so the catalog buffers `(version, ops, root)` entries and
-//! advances each view only through a *contiguous* version prefix — a
+//! released), so the catalog buffers `(version, delta, root)` entries
+//! and advances each view only through a *contiguous* version prefix — a
 //! view's watermark never jumps a gap that a straggling committer might
 //! still fill.
 //!
@@ -46,9 +47,6 @@ struct RegisteredView {
     view: MaintainedView,
     /// The newest version whose delta has been applied.
     watermark: Version,
-    /// The committed root at `watermark` — the "before" side of the next
-    /// delta.
-    base: DatabaseF,
     mode: RefreshMode,
     /// Set when maintenance failed; the view stops advancing and reads
     /// surface this until re-registered.
@@ -58,8 +56,10 @@ struct RegisteredView {
 #[derive(Default)]
 struct CatalogInner {
     /// Commits not yet consumed by every view, keyed by version:
-    /// `(recorded ops, the root the commit installed)`.
-    pending: BTreeMap<Version, (Vec<Op>, DatabaseF)>,
+    /// `(the commit's delta, the root it installed)`.
+    pending: BTreeMap<Version, (DbDelta, DatabaseF)>,
+    /// Commit deltas built so far (a statistic).
+    deltas_built: u64,
     views: Vec<RegisteredView>,
 }
 
@@ -75,16 +75,27 @@ pub struct ViewCatalog {
 }
 
 impl ViewCatalog {
-    /// Feeds one installed commit to the catalog. Called from the
+    /// Feeds one installed commit — `before` is the root it replaced,
+    /// `after` the one it installed — to the catalog. Called from the
     /// store's commit bookkeeping *after* the root is installed and the
     /// commit is in the time-travel history. Never fails the commit:
-    /// per-view errors poison that view only.
-    pub(crate) fn observe(&self, version: Version, ops: &[Op], db: &DatabaseF) {
-        let mut inner = self.inner.lock();
-        if inner.views.is_empty() {
+    /// per-view errors poison that view only. The delta is built outside
+    /// the lock, and not at all while no view is registered: one registered
+    /// after that check snapshots at or past `version` and never needs it.
+    pub(crate) fn observe(
+        &self,
+        version: Version,
+        ops: &[Op],
+        before: &DatabaseF,
+        after: &DatabaseF,
+    ) {
+        if self.inner.lock().views.is_empty() {
             return;
         }
-        inner.pending.insert(version, (ops.to_vec(), db.clone()));
+        let delta = delta_from_ops(before, after, ops);
+        let mut inner = self.inner.lock();
+        inner.deltas_built += 1;
+        inner.pending.insert(version, (delta, after.clone()));
         inner.drain(Some(RefreshMode::Eager), Version::MAX);
         inner.prune();
     }
@@ -114,7 +125,6 @@ impl ViewCatalog {
         inner.views.push(RegisteredView {
             view,
             watermark: v0,
-            base: db0,
             mode,
             error: None,
         });
@@ -195,15 +205,11 @@ impl CatalogInner {
                 if next > up_to {
                     break;
                 }
-                let Some((ops, db)) = self.pending.get(&next) else {
+                let Some((delta, db)) = self.pending.get(&next) else {
                     break; // gap: a straggling committer may still fill it
                 };
-                let delta = delta_from_ops(&rv.base, db, ops);
-                match rv.view.apply(db, &delta) {
-                    Ok(_) => {
-                        rv.base = db.clone();
-                        rv.watermark = next;
-                    }
+                match rv.view.apply(db, delta) {
+                    Ok(_) => rv.watermark = next,
                     Err(e) => {
                         rv.error = Some(format!("applying delta for v{next}: {e}"));
                         break;
@@ -294,6 +300,7 @@ mod tests {
     use fdm_fql::testutil::retail_db;
     use fdm_fql::update::db_upsert;
     use fdm_fql::DynamicView;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn olds_query() -> Query {
@@ -314,6 +321,92 @@ mod tests {
             rel: Name::from("customers"),
             key: Value::Int(cid),
             tuple: customer(cid, name, age),
+        }
+    }
+
+    /// A relation as `(key, data)` pairs in key order.
+    fn keyed(rel: &fdm_core::RelationF) -> Vec<(Value, Value)> {
+        let rows = rel.tuples().unwrap().into_iter();
+        rows.map(|(k, t)| (k, t.data_key().unwrap())).collect()
+    }
+
+    /// A delta by entry name: its row transitions as `(key, old data, new
+    /// data)`, or `None` for a wholesale rebind.
+    type DeltaRows = BTreeMap<Name, Option<Vec<(Value, Option<Value>, Option<Value>)>>>;
+
+    fn delta_rows(delta: &DbDelta) -> DeltaRows {
+        let data = |t: &Option<Arc<TupleF>>| t.as_ref().map(|t| t.data_key().unwrap());
+        let entries = delta.entries.iter().map(|(name, entry)| {
+            let rows = match entry {
+                EntryDelta::Replaced => None,
+                EntryDelta::Rows(changes) => Some(
+                    changes
+                        .iter()
+                        .map(|c| (c.key.clone(), data(&c.old), data(&c.new)))
+                        .collect(),
+                ),
+            };
+            (name.clone(), rows)
+        });
+        entries.collect()
+    }
+
+    proptest! {
+        /// The once-per-commit delta ≡ `DbDelta::between` of the roots on
+        /// either side, by key and data, for random transactions over two
+        /// relations: a key written twice, an upsert then a delete, an
+        /// upsert of equal data, point writes beside an `Assign` (or a
+        /// `Drop` + `Assign`) of the same entry. A rebound entry is
+        /// reported coarser — `Replaced` — and nothing else may differ. A
+        /// view fed the delta lands on the recompute.
+        #[test]
+        fn commit_delta_equals_between(
+            steps in prop::collection::vec((0usize..7, 0usize..2, 1i64..7, 40i64..46), 1..10),
+        ) {
+            let before = retail_db();
+            let mut after = before.clone();
+            let mut ops: Vec<Op> = Vec::new();
+            let mut rebound: BTreeSet<Name> = BTreeSet::new();
+            for (kind, rel, key, age) in steps {
+                let rel = Name::from(["customers", "products"][rel]);
+                let key = Value::Int(key);
+                let current = after.relation(&rel).unwrap().lookup(&key);
+                let tuple = customer(0, "Pat", age);
+                let step: Vec<Op> = match (kind, current) {
+                    (0, Some(_)) => vec![Op::Delete { rel, key }],
+                    // equal data under a fresh allocation: not a change
+                    (1, Some(t)) => vec![Op::Upsert { rel, key, tuple: Arc::new((*t).clone()) }],
+                    (2 | 3, _) => {
+                        let value = after.relation(&rel).unwrap().upsert_arc(key, tuple).unwrap();
+                        let assign = Op::Assign { name: rel.clone(), value: value.into() };
+                        rebound.insert(rel.clone());
+                        match kind {
+                            2 => vec![assign],
+                            _ => vec![Op::Drop { name: rel }, assign],
+                        }
+                    }
+                    _ => vec![Op::Upsert { rel, key, tuple }],
+                };
+                after = crate::writeset::apply_ops(&after, &step).unwrap();
+                ops.extend(step);
+            }
+            let ours = delta_rows(&delta_from_ops(&before, &after, &ops));
+            let mut theirs = delta_rows(&DbDelta::between(&before, &after).unwrap());
+            for (name, rows) in &ours {
+                match rows {
+                    None => {
+                        prop_assert!(rebound.contains(name), "{name} was not rebound");
+                        theirs.remove(name);
+                    }
+                    Some(rows) => prop_assert!(!rows.is_empty(), "{name}: an empty entry"),
+                }
+            }
+            let ours: DeltaRows = ours.into_iter().filter(|(_, rows)| rows.is_some()).collect();
+            prop_assert_eq!(ours, theirs);
+
+            let mut view = MaintainedView::new("olds", olds_query(), &before).unwrap();
+            view.apply(&after, &delta_from_ops(&before, &after, &ops)).unwrap();
+            prop_assert_eq!(keyed(&view.relation()), keyed(&olds_query().eval(&after).unwrap()));
         }
     }
 
@@ -378,13 +471,6 @@ mod tests {
         let fresh = DynamicView::new("olds", olds_query())
             .eval(&store.snapshot())
             .unwrap();
-        let keyed = |r: &fdm_core::RelationF| {
-            r.tuples()
-                .unwrap()
-                .into_iter()
-                .map(|(k, t)| (k, t.data_key().unwrap()))
-                .collect::<Vec<_>>()
-        };
         assert_eq!(keyed(&rel), keyed(&fresh));
         assert!(store.view_stats("olds").unwrap().deltas_applied >= 1);
     }
@@ -415,14 +501,63 @@ mod tests {
         .unwrap();
 
         // v2 arrives first: the view must NOT jump the v1 gap
-        catalog.observe(2, &[upsert_op(10, "Yan", 61)], &db2);
+        catalog.observe(2, &[upsert_op(10, "Yan", 61)], &db1, &db2);
         let (v, rel) = catalog.read("olds").unwrap();
         assert_eq!((v, rel.len()), (0, 2), "gap holds the watermark at v0");
 
-        // the straggler fills the gap: both drain, in order
-        catalog.observe(1, &[upsert_op(9, "Zoe", 70)], &db1);
+        // the straggler fills the gap: both drain, in order, each through
+        // the delta its own commit built
+        catalog.observe(1, &[upsert_op(9, "Zoe", 70)], &db0, &db1);
         let (v, rel) = catalog.read("olds").unwrap();
-        assert_eq!((v, rel.len()), (2, 4));
+        assert_eq!(v, 2);
+        assert_eq!(keyed(&rel), keyed(&olds_query().eval(&db2).unwrap()));
+        assert!(catalog.inner.lock().pending.is_empty(), "all consumed");
+    }
+
+    /// The delta of a version is built once per commit — not once per
+    /// view — and not at all while nobody is subscribed. Counted, so it
+    /// cannot flake.
+    #[test]
+    fn a_commit_delta_is_built_once_and_only_for_subscribers() {
+        let store = Store::new(retail_db());
+        let commit = |cid: i64| {
+            let mut t = store.begin();
+            t.upsert(
+                "customers",
+                Value::Int(cid),
+                (*customer(cid, "New", 50 + cid)).clone(),
+            )
+            .unwrap();
+            t.commit().unwrap()
+        };
+        let built = || store.views.inner.lock().deltas_built;
+        commit(9);
+        commit(10);
+        assert_eq!(built(), 0, "no view, no delta");
+        assert!(store.views.inner.lock().pending.is_empty());
+
+        store.register_view("olds", olds_query()).unwrap();
+        store
+            .register_view("names", Query::scan("customers").project(&["name"]))
+            .unwrap();
+        store
+            .register_view_with("late", olds_query(), RefreshMode::Manual)
+            .unwrap();
+        let head = commit(11).max(commit(12)).max(commit(13));
+        assert_eq!(built(), 3, "three commits, three views, three deltas");
+        // the manual view has not consumed them: the deltas wait for it
+        assert_eq!(store.views.inner.lock().pending.len(), 3);
+        assert_eq!(store.refresh_views_to(head).unwrap(), head);
+        assert_eq!(built(), 3, "a refresh re-reads the stored deltas");
+        assert!(store.views.inner.lock().pending.is_empty());
+        for name in ["olds", "late"] {
+            let (v, rel) = store.view(name).unwrap();
+            assert_eq!(v, head);
+            assert_eq!(
+                keyed(&rel),
+                keyed(&olds_query().eval(&store.snapshot()).unwrap())
+            );
+        }
     }
 
     #[test]

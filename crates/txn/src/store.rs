@@ -339,6 +339,9 @@ impl Group {
 /// What [`Store::install`] hands to the post-install steps.
 pub(crate) struct Installed {
     pub(crate) version: Version,
+    /// The root the install replaced — with `db`, the two sides of the
+    /// commit's delta.
+    before: DatabaseF,
     db: DatabaseF,
     /// The WAL's answer to the enqueue, on a durable store: `Ok(true)`
     /// means this committer closes its WAL group.
@@ -1009,7 +1012,12 @@ impl Store {
         };
         drop(log);
         drop((trimmed, evicted));
-        Ok(Some(Installed { version, db, wal }))
+        Ok(Some(Installed {
+            version,
+            before: current.value,
+            db,
+            wal,
+        }))
     }
 
     /// What follows an install, with the sequencer released: cache
@@ -1029,7 +1037,12 @@ impl Store {
     /// memory state may be ahead of the log, exactly as after a crash,
     /// and recovery replays the durable prefix.
     fn record_commit(&self, installed: Installed, group: &Group) -> Result<()> {
-        let Installed { version, db, wal } = installed;
+        let Installed {
+            version,
+            before,
+            db,
+            wal,
+        } = installed;
         // Cache invalidation first: evict the written keys and advance
         // the watermark (readers at this version miss until the watermark
         // covers it — see `crate::cache` for why that ordering is the
@@ -1041,7 +1054,7 @@ impl Store {
         // installed and in the history, so views must see it even if the
         // durability acknowledgement below fails. Per-view maintenance
         // errors never fail the commit (they poison that view only).
-        self.views.observe(version, &group.ops, &db);
+        self.views.observe(version, &group.ops, &before, &db);
         let (Some(d), Some(enqueued)) = (self.durable.as_ref(), wal) else {
             return Ok(());
         };

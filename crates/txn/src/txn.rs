@@ -55,13 +55,17 @@ impl Transaction {
         Ok(self.working.relation(rel)?.lookup(key))
     }
 
-    /// Reads one attribute of one tuple.
-    pub fn get_attr(&self, rel: &str, key: &Value, attr: &str) -> Result<Value> {
-        let t = self.get(rel, key)?.ok_or_else(|| FdmError::Undefined {
+    /// The tuple under `key`, or [`FdmError::Undefined`] when there is none.
+    fn defined(&self, rel: &str, key: &Value) -> Result<Arc<TupleF>> {
+        self.get(rel, key)?.ok_or_else(|| FdmError::Undefined {
             function: rel.to_string(),
             input: key.to_string(),
-        })?;
-        t.get(attr)
+        })
+    }
+
+    /// Reads one attribute of one tuple.
+    pub fn get_attr(&self, rel: &str, key: &Value, attr: &str) -> Result<Value> {
+        self.defined(rel, key)?.get(attr)
     }
 
     /// `rel[key] = tuple` — insert-or-replace.
@@ -100,15 +104,13 @@ impl Transaction {
         attr: &str,
         value: impl Into<Value>,
     ) -> Result<()> {
-        let t = self.get(rel, key)?.ok_or_else(|| FdmError::Undefined {
-            function: rel.to_string(),
-            input: key.to_string(),
-        })?;
+        let t = self.defined(rel, key)?;
         self.upsert(rel, key.clone(), t.with_attr(attr, value))
     }
 
     /// `rel[key][attr] op= ...` — read-modify-write of one attribute
-    /// (the Fig. 11 `accounts[42]['balance'] -= 100`).
+    /// (the Fig. 11 `accounts[42]['balance'] -= 100`). The tuple is fetched
+    /// once: the old value is read off it and the replacement built from it.
     pub fn modify_attr(
         &mut self,
         rel: &str,
@@ -116,9 +118,9 @@ impl Transaction {
         attr: &str,
         f: impl FnOnce(&Value) -> Result<Value>,
     ) -> Result<()> {
-        let old = self.get_attr(rel, key, attr)?;
-        let new = f(&old)?;
-        self.update_attr(rel, key, attr, new)
+        let t = self.defined(rel, key)?;
+        let new = f(&t.get(attr)?)?;
+        self.upsert(rel, key.clone(), t.with_attr(attr, new))
     }
 
     /// Auto-id insert; returns the assigned key.
@@ -451,6 +453,30 @@ mod tests {
         txn.delete("accounts", &Value::Int(84)).unwrap();
         txn.commit().unwrap();
         assert_eq!(store.snapshot().relation("accounts").unwrap().len(), 1);
+    }
+
+    /// `modify_attr` fetches the tuple once; what it reports and stages on
+    /// the failing paths is what the three-descent version did.
+    #[test]
+    fn modify_attr_fails_without_staging() {
+        let store = bank();
+        let mut txn = store.begin();
+        let missing = txn.modify_attr("accounts", &Value::Int(7), "balance", |_| {
+            panic!("no tuple, so nothing to modify")
+        });
+        assert!(
+            matches!(&missing, Err(FdmError::Undefined { function, input })
+                if function == "accounts" && input == "7"),
+            "{missing:?}"
+        );
+        let no_attr = txn.modify_attr("accounts", &Value::Int(42), "limit", |v| Ok(v.clone()));
+        assert!(no_attr.is_err(), "an attribute the tuple lacks");
+        let refused = txn.modify_attr("accounts", &Value::Int(42), "balance", |_| {
+            Err(FdmError::Other("refused".into()))
+        });
+        assert!(matches!(&refused, Err(FdmError::Other(m)) if m == "refused"));
+        assert_eq!(txn.write_count(), 0, "a failed modify stages nothing");
+        assert_eq!(balance(txn.db(), 42), 1000);
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!   harness pins (the CI determinism job runs this file at 1 and 4);
 //! * `docs/VIEWS.md`'s worked transcript equals live output;
 //! * the structure-sharing pin: a one-row delta allocates O(log n) tree
-//!   nodes per maintained relation — counted, not timed.
+//!   nodes per maintained relation — counted, not timed;
+//! * the statelessness pins (PR 20): scan, filter and project keep a
+//!   relation only as the root or as a re-read input, the row count
+//!   `apply` reports is the size of the output's own diff, and a rebind
+//!   of the scanned relation recomputes once, where state lives.
 
-use fdm_core::delta::{DbDelta, EntryDelta};
-use fdm_core::{DatabaseF, FnValue, TupleF, Value};
+use fdm_core::delta::{diff_relations, DbDelta, EntryDelta};
+use fdm_core::{DatabaseF, FnValue, RelationF, TupleF, Value};
 use fdm_expr::Params;
 use fdm_fql::plan::Query;
 use fdm_fql::testutil::{retail_db, skewed_db};
@@ -32,13 +36,29 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Applies one delta (computed by diffing the database values) and
-/// checks the oracle. Returns the number of output rows that changed.
+/// Applies `delta` and checks both oracles: the view equals a recompute
+/// over `after`, and the row count `apply` reports is the size of the
+/// diff between the output before and after — an operator that derives a
+/// change's `old` side wrongly over- or under-reports here even where the
+/// final rows come out right. Returns that count.
+fn apply_checked(
+    view: &mut MaintainedView,
+    after: &DatabaseF,
+    delta: &DbDelta,
+    ctx: &str,
+) -> usize {
+    let previous = view.relation();
+    let n = view.apply(after, delta).expect("delta application");
+    assert_view_equiv(view, after, ctx);
+    let moved = diff_relations(&previous, &view.relation()).expect("diffable outputs");
+    assert_eq!(n, moved.len(), "{ctx}: reported row changes");
+    n
+}
+
+/// [`apply_checked`] with the delta computed by diffing the databases.
 fn step(view: &mut MaintainedView, before: &DatabaseF, after: &DatabaseF, ctx: &str) -> usize {
     let delta = DbDelta::between(before, after).expect("diffable databases");
-    let n = view.apply(after, &delta).expect("delta application");
-    assert_view_equiv(view, after, ctx);
-    n
+    apply_checked(view, after, &delta, ctx)
 }
 
 fn base_row(wk: i64, nk: i64) -> TupleF {
@@ -184,9 +204,79 @@ fn scaled_db(n: i64) -> DatabaseF {
         .with_relation(narrow.build().unwrap())
 }
 
+/// How many relations a view over `plan` keeps: the root's output, every
+/// join's output and cached right side, every group/aggregate's and
+/// order-by/limit's output, and the input a join, order-by or limit
+/// re-reads. A scan, filter or project anywhere else keeps none.
+fn kept_relations(plan: &Query) -> usize {
+    fn below(plan: &Query, read_by_parent: bool) -> usize {
+        match plan {
+            Query::Scan { .. } => usize::from(read_by_parent),
+            Query::Filter { input, .. } | Query::Project { input, .. } => {
+                usize::from(read_by_parent) + below(input, false)
+            }
+            Query::Join { input, .. } => 2 + below(input, true),
+            Query::GroupAgg { input, .. } => 1 + below(input, false),
+            Query::OrderBy { input, .. } | Query::Limit { input, .. } => 1 + below(input, true),
+            Query::Invalid { .. } => 0,
+        }
+    }
+    below(plan, true)
+}
+
+/// The two view shapes `fdm_benchmark`'s `view_commit` registers, and a
+/// filter feeding a join, over `skewed_db`.
+fn benchmark_shapes() -> [(&'static str, Query); 3] {
+    let filtered = || Query::scan("base").filter("nk > 1", Params::new());
+    [
+        (
+            "filter_group",
+            filtered().group_agg(
+                &["nk"],
+                &[("n", AggSpec::Count), ("total", AggSpec::Sum("wk".into()))],
+            ),
+        ),
+        ("filter_project", filtered().project(&["wk", "nk"])),
+        ("filter_join", filtered().join("wide", "wk", "k")),
+    ]
+}
+
+/// Scan, filter and project are change transformers: they keep a relation
+/// only where somebody reads it. At the parent commit every operator kept
+/// one (three for each of the benchmark's views).
+#[test]
+fn stateless_operators_keep_no_relation() {
+    let db = skewed_db();
+    for (name, plan) in operator_corpus().into_iter().chain(benchmark_shapes()) {
+        let view = MaintainedView::new(name, plan, &db).unwrap();
+        assert_eq!(
+            view.maintained_relations().len(),
+            kept_relations(view.plan()),
+            "{name}: {}",
+            view.plan().explain()
+        );
+    }
+    let kept = |plan: Query| {
+        let view = MaintainedView::new("v", plan, &db).unwrap();
+        view.maintained_relations().len()
+    };
+    let [(_, group), (_, project), (_, join)] = benchmark_shapes();
+    assert_eq!(kept(group), 1, "scan→filter→group keeps the aggregates");
+    assert_eq!(kept(project), 1, "scan→filter→project keeps the projection");
+    assert_eq!(
+        kept(join),
+        3,
+        "the join's output, right side and left input"
+    );
+    assert_eq!(
+        kept(Query::scan("base").order_by("nk", Order::Asc).limit(2)),
+        3
+    );
+}
+
 /// The view-path sharing pin (a count, so it cannot flake): applying a
 /// one-row delta allocates O(log n) tree nodes in every relation a view
-/// maintains — each operator's output and each join's cached right side
+/// maintains — each kept operator output and each join's cached right side
 /// — and shares the rest with the version before. At the parent commit
 /// every one of them was rebuilt node for node (n fresh nodes).
 #[test]
@@ -292,6 +382,94 @@ fn whole_entry_rebinds_recompute_scoped_and_count_fallbacks() {
     );
 }
 
+/// A transactional `Assign` — alone, and after a `Drop` in the same
+/// transaction — rebinds the relation every benchmark-shaped view scans.
+/// The scan and the filter above it hold nothing to diff against, so the
+/// rebind travels up to the first node that does — the aggregates, the
+/// projection at the root, the filter a join re-reads — which recomputes
+/// from its sub-plan: exactly one fallback per view per rebind.
+#[test]
+fn rebinding_the_scanned_relation_recomputes_once_where_state_lives() {
+    let store = fdm_txn::Store::new(skewed_db());
+    for (name, plan) in benchmark_shapes() {
+        store.register_view(name, plan).unwrap();
+    }
+    // every view is at `version`, equals a recompute, and fell back
+    // `fallbacks` times so far
+    let check = |what: &str, version: u64, fallbacks: u64| {
+        let db = store.snapshot();
+        for (name, plan) in benchmark_shapes() {
+            let (at, rel) = store.view(name).unwrap();
+            assert_eq!(at, version, "{name} after {what}");
+            let fresh = plan.optimize_for(&db).eval(&db).unwrap();
+            assert_eq!(
+                fdm_tests::canonical_rows(&rel),
+                fdm_tests::canonical_rows(&fresh),
+                "{name} after {what}"
+            );
+            let stats = store.view_stats(name).unwrap();
+            assert_eq!(stats.fallback_recomputes, fallbacks, "{name} after {what}");
+        }
+    };
+    let rebound = |rows: &[(i64, i64, i64)]| {
+        let mut rel = RelationF::new("base", &["id"]);
+        for &(id, wk, nk) in rows {
+            rel = rel.insert(Value::Int(id), base_row(wk, nk)).unwrap();
+        }
+        FnValue::from(rel)
+    };
+    let mut txn = store.begin();
+    let rows = [(1, 1, 1), (2, 2, 4), (9, 3, 4), (10, 5, 2)];
+    txn.assign("base", rebound(&rows)).unwrap();
+    check("assign", txn.commit().unwrap(), 1);
+
+    let mut txn = store.begin();
+    txn.drop_entry("base").unwrap();
+    txn.assign("base", rebound(&[(2, 6, 3), (9, 3, 1), (11, 4, 3)]))
+        .unwrap();
+    check("drop + assign", txn.commit().unwrap(), 2);
+
+    // point writes flow incrementally again
+    let mut txn = store.begin();
+    txn.upsert("base", Value::Int(2), base_row(1, 2)).unwrap();
+    check("a point write", txn.commit().unwrap(), 2);
+}
+
+/// Every aggregate row — first built or re-aggregated — is built over the
+/// group/aggregate node's one shape: no name and no shape is allocated
+/// per re-aggregated group.
+#[test]
+fn re_aggregated_rows_share_one_shape() {
+    let db0 = skewed_db();
+    let [(_, plan), ..] = benchmark_shapes();
+    let mut view = MaintainedView::new("by_nk", plan.clone(), &db0).unwrap();
+    // one row moves from group 2 to group 3, another joins group 2: both
+    // groups re-aggregate
+    let db1 = db_upsert(&db0, "base", Value::Int(2), base_row(2, 3)).unwrap();
+    let db1 = db_upsert(&db1, "base", Value::Int(7), base_row(9, 2)).unwrap();
+    assert_eq!(step(&mut view, &db0, &db1, "regroup two rows"), 2);
+    let rows = view.relation().tuples().unwrap();
+    let shape_of = |nk: i64| {
+        rows.iter()
+            .find(|(k, _)| *k == Value::Int(nk))
+            .unwrap()
+            .1
+            .shape()
+    };
+    assert!(
+        std::sync::Arc::ptr_eq(shape_of(2), shape_of(3)),
+        "re-aggregated rows"
+    );
+    assert!(rows
+        .iter()
+        .all(|(_, t)| std::sync::Arc::ptr_eq(t.shape(), shape_of(2))));
+    // and they are the batch operator's rows, attribute for attribute
+    let batch = plan.optimize_for(&db1).eval(&db1).unwrap();
+    for ((_, ours), (_, theirs)) in rows.iter().zip(batch.tuples().unwrap()) {
+        assert_eq!(ours.materialize().unwrap(), theirs.materialize().unwrap());
+    }
+}
+
 #[test]
 fn long_seeded_mutation_stream_stays_equivalent() {
     let db0 = skewed_db();
@@ -302,7 +480,13 @@ fn long_seeded_mutation_stream_stays_equivalent() {
             &["nk"],
             &[("n", AggSpec::Count), ("w", AggSpec::Sum("wide.wv".into()))],
         );
-    let mut view = MaintainedView::new("stream", plan, &db0).unwrap();
+    // beside it, every corpus plan with a delta rule: each step checks
+    // them all against recompute and the reported-row-count identity
+    let mut views: Vec<MaintainedView> = std::iter::once(("stream", plan))
+        .chain(operator_corpus())
+        .filter(|(name, _)| *name != "order_by_limit")
+        .map(|(name, plan)| MaintainedView::new(name, plan, &db0).unwrap())
+        .collect();
     let mut rng = StdRng::seed_from_u64(0x9_2026);
     let mut db = db0;
     let mut next_id = 100i64;
@@ -350,15 +534,22 @@ fn long_seeded_mutation_stream_stays_equivalent() {
             }
             _ => continue,
         };
-        step(&mut view, &db, &after, &format!("stream step {i}"));
+        for view in &mut views {
+            let ctx = format!("{}: stream step {i}", view.name());
+            step(view, &db, &after, &ctx);
+        }
         db = after;
     }
-    let stats = view.stats();
-    assert!(stats.deltas_applied >= 1000, "{stats:?}");
-    assert_eq!(
-        stats.fallback_recomputes, 0,
-        "a pure point-write stream never falls back: {stats:?}"
-    );
+    for view in &views {
+        let stats = view.stats();
+        assert!(stats.deltas_applied >= 1000, "{stats:?}");
+        assert_eq!(
+            stats.fallback_recomputes,
+            0,
+            "{}: a pure point-write stream never falls back: {stats:?}",
+            view.name()
+        );
+    }
 }
 
 proptest! {
@@ -433,6 +624,117 @@ proptest! {
             view.apply(&after, &delta).unwrap();
             assert_view_equiv(&view, &after, &format!("proptest step {i}"));
             db = after;
+        }
+    }
+}
+
+/// One stateless operator of a pinned chain; every choice keeps `wk` and
+/// `nk`, so any sequence of them evaluates.
+fn chain_op(q: Query, op: usize) -> Query {
+    match op {
+        0 => q.filter("nk > 1", Params::new()),
+        1 => q.filter("wk <= 5 or nk = 6", Params::new()),
+        2 => q.filter("1 > 2", Params::new()),
+        3 => q.project(&["nk", "wk"]),
+        _ => q.project(&["wk", "nk", "id"]),
+    }
+}
+
+proptest! {
+    /// Stateless ≡ materialized. A chain of filters and projections pinned
+    /// exactly as drawn (`with_plan`: the optimizer would fuse it) keeps
+    /// no relation below its top, whatever it feeds — the root, a
+    /// group/aggregate, a join, a limit — and through point writes *and*
+    /// whole-entry rebinds of the scanned relation the view equals the
+    /// plan materialized from scratch, reports exactly the rows its output
+    /// moved by, and recomputes once per rebind where its state lives.
+    #[test]
+    fn stateless_chains_match_materialized_recompute(
+        ops in prop::collection::vec(0usize..5, 0..5),
+        tail in 0usize..4,
+        seed in 0u64..1u64 << 32,
+    ) {
+        let db0 = skewed_db();
+        // `id` survives only until the first narrowing projection
+        let narrowed = ops.iter().position(|&op| op == 3).unwrap_or(ops.len());
+        let chain = ops
+            .iter()
+            .enumerate()
+            .filter(|&(i, &op)| op != 4 || i < narrowed)
+            .fold(Query::scan("base"), |q, (_, &op)| chain_op(q, op));
+        let plan = match tail {
+            1 => chain.group_agg(&["nk"], &[("n", AggSpec::Count), ("w", AggSpec::Sum("wk".into()))]),
+            2 => chain.join("wide", "wk", "k"),
+            3 => chain.limit(3),
+            _ => chain,
+        };
+        let mut view = MaintainedView::with_plan("chain", plan.clone(), &db0).expect("build");
+        assert_view_equiv(&view, &db0, "chain: initial materialization");
+        let kept = kept_relations(&plan);
+        prop_assert_eq!(view.maintained_relations().len(), kept);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = db0;
+        let mut next_id = 1000i64;
+        for i in 0..24 {
+            let ctx = format!("chain step {i}: {}", plan.explain());
+            let keys: Vec<Value> =
+                db.relation("base").unwrap().tuples().unwrap().into_iter().map(|(k, _)| k).collect();
+            let fresh = |rng: &mut StdRng| base_row(rng.random_range(1..=8), rng.random_range(1..=8));
+            match rng.random_range(0..5u32) {
+                // rebind `base` wholesale: some rows gone, one rewritten, one new
+                0 => {
+                    let mut rel = db.relation("base").unwrap().as_ref().clone();
+                    for k in keys.iter().step_by(3) {
+                        rel = rel.delete(k).unwrap();
+                    }
+                    next_id += 1;
+                    rel = rel.upsert(Value::Int(next_id), fresh(&mut rng)).unwrap();
+                    if let Some(k) = keys.get(1) {
+                        rel = rel.upsert(k.clone(), fresh(&mut rng)).unwrap();
+                    }
+                    let after = db.with_entry("base", FnValue::from(rel));
+                    let delta = DbDelta {
+                        entries: vec![(fdm_core::Name::from("base"), EntryDelta::Replaced)],
+                    };
+                    let before = view.stats().fallback_recomputes;
+                    apply_checked(&mut view, &after, &delta, &ctx);
+                    let fell_back = view.stats().fallback_recomputes - before;
+                    // a limit above recomputes as well when its input moved
+                    prop_assert!(fell_back == 1 || (tail == 3 && fell_back == 2), "{ctx}: {fell_back}");
+                    db = after;
+                }
+                kind => {
+                    let after = match kind {
+                        1 => {
+                            next_id += 1;
+                            db_upsert(&db, "base", Value::Int(next_id), fresh(&mut rng)).unwrap()
+                        }
+                        2 if keys.len() > 2 => {
+                            let k = keys[rng.random_range(0..keys.len())].clone();
+                            db_delete(&db, "base", &k).unwrap()
+                        }
+                        3 => {
+                            let wid = Value::Int(rng.random_range(1..=24));
+                            let row = wide_row(rng.random_range(1..=8), rng.random_range(-50..50));
+                            db_upsert(&db, "wide", wid, row).unwrap()
+                        }
+                        _ if !keys.is_empty() => {
+                            let k = keys[rng.random_range(0..keys.len())].clone();
+                            db_upsert(&db, "base", k, fresh(&mut rng)).unwrap()
+                        }
+                        _ => continue,
+                    };
+                    let before = view.stats().fallback_recomputes;
+                    let moved = step(&mut view, &db, &after, &ctx);
+                    // only a limit falls back on row changes: whenever its
+                    // input moved, so at least whenever its output did
+                    let fell_back = view.stats().fallback_recomputes - before;
+                    prop_assert!(fell_back <= u64::from(tail == 3), "{ctx}: {fell_back}");
+                    prop_assert!(fell_back >= u64::from(tail == 3 && moved > 0), "{ctx}");
+                    db = after;
+                }
+            }
+            prop_assert_eq!(view.maintained_relations().len(), kept);
         }
     }
 }

@@ -17,6 +17,10 @@
 //! 4. **Mid-stream registration is race-free** — a view registered
 //!    while writers are committing starts at a consistent snapshot and
 //!    tracks from there.
+//! 5. **One delta per commit serves every view** — views registered at
+//!    different versions, one of them manual and refreshed 16+ commits
+//!    late, all apply the delta each commit built once (the catalog keeps
+//!    it until the slowest healthy view has consumed it).
 //!
 //! Thread count is `THREADS` from the environment (default 4); the CI
 //! `view-stress` job runs this file at 1 and 4.
@@ -133,6 +137,61 @@ fn views_stay_equivalent_under_injected_faults() {
         plan.injected_conflicts() > 0,
         "the fault plan must actually have fired"
     );
+}
+
+#[test]
+fn views_registered_at_different_versions_share_each_commits_delta() {
+    let store = retail_store(&RetailConfig::small());
+    let phase = |seed: u64| {
+        let cfg = MixedConfig {
+            threads: threads(),
+            ops_per_thread: 24 / threads().max(1),
+            seed,
+            skew: 0.9,
+        };
+        run_writers(&store, &cfg);
+        store.version()
+    };
+    // no view yet: these commits build no delta and leave nothing behind
+    let v_a = phase(1);
+    assert_eq!(store.register_view("hot", hot_query()).unwrap(), v_a);
+    let v_b = phase(2);
+    let lagging = store
+        .register_view_with("by_state", by_state_query(), RefreshMode::Manual)
+        .unwrap();
+    assert_eq!(lagging, v_b);
+    let rich = hot_query().project(&["name", "credit"]);
+    assert_eq!(store.register_view("rich", rich.clone()).unwrap(), v_b);
+    let head = phase(3);
+    assert!(head - v_b >= 16, "the manual view lags by {}", head - v_b);
+
+    // the eager views rode every commit since their own registration
+    for (name, plan, since) in [("hot", hot_query(), v_a), ("rich", rich, v_b)] {
+        let (v, rel) = store.view(name).unwrap();
+        assert_eq!(v, head, "{name}");
+        assert_rows_equal(&rel, &plan, &store.snapshot(), name);
+        let stats = store.view_stats(name).unwrap();
+        assert_eq!(
+            stats.deltas_applied,
+            head - since,
+            "{name}: one delta per commit"
+        );
+        assert_eq!(stats.fallback_recomputes, 0, "{name}");
+    }
+    // the manual view stayed put, and every delta since waited for it
+    assert_eq!(store.view("by_state").unwrap().0, v_b);
+    for v in v_b + 1..=head {
+        assert_eq!(store.refresh_views_to(v).unwrap(), v);
+        let (at, rel) = store.view("by_state").unwrap();
+        assert_eq!(at, v);
+        let past = store.as_of(v).unwrap();
+        assert_rows_equal(
+            &rel,
+            &by_state_query(),
+            &past,
+            &format!("late refresh_to({v})"),
+        );
+    }
 }
 
 #[test]
