@@ -54,6 +54,7 @@ use crate::error::{FdmError, Name, Result};
 use crate::function::Function;
 use crate::shape::Shape;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -214,6 +215,13 @@ impl TupleF {
         &self.name
     }
 
+    /// [`Self::name`] as the shared [`Name`] it is held under — for an
+    /// operator that names its output rows after its input's without
+    /// allocating.
+    pub fn shared_name(&self) -> &Name {
+        &self.name
+    }
+
     /// The tuple's domain. Tuples that came out of one builder hint,
     /// bulk-built relation or operator call share it by pointer.
     pub fn shape(&self) -> &Arc<Shape> {
@@ -274,6 +282,17 @@ impl TupleF {
         match &self.defs[slot] {
             AttrDef::Stored(v) => Ok(v.clone()),
             AttrDef::Computed(f) => f(self),
+        }
+    }
+
+    /// The value in `slot` (a position in [`Self::shape`]): borrowed when
+    /// stored, computed on demand otherwise — [`Self::get`] for a caller
+    /// that resolved the name to its slot once per shape.
+    #[inline]
+    pub fn at(&self, slot: usize) -> Result<Cow<'_, Value>> {
+        match &self.defs[slot] {
+            AttrDef::Stored(v) => Ok(Cow::Borrowed(v)),
+            AttrDef::Computed(f) => f(self).map(Cow::Owned),
         }
     }
 

@@ -63,6 +63,11 @@ impl BinOp {
         }
     }
 
+    /// `true` for `+`, `-`, `*` and `/`.
+    pub fn is_arithmetic(self) -> bool {
+        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
+    }
+
     /// `true` for comparison operators (result type bool).
     pub fn is_comparison(self) -> bool {
         matches!(

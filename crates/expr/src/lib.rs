@@ -39,7 +39,7 @@ pub mod token;
 pub use ast::{BinOp, Expr};
 pub use bind::Params;
 pub use error::ExprError;
-pub use eval::{compare, eval, eval_predicate, eval_with};
+pub use eval::{compare, eval, eval_predicate, eval_with, Compiled, Slots};
 pub use funcs::{default_registry, Registry};
 pub use ops::{by_suffix, CmpOp, EQ, GE, GT, LE, LT, NE};
 pub use parser::parse;

@@ -5,11 +5,16 @@
 //! entry per grouping condition, instead of SQL's single NULL-filled
 //! output relation. No NULLs are manufactured anywhere in this module.
 
-use crate::group::{group, Groups};
+use crate::group::{no_grouping_attribute, Groups};
+use crate::physical::{no_such_attribute, scan, Op};
+use fdm_core::fxhash::FxHasher;
 use fdm_core::{
-    par_map_chunks, DatabaseF, FdmError, FnValue, ParConfig, ParallelBuilder, RelationBuilder,
-    RelationF, Result, TupleF, Value,
+    DatabaseF, FdmError, FnValue, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape,
+    ShapeMemo, TupleF, Value,
 };
+use fdm_expr::Slots;
+use std::borrow::Cow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An aggregate over the tuples of one group.
@@ -38,134 +43,336 @@ impl AggSpec {
         }
     }
 
-    /// Evaluates the aggregate over the group members.
+    /// Evaluates the aggregate over the group members, folded in order
+    /// through the accumulator the `GroupAgg` operator keeps per group.
     ///
     /// FDM has no NULLs: aggregating an attribute that is missing on some
     /// tuple is a *typed error*, not a silent skip; `Min`/`Max`/`Avg` over
     /// an empty group are likewise errors (`Count` is 0, `Sum` is 0 — the
     /// mathematically natural identities).
     pub fn eval(&self, members: &[Arc<TupleF>]) -> Result<Value> {
+        let attr = self.input_attr().unwrap_or_default();
+        let mut acc = self.start();
+        for t in members {
+            acc.push(self, || match t.shape().position(attr) {
+                Some(slot) => t.at(slot),
+                None => Err(no_such_attribute(attr)),
+            });
+        }
+        acc.finish(self)
+    }
+
+    fn start(&self) -> Acc {
         match self {
-            AggSpec::Count => Ok(Value::Int(members.len() as i64)),
-            AggSpec::Sum(attr) => {
-                let mut acc = Value::Int(0);
-                for t in members {
-                    acc = acc.add(&t.get(attr)?)?;
-                }
-                Ok(acc)
+            AggSpec::Count => Acc::Count(0),
+            AggSpec::Sum(_) => Acc::Sum(Value::Int(0)),
+            AggSpec::Min(_) | AggSpec::Max(_) => Acc::Best(None),
+            AggSpec::Avg(_) => Acc::Avg(0.0, 0),
+        }
+    }
+}
+
+/// One aggregate's running state over the members folded so far — what
+/// the fold needs, never the members themselves.
+enum Acc {
+    Count(i64),
+    Sum(Value),
+    /// `Min` / `Max`: the best value so far.
+    Best(Option<Value>),
+    /// The running sum as a float, and the member count.
+    Avg(f64, usize),
+    /// The fold's first error; later members are not read, as the fold
+    /// over a member list stopped there.
+    Failed(FdmError),
+}
+
+impl Acc {
+    /// Folds one member in; `input` reads its value of the aggregate's
+    /// attribute (`Count` reads nothing).
+    fn push<'v>(&mut self, spec: &AggSpec, input: impl FnOnce() -> Result<Cow<'v, Value>>) {
+        let step = match self {
+            Acc::Count(n) => {
+                *n += 1;
+                Ok(())
             }
-            AggSpec::Min(attr) => {
-                let mut best: Option<Value> = None;
-                for t in members {
-                    let v = t.get(attr)?;
-                    best = Some(match best {
-                        None => v,
-                        Some(b) if v < b => v,
-                        Some(b) => b,
-                    });
+            Acc::Sum(sum) => input().and_then(|v| {
+                *sum = sum.add(&v)?;
+                Ok(())
+            }),
+            Acc::Best(best) => input().map(|v| {
+                let better = match (&*best, spec) {
+                    (None, _) => true,
+                    (Some(b), AggSpec::Min(_)) => *v < *b,
+                    (Some(b), _) => *v > *b,
+                };
+                if better {
+                    *best = Some(v.into_owned());
                 }
-                best.ok_or_else(|| FdmError::Other(format!("min({attr}) over empty group")))
-            }
-            AggSpec::Max(attr) => {
-                let mut best: Option<Value> = None;
-                for t in members {
-                    let v = t.get(attr)?;
-                    best = Some(match best {
-                        None => v,
-                        Some(b) if v > b => v,
-                        Some(b) => b,
-                    });
-                }
-                best.ok_or_else(|| FdmError::Other(format!("max({attr}) over empty group")))
-            }
-            AggSpec::Avg(attr) => {
-                if members.is_empty() {
-                    return Err(FdmError::Other(format!("avg({attr}) over empty group")));
-                }
-                let mut sum = 0.0f64;
-                for t in members {
-                    sum += t.get(attr)?.as_float("avg input")?;
-                }
-                Ok(Value::Float(sum / members.len() as f64))
+            }),
+            Acc::Avg(sum, n) => input().and_then(|v| {
+                *sum += v.as_float("avg input")?;
+                *n += 1;
+                Ok(())
+            }),
+            Acc::Failed(_) => Ok(()),
+        };
+        if let Err(e) = step {
+            *self = Acc::Failed(e);
+        }
+    }
+
+    fn finish(self, spec: &AggSpec) -> Result<Value> {
+        let empty = |what: &str| {
+            let attr = spec.input_attr().unwrap_or_default();
+            Err(FdmError::Other(format!("{what}({attr}) over empty group")))
+        };
+        match (self, spec) {
+            (Acc::Count(n), _) => Ok(Value::Int(n)),
+            (Acc::Sum(sum), _) => Ok(sum),
+            (Acc::Best(Some(best)), _) => Ok(best),
+            (Acc::Best(None), AggSpec::Min(_)) => empty("min"),
+            (Acc::Best(None), _) => empty("max"),
+            (Acc::Avg(_, 0), _) => empty("avg"),
+            (Acc::Avg(sum, n), _) => Ok(Value::Float(sum / n as f64)),
+            (Acc::Failed(e), _) => Err(e),
+        }
+    }
+}
+
+/// The `GroupAgg` operator: a hash fold keeping, per group, its key and
+/// one accumulator per aggregate — no member list. Groups are found by a
+/// hash of the key and told apart by full `Value` equality within a hash
+/// bucket, first-created first (`group`'s rule, so Eq-equal keys of
+/// different types share a group exactly as there); the output is the
+/// groups in key order, which is `group_and_aggregate`'s row order, and
+/// each aggregate folds its group's members in input order.
+///
+/// Errors come as the group-then-aggregate pipeline raised them: the
+/// first row whose group key cannot be read, else the first failing
+/// aggregate in group-key order — an aggregate's failure is kept in its
+/// accumulator until its group's row is built.
+pub(crate) struct GroupFold {
+    by: Vec<Name>,
+    aggs: Vec<AggSpec>,
+    /// The output rows' shape: the by-attributes, then the aggregates.
+    shape: Arc<Shape>,
+    /// Per input shape: the slot of each by-attribute, then of each
+    /// aggregate's input.
+    slots: ShapeMemo<Vec<Option<usize>>>,
+    /// Group-key hash → the groups under it, in creation order.
+    index: FxHashMap<u64, Vec<usize>>,
+    groups: Vec<(Value, Vec<Acc>)>,
+    failed: Option<FdmError>,
+}
+
+impl GroupFold {
+    /// A fold grouping by `by` (none: one global group) into `aggs`.
+    pub(crate) fn new<B: AsRef<str>, A: AsRef<str>>(by: &[B], aggs: &[(A, AggSpec)]) -> GroupFold {
+        let by: Vec<Name> = by.iter().map(|b| Name::from(b.as_ref())).collect();
+        let agg_names = aggs.iter().map(|(name, _)| Name::from(name.as_ref()));
+        GroupFold {
+            shape: Shape::new(by.iter().cloned().chain(agg_names)),
+            by,
+            aggs: aggs.iter().map(|(_, spec)| spec.clone()).collect(),
+            slots: ShapeMemo::new(),
+            index: FxHashMap::default(),
+            groups: Vec::new(),
+            failed: None,
+        }
+    }
+
+    /// The grouping attributes: the output's key attributes.
+    pub(crate) fn by(&self) -> Vec<&str> {
+        self.by.iter().map(|n| n.as_ref()).collect()
+    }
+
+    /// Folds one row (of `shape`) into its group.
+    pub(crate) fn push(&mut self, shape: &Arc<Shape>, row: &impl Slots) {
+        if self.failed.is_none() {
+            if let Err(e) = self.fold(shape, row) {
+                self.failed = Some(e);
             }
         }
     }
+
+    fn fold(&mut self, shape: &Arc<Shape>, row: &impl Slots) -> Result<()> {
+        let (by, aggs) = (&self.by, &self.aggs);
+        let slots = self.slots.get_or_derive([shape], || {
+            let inputs = aggs.iter().map(AggSpec::input_attr);
+            let names = by.iter().map(|n| Some(n.as_ref())).chain(inputs);
+            names.map(|n| n.and_then(|n| shape.position(n))).collect()
+        });
+        let read = |at: usize, attr: &str| match slots[at] {
+            Some(slot) => row.slot(slot),
+            None => Err(no_such_attribute(attr)),
+        };
+        // the group key: the one by-value, or the list of them — compared
+        // and hashed in place, and copied only into a new group
+        let (index, groups) = (&mut self.index, &mut self.groups);
+        let g = match by.len() {
+            0 if !groups.is_empty() => 0,
+            0 => insert(index, groups, aggs, 0, Value::list([])),
+            1 => {
+                let v = read(0, &by[0])?;
+                let hash = v.fx_hash();
+                match find(index, groups, hash, |k| *k == *v) {
+                    Some(g) => g,
+                    None => insert(index, groups, aggs, hash, v.into_owned()),
+                }
+            }
+            _ => {
+                let mut h = FxHasher::default();
+                for (at, attr) in by.iter().enumerate() {
+                    read(at, attr)?.hash(&mut h);
+                }
+                let hash = h.finish();
+                // the parts read fine just above; reading them again is a
+                // borrow (a computed one recomputes, deterministically)
+                let same = |k: &Value| match k {
+                    Value::List(parts) => (parts.iter().enumerate())
+                        .all(|(at, p)| read(at, &by[at]).is_ok_and(|v| *p == *v)),
+                    _ => false,
+                };
+                match find(index, groups, hash, same) {
+                    Some(g) => g,
+                    None => {
+                        let parts = by.iter().enumerate().map(|(at, attr)| read(at, attr));
+                        let parts = parts.map(|p| p.map(Cow::into_owned));
+                        let key = Value::List(parts.collect::<Result<_>>()?);
+                        insert(index, groups, aggs, hash, key)
+                    }
+                }
+            }
+        };
+        let accs = self.groups[g].1.iter_mut().zip(aggs).enumerate();
+        for (at, (acc, spec)) in accs {
+            acc.push(spec, || {
+                read(by.len() + at, spec.input_attr().unwrap_or_default())
+            });
+        }
+        Ok(())
+    }
+
+    /// The output row of one group: `agg[key]`, the by-attributes carried
+    /// over from the key, then its aggregates' values (the first failing
+    /// one fails the row) — over the fold's one shape.
+    fn row(&self, key: &Value, aggs: impl Iterator<Item = Result<Value>>) -> Result<TupleF> {
+        let mut values = Vec::with_capacity(self.shape.len());
+        match key {
+            Value::List(parts) if self.by.len() > 1 => values.extend(parts.iter().cloned()),
+            whole => values.push(whole.clone()),
+        }
+        for value in aggs {
+            values.push(value?);
+        }
+        Ok(TupleF::from_shape(
+            format!("agg[{key}]"),
+            self.shape.clone(),
+            values,
+        ))
+    }
+
+    /// The groups in key order, each with its output row.
+    pub(crate) fn finish(mut self) -> Result<Vec<(Value, Arc<TupleF>)>> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        if self.by.is_empty() {
+            return Err(no_grouping_attribute());
+        }
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        groups
+            .into_iter()
+            .map(|(key, accs)| {
+                let aggs = accs.into_iter().zip(&self.aggs);
+                let row = self.row(&key, aggs.map(|(acc, spec)| acc.finish(spec)))?;
+                Ok((key, Arc::new(row)))
+            })
+            .collect()
+    }
+
+    /// The one row of a global fold (no by-attributes), named `name`: its
+    /// aggregates, over no rows as over any.
+    fn global(mut self, name: String) -> Result<TupleF> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
+        let accs = match self.groups.pop() {
+            Some((_, accs)) => accs,
+            None => self.aggs.iter().map(AggSpec::start).collect(),
+        };
+        let values = accs.into_iter().zip(&self.aggs);
+        let values = values
+            .map(|(acc, spec)| acc.finish(spec))
+            .collect::<Result<_>>()?;
+        Ok(TupleF::from_shape(name, self.shape, values))
+    }
+}
+
+/// The group `same` recognizes among those under `hash`, first created
+/// first.
+#[inline]
+fn find(
+    index: &FxHashMap<u64, Vec<usize>>,
+    groups: &[(Value, Vec<Acc>)],
+    hash: u64,
+    same: impl Fn(&Value) -> bool,
+) -> Option<usize> {
+    let bucket = index.get(&hash)?;
+    bucket.iter().copied().find(|&g| same(&groups[g].0))
+}
+
+/// A new group under `key`.
+fn insert(
+    index: &mut FxHashMap<u64, Vec<usize>>,
+    groups: &mut Vec<(Value, Vec<Acc>)>,
+    aggs: &[AggSpec],
+    hash: u64,
+    key: Value,
+) -> usize {
+    index.entry(hash).or_default().push(groups.len());
+    groups.push((key, aggs.iter().map(AggSpec::start).collect()));
+    groups.len() - 1
 }
 
 /// Computes named aggregates per group, returning a relation function
 /// keyed by the group key whose tuples carry the by-attributes plus one
 /// attribute per aggregate (paper Fig. 4b:
-/// `aggregate(count=Count(), groups)`). Above the parallel cutoff the
-/// per-group folds run in chunks across threads, byte-identical to the
-/// sequential pass.
+/// `aggregate(count=Count(), groups)`).
 pub fn aggregate(groups: &Groups, aggs: &[(&str, AggSpec)]) -> Result<RelationF> {
-    let by = groups.by().to_vec();
-    let key_attrs: Vec<&str> = by.iter().map(|n| n.as_ref()).collect();
-    // evaluating the aggregates of one group is pure per-group work
-    let agg_tuple = |key: &Value, members: &[Arc<TupleF>]| -> Result<TupleF> {
-        let mut t = TupleF::builder(format!("agg[{key}]"));
-        // carry the grouping attributes into the output tuple
-        match (key, by.len()) {
-            (Value::List(parts), n) if n > 1 => {
-                for (name, v) in by.iter().zip(parts.iter()) {
-                    t = t.attr(name.as_ref(), v.clone());
-                }
-            }
-            (v, _) => {
-                t = t.attr(by[0].as_ref(), v.clone());
-            }
-        }
-        for (name, spec) in aggs {
-            t = t.attr(*name, spec.eval(members)?);
-        }
-        Ok(t.build())
-    };
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(groups.group_count()) {
-        // only the parallel path materializes all member vectors at once
-        // (chunks need `&[T]`); the sequential path below stays
-        // one-group-at-a-time
-        let entries: Vec<(Value, Vec<Arc<TupleF>>)> = groups.iter().collect();
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            chunk
-                .iter()
-                .map(|(key, members)| Ok((key.clone(), Arc::new(agg_tuple(key, members)?))))
-                .collect()
-        });
-        let mut out = ParallelBuilder::new("aggregates", &key_attrs);
-        for run in runs {
-            out.push_run(run?);
-        }
-        return out.build();
-    }
+    let fold = GroupFold::new(groups.by(), aggs);
     // group keys iterate in ascending order → no-sort bulk path
-    let mut out = RelationBuilder::new("aggregates", &key_attrs);
+    let mut out = RelationBuilder::new("aggregates", &fold.by());
     for (key, members) in groups.iter() {
-        let t = agg_tuple(&key, &members)?;
-        out.push(key, t);
+        let values = aggs.iter().map(|(_, spec)| spec.eval(&members));
+        let row = fold.row(&key, values)?;
+        out.push(key, row);
     }
     out.build()
 }
 
 /// Fused grouping + aggregation (paper Fig. 4c, "corresponds to GROUP BY
-/// syntax in SQL").
+/// syntax in SQL"): the one-operator plan scan → `GroupAgg` → root.
 pub fn group_and_aggregate(
     rel: &RelationF,
     by: &[&str],
     aggs: &[(&str, AggSpec)],
 ) -> Result<RelationF> {
-    aggregate(&group(rel, by)?, aggs)
+    if by.is_empty() {
+        return Err(no_grouping_attribute());
+    }
+    let input = Box::new(Op::Scan { rel, inline: false });
+    let fold = GroupFold::new(by, aggs);
+    Op::GroupAgg { input, fold }.collect(&mut Vec::new())
 }
 
 /// A global fold over the whole relation (no grouping): returns a single
 /// tuple function with one attribute per aggregate.
 pub fn aggregate_all(rel: &RelationF, aggs: &[(&str, AggSpec)]) -> Result<TupleF> {
-    let members: Vec<Arc<TupleF>> = rel.tuples()?.into_iter().map(|(_, t)| t).collect();
-    let mut t = TupleF::builder(format!("{}_aggregates", rel.name()));
-    for (name, spec) in aggs {
-        t = t.attr(*name, spec.eval(&members)?);
-    }
-    Ok(t.build())
+    let mut fold = GroupFold::new(&[] as &[&str], aggs);
+    scan(rel, false, &mut |row| fold.push(row.shape(), &row))?;
+    fold.global(format!("{}_aggregates", rel.name()))
 }
 
 /// One grouping condition of a grouping-sets query (paper Fig. 8):
@@ -199,23 +406,31 @@ impl GroupingSpec {
 /// function per semantically different grouping**, collected in a database
 /// function — no NULL filling, no `GROUPING()` disambiguation functions.
 pub fn grouping_sets(rel: &RelationF, specs: &[GroupingSpec]) -> Result<DatabaseF> {
+    // one scan feeds every grouping's fold; each then answers in spec
+    // order, as one `group_and_aggregate` / `aggregate_all` per spec did
+    let mut folds: Vec<GroupFold> = specs
+        .iter()
+        .map(|spec| GroupFold::new(&spec.by, &spec.aggs))
+        .collect();
+    scan(rel, false, &mut |row| {
+        folds
+            .iter_mut()
+            .for_each(|fold| fold.push(row.shape(), &row))
+    })?;
     let mut db = DatabaseF::new(format!("{}_gsets", rel.name()));
-    for spec in specs {
-        let aggs: Vec<(&str, AggSpec)> = spec
-            .aggs
-            .iter()
-            .map(|(n, a)| (n.as_str(), a.clone()))
-            .collect();
-        if spec.by.is_empty() {
+    for (spec, fold) in specs.iter().zip(folds) {
+        let out = if spec.by.is_empty() {
             // global aggregate: a relation function with a single tuple
-            let t = aggregate_all(rel, &aggs)?;
-            let out = RelationF::new(&spec.name, &["i"]).insert(Value::Int(0), t)?;
-            db = db.with_entry(&spec.name, FnValue::from(out));
+            let t = fold.global(format!("{}_aggregates", rel.name()))?;
+            RelationF::new(&spec.name, &["i"]).insert(Value::Int(0), t)?
         } else {
-            let by: Vec<&str> = spec.by.iter().map(String::as_str).collect();
-            let out = group_and_aggregate(rel, &by, &aggs)?.renamed(&spec.name);
-            db = db.with_entry(&spec.name, FnValue::from(out));
-        }
+            let mut out = RelationBuilder::new(&spec.name, &fold.by());
+            for (key, tuple) in fold.finish()? {
+                out.push_arc(key, tuple);
+            }
+            out.build()?
+        };
+        db = db.with_entry(&spec.name, FnValue::from(out));
     }
     Ok(db)
 }
@@ -264,6 +479,7 @@ pub fn cube(rel: &RelationF, by: &[&str], aggs: &[(&str, AggSpec)]) -> Result<Da
 mod tests {
     use super::*;
     use crate::filter::filter_attr;
+    use crate::group::group;
     use fdm_expr::GT;
 
     fn customers() -> RelationF {

@@ -18,72 +18,28 @@
 //! *database* function by entry name (the first step of the paper's
 //! Fig. 5 subdatabase query) — same operator concept, one level up.
 
+use crate::physical::{Op, Pred};
 use fdm_core::{
-    par_map_chunks, DatabaseF, FdmError, FnValue, Name, ParConfig, ParallelBuilder, RelationF,
-    Result, Shape, ShapeMemo, TupleF, Value,
+    DatabaseF, FdmError, FnValue, Name, RelationF, Result, Shape, ShapeMemo, TupleF, Value,
 };
-use fdm_expr::{by_suffix, eval_predicate, parse, CmpOp, Expr, Params};
+use fdm_expr::{by_suffix, parse, CmpOp, Expr, Params};
 use std::sync::Arc;
 
 /// Costume 1/2: filter by a host-language closure over tuple functions.
 ///
 /// The closure sees the full tuple function — computed attributes and
-/// nested functions included.
-///
-/// Large inputs are chunked across threads (`fdm_core::par`): each chunk
-/// evaluates the predicate over its key-ordered slice and the sorted runs
-/// merge into one O(n) bulk build. Output (and any error) is byte-identical
-/// to the sequential path; small inputs skip the threads entirely.
-pub fn filter_fn(
-    rel: &RelationF,
-    pred: impl Fn(&TupleF) -> Result<bool> + Sync,
-) -> Result<RelationF> {
-    filter_map_entries(
-        rel,
-        || (),
-        |_, _, tuple| Ok(pred(tuple)?.then(|| tuple.clone())),
-    )
+/// nested functions included — borrowed from the relation, never copied:
+/// like every costume, this is the physical scan → filter → root plan,
+/// which builds only the output (`physical.rs`).
+pub fn filter_fn(rel: &RelationF, pred: impl Fn(&TupleF) -> Result<bool>) -> Result<RelationF> {
+    filter(rel, Pred::Fn(&pred))
 }
 
-/// The body every filter shares: enumerates `rel` in key order and keeps
-/// the tuple `keep` answers with (usually the input tuple itself), chunked
-/// across threads on large inputs exactly as [`filter_fn`] documents. Each
-/// chunk works on its own `state()` — pure memoization, so how the input
-/// is chunked changes cost, never content.
-fn filter_map_entries<S>(
-    rel: &RelationF,
-    state: impl Fn() -> S + Sync,
-    keep: impl Fn(&mut S, &Value, &Arc<TupleF>) -> Result<Option<Arc<TupleF>>> + Sync,
-) -> Result<RelationF> {
-    let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(entries.len()) {
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            let mut state = state();
-            let mut kept = Vec::new();
-            for (key, tuple) in chunk {
-                if let Some(tuple) = keep(&mut state, key, tuple)? {
-                    kept.push((key.clone(), tuple));
-                }
-            }
-            Ok(kept)
-        });
-        let mut out = ParallelBuilder::for_relation(rel);
-        for run in runs {
-            out.push_run(run?);
-        }
-        return out.build();
-    }
-    // Input tuples arrive in key order, so the builder takes the O(n)
-    // already-sorted bulk path — no per-tuple persistent insert.
-    let mut out = rel.builder_like();
-    let mut state = state();
-    for (key, tuple) in entries {
-        if let Some(tuple) = keep(&mut state, &key, &tuple)? {
-            out.push_arc(key, tuple);
-        }
-    }
-    out.build()
+/// The plan every filter costume runs: `rel`'s rows in key order, the
+/// ones `pred` keeps built into a relation named and keyed like `rel`.
+fn filter(rel: &RelationF, pred: Pred<'_>) -> Result<RelationF> {
+    let input = Box::new(Op::Scan { rel, inline: false });
+    Op::Filter { input, pred }.collect(&mut Vec::new())
 }
 
 /// Costume 4: broken-up predicate — `filter(att='age', op=gt, c=42, …)`.
@@ -143,38 +99,10 @@ pub fn filter_expr(rel: &RelationF, src: &str, params: Params) -> Result<Relatio
     filter_bound(rel, &bound)
 }
 
-/// Costume 6: an already-parsed, already-bound expression.
+/// Costume 6: an already-parsed, already-bound expression, compiled once
+/// per tuple shape ([`fdm_expr::Compiled`]).
 pub fn filter_bound(rel: &RelationF, expr: &Expr) -> Result<RelationF> {
-    filter_fn(rel, |t| eval_predicate(expr, t).map_err(FdmError::from))
-}
-
-/// `filter_bound(&with_inlined_keys(rel)?, expr)` — a scan under a filter —
-/// without inlining the key into tuples the predicate drops. The predicate
-/// is evaluated on the stored tuple as it is, and only kept rows get their
-/// key attributes; a tuple is inlined *before* evaluation only when that
-/// can change the answer: the predicate names a key attribute the tuple
-/// lacks, or the tuple has computed attributes (which may read the key).
-/// Output and first error are byte-identical to the eager composition
-/// (pinned by `tests/tests/lazy_inlining.rs`).
-pub(crate) fn filter_scan(rel: &RelationF, expr: &Expr) -> Result<RelationF> {
-    let key_names = rel.key_attrs();
-    let referenced = expr.referenced_attrs();
-    let pred_keys: Vec<&Name> = key_names
-        .iter()
-        .filter(|k| referenced.contains(k))
-        .collect();
-    filter_map_entries(
-        rel,
-        || KeyInliner::new(key_names),
-        |inliner, key, tuple| {
-            if tuple.has_computed_attrs() || pred_keys.iter().any(|k| !tuple.has_attr(k)) {
-                let inlined = inliner.inline(key, tuple);
-                Ok(eval_predicate(expr, &inlined)?.then_some(inlined))
-            } else {
-                Ok(eval_predicate(expr, tuple)?.then(|| inliner.inline(key, tuple)))
-            }
-        },
-    )
+    filter(rel, Pred::Expr(expr))
 }
 
 /// `filter` one level up: keep only the database entries whose
@@ -242,25 +170,9 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
             ));
         }
     }
-    let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(entries.len()) {
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| {
-            let mut inliner = KeyInliner::new(key_names);
-            chunk
-                .iter()
-                .map(|(key, tuple)| (key.clone(), inliner.inline(key, tuple)))
-                .collect::<Vec<_>>()
-        });
-        let mut out = ParallelBuilder::for_relation(rel);
-        for run in runs {
-            out.push_run(run);
-        }
-        return out.build();
-    }
     let mut out = rel.builder_like();
     let mut inliner = KeyInliner::new(key_names);
-    for (key, tuple) in entries {
+    for (key, tuple) in rel.tuples()? {
         let inlined = inliner.inline(&key, &tuple);
         out.push_arc(key, inlined);
     }
@@ -268,15 +180,41 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
 }
 
 /// The per-tuple half of [`with_inlined_keys`]: returns tuples with their
-/// key attribute(s) inlined, sharing the input when nothing is missing.
-/// The `shape + missing key attributes` shape is derived once per distinct
+/// key attribute(s) inlined, sharing the input when nothing is missing —
+/// or, lazily, says what inlining would append ([`Self::lacks`]), so a
+/// scan can hand on the stored tuple and let an operator read the key
+/// parts off the key. What a shape lacks is derived once per distinct
 /// input shape (a per-operator-call [`ShapeMemo`]), so a row costs its
 /// values — no name is looked at, let alone allocated, per tuple.
 pub(crate) struct KeyInliner<'a> {
     key_names: &'a [Name],
-    /// Per input shape: the key positions it lacks and the shape with
-    /// their names appended; `None` when it lacks none.
-    memo: ShapeMemo<Option<(Vec<usize>, Arc<Shape>)>>,
+    memo: ShapeMemo<Option<Lacks>>,
+}
+
+/// What inlining a key appends to the tuples of one shape: the key parts
+/// the shape lacks, and the shape with their names appended.
+pub(crate) struct Lacks {
+    /// Positions in the key of the parts appended, in order.
+    parts: Vec<usize>,
+    /// A composite key: parts are the elements of a `Value::List` key.
+    composite: bool,
+    /// The inlined shape.
+    pub(crate) shape: Arc<Shape>,
+}
+
+impl Lacks {
+    /// The `i`-th appended value, read off `key`.
+    pub(crate) fn part<'k>(&self, key: &'k Value, i: usize) -> &'k Value {
+        match key {
+            Value::List(parts) if self.composite => &parts[self.parts[i]],
+            whole => whole,
+        }
+    }
+
+    /// The appended values, in order.
+    pub(crate) fn values<'k>(&'k self, key: &'k Value) -> impl Iterator<Item = &'k Value> + 'k {
+        (0..self.parts.len()).map(move |i| self.part(key, i))
+    }
 }
 
 impl<'a> KeyInliner<'a> {
@@ -287,33 +225,44 @@ impl<'a> KeyInliner<'a> {
         }
     }
 
-    pub(crate) fn inline(&mut self, key: &Value, tuple: &Arc<TupleF>) -> Arc<TupleF> {
+    /// What inlining `key` into a tuple of `shape` appends; `None` when
+    /// nothing: the shape has every key attribute, or `key` does not fit
+    /// the key attributes (a composite key that is no list of their arity).
+    pub(crate) fn lacks(&mut self, key: &Value, shape: &Arc<Shape>) -> Option<&Lacks> {
         let key_names = self.key_names;
-        let parts = match key {
-            Value::List(parts) if key_names.len() > 1 && parts.len() == key_names.len() => {
-                &parts[..]
-            }
-            whole if key_names.len() == 1 => std::slice::from_ref(whole),
-            _ => return tuple.clone(),
+        let composite = key_names.len() > 1;
+        let fits = match key {
+            Value::List(parts) if composite => parts.len() == key_names.len(),
+            _ => key_names.len() == 1,
         };
-        let shape = tuple.shape();
-        let missing = self.memo.get_or_derive([shape], || {
-            let mut lacks: Vec<usize> = Vec::new();
+        if !fits {
+            return None;
+        }
+        let lacks = self.memo.get_or_derive([shape], || {
+            let mut parts: Vec<usize> = Vec::new();
             for (at, name) in key_names.iter().enumerate() {
-                let seen = lacks.iter().any(|&a| key_names[a] == *name);
+                let seen = parts.iter().any(|&a| key_names[a] == *name);
                 if !seen && shape.position(name).is_none() {
-                    lacks.push(at);
+                    parts.push(at);
                 }
             }
-            if lacks.is_empty() {
+            if parts.is_empty() {
                 return None;
             }
-            let extended = shape.with_names(lacks.iter().map(|&at| key_names[at].clone()));
-            Some((lacks, extended))
+            let shape = shape.with_names(parts.iter().map(|&at| key_names[at].clone()));
+            Some(Lacks {
+                parts,
+                composite,
+                shape,
+            })
         });
-        match missing {
-            Some((lacks, shape)) => {
-                Arc::new(tuple.appended(shape.clone(), lacks.iter().map(|&at| parts[at].clone())))
+        lacks.as_ref()
+    }
+
+    pub(crate) fn inline(&mut self, key: &Value, tuple: &Arc<TupleF>) -> Arc<TupleF> {
+        match self.lacks(key, tuple.shape()) {
+            Some(lacks) => {
+                Arc::new(tuple.appended(lacks.shape.clone(), lacks.values(key).cloned()))
             }
             None => tuple.clone(),
         }

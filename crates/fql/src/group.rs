@@ -21,8 +21,8 @@
 //! members keep the relation's key order.
 
 use fdm_core::{
-    par_map_chunks, DatabaseF, FdmError, FnValue, FxHashMap, Name, ParConfig, RelationBuilder,
-    RelationF, Result, TupleF, Value,
+    DatabaseF, FdmError, FnValue, FxHashMap, Name, RelationBuilder, RelationF, Result, TupleF,
+    Value,
 };
 use std::sync::Arc;
 
@@ -103,10 +103,7 @@ impl Groups {
 /// Multi-attribute keys become `Value::List`s.
 pub fn group(rel: &RelationF, by: &[&str]) -> Result<Groups> {
     if by.is_empty() {
-        return Err(FdmError::Other(
-            "group: 'by' must name at least one attribute (use aggregate for a global fold)"
-                .to_string(),
-        ));
+        return Err(no_grouping_attribute());
     }
     group_fn_named(rel, by, |t| {
         let mut vals = Vec::with_capacity(by.len());
@@ -121,10 +118,17 @@ pub fn group(rel: &RelationF, by: &[&str]) -> Result<Groups> {
     })
 }
 
+/// The error of a grouping that names no attribute.
+pub(crate) fn no_grouping_attribute() -> FdmError {
+    FdmError::Other(
+        "group: 'by' must name at least one attribute (use aggregate for a global fold)"
+            .to_string(),
+    )
+}
+
 /// Groups by an arbitrary key function over tuple functions
 /// (`group(lambda prof: prof.age, customers)` — Fig. 4b, first variant).
-/// `key` must be `Sync`: large inputs evaluate it in parallel chunks.
-pub fn group_fn(rel: &RelationF, key: impl Fn(&TupleF) -> Result<Value> + Sync) -> Result<Groups> {
+pub fn group_fn(rel: &RelationF, key: impl Fn(&TupleF) -> Result<Value>) -> Result<Groups> {
     group_fn_named(rel, &["key"], key)
 }
 
@@ -142,7 +146,7 @@ fn fx_hash_value(v: &Value) -> u64 {
 #[doc(hidden)]
 pub fn group_fn_with_hasher(
     rel: &RelationF,
-    key: impl Fn(&TupleF) -> Result<Value> + Sync,
+    key: impl Fn(&TupleF) -> Result<Value>,
     hash: impl Fn(&Value) -> u64,
 ) -> Result<Groups> {
     group_fn_hashed(rel, &["key"], key, hash)
@@ -151,7 +155,7 @@ pub fn group_fn_with_hasher(
 fn group_fn_named(
     rel: &RelationF,
     by: &[&str],
-    key: impl Fn(&TupleF) -> Result<Value> + Sync,
+    key: impl Fn(&TupleF) -> Result<Value>,
 ) -> Result<Groups> {
     group_fn_hashed(rel, by, key, fx_hash_value)
 }
@@ -162,49 +166,22 @@ type KeyedGroup = (Value, Vec<Arc<TupleF>>);
 fn group_fn_hashed(
     rel: &RelationF,
     by: &[&str],
-    key: impl Fn(&TupleF) -> Result<Value> + Sync,
+    key: impl Fn(&TupleF) -> Result<Value>,
     hash: impl Fn(&Value) -> u64,
 ) -> Result<Groups> {
     let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
     // hash → the distinct keys sharing it (almost always exactly one),
     // each with its members in input order. Placement costs one hash and
     // one integer probe; the full `Value` compare runs only against keys
     // in the same (usually singleton) bucket.
     let mut buckets: FxHashMap<u64, Vec<KeyedGroup>> =
         FxHashMap::with_capacity_and_hasher(entries.len().min(1024), Default::default());
-    let mut place = |k: Value, tuple: Arc<TupleF>| {
+    for (_, tuple) in entries {
+        let k = key(&tuple)?;
         let bucket = buckets.entry(hash(&k)).or_default();
         match bucket.iter_mut().find(|(bk, _)| *bk == k) {
             Some((_, members)) => members.push(tuple),
             None => bucket.push((k, vec![tuple])),
-        }
-    };
-    if cfg.should_parallelize(entries.len()) {
-        // Key evaluation is the per-entry work; bucket membership order
-        // must stay the relation's key order, so chunks (contiguous, in
-        // order) compute (group_key, tuple) pairs and the buckets fill in
-        // chunk order — byte-identical to the sequential pass, including
-        // which error surfaces first.
-        let runs = par_map_chunks(
-            &entries,
-            cfg.threads,
-            |chunk| -> Result<Vec<(Value, Arc<TupleF>)>> {
-                chunk
-                    .iter()
-                    .map(|(_, tuple)| Ok((key(tuple)?, tuple.clone())))
-                    .collect()
-            },
-        );
-        for run in runs {
-            for (k, tuple) in run? {
-                place(k, tuple);
-            }
-        }
-    } else {
-        for (_, tuple) in entries {
-            let k = key(&tuple)?;
-            place(k, tuple);
         }
     }
     // one final sort over the (few) distinct keys restores the

@@ -19,7 +19,8 @@
 //! * **scan / filter / project** — pure change transformers: both sides of
 //!   a change come from the incoming [`TupleChange`] (the scan inlines the
 //!   key as the executor's `with_inlined_keys` does, the filter
-//!   re-evaluates its predicate, the projection projects — `apply` trusts
+//!   re-evaluates its predicate and the projection projects, each through
+//!   what it derived once per input shape — `apply` trusts
 //!   the delta's `old` side, as its contract says). They keep **no**
 //!   relation unless they are the plan root or the direct input of an
 //!   operator that re-reads it (a join's left side, order-by, limit) —
@@ -60,7 +61,7 @@ use fdm_core::delta::{diff_relations, DbDelta, EntryDelta, TupleChange};
 use fdm_core::{
     DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape, TupleF, Value,
 };
-use fdm_expr::eval_predicate;
+use fdm_expr::Compiled;
 use fdm_storage::PMap;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -186,10 +187,15 @@ enum Node {
         key_names: Vec<Name>,
         out: Option<RelationF>,
     },
-    /// A filter or a projection.
-    Map {
+    Filter {
         input: Box<Node>,
         out: Option<RelationF>,
+        compiled: PerShape<Compiled>,
+    },
+    Project {
+        input: Box<Node>,
+        out: Option<RelationF>,
+        projected: PerShape<Result<(Arc<Shape>, Vec<usize>)>>,
     },
     Join {
         input: Box<Node>,
@@ -205,6 +211,29 @@ enum Node {
     },
     /// An order-by or a limit: no delta rule, maintained by scoped recompute.
     Fallback { input: Box<Node>, out: RelationF },
+}
+
+/// What a filter or projection derived per input shape, kept for the life
+/// of the view: the executor's per-shape work (the compiled predicate, or
+/// the projected shape and the slots it reads) done once per shape, not
+/// once per change. Found by shape *value*, pointer first, so a tuple a
+/// later commit built on its own reuses what the first derived — and a
+/// projection's output rows share one shape across commits.
+type PerShape<V> = Vec<(Arc<Shape>, V)>;
+
+fn derived<'m, V>(
+    shapes: &'m mut PerShape<V>,
+    shape: &Arc<Shape>,
+    derive: impl FnOnce() -> V,
+) -> &'m V {
+    let found = shapes
+        .iter()
+        .position(|(s, _)| Arc::ptr_eq(s, shape) || **s == **shape);
+    let at = found.unwrap_or_else(|| {
+        shapes.push((shape.clone(), derive()));
+        shapes.len() - 1
+    });
+    &shapes[at].1
 }
 
 /// Batches a node's output changes into its materialized relation via
@@ -505,7 +534,9 @@ impl Node {
     /// This node's output, where it keeps one.
     fn out(&self) -> Option<&RelationF> {
         match self {
-            Node::Scan { out, .. } | Node::Map { out, .. } => out.as_ref(),
+            Node::Scan { out, .. } | Node::Filter { out, .. } | Node::Project { out, .. } => {
+                out.as_ref()
+            }
             Node::Join { out, .. } | Node::GroupAgg { out, .. } | Node::Fallback { out, .. } => {
                 Some(out)
             }
@@ -529,9 +560,15 @@ impl Node {
                 key_names: db.relation(rel)?.key_attrs().to_vec(),
                 out: first_out()?,
             },
-            Query::Filter { input, .. } | Query::Project { input, .. } => Node::Map {
+            Query::Filter { input, .. } => Node::Filter {
                 input: Box::new(Node::build(input, db, false)?),
                 out: first_out()?,
+                compiled: PerShape::new(),
+            },
+            Query::Project { input, .. } => Node::Project {
+                input: Box::new(Node::build(input, db, false)?),
+                out: first_out()?,
+                projected: PerShape::new(),
             },
             Query::Join {
                 input,
@@ -601,28 +638,46 @@ impl Node {
                     rerun(out, plan, db, stats)
                 }
             },
-            (Node::Map { input, out }, Query::Filter { input: sub, pred }) => {
-                match input.apply(sub, db, delta, stats)? {
-                    None => rerun(out, plan, db, stats),
-                    Some(child_changes) => {
-                        let keep = |_: &Value, t: &Arc<TupleF>| {
-                            Ok(eval_predicate(pred, t)?.then(|| t.clone()))
-                        };
-                        emit(out, map_changes(&child_changes, keep)?)
-                    }
+            (
+                Node::Filter {
+                    input,
+                    out,
+                    compiled,
+                },
+                Query::Filter { input: sub, pred },
+            ) => match input.apply(sub, db, delta, stats)? {
+                None => rerun(out, plan, db, stats),
+                Some(child_changes) => {
+                    let keep = |_: &Value, t: &Arc<TupleF>| {
+                        let shape = t.shape();
+                        let pred = derived(compiled, shape, || Compiled::new(pred, shape));
+                        Ok(pred.eval_predicate(&**t)?.then(|| t.clone()))
+                    };
+                    emit(out, map_changes(&child_changes, keep)?)
                 }
-            }
-            (Node::Map { input, out }, Query::Project { input: sub, attrs }) => {
-                match input.apply(sub, db, delta, stats)? {
-                    None => rerun(out, plan, db, stats),
-                    Some(child_changes) => {
-                        let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                        let project =
-                            |_: &Value, t: &Arc<TupleF>| Ok(Some(Arc::new(t.project(&keep)?)));
-                        emit(out, map_changes(&child_changes, project)?)
-                    }
+            },
+            (
+                Node::Project {
+                    input,
+                    out,
+                    projected,
+                },
+                Query::Project { input: sub, attrs },
+            ) => match input.apply(sub, db, delta, stats)? {
+                None => rerun(out, plan, db, stats),
+                Some(child_changes) => {
+                    let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
+                    let project = |_: &Value, t: &Arc<TupleF>| {
+                        let shape = t.shape();
+                        let derive = || shape.project(&keep);
+                        let (shape, slots) = derived(projected, shape, derive)
+                            .as_ref()
+                            .map_err(Clone::clone)?;
+                        Ok(Some(Arc::new(t.select(shape.clone(), slots))))
+                    };
+                    emit(out, map_changes(&child_changes, project)?)
                 }
-            }
+            },
             (
                 Node::Join { input, state, out },
                 Query::Join {
@@ -891,7 +946,8 @@ impl MaintainedView {
                     out.push(state.right.clone());
                     Some(input)
                 }
-                Node::Map { input, .. }
+                Node::Filter { input, .. }
+                | Node::Project { input, .. }
                 | Node::GroupAgg { input, .. }
                 | Node::Fallback { input, .. } => Some(input),
             };
@@ -1080,6 +1136,41 @@ mod tests {
         v.apply(&db4, &delta).unwrap();
         check(&v, &db4);
         assert!(v.stats().fallback_recomputes >= 1);
+    }
+
+    #[test]
+    fn stateless_nodes_derive_once_per_input_shape_across_commits() {
+        let db = retail_db();
+        let q = Query::scan("customers")
+            .filter("age > $min", Params::new().set("min", 20))
+            .project(&["name", "age"]);
+        let mut v = MaintainedView::new("names", q, &db).unwrap();
+        let mut before = db;
+        let mut shapes = Vec::new();
+        for (cid, age) in [(7, 61), (8, 62)] {
+            // each commit's tuple is built on its own: a fresh shape each time
+            let t = TupleF::builder("c")
+                .attr("name", "N")
+                .attr("age", age)
+                .build();
+            let after = crate::update::db_upsert(&before, "customers", Value::Int(cid), t).unwrap();
+            step(&mut v, &before, &after);
+            let row = v.relation().lookup(&Value::Int(cid)).unwrap();
+            shapes.push(row.shape().clone());
+            before = after;
+        }
+        assert!(Arc::ptr_eq(&shapes[0], &shapes[1]), "one output shape");
+        // derived once per distinct input shape, not once per change
+        let Node::Project {
+            input, projected, ..
+        } = &v.root
+        else {
+            panic!("a projection at the root: {}", v.plan().explain())
+        };
+        let Node::Filter { compiled, .. } = &**input else {
+            panic!("a filter below it: {}", v.plan().explain())
+        };
+        assert_eq!((projected.len(), compiled.len()), (1, 1));
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! [`TupleF::from_shape`] and [`fdm_core::RelationBuilder`]'s O(n) bulk
 //! path.
 //!
-//! Every join in this crate — the schema join, [`join_on`] and the plan's
-//! `Query::Join` — runs its probe side through the one `probe` loop here.
+//! The schema join and [`join_on`] run their probe side through the one
+//! `probe` loop here; the plan's `Query::Join` streams its probe side
+//! through the physical layer (`physical.rs`) and shares `RowJoiner`'s
+//! output shapes.
 //!
 //! **Join order** is cost-modeled: among the relationships connected to
 //! the already-bound relations, [`join`] binds the one with the smallest
@@ -126,27 +128,38 @@ impl RowJoiner {
         }
     }
 
+    /// The name every output row goes by.
+    pub(crate) fn name(&self) -> &Name {
+        &self.name
+    }
+
+    /// The output shape for a left row of shape `left` and a right tuple
+    /// of shape `right`: every value is materialized, so the row is all
+    /// stored, whatever the two sides compute.
+    pub(crate) fn shape(&mut self, left: &Arc<Shape>, right: &Arc<Shape>) -> &Arc<Shape> {
+        let qual = &mut self.qual;
+        self.shapes.get_or_derive([left, right], || {
+            let qualified = right.names().iter().map(|n| qual.name(n));
+            let names: Vec<Name> = left.names().iter().cloned().chain(qualified).collect();
+            Shape::new(names)
+        })
+    }
+
     pub(crate) fn row(
         &mut self,
         left: &Arc<Shape>,
         values: &[Value],
         right: &TupleF,
     ) -> Result<Row> {
-        let qual = &mut self.qual;
-        let shape = self.shapes.get_or_derive([left, right.shape()], || {
-            // every value is materialized: the row is all stored, whatever
-            // the two sides compute
-            let qualified = right.attr_names().map(|n| qual.name(n));
-            let names: Vec<Name> = left.names().iter().cloned().chain(qualified).collect();
-            Shape::new(names)
-        });
+        let shape = self.shape(left, right.shape()).clone();
         let mut out = Vec::with_capacity(shape.len());
         out.extend_from_slice(values);
         right.values_into(&mut out)?;
-        Ok((shape.clone(), out))
+        Ok((shape, out))
     }
 
-    /// [`Self::row`] as the tuple `Query::Join` emits.
+    /// [`Self::row`] as the tuple `Query::Join` emits (maintained joins
+    /// rebuild theirs through this).
     pub(crate) fn tuple(
         &mut self,
         left: &Arc<Shape>,

@@ -41,6 +41,7 @@ pub mod group;
 pub mod ivm;
 pub mod join;
 pub mod optimizer;
+mod physical;
 pub mod pivot;
 pub mod plan;
 pub mod setops;

@@ -11,10 +11,18 @@
 //! statistics in hand — join reordering, each an independent
 //! [`crate::optimizer::OptimizationRule`] run to fixpoint.
 //!
-//! The executor is deliberately simple (left-deep hash joins); the point
-//! is the *optimization space*, which the `fig6` ablation bench and the
-//! `bench_bulk` `fig6_plan_reorder` / `fig13_rule_optimizer` series
-//! measure (optimized vs. declared order).
+//! # Execution
+//!
+//! [`Query::eval`] lowers the optimized plan onto a small physical layer
+//! (`physical.rs`) and runs it: operators exchange value rows, and only
+//! the pipeline breakers — `GroupAgg`, `OrderBy`, a join's hash-build
+//! side, a join whose row ids are observed — and the plan root build
+//! anything; the root builds the one relation a plan returns. A join on
+//! the right relation's own key is a lookup in its map — function
+//! application — instead of a hash build. `docs/OPTIMIZER.md` describes
+//! the physical nodes; the optimization space itself is what the `fig6`
+//! ablation bench and the `bench_bulk` `fig6_plan_reorder` /
+//! `fig13_rule_optimizer` series measure (optimized vs. declared order).
 //!
 //! # Canonical row ids
 //!
@@ -41,11 +49,10 @@
 //! [`crate::optimizer::OptimizerConfig`], with the environment as
 //! fallback). See `docs/OPTIMIZER.md` for the full cost model.
 
-use crate::aggregate::{group_and_aggregate, AggSpec};
-use crate::filter::{filter_bound, KeyInliner};
-use crate::join::{frozen, RowJoiner};
+use crate::aggregate::AggSpec;
 use crate::optimizer::Optimizer;
-use fdm_core::{DatabaseF, FdmError, RelationF, Result, ShapeMemo, TupleF, Value};
+use crate::physical::Op;
+use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_expr::{Expr, Params};
 use std::sync::Arc;
 
@@ -273,172 +280,32 @@ impl Query {
 
     /// Executes the plan against a database function.
     pub fn eval(&self, db: &DatabaseF) -> Result<RelationF> {
-        self.eval_with_stats(db).map(|(r, _)| r)
+        Op::lower(self, db, true)?.collect(&mut Vec::new())
     }
 
     /// Executes the plan, also reporting per-operator output cardinalities
-    /// (innermost first) — the EXPLAIN ANALYZE of this engine.
+    /// (innermost first) — the EXPLAIN ANALYZE of this engine. Every
+    /// operator counts the rows it hands on; none is materialized to be
+    /// counted.
     pub fn eval_with_stats(&self, db: &DatabaseF) -> Result<(RelationF, QueryStats)> {
-        let mut stats = QueryStats::default();
-        let rel = self.run(db, &mut stats, true)?;
-        Ok((rel, stats))
+        let mut counts = Vec::new();
+        let rel = Op::lower(self, db, true)?.collect(&mut counts)?;
+        let operators: Vec<String> = self.chain().map(Query::describe).collect();
+        let produced = operators.into_iter().rev().zip(counts).collect();
+        Ok((rel, QueryStats { produced }))
     }
 
-    /// `keyed`: are this operator's output keys observable — at the plan
-    /// root, or by a parent that reads them (`Limit`, `OrderBy`,
-    /// `GroupAgg`)? `Filter` and `Project` pass their own answer down; a
-    /// `Join` reads only its input's tuples, so a join below it skips the
-    /// canonical row ids (see the module docs).
-    fn run(&self, db: &DatabaseF, stats: &mut QueryStats, keyed: bool) -> Result<RelationF> {
-        let out = match self {
-            // Scans inline the key as an attribute so downstream operators
-            // can filter/project/join on it (`cid` etc.).
-            Query::Scan { rel } => crate::filter::with_inlined_keys(db.relation(rel)?.as_ref())?,
-            Query::Filter { input, pred } => {
-                // A scan under a filter inlines the key only into the rows
-                // the predicate keeps (plain stored bodies; the others
-                // enumerate through the scan's inlined copy).
-                let scanned = match &**input {
-                    Query::Scan { rel } => Some(db.relation(rel)?),
-                    _ => None,
-                };
-                match scanned.filter(|rel| rel.is_plain_stored()) {
-                    Some(rel) => {
-                        stats.produced.push((input.describe(), rel.len()));
-                        crate::filter::filter_scan(&rel, pred)?
-                    }
-                    None => filter_bound(&input.run(db, stats, keyed)?, pred)?,
-                }
-            }
-            Query::Project { input, attrs } => {
-                let rel = input.run(db, stats, keyed)?;
-                let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                // the projected shape is derived once per input shape; one
-                // that lacks an attribute reports it through `project`
-                let project = |shapes: &mut ShapeMemo<_>, tuple: &TupleF| -> Result<TupleF> {
-                    let shape = tuple.shape();
-                    match shapes.get_or_derive([shape], || shape.project(&keep).ok()) {
-                        Some((shape, slots)) => Ok(tuple.select(shape.clone(), slots)),
-                        None => tuple.project(&keep),
-                    }
-                };
-                let entries = rel.tuples()?;
-                let cfg = fdm_core::ParConfig::from_env();
-                if cfg.should_parallelize(entries.len()) {
-                    // per-tuple projection is pure — chunk it across threads
-                    let runs = fdm_core::par_map_chunks(
-                        &entries,
-                        cfg.threads,
-                        |chunk| -> Result<Vec<_>> {
-                            let mut shapes = ShapeMemo::new();
-                            chunk
-                                .iter()
-                                .map(|(key, tuple)| {
-                                    Ok((key.clone(), Arc::new(project(&mut shapes, tuple)?)))
-                                })
-                                .collect()
-                        },
-                    );
-                    let mut out = fdm_core::ParallelBuilder::for_relation(&rel);
-                    for run in runs {
-                        out.push_run(run?);
-                    }
-                    out.build()?
-                } else {
-                    let mut out = rel.builder_like();
-                    let mut shapes = ShapeMemo::new();
-                    for (key, tuple) in entries {
-                        out.push(key, project(&mut shapes, &tuple)?);
-                    }
-                    out.build()?
-                }
-            }
-            Query::Join {
-                input,
-                rel,
-                input_attr,
-                rel_attr,
-            } => {
-                let left = input.run(db, stats, false)?;
-                // A plain stored right side is read in place: the join
-                // attribute comes off the tuple or its key, and the key is
-                // inlined only into tuples some left row matches. Other
-                // bodies enumerate through an inlined copy.
-                let right = db.relation(rel)?;
-                let right = if right.is_plain_stored() {
-                    right
-                } else {
-                    Arc::new(crate::filter::with_inlined_keys(&right)?)
-                };
-                let key_names = right.key_attrs();
-                let right_rows = right.tuples()?;
-                // hash-build the right side
-                let mut table: fdm_core::FxHashMap<Value, Vec<usize>> =
-                    fdm_core::FxHashMap::default();
-                for (i, (key, t)) in right_rows.iter().enumerate() {
-                    let on = crate::filter::get_inlined(key, t, key_names, rel_attr)?;
-                    table.entry(on).or_default().push(i);
-                }
-                // Memoization across the probe: the output shape per (left
-                // shape, right shape), each matched right tuple with its
-                // key inlined, and the current left row's values.
-                let mut joiner = RowJoiner::new(rel);
-                let mut inliner = KeyInliner::new(key_names);
-                let mut inlined: Vec<Option<Arc<TupleF>>> = vec![None; right_rows.len()];
-                let mut left_values = Vec::new();
-                let rows = crate::join::probe(
-                    &left.tuples()?,
-                    |(_, lt)| {
-                        let hits = table.get(&lt.get(input_attr)?);
-                        Ok(hits.map_or(&[][..], Vec::as_slice))
-                    },
-                    |(_, lt), hits, rows| {
-                        left_values.clear();
-                        lt.values_into(&mut left_values)?;
-                        for &i in hits {
-                            let rt = match &mut inlined[i] {
-                                Some(rt) => rt,
-                                slot => {
-                                    let (key, t) = &right_rows[i];
-                                    slot.insert(frozen(inliner.inline(key, t))?)
-                                }
-                            };
-                            let row = joiner.tuple(lt.shape(), &left_values, rt)?;
-                            rows.push(Arc::new(row));
-                        }
-                        Ok(())
-                    },
-                )?;
-                if keyed {
-                    canonical_keyed(rows)?
-                } else {
-                    // nobody reads these keys: emission order will do
-                    let rows = rows.into_iter().enumerate();
-                    let keyed = rows.map(|(i, t)| (Value::Int(i as i64), t)).collect();
-                    RelationF::from_sorted("join", &["row"], keyed)
-                }
-            }
-            Query::GroupAgg { input, by, aggs } => {
-                let rel = input.run(db, stats, true)?;
-                let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
-                let agg_refs: Vec<(&str, AggSpec)> =
-                    aggs.iter().map(|(n, a)| (n.as_str(), a.clone())).collect();
-                group_and_aggregate(&rel, &by_refs, &agg_refs)?
-            }
-            Query::OrderBy { input, attr, order } => {
-                let rel = input.run(db, stats, true)?;
-                crate::transform::order_by(&rel, attr, *order)?
-            }
-            Query::Limit { input, k } => {
-                let rel = input.run(db, stats, true)?;
-                crate::transform::limit(&rel, *k)?
-            }
-            // a deferred plan-construction error surfaces here, as the
-            // expression error `filter` would have reported eagerly
-            Query::Invalid { message } => return Err(FdmError::Expr(message.clone())),
-        };
-        stats.produced.push((self.describe(), out.len()));
-        Ok(out)
+    /// This operator, then the one it reads, and so on down to the leaf.
+    fn chain(&self) -> impl Iterator<Item = &Query> {
+        std::iter::successors(Some(self), |q| match q {
+            Query::Scan { .. } | Query::Invalid { .. } => None,
+            Query::Filter { input, .. }
+            | Query::Project { input, .. }
+            | Query::Join { input, .. }
+            | Query::GroupAgg { input, .. }
+            | Query::OrderBy { input, .. }
+            | Query::Limit { input, .. } => Some(&**input),
+        })
     }
 
     fn describe(&self) -> String {
@@ -555,50 +422,28 @@ impl Query {
     /// operator (`~N rows`) — the cost-model view of the plan, next to
     /// [`Self::eval_with_stats`]'s measured one.
     pub fn explain_with_cost(&self, db: &DatabaseF) -> Result<String> {
-        fn go(q: &Query, db: &DatabaseF, depth: usize, out: &mut String) -> Result<()> {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&q.describe());
-            out.push_str(&format!("  ~{:.0} rows\n", q.estimated_rows(db)?));
-            match q {
-                Query::Scan { .. } | Query::Invalid { .. } => {}
-                Query::Filter { input, .. }
-                | Query::Project { input, .. }
-                | Query::Join { input, .. }
-                | Query::GroupAgg { input, .. }
-                | Query::OrderBy { input, .. }
-                | Query::Limit { input, .. } => go(input, db, depth + 1, out)?,
-            }
-            Ok(())
-        }
         let mut s = String::new();
-        go(self, db, 0, &mut s)?;
+        for (depth, q) in self.chain().enumerate() {
+            let rows = q.estimated_rows(db)?;
+            s.push_str(&format!(
+                "{}{}  ~{rows:.0} rows\n",
+                "  ".repeat(depth),
+                q.describe()
+            ));
+        }
         Ok(s)
     }
 
     /// Pretty-prints the plan tree, one operator per line, leaves deepest.
     pub fn explain(&self) -> String {
-        fn go(q: &Query, depth: usize, out: &mut String) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&q.describe());
-            out.push('\n');
-            match q {
-                Query::Scan { .. } | Query::Invalid { .. } => {}
-                Query::Filter { input, .. }
-                | Query::Project { input, .. }
-                | Query::Join { input, .. }
-                | Query::GroupAgg { input, .. }
-                | Query::OrderBy { input, .. }
-                | Query::Limit { input, .. } => go(input, depth + 1, out),
-            }
-        }
-        let mut s = String::new();
-        go(self, 0, &mut s);
-        s
+        let lines = self.chain().enumerate();
+        let lines = lines.map(|(depth, q)| format!("{}{}\n", "  ".repeat(depth), q.describe()));
+        lines.collect()
     }
 }
 
-/// Keys join output rows by their **canonical row id** and bulk-builds
-/// the result relation.
+/// Keys join output rows by their **canonical row id**, in id order (the
+/// order the builder above takes in one presorted pass).
 ///
 /// The id of a row is `[hash, rank]`: the 64-bit hash of the tuple's
 /// cached `DataKey` fingerprint, plus a rank that disambiguates rows
@@ -609,7 +454,7 @@ impl Query {
 /// therefore a pure function of the produced row **data**: every join
 /// order that yields the same rows yields the same keyed relation, which
 /// is the contract `Query::optimize_for`'s reordering relies on.
-fn canonical_keyed(rows: Vec<Arc<TupleF>>) -> Result<RelationF> {
+pub(crate) fn canonical_keyed(rows: Vec<Arc<TupleF>>) -> Result<Vec<(Value, Arc<TupleF>)>> {
     // computing — and caching on the tuple — each fingerprint exactly once
     let mut keyed: Vec<(i64, Arc<TupleF>)> = Vec::with_capacity(rows.len());
     for t in rows {
@@ -626,17 +471,16 @@ fn canonical_keyed(rows: Vec<Arc<TupleF>>) -> Result<RelationF> {
     });
     // ids now ascend, so the builder takes its presorted O(n) bulk path;
     // a row's rank is its position in its run of equal hashes
-    let mut out = fdm_core::RelationBuilder::new("join", &["row"]).with_capacity(keyed.len());
     let mut prev: Option<(i64, i64)> = None;
-    for (hash, t) in keyed {
+    let ids = keyed.into_iter().map(|(hash, t)| {
         let rank = match prev {
             Some((h, rank)) if h == hash => rank + 1,
             _ => 0,
         };
         prev = Some((hash, rank));
-        out.push_arc(Value::list([Value::Int(hash), Value::Int(rank)]), t);
-    }
-    out.build()
+        (Value::list([Value::Int(hash), Value::Int(rank)]), t)
+    });
+    Ok(ids.collect())
 }
 
 /// Per-operator output cardinalities from [`Query::eval_with_stats`],

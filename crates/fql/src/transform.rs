@@ -110,11 +110,25 @@ pub enum Order {
 /// keyed by **rank** (`0..n`): the ordering is part of the function, not
 /// a cursor artifact. Ties keep the original key order (stable).
 pub fn order_by(rel: &RelationF, attr: &str, order: Order) -> Result<RelationF> {
-    let mut entries: Vec<(Value, Value, Arc<TupleF>)> = rel
+    let entries: Vec<(Value, Value, Arc<TupleF>)> = rel
         .tuples()?
         .into_iter()
         .map(|(k, t)| Ok((t.get(attr)?, k, t)))
         .collect::<Result<_>>()?;
+    // Rank keys ascend, so this is the no-sort bulk path.
+    let mut out = RelationBuilder::new(format!("{}_by_{attr}", rel.name()), &["rank"]);
+    for (rank, tuple) in ranked(entries, order) {
+        out.push_arc(rank, tuple);
+    }
+    out.build()
+}
+
+/// `(sort value, key, tuple)` entries in `order`, ties by key (stable),
+/// each under its rank — `order_by`'s output rows, and the plan's.
+pub(crate) fn ranked(
+    mut entries: Vec<(Value, Value, Arc<TupleF>)>,
+    order: Order,
+) -> impl Iterator<Item = (Value, Arc<TupleF>)> {
     entries.sort_by(|a, b| {
         let ord = a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1));
         match order {
@@ -122,12 +136,8 @@ pub fn order_by(rel: &RelationF, attr: &str, order: Order) -> Result<RelationF> 
             Order::Desc => ord.reverse(),
         }
     });
-    // Rank keys ascend, so this is the no-sort bulk path.
-    let mut out = RelationBuilder::new(format!("{}_by_{attr}", rel.name()), &["rank"]);
-    for (rank, (_, _, tuple)) in entries.into_iter().enumerate() {
-        out.push_arc(Value::Int(rank as i64), tuple);
-    }
-    out.build()
+    let ranks = entries.into_iter().enumerate();
+    ranks.map(|(rank, (_, _, tuple))| (Value::Int(rank as i64), tuple))
 }
 
 /// The first `k` tuples of a rank-keyed relation (compose with

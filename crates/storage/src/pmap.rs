@@ -474,6 +474,24 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         None
     }
 
+    /// [`Self::get`] returning the stored key too (which may differ from
+    /// `key` in representation while comparing equal).
+    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let mut cur = self.root.as_deref();
+        while let Some(n) = cur {
+            match key.cmp(n.key.borrow()) {
+                Ordering::Less => cur = n.left.as_deref(),
+                Ordering::Greater => cur = n.right.as_deref(),
+                Ordering::Equal => return Some((&n.key, &n.val)),
+            }
+        }
+        None
+    }
+
     /// `true` if `key` is present.
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where
