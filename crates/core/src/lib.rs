@@ -67,11 +67,9 @@ pub mod domain;
 pub mod error;
 pub mod function;
 pub mod fxhash;
-pub mod par;
 pub mod relation;
 pub mod relationship;
 pub mod shape;
-pub mod shard;
 pub mod stats;
 pub mod tuple;
 pub mod types;
@@ -85,11 +83,9 @@ pub use error::{FdmError, Name, Result};
 pub use fdm_storage::splitmix64;
 pub use function::{apply1, FnValue, Function, FunctionHandle, LambdaF};
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use par::{par_map_chunks, ParConfig, ParallelBuilder};
 pub use relation::{RelationBuilder, RelationF};
 pub use relationship::{Participant, RelationshipBuilder, RelationshipF};
 pub use shape::{Shape, ShapeMemo};
-pub use shard::{ShardMap, ShardedRelation};
 pub use stats::{
     distinct_hint, estimate_distinct, AttrSketches, DistinctSketch, RelationStats,
     RelationshipStats,

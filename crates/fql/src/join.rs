@@ -219,10 +219,9 @@ fn rows_to_relation(rows: impl IntoIterator<Item = Row>) -> Result<RelationF> {
 /// (their bound keys must agree). Relations not reachable from any
 /// relationship are ignored (a join has nothing to say about them).
 ///
-/// Cost-model selection follows the ambient
-/// [`OptimizerConfig`](crate::optimizer::OptimizerConfig) resolution
-/// (`FDM_JOIN_COST=entries` as the env fallback); use [`join_with`] to
-/// pin it explicitly.
+/// Relationships are ordered by the default
+/// [`OptimizerConfig`](crate::optimizer::OptimizerConfig) cost model
+/// (fan-out statistics); use [`join_with`] to choose another.
 pub fn join(db: &DatabaseF) -> Result<RelationF> {
     join_with(db, &crate::optimizer::OptimizerConfig::new())
 }
@@ -240,7 +239,6 @@ struct JoinRow {
 
 /// [`join`] with an explicit [`OptimizerConfig`](crate::optimizer::OptimizerConfig):
 /// the config's [`join_cost`](crate::optimizer::OptimizerConfig::join_cost)
-/// resolution (explicit setting > `FDM_JOIN_COST` env > stats default)
 /// decides whether relationship ordering uses fan-out statistics or the
 /// raw-entry-count heuristic. Either model produces identical rows —
 /// pinned by `tests/tests/join_planning.rs` — only the probe cost moves.
@@ -269,11 +267,10 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
     // (working rows × average fan-out of the bound side, from the
     // relationship's maintained `fdm_core::stats`) — joining the cheapest
     // relationship first keeps the working row set small for every later
-    // probe. `JoinCostModel::Entries` (config, or `FDM_JOIN_COST=entries`
-    // as the env fallback) selects the PR 2 raw-entry-count heuristic (the
-    // pinning tests drive both and prove the produced rows are identical
-    // either way). Ties keep declaration order (`min_by` returns the first
-    // minimum).
+    // probe. `JoinCostModel::Entries` selects the raw-entry-count
+    // heuristic (the pinning tests drive both and prove the produced rows
+    // are identical either way). Ties keep declaration order (`min_by`
+    // returns the first minimum).
     let cost_by_entries = config.join_cost() == crate::optimizer::JoinCostModel::Entries;
     while !pending.is_empty() {
         let connected = |rsf: &RelationshipF| {

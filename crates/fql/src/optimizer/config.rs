@@ -1,27 +1,14 @@
-//! Typed optimizer configuration, with the legacy environment switches as
-//! documented fallbacks.
-//!
-//! Before PR 8 the planner's knobs were two scattered `std::env` reads:
-//! `FDM_PLAN_REORDER=off` in `Query::optimize_for` and
-//! `FDM_JOIN_COST=entries` in the schema-level `join`. Both now live in
-//! [`OptimizerConfig`]. **Precedence is: explicit config beats
-//! environment beats built-in default**, and the environment is consulted
-//! at *resolution* time (each [`OptimizerConfig::reorder`] /
-//! [`OptimizerConfig::join_cost`] call), so A/B test harnesses that flip
-//! the variables around an already-constructed [`crate::Optimizer`] keep
-//! working. The precedence is pinned by
-//! `config_beats_env_beats_default` in this module and exercised
-//! end-to-end by `tests/tests/optimizer_rules.rs`.
+//! Typed optimizer configuration: the planner's knobs are plain values
+//! on [`OptimizerConfig`], set by the program that builds the
+//! [`crate::Optimizer`] — nothing is read from the process environment.
 
 /// How (and whether) the optimizer may reorder joins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReorderStrategy {
-    /// Keep the declared left-deep order — the A/B baseline
-    /// (`FDM_PLAN_REORDER=off`).
+    /// Keep the declared left-deep order — the A/B baseline.
     Off,
-    /// The PR 5 bubble pass: swap *adjacent* independent joins when the
-    /// swap strictly shrinks the inner estimate
-    /// (`FDM_PLAN_REORDER=adjacent`).
+    /// The bubble pass: swap *adjacent* independent joins when the swap
+    /// strictly shrinks the inner estimate.
     Adjacent,
     /// Greedy n-way enumeration over the whole join chain, smallest
     /// estimated fan-out first (the default).
@@ -32,28 +19,38 @@ pub enum ReorderStrategy {
 /// its relationship probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinCostModel {
-    /// Raw relationship entry counts — the PR 2 heuristic
-    /// (`FDM_JOIN_COST=entries`).
+    /// Raw relationship entry counts — the original heuristic.
     Entries,
     /// Estimated output rows from [`fdm_core::stats`] (the default).
     Stats,
 }
 
-/// Optimizer knobs. Unset fields (`None`) resolve through the legacy
-/// environment variables, then to the built-in defaults — see the module
-/// docs for the pinned precedence.
+/// Optimizer knobs, each a plain value with a built-in default:
+/// [`ReorderStrategy::Greedy`], [`JoinCostModel::Stats`] and
+/// [`OptimizerConfig::DEFAULT_MAX_PASSES`].
 ///
 /// ```
 /// use fdm_fql::optimizer::{OptimizerConfig, ReorderStrategy};
 ///
+/// assert_eq!(OptimizerConfig::new().reorder(), ReorderStrategy::Greedy);
 /// let cfg = OptimizerConfig::new().with_reorder(ReorderStrategy::Off);
-/// assert_eq!(cfg.reorder(), ReorderStrategy::Off); // env no longer consulted
+/// assert_eq!(cfg.reorder(), ReorderStrategy::Off);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
-    reorder: Option<ReorderStrategy>,
-    join_cost: Option<JoinCostModel>,
-    max_passes: Option<usize>,
+    reorder: ReorderStrategy,
+    join_cost: JoinCostModel,
+    max_passes: usize,
+}
+
+impl Default for OptimizerConfig {
+    fn default() -> OptimizerConfig {
+        OptimizerConfig {
+            reorder: ReorderStrategy::Greedy,
+            join_cost: JoinCostModel::Stats,
+            max_passes: Self::DEFAULT_MAX_PASSES,
+        }
+    }
 }
 
 impl OptimizerConfig {
@@ -64,109 +61,75 @@ impl OptimizerConfig {
     /// misbehaving user rule.
     pub const DEFAULT_MAX_PASSES: usize = 64;
 
-    /// A config with every knob unset (environment/defaults apply).
+    /// A config with every knob at its default.
     pub fn new() -> OptimizerConfig {
         OptimizerConfig::default()
     }
 
-    /// Pins the join-reordering strategy, overriding `FDM_PLAN_REORDER`.
+    /// Sets the join-reordering strategy.
     pub fn with_reorder(mut self, strategy: ReorderStrategy) -> OptimizerConfig {
-        self.reorder = Some(strategy);
+        self.reorder = strategy;
         self
     }
 
-    /// Pins the schema-join cost model, overriding `FDM_JOIN_COST`.
+    /// Sets the schema-join cost model.
     pub fn with_join_cost(mut self, model: JoinCostModel) -> OptimizerConfig {
-        self.join_cost = Some(model);
+        self.join_cost = model;
         self
     }
 
     /// Caps the fixpoint driver's passes (default
     /// [`Self::DEFAULT_MAX_PASSES`]).
     pub fn with_max_passes(mut self, passes: usize) -> OptimizerConfig {
-        self.max_passes = Some(passes.max(1));
+        self.max_passes = passes.max(1);
         self
     }
 
-    /// The effective reorder strategy: explicit setting, else
-    /// `FDM_PLAN_REORDER` (`off` / `adjacent`; any other value means the
-    /// default), else [`ReorderStrategy::Greedy`].
+    /// The join-reordering strategy.
     pub fn reorder(&self) -> ReorderStrategy {
         self.reorder
-            .unwrap_or_else(|| match std::env::var("FDM_PLAN_REORDER").as_deref() {
-                Ok("off") => ReorderStrategy::Off,
-                Ok("adjacent") => ReorderStrategy::Adjacent,
-                _ => ReorderStrategy::Greedy,
-            })
     }
 
-    /// The effective schema-join cost model: explicit setting, else
-    /// `FDM_JOIN_COST` (`entries`; any other value means the default),
-    /// else [`JoinCostModel::Stats`].
+    /// The schema-join cost model.
     pub fn join_cost(&self) -> JoinCostModel {
         self.join_cost
-            .unwrap_or_else(|| match std::env::var("FDM_JOIN_COST").as_deref() {
-                Ok("entries") => JoinCostModel::Entries,
-                _ => JoinCostModel::Stats,
-            })
     }
 
-    /// The effective fixpoint pass cap (never 0).
+    /// The fixpoint pass cap (never 0).
     pub fn max_passes(&self) -> usize {
-        self.max_passes.unwrap_or(Self::DEFAULT_MAX_PASSES)
+        self.max_passes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    // Env mutations race across test threads; serialize them.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    fn with_env(key: &str, value: Option<&str>, f: impl FnOnce()) {
-        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let prev = std::env::var(key).ok();
-        match value {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
-        f();
-        match prev {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
-    }
 
     #[test]
-    fn config_beats_env_beats_default() {
-        with_env("FDM_PLAN_REORDER", Some("off"), || {
-            // default: env fallback applies
-            assert_eq!(OptimizerConfig::new().reorder(), ReorderStrategy::Off);
-            // explicit config wins over the environment
-            let pinned = OptimizerConfig::new().with_reorder(ReorderStrategy::Greedy);
-            assert_eq!(pinned.reorder(), ReorderStrategy::Greedy);
-        });
-        with_env("FDM_PLAN_REORDER", None, || {
-            // no env, no config: built-in default
-            assert_eq!(OptimizerConfig::new().reorder(), ReorderStrategy::Greedy);
-        });
-        with_env("FDM_PLAN_REORDER", Some("adjacent"), || {
-            assert_eq!(OptimizerConfig::new().reorder(), ReorderStrategy::Adjacent);
-        });
+    fn defaults_are_greedy_stats_and_the_pass_cap() {
+        let cfg = OptimizerConfig::new();
+        assert_eq!(cfg, OptimizerConfig::default());
+        assert_eq!(cfg.reorder(), ReorderStrategy::Greedy);
+        assert_eq!(cfg.join_cost(), JoinCostModel::Stats);
+        assert_eq!(cfg.max_passes(), OptimizerConfig::DEFAULT_MAX_PASSES);
+        for strategy in [
+            ReorderStrategy::Off,
+            ReorderStrategy::Adjacent,
+            ReorderStrategy::Greedy,
+        ] {
+            assert_eq!(cfg.with_reorder(strategy).reorder(), strategy);
+        }
     }
 
     #[test]
     fn join_cost_resolution() {
-        with_env("FDM_JOIN_COST", Some("entries"), || {
-            assert_eq!(OptimizerConfig::new().join_cost(), JoinCostModel::Entries);
-            let pinned = OptimizerConfig::new().with_join_cost(JoinCostModel::Stats);
-            assert_eq!(pinned.join_cost(), JoinCostModel::Stats);
-        });
-        with_env("FDM_JOIN_COST", None, || {
-            assert_eq!(OptimizerConfig::new().join_cost(), JoinCostModel::Stats);
-        });
+        let entries = OptimizerConfig::new().with_join_cost(JoinCostModel::Entries);
+        assert_eq!(entries.join_cost(), JoinCostModel::Entries);
+        assert_eq!(
+            entries.with_join_cost(JoinCostModel::Stats).join_cost(),
+            JoinCostModel::Stats
+        );
+        assert_eq!(OptimizerConfig::new().join_cost(), JoinCostModel::Stats);
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! | 5 | [`GreedyJoinOrder`] | yes | `plan_reordering.rs` + `escapes_the_adjacent_local_optimum` |
 //!
 //! The two reorder rules are both always registered and gate themselves
-//! on [`OptimizerConfig::reorder`], so one `Optimizer` honors a strategy
-//! flip (config or environment) between calls.
+//! on [`OptimizerConfig::reorder`], so the strategy is one config value,
+//! not a different rule list.
 //!
 //! # Adding a rule
 //!
@@ -105,7 +105,7 @@ pub struct Optimizer {
 
 impl Default for Optimizer {
     /// The full built-in rule set, in the documented order, with an
-    /// unset (environment-fallback) [`OptimizerConfig`]. This is exactly
+    /// default [`OptimizerConfig`]. This is exactly
     /// what `Query::optimize_for` runs — pinned by
     /// `optimize_for_is_default_optimizer` in
     /// `tests/tests/optimizer_rules.rs`.

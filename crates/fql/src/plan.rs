@@ -21,8 +21,7 @@
 //! the right relation's own key is a lookup in its map — function
 //! application — instead of a hash build. `docs/OPTIMIZER.md` describes
 //! the physical nodes; the optimization space itself is what the `fig6`
-//! ablation bench and the `bench_bulk` `fig6_plan_reorder` /
-//! `fig13_rule_optimizer` series measure (optimized vs. declared order).
+//! ablation bench measures (optimized vs. declared order).
 //!
 //! # Canonical row ids
 //!
@@ -43,11 +42,14 @@
 //! yields the **same keys** mapping to **data-identical tuples** as the
 //! declared plan; only attribute declaration order (and therefore
 //! nothing [`fdm_core::TupleF::eq_data`] can see) may reflect the
-//! executed order. `FDM_PLAN_REORDER=off` pins the declared left-deep
-//! order for A/B runs, exactly like `FDM_JOIN_COST=entries` does for the
-//! schema-level join (both knobs now live in
-//! [`crate::optimizer::OptimizerConfig`], with the environment as
-//! fallback). See `docs/OPTIMIZER.md` for the full cost model.
+//! executed order. [`ReorderStrategy::Off`] pins the declared left-deep
+//! order for A/B runs, exactly like [`JoinCostModel::Entries`] does for
+//! the schema-level join (both are fields of
+//! [`crate::optimizer::OptimizerConfig`]). See `docs/OPTIMIZER.md` for
+//! the full cost model.
+//!
+//! [`ReorderStrategy::Off`]: crate::optimizer::ReorderStrategy::Off
+//! [`JoinCostModel::Entries`]: crate::optimizer::JoinCostModel::Entries
 
 use crate::aggregate::AggSpec;
 use crate::optimizer::Optimizer;
@@ -257,11 +259,11 @@ impl Query {
     /// [`crate::optimizer::OptimizerConfig`], or the rewrite trace.
     ///
     /// The default reordering strategy is the greedy n-way enumerator
-    /// ([`crate::optimizer::GreedyJoinOrder`]); `FDM_PLAN_REORDER=off`
-    /// keeps the declared left-deep order and `=adjacent` selects the
-    /// PR 5 bubble pass, unless a config pins the strategy explicitly.
-    /// The equivalence tests drive all strategies and prove the produced
-    /// relations are key- and data-identical.
+    /// ([`crate::optimizer::GreedyJoinOrder`]); an [`Optimizer`] built
+    /// with another [`crate::optimizer::ReorderStrategy`] keeps the
+    /// declared left-deep order (`Off`) or runs the adjacent-swap bubble
+    /// pass (`Adjacent`). The equivalence tests drive all strategies and prove
+    /// the produced relations are key- and data-identical.
     ///
     /// # Examples
     ///

@@ -37,10 +37,7 @@
 //! database pays the materialization once per shared tuple, every later
 //! one compares two precomputed hashes.
 
-use fdm_core::{
-    par_map_chunks, DatabaseF, FdmError, FnValue, Name, ParConfig, ParallelBuilder, RelationF,
-    Result, TupleF, Value,
-};
+use fdm_core::{DatabaseF, FdmError, FnValue, Name, RelationF, Result, TupleF, Value};
 use fdm_storage::PMap;
 use std::sync::Arc;
 
@@ -48,30 +45,11 @@ use std::sync::Arc;
 /// fresh storage, computed attributes evaluated and frozen (§4.4's
 /// `copy(foo)` at relation granularity — what
 /// [`materialize_view`](crate::view::materialize_view) stores, instead of
-/// wrapping the relation in a throwaway database). The per-tuple re-build is
-/// pure per-entry work, so large relations copy in parallel chunks
-/// ([`par_map_chunks`]) k-way-merged back in key order — byte-identical
-/// to the sequential copy.
+/// wrapping the relation in a throwaway database).
 pub fn deep_copy_relation(rel: &RelationF) -> Result<RelationF> {
-    let copy_tuple = |tuple: &Arc<TupleF>| tuple.frozen();
-    let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(entries.len()) {
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            chunk
-                .iter()
-                .map(|(key, tuple)| Ok((key.clone(), Arc::new(copy_tuple(tuple)?))))
-                .collect()
-        });
-        let mut out = ParallelBuilder::for_relation(rel);
-        for run in runs {
-            out.push_run(run?);
-        }
-        return out.build();
-    }
     let mut out = rel.builder_like();
-    for (key, tuple) in entries {
-        out.push(key, copy_tuple(&tuple)?);
+    for (key, tuple) in rel.tuples()? {
+        out.push(key, tuple.frozen()?);
     }
     out.build()
 }
@@ -80,8 +58,7 @@ pub fn deep_copy_relation(rel: &RelationF) -> Result<RelationF> {
 /// into fresh storage (paper Fig. 9 `deep_copy(DB)`, and §4.4's
 /// `copy(foo)` for materialized views). Computed attributes are evaluated
 /// and frozen — the copy is a snapshot of *values*, not of formulas.
-/// Each relation copies through [`deep_copy_relation`] (parallel above
-/// the cutoff).
+/// Each relation copies through [`deep_copy_relation`].
 pub fn deep_copy(db: &DatabaseF) -> Result<DatabaseF> {
     let mut out = DatabaseF::new(format!("{}_copy", db.name()));
     for (name, entry) in db.iter() {

@@ -7,20 +7,13 @@
 //! relation function keyed by *rank* — ordering is not a presentation
 //! afterthought bolted onto a set, it is just another function.
 
-use fdm_core::{
-    par_map_chunks, FdmError, ParConfig, ParallelBuilder, RelationBuilder, RelationF, Result,
-    TupleF, Value,
-};
+use fdm_core::{FdmError, RelationBuilder, RelationF, Result, TupleF, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Adds a derived attribute to every tuple (an FQL `extend`/`map`): the
 /// new attribute is **computed**, not materialized — downstream readers
 /// cannot tell (paper §2.3). The closure receives the tuple.
-///
-/// Large inputs derive their tuples in parallel chunks (the per-tuple
-/// rebuild — one computed thunk plus re-attaching the stored attributes —
-/// is pure per-entry work); the sorted runs bulk-build the output.
 pub fn extend(
     rel: &RelationF,
     attr: &str,
@@ -28,69 +21,31 @@ pub fn extend(
 ) -> Result<RelationF> {
     let f = Arc::new(f);
     let attr_name: Arc<str> = Arc::from(attr);
-    let derive = |tuple: &Arc<TupleF>| -> Result<TupleF> {
+    let mut out = rel.builder_like();
+    for (key, tuple) in rel.tuples()? {
         let f = Arc::clone(&f);
-        let base = Arc::clone(tuple);
-        let derived = TupleF::builder(tuple.name()).computed(attr_name.as_ref(), move |_| f(&base));
+        let base = Arc::clone(&tuple);
+        let mut b = TupleF::builder(tuple.name()).computed(attr_name.as_ref(), move |_| f(&base));
         // keep all existing attributes (stored stay stored)
-        let mut b = derived;
         for (n, v) in tuple.materialize()? {
             if n != attr_name {
                 b = b.attr_name(n, v);
             }
         }
-        Ok(b.build())
-    };
-    let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(entries.len()) {
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            chunk
-                .iter()
-                .map(|(key, tuple)| Ok((key.clone(), Arc::new(derive(tuple)?))))
-                .collect()
-        });
-        let mut out = ParallelBuilder::for_relation(rel);
-        for run in runs {
-            out.push_run(run?);
-        }
-        return out.build();
-    }
-    let mut out = rel.builder_like();
-    for (key, tuple) in entries {
-        out.push(key, derive(&tuple)?);
+        out.push(key, b.build());
     }
     out.build()
 }
 
 /// Materializing variant of [`extend`]: computes the value now and stores
-/// it (useful before sorts on the derived attribute). Parallel on large
-/// inputs, like [`extend`].
+/// it (useful before sorts on the derived attribute).
 pub fn extend_stored(
     rel: &RelationF,
     attr: &str,
-    f: impl Fn(&TupleF) -> Result<Value> + Sync,
+    f: impl Fn(&TupleF) -> Result<Value>,
 ) -> Result<RelationF> {
-    let entries = rel.tuples()?;
-    let cfg = ParConfig::from_env();
-    if cfg.should_parallelize(entries.len()) {
-        let runs = par_map_chunks(&entries, cfg.threads, |chunk| -> Result<Vec<_>> {
-            chunk
-                .iter()
-                .map(|(key, tuple)| {
-                    let v = f(tuple)?;
-                    Ok((key.clone(), Arc::new(tuple.with_attr(attr, v))))
-                })
-                .collect()
-        });
-        let mut out = ParallelBuilder::for_relation(rel);
-        for run in runs {
-            out.push_run(run?);
-        }
-        return out.build();
-    }
     let mut out = rel.builder_like();
-    for (key, tuple) in entries {
+    for (key, tuple) in rel.tuples()? {
         let v = f(&tuple)?;
         out.push(key, tuple.with_attr(attr, v));
     }

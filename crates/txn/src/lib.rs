@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cache;
 pub mod catalog;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod fault;
@@ -58,7 +57,6 @@ pub mod txn;
 pub mod writeset;
 
 pub use batch::BatchPolicy;
-pub use cache::{CacheStats, HotTupleCache};
 pub use catalog::{RefreshMode, ViewCatalog};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::FaultPlan;

@@ -144,10 +144,6 @@ pub struct StoreConfig {
     /// are fallible; the infallible constructors reject a config that
     /// sets this.
     pub durability: Option<DurabilityConfig>,
-    /// Capacity of the hot-tuple cache fronting [`Store::read_point`]
-    /// (see [`crate::cache`] for the invalidation contract). `None` (the
-    /// default) disables caching: point reads always walk the tree.
-    pub hot_cache: Option<usize>,
 }
 
 impl Default for StoreConfig {
@@ -157,7 +153,6 @@ impl Default for StoreConfig {
             history_capacity: 1024,
             log_cap: 4096,
             durability: None,
-            hot_cache: None,
         }
     }
 }
@@ -242,10 +237,6 @@ pub struct Store {
     pub(crate) durable: Option<Durable>,
     /// Maintained views subscribed to commits (see [`Store::register_view`]).
     pub(crate) views: ViewCatalog,
-    /// Hot-tuple cache fronting point reads, when configured
-    /// (`StoreConfig::hot_cache`); invalidated by
-    /// [`Store::record_commit`] before anything else.
-    pub(crate) cache: Option<crate::cache::HotTupleCache>,
     /// Injected faults, if a plan is installed (test/fault-injection
     /// builds only).
     #[cfg(any(test, feature = "fault-injection"))]
@@ -402,11 +393,6 @@ impl Store {
             history,
             durable,
             views: ViewCatalog::default(),
-            // a recovered store starts cold at the recovered version:
-            // nothing cached before the crash can be trusted
-            cache: config
-                .hot_cache
-                .map(|cap| crate::cache::HotTupleCache::new(cap, version)),
             #[cfg(any(test, feature = "fault-injection"))]
             faults: Mutex::new(None),
         })
@@ -502,8 +488,8 @@ impl Store {
             group.push(0, commit.version - 1, WriteSet::from_ops(&ops), ops);
             group.union_writes();
             let replayed = match store.install(&mut group, None, &mut [None]) {
-                // nothing was enqueued, so this is the cache and catalog
-                // bookkeeping alone
+                // nothing was enqueued, so this is the catalog bookkeeping
+                // alone
                 Ok(Some(installed)) if installed.version == commit.version => {
                     store.record_commit(installed, &group)
                 }
@@ -729,48 +715,17 @@ impl Store {
         self.sequencer().iter().map(|(v, _)| *v).collect()
     }
 
-    /// Point read of one tuple at the current version, served through
-    /// the hot-tuple cache when one is configured
-    /// (`StoreConfig::hot_cache`). The cache can only serve a value at
-    /// or after the reader's snapshot version, never before it (the
-    /// [`crate::cache`] invalidation contract); without a cache this is
+    /// Point read of one tuple at the current version:
     /// [`Store::snapshot`]`.relation(rel)?.lookup(key)` without the
-    /// snapshot: the tuple is looked up in the root where it stands.
+    /// snapshot — the tuple is looked up in the root where it stands.
     pub fn read_point(&self, rel: &str, key: &Value) -> Result<Option<Arc<TupleF>>> {
         self.read_point_versioned(rel, key).map(|(_, t)| t)
     }
 
-    /// [`Store::read_point`], also reporting the snapshot version the
-    /// read was served at — the version the invalidation contract is
-    /// stated against, which the pin tests assert with.
-    pub fn read_point_versioned(
-        &self,
-        rel: &str,
-        key: &Value,
-    ) -> Result<(Version, Option<Arc<TupleF>>)> {
-        let Some(cache) = &self.cache else {
-            return self.read_current(rel, key);
-        };
-        // Hit fast path: the version number alone suffices. A hit at
-        // version `v` requires the cache to have processed every
-        // invalidation `<= v`, so the entry is the newest committed value
-        // *at or after* `v` (a commit can land between the version read
-        // and the probe; serving its newer value is within the contract,
-        // never older).
-        let version = self.root.version();
-        if let Some(t) = cache.get(rel, key, version) {
-            return Ok((version, Some(t)));
-        }
-        let (version, found) = self.read_current(rel, key)?;
-        if let Some(t) = &found {
-            cache.fill(rel, key, t, version);
-        }
-        Ok((version, found))
-    }
-
-    /// The uncached point read, borrowing the committed root instead of
-    /// snapshotting it: it writes this thread's root lane and the refcount
-    /// of the tuple it returns, nothing else.
+    /// [`Store::read_point`], also reporting the version the read was
+    /// served at. It borrows the committed root instead of snapshotting
+    /// it: it writes this thread's root lane and the refcount of the tuple
+    /// it returns, nothing else.
     ///
     /// No user code runs with the lane held. A plain stored or multi body
     /// is a pure tree descent and is looked up under the guard; a computed
@@ -778,7 +733,11 @@ impl Store {
     /// store again — a recursive read of the lane deadlocks once a commit
     /// waits between the two — so that relation is cloned out and looked
     /// up after release.
-    fn read_current(&self, rel: &str, key: &Value) -> Result<(Version, Option<Arc<TupleF>>)> {
+    pub fn read_point_versioned(
+        &self,
+        rel: &str,
+        key: &Value,
+    ) -> Result<(Version, Option<Arc<TupleF>>)> {
         let (version, found, computed) = self.root.read_with(|current| -> Result<_> {
             let relation = current.value.relation_ref(rel)?;
             Ok(if relation.is_plain_stored() || relation.is_multi() {
@@ -788,11 +747,6 @@ impl Store {
             })
         })?;
         Ok((version, computed.map_or(found, |r| r.lookup(key))))
-    }
-
-    /// The hot-tuple cache's counters, when one is configured.
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Acquires the commit sequencer: bounded `try_lock` spinning, then
@@ -1020,11 +974,11 @@ impl Store {
         }))
     }
 
-    /// What follows an install, with the sequencer released: cache
-    /// invalidation, view maintenance and — on a durable store — the
-    /// closing of the WAL group and the checkpoint cadence. Concurrent
-    /// committers may run these steps out of version order; the cache's
-    /// and the catalog's contiguous watermarks absorb that.
+    /// What follows an install, with the sequencer released: view
+    /// maintenance and — on a durable store — the closing of the WAL
+    /// group and the checkpoint cadence. Concurrent committers may run
+    /// these steps out of version order; the catalog's contiguous
+    /// watermark absorbs that.
     ///
     /// A WAL record is written and fsynced by the committer that closes
     /// its group ([`Wal::complete`]): under
@@ -1043,13 +997,6 @@ impl Store {
             db,
             wal,
         } = installed;
-        // Cache invalidation first: evict the written keys and advance
-        // the watermark (readers at this version miss until the watermark
-        // covers it — see `crate::cache` for why that ordering is the
-        // safe one).
-        if let Some(cache) = &self.cache {
-            cache.invalidate(version, &group.writes);
-        }
         // Maintain registered views before the WAL section: the commit is
         // installed and in the history, so views must see it even if the
         // durability acknowledgement below fails. Per-view maintenance

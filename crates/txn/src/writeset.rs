@@ -59,24 +59,6 @@ impl WriteSet {
         self.entries.extend(other.entries.iter().cloned());
     }
 
-    /// `true` if this set wrote `(rel, key)` — either the point write
-    /// itself or a whole-entry replacement of `rel`. The hot-tuple
-    /// cache's invalidation predicate.
-    pub fn touches_key(&self, rel: &str, key: &Value) -> bool {
-        self.entries.iter().any(|e| e.as_ref() == rel)
-            || self.keys.iter().any(|(r, k)| r.as_ref() == rel && k == key)
-    }
-
-    /// The `(relation, key)` point writes, in sorted order.
-    pub fn iter_keys(&self) -> impl Iterator<Item = &(Name, Value)> + '_ {
-        self.keys.iter()
-    }
-
-    /// The whole-entry replacements, in sorted order.
-    pub fn iter_entries(&self) -> impl Iterator<Item = &Name> + '_ {
-        self.entries.iter()
-    }
-
     /// Write-write conflict test.
     pub fn conflicts_with(&self, other: &WriteSet) -> bool {
         // entry-level vs anything touching that entry

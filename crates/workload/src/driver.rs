@@ -23,13 +23,6 @@ pub fn retail_store(cfg: &RetailConfig) -> Arc<Store> {
     Store::new(retail_db(cfg))
 }
 
-/// [`retail_store`] with an explicit in-memory [`fdm_txn::StoreConfig`] —
-/// how the serving benchmark and equivalence tests switch the hot-tuple
-/// cache on.
-pub fn retail_store_with(cfg: &RetailConfig, config: fdm_txn::StoreConfig) -> Arc<Store> {
-    Store::with_config(retail_db(cfg), config)
-}
-
 /// Builds the retail database (with zeroed `credit`) used by both store
 /// constructors below — public so durability-aware tests can construct
 /// stores with custom [`fdm_txn::StoreConfig`]s over the same schema.

@@ -13,9 +13,8 @@ pub mod serve;
 pub mod zipf;
 
 pub use driver::{
-    apply_writer_op, durable_retail_store, retail_db, retail_store, retail_store_with,
-    run_restart_cycles, run_writers, writer_ops, CommitRecord, MixedConfig, RestartReport,
-    WriterOp,
+    apply_writer_op, durable_retail_store, retail_db, retail_store, run_restart_cycles,
+    run_writers, writer_ops, CommitRecord, MixedConfig, RestartReport, WriterOp,
 };
 pub use retail::{generate, to_fdm, to_relational, RetailConfig, RetailData, RetailRelational};
 pub use serve::{

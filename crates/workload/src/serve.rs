@@ -1,10 +1,10 @@
 //! The serving workload: deterministic Zipf-skewed mixed operation
-//! streams — point reads, range scans, transactional writes — shared by
-//! the `bench_serve` harness and the serving-equivalence test suite.
+//! streams — point reads, range scans, transactional writes — replayed
+//! by the serving-equivalence test suite.
 //!
 //! Like [`crate::driver`], everything derives from seeds: client `t`'s
-//! stream is a pure function of `seed + t`, so the exact stream a
-//! benchmark drove is the stream the differential oracle replays. The
+//! stream is a pure function of `seed + t`, so a failing stream replays
+//! exactly. The
 //! op mix is expressed in percent so a config reads like the workload
 //! descriptions in serving papers (80/10/10 read/scan/write).
 

@@ -714,3 +714,26 @@ fn builder_duplicate_keys_error_like_insert() {
         "builder mirrors insert's duplicate-key error, got {err}"
     );
 }
+
+/// A multi body (a secondary index) enumerates duplicate keys; `extend`
+/// and `extend_stored` rebuild it as a unique relation and must surface
+/// exactly the first error `RelationBuilder` reports for the same input.
+#[test]
+fn duplicate_key_error_is_identical() {
+    let db = shop();
+    let by_age = db.relation("customers").unwrap().index_by("age").unwrap();
+    assert!(by_age.is_multi());
+    let mut b = by_age.builder_like();
+    for (k, t) in by_age.tuples().unwrap() {
+        b.push_arc(k, t);
+    }
+    let want = b.build().unwrap_err();
+    assert!(
+        matches!(want, fdm_core::FdmError::DuplicateKey { .. }),
+        "{want}"
+    );
+    let extended = extend(&by_age, "x", |t| t.get("age")).unwrap_err();
+    let stored = extend_stored(&by_age, "x", |t| t.get("age")).unwrap_err();
+    assert_eq!(extended.to_string(), want.to_string(), "extend");
+    assert_eq!(stored.to_string(), want.to_string(), "extend_stored");
+}

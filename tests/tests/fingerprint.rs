@@ -5,13 +5,62 @@
 //! `compute_data_key()` — i.e. stale-cache reuse cannot happen, because
 //! every mutation constructs a new tuple with an empty cache (see the
 //! invalidation contract in `fdm_core::tuple`).
+//!
+//! The database set operations are pinned by counts, not clocks: `union`
+//! computes no data key at all, `intersect`/`minus` compute one only for
+//! a key both sides hold, and a warm `intersect`/`minus` reuses the cached
+//! fingerprints — its allocation count does not depend on how wide the
+//! tuples are. The last pin was mutation-checked by making the set
+//! operations' data comparison call `compute_data_key` instead.
 
-use fdm_core::{DatabaseF, RelationF, TupleF, Value};
+use fdm_core::{DatabaseF, FdmError, RelationBuilder, RelationF, TupleF, Value};
 use fdm_fql::{
     db_modify_attr, db_update_attr, db_upsert, deep_copy, difference, extend, extend_stored,
-    intersect, minus, rename_attrs,
+    intersect, minus, rename_attrs, union,
 };
 use fdm_workload::{generate, to_fdm, RetailConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
+// with a const initializer and no destructor, so touching it neither
+// allocates nor can run during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// Every stored tuple's cached data key must agree with an uncached
 /// recomputation.
@@ -206,4 +255,94 @@ fn eq_data_matches_materialized_comparison() {
         };
         assert_eq!(a.eq_data(&b), reference, "diverges at key {key}");
     }
+}
+
+/// A one-relation database `r` over `keys`: each tuple has a stored `x`
+/// and a computed `y` that fails when `failing` holds for its key.
+fn with_failing(keys: &[i64], failing: impl Fn(i64) -> bool) -> DatabaseF {
+    let mut b = RelationBuilder::new("r", &["k"]);
+    for &k in keys {
+        let fails = failing(k);
+        let t = TupleF::builder("t").attr("x", k).computed("y", move |_| {
+            if fails {
+                Err(FdmError::Other(format!("no y for {k}")))
+            } else {
+                Ok(Value::Int(2 * k))
+            }
+        });
+        b.push(Value::Int(k), t.build());
+    }
+    DatabaseF::new("db").with_relation(b.build().unwrap())
+}
+
+#[test]
+fn union_computes_no_data_key() {
+    // every tuple on both sides fails to evaluate `y`, and the keys
+    // overlap: union decides by key alone
+    let a = with_failing(&[1, 2, 3], |_| true);
+    let b = with_failing(&[2, 3, 4], |_| true);
+    let u = union(&a, &b).expect("union never evaluates an attribute");
+    assert_eq!(
+        u.relation("r").unwrap().stored_keys(),
+        (1..=4).map(Value::Int).collect::<Vec<_>>()
+    );
+    // the same inputs do need data keys for a shared key
+    assert!(minus(&a, &b).is_err());
+    assert!(intersect(&a, &b).is_err());
+}
+
+#[test]
+fn intersect_and_minus_compute_data_keys_only_for_shared_keys() {
+    // key 5 exists only in `a`, key 6 only in `b`; both fail to evaluate
+    let a = with_failing(&[1, 2, 3, 4, 5], |k| k == 5);
+    let b = with_failing(&[1, 2, 3, 4, 6], |k| k == 6);
+    let i = intersect(&a, &b).expect("unshared failing keys are never keyed");
+    assert_eq!(i.relation("r").unwrap().len(), 4);
+    let ab = minus(&a, &b).expect("a − b");
+    assert_eq!(ab.relation("r").unwrap().stored_keys(), vec![Value::Int(5)]);
+    let ba = minus(&b, &a).expect("b − a");
+    assert_eq!(ba.relation("r").unwrap().stored_keys(), vec![Value::Int(6)]);
+    // a failing tuple under a shared key does surface
+    let c = with_failing(&[1, 2, 3, 4, 5], |k| k == 2);
+    assert!(intersect(&a, &c).is_err());
+    assert!(minus(&a, &c).is_err());
+}
+
+/// `rows` tuples of `width` attributes: even slots stored, odd slots
+/// computed — each evaluation formats a fresh string, so a data key
+/// recomputed from scratch allocates once more per computed slot.
+fn wide(width: usize, rows: i64) -> DatabaseF {
+    let mut b = RelationBuilder::new("w", &["k"]);
+    for k in 0..rows {
+        let mut t = TupleF::builder("w");
+        for slot in 0..width {
+            let name = format!("a{slot:02}");
+            t = if slot % 2 == 0 {
+                t.attr(name, k)
+            } else {
+                t.computed(name, move |_| Ok(Value::str(format!("{k}/{slot}"))))
+            };
+        }
+        b.push(Value::Int(k), t.build());
+    }
+    DatabaseF::new("wide").with_relation(b.build().unwrap())
+}
+
+#[test]
+fn warm_setops_reuse_cached_fingerprints() {
+    let warm_allocations = |width: usize| {
+        // two separate builds: equal data under every key, no shared
+        // subtree or tuple for the merges to skip
+        let (a, b) = (wide(width, 64), wide(width, 64));
+        assert_eq!(intersect(&a, &b).unwrap().relation("w").unwrap().len(), 64);
+        assert!(minus(&a, &b).unwrap().relation("w").unwrap().is_empty());
+        let (_, i) = allocations(|| intersect(&a, &b).unwrap());
+        let (_, m) = allocations(|| minus(&a, &b).unwrap());
+        (i, m)
+    };
+    assert_eq!(
+        warm_allocations(4),
+        warm_allocations(16),
+        "(intersect, minus) allocations at 4 vs 16 attributes per tuple"
+    );
 }

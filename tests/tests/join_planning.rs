@@ -5,7 +5,7 @@
 //! Two layers of pinning:
 //!
 //! * on a database crafted so the fan-out-aware plan genuinely differs
-//!   from the old raw-entry-count plan (`FDM_JOIN_COST=entries`), the
+//!   from the old raw-entry-count plan (`JoinCostModel::Entries`), the
 //!   denormalized rows are identical as data (same multiset of canonical
 //!   tuple data keys) — and the test *proves* the plans differed by
 //!   observing the attribute order the executed order leaves behind;
@@ -17,27 +17,17 @@ use fdm_core::{
     Domain, Participant, RelationBuilder, RelationF, RelationshipBuilder, SharedDomain, TupleF,
     Value, ValueType,
 };
-use fdm_fql::join;
+use fdm_fql::optimizer::{JoinCostModel, OptimizerConfig};
+use fdm_fql::{join, join_with};
 use fdm_workload::{generate, to_fdm, RetailConfig};
-use std::sync::Mutex;
 
-/// Serializes the tests that flip `FDM_JOIN_COST` (env vars are
-/// process-global; the harness runs tests concurrently).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_join_cost<T>(mode: Option<&str>, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved = std::env::var("FDM_JOIN_COST").ok();
-    match mode {
-        Some(v) => std::env::set_var("FDM_JOIN_COST", v),
-        None => std::env::remove_var("FDM_JOIN_COST"),
-    }
-    let out = f();
-    match saved {
-        Some(v) => std::env::set_var("FDM_JOIN_COST", v),
-        None => std::env::remove_var("FDM_JOIN_COST"),
-    }
-    out
+/// The schema join ordered by raw relationship entry counts.
+fn join_by_entries(db: &fdm_core::DatabaseF) -> RelationF {
+    join_with(
+        db,
+        &OptimizerConfig::new().with_join_cost(JoinCostModel::Entries),
+    )
+    .unwrap()
 }
 
 fn int_keyed(name: &str, key: &str, n: i64, attr: &str) -> RelationF {
@@ -149,8 +139,8 @@ fn first_executed(rel: &RelationF, earlier: &str, later: &str) -> bool {
 #[test]
 fn stats_plan_changes_order_never_results() {
     let db = fanout_db();
-    let by_stats = with_join_cost(None, || join(&db).unwrap());
-    let by_entries = with_join_cost(Some("entries"), || join(&db).unwrap());
+    let by_stats = join(&db).unwrap();
+    let by_entries = join_by_entries(&db);
 
     // The two plans genuinely differ: the cost model binds the fan-out-1
     // r2 (reaching relation `c`) before the row-multiplying r3 (reaching
@@ -177,8 +167,8 @@ fn coinciding_plans_are_byte_identical() {
     // outputs must agree to the byte: key sequence, attribute declaration
     // order, every value.
     let db = to_fdm(&generate(&RetailConfig::small()));
-    let by_stats = with_join_cost(None, || join(&db).unwrap());
-    let by_entries = with_join_cost(Some("entries"), || join(&db).unwrap());
+    let by_stats = join(&db).unwrap();
+    let by_entries = join_by_entries(&db);
     let flatten = |rel: &RelationF| -> Vec<(Value, Vec<(String, Value)>)> {
         rel.tuples()
             .unwrap()

@@ -2,16 +2,15 @@
 //!
 //! * `Query::optimize_for` is *exactly* `Optimizer::default()` — the
 //!   back-compat wrapper may never drift from the rule engine it wraps;
-//! * configuration beats environment beats default, end to end through
-//!   `Optimizer::optimize` (not just `OptimizerConfig`'s own resolution);
+//! * the typed configuration picks the reordering strategy end to end
+//!   through `Optimizer::optimize` (not just `OptimizerConfig`'s own
+//!   accessors), and the default is the greedy strategy;
 //! * the `OptimizationRule` trait is implementable from outside the
 //!   crate, and a custom rule drives through the same fixpoint loop with
 //!   the same trace accounting as the built-ins;
 //! * on randomized plan trees the driver terminates (converges under the
 //!   default pass cap) and the optimized plan evaluates to the declared
-//!   plan's keyed data — the "cost may change, results may not" contract,
-//!   exercised under whatever `THREADS` the harness pins (the CI
-//!   determinism job runs this file at 1 and 4);
+//!   plan's keyed data — the "cost may change, results may not" contract;
 //! * `docs/OPTIMIZER.md`'s traced transcript equals the live
 //!   `Optimizer::explain_optimized` output.
 
@@ -24,26 +23,6 @@ use fdm_fql::plan::Query;
 use fdm_fql::testutil::{chain_db, skewed_db};
 use fdm_fql::AggSpec;
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes tests that touch the process-global optimizer env vars.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_env<T>(reorder: Option<&str>, join_cost: Option<&str>, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved_r = std::env::var("FDM_PLAN_REORDER").ok();
-    let saved_j = std::env::var("FDM_JOIN_COST").ok();
-    let set = |k: &str, v: Option<&str>| match v {
-        Some(v) => std::env::set_var(k, v),
-        None => std::env::remove_var(k),
-    };
-    set("FDM_PLAN_REORDER", reorder);
-    set("FDM_JOIN_COST", join_cost);
-    let out = f();
-    set("FDM_PLAN_REORDER", saved_r.as_deref());
-    set("FDM_JOIN_COST", saved_j.as_deref());
-    out
-}
 
 /// Keyed content of a result: every canonical row id with its tuple's
 /// canonical data key.
@@ -87,33 +66,29 @@ fn corpus() -> Vec<Query> {
 #[test]
 fn optimize_for_is_default_optimizer() {
     let db = skewed_db();
-    for mode in [None, Some("off"), Some("adjacent"), Some("greedy")] {
-        with_env(mode, None, || {
-            for q in corpus() {
-                assert_eq!(
-                    q.clone().optimize_for(&db).explain(),
-                    Optimizer::default().optimize(q.clone(), &db).explain(),
-                    "optimize_for drifted from Optimizer::default() under \
-                     FDM_PLAN_REORDER={mode:?} on:\n{}",
-                    q.explain()
-                );
-            }
-        });
+    for q in corpus() {
+        assert_eq!(
+            q.clone().optimize_for(&db).explain(),
+            Optimizer::default().optimize(q.clone(), &db).explain(),
+            "optimize_for drifted from Optimizer::default() on:\n{}",
+            q.explain()
+        );
     }
 }
 
 #[test]
-fn config_beats_env_through_the_driver() {
+fn config_drives_the_strategy_through_the_driver() {
     let db = skewed_db();
     let q = Query::scan("base")
         .join("wide", "wk", "k")
         .join("narrow", "nk", "k2");
-    // env says off, config says greedy: the chain still reorders
-    let forced = with_env(Some("off"), None, || {
+    let under = |strategy: ReorderStrategy| {
         Optimizer::default()
-            .with_config(OptimizerConfig::new().with_reorder(ReorderStrategy::Greedy))
+            .with_config(OptimizerConfig::new().with_reorder(strategy))
             .optimize(q.clone(), &db)
-    });
+    };
+    // config says greedy: the chain reorders
+    let forced = under(ReorderStrategy::Greedy);
     let Query::Join { rel, .. } = &forced else {
         panic!("join stays on top: {}", forced.explain())
     };
@@ -123,22 +98,16 @@ fn config_beats_env_through_the_driver() {
         "greedy hoists narrow below wide:\n{}",
         forced.explain()
     );
-    // env says greedy, config says off: declared order survives
-    let pinned = with_env(Some("greedy"), None, || {
-        Optimizer::default()
-            .with_config(OptimizerConfig::new().with_reorder(ReorderStrategy::Off))
-            .optimize(q.clone(), &db)
-    });
+    // config says off: declared order survives
+    let pinned = under(ReorderStrategy::Off);
     assert_eq!(
         pinned.explain(),
         q.clone().optimize().explain(),
-        "explicit Off beats env greedy"
+        "explicit Off keeps the declared order"
     );
-    // and with nothing explicit, env decides
-    let env_driven = with_env(Some("off"), None, || {
-        Optimizer::default().optimize(q.clone(), &db)
-    });
-    assert_eq!(env_driven.explain(), q.optimize().explain());
+    // and with nothing explicit, the default is greedy
+    let by_default = Optimizer::default().optimize(q.clone(), &db);
+    assert_eq!(by_default.explain(), forced.explain());
 }
 
 /// A rule defined *outside* `fdm-fql`: collapses stacked `Limit` nodes to
@@ -275,9 +244,7 @@ fn optimizer_md_traced_transcript_is_live() {
         .join("b", "a.av", "k2")
         .join("c", "ck", "k3")
         .filter("2 > 1 and ck <= 4", Params::new());
-    let actual = with_env(None, None, || {
-        Optimizer::default().explain_optimized(q, &db).unwrap()
-    });
+    let actual = Optimizer::default().explain_optimized(q, &db).unwrap();
     assert_eq!(
         documented, actual,
         "docs/OPTIMIZER.md traced transcript drifted from real \

@@ -13,7 +13,7 @@
 //!   declaration order of the output rows), the results are identical as
 //!   keyed data: the same canonical row ids mapping to tuples with equal
 //!   canonical data keys;
-//! * `FDM_PLAN_REORDER=off` restores the declared order exactly —
+//! * `ReorderStrategy::Off` restores the declared order exactly —
 //!   `explain` output equal to the statistics-free `optimize`.
 //!
 //! A property test repeats the equivalence on randomized fan-out-skewed
@@ -22,27 +22,15 @@
 
 use fdm_core::{DatabaseF, RelationBuilder, RelationF, TupleF, Value};
 use fdm_expr::{BinOp, Expr, Params};
+use fdm_fql::optimizer::{Optimizer, OptimizerConfig, ReorderStrategy};
 use fdm_fql::plan::Query;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Serializes the tests that flip `FDM_PLAN_REORDER` (env vars are
-/// process-global; the harness runs tests concurrently).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_reorder<T>(mode: Option<&str>, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let saved = std::env::var("FDM_PLAN_REORDER").ok();
-    match mode {
-        Some(v) => std::env::set_var("FDM_PLAN_REORDER", v),
-        None => std::env::remove_var("FDM_PLAN_REORDER"),
-    }
-    let out = f();
-    match saved {
-        Some(v) => std::env::set_var("FDM_PLAN_REORDER", v),
-        None => std::env::remove_var("FDM_PLAN_REORDER"),
-    }
-    out
+/// `q` optimized for `db` by the default optimizer under `strategy`.
+fn optimize_with(q: Query, db: &DatabaseF, strategy: ReorderStrategy) -> Query {
+    Optimizer::default()
+        .with_config(OptimizerConfig::new().with_reorder(strategy))
+        .optimize(q, db)
 }
 
 /// A database where the declared join order is the expensive one. `base`
@@ -136,8 +124,8 @@ fn reordering_changes_the_plan_never_the_results() {
     let db = skewed_db(8, 5, 1);
     let q = declared_query();
 
-    let reordered = with_reorder(None, || q.clone().optimize_for(&db));
-    let pinned = with_reorder(Some("off"), || q.clone().optimize_for(&db));
+    let reordered = q.clone().optimize_for(&db);
+    let pinned = optimize_with(q.clone(), &db, ReorderStrategy::Off);
 
     // the plans genuinely differ: reordering binds the fan-out-1 narrow
     // join before the row-multiplying wide join; `off` keeps declared
@@ -149,7 +137,7 @@ fn reordering_changes_the_plan_never_the_results() {
     assert_eq!(
         pinned.explain(),
         q.clone().optimize().explain(),
-        "FDM_PLAN_REORDER=off restores the declared-order plan"
+        "ReorderStrategy::Off restores the declared-order plan"
     );
 
     // the executed order is visible in the output attribute order...
@@ -180,7 +168,7 @@ fn reordering_changes_the_plan_never_the_results() {
 fn reordering_composes_with_pushdown() {
     let db = skewed_db(8, 5, 1);
     let q = declared_query().filter("tag == 'b3'", Params::new());
-    let opt = with_reorder(None, || q.clone().optimize_for(&db));
+    let opt = q.clone().optimize_for(&db);
     let plan = opt.explain();
     // the filter references only base attrs: pushed below both joins,
     // and the joins still swap above it
@@ -223,14 +211,18 @@ fn three_joins_keep_root_ids_under_every_strategy() {
     }
     let top = q.clone().limit(5).eval(&db).unwrap();
     let mut plans = Vec::new();
-    for mode in [Some("off"), Some("adjacent"), None] {
-        let opt = with_reorder(mode, || q.clone().optimize_for(&db));
+    for mode in [
+        ReorderStrategy::Off,
+        ReorderStrategy::Adjacent,
+        ReorderStrategy::Greedy,
+    ] {
+        let opt = optimize_with(q.clone(), &db, mode);
         assert_eq!(
             keyed_data(&opt.eval(&db).unwrap()),
             keyed_data(&declared),
             "{mode:?}"
         );
-        let opt_top = with_reorder(mode, || q.clone().limit(5).optimize_for(&db));
+        let opt_top = optimize_with(q.clone().limit(5), &db, mode);
         assert_eq!(
             keyed_data(&opt_top.eval(&db).unwrap()),
             keyed_data(&top),
@@ -271,7 +263,7 @@ fn optimizer_md_transcript_is_live() {
     let q = Query::scan("orders")
         .join("customers", "cid", "cid")
         .filter("date > '2026-02'", Params::new());
-    let actual = with_reorder(None, || q.optimize_for(&db).explain_with_cost(&db).unwrap());
+    let actual = q.optimize_for(&db).explain_with_cost(&db).unwrap();
     assert_eq!(
         documented, actual,
         "docs/OPTIMIZER.md transcript drifted from real explain_with_cost output"

@@ -23,14 +23,20 @@
 //! (d) **Same answers.** `read_point` ≡ `snapshot().relation(rel)?
 //!     .lookup(key)` for unique, multi, hybrid and computed bodies, a
 //!     missing relation and an entry of the wrong kind.
+//! (e) **Read-your-writes and never stale** on the retail store: a
+//!     committer re-reading its key sees its own write at the head
+//!     version, and under a racing writer that only grows a counter no
+//!     read is older than its reported version's `as_of`, nor older than
+//!     the reader's previous read.
 //!
 //! Orders and counts, never clocks. `THREADS` sets the reader count (CI
-//! pins 1 and 4 in `txn stress`); (a), (b) and the stored half of (d) run
-//! on an in-memory and on a durable store — closure-valued bodies cannot
-//! be checkpointed, so (c) and the rest of (d) are in-memory only.
+//! pins 1 and 4 in `txn stress`); (a), (b), (e) and the stored half of
+//! (d) run on an in-memory and on a durable store — closure-valued bodies
+//! cannot be checkpointed, so (c) and the rest of (d) are in-memory only.
 
 use fdm_core::{DatabaseF, Domain, FdmError, FnValue, RelationF, TupleF, Value};
 use fdm_txn::{DurabilityConfig, Store, StoreConfig, SyncPolicy, Version};
+use fdm_workload::{commit_serve_write, retail_db, RetailConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -353,4 +359,72 @@ fn read_point_equals_the_snapshot_lookup_on_computed_bodies() {
     assert!(at("hybrid", 4 * KEYS + 1).is_none(), "outside the domain");
     assert_eq!(n_of(&at("squares", 3).unwrap()), 9);
     assert!(at("squares", 4).is_none(), "a failing closure is undefined");
+}
+
+/// The retail database with 100 customers, each carrying a `credit`.
+fn retail() -> DatabaseF {
+    retail_db(&RetailConfig {
+        customers: 100,
+        ..RetailConfig::small()
+    })
+}
+
+fn credit_of(t: Option<Arc<TupleF>>) -> i64 {
+    t.expect("dense cids")
+        .get("credit")
+        .and_then(|v| v.as_int("credit"))
+        .expect("credit is an int")
+}
+
+/// (e) Ten commits to one key, each read straight back.
+#[test]
+fn a_committer_reads_its_own_write_back() {
+    on_both_stores("own-write", retail(), |store| {
+        let key = Value::Int(7);
+        let before = credit_of(store.read_point("customers", &key).unwrap());
+        for round in 1..=10 {
+            commit_serve_write(store, 7, 5);
+            let (v, after) = store.read_point_versioned("customers", &key).unwrap();
+            assert_eq!(credit_of(after), before + 5 * round, "round {round}");
+            assert_eq!(v, store.version(), "quiescent store: read at head");
+        }
+    });
+}
+
+/// (e) One writer adds 1 to customer 1's credit 300 times while readers
+/// read it: every read is at least its version's `as_of` value (which
+/// may still answer `v − 1`, see (b)) and never below the previous read.
+#[test]
+fn a_racing_writer_never_yields_a_stale_read() {
+    on_both_stores("racing-writer", retail(), |store| {
+        let key = Value::Int(1);
+        let base = credit_of(store.read_point("customers", &key).unwrap());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let (store, done, key) = (store, &done, &key);
+            s.spawn(move || {
+                let _raise = Raise(done);
+                for _ in 0..300 {
+                    commit_serve_write(store, 1, 1);
+                }
+            });
+            for _ in 0..threads() {
+                s.spawn(move || {
+                    let _raise = Raise(done);
+                    let mut last = base;
+                    while !done.load(Ordering::SeqCst) {
+                        let (v, t) = store.read_point_versioned("customers", key).unwrap();
+                        let got = credit_of(t);
+                        let then = store.as_of(v).unwrap().relation("customers").unwrap();
+                        let floor = credit_of(then.lookup(key));
+                        assert!(got >= floor, "read ({got}) older than v{v} ({floor})");
+                        assert!(got >= last, "reads went backwards: {got} after {last}");
+                        last = got;
+                    }
+                });
+            }
+        });
+        let end = credit_of(store.read_point("customers", &key).unwrap());
+        assert_eq!(end, base + 300, "no lost updates beside the readers");
+    });
 }

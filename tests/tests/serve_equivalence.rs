@@ -1,35 +1,27 @@
-//! The serving-equivalence differential layer: every fast path of the
-//! PR 10 serving stack — group-committed write batches, the hot-tuple
-//! cache, key-range sharded relation bodies — replayed against the naive
-//! path on the same seeded Zipf stream, and required to be
-//! **byte-identical at every committed version**, not just at the end.
+//! Batched ≡ single on a default store: a seeded Zipf write stream
+//! committed through `commit_batch` groups and one commit per write, and
+//! required to be **byte-identical at every committed version**, not just
+//! at the end.
 //!
 //! The replay protocol makes "every version" well-defined even though
 //! the batched store installs one version per *group* while the naive
 //! store installs one per *write*: both stores flush at the same stream
-//! positions, so each served version `k` corresponds to a naive version
+//! positions, so each batched version `k` corresponds to a naive version
 //! `n_k` (the number of writes in the first `k` groups), and
 //! `served.as_of(k)` must equal `naive.as_of(n_k)` relation-for-relation,
 //! key-for-key, data-key-for-data-key.
 //!
-//! Reads interleave with the replay: every point read goes through the
-//! cache front and must return the exact tuple a fresh naive lookup
-//! sees; every range scan is answered by both stores and compared
-//! pairwise. The sharded test replays the stream's scans over a
-//! `ShardedRelation` of the final state at several shard counts.
-//!
 //! The concurrent test runs `THREADS` client threads (CI pins 1 and 4 in
-//! the `serve-stress` job) against one served store; write deltas
-//! commute, so the final state must still equal a sequential naive
-//! replay, and the audit sum must be non-decreasing along the whole
-//! `as_of` chain.
+//! the `serve-stress` job) against one store; write deltas commute, so
+//! the final state must still equal a sequential naive replay, and the
+//! audit sum must be non-decreasing along the whole `as_of` chain.
 
-use fdm_core::{DatabaseF, ShardMap, ShardedRelation, Value};
+use fdm_core::{DatabaseF, Value};
 use fdm_tests::canonical_rows;
-use fdm_txn::{BatchPolicy, StoreConfig};
+use fdm_txn::BatchPolicy;
 use fdm_workload::{
-    commit_serve_write, commit_serve_writes_batched, retail_store, retail_store_with, serve_ops,
-    total_credit, writes_of, RetailConfig, ServeConfig, ServeOp,
+    commit_serve_write, commit_serve_writes_batched, retail_store, serve_ops, total_credit,
+    writes_of, RetailConfig, ServeConfig, ServeOp,
 };
 use std::sync::Arc;
 
@@ -39,16 +31,6 @@ fn threads() -> usize {
         .and_then(|s| s.parse().ok())
         .filter(|&t| t > 0)
         .unwrap_or(4)
-}
-
-/// The serving store's configuration: hot-tuple cache on, everything
-/// else default. Small capacity on purpose — evictions and refills must
-/// not affect what readers see.
-fn serving_config() -> StoreConfig {
-    StoreConfig {
-        hot_cache: Some(256),
-        ..StoreConfig::default()
-    }
 }
 
 fn retail() -> RetailConfig {
@@ -86,104 +68,41 @@ fn mixed_stream(customers: usize, ops: usize, seed: u64, client: usize) -> Vec<S
     )
 }
 
-/// The deterministic differential: one client's mixed stream replayed
-/// through the served stack (cache front, batched group commits) and the
-/// naive path (per-request tree walks, one commit per write), flushing
-/// at the same stream positions. Interleaved reads and scans must agree
-/// op-by-op, and the two `as_of` chains must be byte-identical at every
-/// group boundary — which is every committed version of the served
-/// store.
+/// The deterministic differential: one client's write stream replayed
+/// through batched group commits and through one commit per write,
+/// flushing at the same stream positions. The two `as_of` chains must be
+/// byte-identical at every group boundary — which is every committed
+/// version of the batched store.
 #[test]
 fn served_stack_matches_naive_at_every_committed_version() {
     let retail = retail();
-    let customers = retail.customers;
-    let served = retail_store_with(&retail, serving_config());
+    let served = retail_store(&retail);
     let naive = retail_store(&retail);
     let policy = BatchPolicy::default();
     let group = 16usize;
 
-    let ops = mixed_stream(customers, 600, 0x5E01, 0);
-    let mut pending: Vec<(i64, i64)> = Vec::new();
+    let writes = writes_of(&mixed_stream(retail.customers, 600, 0x5E01, 0));
     // (served version, naive version) at each group boundary
     let mut boundaries: Vec<(u64, u64)> = Vec::new();
-    let flush = |pending: &mut Vec<(i64, i64)>, boundaries: &mut Vec<(u64, u64)>| {
-        if pending.is_empty() {
-            return;
-        }
-        commit_serve_writes_batched(&served, pending, group, &policy);
-        for (c, d) in pending.iter() {
+    for chunk in writes.chunks(group) {
+        commit_serve_writes_batched(&served, chunk, group, &policy);
+        for (c, d) in chunk {
             commit_serve_write(&naive, *c, *d);
         }
-        pending.clear();
         boundaries.push((served.version(), naive.version()));
-    };
-
-    for op in &ops {
-        match op {
-            ServeOp::Write { customer, delta } => {
-                pending.push((*customer, *delta));
-                if pending.len() == group {
-                    flush(&mut pending, &mut boundaries);
-                }
-            }
-            ServeOp::PointRead { customer } => {
-                let key = Value::Int(*customer);
-                let cached = served
-                    .read_point("customers", &key)
-                    .expect("customers relation exists")
-                    .expect("generated cids are dense");
-                let plain = naive
-                    .snapshot()
-                    .relation("customers")
-                    .expect("customers relation exists")
-                    .lookup(&key)
-                    .expect("generated cids are dense");
-                assert_eq!(
-                    cached.data_key().expect("retail tuples carry no closures"),
-                    plain.data_key().expect("retail tuples carry no closures"),
-                    "cached point read diverged from the naive path for cid {customer}"
-                );
-            }
-            ServeOp::RangeScan { start, len } => {
-                let lo = Value::Int(*start);
-                let hi = Value::Int(start + len - 1);
-                let fast = served
-                    .snapshot()
-                    .relation("customers")
-                    .expect("customers relation exists")
-                    .range(Some(&lo), Some(&hi));
-                let slow = naive
-                    .snapshot()
-                    .relation("customers")
-                    .expect("customers relation exists")
-                    .range(Some(&lo), Some(&hi));
-                assert_eq!(
-                    fast.len(),
-                    slow.len(),
-                    "scan [{start}, {}] cardinality",
-                    start + len - 1
-                );
-                for ((fk, ft), (sk, st)) in fast.iter().zip(slow.iter()) {
-                    assert_eq!(fk, sk, "scan key order diverged");
-                    assert_eq!(
-                        ft.data_key().expect("retail tuples carry no closures"),
-                        st.data_key().expect("retail tuples carry no closures"),
-                        "scan tuple diverged at key {fk:?}"
-                    );
-                }
-            }
-        }
     }
-    flush(&mut pending, &mut boundaries);
 
-    // the served store installed exactly one version per flushed group …
+    // the batched store installed exactly one version per flushed group …
     assert_eq!(
         served.version(),
         boundaries.len() as u64,
         "group commit must install one version per group"
     );
-    let writes = writes_of(&ops).len() as u64;
-    assert_eq!(naive.version(), writes, "naive path: one version per write");
+    assert_eq!(
+        naive.version(),
+        writes.len() as u64,
+        "naive path: one version per write"
+    );
     assert!(
         served.version() < naive.version(),
         "batching must install fewer versions than one-at-a-time"
@@ -206,70 +125,15 @@ fn served_stack_matches_naive_at_every_committed_version() {
     }
 }
 
-/// Sharded ≡ unsharded over the stream's own scans: the final served
-/// state's `customers` relation is split at several shard counts and
-/// must answer every range scan of the stream — plus scans pinned
-/// exactly on the shard boundary keys — byte-identically to the
-/// unsharded body.
-#[test]
-fn sharded_relation_answers_the_stream_scans_identically() {
-    let retail = retail();
-    let served = retail_store(&retail);
-    let ops = mixed_stream(retail.customers, 400, 0x5E02, 1);
-    commit_serve_writes_batched(&served, &writes_of(&ops), 16, &BatchPolicy::default());
-
-    let db = served.snapshot();
-    let rel = db.relation("customers").expect("customers relation exists");
-    for shards in [1usize, 3, 8] {
-        let map = ShardMap::for_relation(&rel, shards).expect("ascending stored keys");
-        let sharded = ShardedRelation::from_relation(&rel, map.clone()).expect("clean split");
-        assert_eq!(
-            canonical_rows(&sharded.to_relation()),
-            canonical_rows(&rel),
-            "{shards}-way split must merge back byte-identical"
-        );
-        let mut scans: Vec<(Value, Value)> = ops
-            .iter()
-            .filter_map(|op| match op {
-                ServeOp::RangeScan { start, len } => {
-                    Some((Value::Int(*start), Value::Int(start + len - 1)))
-                }
-                _ => None,
-            })
-            .collect();
-        // scans that start exactly on a boundary key, end exactly on
-        // one, and straddle one by a single key on each side
-        for b in map.boundaries() {
-            if let Value::Int(b) = b {
-                scans.push((Value::Int(*b), Value::Int(b + 5)));
-                scans.push((Value::Int(b - 5), Value::Int(*b)));
-                scans.push((Value::Int(b - 1), Value::Int(b + 1)));
-            }
-        }
-        for (lo, hi) in &scans {
-            let fast = sharded.range(Some(lo), Some(hi));
-            let slow = rel.range(Some(lo), Some(hi));
-            assert_eq!(fast.len(), slow.len(), "scan [{lo:?}, {hi:?}] cardinality");
-            for ((fk, ft), (sk, st)) in fast.iter().zip(slow.iter()) {
-                assert_eq!(fk, sk, "scan [{lo:?}, {hi:?}] key order");
-                assert!(
-                    Arc::ptr_eq(ft, st),
-                    "sharded scan must serve the same tuple bodies"
-                );
-            }
-        }
-    }
-}
-
-/// `THREADS` concurrent clients hammer one served store through the
-/// batched path; deltas commute, so the final database must equal a
+/// `THREADS` concurrent clients hammer one store through the batched
+/// path; deltas commute, so the final database must equal a
 /// sequential naive replay of all streams, and the audit sum must grow
 /// monotonically along the served store's entire `as_of` chain.
 #[test]
 fn concurrent_clients_preserve_equivalence_and_audit_monotonicity() {
     let retail = retail();
     let clients = threads();
-    let served = retail_store_with(&retail, serving_config());
+    let served = retail_store(&retail);
     let policy = BatchPolicy::default();
 
     let streams: Vec<Vec<(i64, i64)>> = (0..clients)
@@ -280,8 +144,7 @@ fn concurrent_clients_preserve_equivalence_and_audit_monotonicity() {
             let served = Arc::clone(&served);
             let policy = policy.clone();
             s.spawn(move || {
-                // interleaved reads keep the cache front hot and racing
-                // with the other clients' invalidations
+                // interleaved reads race the other clients' commits
                 for chunk in stream.chunks(16) {
                     commit_serve_writes_batched(&served, chunk, 16, &policy);
                     let key = Value::Int(chunk[0].0);
