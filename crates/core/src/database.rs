@@ -17,7 +17,7 @@ use crate::error::{FdmError, Name, Result};
 use crate::function::{FnValue, Function};
 use crate::relation::RelationF;
 use crate::relationship::RelationshipF;
-use crate::value::Value;
+use crate::value::{Text, Value};
 use fdm_storage::PMap;
 use std::fmt;
 use std::sync::Arc;
@@ -255,7 +255,7 @@ impl Function for DatabaseF {
     }
 
     fn domain(&self) -> Domain {
-        Domain::enumerated(self.entries.keys().map(|n| Value::Str(n.clone())))
+        Domain::enumerated(self.entries.keys().map(|n| Value::Str(Text::from(n))))
     }
 
     fn apply(&self, args: &[Value]) -> Result<Value> {

@@ -92,4 +92,4 @@ pub use stats::{
 };
 pub use tuple::{DataKey, TupleBuilder, TupleF};
 pub use types::ValueType;
-pub use value::Value;
+pub use value::{Text, Value};

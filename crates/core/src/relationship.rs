@@ -269,24 +269,6 @@ impl RelationshipF {
         self.map.iter().map(|(k, t)| (Self::key_args(k), t))
     }
 
-    /// All distinct values appearing in parameter position `i` — the image
-    /// of the relationship on that participant (used by FQL's semi-join
-    /// reduction).
-    pub fn key_values_at(&self, i: usize) -> Vec<Value> {
-        let mut out: Vec<Value> = self
-            .map
-            .keys()
-            .filter_map(|k| match k {
-                Value::List(items) => items.get(i).cloned(),
-                other if i == 0 => Some(other.clone()),
-                _ => None,
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Finds the parameter position of a participant by its key name.
     pub fn position_of(&self, key_name: &str) -> Option<usize> {
         self.participants
@@ -590,16 +572,23 @@ mod tests {
     }
 
     #[test]
-    fn key_values_at_deduplicates() {
+    fn stats_keys_at_are_the_distinct_keys_in_order() {
         let o = order()
-            .insert_link(&[Value::Int(1), Value::Int(7)])
+            .insert_link(&[Value::Int(2), Value::Int(7)])
             .unwrap()
             .insert_link(&[Value::Int(1), Value::Int(8)])
             .unwrap()
-            .insert_link(&[Value::Int(2), Value::Int(7)])
+            .insert_link(&[Value::Int(1), Value::Int(7)])
             .unwrap();
-        assert_eq!(o.key_values_at(0), vec![Value::Int(1), Value::Int(2)]);
-        assert_eq!(o.key_values_at(1), vec![Value::Int(7), Value::Int(8)]);
+        let keys =
+            |o: &RelationshipF, pos| -> Vec<Value> { o.stats().keys_at(pos).cloned().collect() };
+        assert_eq!(keys(&o, 0), [Value::Int(1), Value::Int(2)]);
+        assert_eq!(keys(&o, 1), [Value::Int(7), Value::Int(8)]);
+        assert!(keys(&o, 2).is_empty(), "no such position");
+        // a removal drops a key only with its last entry
+        let o = o.remove(&[Value::Int(1), Value::Int(8)]).unwrap();
+        assert_eq!(keys(&o, 0), [Value::Int(1), Value::Int(2)]);
+        assert_eq!(keys(&o, 1), [Value::Int(7)]);
         assert_eq!(o.position_of("pid"), Some(1));
         assert_eq!(o.position_of("nope"), None);
     }

@@ -540,6 +540,13 @@ impl RelationshipStats {
         self.counts.get(pos).map_or(0, PMap::len)
     }
 
+    /// The distinct key values at participant position `pos`, ascending —
+    /// exactly the keys some entry carries there, read off the count map
+    /// (empty for a position the relationship does not have).
+    pub fn keys_at(&self, pos: usize) -> impl Iterator<Item = &Value> + '_ {
+        self.counts.get(pos).into_iter().flat_map(PMap::keys)
+    }
+
     /// The distinct-count sketch for participant position `pos` — the
     /// O(1)-memory summary maintained alongside the exact count maps.
     /// Insert-monotone: after removals it may over-count (see the module

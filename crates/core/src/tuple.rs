@@ -53,7 +53,7 @@ use crate::domain::Domain;
 use crate::error::{FdmError, Name, Result};
 use crate::function::Function;
 use crate::shape::Shape;
-use crate::value::Value;
+use crate::value::{Text, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -462,7 +462,7 @@ impl TupleF {
     pub fn compute_data_key(&self) -> Result<Value> {
         let mut flat = Vec::with_capacity(2 * self.defs.len());
         for &slot in self.shape.canon.iter() {
-            flat.push(Value::Str(self.shape.names[slot].clone()));
+            flat.push(Value::Str(Text::from(&self.shape.names[slot])));
             flat.push(self.value_at(slot)?);
         }
         Ok(Value::List(flat.into()))
@@ -479,7 +479,7 @@ impl Function for TupleF {
     }
 
     fn domain(&self) -> Domain {
-        Domain::enumerated(self.attr_names().map(|n| Value::Str(n.clone())))
+        Domain::enumerated(self.attr_names().map(|n| Value::Str(Text::from(n))))
     }
 
     fn apply(&self, args: &[Value]) -> Result<Value> {

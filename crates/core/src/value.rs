@@ -4,6 +4,11 @@
 //! nested in an attribute, a relation function stored under an attribute,
 //! a database nested in a database, ... — paper §2.6 "Blurring the lines").
 //! [`Value::Fn`] carries any of those via [`FnValue`].
+//!
+//! A string value is a [`Text`]: up to [`Text::INLINE_MAX`] bytes live
+//! inside the `Value` itself, longer ones in a shared `Arc<str>`. Which of
+//! the two a string uses is fixed by its length and cannot be observed:
+//! `Eq`, `Ord`, `Hash`, `Display` and the encoded bytes are those of `str`.
 
 use crate::error::{FdmError, Result};
 use crate::function::FnValue;
@@ -11,7 +16,161 @@ use crate::types::ValueType;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// An immutable string, the payload of [`Value::Str`].
+///
+/// A string of at most [`Text::INLINE_MAX`] bytes is stored inline, with
+/// no allocation and no reference count; a longer one is a shared
+/// `Arc<str>`. The representation is canonical — a short string is always
+/// inline — and invisible: equality, order and hashing are exactly those
+/// of `str` and read the bytes directly. `Text` dereferences to `str`.
+///
+/// # Examples
+///
+/// ```
+/// use fdm_core::Text;
+///
+/// let short = Text::from("Alice");
+/// let long = Text::from("a string longer than twenty-two bytes");
+/// assert!(short.is_inline() && !long.is_inline());
+/// assert!(short < long && short.starts_with("Al"));
+/// ```
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the string, the rest is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; Text::INLINE_MAX],
+    },
+    Heap(Arc<str>),
+}
+
+impl Text {
+    /// The longest string, in bytes, stored inline.
+    pub const INLINE_MAX: usize = 22;
+
+    /// The string's UTF-8 bytes.
+    #[inline]
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(s) => s.as_bytes(),
+        }
+    }
+
+    /// The string.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline text is copied from a str"),
+            Repr::Heap(s) => s,
+        }
+    }
+
+    /// `true` if the string is stored inline (exactly when it is at most
+    /// [`Self::INLINE_MAX`] bytes long).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+
+    /// The inline form of `s`, if it is short enough.
+    fn inline(s: &str) -> Option<Text> {
+        let mut bytes = [0; Text::INLINE_MAX];
+        bytes.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        Some(Text(Repr::Inline {
+            len: s.len() as u8,
+            bytes,
+        }))
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text(Repr::Heap(Arc::from(s))))
+    }
+}
+
+impl From<&Arc<str>> for Text {
+    /// Copies `s` when it is short enough to store inline, and shares it
+    /// otherwise.
+    fn from(s: &Arc<str>) -> Self {
+        Text::inline(s).unwrap_or_else(|| Text(Repr::Heap(s.clone())))
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Text {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    /// `str` equality. The representation is canonical, so an inline and
+    /// a shared string always differ in length; two inline strings are
+    /// zero-padded, so their whole arrays compare.
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Inline { len, bytes }, Repr::Inline { len: l, bytes: b }) => {
+                len == l && bytes == b
+            }
+            (Repr::Heap(a), Repr::Heap(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Text {}
+
+impl PartialOrd for Text {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Text {
+    /// `str` order, which is the order of the UTF-8 bytes.
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl Hash for Text {
+    /// Feeds the hasher what `str::hash` feeds it: the bytes, then `0xff`.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// A single FDM value.
 ///
@@ -34,7 +193,7 @@ pub enum Value {
     /// A 64-bit float.
     Float(f64),
     /// An immutable string.
-    Str(Arc<str>),
+    Str(Text),
     /// A list (composite keys, argument tuples of relationship functions).
     List(Arc<[Value]>),
     /// A function value — this is what makes FDM higher-order.
@@ -55,7 +214,7 @@ impl Value {
 
     /// Builds a string value.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Text::from(s.as_ref()))
     }
 
     /// Builds a list value.
@@ -105,7 +264,7 @@ impl Value {
     /// Extracts a string slice, or reports a type mismatch in `context`.
     pub fn as_str(&self, context: &str) -> Result<&str> {
         match self {
-            Value::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s.as_str()),
             other => Err(FdmError::TypeMismatch {
                 expected: ValueType::Str,
                 found: other.value_type(),
@@ -231,7 +390,10 @@ impl Value {
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        match (self, other) {
+            (Value::Str(a), Value::Str(b)) => a == b,
+            _ => self.cmp(other) == Ordering::Equal,
+        }
     }
 }
 
@@ -246,6 +408,12 @@ impl PartialOrd for Value {
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
         use Value::*;
+        // Keys are mostly ints. Testing for one variant reads the tag byte
+        // once, where the full match first decodes it (the string shares
+        // that byte with the other variants).
+        if let (Int(a), Int(b)) = (self, other) {
+            return a.cmp(b);
+        }
         match (self, other) {
             (Unit, Unit) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
@@ -477,6 +645,43 @@ mod tests {
         assert_eq!(Value::Int(5).as_float("f").unwrap(), 5.0);
         assert!(Value::Bool(true).as_bool("b").unwrap());
         assert_eq!(Value::list([Value::Int(1)]).as_list("l").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn value_stays_24_bytes_with_strings_inline() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Text>(), 24);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 24, "a niche is left");
+    }
+
+    #[test]
+    fn strings_of_at_most_22_bytes_are_inline() {
+        let is_inline = |s: &str| match Value::str(s) {
+            Value::Str(t) => {
+                assert_eq!((t.as_str(), t.len()), (s, s.len()));
+                t.is_inline()
+            }
+            other => panic!("{other} is not a string"),
+        };
+        let x = |n: usize| "x".repeat(n);
+        assert!(is_inline(""));
+        assert!(is_inline(&x(22)));
+        assert!(!is_inline(&x(23)));
+        // 21 ASCII bytes and a 2-byte char: 22 chars, 23 bytes
+        let straddle = format!("{}é", x(21));
+        assert_eq!((straddle.chars().count(), straddle.len()), (22, 23));
+        assert!(!is_inline(&straddle));
+        assert!(is_inline(&format!("{}é", x(20))));
+        // order and equality do not see the representation
+        assert!(Value::str(x(22)) < Value::str(x(23)));
+        assert!(Value::str(&straddle) > Value::str(x(22)));
+        assert_ne!(Value::str(x(22)), Value::str(x(23)));
+        // a shared string is copied inline when short, kept when long
+        let long: Arc<str> = Arc::from(straddle.as_str());
+        let shared = Text::from(&long);
+        assert!(!shared.is_inline());
+        assert_eq!(Arc::strong_count(&long), 2);
+        assert!(Text::from(&Arc::<str>::from("short")).is_inline());
     }
 
     #[test]

@@ -190,8 +190,14 @@ impl Encoder {
     }
 
     fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.bytes(s.as_bytes());
+    }
+
+    /// A string's bytes behind their length, written as they are: a
+    /// [`Value::Str`] is UTF-8 by construction and is not re-validated.
+    fn bytes(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.buf.extend_from_slice(b);
     }
 
     fn value(&mut self, v: &Value) -> Result<()> {
@@ -211,7 +217,7 @@ impl Encoder {
             }
             Value::Str(s) => {
                 self.u8(4);
-                self.str(s);
+                self.bytes(s.as_bytes());
             }
             Value::List(items) => {
                 self.u8(5);
@@ -564,7 +570,7 @@ impl<'a> Decoder<'a> {
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.i64()?),
             3 => Value::Float(f64::from_bits(self.u64()?)),
-            4 => Value::Str(Arc::from(self.str()?)),
+            4 => Value::str(self.str()?),
             5 => {
                 let n = self.count()?;
                 let mut items = Vec::with_capacity(n);

@@ -37,10 +37,20 @@ pub fn subdatabase(db: &DatabaseF, names: &[&str]) -> DatabaseF {
 /// How much work [`reduce_db_with_stats`] did to reach the fixpoint.
 #[derive(Debug, Clone, Default)]
 pub struct ReduceStats {
-    /// `(relationship, times its entries were scanned)` in name order: once,
+    /// `(relationship, times the fixpoint visited it)` in name order: once,
     /// plus once for every time *another* relationship shrank one of its
     /// participants afterwards.
-    pub scans: Vec<(Name, usize)>,
+    pub visits: Vec<(Name, usize)>,
+    /// `(relationship, how many of those visits walked its entries)`, in
+    /// the same order; every other visit was answered from its key maps.
+    pub entry_scans: Vec<(Name, usize)>,
+}
+
+impl ReduceStats {
+    /// How many relationships were answered without walking an entry.
+    pub fn answered_from_key_maps(&self) -> usize {
+        self.entry_scans.iter().filter(|(_, n)| *n == 0).count()
+    }
 }
 
 /// The stored keys of one relation that survive the semi-join fixpoint,
@@ -58,9 +68,77 @@ struct Survivors<'a> {
     /// Relation name → surviving keys. A relation no relationship touches
     /// has no entry and keeps everything.
     keys: BTreeMap<&'a str, ActiveKeys<'a>>,
-    /// Relationship name → one flag per entry, in entry order.
-    entries: BTreeMap<&'a str, Vec<bool>>,
+    /// Relationship name → one flag per entry, in entry order; `None` when
+    /// every entry survives.
+    entries: BTreeMap<&'a str, Option<Vec<bool>>>,
     stats: ReduceStats,
+}
+
+/// One flag per active key of each position, none set yet (no flags for
+/// an unconstrained position).
+fn unnamed(active: &[Option<&[&Value]>]) -> Vec<Vec<bool>> {
+    active
+        .iter()
+        .map(|a| vec![false; a.map_or(0, <[_]>::len)])
+        .collect()
+}
+
+/// The key-map step, for a relationship whose entries are all alive: each
+/// position's distinct keys (ascending, from the relationship's
+/// statistics) are merge-walked against that participant's active keys.
+/// If none dangles, every entry survives, and the flags mark exactly the
+/// keys a scan of the entries would mark; `None` if some key is not
+/// active.
+fn named_by_key_maps(rsf: &RelationshipF, active: &[Option<&[&Value]>]) -> Option<Vec<Vec<bool>>> {
+    let mut named = unnamed(active);
+    for (i, (active, named)) in active.iter().zip(named.iter_mut()).enumerate() {
+        let Some(active) = active else { continue };
+        let mut at = 0;
+        for key in rsf.stats().keys_at(i) {
+            while active.get(at).is_some_and(|k| *k < key) {
+                at += 1;
+            }
+            if active.get(at) != Some(&key) {
+                return None;
+            }
+            named[at] = true;
+        }
+    }
+    Some(named)
+}
+
+/// The entry scan: the keys named by the entries of `rsf` that name only
+/// active keys, and one survival flag per entry.
+fn named_by_entries(
+    rsf: &RelationshipF,
+    active: &[Option<&[&Value]>],
+) -> (Vec<Vec<bool>>, Vec<bool>) {
+    let mut named = unnamed(active);
+    let mut at = vec![0usize; active.len()];
+    let alive = rsf
+        .iter_entries()
+        .map(|(args, _)| {
+            for (i, arg) in args.iter().enumerate() {
+                let Some(active) = active[i] else { continue };
+                // entries arrive in key order: the leading positions
+                // mostly repeat their previous hit
+                if active.get(at[i]).is_some_and(|k| *k == arg) {
+                    continue;
+                }
+                match active.binary_search(&arg) {
+                    Ok(found) => at[i] = found,
+                    Err(_) => return false,
+                }
+            }
+            for (named, &at) in named.iter_mut().zip(&at) {
+                if let Some(flag) = named.get_mut(at) {
+                    *flag = true;
+                }
+            }
+            true
+        })
+        .collect();
+    (named, alive)
 }
 
 /// Computes the semi-join fixpoint over all relationship functions in
@@ -69,13 +147,17 @@ struct Survivors<'a> {
 /// survives iff its key appears in some surviving entry of every
 /// relationship that touches its relation.
 ///
-/// A worklist, not rounds: scanning relationship R restricts R's
+/// A worklist, not rounds: visiting relationship R restricts R's
 /// participants to the keys R's surviving entries name, which cannot
 /// invalidate any of those entries, so only the *other* relationships
 /// touching a participant that shrank go back on the list (and R itself
 /// just when one relation sits at two of its positions, where the two
 /// restrictions intersect). A database with one relationship converges in
-/// one scan.
+/// one visit.
+///
+/// A visit first tries the key maps ([`named_by_key_maps`]), which touch
+/// one key per distinct value instead of one per entry; only a dangling
+/// key, or a relationship that already lost entries, walks the entries.
 fn semi_join_fixpoint(db: &DatabaseF) -> Survivors<'_> {
     let relationships: Vec<(&Name, &Arc<RelationshipF>)> = db.relationships().collect();
     // start: every stored key of every participating relation is active
@@ -93,13 +175,14 @@ fn semi_join_fixpoint(db: &DatabaseF) -> Survivors<'_> {
             }
         }
     }
-    let mut entries: Vec<Vec<bool>> = vec![Vec::new(); relationships.len()];
-    let mut scans = vec![0usize; relationships.len()];
+    let mut entries: Vec<Option<Vec<bool>>> = vec![None; relationships.len()];
+    let mut visits = vec![0usize; relationships.len()];
+    let mut entry_scans = vec![0usize; relationships.len()];
     let mut queue: VecDeque<usize> = (0..relationships.len()).collect();
     let mut queued = vec![true; relationships.len()];
     while let Some(r) = queue.pop_front() {
         queued[r] = false;
-        scans[r] += 1;
+        visits[r] += 1;
         let rsf = relationships[r].1;
         let parts = rsf.participants();
         // per position: the participant's active keys (none: not a relation
@@ -109,34 +192,16 @@ fn semi_join_fixpoint(db: &DatabaseF) -> Survivors<'_> {
             .iter()
             .map(|p| keys.get(p.function.as_ref()).map(|a| a.keys.as_slice()))
             .collect();
-        let mut named: Vec<Vec<bool>> = active
-            .iter()
-            .map(|a| vec![false; a.map_or(0, <[_]>::len)])
-            .collect();
-        let mut at = vec![0usize; parts.len()];
-        entries[r] = rsf
-            .iter_entries()
-            .map(|(args, _)| {
-                for (i, arg) in args.iter().enumerate() {
-                    let Some(active) = active[i] else { continue };
-                    // entries arrive in key order: the leading positions
-                    // mostly repeat their previous hit
-                    if active.get(at[i]).is_some_and(|k| *k == arg) {
-                        continue;
-                    }
-                    match active.binary_search(&arg) {
-                        Ok(found) => at[i] = found,
-                        Err(_) => return false,
-                    }
-                }
-                for (named, &at) in named.iter_mut().zip(&at) {
-                    if let Some(flag) = named.get_mut(at) {
-                        *flag = true;
-                    }
-                }
-                true
-            })
-            .collect();
+        let from_key_maps = match entries[r] {
+            None => named_by_key_maps(rsf, &active),
+            Some(_) => None,
+        };
+        let named = from_key_maps.unwrap_or_else(|| {
+            let (named, alive) = named_by_entries(rsf, &active);
+            entries[r] = Some(alive);
+            entry_scans[r] += 1;
+            named
+        });
         // restrict every participant relation to the keys a surviving entry
         // named, at each position the relation holds
         for (i, p) in parts.iter().enumerate() {
@@ -168,19 +233,13 @@ fn semi_join_fixpoint(db: &DatabaseF) -> Survivors<'_> {
             }
         }
     }
+    let names = || relationships.iter().map(|&(name, _)| name);
     Survivors {
         keys,
-        entries: relationships
-            .iter()
-            .map(|&(name, _)| name.as_ref())
-            .zip(entries)
-            .collect(),
+        entries: names().map(|name| name.as_ref()).zip(entries).collect(),
         stats: ReduceStats {
-            scans: relationships
-                .iter()
-                .map(|&(name, _)| name.clone())
-                .zip(scans)
-                .collect(),
+            visits: names().cloned().zip(visits).collect(),
+            entry_scans: names().cloned().zip(entry_scans).collect(),
         },
     }
 }
@@ -228,8 +287,8 @@ pub fn reduce_db(db: &DatabaseF) -> Result<DatabaseF> {
     reduce_db_with_stats(db).map(|(reduced, _)| reduced)
 }
 
-/// [`reduce_db`], also reporting how many relationship scans the fixpoint
-/// took.
+/// [`reduce_db`], also reporting how many relationship visits the
+/// fixpoint took and how many of them walked the entries.
 pub fn reduce_db_with_stats(db: &DatabaseF) -> Result<(DatabaseF, ReduceStats)> {
     let survivors = semi_join_fixpoint(db);
     let mut out = DatabaseF::new(format!("{}_reduced", db.name()));
@@ -238,14 +297,14 @@ pub fn reduce_db_with_stats(db: &DatabaseF) -> Result<(DatabaseF, ReduceStats)> 
             FnValue::Relation(rel) => {
                 reduced_relation(entry, rel, survivors.keys.get(name.as_ref()))?
             }
-            FnValue::Relationship(rsf) => {
-                let alive = &survivors.entries[name.as_ref()];
-                let kept = alive.iter().filter(|a| **a).count();
-                if kept == rsf.len() {
-                    entry.clone()
-                } else {
+            // an entry scan always kills an entry: the dangling key that
+            // forced it is carried by one
+            FnValue::Relationship(rsf) => match &survivors.entries[name.as_ref()] {
+                None => entry.clone(),
+                Some(alive) => {
                     // entries arrive key-ordered: the builder's O(n) path,
                     // statistics counted once at the end
+                    let kept = alive.iter().filter(|a| **a).count();
                     let mut reduced =
                         RelationshipBuilder::new(rsf.name(), rsf.participants().to_vec())
                             .with_capacity(kept);
@@ -254,7 +313,7 @@ pub fn reduce_db_with_stats(db: &DatabaseF) -> Result<(DatabaseF, ReduceStats)> 
                     }
                     FnValue::from(reduced.build()?)
                 }
-            }
+            },
             other => other.clone(),
         };
         out = out.with_entry(name.as_ref(), reduced);

@@ -587,7 +587,7 @@ fn reduce_db_worklist_scans_only_what_a_shrink_invalidates() {
         reduce_db_with_stats(db)
             .unwrap()
             .1
-            .scans
+            .visits
             .into_iter()
             .map(|(name, n)| (name.to_string(), n))
             .collect()
@@ -628,6 +628,161 @@ fn reduce_db_shared_relationship_keeps_its_statistics() {
         1,
         "Bob is gone"
     );
+}
+
+/// Every stored customer ordered, but product 12 was never stored: the
+/// only dangling key sits at the second position.
+fn second_dangling_db() -> DatabaseF {
+    DatabaseF::new("second")
+        .with_relation(ids("customers", "cid", 1..=3))
+        .with_relation(ids("products", "pid", [10, 11]))
+        .with_relationship(links(
+            "order",
+            ("customers", "cid"),
+            ("products", "pid"),
+            &[(1, 10), (2, 11), (3, 12)],
+        ))
+}
+
+/// The reference, except that a relationship it keeps whole is the
+/// input's own, statistics included: entries removed before the reduction
+/// left their keys in the insert-monotone sketches, which a rebuild does
+/// not see.
+fn reference_sharing(db: &DatabaseF) -> DatabaseF {
+    let mut reference = reference_reduce_db(db);
+    for (name, rsf) in db.relationships() {
+        if reference.relationship(name).unwrap().len() == rsf.len() {
+            reference = reference.with_entry(name.as_ref(), FnValue::Relationship(rsf.clone()));
+        }
+    }
+    reference
+}
+
+#[test]
+fn reduce_db_answers_from_key_maps_unless_a_key_dangles() {
+    // `(relationship, visits, entry scans)`, after checking the result
+    let work = |db: &DatabaseF| -> Vec<(String, usize, usize)> {
+        let (reduced, stats) = reduce_db_with_stats(db).unwrap();
+        assert_same_db(&reduced, &reference_sharing(db), db.name());
+        stats
+            .visits
+            .iter()
+            .zip(&stats.entry_scans)
+            .map(|((name, visits), (_, scans))| (name.to_string(), *visits, *scans))
+            .collect()
+    };
+    let order = |visits, scans| vec![("order".to_string(), visits, scans)];
+    // every key of every entry is stored: no entry is touched, although
+    // inactive customers and unsold products are reduced away
+    assert_eq!(work(&shop()), order(1, 0));
+    assert_eq!(
+        reduce_db_with_stats(&shop())
+            .unwrap()
+            .1
+            .answered_from_key_maps(),
+        1
+    );
+    assert_eq!(work(&cascade_db()), order(1, 0));
+    // entries removed after the build: their keys left the count maps
+    let removed = fdm_fql::testutil::retail_db();
+    let rsf = removed.relationship("order").unwrap();
+    let removed = removed.with_relationship(rsf.remove(&[Value::Int(2), Value::Int(10)]).unwrap());
+    assert_eq!(work(&removed), order(1, 0));
+    // a dangling key at either position forces the scan
+    assert_eq!(work(&dangling_db()), order(1, 1));
+    assert_eq!(work(&second_dangling_db()), order(1, 1));
+    assert_eq!(
+        reduce_db_with_stats(&dangling_db())
+            .unwrap()
+            .1
+            .answered_from_key_maps(),
+        0
+    );
+    // the chain: `cd` answers from its maps and shrinks c, after which
+    // c2 dangles in `bc`, and then b2 in `ab`
+    assert_eq!(
+        work(&chain_db()),
+        [
+            ("ab".to_string(), 2, 1),
+            ("bc".to_string(), 2, 1),
+            ("cd".to_string(), 1, 0)
+        ]
+    );
+    // one relation at two positions: the first visit is answered from
+    // the maps, the intersection it leaves makes person 4 dangle
+    assert_eq!(work(&self_db()), [("manages".to_string(), 2, 1)]);
+}
+
+/// A random database for the key-map property: three relations over
+/// small key ranges, and relationships among them (or a relation the
+/// database lacks, `r3`), built in bulk, then thinned by `remove` so their
+/// statistics went through `with_removed`. Entry keys overshoot the
+/// relations' ranges, so keys dangle at either position.
+fn random_db(rels: &[BTreeSet<i64>], rsfs: &[RandomLinks]) -> DatabaseF {
+    let mut db = DatabaseF::new("random");
+    for (i, keys) in rels.iter().enumerate() {
+        db = db.with_relation(ids(&format!("r{i}"), "k", keys.iter().copied()));
+    }
+    for (n, (left, right, pairs, removals)) in rsfs.iter().enumerate() {
+        let pairs: Vec<(i64, i64)> = pairs.iter().copied().collect();
+        let mut rsf = links(
+            &format!("l{n}"),
+            (&format!("r{left}"), "lk"),
+            (&format!("r{right}"), "rk"),
+            &pairs,
+        );
+        for &at in removals {
+            if let Some((l, r)) = pairs.get(at % (pairs.len() + 1)) {
+                if rsf.relates(&[Value::Int(*l), Value::Int(*r)]) {
+                    rsf = rsf.remove(&[Value::Int(*l), Value::Int(*r)]).unwrap();
+                }
+            }
+        }
+        db = db.with_relationship(rsf);
+    }
+    db
+}
+
+/// `(left relation, right relation, entries, entries to remove)`.
+type RandomLinks = (usize, usize, BTreeSet<(i64, i64)>, Vec<usize>);
+
+proptest::proptest! {
+    #[test]
+    fn key_map_step_matches_the_entry_scan_reference(
+        rels in proptest::collection::vec(proptest::collection::btree_set(0i64..8, 0..8), 3),
+        rsfs in proptest::collection::vec(
+            (
+                0usize..4,
+                0usize..4,
+                proptest::collection::btree_set((0i64..10, 0i64..10), 0..14),
+                proptest::collection::vec(0usize..16, 0..5),
+            ),
+            1..5,
+        ),
+        marked in 0usize..4,
+    ) {
+        let db = random_db(&rels, &rsfs);
+        let reference = reference_sharing(&db);
+        let (reduced, stats) = reduce_db_with_stats(&db).unwrap();
+        assert_same_db(&reduced, &reference, "random");
+        assert_shares_untouched(&db, &reduced, &reference);
+        // a relationship walks its entries exactly when it loses some
+        for ((name, visits), (_, scans)) in stats.visits.iter().zip(&stats.entry_scans) {
+            assert!(scans <= visits, "{name}: {scans} scans in {visits} visits");
+            let (before, after) = (
+                db.relationship(name).unwrap().len(),
+                reference.relationship(name).unwrap().len(),
+            );
+            assert_eq!(*scans == 0, before == after, "{name}: {scans} entry scans, {after} of {before} kept");
+        }
+        let marked = [format!("r{marked}")];
+        let marked: Vec<&str> = marked.iter().map(String::as_str).collect();
+        assert_same_db(
+            &outer(&db, &marked).unwrap(),
+            &reference_outer(&db, &marked),
+            "random outer",
+        );
+    }
 }
 
 #[test]

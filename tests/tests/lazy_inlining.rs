@@ -5,9 +5,6 @@
 //! tuple names, attributes in declaration order, first error) to the eager
 //! composition `filter_bound(&with_inlined_keys(rel)?, pred)` and to a join
 //! over two eagerly inlined relations.
-//!
-//! CI runs this suite under `THREADS=1` and `THREADS=4`; the parallel
-//! cutoff is crossed by `par_equivalence.rs`, which drives the same paths.
 
 use fdm_core::{DatabaseF, FdmError, Name, RelationBuilder, RelationF, TupleF, Value};
 use fdm_expr::{parse, Expr, Params};

@@ -17,9 +17,9 @@
 //! * (d) a built row costs the same number of allocations at 4 and at 16
 //!   attributes, and fingerprinting an all-stored tuple allocates nothing.
 //!
-//! CI runs this suite at `PROPTEST_CASES=512` and under `THREADS=1` and
-//! `THREADS=4`. (c) and (d) were mutation-checked by disabling the
-//! builders' unification and the operators' `ShapeMemo`.
+//! CI runs this suite at `PROPTEST_CASES=512`. (c) and (d) were
+//! mutation-checked by disabling the builders' unification and the
+//! operators' `ShapeMemo`.
 
 use fdm_core::{
     DatabaseF, Domain, FdmError, Name, Participant, RelationBuilder, RelationF,
@@ -694,7 +694,6 @@ fn bulk_builders_converge_on_one_shape_per_run_of_like_tuples() {
 
 #[test]
 fn operators_emit_one_shape_per_combination_of_input_shapes() {
-    // big enough to cross the parallel cutoff under THREADS=4
     let shop = two_block_shop(1_500);
     let joined = join(&shop).unwrap();
     assert_eq!(joined.len(), 3_000);
