@@ -219,30 +219,10 @@ fn rows_to_relation(rows: impl IntoIterator<Item = Row>) -> Result<RelationF> {
 /// (their bound keys must agree). Relations not reachable from any
 /// relationship are ignored (a join has nothing to say about them).
 ///
-/// Relationships are ordered by the default
-/// [`OptimizerConfig`](crate::optimizer::OptimizerConfig) cost model
-/// (fan-out statistics); use [`join_with`] to choose another.
+/// Relationships are ordered by estimated output rows from their fan-out
+/// statistics (see the module docs). The order moves only the probe cost,
+/// never the rows — pinned by `tests/tests/join_planning.rs`.
 pub fn join(db: &DatabaseF) -> Result<RelationF> {
-    join_with(db, &crate::optimizer::OptimizerConfig::new())
-}
-
-/// A partially joined row of the schema join: the denormalized values so
-/// far, and the key each already-joined relation is bound to (in the
-/// order the join's `bound_rels` lists them — all rows are built through
-/// the same relationship sequence, so the relation names are kept once,
-/// not per row).
-struct JoinRow {
-    shape: Arc<Shape>,
-    values: Vec<Value>,
-    bound: Vec<Value>,
-}
-
-/// [`join`] with an explicit [`OptimizerConfig`](crate::optimizer::OptimizerConfig):
-/// the config's [`join_cost`](crate::optimizer::OptimizerConfig::join_cost)
-/// decides whether relationship ordering uses fan-out statistics or the
-/// raw-entry-count heuristic. Either model produces identical rows —
-/// pinned by `tests/tests/join_planning.rs` — only the probe cost moves.
-pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> Result<RelationF> {
     let relationships: Vec<(Name, Arc<RelationshipF>)> = db
         .relationships()
         .map(|(n, r)| (n.clone(), r.clone()))
@@ -267,11 +247,8 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
     // (working rows × average fan-out of the bound side, from the
     // relationship's maintained `fdm_core::stats`) — joining the cheapest
     // relationship first keeps the working row set small for every later
-    // probe. `JoinCostModel::Entries` selects the raw-entry-count
-    // heuristic (the pinning tests drive both and prove the produced rows
-    // are identical either way). Ties keep declaration order (`min_by`
-    // returns the first minimum).
-    let cost_by_entries = config.join_cost() == crate::optimizer::JoinCostModel::Entries;
+    // probe. Ties keep declaration order (`min_by` returns the first
+    // minimum).
     while !pending.is_empty() {
         let connected = |rsf: &RelationshipF| {
             rsf.participants()
@@ -283,9 +260,6 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
         // nothing bound the estimate degenerates to rows × entries, so the
         // disconnected fallback still starts from the smallest relationship.
         let estimate = |rsf: &RelationshipF| -> f64 {
-            if cost_by_entries {
-                return rsf.len() as f64;
-            }
             let bound_positions: Vec<usize> = rsf
                 .participants()
                 .iter()
@@ -326,6 +300,17 @@ pub fn join_with(db: &DatabaseF, config: &crate::optimizer::OptimizerConfig) -> 
     }
 
     rows_to_relation(rows.into_iter().map(|r| (r.shape, r.values)))
+}
+
+/// A partially joined row of the schema join: the denormalized values so
+/// far, and the key each already-joined relation is bound to (in the
+/// order the join's `bound_rels` lists them — all rows are built through
+/// the same relationship sequence, so the relation names are kept once,
+/// not per row).
+struct JoinRow {
+    shape: Arc<Shape>,
+    values: Vec<Value>,
+    bound: Vec<Value>,
 }
 
 /// Extends each working row with the matching entries of one relationship.

@@ -60,11 +60,10 @@ pub use filter::{
 };
 pub use group::{group, group_fn, Groups};
 pub use ivm::{IvmStats, MaintainedView};
-pub use join::{join, join_on, join_with, JoinOn};
+pub use join::{join, join_on, JoinOn};
 pub use optimizer::{
-    AdjacentJoinReorder, ConstantFoldingExpr, GreedyJoinOrder, JoinCostModel, OptimizationRule,
-    OptimizeTrace, Optimizer, OptimizerConfig, PlanContext, PredicatePushdown, ProjectionPruning,
-    ReorderStrategy, TraceEntry,
+    ConstantFoldingExpr, GreedyJoinOrder, OptimizationRule, OptimizeTrace, Optimizer, PlanContext,
+    PredicatePushdown, ProjectionPruning, TraceEntry,
 };
 pub use pivot::pivot;
 pub use plan::{Query, QueryStats};
@@ -91,7 +90,7 @@ pub mod prelude {
     pub use crate::group::{group, group_fn};
     pub use crate::ivm::{IvmStats, MaintainedView};
     pub use crate::join::{join, join_on, JoinOn};
-    pub use crate::optimizer::{Optimizer, OptimizerConfig};
+    pub use crate::optimizer::Optimizer;
     pub use crate::pivot::pivot;
     pub use crate::plan::Query;
     pub use crate::setops::{deep_copy, deep_copy_relation, difference, intersect, minus, union};

@@ -1,13 +1,11 @@
-//! What a rule is allowed to know: statistics and configuration, read-only.
+//! What a rule is allowed to know: statistics, read-only.
 
-use crate::optimizer::OptimizerConfig;
 use crate::plan::Query;
 use fdm_core::DatabaseF;
 
 /// The read-only planning context handed to every
 /// [`crate::optimizer::OptimizationRule`]: the database's statistics
-/// surface (cardinalities and distinct sketches from [`fdm_core::stats`],
-/// PRs 4–5) plus the effective [`OptimizerConfig`].
+/// surface (cardinalities and distinct sketches from [`fdm_core::stats`]).
 ///
 /// Statistics are optional — `Query::optimize` runs the statistics-free
 /// rule set with no database at hand — so every estimate accessor returns
@@ -17,32 +15,23 @@ use fdm_core::DatabaseF;
 /// pinned to the declared plan whenever the cost model has nothing to say.
 pub struct PlanContext<'a> {
     db: Option<&'a DatabaseF>,
-    config: &'a OptimizerConfig,
 }
 
 impl<'a> PlanContext<'a> {
     /// A context with full statistics access.
-    pub fn new(db: &'a DatabaseF, config: &'a OptimizerConfig) -> PlanContext<'a> {
-        PlanContext {
-            db: Some(db),
-            config,
-        }
+    pub fn new(db: &'a DatabaseF) -> PlanContext<'a> {
+        PlanContext { db: Some(db) }
     }
 
     /// A context without statistics: every estimate accessor answers
     /// `None`, so cost-driven rules no-op.
-    pub fn without_stats(config: &'a OptimizerConfig) -> PlanContext<'a> {
-        PlanContext { db: None, config }
+    pub fn without_stats() -> PlanContext<'a> {
+        PlanContext { db: None }
     }
 
     /// The database being planned against, when one is at hand.
     pub fn db(&self) -> Option<&'a DatabaseF> {
         self.db
-    }
-
-    /// The effective optimizer configuration.
-    pub fn config(&self) -> &OptimizerConfig {
-        self.config
     }
 
     /// Estimated output cardinality of `plan` ([`Query::estimated_rows`]),

@@ -1,19 +1,19 @@
 //! The rule-engine optimizer: an [`OptimizationRule`] trait, a fixpoint
-//! driver, and the built-in rule set (PR 8).
+//! driver, and the built-in rule set.
 //!
-//! Before this module, the optimizer was two hardcoded passes inside
-//! `Query`: predicate pushdown (`optimize`) and an adjacent-join bubble
-//! reorder (`optimize_for`). Both survive unchanged — as *rules* — next
-//! to rules that had nowhere to live before: constant folding, projection
-//! pruning, and a greedy n-way join-order enumerator. `Query::optimize`
-//! and `Query::optimize_for` are now thin wrappers over this module, so
-//! every pre-PR 8 plan-equivalence pin keeps passing byte-identically.
+//! An [`Optimizer`] is configured only by its rule list: constant
+//! folding, predicate pushdown and projection pruning rewrite the plan
+//! without statistics, and one cost-based stage, [`GreedyJoinOrder`],
+//! orders each join chain by estimated fan-out. `Query::optimize` and
+//! `Query::optimize_for` are thin wrappers over this module. Every rule
+//! walks the plan through [`Query::map_input`] and matches only the
+//! operators it rewrites.
 //!
 //! # The driver
 //!
 //! [`Optimizer::optimize`] runs its rules in registration order, over and
 //! over, until a whole pass fires nothing (a *fixpoint*) or the
-//! [`OptimizerConfig::max_passes`] cap stops a runaway rule. Each firing
+//! [`Optimizer::MAX_PASSES`] cap stops a runaway rule. Each firing
 //! replaces the plan wholesale — a rule returns `Some(rewritten)` or
 //! `None`, never a partial mutation — and is recorded with its pass
 //! number and before/after root cost in an [`OptimizeTrace`]
@@ -21,12 +21,11 @@
 //! come from [`OptimizeTrace::fires`]).
 //!
 //! Rules see the plan and a [`PlanContext`] — database statistics
-//! (PRs 4–5 sketches) plus the effective [`OptimizerConfig`] — and must
-//! uphold one contract: **a rewrite may change cost, never observable
-//! results** (keys and data of every evaluated relation). The
-//! canonical-row-id scheme on `Query::Join` is what makes join-order
-//! rewrites satisfy that contract; `tests/tests/optimizer_rules.rs`
-//! proptests it over random plans.
+//! (cardinalities and distinct sketches) — and must uphold one contract:
+//! **a rewrite may change cost, never observable results** (keys and data
+//! of every evaluated relation). The canonical-row-id scheme on `Query::Join` is
+//! what makes join-order rewrites satisfy that contract;
+//! `tests/tests/optimizer_rules.rs` proptests it over random plans.
 //!
 //! # The default rule set
 //!
@@ -35,12 +34,10 @@
 //! | 1 | [`ConstantFoldingExpr`] | no | its module tests + equivalence proptest |
 //! | 2 | [`PredicatePushdown`] | no | `plan.rs` pushdown tests + docs transcript |
 //! | 3 | [`ProjectionPruning`] | no | its module tests (canonical-id reset below joins) |
-//! | 4 | [`AdjacentJoinReorder`] | yes | `reorder_pins_dependent_and_self_joins` |
-//! | 5 | [`GreedyJoinOrder`] | yes | `plan_reordering.rs` + `escapes_the_adjacent_local_optimum` |
+//! | 4 | [`GreedyJoinOrder`] | yes | `plan_reordering.rs` + `escapes_the_adjacent_local_optimum` |
 //!
-//! The two reorder rules are both always registered and gate themselves
-//! on [`OptimizerConfig::reorder`], so the strategy is one config value,
-//! not a different rule list.
+//! [`Optimizer::statistics_free`] is rules 1–3; it keeps every join
+//! chain in its declared order.
 //!
 //! # Adding a rule
 //!
@@ -63,16 +60,12 @@
 //! assert!(opt.rule_names().contains(&"note_limit_zero"));
 //! ```
 
-pub mod config;
 pub mod context;
 mod rules;
 pub mod trace;
 
-pub use config::{JoinCostModel, OptimizerConfig, ReorderStrategy};
 pub use context::PlanContext;
-pub use rules::{
-    AdjacentJoinReorder, ConstantFoldingExpr, GreedyJoinOrder, PredicatePushdown, ProjectionPruning,
-};
+pub use rules::{ConstantFoldingExpr, GreedyJoinOrder, PredicatePushdown, ProjectionPruning};
 pub use trace::{OptimizeTrace, TraceEntry};
 
 use crate::plan::Query;
@@ -100,37 +93,35 @@ pub trait OptimizationRule: Send + Sync {
 /// for semantics; see [`Optimizer::default`] for the built-in rule set.
 pub struct Optimizer {
     rules: Vec<Box<dyn OptimizationRule>>,
-    config: OptimizerConfig,
 }
 
 impl Default for Optimizer {
-    /// The full built-in rule set, in the documented order, with an
-    /// default [`OptimizerConfig`]. This is exactly
-    /// what `Query::optimize_for` runs — pinned by
+    /// The full built-in rule set, in the documented order:
+    /// [`Optimizer::statistics_free`] then [`GreedyJoinOrder`]. This is
+    /// exactly what `Query::optimize_for` runs — pinned by
     /// `optimize_for_is_default_optimizer` in
     /// `tests/tests/optimizer_rules.rs`.
     fn default() -> Optimizer {
-        Optimizer::new()
-            .with_rule(Box::new(ConstantFoldingExpr))
-            .with_rule(Box::new(PredicatePushdown))
-            .with_rule(Box::new(ProjectionPruning))
-            .with_rule(Box::new(AdjacentJoinReorder))
-            .with_rule(Box::new(GreedyJoinOrder))
+        Optimizer::statistics_free().with_rule(Box::new(GreedyJoinOrder))
     }
 }
 
 impl Optimizer {
+    /// The fixpoint pass cap (see [`Optimizer::optimize_traced`]): plans
+    /// are shallow trees and every rule in the default set strictly
+    /// shrinks some measure, so real plans converge in a handful of
+    /// passes — the cap only bounds a misbehaving user rule.
+    pub const MAX_PASSES: usize = 64;
+
     /// An optimizer with no rules (the identity transformation).
     pub fn new() -> Optimizer {
-        Optimizer {
-            rules: Vec::new(),
-            config: OptimizerConfig::default(),
-        }
+        Optimizer { rules: Vec::new() }
     }
 
     /// The statistics-free subset of the default set (constant folding,
     /// predicate pushdown, projection pruning) — every rewrite that needs
-    /// no database. This is exactly what `Query::optimize` runs.
+    /// no database, with join chains kept in their declared order. This
+    /// is exactly what `Query::optimize` runs.
     pub fn statistics_free() -> Optimizer {
         Optimizer::new()
             .with_rule(Box::new(ConstantFoldingExpr))
@@ -142,17 +133,6 @@ impl Optimizer {
     pub fn with_rule(mut self, rule: Box<dyn OptimizationRule>) -> Optimizer {
         self.rules.push(rule);
         self
-    }
-
-    /// Replaces the configuration (strategy pins, pass cap).
-    pub fn with_config(mut self, config: OptimizerConfig) -> Optimizer {
-        self.config = config;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
     }
 
     /// Registered rule names, in run order.
@@ -168,16 +148,14 @@ impl Optimizer {
     /// [`Self::optimize`], also returning the ordered [`OptimizeTrace`]
     /// of `(rule, pass, cost before, cost after)` firings.
     pub fn optimize_traced(&self, plan: Query, db: &DatabaseF) -> (Query, OptimizeTrace) {
-        let ctx = PlanContext::new(db, &self.config);
-        self.drive(plan, &ctx)
+        self.drive(plan, &PlanContext::new(db))
     }
 
     /// Rewrites `plan` without statistics: estimate accessors answer
     /// `None`, so cost-driven rules no-op and only structural rewrites
     /// fire.
     pub fn optimize_without_stats(&self, plan: Query) -> Query {
-        let ctx = PlanContext::without_stats(&self.config);
-        self.drive(plan, &ctx).0
+        self.drive(plan, &PlanContext::without_stats()).0
     }
 
     /// The optimized plan's cost-annotated tree preceded by the rewrite
@@ -194,8 +172,7 @@ impl Optimizer {
     fn drive(&self, plan: Query, ctx: &PlanContext) -> (Query, OptimizeTrace) {
         let mut q = plan;
         let mut trace = OptimizeTrace::default();
-        let cap = self.config.max_passes();
-        for pass in 1..=cap {
+        for pass in 1..=Self::MAX_PASSES {
             trace.passes = pass;
             let mut fired = false;
             for rule in &self.rules {
@@ -232,7 +209,6 @@ mod tests {
                 "constant_folding",
                 "predicate_pushdown",
                 "projection_pruning",
-                "adjacent_join_reorder",
                 "greedy_join_order",
             ]
         );
@@ -268,16 +244,12 @@ mod tests {
             .join("wide", "wk", "k")
             .join("narrow", "nk", "k2")
             .filter_expr(pred);
-        let cfg = OptimizerConfig::new().with_reorder(ReorderStrategy::Greedy);
-        let (opt, trace) = Optimizer::default()
-            .with_config(cfg)
-            .optimize_traced(q.clone(), &db);
+        let (opt, trace) = Optimizer::default().optimize_traced(q.clone(), &db);
         assert!(trace.converged, "small plans converge well under the cap");
-        assert!(trace.passes <= OptimizerConfig::DEFAULT_MAX_PASSES);
+        assert!(trace.passes <= Optimizer::MAX_PASSES);
         assert_eq!(trace.fires("constant_folding"), 1, "{:?}", trace.entries);
         assert!(trace.fires("predicate_pushdown") >= 1);
         assert_eq!(trace.fires("greedy_join_order"), 1);
-        assert_eq!(trace.fires("adjacent_join_reorder"), 0, "greedy strategy");
         // rewrites never change results
         let a = q.eval(&db).unwrap();
         let b = opt.eval(&db).unwrap();
@@ -297,14 +269,13 @@ mod tests {
             }
         }
         let db = skewed_db();
-        let opt = Optimizer::new()
-            .with_rule(Box::new(Runaway))
-            .with_config(OptimizerConfig::new().with_max_passes(3));
+        let opt = Optimizer::new().with_rule(Box::new(Runaway));
         let (_, trace) = opt.optimize_traced(Query::scan("base"), &db);
         assert!(!trace.converged);
-        assert_eq!(trace.passes, 3);
-        assert_eq!(trace.fires("runaway"), 3);
-        assert!(trace.render().contains("stopped at the 3-pass cap"));
+        assert_eq!(trace.passes, Optimizer::MAX_PASSES);
+        assert_eq!(trace.fires("runaway"), Optimizer::MAX_PASSES);
+        let cap = format!("stopped at the {}-pass cap", Optimizer::MAX_PASSES);
+        assert!(trace.render().contains(&cap));
     }
 
     #[test]
@@ -313,11 +284,7 @@ mod tests {
         let q = Query::scan("base")
             .join("wide", "wk", "k")
             .join("narrow", "nk", "k2");
-        let cfg = OptimizerConfig::new().with_reorder(ReorderStrategy::Greedy);
-        let s = Optimizer::default()
-            .with_config(cfg)
-            .explain_optimized(q, &db)
-            .unwrap();
+        let s = Optimizer::default().explain_optimized(q, &db).unwrap();
         assert!(s.contains("greedy_join_order"), "{s}");
         assert!(s.contains("fixpoint after"), "{s}");
         assert!(s.contains("scan(base)"), "{s}");

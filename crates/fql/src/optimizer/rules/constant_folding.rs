@@ -55,66 +55,7 @@ fn fold_plan(q: Query) -> (Query, bool) {
                 c_in || c_pred,
             )
         }
-        Query::Project { input, attrs } => {
-            let (inner, c) = fold_plan(*input);
-            (
-                Query::Project {
-                    input: Box::new(inner),
-                    attrs,
-                },
-                c,
-            )
-        }
-        Query::Join {
-            input,
-            rel,
-            input_attr,
-            rel_attr,
-        } => {
-            let (inner, c) = fold_plan(*input);
-            (
-                Query::Join {
-                    input: Box::new(inner),
-                    rel,
-                    input_attr,
-                    rel_attr,
-                },
-                c,
-            )
-        }
-        Query::GroupAgg { input, by, aggs } => {
-            let (inner, c) = fold_plan(*input);
-            (
-                Query::GroupAgg {
-                    input: Box::new(inner),
-                    by,
-                    aggs,
-                },
-                c,
-            )
-        }
-        Query::OrderBy { input, attr, order } => {
-            let (inner, c) = fold_plan(*input);
-            (
-                Query::OrderBy {
-                    input: Box::new(inner),
-                    attr,
-                    order,
-                },
-                c,
-            )
-        }
-        Query::Limit { input, k } => {
-            let (inner, c) = fold_plan(*input);
-            (
-                Query::Limit {
-                    input: Box::new(inner),
-                    k,
-                },
-                c,
-            )
-        }
-        leaf @ (Query::Scan { .. } | Query::Invalid { .. }) => (leaf, false),
+        other => other.map_input(fold_plan),
     }
 }
 
@@ -207,12 +148,10 @@ fn finish(e: Expr, changed: bool) -> (Expr, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::OptimizerConfig;
     use fdm_expr::Params;
 
     fn ctx_apply(q: &Query) -> Option<Query> {
-        let cfg = OptimizerConfig::new();
-        ConstantFoldingExpr.apply(q, &PlanContext::without_stats(&cfg))
+        ConstantFoldingExpr.apply(q, &PlanContext::without_stats())
     }
 
     #[test]

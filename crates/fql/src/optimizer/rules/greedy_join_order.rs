@@ -1,25 +1,22 @@
-//! Greedy n-way join-order enumeration — the first payoff the rule
-//! framework unlocks.
+//! Greedy n-way join-order enumeration: the optimizer's one cost-based
+//! stage.
 
-use crate::optimizer::{OptimizationRule, PlanContext, ReorderStrategy};
+use crate::optimizer::{OptimizationRule, PlanContext};
 use crate::plan::Query;
 
 /// Reorders a whole left-deep join *chain* at once: smallest estimated
 /// fan-out first, among the joins whose dependencies are already placed.
-/// This replaces adjacent-swaps-only reordering
-/// ([`super::AdjacentJoinReorder`]) as the default
-/// [`ReorderStrategy::Greedy`] strategy, and escapes the local optima the
-/// bubble pass gets stuck in: with `A` (fan-out 8), `B` (depends on `A`),
-/// `C` (independent, fan-out 1) declared as `A, B, C`, no *adjacent* swap
-/// improves anything — `(A,B)` is pinned dependent and `(B,C)` is a tie —
-/// yet `C, A, B` runs the whole pipeline on 8× smaller intermediates.
-/// The greedy enumerator finds it.
+/// Looking at the whole chain escapes the local optima that swapping
+/// adjacent joins gets stuck in: with `A` (fan-out 8), `B` (depends on
+/// `A`), `C` (independent, fan-out 1) declared as `A, B, C`, no *adjacent*
+/// swap improves anything — `(A,B)` is pinned dependent and `(B,C)` is a
+/// tie — yet `C, A, B` runs the whole pipeline on 8× smaller
+/// intermediates. The greedy enumerator finds it.
 ///
 /// What makes the rewrite *legal* is the canonical-row-id contract
 /// (`Query::Join`): output rows are keyed by their data fingerprint, not
 /// emission order, so any dependency-respecting permutation of the chain
-/// produces the identical keyed relation. The constraints mirror the
-/// bubble pass's pins, lifted from pairs to the chain:
+/// produces the identical keyed relation. The constraints:
 ///
 /// * a join whose `input_attr` references `"{rel}."` must stay after
 ///   every chain join binding `rel` (and the whole chain bails to
@@ -43,9 +40,6 @@ impl OptimizationRule for GreedyJoinOrder {
     }
 
     fn apply(&self, plan: &Query, ctx: &PlanContext) -> Option<Query> {
-        if ctx.config().reorder() != ReorderStrategy::Greedy {
-            return None;
-        }
         ctx.db()?;
         let (next, changed) = reorder(plan.clone(), ctx);
         changed.then_some(next)
@@ -59,73 +53,19 @@ struct JoinSpec {
 }
 
 fn reorder(q: Query, ctx: &PlanContext) -> (Query, bool) {
-    match q {
-        Query::Join { .. } => {
-            let (specs, stem) = collect_chain(q);
-            // chains deeper in the plan (below a filter/sort/aggregate)
-            // reorder independently
-            let (stem, stem_changed) = reorder(stem, ctx);
-            match greedy_order(&specs, &stem, ctx) {
-                Some(order) => (rebuild(stem, specs, &order), true),
-                None => {
-                    let identity: Vec<usize> = (0..specs.len()).collect();
-                    (rebuild(stem, specs, &identity), stem_changed)
-                }
-            }
+    if !matches!(q, Query::Join { .. }) {
+        return q.map_input(|input| reorder(input, ctx));
+    }
+    let (specs, stem) = collect_chain(q);
+    // chains deeper in the plan (below a filter/sort/aggregate) reorder
+    // independently
+    let (stem, stem_changed) = reorder(stem, ctx);
+    match greedy_order(&specs, ctx) {
+        Some(order) => (rebuild(stem, specs, &order), true),
+        None => {
+            let identity: Vec<usize> = (0..specs.len()).collect();
+            (rebuild(stem, specs, &identity), stem_changed)
         }
-        Query::Filter { input, pred } => {
-            let (inner, c) = reorder(*input, ctx);
-            (
-                Query::Filter {
-                    input: Box::new(inner),
-                    pred,
-                },
-                c,
-            )
-        }
-        Query::Project { input, attrs } => {
-            let (inner, c) = reorder(*input, ctx);
-            (
-                Query::Project {
-                    input: Box::new(inner),
-                    attrs,
-                },
-                c,
-            )
-        }
-        Query::GroupAgg { input, by, aggs } => {
-            let (inner, c) = reorder(*input, ctx);
-            (
-                Query::GroupAgg {
-                    input: Box::new(inner),
-                    by,
-                    aggs,
-                },
-                c,
-            )
-        }
-        Query::OrderBy { input, attr, order } => {
-            let (inner, c) = reorder(*input, ctx);
-            (
-                Query::OrderBy {
-                    input: Box::new(inner),
-                    attr,
-                    order,
-                },
-                c,
-            )
-        }
-        Query::Limit { input, k } => {
-            let (inner, c) = reorder(*input, ctx);
-            (
-                Query::Limit {
-                    input: Box::new(inner),
-                    k,
-                },
-                c,
-            )
-        }
-        leaf @ (Query::Scan { .. } | Query::Invalid { .. }) => (leaf, false),
     }
 }
 
@@ -155,7 +95,7 @@ fn collect_chain(mut q: Query) -> (Vec<JoinSpec>, Query) {
 /// The greedy placement, as a permutation of declared indices — or `None`
 /// when the chain must keep declared order (too short, an estimate
 /// unavailable, a forward dependency, or greedy agreeing with declared).
-fn greedy_order(specs: &[JoinSpec], _stem: &Query, ctx: &PlanContext) -> Option<Vec<usize>> {
+fn greedy_order(specs: &[JoinSpec], ctx: &PlanContext) -> Option<Vec<usize>> {
     let n = specs.len();
     if n < 2 {
         return None;
@@ -232,12 +172,7 @@ fn rebuild(stem: Query, specs: Vec<JoinSpec>, order: &[usize]) -> Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{AdjacentJoinReorder, OptimizerConfig};
     use crate::testutil::{chain_db, skewed_db};
-
-    fn greedy_cfg() -> OptimizerConfig {
-        OptimizerConfig::new().with_reorder(ReorderStrategy::Greedy)
-    }
 
     /// Executed order of relation names, innermost (first-executed) first.
     fn executed_order(q: &Query) -> Vec<String> {
@@ -257,19 +192,14 @@ mod tests {
         // no adjacent swap improves — (a,b) pinned, (b,c) is a 1-vs-1 tie —
         // but greedy hoists c below everything
         let db = chain_db(8);
-        let q = Query::scan("base")
-            .join("a", "ak", "k")
-            .join("b", "a.av", "k2")
-            .join("c", "ck", "k3");
-        let cfg = greedy_cfg();
-        let ctx = PlanContext::new(&db, &cfg);
-        let adjacent_cfg = OptimizerConfig::new().with_reorder(ReorderStrategy::Adjacent);
-        assert!(
-            AdjacentJoinReorder
-                .apply(&q, &PlanContext::new(&db, &adjacent_cfg))
-                .is_none(),
-            "the bubble pass is stuck at the declared order"
+        let ctx = PlanContext::new(&db);
+        let base_a = Query::scan("base").join("a", "ak", "k");
+        // the one independent adjacent pair, (b, c), is an exact cost tie
+        assert_eq!(
+            ctx.estimated_rows(&base_a.clone().join("b", "a.av", "k2")),
+            ctx.estimated_rows(&base_a.clone().join("c", "ck", "k3")),
         );
+        let q = base_a.join("b", "a.av", "k2").join("c", "ck", "k3");
         let greedy = GreedyJoinOrder.apply(&q, &ctx).expect("greedy escapes");
         assert_eq!(executed_order(&greedy), ["c", "a", "b"]);
         assert!(GreedyJoinOrder.apply(&greedy, &ctx).is_none(), "fixpoint");
@@ -288,8 +218,7 @@ mod tests {
     #[test]
     fn pins_dependencies_self_joins_and_missing_stats() {
         let db = skewed_db();
-        let cfg = greedy_cfg();
-        let ctx = PlanContext::new(&db, &cfg);
+        let ctx = PlanContext::new(&db);
         // dependent pair keeps order
         let q = Query::scan("base")
             .join("wide", "wk", "k")
@@ -305,21 +234,20 @@ mod tests {
             .join("wide", "wk", "k")
             .join("ghost", "nk", "k2");
         assert!(GreedyJoinOrder.apply(&q, &ctx).is_none());
-        // wrong strategy → quiet
-        let off = OptimizerConfig::new().with_reorder(ReorderStrategy::Off);
+        // no statistics at all → quiet, even on a chain that pays
         let q = Query::scan("base")
             .join("wide", "wk", "k")
             .join("narrow", "nk", "k2");
+        assert!(GreedyJoinOrder.apply(&q, &ctx).is_some());
         assert!(GreedyJoinOrder
-            .apply(&q, &PlanContext::new(&db, &off))
+            .apply(&q, &PlanContext::without_stats())
             .is_none());
     }
 
     #[test]
     fn reorders_chains_below_non_join_operators() {
         let db = skewed_db();
-        let cfg = greedy_cfg();
-        let ctx = PlanContext::new(&db, &cfg);
+        let ctx = PlanContext::new(&db);
         let q = Query::scan("base")
             .join("wide", "wk", "k")
             .join("narrow", "nk", "k2")

@@ -4,13 +4,11 @@
 //! testable, and is wired into [`crate::Optimizer::default`] in the
 //! documented order (see the module docs of [`crate::optimizer`]).
 
-mod adjacent_join_reorder;
 mod constant_folding;
 mod greedy_join_order;
 mod predicate_pushdown;
 mod projection_pruning;
 
-pub use adjacent_join_reorder::AdjacentJoinReorder;
 pub use constant_folding::ConstantFoldingExpr;
 pub use greedy_join_order::GreedyJoinOrder;
 pub use predicate_pushdown::PredicatePushdown;

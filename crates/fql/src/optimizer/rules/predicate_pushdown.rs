@@ -6,8 +6,7 @@ use fdm_expr::{BinOp, Expr};
 
 /// Fuses adjacent filters and pushes predicates down through projections
 /// and joins (never through sorts), one rewrite per firing — the
-/// statistics-free heart of the optimizer, ported verbatim from the
-/// pre-PR 8 `Query::optimize` pass.
+/// statistics-free heart of the optimizer.
 ///
 /// * adjacent `Filter(Filter(..))` pairs fuse into one `and` predicate;
 /// * a filter moves below a `Project` when it references only projected
@@ -38,173 +37,77 @@ impl OptimizationRule for PredicatePushdown {
 /// One bottom-up pushdown step; the fixpoint driver repeats it until the
 /// plan is quiet.
 fn push_down_once(q: Query) -> (Query, bool) {
-    match q {
-        Query::Filter { input, pred } => match *input {
-            // fuse adjacent filters
-            Query::Filter {
-                input: inner,
-                pred: p2,
-            } => (
-                Query::Filter {
-                    input: inner,
-                    pred: Expr::bin(BinOp::And, p2, pred),
-                },
-                true,
-            ),
-            // push below project when the predicate only uses
-            // projected attributes
-            Query::Project {
-                input: inner,
-                attrs,
-            } => {
-                let refs = pred.referenced_attrs();
-                if refs.iter().all(|r| attrs.iter().any(|a| a == r.as_ref())) {
-                    (
-                        Query::Project {
-                            input: Box::new(Query::Filter { input: inner, pred }),
-                            attrs,
-                        },
-                        true,
-                    )
-                } else {
-                    let (inner2, changed) = push_down_once(Query::Project {
-                        input: inner,
-                        attrs,
-                    });
-                    (
-                        Query::Filter {
-                            input: Box::new(inner2),
-                            pred,
-                        },
-                        changed,
-                    )
-                }
-            }
-            // push below join when the predicate never references the
-            // joined relation's (prefixed) attributes
-            Query::Join {
-                input: inner,
-                rel,
-                input_attr,
-                rel_attr,
-            } => {
-                let prefix = format!("{rel}.");
-                let refs = pred.referenced_attrs();
-                if refs.iter().all(|r| !r.starts_with(&prefix)) {
-                    (
-                        Query::Join {
-                            input: Box::new(Query::Filter { input: inner, pred }),
-                            rel,
-                            input_attr,
-                            rel_attr,
-                        },
-                        true,
-                    )
-                } else {
-                    let (inner2, changed) = push_down_once(Query::Join {
-                        input: inner,
-                        rel,
-                        input_attr,
-                        rel_attr,
-                    });
-                    (
-                        Query::Filter {
-                            input: Box::new(inner2),
-                            pred,
-                        },
-                        changed,
-                    )
-                }
-            }
-            // NOTE: a filter is deliberately NOT pushed below an
-            // OrderBy. The sort assigns rank keys; filtering before
-            // vs after ranking yields different keys (contiguous vs
-            // gapped), and the optimizer must never change observable
-            // results — only their cost.
-            other => {
-                let (inner2, changed) = push_down_once(other);
-                (
-                    Query::Filter {
-                        input: Box::new(inner2),
-                        pred,
-                    },
-                    changed,
-                )
-            }
+    let Query::Filter { input, pred } = q else {
+        return q.map_input(push_down_once);
+    };
+    let pushed = match *input {
+        // fuse adjacent filters
+        Query::Filter {
+            input: inner,
+            pred: p2,
+        } => Query::Filter {
+            input: inner,
+            pred: Expr::bin(BinOp::And, p2, pred),
         },
-        Query::Project { input, attrs } => {
-            let (inner, changed) = push_down_once(*input);
-            (
-                Query::Project {
-                    input: Box::new(inner),
-                    attrs,
-                },
-                changed,
-            )
-        }
+        // push below project when the predicate only uses projected
+        // attributes
+        Query::Project {
+            input: inner,
+            attrs,
+        } if reads_only(&pred, &attrs) => Query::Project {
+            input: Box::new(Query::Filter { input: inner, pred }),
+            attrs,
+        },
+        // push below join when the predicate never references the joined
+        // relation's (prefixed) attributes
         Query::Join {
-            input,
+            input: inner,
             rel,
             input_attr,
             rel_attr,
-        } => {
-            let (inner, changed) = push_down_once(*input);
-            (
-                Query::Join {
-                    input: Box::new(inner),
-                    rel,
-                    input_attr,
-                    rel_attr,
-                },
-                changed,
-            )
+        } if !reads_from(&pred, &rel) => Query::Join {
+            input: Box::new(Query::Filter { input: inner, pred }),
+            rel,
+            input_attr,
+            rel_attr,
+        },
+        // NOTE: a filter is deliberately NOT pushed below an OrderBy. The
+        // sort assigns rank keys; filtering before vs after ranking yields
+        // different keys (contiguous vs gapped), and the optimizer must
+        // never change observable results — only their cost.
+        other => {
+            let filter = Query::Filter {
+                input: Box::new(other),
+                pred,
+            };
+            return filter.map_input(push_down_once);
         }
-        Query::GroupAgg { input, by, aggs } => {
-            let (inner, changed) = push_down_once(*input);
-            (
-                Query::GroupAgg {
-                    input: Box::new(inner),
-                    by,
-                    aggs,
-                },
-                changed,
-            )
-        }
-        Query::OrderBy { input, attr, order } => {
-            let (inner, changed) = push_down_once(*input);
-            (
-                Query::OrderBy {
-                    input: Box::new(inner),
-                    attr,
-                    order,
-                },
-                changed,
-            )
-        }
-        Query::Limit { input, k } => {
-            let (inner, changed) = push_down_once(*input);
-            (
-                Query::Limit {
-                    input: Box::new(inner),
-                    k,
-                },
-                changed,
-            )
-        }
-        leaf @ (Query::Scan { .. } | Query::Invalid { .. }) => (leaf, false),
-    }
+    };
+    (pushed, true)
+}
+
+/// `true` when every attribute `pred` reads is one of `attrs`.
+fn reads_only(pred: &Expr, attrs: &[String]) -> bool {
+    let refs = pred.referenced_attrs();
+    refs.iter().all(|r| attrs.iter().any(|a| a == r.as_ref()))
+}
+
+/// `true` when `pred` reads an attribute of the joined relation `rel`
+/// (`"{rel}.…"`).
+fn reads_from(pred: &Expr, rel: &str) -> bool {
+    let prefix = format!("{rel}.");
+    let refs = pred.referenced_attrs();
+    refs.iter().any(|r| r.starts_with(&prefix))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::OptimizerConfig;
     use fdm_expr::Params;
 
     #[test]
     fn fires_on_pushable_filter_and_noops_at_fixpoint() {
-        let cfg = OptimizerConfig::new();
-        let ctx = PlanContext::without_stats(&cfg);
+        let ctx = PlanContext::without_stats();
         let q = Query::scan("orders")
             .join("customers", "cid", "cid")
             .filter("date == '2026-01-05'", Params::new());
@@ -222,8 +125,7 @@ mod tests {
     #[test]
     fn noops_on_join_side_predicate() {
         use fdm_expr::{BinOp, Expr};
-        let cfg = OptimizerConfig::new();
-        let ctx = PlanContext::without_stats(&cfg);
+        let ctx = PlanContext::without_stats();
         // qualified join-output references are built programmatically —
         // the predicate *language* has no dotted identifiers
         let pred = Expr::bin(

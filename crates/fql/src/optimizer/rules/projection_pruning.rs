@@ -2,6 +2,7 @@
 
 use crate::optimizer::{OptimizationRule, PlanContext};
 use crate::plan::Query;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Drops attributes from existing `Project` nodes that no downstream
@@ -72,7 +73,7 @@ impl Needed {
 }
 
 fn prune(q: Query, needed: &Needed) -> (Query, bool) {
-    match q {
+    let (q, narrowed) = match q {
         Query::Project { input, attrs } => {
             let kept: Vec<String> = match needed {
                 Needed::All => attrs.clone(),
@@ -90,102 +91,46 @@ fn prune(q: Query, needed: &Needed) -> (Query, bool) {
                 }
             };
             let narrowed = kept.len() < attrs.len();
-            // below this projection only its own (possibly narrowed)
-            // output attributes are needed
-            let child_needed = Needed::of(kept.iter().map(String::as_str));
-            let (inner, c) = prune(*input, &child_needed);
-            (
-                Query::Project {
-                    input: Box::new(inner),
-                    attrs: kept,
-                },
-                narrowed || c,
-            )
+            (Query::Project { input, attrs: kept }, narrowed)
         }
-        Query::Filter { input, pred } => {
+        other => (other, false),
+    };
+    // what this operator and everything above it read of its input
+    let child_needed = match &q {
+        // below a projection only its own (possibly narrowed) output
+        // attributes are needed
+        Query::Project { attrs, .. } => Cow::Owned(Needed::of(attrs.iter().map(String::as_str))),
+        Query::Filter { pred, .. } => {
             let refs = pred.referenced_attrs();
-            let child_needed = needed.plus(refs.iter().map(|r| r.as_ref()));
-            let (inner, c) = prune(*input, &child_needed);
-            (
-                Query::Filter {
-                    input: Box::new(inner),
-                    pred,
-                },
-                c,
-            )
+            Cow::Owned(needed.plus(refs.iter().map(|r| r.as_ref())))
         }
-        Query::Join {
-            input,
-            rel,
-            input_attr,
-            rel_attr,
-        } => {
-            // canonical row ids fingerprint the whole output tuple:
-            // everything below a join is observable
-            let (inner, c) = prune(*input, &Needed::All);
-            (
-                Query::Join {
-                    input: Box::new(inner),
-                    rel,
-                    input_attr,
-                    rel_attr,
-                },
-                c,
-            )
-        }
-        Query::GroupAgg { input, by, aggs } => {
+        // canonical row ids fingerprint the whole output tuple: everything
+        // below a join is observable
+        Query::Join { .. } => Cow::Owned(Needed::All),
+        Query::GroupAgg { by, aggs, .. } => {
             let mut wanted: BTreeSet<String> = by.iter().cloned().collect();
-            for (_, agg) in &aggs {
+            for (_, agg) in aggs {
                 if let Some(attr) = agg.input_attr() {
                     wanted.insert(attr.to_string());
                 }
             }
-            let (inner, c) = prune(*input, &Needed::Attrs(wanted));
-            (
-                Query::GroupAgg {
-                    input: Box::new(inner),
-                    by,
-                    aggs,
-                },
-                c,
-            )
+            Cow::Owned(Needed::Attrs(wanted))
         }
-        Query::OrderBy { input, attr, order } => {
-            let child_needed = needed.plus([attr.as_str()]);
-            let (inner, c) = prune(*input, &child_needed);
-            (
-                Query::OrderBy {
-                    input: Box::new(inner),
-                    attr,
-                    order,
-                },
-                c,
-            )
-        }
-        Query::Limit { input, k } => {
-            let (inner, c) = prune(*input, needed);
-            (
-                Query::Limit {
-                    input: Box::new(inner),
-                    k,
-                },
-                c,
-            )
-        }
-        leaf @ (Query::Scan { .. } | Query::Invalid { .. }) => (leaf, false),
-    }
+        Query::OrderBy { attr, .. } => Cow::Owned(needed.plus([attr.as_str()])),
+        _ => Cow::Borrowed(needed),
+    };
+    let (q, changed) = q.map_input(|input| prune(input, &child_needed));
+    (q, narrowed || changed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggSpec;
-    use crate::optimizer::OptimizerConfig;
     use crate::testutil::retail_db;
 
     fn ctx_apply(q: &Query) -> Option<Query> {
-        let cfg = OptimizerConfig::new();
-        ProjectionPruning.apply(q, &PlanContext::without_stats(&cfg))
+        ProjectionPruning.apply(q, &PlanContext::without_stats())
     }
 
     #[test]

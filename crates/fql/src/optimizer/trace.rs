@@ -25,9 +25,9 @@ pub struct OptimizeTrace {
     /// Passes the driver ran (a final all-quiet pass counts).
     pub passes: usize,
     /// `true` when a pass completed with no rule firing — the plan is at
-    /// a fixpoint. `false` means the
-    /// [`crate::optimizer::OptimizerConfig::max_passes`] cap stopped a
-    /// still-changing plan (only a misbehaving rule gets there).
+    /// a fixpoint. `false` means the [`crate::Optimizer::MAX_PASSES`]
+    /// cap stopped a still-changing plan (only a misbehaving rule gets
+    /// there).
     pub converged: bool,
 }
 

@@ -5,11 +5,12 @@
 //! expression". [`Query`] is that deferred expression: a tree of operators
 //! that *looks* like eager host-language calls but is only executed on
 //! [`Query::eval`] — and [`Query::optimize`] / [`Query::optimize_for`]
-//! may rewrite it first. Since PR 8 both are thin wrappers over the
+//! may rewrite it first. Both are thin wrappers over the
 //! [`crate::optimizer`] rule engine: constant folding, filter fusion,
 //! predicate pushdown, projection pruning, and — with database
 //! statistics in hand — join reordering, each an independent
-//! [`crate::optimizer::OptimizationRule`] run to fixpoint.
+//! [`crate::optimizer::OptimizationRule`] run to fixpoint. Every rule
+//! walks the plan through [`Query::map_input`].
 //!
 //! # Execution
 //!
@@ -42,14 +43,9 @@
 //! yields the **same keys** mapping to **data-identical tuples** as the
 //! declared plan; only attribute declaration order (and therefore
 //! nothing [`fdm_core::TupleF::eq_data`] can see) may reflect the
-//! executed order. [`ReorderStrategy::Off`] pins the declared left-deep
-//! order for A/B runs, exactly like [`JoinCostModel::Entries`] does for
-//! the schema-level join (both are fields of
-//! [`crate::optimizer::OptimizerConfig`]). See `docs/OPTIMIZER.md` for
-//! the full cost model.
-//!
-//! [`ReorderStrategy::Off`]: crate::optimizer::ReorderStrategy::Off
-//! [`JoinCostModel::Entries`]: crate::optimizer::JoinCostModel::Entries
+//! executed order. [`Optimizer::statistics_free`] keeps the declared
+//! left-deep order, so it is the reference the reordering tests compare
+//! against. See `docs/OPTIMIZER.md` for the full cost model.
 
 use crate::aggregate::AggSpec;
 use crate::optimizer::Optimizer;
@@ -100,7 +96,7 @@ pub enum Query {
     /// Output rows whose keys are observable are keyed **canonically**:
     /// `[fingerprint hash, rank]` derived from each row's cached
     /// `DataKey`, never from emission order — the invariant that lets the
-    /// optimizer reorder adjacent joins without changing observable
+    /// optimizer reorder a join chain without changing observable
     /// results (see the module docs).
     Join {
         /// Input plan (left side).
@@ -250,20 +246,15 @@ impl Query {
     }
 
     /// The full optimizer: [`Self::optimize`]'s statistics-free rewrites
-    /// plus **join reordering** against `db`'s statistics. Since PR 8
-    /// this is a thin back-compat wrapper over
-    /// [`Optimizer::default`] — the rule-engine fixpoint driver with the
-    /// built-in rule set (pinned by `optimize_for_is_default_optimizer`
-    /// in `tests/tests/optimizer_rules.rs`); build an
-    /// [`Optimizer`] directly for custom rules, a pinned
-    /// [`crate::optimizer::OptimizerConfig`], or the rewrite trace.
-    ///
-    /// The default reordering strategy is the greedy n-way enumerator
-    /// ([`crate::optimizer::GreedyJoinOrder`]); an [`Optimizer`] built
-    /// with another [`crate::optimizer::ReorderStrategy`] keeps the
-    /// declared left-deep order (`Off`) or runs the adjacent-swap bubble
-    /// pass (`Adjacent`). The equivalence tests drive all strategies and prove
-    /// the produced relations are key- and data-identical.
+    /// plus **join reordering** against `db`'s statistics by the greedy
+    /// n-way enumerator ([`crate::optimizer::GreedyJoinOrder`]). This is
+    /// a thin wrapper over [`Optimizer::default`] (pinned by
+    /// `optimize_for_is_default_optimizer` in
+    /// `tests/tests/optimizer_rules.rs`); build an [`Optimizer`] directly
+    /// for custom rules or the rewrite trace. The equivalence tests
+    /// compare it against [`Optimizer::statistics_free`], which keeps the
+    /// declared order, and prove the produced relations are key- and
+    /// data-identical.
     ///
     /// # Examples
     ///
@@ -297,17 +288,42 @@ impl Query {
         Ok((rel, QueryStats { produced }))
     }
 
-    /// This operator, then the one it reads, and so on down to the leaf.
-    fn chain(&self) -> impl Iterator<Item = &Query> {
-        std::iter::successors(Some(self), |q| match q {
+    /// The plan this operator reads, or `None` for a leaf.
+    pub(crate) fn input(&self) -> Option<&Query> {
+        match self {
             Query::Scan { .. } | Query::Invalid { .. } => None,
             Query::Filter { input, .. }
             | Query::Project { input, .. }
             | Query::Join { input, .. }
             | Query::GroupAgg { input, .. }
             | Query::OrderBy { input, .. }
-            | Query::Limit { input, .. } => Some(&**input),
-        })
+            | Query::Limit { input, .. } => Some(input),
+        }
+    }
+
+    /// Rebuilds this operator around `f(input)` and passes on whether `f`
+    /// changed anything; a leaf comes back as it is, unchanged. This is
+    /// the one plan walk every optimizer rule shares: a rule matches the
+    /// operators it rewrites and hands every other one to `map_input`.
+    pub fn map_input(mut self, f: impl FnOnce(Query) -> (Query, bool)) -> (Query, bool) {
+        let input = match &mut self {
+            Query::Scan { .. } | Query::Invalid { .. } => return (self, false),
+            Query::Filter { input, .. }
+            | Query::Project { input, .. }
+            | Query::Join { input, .. }
+            | Query::GroupAgg { input, .. }
+            | Query::OrderBy { input, .. }
+            | Query::Limit { input, .. } => &mut **input,
+        };
+        // an empty scan holds the slot while `f` runs; it allocates nothing
+        let (next, changed) = f(std::mem::replace(input, Query::Scan { rel: String::new() }));
+        *input = next;
+        (self, changed)
+    }
+
+    /// This operator, then the one it reads, and so on down to the leaf.
+    fn chain(&self) -> impl Iterator<Item = &Query> {
+        std::iter::successors(Some(self), |q| q.input())
     }
 
     fn describe(&self) -> String {
@@ -412,11 +428,8 @@ impl Query {
     fn base_scan(&self) -> Option<&str> {
         match self {
             Query::Scan { rel } => Some(rel),
-            Query::Filter { input, .. }
-            | Query::Project { input, .. }
-            | Query::OrderBy { input, .. }
-            | Query::Limit { input, .. } => input.base_scan(),
-            Query::Join { .. } | Query::GroupAgg { .. } | Query::Invalid { .. } => None,
+            Query::Join { .. } | Query::GroupAgg { .. } => None,
+            other => other.input()?.base_scan(),
         }
     }
 
@@ -762,6 +775,24 @@ mod tests {
             };
             assert_eq!(h, t.fingerprint().unwrap().hash() as i64);
         }
+    }
+
+    #[test]
+    fn map_input_rebuilds_the_node_around_its_input() {
+        let q = Query::scan("customers")
+            .filter("age > 1", Params::new())
+            .limit(2);
+        assert!(matches!(q.input(), Some(Query::Filter { .. })));
+        // the node keeps its own fields; the input is whatever `f` returns
+        let (swapped, changed) = q.clone().map_input(|_| (Query::scan("orders"), true));
+        assert!(changed);
+        assert_eq!(swapped.explain(), "limit(2)\n  scan(orders)\n");
+        let (same, changed) = q.clone().map_input(|input| (input, false));
+        assert!(!changed);
+        assert_eq!(same.explain(), q.explain());
+        // a leaf has no input: `f` never runs
+        let (leaf, changed) = Query::scan("orders").map_input(|_| unreachable!());
+        assert!(!changed && leaf.input().is_none());
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub fn chain_db_scaled(base_rows: usize, fanout: usize) -> DatabaseF {
     }
     // b and c are *keyed* by their join attributes so their distinct
     // counts are schema-exact (no sketch noise): both are true fan-out-1
-    // joins, making (b, c) an exact cost tie for the adjacent pass.
+    // joins, making (b, c) an exact cost tie.
     let mut b = fdm_core::RelationBuilder::new("b", &["k2"]);
     for v in 1..=(base_rows * fanout) as i64 {
         let t = b.tuple("bb").attr("bv", v * 2).build();

@@ -2,33 +2,21 @@
 //! relationship ordering (`fdm_core::stats`) may change the **order** work
 //! happens in, never **what** a join produces.
 //!
-//! Two layers of pinning:
-//!
-//! * on a database crafted so the fan-out-aware plan genuinely differs
-//!   from the old raw-entry-count plan (`JoinCostModel::Entries`), the
-//!   denormalized rows are identical as data (same multiset of canonical
-//!   tuple data keys) — and the test *proves* the plans differed by
-//!   observing the attribute order the executed order leaves behind;
-//! * on the retail workload (one relationship — every plan coincides),
-//!   the outputs are **byte-identical**: same keys in the same order, same
-//!   attributes in the same declaration order.
+//! On a database crafted so the fan-out-aware plan binds relationships in
+//! a different order than raw entry counts would, the test *proves* which
+//! order ran by observing the attribute order it leaves behind, and the
+//! denormalized rows equal a per-entry reference binder's as data (same
+//! multiset of canonical tuple data keys). Byte-identity with a
+//! reference where every order coincides (one relationship) is pinned by
+//! `bulk_equivalence.rs::schema_join_matches_nested_scan_reference`.
 
 use fdm_core::{
-    Domain, Participant, RelationBuilder, RelationF, RelationshipBuilder, SharedDomain, TupleF,
-    Value, ValueType,
+    DatabaseF, Domain, Participant, RelationBuilder, RelationF, RelationshipBuilder, SharedDomain,
+    TupleF, Value, ValueType,
 };
-use fdm_fql::optimizer::{JoinCostModel, OptimizerConfig};
-use fdm_fql::{join, join_with};
+use fdm_fql::join;
 use fdm_workload::{generate, to_fdm, RetailConfig};
-
-/// The schema join ordered by raw relationship entry counts.
-fn join_by_entries(db: &fdm_core::DatabaseF) -> RelationF {
-    join_with(
-        db,
-        &OptimizerConfig::new().with_join_cost(JoinCostModel::Entries),
-    )
-    .unwrap()
-}
+use std::collections::BTreeMap;
 
 fn int_keyed(name: &str, key: &str, n: i64, attr: &str) -> RelationF {
     let mut b = RelationBuilder::new(name, &[key]);
@@ -56,7 +44,7 @@ fn int_keyed(name: &str, key: &str, n: i64, attr: &str) -> RelationF {
 /// Raw entry count prefers `r3` (40 < 50) — the plan that multiplies the
 /// working rows tenfold before the cheap extension. The cost model
 /// prefers `r2`.
-fn fanout_db() -> fdm_core::DatabaseF {
+fn fanout_db() -> DatabaseF {
     let aid = SharedDomain::new("aid", Domain::Typed(ValueType::Int));
     let bid = SharedDomain::new("bid", Domain::Typed(ValueType::Int));
     let cid = SharedDomain::new("cid", Domain::Typed(ValueType::Int));
@@ -95,7 +83,7 @@ fn fanout_db() -> fdm_core::DatabaseF {
         }
     }
 
-    fdm_core::DatabaseF::new("fanout")
+    DatabaseF::new("fanout")
         .with_domain(aid)
         .with_domain(bid)
         .with_domain(cid)
@@ -122,6 +110,61 @@ fn row_data_keys(rel: &RelationF) -> Vec<Value> {
     keys
 }
 
+/// The schema join the slow way, for databases without
+/// self-relationships: relationships in the database's order, every working
+/// row against every entry, each participant bound by key lookup (a
+/// dangling key drops the entry) or checked against the key it is already
+/// bound to. No index and no cost model; returns the rows' data keys as a
+/// sorted multiset.
+fn reference_join(db: &DatabaseF) -> Vec<Value> {
+    // a working row: the key each bound relation is bound to, and the
+    // qualified attributes so far
+    type Row = (BTreeMap<String, Value>, Vec<(String, Value)>);
+    let mut rows: Vec<Row> = vec![(BTreeMap::new(), Vec::new())];
+    for (rname, rsf) in db.relationships() {
+        let mut next = Vec::new();
+        for (row_keys, row_attrs) in &rows {
+            'entry: for (args, rattrs) in rsf.iter() {
+                let (mut keys, mut attrs) = (row_keys.clone(), row_attrs.clone());
+                for (p, arg) in rsf.participants().iter().zip(&args) {
+                    let rel = p.function.to_string();
+                    if let Some(bound) = keys.get(&rel) {
+                        if bound != arg {
+                            continue 'entry;
+                        }
+                        continue;
+                    }
+                    let Some(t) = db.relation(&rel).unwrap().lookup(arg) else {
+                        continue 'entry;
+                    };
+                    attrs.push((format!("{rel}.{}", p.key), arg.clone()));
+                    for (n, v) in t.materialize().unwrap() {
+                        attrs.push((format!("{rel}.{n}"), v));
+                    }
+                    keys.insert(rel, arg.clone());
+                }
+                for (n, v) in rattrs.materialize().unwrap() {
+                    attrs.push((format!("{rname}.{n}"), v));
+                }
+                next.push((keys, attrs));
+            }
+        }
+        rows = next;
+    }
+    let mut out: Vec<Value> = rows
+        .into_iter()
+        .map(|(_, attrs)| {
+            let mut t = TupleF::builder("j");
+            for (n, v) in attrs {
+                t = t.attr(n, v);
+            }
+            t.build().data_key().unwrap()
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 /// Which of the two relationship names was executed earlier, read off the
 /// declaration-order attribute list the executed plan leaves behind.
 fn first_executed(rel: &RelationF, earlier: &str, later: &str) -> bool {
@@ -140,52 +183,19 @@ fn first_executed(rel: &RelationF, earlier: &str, later: &str) -> bool {
 fn stats_plan_changes_order_never_results() {
     let db = fanout_db();
     let by_stats = join(&db).unwrap();
-    let by_entries = join_by_entries(&db);
 
-    // The two plans genuinely differ: the cost model binds the fan-out-1
-    // r2 (reaching relation `c`) before the row-multiplying r3 (reaching
-    // `d`); raw entry count does the reverse. The executed order is
-    // visible in the attribute declaration order of the output rows.
+    // The cost model binds the fan-out-1 r2 (reaching relation `c`) before
+    // the row-multiplying r3 (reaching `d`), though raw entry count would
+    // pick r3 first. The executed order is visible in the attribute
+    // declaration order of the output rows.
     assert!(
         first_executed(&by_stats, "c.", "d."),
         "cost model should bind r2 (→ c) before r3 (→ d)"
     );
-    assert!(
-        first_executed(&by_entries, "d.", "c."),
-        "entry-count heuristic should bind r3 (→ d) before r2 (→ c)"
-    );
 
-    // ...and yet the produced rows are identical as data.
+    // ...and the produced rows are the reference binder's, as data.
     assert_eq!(by_stats.len(), 40, "5 seeds × fanout, b5 dangling in r3");
-    assert_eq!(by_stats.len(), by_entries.len());
-    assert_eq!(row_data_keys(&by_stats), row_data_keys(&by_entries));
-}
-
-#[test]
-fn coinciding_plans_are_byte_identical() {
-    // One relationship — every ordering heuristic picks it first, so the
-    // outputs must agree to the byte: key sequence, attribute declaration
-    // order, every value.
-    let db = to_fdm(&generate(&RetailConfig::small()));
-    let by_stats = join(&db).unwrap();
-    let by_entries = join_by_entries(&db);
-    let flatten = |rel: &RelationF| -> Vec<(Value, Vec<(String, Value)>)> {
-        rel.tuples()
-            .unwrap()
-            .into_iter()
-            .map(|(k, t)| {
-                (
-                    k,
-                    t.materialize()
-                        .unwrap()
-                        .into_iter()
-                        .map(|(n, v)| (n.to_string(), v))
-                        .collect(),
-                )
-            })
-            .collect()
-    };
-    assert_eq!(flatten(&by_stats), flatten(&by_entries));
+    assert_eq!(row_data_keys(&by_stats), reference_join(&db));
 }
 
 #[test]

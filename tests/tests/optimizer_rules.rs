@@ -1,24 +1,24 @@
-//! Pins the PR 8 rule-engine optimizer's public contract:
+//! Pins the rule-engine optimizer's public contract:
 //!
 //! * `Query::optimize_for` is *exactly* `Optimizer::default()` — the
-//!   back-compat wrapper may never drift from the rule engine it wraps;
-//! * the typed configuration picks the reordering strategy end to end
-//!   through `Optimizer::optimize` (not just `OptimizerConfig`'s own
-//!   accessors), and the default is the greedy strategy;
+//!   wrapper may never drift from the rule engine it wraps;
+//! * the default optimizer reorders the chain fixture that no adjacent
+//!   swap improves, against the declared order that
+//!   `Optimizer::statistics_free()` keeps, and measurably shrinks its
+//!   intermediates;
 //! * the `OptimizationRule` trait is implementable from outside the
 //!   crate, and a custom rule drives through the same fixpoint loop with
 //!   the same trace accounting as the built-ins;
-//! * on randomized plan trees the driver terminates (converges under the
-//!   default pass cap) and the optimized plan evaluates to the declared
-//!   plan's keyed data — the "cost may change, results may not" contract;
+//! * on randomized plan trees — join chains below and above every other
+//!   operator — the driver terminates (converges under the pass cap) and
+//!   the optimized plan evaluates to the declared plan's keyed data: the
+//!   "cost may change, results may not" contract;
 //! * `docs/OPTIMIZER.md`'s traced transcript equals the live
 //!   `Optimizer::explain_optimized` output.
 
 use fdm_core::{RelationF, Value};
 use fdm_expr::Params;
-use fdm_fql::optimizer::{
-    OptimizationRule, Optimizer, OptimizerConfig, PlanContext, ReorderStrategy,
-};
+use fdm_fql::optimizer::{OptimizationRule, Optimizer, PlanContext};
 use fdm_fql::plan::Query;
 use fdm_fql::testutil::{chain_db, skewed_db};
 use fdm_fql::AggSpec;
@@ -76,40 +76,6 @@ fn optimize_for_is_default_optimizer() {
     }
 }
 
-#[test]
-fn config_drives_the_strategy_through_the_driver() {
-    let db = skewed_db();
-    let q = Query::scan("base")
-        .join("wide", "wk", "k")
-        .join("narrow", "nk", "k2");
-    let under = |strategy: ReorderStrategy| {
-        Optimizer::default()
-            .with_config(OptimizerConfig::new().with_reorder(strategy))
-            .optimize(q.clone(), &db)
-    };
-    // config says greedy: the chain reorders
-    let forced = under(ReorderStrategy::Greedy);
-    let Query::Join { rel, .. } = &forced else {
-        panic!("join stays on top: {}", forced.explain())
-    };
-    assert_eq!(
-        rel,
-        "wide",
-        "greedy hoists narrow below wide:\n{}",
-        forced.explain()
-    );
-    // config says off: declared order survives
-    let pinned = under(ReorderStrategy::Off);
-    assert_eq!(
-        pinned.explain(),
-        q.clone().optimize().explain(),
-        "explicit Off keeps the declared order"
-    );
-    // and with nothing explicit, the default is greedy
-    let by_default = Optimizer::default().optimize(q.clone(), &db);
-    assert_eq!(by_default.explain(), forced.explain());
-}
-
 /// A rule defined *outside* `fdm-fql`: collapses stacked `Limit` nodes to
 /// the smaller bound. `limit(a).limit(b)` and `limit(min(a, b))` keep
 /// exactly the same rows, so the results contract holds.
@@ -121,32 +87,32 @@ impl OptimizationRule for CollapseLimits {
     }
 
     fn apply(&self, plan: &Query, _ctx: &PlanContext) -> Option<Query> {
-        fn collapse(q: &Query) -> Option<Query> {
-            match q {
-                Query::Limit { input, k } => {
-                    if let Query::Limit {
+        // one collapse per firing; every other operator is walked through
+        // the same `Query::map_input` the built-in rules use
+        fn collapse(q: Query) -> (Query, bool) {
+            let Query::Limit { input, k } = q else {
+                return q.map_input(collapse);
+            };
+            match *input {
+                Query::Limit {
+                    input: inner,
+                    k: k2,
+                } => (
+                    Query::Limit {
                         input: inner,
-                        k: k2,
-                    } = input.as_ref()
-                    {
-                        return Some(Query::Limit {
-                            input: inner.clone(),
-                            k: (*k).min(*k2),
-                        });
-                    }
-                    collapse(input).map(|inner| Query::Limit {
-                        input: Box::new(inner),
-                        k: *k,
-                    })
+                        k: k.min(k2),
+                    },
+                    true,
+                ),
+                other => Query::Limit {
+                    input: Box::new(other),
+                    k,
                 }
-                Query::Filter { input, pred } => collapse(input).map(|inner| Query::Filter {
-                    input: Box::new(inner),
-                    pred: pred.clone(),
-                }),
-                _ => None,
+                .map_input(collapse),
             }
         }
-        collapse(plan)
+        let (next, changed) = collapse(plan.clone());
+        changed.then_some(next)
     }
 }
 
@@ -177,7 +143,7 @@ fn external_rules_drive_through_the_same_fixpoint() {
     );
     // and it composes with the built-ins
     let full = Optimizer::default().with_rule(Box::new(CollapseLimits));
-    assert_eq!(full.rule_names().len(), 6);
+    assert_eq!(full.rule_names().len(), 5);
     assert_eq!(
         keyed_data(&full.optimize(q.clone(), &db).eval(&db).unwrap()),
         keyed_data(&q.eval(&db).unwrap())
@@ -185,7 +151,7 @@ fn external_rules_drive_through_the_same_fixpoint() {
 }
 
 #[test]
-fn greedy_beats_adjacent_on_the_chain_fixture() {
+fn greedy_beats_declared_on_the_chain_fixture() {
     // the fixture where adjacent swaps are stuck: a (fan-out 8) must stay
     // before dependent b, and (b, c) ties — only whole-chain enumeration
     // hoists the independent fan-out-1 c below everything
@@ -194,20 +160,15 @@ fn greedy_beats_adjacent_on_the_chain_fixture() {
         .join("a", "ak", "k")
         .join("b", "a.av", "k2")
         .join("c", "ck", "k3");
-    let optimize_under = |strategy: ReorderStrategy| {
-        Optimizer::default()
-            .with_config(OptimizerConfig::new().with_reorder(strategy))
-            .optimize(q.clone(), &db)
-    };
-    let adjacent = optimize_under(ReorderStrategy::Adjacent);
-    let greedy = optimize_under(ReorderStrategy::Greedy);
+    let declared = Optimizer::statistics_free().optimize(q.clone(), &db);
+    let greedy = Optimizer::default().optimize(q.clone(), &db);
     assert_eq!(
-        adjacent.explain(),
+        declared.explain(),
         q.explain(),
-        "no adjacent swap improves the declared chain"
+        "the statistics-free optimizer keeps the declared chain"
     );
     assert_ne!(greedy.explain(), q.explain(), "greedy reorders it");
-    let (_, s_declared) = q.eval_with_stats(&db).unwrap();
+    let (_, s_declared) = declared.eval_with_stats(&db).unwrap();
     let (_, s_greedy) = greedy.eval_with_stats(&db).unwrap();
     assert!(
         s_greedy.total_intermediate() < s_declared.total_intermediate(),
@@ -216,7 +177,7 @@ fn greedy_beats_adjacent_on_the_chain_fixture() {
         s_declared.total_intermediate()
     );
     assert_eq!(
-        keyed_data(&q.eval(&db).unwrap()),
+        keyed_data(&declared.eval(&db).unwrap()),
         keyed_data(&greedy.eval(&db).unwrap())
     );
 }
@@ -253,26 +214,33 @@ fn optimizer_md_traced_transcript_is_live() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Random plan trees over the skewed fixture: the driver always
-    /// converges under the default pass cap, and the optimized plan
-    /// produces the declared plan's keyed data exactly — under every
-    /// reordering strategy.
+    /// Random plan trees over the skewed fixture: a join chain either at
+    /// the bottom or above a filter and a tail (`Project`, `GroupAgg`,
+    /// `OrderBy` + `Limit`, a filter over a `Limit`), so every rule walks
+    /// through every operator. The driver always converges under the pass
+    /// cap, and the optimized plan produces the declared plan's keyed
+    /// data exactly — with and without the cost-based stage.
     #[test]
     fn fixpoint_terminates_and_preserves_results(
         join_shape in 0usize..4,
+        joins_on_top in any::<bool>(),
         filter_shape in 0usize..6,
-        tail_shape in 0usize..4,
-        strategy in 0usize..3,
+        tail_shape in 0usize..5,
+        cost_based in any::<bool>(),
     ) {
         let db = skewed_db();
+        let joins = |mut q: Query| {
+            if join_shape & 1 != 0 {
+                q = q.join("wide", "wk", "k");
+            }
+            if join_shape & 2 != 0 {
+                q = q.join("narrow", "nk", "k2");
+            }
+            q
+        };
         let mut q = Query::scan("base");
-        if join_shape & 1 != 0 {
-            q = q.join("wide", "wk", "k");
-        }
-        if join_shape & 2 != 0 {
-            q = q.join("narrow", "nk", "k2");
+        if !joins_on_top {
+            q = joins(q);
         }
         q = match filter_shape {
             1 => q.filter("nk > 1", Params::new()),
@@ -284,23 +252,26 @@ proptest! {
             5 => q.filter("id >= 2 and nk <= 5 and 2 > 1", Params::new()),
             _ => q,
         };
+        // every tail keeps `wk` and `nk`, so a chain on top can bind
         q = match tail_shape {
             1 => q.project(&["nk", "wk"]),
-            2 => q.group_agg(&["nk"], &[("n", AggSpec::Count)]),
+            2 => q.group_agg(&["nk", "wk"], &[("n", AggSpec::Count)]),
             3 => q.order_by("nk", fdm_fql::transform::Order::Asc).limit(4),
+            4 => q.limit(4).filter("nk > 1", Params::new()),
             _ => q,
         };
-        let strategy = [
-            ReorderStrategy::Off,
-            ReorderStrategy::Adjacent,
-            ReorderStrategy::Greedy,
-        ][strategy];
-        let opt = Optimizer::default()
-            .with_config(OptimizerConfig::new().with_reorder(strategy));
+        if joins_on_top {
+            q = joins(q);
+        }
+        let opt = if cost_based {
+            Optimizer::default()
+        } else {
+            Optimizer::statistics_free()
+        };
         let (optimized, trace) = opt.optimize_traced(q.clone(), &db);
         prop_assert!(
             trace.converged,
-            "must converge under the default cap: {:?}",
+            "must converge under the pass cap: {:?}",
             trace.fire_counts()
         );
         prop_assert_eq!(

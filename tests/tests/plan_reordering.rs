@@ -1,5 +1,5 @@
 //! Pins the plan-level join-reordering guarantee: `Query::optimize_for`
-//! may change the **order** adjacent `Join` nodes execute in, never
+//! may change the **order** a chain of `Join` nodes executes in, never
 //! **what** the plan produces. The enabling invariant is the canonical
 //! row-id scheme (row ids derived from each output tuple's cached
 //! `DataKey` fingerprint, not from emission order — see
@@ -13,8 +13,9 @@
 //!   declaration order of the output rows), the results are identical as
 //!   keyed data: the same canonical row ids mapping to tuples with equal
 //!   canonical data keys;
-//! * `ReorderStrategy::Off` restores the declared order exactly —
-//!   `explain` output equal to the statistics-free `optimize`.
+//! * `Optimizer::statistics_free()`, the reference every comparison
+//!   here is made against, keeps the declared order exactly — `explain`
+//!   output equal to the declared plan's.
 //!
 //! A property test repeats the equivalence on randomized fan-out-skewed
 //! databases, and a transcript test keeps `docs/OPTIMIZER.md`'s worked
@@ -22,16 +23,9 @@
 
 use fdm_core::{DatabaseF, RelationBuilder, RelationF, TupleF, Value};
 use fdm_expr::{BinOp, Expr, Params};
-use fdm_fql::optimizer::{Optimizer, OptimizerConfig, ReorderStrategy};
+use fdm_fql::optimizer::Optimizer;
 use fdm_fql::plan::Query;
 use proptest::prelude::*;
-
-/// `q` optimized for `db` by the default optimizer under `strategy`.
-fn optimize_with(q: Query, db: &DatabaseF, strategy: ReorderStrategy) -> Query {
-    Optimizer::default()
-        .with_config(OptimizerConfig::new().with_reorder(strategy))
-        .optimize(q, db)
-}
 
 /// A database where the declared join order is the expensive one. `base`
 /// rows join `wide.k` with fan-out `wide_fanout` and `narrow.k2` with
@@ -125,10 +119,11 @@ fn reordering_changes_the_plan_never_the_results() {
     let q = declared_query();
 
     let reordered = q.clone().optimize_for(&db);
-    let pinned = optimize_with(q.clone(), &db, ReorderStrategy::Off);
+    let pinned = Optimizer::statistics_free().optimize(q.clone(), &db);
 
     // the plans genuinely differ: reordering binds the fan-out-1 narrow
-    // join before the row-multiplying wide join; `off` keeps declared
+    // join before the row-multiplying wide join; the statistics-free
+    // optimizer keeps declared
     let plan = reordered.explain();
     assert!(
         depth_of(&plan, "narrow") > depth_of(&plan, "wide"),
@@ -136,8 +131,8 @@ fn reordering_changes_the_plan_never_the_results() {
     );
     assert_eq!(
         pinned.explain(),
-        q.clone().optimize().explain(),
-        "ReorderStrategy::Off restores the declared-order plan"
+        q.explain(),
+        "the statistics-free optimizer keeps the declared-order plan"
     );
 
     // the executed order is visible in the output attribute order...
@@ -190,7 +185,7 @@ fn reordering_composes_with_pushdown() {
 fn three_joins_keep_root_ids_under_every_strategy() {
     // Only a join whose keys somebody can see carries canonical row ids;
     // the two joins below the root (one under a filter) are keyed by
-    // emission order, which every strategy is free to change. The root's
+    // emission order, which every optimizer is free to change. The root's
     // ids and data — and what a `limit` over them keeps — must not move.
     let db = fdm_fql::testutil::chain_db_scaled(12, 3);
     let q = Query::scan("base")
@@ -211,28 +206,27 @@ fn three_joins_keep_root_ids_under_every_strategy() {
     }
     let top = q.clone().limit(5).eval(&db).unwrap();
     let mut plans = Vec::new();
-    for mode in [
-        ReorderStrategy::Off,
-        ReorderStrategy::Adjacent,
-        ReorderStrategy::Greedy,
+    for (name, optimizer) in [
+        ("statistics_free", Optimizer::statistics_free()),
+        ("default", Optimizer::default()),
     ] {
-        let opt = optimize_with(q.clone(), &db, mode);
+        let opt = optimizer.optimize(q.clone(), &db);
         assert_eq!(
             keyed_data(&opt.eval(&db).unwrap()),
             keyed_data(&declared),
-            "{mode:?}"
+            "{name}"
         );
-        let opt_top = optimize_with(q.clone().limit(5), &db, mode);
+        let opt_top = optimizer.optimize(q.clone().limit(5), &db);
         assert_eq!(
             keyed_data(&opt_top.eval(&db).unwrap()),
             keyed_data(&top),
-            "limit under {mode:?}"
+            "limit under {name}"
         );
         plans.push(opt.explain());
     }
     assert!(
         plans.iter().any(|p| *p != plans[0]),
-        "some strategy really reorders the chain:\n{}",
+        "the default optimizer really reorders the chain:\n{}",
         plans[0]
     );
 }
@@ -271,8 +265,6 @@ fn optimizer_md_transcript_is_live() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
     /// On randomized fan-out-skewed databases, the optimized plan (which
     /// may or may not reorder, depending on the drawn skew) produces
     /// exactly the declared plan's keyed data.
