@@ -12,10 +12,11 @@
 //! Diffing leans on two things. Structure sharing: versions of a stored
 //! relation share every subtree no write touched, and
 //! [`fdm_storage::PMap::diff`] skips shared subtrees whole, so a diff costs
-//! in proportion to what changed. And the cached
-//! [`DataKey`](crate::DataKey) fingerprints: deciding whether a key present
-//! on both sides actually changed costs one hash compare in the steady
-//! state, the same trick the PR 3 merge setops use.
+//! in proportion to what changed. And a cheap no-op test
+//! ([`TupleF::same_data`]): two sides over one shape compare slot by slot
+//! up to the first difference, and any other pair compares its cached
+//! [`DataKey`](crate::DataKey) fingerprints — one hash compare in the
+//! steady state, the same trick the merge setops use.
 
 use crate::error::{Name, Result};
 use crate::relation::RelationF;
@@ -146,11 +147,10 @@ impl DbDelta {
 /// One key of a diff walk: the key and its tuple on either side.
 type Transition<'a> = (&'a Value, Option<&'a Arc<TupleF>>, Option<&'a Arc<TupleF>>);
 
-/// True when a key's transition is no change at all: the same tuple on
-/// both sides, by pointer or by data (the cached fingerprints, via
-/// [`TupleF::eq_data`]).
+/// True when a key's transition is no change at all: the same data on
+/// both sides ([`TupleF::same_data`]).
 fn unchanged((_, old, new): &Transition<'_>) -> bool {
-    matches!((old, new), (Some(o), Some(n)) if Arc::ptr_eq(o, n) || o.eq_data(n))
+    matches!((old, new), (Some(o), Some(n)) if o.same_data(n))
 }
 
 /// The two-pointer merge over two key-sorted entry lists, for bodies that

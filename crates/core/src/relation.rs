@@ -303,6 +303,29 @@ impl RelationF {
         }
     }
 
+    /// An unconstrained stored relation named and keyed like this one,
+    /// over `map` — [`Self::from_stored_map`] of this relation's name and
+    /// key attributes, sharing them instead of allocating them again: what
+    /// an operator builds over the rows it computed from this relation.
+    pub fn with_stored_map(&self, map: PMap<Value, Arc<TupleF>>) -> RelationF {
+        // an unconstrained relation's (empty) lists are shared as they are
+        let unconstrained = self.constraints.is_empty();
+        RelationF {
+            name: self.name.clone(),
+            key_attrs: self.key_attrs.clone(),
+            constraints: match unconstrained {
+                true => self.constraints.clone(),
+                false => Arc::from([]),
+            },
+            unique_indexes: match unconstrained {
+                true => self.unique_indexes.clone(),
+                false => Arc::from([]),
+            },
+            body: Body::Unique(map),
+            sketches: OnceLock::new(),
+        }
+    }
+
     /// `true` if all tuples of this relation can be enumerated.
     pub fn is_enumerable(&self) -> bool {
         match &self.body {
@@ -645,6 +668,17 @@ impl RelationF {
     /// by `insert`, pinned by the `upsert_matches_delete_then_insert`
     /// proptest below.
     pub fn upsert_arc(&self, key: Value, tuple: Arc<TupleF>) -> Result<RelationF> {
+        self.upsert_replacing(key, tuple).map(|(rel, _)| rel)
+    }
+
+    /// [`Self::upsert_arc`], also handing back the tuple the write
+    /// replaced in the stored map (`None` when the key was unset there) —
+    /// what the single path copy found, at no extra descent.
+    pub fn upsert_replacing(
+        &self,
+        key: Value,
+        tuple: Arc<TupleF>,
+    ) -> Result<(RelationF, Option<Arc<TupleF>>)> {
         let stored = match &self.body {
             Body::Unique(map) | Body::Hybrid { map, .. } => map,
             _ => {
@@ -666,7 +700,7 @@ impl RelationF {
             },
             _ => Body::Unique(map),
         };
-        Ok(self.rebuild(body, indexes))
+        Ok((self.rebuild(body, indexes), old))
     }
 
     /// Updates one attribute of the tuple under `key` (paper Fig. 10:
@@ -700,6 +734,12 @@ impl RelationF {
     /// Deletes the tuple under `key` (paper Fig. 10: `del customers[3]`).
     /// Fails if the function is not defined there.
     pub fn delete(&self, key: &Value) -> Result<RelationF> {
+        self.delete_replacing(key).map(|(rel, _)| rel)
+    }
+
+    /// [`Self::delete`], also handing back the tuple it removed from the
+    /// stored map — `None` for a multi body, whose key held a group.
+    pub fn delete_replacing(&self, key: &Value) -> Result<(RelationF, Option<Arc<TupleF>>)> {
         match &self.body {
             Body::Unique(map) => {
                 let (map, old) = map.remove(key);
@@ -708,7 +748,7 @@ impl RelationF {
                     input: key.to_string(),
                 })?;
                 let indexes = self.drop_from_unique_indexes(&old);
-                Ok(self.rebuild(Body::Unique(map), indexes))
+                Ok((self.rebuild(Body::Unique(map), indexes), Some(old)))
             }
             Body::Multi(map) => {
                 let (map, old) = map.remove(key);
@@ -718,7 +758,8 @@ impl RelationF {
                         input: key.to_string(),
                     });
                 }
-                Ok(self.rebuild(Body::Multi(map), self.unique_indexes.to_vec()))
+                let rel = self.rebuild(Body::Multi(map), self.unique_indexes.to_vec());
+                Ok((rel, None))
             }
             Body::Computed { .. } => Err(FdmError::Other(format!(
                 "cannot delete from fully computed relation function '{}'",
@@ -735,14 +776,12 @@ impl RelationF {
                     input: key.to_string(),
                 })?;
                 let indexes = self.drop_from_unique_indexes(&old);
-                Ok(self.rebuild(
-                    Body::Hybrid {
-                        map,
-                        domain: domain.clone(),
-                        fallback: fallback.clone(),
-                    },
-                    indexes,
-                ))
+                let body = Body::Hybrid {
+                    map,
+                    domain: domain.clone(),
+                    fallback: fallback.clone(),
+                };
+                Ok((self.rebuild(body, indexes), Some(old)))
             }
         }
     }

@@ -415,6 +415,24 @@ impl TupleF {
         }
     }
 
+    /// [`Self::eq_data`] without a fingerprint where the answer is plain:
+    /// a tuple is the same data as itself (even one whose computed
+    /// attribute fails), and two tuples over one shape that compute
+    /// nothing are the same data exactly when their slots hold equal
+    /// values — the first slot that differs ends the comparison. The
+    /// no-op test of a delta, where the two sides of a write mostly share
+    /// a shape.
+    pub fn same_data(&self, other: &TupleF) -> bool {
+        if std::ptr::eq(self, other) {
+            return true;
+        }
+        if !Arc::ptr_eq(&self.shape, &other.shape) || self.shape.has_computed() {
+            return self.eq_data(other);
+        }
+        let mut pairs = self.defs.iter().zip(other.defs.iter());
+        pairs.all(|pair| matches!(pair, (AttrDef::Stored(a), AttrDef::Stored(b)) if a == b))
+    }
+
     /// A canonical sort key over materialized attributes, used for
     /// deterministic ordering and duplicate elimination in set operations.
     /// Cached: the first call materializes (see

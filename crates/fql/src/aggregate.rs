@@ -6,7 +6,7 @@
 //! output relation. No NULLs are manufactured anywhere in this module.
 
 use crate::group::{no_grouping_attribute, Groups};
-use crate::physical::{no_such_attribute, scan, Op};
+use crate::physical::{no_such_attribute, scan, Op, Row};
 use fdm_core::fxhash::FxHasher;
 use fdm_core::{
     DatabaseF, FdmError, FnValue, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape,
@@ -51,13 +51,16 @@ impl AggSpec {
     /// an empty group are likewise errors (`Count` is 0, `Sum` is 0 — the
     /// mathematically natural identities).
     pub fn eval(&self, members: &[Arc<TupleF>]) -> Result<Value> {
+        self.fold(members)
+    }
+
+    /// [`Self::eval`] over any members: tuples, or the rows a maintained
+    /// view keeps.
+    pub(crate) fn fold<M: Member>(&self, members: impl IntoIterator<Item = M>) -> Result<Value> {
         let attr = self.input_attr().unwrap_or_default();
         let mut acc = self.start();
-        for t in members {
-            acc.push(self, || match t.shape().position(attr) {
-                Some(slot) => t.at(slot),
-                None => Err(no_such_attribute(attr)),
-            });
+        for m in members {
+            acc.push(self, || m.read(attr));
         }
         acc.finish(self)
     }
@@ -69,6 +72,33 @@ impl AggSpec {
             AggSpec::Min(_) | AggSpec::Max(_) => Acc::Best(None),
             AggSpec::Avg(_) => Acc::Avg(0.0, 0),
         }
+    }
+}
+
+/// A group member as an aggregate reads it: `t(attr)`, borrowed where it
+/// is stored.
+pub(crate) trait Member {
+    fn read(&self, attr: &str) -> Result<Cow<'_, Value>>;
+}
+
+impl Member for Arc<TupleF> {
+    fn read(&self, attr: &str) -> Result<Cow<'_, Value>> {
+        match self.shape().position(attr) {
+            Some(slot) => self.at(slot),
+            None => Err(no_such_attribute(attr)),
+        }
+    }
+}
+
+impl Member for Row<'_> {
+    fn read(&self, attr: &str) -> Result<Cow<'_, Value>> {
+        self.get(attr)
+    }
+}
+
+impl<M: Member> Member for &M {
+    fn read(&self, attr: &str) -> Result<Cow<'_, Value>> {
+        (**self).read(attr)
     }
 }
 

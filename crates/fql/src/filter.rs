@@ -19,10 +19,9 @@
 //! Fig. 5 subdatabase query) — same operator concept, one level up.
 
 use crate::physical::{Op, Pred};
-use fdm_core::{
-    DatabaseF, FdmError, FnValue, Name, RelationF, Result, Shape, ShapeMemo, TupleF, Value,
-};
+use fdm_core::{DatabaseF, FdmError, FnValue, Name, RelationF, Result, Shape, TupleF, Value};
 use fdm_expr::{by_suffix, parse, CmpOp, Expr, Params};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Costume 1/2: filter by a host-language closure over tuple functions.
@@ -136,10 +135,6 @@ pub fn filter_tuple(t: &TupleF, pred: impl Fn(&str, &Value) -> bool) -> Result<T
     t.project(&keep_refs)
 }
 
-pub(crate) fn key_attr_strs(rel: &RelationF) -> Vec<&str> {
-    rel.key_attrs().iter().map(|n| n.as_ref()).collect()
-}
-
 /// Inlines a relation's key into its tuples as ordinary attributes.
 ///
 /// In FDM the key is the function *input*, not part of the returned
@@ -163,11 +158,7 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
             .values()
             .all(|t| key_names.iter().all(|n| t.has_attr(n)))
         {
-            return Ok(RelationF::from_stored_map(
-                rel.name(),
-                &key_attr_strs(rel),
-                map.clone(),
-            ));
+            return Ok(rel.with_stored_map(map.clone()));
         }
     }
     let mut out = rel.builder_like();
@@ -179,16 +170,60 @@ pub fn with_inlined_keys(rel: &RelationF) -> Result<RelationF> {
     out.build()
 }
 
+/// What an operator derives per input shape, kept as long as the operator
+/// is: found by pointer — the last hit first — and then by shape *value*,
+/// so a tuple built on its own reuses what an equal shape derived, and
+/// the memo holds one entry per distinct shape however many allocations
+/// carry it. A maintained view keeps these across commits; an executor
+/// operator for one call.
+#[derive(Clone)]
+pub(crate) struct PerShape<V> {
+    derived: Vec<(Arc<Shape>, V)>,
+    last: usize,
+}
+
+impl<V> PerShape<V> {
+    pub(crate) fn new() -> Self {
+        PerShape {
+            derived: Vec::new(),
+            last: 0,
+        }
+    }
+
+    /// The shapes derived for, in the order first seen.
+    #[cfg(test)]
+    pub(crate) fn shapes(&self) -> Vec<&Arc<Shape>> {
+        self.derived.iter().map(|(shape, _)| shape).collect()
+    }
+
+    /// What `derive` answered for `shape` (or a shape equal to it),
+    /// calling it only the first time.
+    pub(crate) fn get_or_derive(&mut self, shape: &Arc<Shape>, derive: impl FnOnce() -> V) -> &V {
+        let pinned = |(s, _): &(Arc<Shape>, V)| Arc::ptr_eq(s, shape);
+        if !self.derived.get(self.last).is_some_and(pinned) {
+            let found = (self.derived.iter().position(pinned))
+                .or_else(|| self.derived.iter().position(|(s, _)| **s == **shape));
+            self.last = found.unwrap_or_else(|| {
+                self.derived.push((shape.clone(), derive()));
+                self.derived.len() - 1
+            });
+        }
+        &self.derived[self.last].1
+    }
+}
+
 /// The per-tuple half of [`with_inlined_keys`]: returns tuples with their
 /// key attribute(s) inlined, sharing the input when nothing is missing —
 /// or, lazily, says what inlining would append ([`Self::lacks`]), so a
 /// scan can hand on the stored tuple and let an operator read the key
 /// parts off the key. What a shape lacks is derived once per distinct
-/// input shape (a per-operator-call [`ShapeMemo`]), so a row costs its
-/// values — no name is looked at, let alone allocated, per tuple.
-pub(crate) struct KeyInliner<'a> {
-    key_names: &'a [Name],
-    memo: ShapeMemo<Option<Lacks>>,
+/// input shape ([`PerShape`]), so a row costs its values — no name is
+/// looked at, let alone allocated, per tuple. A maintained view's scan
+/// keeps one for the life of the view.
+#[derive(Clone)]
+pub(crate) struct KeyInliner {
+    key_names: Box<[Name]>,
+    memo: PerShape<Option<Arc<Lacks>>>,
 }
 
 /// What inlining a key appends to the tuples of one shape: the key parts
@@ -217,19 +252,25 @@ impl Lacks {
     }
 }
 
-impl<'a> KeyInliner<'a> {
-    pub(crate) fn new(key_names: &'a [Name]) -> Self {
+impl KeyInliner {
+    pub(crate) fn new(key_names: &[Name]) -> Self {
         KeyInliner {
-            key_names,
-            memo: ShapeMemo::new(),
+            key_names: key_names.into(),
+            memo: PerShape::new(),
         }
+    }
+
+    /// The shapes derived for, in the order first seen.
+    #[cfg(test)]
+    pub(crate) fn shapes(&self) -> Vec<&Arc<Shape>> {
+        self.memo.shapes()
     }
 
     /// What inlining `key` into a tuple of `shape` appends; `None` when
     /// nothing: the shape has every key attribute, or `key` does not fit
     /// the key attributes (a composite key that is no list of their arity).
-    pub(crate) fn lacks(&mut self, key: &Value, shape: &Arc<Shape>) -> Option<&Lacks> {
-        let key_names = self.key_names;
+    pub(crate) fn lacks(&mut self, key: &Value, shape: &Arc<Shape>) -> Option<&Arc<Lacks>> {
+        let key_names = &self.key_names;
         let composite = key_names.len() > 1;
         let fits = match key {
             Value::List(parts) if composite => parts.len() == key_names.len(),
@@ -238,7 +279,7 @@ impl<'a> KeyInliner<'a> {
         if !fits {
             return None;
         }
-        let lacks = self.memo.get_or_derive([shape], || {
+        let lacks = self.memo.get_or_derive(shape, || {
             let mut parts: Vec<usize> = Vec::new();
             for (at, name) in key_names.iter().enumerate() {
                 let seen = parts.iter().any(|&a| key_names[a] == *name);
@@ -250,11 +291,11 @@ impl<'a> KeyInliner<'a> {
                 return None;
             }
             let shape = shape.with_names(parts.iter().map(|&at| key_names[at].clone()));
-            Some(Lacks {
+            Some(Arc::new(Lacks {
                 parts,
                 composite,
                 shape,
-            })
+            }))
         });
         lacks.as_ref()
     }
@@ -266,6 +307,23 @@ impl<'a> KeyInliner<'a> {
             }
             None => tuple.clone(),
         }
+    }
+
+    /// `tuple` as a scan hands it on: the stored tuple and what inlining
+    /// `key` would append — or, for a tuple with computed attributes
+    /// (which may read the key), its inlined copy.
+    pub(crate) fn split<'t>(
+        &mut self,
+        key: &Value,
+        tuple: &'t Arc<TupleF>,
+    ) -> (Cow<'t, Arc<TupleF>>, Option<Arc<Lacks>>) {
+        if tuple.has_computed_attrs() {
+            return (Cow::Owned(self.inline(key, tuple)), None);
+        }
+        (
+            Cow::Borrowed(tuple),
+            self.lacks(key, tuple.shape()).cloned(),
+        )
     }
 }
 

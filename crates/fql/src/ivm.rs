@@ -16,15 +16,21 @@
 //!
 //! Per-operator delta rules:
 //!
-//! * **scan / filter / project** — pure change transformers: both sides of
-//!   a change come from the incoming [`TupleChange`] (the scan inlines the
-//!   key as the executor's `with_inlined_keys` does, the filter
-//!   re-evaluates its predicate and the projection projects, each through
-//!   what it derived once per input shape — `apply` trusts
-//!   the delta's `old` side, as its contract says). They keep **no**
-//!   relation unless they are the plan root or the direct input of an
-//!   operator that re-reads it (a join's left side, order-by, limit) —
-//!   decided from the plan, one rule either way
+//! * **scan / filter / project** — pure change transformers that read a
+//!   change the way the physical executor reads a row: both sides of a
+//!   change come from the incoming [`TupleChange`] and travel as
+//!   `physical::Row`s — the stored tuple, with the key parts it lacks read
+//!   lazily off the key (a tuple with computed attributes is inlined
+//!   first, as the executor's scan does). The filter re-evaluates its
+//!   predicate and the projection projects, each through what it derived
+//!   once per input shape and kept for the life of the view — the scan's
+//!   key-inlining memo too, so the shapes a commit's rows arrive in are
+//!   the ones the operators above derived for (`apply` trusts the delta's
+//!   `old` side, as its contract says). Changes stream from operator to
+//!   operator; a key-appended tuple is built only where a node stores
+//!   it. They keep **no** relation unless they are the plan root or the
+//!   direct input of an operator that re-reads it (a join's left side,
+//!   order-by, limit) — decided from the plan, one rule either way
 //!   (`stateless_operators_keep_no_relation`);
 //! * **join** — relies on the executor's canonical-row-id contract
 //!   (output keys `[fingerprint hash, rank]` are a pure function of the
@@ -33,7 +39,8 @@
 //!   the probe results of *dirty* left keys, and re-ranks only the hash
 //!   buckets those rows touch;
 //! * **group/aggregate** — keeps each group's member set keyed by the
-//!   grouping value; only *dirty* groups re-aggregate (counted in
+//!   grouping value, each member as the row it arrived as (a stored tuple
+//!   and the key parts it lacks); only *dirty* groups re-aggregate (counted in
 //!   [`IvmStats::dirty_groups`]), and within a dirty group `Count` is the
 //!   member count and an all-`Int` `Sum` is a running total, so neither
 //!   re-reads the group; `Min`/`Max`/`Avg` and sums with a non-`Int`
@@ -52,8 +59,9 @@
 //! the contract.
 
 use crate::aggregate::AggSpec;
-use crate::filter::{key_attr_strs, with_inlined_keys, KeyInliner};
+use crate::filter::{with_inlined_keys, KeyInliner, Lacks, PerShape};
 use crate::optimizer::Optimizer;
+use crate::physical::{Kept, Row};
 use crate::plan::Query;
 use crate::setops::key_map;
 use crate::transform;
@@ -61,8 +69,10 @@ use fdm_core::delta::{diff_relations, DbDelta, EntryDelta, TupleChange};
 use fdm_core::{
     DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape, TupleF, Value,
 };
-use fdm_expr::Compiled;
+use fdm_expr::{Compiled, Expr};
 use fdm_storage::PMap;
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -99,11 +109,12 @@ struct IntSum {
     other: usize,
 }
 
-/// One group: its members by input key, and one [`IntSum`] per aggregate
-/// (in `aggs` order; only the `Sum` slots are used).
+/// One group: its members by input key — each kept as the row it arrived
+/// as — and one [`IntSum`] per aggregate (in `aggs` order; only the `Sum`
+/// slots are used).
 #[derive(Clone)]
 struct Group {
-    members: BTreeMap<Value, Arc<TupleF>>,
+    members: BTreeMap<Value, Kept>,
     sums: Vec<IntSum>,
 }
 
@@ -116,46 +127,49 @@ impl Group {
     }
 
     /// Adds (`joined`) or retracts one member's contribution to every sum.
-    fn track(&mut self, aggs: &[(String, AggSpec)], t: &TupleF, joined: bool) {
-        for (sum, (_, spec)) in self.sums.iter_mut().zip(aggs) {
+    fn track(sums: &mut [IntSum], aggs: &[(String, AggSpec)], row: &Row<'_>, joined: bool) {
+        for (sum, (_, spec)) in sums.iter_mut().zip(aggs) {
             let AggSpec::Sum(attr) = spec else { continue };
-            match (t.get(attr), joined) {
-                (Ok(Value::Int(i)), true) => sum.total = sum.total.wrapping_add(i),
-                (Ok(Value::Int(i)), false) => sum.total = sum.total.wrapping_sub(i),
+            match (row.get(attr).as_deref(), joined) {
+                (Ok(Value::Int(i)), true) => sum.total = sum.total.wrapping_add(*i),
+                (Ok(Value::Int(i)), false) => sum.total = sum.total.wrapping_sub(*i),
                 (_, true) => sum.other += 1,
                 (_, false) => sum.other -= 1,
             }
         }
     }
 
-    /// Stores `t` under `key`, replacing (and retracting) a previous member.
-    fn insert(&mut self, aggs: &[(String, AggSpec)], key: Value, t: Arc<TupleF>) {
-        self.track(aggs, &t, true);
-        if let Some(prev) = self.members.insert(key, t) {
-            self.track(aggs, &prev, false);
+    /// Keeps `row` under its key, replacing (and retracting) a previous
+    /// member.
+    fn insert(&mut self, aggs: &[(String, AggSpec)], row: Row<'_>) {
+        Group::track(&mut self.sums, aggs, &row, true);
+        let key = row.key().clone();
+        match self.members.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(row.keep());
+            }
+            Entry::Occupied(mut slot) => {
+                let prev = slot.insert(row.keep());
+                Group::track(&mut self.sums, aggs, &prev.row(slot.key()), false);
+            }
         }
     }
 
     fn remove(&mut self, aggs: &[(String, AggSpec)], key: &Value) {
         if let Some(prev) = self.members.remove(key) {
-            self.track(aggs, &prev, false);
+            Group::track(&mut self.sums, aggs, &prev.row(key), false);
         }
     }
 
     /// The `i`-th aggregate over the current members — exactly
     /// [`AggSpec::eval`] over them in key order, read off the running
-    /// state where that is provably the same value. `folded` caches the
-    /// member list across the aggregates of one group.
-    fn agg_value(
-        &self,
-        i: usize,
-        spec: &AggSpec,
-        folded: &mut Option<Vec<Arc<TupleF>>>,
-    ) -> Result<Value> {
+    /// state where that is provably the same value, else folded over the
+    /// kept rows.
+    fn agg_value(&self, i: usize, spec: &AggSpec) -> Result<Value> {
         match spec {
             AggSpec::Count => Ok(Value::Int(self.members.len() as i64)),
             AggSpec::Sum(_) if self.sums[i].other == 0 => Ok(Value::Int(self.sums[i].total)),
-            _ => spec.eval(folded.get_or_insert_with(|| self.members.values().cloned().collect())),
+            _ => spec.fold(self.members.iter().map(|(key, m)| m.row(key))),
         }
     }
 }
@@ -180,11 +194,14 @@ struct JoinState {
 /// One maintenance node: the state its operator's delta rule reads back
 /// (the operator itself is read off the plan, which [`Node::apply`] walks
 /// in step with the tree). Scan, filter and project read nothing back:
-/// their `out` is `None` — *released* — unless [`Node::build`] keeps it.
+/// their `out` is `None` — *released* — unless [`Node::build`] keeps it;
+/// what they keep is what they derived per input shape.
 #[derive(Clone)]
 enum Node {
     Scan {
-        key_names: Vec<Name>,
+        /// The scanned relation's key attributes and what each input shape
+        /// lacks of them: reset when the entry is rebound.
+        inliner: KeyInliner,
         out: Option<RelationF>,
     },
     Filter {
@@ -213,37 +230,15 @@ enum Node {
     Fallback { input: Box<Node>, out: RelationF },
 }
 
-/// What a filter or projection derived per input shape, kept for the life
-/// of the view: the executor's per-shape work (the compiled predicate, or
-/// the projected shape and the slots it reads) done once per shape, not
-/// once per change. Found by shape *value*, pointer first, so a tuple a
-/// later commit built on its own reuses what the first derived — and a
-/// projection's output rows share one shape across commits.
-type PerShape<V> = Vec<(Arc<Shape>, V)>;
-
-fn derived<'m, V>(
-    shapes: &'m mut PerShape<V>,
-    shape: &Arc<Shape>,
-    derive: impl FnOnce() -> V,
-) -> &'m V {
-    let found = shapes
-        .iter()
-        .position(|(s, _)| Arc::ptr_eq(s, shape) || **s == **shape);
-    let at = found.unwrap_or_else(|| {
-        shapes.push((shape.clone(), derive()));
-        shapes.len() - 1
-    });
-    &shapes[at].1
-}
-
 /// Batches a node's output changes into its materialized relation via
 /// the join-based merge setops: one `merge_union` for inserts/updates, one
 /// `merge_difference` for removes. For k changes against n rows that is
 /// O(k · log(n/k + 1)) time and allocation; every subtree of the previous
-/// output no change falls into is shared, not copied.
-fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> {
+/// output no change falls into is shared, not copied. No change leaves the
+/// relation as it is.
+fn apply_changes(out: &mut RelationF, changes: &[TupleChange]) -> Result<()> {
     if changes.is_empty() {
-        return Ok(out.clone());
+        return Ok(());
     }
     let base = key_map(out)?;
     let mut sorted: Vec<&TupleChange> = changes.iter().collect();
@@ -262,11 +257,8 @@ fn apply_changes(out: &RelationF, changes: &[TupleChange]) -> Result<RelationF> 
     if !dels.is_empty() {
         merged = merged.merge_difference(&PMap::from_sorted_vec(dels));
     }
-    Ok(RelationF::from_stored_map(
-        out.name(),
-        &key_attr_strs(out),
-        merged,
-    ))
+    *out = out.with_stored_map(merged);
+    Ok(())
 }
 
 /// One key's transition — `None` when it is no change at all: absent on
@@ -278,7 +270,7 @@ fn transition(
 ) -> Option<TupleChange> {
     match (&old, &new) {
         (None, None) => None,
-        (Some(a), Some(b)) if a.eq_data(b) => None,
+        (Some(a), Some(b)) if a.same_data(b) => None,
         _ => Some(TupleChange {
             key: key.clone(),
             old,
@@ -305,6 +297,109 @@ fn map_changes(
     Ok(changes)
 }
 
+/// One change in flight between maintenance nodes, each side a
+/// `physical::Row`: what the node emitted for the key before (`old`) and
+/// emits now (`new`).
+struct Change<'a> {
+    old: Option<Row<'a>>,
+    new: Option<Row<'a>>,
+}
+
+impl Change<'_> {
+    /// A materialized change, as rows over its tuples.
+    fn of(c: &TupleChange) -> Change<'_> {
+        let row = |t| Row::tuple(Cow::Borrowed(&c.key), Cow::Borrowed(t));
+        Change {
+            old: c.old.as_ref().map(row),
+            new: c.new.as_ref().map(row),
+        }
+    }
+
+    /// The change as a kept output stores it: each side built into the
+    /// tuple it stands for.
+    fn into_tuple_change(self) -> TupleChange {
+        let old = self.old.map(Row::into_entry);
+        let new = self.new.map(Row::into_entry);
+        let key = match (&old, &new) {
+            (_, Some((key, _))) | (Some((key, _)), None) => key.clone(),
+            (None, None) => unreachable!("a change has a side"),
+        };
+        TupleChange {
+            key,
+            old: old.map(|(_, t)| t),
+            new: new.map(|(_, t)| t),
+        }
+    }
+}
+
+/// Where a node hands the changes it emits.
+type Sink<'s> = dyn FnMut(Change<'_>) + 's;
+
+/// Hands `old → new` on unless it is no change at all: absent on both
+/// sides, or the same data.
+fn pass(sink: &mut Sink<'_>, old: Option<Row<'_>>, new: Option<Row<'_>>) {
+    match (&old, &new) {
+        (None, None) => {}
+        (Some(a), Some(b)) if a.same_data(b) => {}
+        _ => sink(Change { old, new }),
+    }
+}
+
+/// `step` on every change until it first fails; the failure is kept for
+/// after the input has drained, so an error further upstream — which a
+/// node materializing its input would have hit first — still wins (the
+/// executor's rule, `physical::guarded`).
+fn guarded<'s>(
+    failed: &'s mut Option<FdmError>,
+    mut step: impl FnMut(Change<'_>) -> Result<()> + 's,
+) -> impl FnMut(Change<'_>) + 's {
+    move |change| {
+        if failed.is_none() {
+            if let Err(e) = step(change) {
+                *failed = Some(e);
+            }
+        }
+    }
+}
+
+/// One side of a base change as the scan hands it on (see
+/// [`KeyInliner::split`]).
+type Split<'t> = (Cow<'t, Arc<TupleF>>, Option<Arc<Lacks>>);
+
+fn split_row<'r>(key: &'r Value, (tuple, lacks): &'r Split<'_>) -> Row<'r> {
+    Row::lazy(Cow::Borrowed(key), Cow::Borrowed(&**tuple), lacks.as_ref())
+}
+
+/// One side of a change through a filter: kept when the predicate —
+/// compiled once per input shape — holds.
+fn filtered<'r>(
+    compiled: &mut PerShape<Compiled>,
+    pred: &Expr,
+    row: Option<Row<'r>>,
+) -> Result<Option<Row<'r>>> {
+    let Some(row) = row else { return Ok(None) };
+    let shape = row.shape();
+    let pred = compiled.get_or_derive(shape, || Compiled::new(pred, shape));
+    Ok(pred.eval_predicate(&row)?.then_some(row))
+}
+
+/// One side of a change through a projection onto `attrs`, whose shape
+/// and slots are derived once per input shape.
+fn projected_row<'r>(
+    projected: &mut PerShape<Result<(Arc<Shape>, Vec<usize>)>>,
+    attrs: &[String],
+    row: Option<Row<'r>>,
+) -> Result<Option<Row<'r>>> {
+    let Some(row) = row else { return Ok(None) };
+    let shape = row.shape();
+    let derived = projected.get_or_derive(shape, || {
+        let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
+        shape.project(&keep)
+    });
+    let (shape, slots) = derived.as_ref().map_err(Clone::clone)?;
+    Ok(Some(row.project(shape, slots)?))
+}
+
 /// What a node emits for one delta: its output's row changes — or `None`,
 /// when a wholesale rebind reached a released node, which has no output to
 /// diff; a node that holds state never answers so.
@@ -314,7 +409,7 @@ type Emitted = Result<Option<Vec<TupleChange>>>;
 /// it keeps one.
 fn emit(out: &mut Option<RelationF>, changes: Vec<TupleChange>) -> Emitted {
     if let Some(out) = out {
-        *out = apply_changes(out, &changes)?;
+        apply_changes(out, &changes)?;
     }
     Ok(Some(changes))
 }
@@ -354,16 +449,12 @@ fn reorder(plan: &Query, input: &RelationF) -> Result<RelationF> {
 
 /// The batch group-key rule: the single by-value, or a `Value::List` of
 /// them for composite groupings.
-fn group_key(t: &TupleF, by: &[String]) -> Result<Value> {
-    let mut vals = Vec::with_capacity(by.len());
-    for attr in by {
-        vals.push(t.get(attr)?);
+fn group_key(row: &Row<'_>, by: &[String]) -> Result<Value> {
+    if let [attr] = by {
+        return Ok(row.get(attr)?.into_owned());
     }
-    Ok(if vals.len() == 1 {
-        vals.pop().expect("one")
-    } else {
-        Value::list(vals)
-    })
+    let parts = by.iter().map(|attr| row.get(attr).map(Cow::into_owned));
+    Ok(Value::list(parts.collect::<Result<Vec<_>>>()?))
 }
 
 /// Re-aggregates one group into the batch operator's output row (the
@@ -381,9 +472,8 @@ fn agg_tuple_for(
         Value::List(parts) if by.len() > 1 => values.extend(parts.iter().cloned()),
         v => values.push(v.clone()),
     }
-    let mut folded = None;
     for (i, (_, spec)) in aggs.iter().enumerate() {
-        values.push(group.agg_value(i, spec, &mut folded)?);
+        values.push(group.agg_value(i, spec)?);
     }
     Ok(TupleF::from_shape(name.clone(), shape.clone(), values))
 }
@@ -398,10 +488,11 @@ fn build_groups(
 ) -> Result<(GroupState, RelationF)> {
     let mut state = GroupState::new();
     for (key, tuple) in input.tuples()? {
+        let row = Row::tuple(Cow::Borrowed(&key), Cow::Borrowed(&tuple));
         state
-            .entry(group_key(&tuple, by)?)
+            .entry(group_key(&row, by)?)
             .or_insert_with(|| Group::new(aggs))
-            .insert(aggs, key, tuple);
+            .insert(aggs, row);
     }
     let by_refs: Vec<&str> = by.iter().map(String::as_str).collect();
     let mut out = RelationBuilder::new("aggregates", &by_refs).with_capacity(state.len());
@@ -543,6 +634,14 @@ impl Node {
         }
     }
 
+    /// Where a scan, filter or project keeps its output, if it does.
+    fn out_slot(&mut self) -> &mut Option<RelationF> {
+        match self {
+            Node::Scan { out, .. } | Node::Filter { out, .. } | Node::Project { out, .. } => out,
+            _ => unreachable!("a join, group or fallback always keeps its output"),
+        }
+    }
+
     /// The output of a node [`Node::build`] was told to keep.
     fn kept(&self) -> &RelationF {
         self.out()
@@ -557,7 +656,7 @@ impl Node {
         let first_out = || keep.then(|| plan.eval(db)).transpose();
         Ok(match plan {
             Query::Scan { rel } => Node::Scan {
-                key_names: db.relation(rel)?.key_attrs().to_vec(),
+                inliner: KeyInliner::new(db.relation(rel)?.key_attrs()),
                 out: first_out()?,
             },
             Query::Filter { input, .. } => Node::Filter {
@@ -616,6 +715,91 @@ impl Node {
         })
     }
 
+    /// Streams this node's output changes for one delta to `sink` — `plan`
+    /// is its sub-plan. `Ok(false)`: a wholesale rebind reached a released
+    /// scan, filter or project, which has no output to diff; the nearest
+    /// node holding state above re-runs instead.
+    fn stream(
+        &mut self,
+        plan: &Query,
+        db: &DatabaseF,
+        delta: &DbDelta,
+        stats: &mut IvmStats,
+        sink: &mut Sink<'_>,
+    ) -> Result<bool> {
+        if self.out().is_none() {
+            // a released scan, filter or project: its changes pass through
+            return self.transform(plan, db, delta, stats, sink);
+        }
+        let changes = self
+            .apply(plan, db, delta, stats)?
+            .expect("a node that keeps its output answers with its changes");
+        for c in &changes {
+            sink(Change::of(c));
+        }
+        Ok(true)
+    }
+
+    /// The delta rule of scan, filter and project: the operator on both
+    /// sides of every change its input emits, streamed to `sink` (see
+    /// [`Self::stream`] for `Ok(false)`).
+    fn transform(
+        &mut self,
+        plan: &Query,
+        db: &DatabaseF,
+        delta: &DbDelta,
+        stats: &mut IvmStats,
+        sink: &mut Sink<'_>,
+    ) -> Result<bool> {
+        let mut failed = None;
+        let streamed = match (self, plan) {
+            (Node::Scan { inliner, .. }, Query::Scan { rel }) => match delta.entry(rel) {
+                None => true,
+                Some(EntryDelta::Rows(base_changes)) => {
+                    for c in base_changes {
+                        let old = c.old.as_ref().map(|t| inliner.split(&c.key, t));
+                        let new = c.new.as_ref().map(|t| inliner.split(&c.key, t));
+                        let row = |side| split_row(&c.key, side);
+                        pass(sink, old.as_ref().map(row), new.as_ref().map(row));
+                    }
+                    true
+                }
+                Some(EntryDelta::Replaced) => {
+                    *inliner = KeyInliner::new(db.relation(rel)?.key_attrs());
+                    false
+                }
+            },
+            (
+                Node::Filter {
+                    input, compiled, ..
+                },
+                Query::Filter { input: sub, pred },
+            ) => {
+                let step = |c: Change<'_>| {
+                    let old = filtered(compiled, pred, c.old)?;
+                    pass(sink, old, filtered(compiled, pred, c.new)?);
+                    Ok(())
+                };
+                input.stream(sub, db, delta, stats, &mut guarded(&mut failed, step))?
+            }
+            (
+                Node::Project {
+                    input, projected, ..
+                },
+                Query::Project { input: sub, attrs },
+            ) => {
+                let step = |c: Change<'_>| {
+                    let old = projected_row(projected, attrs, c.old)?;
+                    pass(sink, old, projected_row(projected, attrs, c.new)?);
+                    Ok(())
+                };
+                input.stream(sub, db, delta, stats, &mut guarded(&mut failed, step))?
+            }
+            _ => unreachable!("only a scan, filter or project transforms changes"),
+        };
+        failed.map_or(Ok(streamed), Err)
+    }
+
     /// Propagates a base delta through this node — `plan` is its sub-plan
     /// — updating its state and returning its output's own row changes.
     fn apply(
@@ -626,58 +810,14 @@ impl Node {
         stats: &mut IvmStats,
     ) -> Emitted {
         match (self, plan) {
-            (Node::Scan { key_names, out }, Query::Scan { rel }) => match delta.entry(rel) {
-                None => Ok(Some(Vec::new())),
-                Some(EntryDelta::Rows(base_changes)) => {
-                    let mut inliner = KeyInliner::new(key_names);
-                    let inline = |key: &Value, t: &Arc<TupleF>| Ok(Some(inliner.inline(key, t)));
-                    emit(out, map_changes(base_changes, inline)?)
+            (node @ (Node::Scan { .. } | Node::Filter { .. } | Node::Project { .. }), _) => {
+                let mut changes = Vec::new();
+                let push = &mut |c: Change<'_>| changes.push(c.into_tuple_change());
+                match node.transform(plan, db, delta, stats, push)? {
+                    true => emit(node.out_slot(), changes),
+                    false => rerun(node.out_slot(), plan, db, stats),
                 }
-                Some(EntryDelta::Replaced) => {
-                    *key_names = db.relation(rel)?.key_attrs().to_vec();
-                    rerun(out, plan, db, stats)
-                }
-            },
-            (
-                Node::Filter {
-                    input,
-                    out,
-                    compiled,
-                },
-                Query::Filter { input: sub, pred },
-            ) => match input.apply(sub, db, delta, stats)? {
-                None => rerun(out, plan, db, stats),
-                Some(child_changes) => {
-                    let keep = |_: &Value, t: &Arc<TupleF>| {
-                        let shape = t.shape();
-                        let pred = derived(compiled, shape, || Compiled::new(pred, shape));
-                        Ok(pred.eval_predicate(&**t)?.then(|| t.clone()))
-                    };
-                    emit(out, map_changes(&child_changes, keep)?)
-                }
-            },
-            (
-                Node::Project {
-                    input,
-                    out,
-                    projected,
-                },
-                Query::Project { input: sub, attrs },
-            ) => match input.apply(sub, db, delta, stats)? {
-                None => rerun(out, plan, db, stats),
-                Some(child_changes) => {
-                    let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                    let project = |_: &Value, t: &Arc<TupleF>| {
-                        let shape = t.shape();
-                        let derive = || shape.project(&keep);
-                        let (shape, slots) = derived(projected, shape, derive)
-                            .as_ref()
-                            .map_err(Clone::clone)?;
-                        Ok(Some(Arc::new(t.select(shape.clone(), slots))))
-                    };
-                    emit(out, map_changes(&child_changes, project)?)
-                }
-            },
+            }
             (
                 Node::Join { input, state, out },
                 Query::Join {
@@ -721,7 +861,7 @@ impl Node {
                             }
                         }
                     }
-                    state.right = apply_changes(&state.right, &right_changes)?;
+                    apply_changes(&mut state.right, &right_changes)?;
                 }
                 // 2. left-side (child) changes: refresh the left hash
                 // bindings; every changed left key is dirty
@@ -786,7 +926,7 @@ impl Node {
                         changes.extend(transition(&key, old, new));
                     }
                 }
-                *out = apply_changes(out, &changes)?;
+                apply_changes(out, &changes)?;
                 Ok(Some(changes))
             }
             (
@@ -802,32 +942,39 @@ impl Node {
                     aggs,
                 },
             ) => {
-                let Some(child_changes) = input.apply(sub, db, delta, stats)? else {
-                    // a rebind came up a released chain: regroup its output
-                    let (new_state, new_out) = build_groups(&sub.eval(db)?, by, aggs, row)?;
-                    *state = new_state;
-                    return replace(out, new_out, stats);
-                };
                 let mut dirty: BTreeSet<Value> = BTreeSet::new();
-                for c in &child_changes {
-                    if let Some(ot) = &c.old {
-                        let gk = group_key(ot, by)?;
+                let mut failed = None;
+                let step = |c: Change<'_>| {
+                    if let Some(old) = &c.old {
+                        let gk = group_key(old, by)?;
                         if let Some(group) = state.get_mut(&gk) {
-                            group.remove(aggs, &c.key);
+                            group.remove(aggs, old.key());
                             if group.members.is_empty() {
                                 state.remove(&gk);
                             }
                         }
                         dirty.insert(gk);
                     }
-                    if let Some(nt) = &c.new {
-                        let gk = group_key(nt, by)?;
+                    if let Some(new) = c.new {
+                        let gk = group_key(&new, by)?;
                         state
                             .entry(gk.clone())
                             .or_insert_with(|| Group::new(aggs))
-                            .insert(aggs, c.key.clone(), nt.clone());
+                            .insert(aggs, new);
                         dirty.insert(gk);
                     }
+                    Ok(())
+                };
+                let streamed =
+                    input.stream(sub, db, delta, stats, &mut guarded(&mut failed, step))?;
+                if !streamed {
+                    // a rebind came up a released chain: regroup its output
+                    let (new_state, new_out) = build_groups(&sub.eval(db)?, by, aggs, row)?;
+                    *state = new_state;
+                    return replace(out, new_out, stats);
+                }
+                if let Some(e) = failed {
+                    return Err(e);
                 }
                 stats.dirty_groups += dirty.len() as u64;
                 let mut changes = Vec::new();
@@ -838,7 +985,7 @@ impl Node {
                     };
                     changes.extend(transition(&gk, out.lookup(&gk), new));
                 }
-                *out = apply_changes(out, &changes)?;
+                apply_changes(out, &changes)?;
                 Ok(Some(changes))
             }
             (
@@ -1003,15 +1150,18 @@ mod tests {
                 match x {
                     Some(x) => group.insert(
                         &aggs,
-                        Value::Int(key),
-                        Arc::new(TupleF::builder("m").attr("x", x).build()),
+                        Row::tuple(
+                            Cow::Owned(Value::Int(key)),
+                            Cow::Owned(Arc::new(TupleF::builder("m").attr("x", x).build())),
+                        ),
                     ),
                     None => group.remove(&aggs, &Value::Int(key)),
                 }
-                let members: Vec<Arc<TupleF>> = group.members.values().cloned().collect();
-                let mut folded = None;
+                let members: Vec<Arc<TupleF>> = (group.members.iter())
+                    .map(|(key, m)| m.row(key).into_entry().1)
+                    .collect();
                 for (i, (_, spec)) in aggs.iter().enumerate() {
-                    let got = group.agg_value(i, spec, &mut folded);
+                    let got = group.agg_value(i, spec);
                     let want = spec.eval(&members);
                     prop_assert_eq!(
                         format!("{got:?}"),
@@ -1138,6 +1288,10 @@ mod tests {
         assert!(v.stats().fallback_recomputes >= 1);
     }
 
+    /// The scan's key-inlining memo lives as long as the view: tuples a
+    /// commit builds on its own (a fresh shape each time) reuse the one
+    /// inlined shape, so the filter above meets a pointer-stable input
+    /// shape and every per-shape memo holds one entry.
     #[test]
     fn stateless_nodes_derive_once_per_input_shape_across_commits() {
         let db = retail_db();
@@ -1147,18 +1301,22 @@ mod tests {
         let mut v = MaintainedView::new("names", q, &db).unwrap();
         let mut before = db;
         let mut shapes = Vec::new();
+        let mut written = Vec::new();
         for (cid, age) in [(7, 61), (8, 62)] {
             // each commit's tuple is built on its own: a fresh shape each time
             let t = TupleF::builder("c")
                 .attr("name", "N")
                 .attr("age", age)
                 .build();
+            written.push(Arc::new(t.clone()));
             let after = crate::update::db_upsert(&before, "customers", Value::Int(cid), t).unwrap();
             step(&mut v, &before, &after);
             let row = v.relation().lookup(&Value::Int(cid)).unwrap();
             shapes.push(row.shape().clone());
             before = after;
         }
+        assert!(!Arc::ptr_eq(written[0].shape(), written[1].shape()));
+        let [first, second] = [&written[0], &written[1]];
         assert!(Arc::ptr_eq(&shapes[0], &shapes[1]), "one output shape");
         // derived once per distinct input shape, not once per change
         let Node::Project {
@@ -1167,10 +1325,24 @@ mod tests {
         else {
             panic!("a projection at the root: {}", v.plan().explain())
         };
-        let Node::Filter { compiled, .. } = &**input else {
+        let Node::Filter {
+            input, compiled, ..
+        } = &**input
+        else {
             panic!("a filter below it: {}", v.plan().explain())
         };
-        assert_eq!((projected.len(), compiled.len()), (1, 1));
+        let Node::Scan { inliner, .. } = &**input else {
+            panic!("a scan below that: {}", v.plan().explain())
+        };
+        let counts = (inliner.shapes().len(), compiled.shapes().len());
+        assert_eq!((projected.shapes().len(), counts), (1, (1, 1)));
+        // the filter's one input shape is the inlined shape the scan
+        // derived, and every commit's row arrived in it
+        let mut inliner = inliner.clone();
+        for (cid, t) in [(7, first), (8, second)] {
+            let inlined = inliner.lacks(&Value::Int(cid), t.shape()).unwrap();
+            assert!(Arc::ptr_eq(&inlined.shape, compiled.shapes()[0]));
+        }
     }
 
     #[test]

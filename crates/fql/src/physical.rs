@@ -56,7 +56,7 @@ pub(crate) struct Row<'a> {
 enum Body<'a> {
     /// A tuple as stored (or as a breaker built it), followed — when a
     /// scan inlines the key lazily — by the key parts it lacks.
-    Tuple(Cow<'a, Arc<TupleF>>, Option<&'a Lacks>),
+    Tuple(Cow<'a, Arc<TupleF>>, Option<&'a Arc<Lacks>>),
     /// Values over a shape an operator derived: a projection's, a join's.
     Values {
         name: Name,
@@ -66,11 +66,26 @@ enum Body<'a> {
 }
 
 impl<'a> Row<'a> {
-    fn tuple(key: Cow<'a, Value>, tuple: Cow<'a, Arc<TupleF>>) -> Row<'a> {
+    pub(crate) fn tuple(key: Cow<'a, Value>, tuple: Cow<'a, Arc<TupleF>>) -> Row<'a> {
+        Row::lazy(key, tuple, None)
+    }
+
+    /// `tuple` under `key`, followed by the key parts it `lacks` — what a
+    /// scan that inlines the key lazily hands on.
+    pub(crate) fn lazy(
+        key: Cow<'a, Value>,
+        tuple: Cow<'a, Arc<TupleF>>,
+        lacks: Option<&'a Arc<Lacks>>,
+    ) -> Row<'a> {
         Row {
             key,
-            body: Body::Tuple(tuple, None),
+            body: Body::Tuple(tuple, lacks),
         }
+    }
+
+    /// The key the row is stored under.
+    pub(crate) fn key(&self) -> &Value {
+        &self.key
     }
 
     /// The row's shape: the names its values go by.
@@ -83,7 +98,7 @@ impl<'a> Row<'a> {
     }
 
     /// `t(attr)` of the tuple this row stands for.
-    fn get(&self, attr: &str) -> Result<Cow<'_, Value>> {
+    pub(crate) fn get(&self, attr: &str) -> Result<Cow<'_, Value>> {
         match self.shape().position(attr) {
             Some(slot) => self.slot(slot),
             None => Err(no_such_attribute(attr)),
@@ -127,7 +142,7 @@ impl<'a> Row<'a> {
     /// The row keeping `slots`, over `shape` — its values moved, or, for a
     /// tuple that computes, the definitions selected (computed attributes
     /// stay computed, as `TupleF::project` keeps them).
-    fn project(self, shape: &Arc<Shape>, slots: &[usize]) -> Result<Row<'a>> {
+    pub(crate) fn project(self, shape: &Arc<Shape>, slots: &[usize]) -> Result<Row<'a>> {
         let body = match &self.body {
             Body::Tuple(t, None) if t.has_computed_attrs() => {
                 Body::Tuple(Cow::Owned(Arc::new(t.select(shape.clone(), slots))), None)
@@ -163,6 +178,77 @@ impl<'a> Row<'a> {
             } => Arc::new(TupleF::from_shape(name, shape, values)),
         };
         (self.key.into_owned(), tuple)
+    }
+
+    /// The tuple this row stands for, built where it is not one as it
+    /// stands — [`Self::into_entry`] without giving the row up.
+    fn to_tuple(&self) -> Arc<TupleF> {
+        match &self.body {
+            Body::Tuple(t, None) => Arc::clone(t),
+            Body::Tuple(t, Some(lacks)) => {
+                let parts = lacks.values(&self.key).cloned();
+                Arc::new(t.appended(lacks.shape.clone(), parts))
+            }
+            Body::Values {
+                name,
+                shape,
+                values,
+            } => Arc::new(TupleF::from_shape(
+                name.clone(),
+                shape.clone(),
+                values.clone(),
+            )),
+        }
+    }
+
+    /// The row as a node keeps it between deltas: a stored tuple stays
+    /// as it is, with the key parts it lacks still read off the key.
+    pub(crate) fn keep(self) -> Kept {
+        match self.body {
+            Body::Tuple(t, lacks) => Kept {
+                tuple: t.into_owned(),
+                lacks: lacks.cloned(),
+            },
+            Body::Values { .. } => Kept {
+                tuple: self.into_entry().1,
+                lacks: None,
+            },
+        }
+    }
+
+    /// `true` when the two rows stand for the same data
+    /// ([`TupleF::same_data`] of the tuples they stand for), read in place
+    /// where the rows share a shape that computes nothing: slot by slot, up
+    /// to the first difference.
+    pub(crate) fn same_data(&self, other: &Row<'_>) -> bool {
+        let shape = self.shape();
+        if Arc::ptr_eq(shape, other.shape()) && !shape.has_computed() {
+            return (0..shape.len()).all(|slot| match (self.slot(slot), other.slot(slot)) {
+                (Ok(a), Ok(b)) => a == b,
+                _ => false,
+            });
+        }
+        self.to_tuple().same_data(&other.to_tuple())
+    }
+}
+
+/// A row as a maintained view keeps it between deltas ([`Row::keep`]): a
+/// tuple, and the key parts it lacks, which [`Self::row`] reads off the
+/// key it is kept under.
+#[derive(Clone)]
+pub(crate) struct Kept {
+    tuple: Arc<TupleF>,
+    lacks: Option<Arc<Lacks>>,
+}
+
+impl Kept {
+    /// The row this is, under `key`.
+    pub(crate) fn row<'a>(&'a self, key: &'a Value) -> Row<'a> {
+        Row::lazy(
+            Cow::Borrowed(key),
+            Cow::Borrowed(&self.tuple),
+            self.lacks.as_ref(),
+        )
     }
 }
 
@@ -607,15 +693,18 @@ impl<'r> Build<'r> {
     }
 }
 
+/// A tuple and the key parts it lacks, as [`Body::Tuple`] holds them.
+type Lazy<'b> = (Cow<'b, Arc<TupleF>>, Option<&'b Arc<Lacks>>);
+
 /// A matched right row as the output reads it: the stored tuple with the
 /// key parts it lacks, or — computing — its inlined, frozen copy, made
 /// once per right row where `cache` keeps it.
 fn resolve<'b>(
-    inliner: &'b mut KeyInliner<'_>,
+    inliner: &'b mut KeyInliner,
     cache: Option<&'b mut Option<Arc<TupleF>>>,
     key: &Value,
     rt: &'b Arc<TupleF>,
-) -> Result<(Cow<'b, Arc<TupleF>>, Option<&'b Lacks>)> {
+) -> Result<Lazy<'b>> {
     if !rt.has_computed_attrs() {
         return Ok((Cow::Borrowed(rt), inliner.lacks(key, rt.shape())));
     }

@@ -100,17 +100,6 @@ pub(crate) fn key_map(rel: &RelationF) -> Result<PMap<Value, Arc<TupleF>>> {
     Ok(PMap::from_sorted_vec(entries))
 }
 
-/// Wraps a merged map as an output relation shaped like `template`
-/// (same name and key attributes, unconstrained like every operator
-/// output).
-fn from_merged(template: &RelationF, map: PMap<Value, Arc<TupleF>>) -> RelationF {
-    RelationF::from_stored_map(
-        template.name(),
-        &crate::filter::key_attr_strs(template),
-        map,
-    )
-}
-
 /// Compares two same-key tuples by their cached data-key fingerprints
 /// (hash first, full key only on hash equality), reporting the first
 /// materialization error through `err` (the merge combiners cannot return
@@ -161,7 +150,7 @@ pub fn union(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
         // left-biased key merge; no data keys needed — the key decides
         out = out.with_entry(
             name.as_ref(),
-            FnValue::from(from_merged(&template, ma.merge_union(&mb))),
+            FnValue::from(template.with_stored_map(ma.merge_union(&mb))),
         );
     }
     Ok(out)
@@ -186,7 +175,7 @@ pub fn intersect(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
         if let Some(e) = err {
             return Err(e);
         }
-        out = out.with_entry(name.as_ref(), FnValue::from(from_merged(ra, merged)));
+        out = out.with_entry(name.as_ref(), FnValue::from(ra.with_stored_map(merged)));
     }
     Ok(out)
 }
@@ -212,7 +201,7 @@ pub fn minus(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
         if let Some(e) = err {
             return Err(e);
         }
-        out = out.with_entry(name.as_ref(), FnValue::from(from_merged(ra, merged)));
+        out = out.with_entry(name.as_ref(), FnValue::from(ra.with_stored_map(merged)));
     }
     Ok(out)
 }

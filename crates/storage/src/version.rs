@@ -252,23 +252,30 @@ impl<T: Clone> VersionedRoot<T> {
     /// The one writer routine: takes every lane's write lock in index
     /// order (two installers cannot deadlock), checks `expected` once —
     /// with all lanes held they all hold the same snapshot — writes every
-    /// lane, and only then releases. The last clone of what the lanes held
-    /// before is dropped after the locks are.
+    /// lane, and only then releases. The guards live on the stack (a root
+    /// has at most 16 lanes), so an install allocates nothing of its own.
+    /// The last clone of what the lanes held before is dropped after the
+    /// locks are.
     pub fn try_install(&self, expected: Version, value: T) -> Result<Version, VersionConflict> {
-        let mut guards: Vec<_> = self.lanes.iter().map(|lane| lane.0.write()).collect();
-        let found = guards[0].version;
+        let mut guards: [Option<_>; MAX_LANES] = std::array::from_fn(|_| None);
+        for (guard, lane) in guards.iter_mut().zip(self.lanes.iter()) {
+            *guard = Some(lane.0.write());
+        }
+        let held = guards.iter_mut().map_while(Option::as_mut);
+        let mut held = held.map(|guard| &mut **guard);
+        let first = held.next().expect("a root has a lane");
+        let found = first.version;
         if found != expected {
             return Err(VersionConflict { expected, found });
         }
         let version = expected + 1;
         let next = Snapshot { version, value };
-        let (first, rest) = guards.split_first_mut().expect("a root has a lane");
-        for lane in rest {
+        for lane in held {
             // drops a clone of what lane 0 still holds: for a persistent
             // value a refcount step, nothing is freed under the locks
-            **lane = next.clone();
+            *lane = next.clone();
         }
-        let replaced = std::mem::replace(&mut **first, next);
+        let replaced = std::mem::replace(first, next);
         drop(guards);
         drop(replaced);
         Ok(version)

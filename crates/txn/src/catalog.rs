@@ -4,10 +4,12 @@
 //! plan into a [`MaintainedView`] (see `fdm-fql`'s `ivm` module) and
 //! subscribes it to the store's commit stream. The [`DbDelta`] of version
 //! v is a property of the commit, not of a view: `ViewCatalog::observe`
-//! computes it once, from the roots on either side of the install, and
-//! every view applies that same delta *under the version watermark the
-//! commit installed*, so reading a view always answers "the view as of
-//! version v" for a concrete, known v.
+//! computes it once — from the commit's own writes when its working copy
+//! installed as it is (each staged write remembered the tuple it
+//! replaced), else by looking the written keys up in the roots on either
+//! side of the install — and every view applies that same delta *under
+//! the version watermark the commit installed*, so reading a view always
+//! answers "the view as of version v" for a concrete, known v.
 //!
 //! Commits can reach the catalog out of version order (they install in
 //! order under the commit sequencer, but reach the catalog after it is
@@ -23,12 +25,13 @@
 
 use crate::writeset::Op;
 use fdm_core::delta::{DbDelta, EntryDelta, TupleChange};
-use fdm_core::{DatabaseF, FdmError, Name, Result, Value};
+use fdm_core::{DatabaseF, FdmError, Name, Result, TupleF, Value};
 use fdm_fql::ivm::{IvmStats, MaintainedView};
 use fdm_fql::plan::Query;
 use fdm_storage::Version;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// When a registered view is brought forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,23 +79,29 @@ pub struct ViewCatalog {
 
 impl ViewCatalog {
     /// Feeds one installed commit — `before` is the root it replaced,
-    /// `after` the one it installed — to the catalog. Called from the
-    /// store's commit bookkeeping *after* the root is installed and the
-    /// commit is in the time-travel history. Never fails the commit:
-    /// per-view errors poison that view only. The delta is built outside
-    /// the lock, and not at all while no view is registered: one registered
-    /// after that check snapshots at or past `version` and never needs it.
+    /// `after` the one it installed, `replaced` (when the commit vouches
+    /// for them) the tuple each of its `ops` replaced — to the catalog.
+    /// Called from the store's commit bookkeeping *after* the root is
+    /// installed and the commit is in the time-travel history. Never fails
+    /// the commit: per-view errors poison that view only. The delta is
+    /// built outside the lock, and not at all while no view is registered:
+    /// one registered after that check snapshots at or past `version` and
+    /// never needs it.
     pub(crate) fn observe(
         &self,
         version: Version,
         ops: &[Op],
+        replaced: Option<&[Option<Arc<TupleF>>]>,
         before: &DatabaseF,
         after: &DatabaseF,
     ) {
         if self.inner.lock().views.is_empty() {
             return;
         }
-        let delta = delta_from_ops(before, after, ops);
+        let delta = match replaced {
+            Some(replaced) => delta_from_writes(ops, replaced),
+            None => delta_from_ops(before, after, ops),
+        };
         let mut inner = self.inner.lock();
         inner.deltas_built += 1;
         inner.pending.insert(version, (delta, after.clone()));
@@ -272,14 +281,7 @@ fn delta_from_ops(base: &DatabaseF, after: &DatabaseF, ops: &[Op]) -> DbDelta {
         for key in keys {
             let old = old_rel.lookup(&key);
             let new = new_rel.lookup(&key);
-            let same = match (&old, &new) {
-                (None, None) => true,
-                (Some(o), Some(n)) => o.eq_data(n),
-                _ => false,
-            };
-            if !same {
-                changes.push(TupleChange { key, old, new });
-            }
+            changes.extend(change(key, old, new));
         }
         if !changes.is_empty() {
             entries.push((rel, EntryDelta::Rows(changes)));
@@ -287,6 +289,59 @@ fn delta_from_ops(base: &DatabaseF, after: &DatabaseF, ops: &[Op]) -> DbDelta {
     }
     for name in replaced {
         entries.push((name, EntryDelta::Replaced));
+    }
+    DbDelta { entries }
+}
+
+/// One key's transition, `None` when it is none: absent on both sides,
+/// or the same data ([`TupleF::same_data`]).
+fn change(key: Value, old: Option<Arc<TupleF>>, new: Option<Arc<TupleF>>) -> Option<TupleChange> {
+    match (&old, &new) {
+        (None, None) => None,
+        (Some(o), Some(n)) if o.same_data(n) => None,
+        _ => Some(TupleChange { key, old, new }),
+    }
+}
+
+/// [`delta_from_ops`] for a commit whose working copy installed as it is,
+/// read off its own writes with no root lookup: `replaced[i]` is the tuple
+/// `ops[i]` replaced, so a key's old side is what its first write
+/// replaced and its new side what its last write left. The same delta,
+/// entry for entry (`commit_delta_equals_between`).
+fn delta_from_writes(ops: &[Op], replaced: &[Option<Arc<TupleF>>]) -> DbDelta {
+    let mut rebound: BTreeSet<&Name> = BTreeSet::new();
+    // every point write as (relation, key, op index), in that order
+    let mut writes: Vec<(&Name, &Value, usize)> = Vec::with_capacity(ops.len());
+    for (at, op) in ops.iter().enumerate() {
+        match op {
+            Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => writes.push((rel, key, at)),
+            Op::Assign { name, .. } | Op::Drop { name } => {
+                rebound.insert(name);
+            }
+        }
+    }
+    writes.sort_unstable();
+    let mut entries: Vec<(Name, EntryDelta)> = Vec::new();
+    for of_rel in writes.chunk_by(|a, b| a.0 == b.0) {
+        let rel = of_rel[0].0;
+        if rebound.contains(rel) {
+            continue; // the rebind supersedes the point writes
+        }
+        let mut changes = Vec::new();
+        for of_key in of_rel.chunk_by(|a, b| a.1 == b.1) {
+            let ((_, key, first), (.., last)) = (of_key[0], of_key[of_key.len() - 1]);
+            let new = match &ops[last] {
+                Op::Upsert { tuple, .. } => Some(Arc::clone(tuple)),
+                _ => None,
+            };
+            changes.extend(change(key.clone(), replaced[first].clone(), new));
+        }
+        if !changes.is_empty() {
+            entries.push((rel.clone(), EntryDelta::Rows(changes)));
+        }
+    }
+    for name in rebound {
+        entries.push((name.clone(), EntryDelta::Replaced));
     }
     DbDelta { entries }
 }
@@ -351,62 +406,196 @@ mod tests {
         entries.collect()
     }
 
+    /// One drawn write: `(kind, relation, key, age)`.
+    type Step = (usize, usize, i64, i64);
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0usize..8, 0usize..2, 1i64..7, 40i64..46), 1..10)
+    }
+
+    /// The ops one drawn step records against `current` (the database as
+    /// the transaction sees it so far; `base` is its snapshot): a delete,
+    /// an upsert of equal data under a fresh allocation, an `Assign` (or a
+    /// `Drop` + `Assign`) of the whole entry, a write back to the data the
+    /// snapshot held, or an upsert of new data.
+    fn step_ops(base: &DatabaseF, current: &DatabaseF, (kind, rel, key, age): Step) -> Vec<Op> {
+        let rel = Name::from(["customers", "products"][rel]);
+        let key = Value::Int(key);
+        let now = current.relation(&rel).unwrap().lookup(&key);
+        let tuple = customer(0, "Pat", age);
+        match (kind, now) {
+            (0, Some(_)) => vec![Op::Delete { rel, key }],
+            // equal data under a fresh allocation: not a change
+            (1, Some(t)) => vec![Op::Upsert {
+                rel,
+                key,
+                tuple: Arc::new((*t).clone()),
+            }],
+            (2 | 3, _) => {
+                let value = current
+                    .relation(&rel)
+                    .unwrap()
+                    .upsert_arc(key, tuple)
+                    .unwrap();
+                let assign = Op::Assign {
+                    name: rel.clone(),
+                    value: value.into(),
+                };
+                match kind {
+                    2 => vec![assign],
+                    _ => vec![Op::Drop { name: rel }, assign],
+                }
+            }
+            // back to what the snapshot held: no change if nothing else moved
+            (4, now) => match (base.relation(&rel).unwrap().lookup(&key), now) {
+                (Some(t), _) => vec![Op::Upsert {
+                    rel,
+                    key,
+                    tuple: Arc::new((*t).clone()),
+                }],
+                (None, Some(_)) => vec![Op::Delete { rel, key }],
+                (None, None) => Vec::new(),
+            },
+            _ => vec![Op::Upsert { rel, key, tuple }],
+        }
+    }
+
+    /// Stages `steps` on `txn` through the transaction API; returns the
+    /// entries it rebound.
+    fn stage(txn: &mut crate::Transaction, steps: &[Step]) -> BTreeSet<Name> {
+        let base = txn.db().clone();
+        let mut rebound = BTreeSet::new();
+        for &step in steps {
+            for op in step_ops(&base, txn.db(), step) {
+                match op {
+                    Op::Upsert { rel, key, tuple } => txn.upsert(&rel, key, (*tuple).clone()),
+                    Op::Delete { rel, key } => txn.delete(&rel, &key),
+                    Op::Assign { name, value } => {
+                        rebound.insert(name.clone());
+                        txn.assign(&name, value)
+                    }
+                    Op::Drop { name } => txn.drop_entry(&name),
+                }
+                .unwrap();
+            }
+        }
+        rebound
+    }
+
+    /// `ours` ≡ `DbDelta::between(before, after)` by key and data, except
+    /// that an entry in `rebound` may be reported coarser — `Replaced` —
+    /// and nothing else may differ; and a view fed `ours` lands on the
+    /// recompute.
+    fn matches_between(
+        ours: &DbDelta,
+        before: &DatabaseF,
+        after: &DatabaseF,
+        rebound: &BTreeSet<Name>,
+    ) {
+        let ours_rows = delta_rows(ours);
+        let mut theirs = delta_rows(&DbDelta::between(before, after).unwrap());
+        for (name, rows) in &ours_rows {
+            match rows {
+                None => {
+                    prop_assert!(rebound.contains(name), "{name} was not rebound");
+                    theirs.remove(name);
+                }
+                Some(rows) => prop_assert!(!rows.is_empty(), "{name}: an empty entry"),
+            }
+        }
+        let ours_rows: DeltaRows = ours_rows
+            .into_iter()
+            .filter(|(_, rows)| rows.is_some())
+            .collect();
+        prop_assert_eq!(ours_rows, theirs);
+
+        let mut view = MaintainedView::new("olds", olds_query(), before).unwrap();
+        view.apply(after, ours).unwrap();
+        prop_assert_eq!(
+            keyed(&view.relation()),
+            keyed(&olds_query().eval(after).unwrap())
+        );
+    }
+
     proptest! {
         /// The once-per-commit delta ≡ `DbDelta::between` of the roots on
         /// either side, by key and data, for random transactions over two
         /// relations: a key written twice, an upsert then a delete, an
-        /// upsert of equal data, point writes beside an `Assign` (or a
-        /// `Drop` + `Assign`) of the same entry. A rebound entry is
-        /// reported coarser — `Replaced` — and nothing else may differ. A
-        /// view fed the delta lands on the recompute.
+        /// upsert of equal data, a write back to the snapshot's data, point
+        /// writes beside an `Assign` (or a `Drop` + `Assign`) of the same
+        /// entry. A rebound entry is reported coarser — `Replaced` — and
+        /// nothing else may differ. A view fed the delta lands on the
+        /// recompute.
+        ///
+        /// Both builders are checked — the lookups into the two roots and
+        /// the read-off of the transaction's own writes — and then the
+        /// store's three paths to them: a working copy that installs as it
+        /// is (its own writes), one that replays because a commit landed
+        /// between its snapshot and its install, and a `commit_batch`
+        /// group (both lookups).
         #[test]
-        fn commit_delta_equals_between(
-            steps in prop::collection::vec((0usize..7, 0usize..2, 1i64..7, 40i64..46), 1..10),
-        ) {
+        fn commit_delta_equals_between(steps in steps()) {
             let before = retail_db();
             let mut after = before.clone();
             let mut ops: Vec<Op> = Vec::new();
+            let mut replaced: Vec<Option<Arc<TupleF>>> = Vec::new();
             let mut rebound: BTreeSet<Name> = BTreeSet::new();
-            for (kind, rel, key, age) in steps {
-                let rel = Name::from(["customers", "products"][rel]);
-                let key = Value::Int(key);
-                let current = after.relation(&rel).unwrap().lookup(&key);
-                let tuple = customer(0, "Pat", age);
-                let step: Vec<Op> = match (kind, current) {
-                    (0, Some(_)) => vec![Op::Delete { rel, key }],
-                    // equal data under a fresh allocation: not a change
-                    (1, Some(t)) => vec![Op::Upsert { rel, key, tuple: Arc::new((*t).clone()) }],
-                    (2 | 3, _) => {
-                        let value = after.relation(&rel).unwrap().upsert_arc(key, tuple).unwrap();
-                        let assign = Op::Assign { name: rel.clone(), value: value.into() };
-                        rebound.insert(rel.clone());
-                        match kind {
-                            2 => vec![assign],
-                            _ => vec![Op::Drop { name: rel }, assign],
+            for &step in &steps {
+                for op in step_ops(&before, &after, step) {
+                    replaced.push(match &op {
+                        Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => {
+                            after.relation(rel).unwrap().lookup(key)
                         }
-                    }
-                    _ => vec![Op::Upsert { rel, key, tuple }],
-                };
-                after = crate::writeset::apply_ops(&after, &step).unwrap();
-                ops.extend(step);
-            }
-            let ours = delta_rows(&delta_from_ops(&before, &after, &ops));
-            let mut theirs = delta_rows(&DbDelta::between(&before, &after).unwrap());
-            for (name, rows) in &ours {
-                match rows {
-                    None => {
-                        prop_assert!(rebound.contains(name), "{name} was not rebound");
-                        theirs.remove(name);
-                    }
-                    Some(rows) => prop_assert!(!rows.is_empty(), "{name}: an empty entry"),
+                        Op::Assign { name, .. } | Op::Drop { name } => {
+                            rebound.insert(name.clone());
+                            None
+                        }
+                    });
+                    after = crate::writeset::apply_ops(&after, std::slice::from_ref(&op)).unwrap();
+                    ops.push(op);
                 }
             }
-            let ours: DeltaRows = ours.into_iter().filter(|(_, rows)| rows.is_some()).collect();
-            prop_assert_eq!(ours, theirs);
+            matches_between(&delta_from_ops(&before, &after, &ops), &before, &after, &rebound);
+            matches_between(&delta_from_writes(&ops, &replaced), &before, &after, &rebound);
 
-            let mut view = MaintainedView::new("olds", olds_query(), &before).unwrap();
-            view.apply(&after, &delta_from_ops(&before, &after, &ops)).unwrap();
-            prop_assert_eq!(keyed(&view.relation()), keyed(&olds_query().eval(&after).unwrap()));
+            // a ledger no drawn step touches, for the writer that lands
+            // beside or between
+            let shop = retail_db().with_relation(fdm_core::RelationF::new("ledger", &["id"]));
+            let ledger = |t: &mut crate::Transaction| {
+                t.upsert("ledger", Value::Int(1), (*customer(1, "L", 1)).clone()).unwrap()
+            };
+            for path in ["as it is", "replayed", "batched"] {
+                let store = Store::new(shop.clone());
+                // a manual view keeps every commit's delta pending
+                store.register_view_with("late", olds_query(), RefreshMode::Manual).unwrap();
+                let mut txn = store.begin();
+                let rebound = stage(&mut txn, &steps);
+                match path {
+                    "as it is" => drop(txn.commit().unwrap()),
+                    "replayed" => {
+                        store.run(|t| { ledger(t); Ok(()) }).unwrap();
+                        txn.commit().unwrap();
+                    }
+                    _ => {
+                        let mut other = store.begin();
+                        ledger(&mut other);
+                        let policy = crate::BatchPolicy::default();
+                        for outcome in store.commit_batch(vec![txn, other], &policy) {
+                            outcome.unwrap();
+                        }
+                    }
+                }
+                let head = store.version();
+                let ours = store.views.inner.lock().pending.get(&head).map(|(d, _)| d.clone());
+                match ours {
+                    Some(ours) => {
+                        let before = store.as_of(head - 1).unwrap();
+                        matches_between(&ours, &before, &store.as_of(head).unwrap(), &rebound)
+                    }
+                    // a transaction that wrote nothing installs nothing
+                    None => prop_assert!(path == "as it is" && head == 0, "{path}: no delta"),
+                }
+            }
         }
     }
 
@@ -501,13 +690,13 @@ mod tests {
         .unwrap();
 
         // v2 arrives first: the view must NOT jump the v1 gap
-        catalog.observe(2, &[upsert_op(10, "Yan", 61)], &db1, &db2);
+        catalog.observe(2, &[upsert_op(10, "Yan", 61)], None, &db1, &db2);
         let (v, rel) = catalog.read("olds").unwrap();
         assert_eq!((v, rel.len()), (0, 2), "gap holds the watermark at v0");
 
         // the straggler fills the gap: both drain, in order, each through
         // the delta its own commit built
-        catalog.observe(1, &[upsert_op(9, "Zoe", 70)], &db0, &db1);
+        catalog.observe(1, &[upsert_op(9, "Zoe", 70)], None, &db0, &db1);
         let (v, rel) = catalog.read("olds").unwrap();
         assert_eq!(v, 2);
         assert_eq!(keyed(&rel), keyed(&olds_query().eval(&db2).unwrap()));

@@ -327,6 +327,15 @@ impl Group {
     }
 }
 
+/// A transaction's working copy, brought to its commit as the candidate
+/// root: it installs as it is when nothing committed since its snapshot.
+pub(crate) struct Working {
+    pub(crate) db: DatabaseF,
+    /// The tuple each recorded op replaced, beside it (see
+    /// `Transaction`): `None` when the transaction cannot vouch for them.
+    pub(crate) replaced: Option<Vec<Option<Arc<TupleF>>>>,
+}
+
 /// What [`Store::install`] hands to the post-install steps.
 pub(crate) struct Installed {
     pub(crate) version: Version,
@@ -334,6 +343,11 @@ pub(crate) struct Installed {
     /// commit's delta.
     before: DatabaseF,
     db: DatabaseF,
+    /// The tuple each of the group's ops replaced, when the working copy
+    /// installed as it is: the commit's delta is then read off its own
+    /// writes. `None` for a replayed group and a batch, whose delta looks
+    /// its keys up in `before` and `db`.
+    replaced: Option<Vec<Option<Arc<TupleF>>>>,
     /// The WAL's answer to the enqueue, on a durable store: `Ok(true)`
     /// means this committer closes its WAL group.
     wal: Option<Result<bool, DurabilityError>>,
@@ -818,11 +832,11 @@ impl Store {
     pub(crate) fn commit_group(
         &self,
         mut group: Group,
-        working: Option<DatabaseF>,
+        working: Option<Working>,
         policy: &CommitPolicy,
         outcomes: &mut [Option<Result<CommitOutcome>>],
     ) {
-        let committed = self.try_commit_group(&mut group, working.as_ref(), policy, outcomes);
+        let committed = self.try_commit_group(&mut group, working, policy, outcomes);
         // `Ok(None)`: every member lost validation and has its own error
         if let Some(outcome) = committed.transpose() {
             for m in &group.members {
@@ -834,7 +848,7 @@ impl Store {
     fn try_commit_group(
         &self,
         group: &mut Group,
-        working: Option<&DatabaseF>,
+        working: Option<Working>,
         policy: &CommitPolicy,
         outcomes: &mut [Option<Result<CommitOutcome>>],
     ) -> Result<Option<CommitOutcome>> {
@@ -919,13 +933,15 @@ impl Store {
     /// ops replayed onto the current root — install it, append to the
     /// commit log and the history, enqueue the WAL record. Memory only:
     /// no sleep, no syscall, no view maintenance, no checkpoint, and what
-    /// the log and the history evict is dropped after release.
+    /// the log and the history evict is dropped after release. The
+    /// candidate moves into `Installed`; the root and the history each
+    /// take one clone of it.
     ///
     /// `Ok(None)`: no member survived validation and nothing installed.
     pub(crate) fn install(
         &self,
         group: &mut Group,
-        working: Option<&DatabaseF>,
+        working: Option<Working>,
         outcomes: &mut [Option<Result<CommitOutcome>>],
     ) -> Result<Option<Installed>> {
         let mut log = self.sequencer();
@@ -949,9 +965,9 @@ impl Store {
             group.compact();
             self.seal(group)?;
         }
-        let db = match working {
-            Some(db) if group.members[0].base_version == current.version => db.clone(),
-            _ => apply_ops(&current.value, &group.ops)?,
+        let (db, replaced) = match working {
+            Some(w) if group.members[0].base_version == current.version => (w.db, w.replaced),
+            _ => (apply_ops(&current.value, &group.ops)?, None),
         };
         let version = self
             .root
@@ -970,6 +986,7 @@ impl Store {
             version,
             before: current.value,
             db,
+            replaced,
             wal,
         }))
     }
@@ -995,13 +1012,16 @@ impl Store {
             version,
             before,
             db,
+            replaced,
             wal,
         } = installed;
         // Maintain registered views before the WAL section: the commit is
         // installed and in the history, so views must see it even if the
         // durability acknowledgement below fails. Per-view maintenance
         // errors never fail the commit (they poison that view only).
-        self.views.observe(version, &group.ops, &before, &db);
+        let replaced = replaced.as_deref();
+        self.views
+            .observe(version, &group.ops, replaced, &before, &db);
         let (Some(d), Some(enqueued)) = (self.durable.as_ref(), wal) else {
             return Ok(());
         };

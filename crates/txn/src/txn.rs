@@ -12,10 +12,9 @@
 //! newest root and win; overlapping writers get
 //! [`FdmError::TransactionConflict`] — first committer wins.
 
-use crate::store::{CommitOutcome, CommitPolicy, Group, Store};
+use crate::store::{CommitOutcome, CommitPolicy, Group, Store, Working};
 use crate::writeset::{Op, WriteSet};
-use fdm_core::{DatabaseF, FdmError, FnValue, Name, Result, TupleF, Value};
-use fdm_fql::{db_delete, db_upsert_arc};
+use fdm_core::{DatabaseF, FdmError, FnValue, Name, RelationF, Result, TupleF, Value};
 use fdm_storage::Version;
 use std::sync::Arc;
 
@@ -27,6 +26,13 @@ pub struct Transaction {
     working: DatabaseF,
     writes: WriteSet,
     ops: Vec<Op>,
+    /// Beside each recorded op, the tuple its point write replaced in the
+    /// working copy (`None` for an insert and for an entry op): the old
+    /// side of the commit's delta when the working copy installs as it
+    /// is. `None` altogether once a point write met a relation that is
+    /// not one plain stored map, where what the map held need not be what
+    /// a lookup answers.
+    replaced: Option<Vec<Option<Arc<TupleF>>>>,
 }
 
 impl Transaction {
@@ -37,6 +43,36 @@ impl Transaction {
             working: snapshot,
             writes: WriteSet::default(),
             ops: Vec::new(),
+            replaced: Some(Vec::new()),
+        }
+    }
+
+    /// Rebinds relation `rel` of the working copy to what `write` makes of
+    /// it, and records `op` beside the tuple the write replaced.
+    fn write(
+        &mut self,
+        rel: &str,
+        op: Op,
+        write: impl FnOnce(&RelationF) -> Result<(RelationF, Option<Arc<TupleF>>)>,
+    ) -> Result<()> {
+        let current = self.working.relation_ref(rel)?;
+        let plain = current.is_plain_stored();
+        let (written, old) = write(current)?;
+        self.working = self.working.with_entry(rel, FnValue::from(written));
+        if let Op::Upsert { rel, key, .. } | Op::Delete { rel, key } = &op {
+            self.writes.touch_key(rel, key);
+        }
+        self.record(op, old, plain);
+        Ok(())
+    }
+
+    /// Records `op`; `old` is what it replaced, which the commit's delta
+    /// can trust only where the relation was `plain`.
+    fn record(&mut self, op: Op, old: Option<Arc<TupleF>>, plain: bool) {
+        self.ops.push(op);
+        match &mut self.replaced {
+            Some(replaced) if plain => replaced.push(old),
+            replaced => *replaced = None,
         }
     }
 
@@ -73,27 +109,23 @@ impl Transaction {
         // one shared tuple for the working copy, the recorded op (and so
         // the WAL record) and any replay
         let tuple = Arc::new(tuple);
-        self.working = db_upsert_arc(&self.working, rel, key.clone(), Arc::clone(&tuple))?;
-        let rel_name = Name::from(rel);
-        self.writes.touch_key(&rel_name, &key);
-        self.ops.push(Op::Upsert {
-            rel: rel_name,
+        let staged = Arc::clone(&tuple);
+        let written = key.clone();
+        let op = Op::Upsert {
+            rel: Name::from(rel),
             key,
             tuple,
-        });
-        Ok(())
+        };
+        self.write(rel, op, |r| r.upsert_replacing(written, staged))
     }
 
     /// `del rel[key]`.
     pub fn delete(&mut self, rel: &str, key: &Value) -> Result<()> {
-        self.working = db_delete(&self.working, rel, key)?;
-        let rel_name = Name::from(rel);
-        self.writes.touch_key(&rel_name, key);
-        self.ops.push(Op::Delete {
-            rel: rel_name,
+        let op = Op::Delete {
+            rel: Name::from(rel),
             key: key.clone(),
-        });
-        Ok(())
+        };
+        self.write(rel, op, |r| r.delete_replacing(key))
     }
 
     /// `rel[key][attr] = value`.
@@ -138,7 +170,7 @@ impl Transaction {
         self.working = self.working.with_entry(name, fv.clone());
         let n = Name::from(name);
         self.writes.touch_entry(&n);
-        self.ops.push(Op::Assign { name: n, value: fv });
+        self.record(Op::Assign { name: n, value: fv }, None, true);
         Ok(())
     }
 
@@ -147,7 +179,7 @@ impl Transaction {
         self.working = self.working.without_entry(name)?;
         let n = Name::from(name);
         self.writes.touch_entry(&n);
-        self.ops.push(Op::Drop { name: n });
+        self.record(Op::Drop { name: n }, None, true);
         Ok(())
     }
 
@@ -205,9 +237,13 @@ impl Transaction {
         }
         let mut group = Group::default();
         group.push(0, self.base_version, self.writes, self.ops);
+        let working = Working {
+            db: self.working,
+            replaced: self.replaced,
+        };
         let mut outcome = [None];
         self.store
-            .commit_group(group, Some(self.working), policy, &mut outcome);
+            .commit_group(group, Some(working), policy, &mut outcome);
         let [outcome] = outcome;
         outcome.expect("the sole member got a result")
     }

@@ -5,7 +5,8 @@
 //! * (a) a tuple reached through every construction path answers exactly
 //!   like a plain attribute list (first definition of a name wins): names
 //!   in declaration order, `get`, `materialize`, the cached and uncached
-//!   data key, `eq_data`, and the encoded bytes;
+//!   data key, `eq_data` (and `same_data`, its slot-by-slot fast path
+//!   over a shared shape), and the encoded bytes;
 //! * (b) heterogeneous relations — tuples of one relation with different
 //!   attribute sets and declaration orders, a computed attribute, a
 //!   composite key partly carried — go through both joins, `project`,
@@ -239,6 +240,19 @@ fn assert_is(t: &TupleF, name: &str, attrs: &Attrs, what: &str) {
     }
     let other = ref_with_attr(attrs, "zz", Value::str("something else"));
     assert!(!t.eq_data(&built("other", &other)), "{what}: unequal data");
+    // `same_data` is `eq_data`: across shapes, and slot by slot over the
+    // shape a replaced attribute keeps
+    assert!(
+        t.same_data(t) && t.same_data(&reference),
+        "{what}: same_data"
+    );
+    assert!(!t.same_data(&built("other", &other)), "{what}: same_data");
+    for (name, v) in attrs {
+        for twin in [t.with_attr(name, v.clone()), t.with_attr(name, "moved")] {
+            assert!(Arc::ptr_eq(t.shape(), twin.shape()), "{what}: one shape");
+            assert_eq!(t.same_data(&twin), t.eq_data(&twin), "{what}: same_data");
+        }
+    }
     assert_eq!(
         encode_ops(&upsert_of(t)).unwrap(),
         ref_encoded(name, attrs),

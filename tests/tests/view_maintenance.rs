@@ -21,7 +21,12 @@
 //! * the statelessness pins (PR 20): scan, filter and project keep a
 //!   relation only as the root or as a re-read input, the row count
 //!   `apply` reports is the size of the output's own diff, and a rebind
-//!   of the scanned relation recomputes once, where state lives.
+//!   of the scanned relation recomputes once, where state lives;
+//! * the one-row pin: once warm, a one-row update the filter rejects on
+//!   both sides allocates nothing inside `apply` — the scan keeps its
+//!   key-inlining memo and hands on the stored tuple, so no inlined shape
+//!   or inlined tuple is built for a row nobody keeps. Counted with a
+//!   thread-local counting allocator, so it cannot flake.
 
 use fdm_core::delta::{diff_relations, DbDelta, EntryDelta};
 use fdm_core::{DatabaseF, FnValue, RelationF, TupleF, Value};
@@ -35,6 +40,48 @@ use fdm_tests::assert_view_equiv;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
+// with a const initializer and no destructor, so touching it neither
+// allocates nor can run during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
 
 /// Applies `delta` and checks both oracles: the view equals a recompute
 /// over `after`, and the row count `apply` reports is the size of the
@@ -322,6 +369,42 @@ fn one_row_deltas_allocate_logarithmically() {
             // the shared result is still the right one (once per plan: the
             // recompute is the expensive part of this test)
             assert_view_equiv(&view, &db3, &format!("n={n}, plan={name}"));
+        }
+    }
+}
+
+/// A one-row update the filter rejects on both sides (`nk` stays 1, so
+/// `nk > 1` fails before and after) allocates nothing inside `apply` once
+/// the view is warm, for both benchmark-shaped views — whether the new
+/// tuple shares its shape with the old one (a replaced attribute) or was
+/// built on its own. A scan that derived the inlined shape per apply, or
+/// inlined both sides of the change eagerly, would allocate here.
+#[test]
+fn rejected_one_row_updates_allocate_nothing() {
+    for n in [2_000i64, 32_000] {
+        let db0 = scaled_db(n);
+        let [group, project, _] = benchmark_shapes();
+        for (name, plan) in [group, project] {
+            let mut view = MaintainedView::new(name, plan, &db0).expect("build");
+            let mut db = db0.clone();
+            for step in 0..4i64 {
+                let id = 6 * (n / 12 + step); // `1 + id % 6` = 1: rejected
+                let stored = db.relation("base").unwrap().lookup(&Value::Int(id));
+                let tuple = match step % 2 {
+                    0 => base_row(1000 + step, 1),
+                    _ => stored.unwrap().with_attr("wk", 2000 + step),
+                };
+                let after = db_upsert(&db, "base", Value::Int(id), tuple).unwrap();
+                let delta = DbDelta::between(&db, &after).unwrap();
+                let (changed, allocs) = allocations(|| view.apply(&after, &delta));
+                let ctx = format!("n={n}, {name}, step {step}");
+                assert_eq!(changed.expect("delta application"), 0, "{ctx}");
+                if step > 0 {
+                    assert_eq!(allocs, 0, "{ctx}: a rejected row allocated");
+                }
+                db = after;
+            }
+            assert_view_equiv(&view, &db, &format!("n={n}, {name}"));
         }
     }
 }
