@@ -6,7 +6,7 @@
 use crate::catalog::{RefreshMode, ViewCatalog};
 use crate::history::History;
 use crate::txn::Transaction;
-use crate::writeset::{apply_ops, Op, WriteSet};
+use crate::writeset::{apply_ops_replacing, undo_ops, Op, WriteSet};
 use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_durability::{
     check_record_payload, encode_ops, list_checkpoints, prune_checkpoints, recover,
@@ -131,9 +131,11 @@ pub struct StoreConfig {
     /// Default policy used by [`Transaction::commit`] and
     /// [`Store::run`].
     pub policy: CommitPolicy,
-    /// Versions retained for [`Store::as_of`] time travel. Persistence
-    /// makes retention cheap — each entry is one root pointer sharing all
-    /// unchanged structure with its neighbors.
+    /// Versions retained for [`Store::as_of`] time travel. Each retained
+    /// version costs its commit's undo — the recorded ops inverted, with
+    /// the tuples they replaced — not a root: the path a commit superseded
+    /// is freed a few commits later, and a past root is built only when
+    /// asked for.
     pub history_capacity: usize,
     /// Commit-log entries retained for conflict validation.
     pub log_cap: usize,
@@ -231,7 +233,8 @@ pub struct Store {
     /// Default commit policy (see [`Transaction::commit_with`] to
     /// override per commit).
     pub(crate) policy: CommitPolicy,
-    /// Committed roots for time travel, recorded on every write commit.
+    /// The head root and each retained version's undo, for time travel;
+    /// every write commit pushes one.
     pub(crate) history: History,
     /// The WAL + checkpoint machinery, when this store is durable.
     pub(crate) durable: Option<Durable>,
@@ -332,8 +335,10 @@ impl Group {
 pub(crate) struct Working {
     pub(crate) db: DatabaseF,
     /// The tuple each recorded op replaced, beside it (see
-    /// `Transaction`): `None` when the transaction cannot vouch for them.
-    pub(crate) replaced: Option<Vec<Option<Arc<TupleF>>>>,
+    /// `Transaction`).
+    pub(crate) replaced: Vec<Option<Arc<TupleF>>>,
+    /// `false` when the commit's delta cannot trust `replaced`.
+    pub(crate) plain: bool,
 }
 
 /// What [`Store::install`] hands to the post-install steps.
@@ -344,9 +349,9 @@ pub(crate) struct Installed {
     before: DatabaseF,
     db: DatabaseF,
     /// The tuple each of the group's ops replaced, when the working copy
-    /// installed as it is: the commit's delta is then read off its own
-    /// writes. `None` for a replayed group and a batch, whose delta looks
-    /// its keys up in `before` and `db`.
+    /// installed as it is and wrote only plain stored maps: the commit's
+    /// delta is then read off its own writes. `None` for a replayed group
+    /// and a batch, whose delta looks its keys up in `before` and `db`.
     replaced: Option<Vec<Option<Arc<TupleF>>>>,
     /// The WAL's answer to the enqueue, on a durable store: `Ok(true)`
     /// means this committer closes its WAL group.
@@ -543,10 +548,12 @@ impl Store {
     }
 
     /// The committed database as of `version`: the newest recorded
-    /// version ≤ `version`, replayed from the store's [`History`].
-    /// Errors with [`FdmError::VersionEvicted`] below the retained
-    /// window. Never blocks writers — the history read lock is held only
-    /// to clone one persistent root.
+    /// version ≤ `version`, from the store's [`History`]. Errors with
+    /// [`FdmError::VersionEvicted`] below the retained window. The head,
+    /// or a version asked for before, is one clone; any other version is
+    /// built once by applying undos to the nearest newer root the history
+    /// knows, and kept until it is evicted. Never blocks writers: the
+    /// history read lock is held only to clone a root and the undos.
     pub fn as_of(&self, version: Version) -> Result<DatabaseF> {
         self.history.as_of(version)
     }
@@ -557,7 +564,8 @@ impl Store {
     }
 
     /// Bounds the time-travel log to the newest `keep_last_n` versions;
-    /// returns how many entries were evicted.
+    /// returns how many entries were evicted. They are freed after the
+    /// history lock is released, so commits do not wait on the frees.
     pub fn compact_history(&self, keep_last_n: usize) -> usize {
         self.history.compact(keep_last_n)
     }
@@ -930,12 +938,13 @@ impl Store {
     /// every member against the log (a loser gets its terminal conflict
     /// and leaves the group), build the candidate — `working` as it is
     /// when the root has not moved since its snapshot, else the group's
-    /// ops replayed onto the current root — install it, append to the
-    /// commit log and the history, enqueue the WAL record. Memory only:
-    /// no sleep, no syscall, no view maintenance, no checkpoint, and what
-    /// the log and the history evict is dropped after release. The
-    /// candidate moves into `Installed`; the root and the history each
-    /// take one clone of it.
+    /// ops replayed onto the current root — build its undo from what each
+    /// op replaced, install it, append to the commit log, push the undo
+    /// and the new head to the history, enqueue the WAL record. Memory
+    /// only: no sleep, no syscall, no view maintenance, no checkpoint, no
+    /// second replay, and the superseded head the history hands back and
+    /// what the log and the history evict are dropped after release. The candidate moves into
+    /// `Installed`; the root and the history each take one clone of it.
     ///
     /// `Ok(None)`: no member survived validation and nothing installed.
     pub(crate) fn install(
@@ -965,28 +974,34 @@ impl Store {
             group.compact();
             self.seal(group)?;
         }
-        let (db, replaced) = match working {
-            Some(w) if group.members[0].base_version == current.version => (w.db, w.replaced),
-            _ => (apply_ops(&current.value, &group.ops)?, None),
+        let (db, replaced, plain) = match working {
+            Some(w) if group.members[0].base_version == current.version => {
+                (w.db, w.replaced, w.plain)
+            }
+            _ => {
+                let (db, replaced) = apply_ops_replacing(&current.value, &group.ops)?;
+                (db, replaced, false)
+            }
         };
+        let undo = undo_ops(&current.value, &db, &group.ops, &replaced);
         let version = self
             .root
             .try_install(current.version, db.clone())
             .expect("only the sequencer's holder installs");
         log.push_back((version, Arc::clone(&group.writes)));
         let trimmed = (log.len() > self.log_cap).then(|| log.pop_front());
-        let evicted = self.history.push(version, db.clone());
+        let retired = self.history.push(version, db.clone(), Some(undo));
         let wal = match (&self.durable, &group.payload) {
             (Some(d), Some(payload)) => Some(d.wal.enqueue(version, payload)),
             _ => None,
         };
         drop(log);
-        drop((trimmed, evicted));
+        drop((trimmed, retired));
         Ok(Some(Installed {
             version,
             before: current.value,
             db,
-            replaced,
+            replaced: plain.then_some(replaced),
             wal,
         }))
     }
@@ -1678,6 +1693,66 @@ mod tests {
             assert!(store.sequencer.try_lock().is_some());
         });
         assert_eq!(store.version(), 1);
+    }
+
+    /// `compact_history` frees what it evicts after it has released the
+    /// history lock, which every install takes inside the sequencer: a
+    /// commit does not wait for a compaction's frees. The evicted value
+    /// here is a computed relation whose closure blocks in its `Drop`
+    /// until the test releases it.
+    #[test]
+    fn compaction_frees_after_releasing_the_history_lock() {
+        struct SlowDrop {
+            entered: mpsc::Sender<()>,
+            release: Mutex<mpsc::Receiver<()>>,
+        }
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                let _ = self.entered.send(());
+                let _ = self.release.lock().recv();
+            }
+        }
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let slow = SlowDrop {
+            entered: entered_tx,
+            release: Mutex::new(release_rx),
+        };
+        let blocking =
+            RelationF::computed("slow", &["k"], fdm_core::Domain::IntRange(0, 0), move |k| {
+                let _ = &slow;
+                Ok(k.clone())
+            });
+        let store = bank();
+        store
+            .run(|txn| txn.assign("slow", blocking.clone()))
+            .unwrap();
+        drop(blocking);
+        store.run(|txn| txn.drop_entry("slow")).unwrap();
+        // enough commits that the history has handed back the superseded
+        // root that bound the relation: only the undo of v2 holds it now
+        for balance in 0..9 {
+            store
+                .run(|txn| txn.update_attr("accounts", &Value::Int(1), "balance", balance))
+                .unwrap();
+        }
+        std::thread::scope(|s| {
+            let store = &store;
+            s.spawn(move || store.compact_history(1));
+            entered
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the compaction frees the relation");
+            let (done_tx, done) = mpsc::channel();
+            s.spawn(move || {
+                let balance = TupleF::builder("a").attr("balance", 2).build();
+                done_tx.send(store.upsert_one("accounts", Value::Int(2), balance))
+            });
+            let committed = done.recv_timeout(Duration::from_secs(5));
+            drop(release);
+            let committed = committed.expect("a commit waited for the compaction's frees");
+            assert_eq!(committed.unwrap(), 12);
+        });
+        assert_eq!(store.history().versions(), vec![11, 12]);
     }
 
     /// Regression pin for the sequencer's locking discipline: `begin()`,

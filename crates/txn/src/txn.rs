@@ -27,12 +27,14 @@ pub struct Transaction {
     writes: WriteSet,
     ops: Vec<Op>,
     /// Beside each recorded op, the tuple its point write replaced in the
-    /// working copy (`None` for an insert and for an entry op): the old
-    /// side of the commit's delta when the working copy installs as it
-    /// is. `None` altogether once a point write met a relation that is
-    /// not one plain stored map, where what the map held need not be what
-    /// a lookup answers.
-    replaced: Option<Vec<Option<Arc<TupleF>>>>,
+    /// working copy's stored map (`None` for an insert and for an entry
+    /// op): the commit's undo and, when `plain`, the old side of its
+    /// delta, when the working copy installs as it is.
+    replaced: Vec<Option<Arc<TupleF>>>,
+    /// `false` once a point write met a relation that is not one plain
+    /// stored map, where what the map held need not be what a lookup
+    /// answers.
+    plain: bool,
 }
 
 impl Transaction {
@@ -43,7 +45,8 @@ impl Transaction {
             working: snapshot,
             writes: WriteSet::default(),
             ops: Vec::new(),
-            replaced: Some(Vec::new()),
+            replaced: Vec::new(),
+            plain: true,
         }
     }
 
@@ -70,10 +73,8 @@ impl Transaction {
     /// can trust only where the relation was `plain`.
     fn record(&mut self, op: Op, old: Option<Arc<TupleF>>, plain: bool) {
         self.ops.push(op);
-        match &mut self.replaced {
-            Some(replaced) if plain => replaced.push(old),
-            replaced => *replaced = None,
-        }
+        self.replaced.push(old);
+        self.plain &= plain;
     }
 
     /// The version this transaction's snapshot was taken at.
@@ -240,6 +241,7 @@ impl Transaction {
         let working = Working {
             db: self.working,
             replaced: self.replaced,
+            plain: self.plain,
         };
         let mut outcome = [None];
         self.store

@@ -2,7 +2,6 @@
 
 use fdm_core::{DatabaseF, FnValue, Name, Result, TupleF, Value};
 use fdm_durability::WalOp;
-use fdm_fql::{db_delete, db_upsert_arc};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -169,27 +168,117 @@ pub enum Op {
 
 /// Applies recorded operations onto a committed root, in order — the
 /// single replay path shared by the snapshot-isolation merge (disjoint
-/// writers replaying onto a newer root) and crash recovery (replaying
-/// WAL records onto a checkpoint).
+/// writers replaying onto a newer root), crash recovery (replaying WAL
+/// records onto a checkpoint) and time travel (applying undos).
 pub(crate) fn apply_ops(base: &DatabaseF, ops: &[Op]) -> Result<DatabaseF> {
+    replay(base, ops, |_| {})
+}
+
+/// [`apply_ops`], also handing back the tuple each op replaced in the
+/// stored map it wrote (`None` for an insert and for an entry op) — what
+/// the commit path builds a replayed group's undo from.
+pub(crate) fn apply_ops_replacing(
+    base: &DatabaseF,
+    ops: &[Op],
+) -> Result<(DatabaseF, Vec<Option<Arc<TupleF>>>)> {
+    let mut replaced = Vec::with_capacity(ops.len());
+    let db = replay(base, ops, |old| replaced.push(old))?;
+    Ok((db, replaced))
+}
+
+fn replay(
+    base: &DatabaseF,
+    ops: &[Op],
+    mut replaced: impl FnMut(Option<Arc<TupleF>>),
+) -> Result<DatabaseF> {
     let mut db = base.clone();
     for op in ops {
-        match op {
+        let (next, old) = match op {
             Op::Upsert { rel, key, tuple } => {
-                db = db_upsert_arc(&db, rel, key.clone(), Arc::clone(tuple))?;
+                let (r, old) = db
+                    .relation_ref(rel)?
+                    .upsert_replacing(key.clone(), Arc::clone(tuple))?;
+                (db.with_entry(rel, FnValue::from(r)), old)
             }
             Op::Delete { rel, key } => {
-                db = db_delete(&db, rel, key)?;
+                let (r, old) = db.relation_ref(rel)?.delete_replacing(key)?;
+                (db.with_entry(rel, FnValue::from(r)), old)
             }
-            Op::Assign { name, value } => {
-                db = db.with_entry(name.as_ref(), value.clone());
-            }
-            Op::Drop { name } => {
-                db = db.without_entry(name)?;
-            }
-        }
+            Op::Assign { name, value } => (db.with_entry(name.as_ref(), value.clone()), None),
+            Op::Drop { name } => (db.without_entry(name)?, None),
+        };
+        db = next;
+        replaced(old);
     }
     Ok(db)
+}
+
+/// The undo of `ops`, which turned `before` into `after`: the ops that
+/// turn `after` back into `before`. `replaced[i]` is the tuple `ops[i]`
+/// replaced.
+///
+/// A point write on a plain stored map is undone by the inverse point
+/// write, in reverse order, so the undo passes back through the forward
+/// states and a unique constraint holds at every step. Any other write —
+/// an `Assign` or a `Drop`, or a point write on a relation that is not
+/// one plain stored map, where what the map held need not be all there
+/// is — undoes its entry whole: the undo rebinds the entry's value in
+/// `before`, or drops it if only `after` has one.
+pub(crate) fn undo_ops(
+    before: &DatabaseF,
+    after: &DatabaseF,
+    ops: &[Op],
+    replaced: &[Option<Arc<TupleF>>],
+) -> Vec<Op> {
+    let mut whole: Vec<&Name> = Vec::new();
+    for op in ops {
+        let name = match op {
+            Op::Upsert { rel, .. } | Op::Delete { rel, .. }
+                if before.relation_ref(rel).is_ok_and(|r| r.is_plain_stored()) =>
+            {
+                continue
+            }
+            Op::Upsert { rel: name, .. }
+            | Op::Delete { rel: name, .. }
+            | Op::Assign { name, .. }
+            | Op::Drop { name } => name,
+        };
+        if !whole.contains(&name) {
+            whole.push(name);
+        }
+    }
+    let mut undo = Vec::with_capacity(ops.len());
+    for (op, old) in ops.iter().zip(replaced).rev() {
+        let (Op::Upsert { rel, key, .. } | Op::Delete { rel, key }) = op else {
+            continue;
+        };
+        if whole.contains(&rel) {
+            continue;
+        }
+        undo.push(match old {
+            Some(tuple) => Op::Upsert {
+                rel: rel.clone(),
+                key: key.clone(),
+                tuple: Arc::clone(tuple),
+            },
+            None => Op::Delete {
+                rel: rel.clone(),
+                key: key.clone(),
+            },
+        });
+    }
+    undo.extend(whole.into_iter().filter_map(|name| {
+        match before.entry(name) {
+            Ok(value) => Some(Op::Assign {
+                name: name.clone(),
+                value: value.clone(),
+            }),
+            Err(_) => after
+                .contains(name)
+                .then(|| Op::Drop { name: name.clone() }),
+        }
+    }));
+    undo
 }
 
 // The WAL stores its own op type (`fdm-durability` cannot depend on this
