@@ -1,19 +1,14 @@
-//! # fdm-bench — the reproduction's measurement harness
+//! # fdm-bench — the reproduction's benchmark
 //!
-//! One Criterion bench per paper figure (see `benches/`), all running the
-//! FDM/FQL engine and the from-scratch relational baseline on identical
-//! generated data, plus the [`report`] helpers used by the `repro` binary
-//! to print the EXPERIMENTS.md series (result footprints, NULL counts,
-//! crossover sweeps).
+//! The crate's one program is `fdm_benchmark` (see its `README.md`): four
+//! long-running serving and query workloads. This library holds the
+//! generated-data helpers it uses: the standard retail configuration, and
+//! the same data in both engine forms. The paper's figures are not timed
+//! here: `tests/tests/paper_figures.rs` asserts their shapes.
 
 #![warn(missing_docs)]
 
-pub mod report;
-
 use fdm_workload::{generate, to_fdm, to_relational, RetailConfig, RetailData, RetailRelational};
-
-/// The standard benchmark dataset sizes, smallest to largest.
-pub const SCALES: [usize; 3] = [1_000, 5_000, 20_000];
 
 /// Builds the standard retail workload at a given number of orders
 /// (customers = orders / 5, products = orders / 25, mild skew).
@@ -25,19 +20,6 @@ pub fn standard_config(orders: usize) -> RetailConfig {
         product_skew: 1.0,
         inactive_customers: 0.2,
         seed: 0xFD17,
-    }
-}
-
-/// A fan-out-controlled config: `fanout` orders per active customer on
-/// average (the Fig. 5/6 sweep parameter).
-pub fn fanout_config(customers: usize, fanout: usize) -> RetailConfig {
-    RetailConfig {
-        customers,
-        products: (customers / 4).max(5),
-        orders: customers * fanout * 4 / 5, // active customers = 80%
-        product_skew: 1.0,
-        inactive_customers: 0.2,
-        seed: 0xFA0,
     }
 }
 

@@ -1,5 +1,5 @@
 //! Deltas over the persistent structures: what changed between two
-//! versions of a relation, relationship, or whole database.
+//! versions of a relation or of a whole database.
 //!
 //! This is the vocabulary incremental view maintenance (the `fdm-fql`
 //! `ivm` module) and the transaction layer's view catalog speak to each
@@ -20,7 +20,6 @@
 
 use crate::error::{Name, Result};
 use crate::relation::RelationF;
-use crate::relationship::RelationshipF;
 use crate::tuple::TupleF;
 use crate::value::Value;
 use crate::DatabaseF;
@@ -56,18 +55,6 @@ impl TupleChange {
     pub fn is_update(&self) -> bool {
         self.old.is_some() && self.new.is_some()
     }
-}
-
-/// One link's transition in a relationship function: the participant key
-/// combination plus the attribute tuples before and after.
-#[derive(Debug, Clone)]
-pub struct LinkChange {
-    /// The participant keys identifying the link.
-    pub keys: Vec<Value>,
-    /// The link's attribute tuple before, if the link existed.
-    pub old: Option<Arc<TupleF>>,
-    /// The link's attribute tuple after, if the link still exists.
-    pub new: Option<Arc<TupleF>>,
 }
 
 /// What happened to one database entry between two versions.
@@ -203,28 +190,10 @@ pub fn diff_relations(old: &RelationF, new: &RelationF) -> Result<Vec<TupleChang
     })
 }
 
-/// Diffs two relationship values by participant-key combination, the
-/// [`diff_relations`] counterpart for link functions (always delta-sized:
-/// a relationship body is one stored map).
-pub fn diff_relationships(old: &RelationshipF, new: &RelationshipF) -> Result<Vec<LinkChange>> {
-    Ok(old
-        .entry_map()
-        .diff(new.entry_map())
-        .filter(|t| !unchanged(t))
-        .map(|(key, old, new)| LinkChange {
-            keys: RelationshipF::key_args(key).to_vec(),
-            old: old.cloned(),
-            new: new.cloned(),
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::function::FnValue;
-    use crate::relationship::Participant;
-    use crate::{Domain, SharedDomain, ValueType};
 
     fn rel(rows: &[(i64, &str, i64)]) -> RelationF {
         let mut r = RelationF::new("people", &["id"]);
@@ -317,39 +286,5 @@ mod tests {
         assert!(d.entry("nope").is_none());
         // identical databases: empty delta (structural sharing fast path)
         assert!(DbDelta::between(&after, &after).unwrap().is_empty());
-    }
-
-    #[test]
-    fn diff_relationships_tracks_links() {
-        let cid = SharedDomain::new("cid", Domain::Typed(ValueType::Int));
-        let pid = SharedDomain::new("pid", Domain::Typed(ValueType::Int));
-        let base = RelationshipF::new(
-            "order",
-            vec![
-                Participant::new("customers", "cid", cid.clone()),
-                Participant::new("products", "pid", pid.clone()),
-            ],
-        );
-        let old = base
-            .insert(
-                &[Value::Int(1), Value::Int(10)],
-                TupleF::builder("o").attr("qty", 1).build(),
-            )
-            .unwrap();
-        let new = base
-            .insert(
-                &[Value::Int(1), Value::Int(10)],
-                TupleF::builder("o").attr("qty", 2).build(),
-            )
-            .unwrap()
-            .insert(
-                &[Value::Int(2), Value::Int(10)],
-                TupleF::builder("o").attr("qty", 5).build(),
-            )
-            .unwrap();
-        let d = diff_relationships(&old, &new).unwrap();
-        assert_eq!(d.len(), 2);
-        assert!(d[0].old.is_some() && d[0].new.is_some(), "qty update");
-        assert!(d[1].old.is_none() && d[1].new.is_some(), "new link");
     }
 }

@@ -38,9 +38,6 @@ pub trait Function: Send + Sync {
     fn apply(&self, args: &[Value]) -> Result<Value>;
 }
 
-/// A shared handle to any function.
-pub type FunctionHandle = Arc<dyn Function>;
-
 /// Convenience: apply a unary function to one value.
 pub fn apply1(f: &dyn Function, arg: &Value) -> Result<Value> {
     f.apply(std::slice::from_ref(arg))

@@ -77,11 +77,11 @@ pub mod value;
 
 pub use constraint::Constraint;
 pub use database::DatabaseF;
-pub use delta::{diff_relations, diff_relationships, DbDelta, EntryDelta, LinkChange, TupleChange};
+pub use delta::{diff_relations, DbDelta, EntryDelta, TupleChange};
 pub use domain::{Domain, SharedDomain};
 pub use error::{FdmError, Name, Result};
 pub use fdm_storage::splitmix64;
-pub use function::{apply1, FnValue, Function, FunctionHandle, LambdaF};
+pub use function::{apply1, FnValue, Function, LambdaF};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use relation::{RelationBuilder, RelationF};
 pub use relationship::{Participant, RelationshipBuilder, RelationshipF};

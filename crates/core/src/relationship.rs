@@ -240,12 +240,6 @@ impl RelationshipF {
         self.map.get(&key).cloned()
     }
 
-    /// The underlying persistent composite-key → attribute-tuple map
-    /// (what [`crate::delta::diff_relationships`] diffs structurally).
-    pub(crate) fn entry_map(&self) -> &PMap<Value, Arc<TupleF>> {
-        &self.map
-    }
-
     /// The argument list a stored composite key stands for.
     pub(crate) fn key_args(key: &Value) -> &[Value] {
         match key {

@@ -143,8 +143,8 @@ fn fx_hash_value(v: &Value) -> u64 {
 /// Exists so tests can **force hash collisions** (e.g. `|_| 0`) and prove
 /// the bucketing still separates unequal keys purely by `Value` equality;
 /// production callers always go through [`group_fn`], which uses `FxHash`.
-#[doc(hidden)]
-pub fn group_fn_with_hasher(
+#[cfg(test)]
+pub(crate) fn group_fn_with_hasher(
     rel: &RelationF,
     key: impl Fn(&TupleF) -> Result<Value>,
     hash: impl Fn(&Value) -> u64,

@@ -70,8 +70,8 @@ pub use plan::{Query, QueryStats};
 pub use setops::{deep_copy, deep_copy_relation, difference, intersect, minus, union};
 pub use subdb::{outer, reduce_db, reduce_db_with_stats, subdatabase, ReduceStats};
 pub use transform::{
-    antijoin, distinct, extend, extend_stored, limit, order_by, rename_attrs, semijoin,
-    semijoin_keys, top_k, Order,
+    antijoin, distinct, extend, extend_stored, limit, order_by, rename_attrs, semijoin, top_k,
+    Order,
 };
 pub use update::{
     db_add, db_assign, db_delete, db_insert, db_modify_attr, db_rewrite, db_update_attr, db_upsert,

@@ -14,6 +14,14 @@
 //! demands). Union is left-biased when the same key maps to different
 //! data in the two inputs (the result must stay a function: one output
 //! per input).
+//!
+//! Scope: the operations are **relation-wise** — only relation entries
+//! take part. Relationship functions, nested databases and other entries
+//! appear in no result of [`union`], [`intersect`] or [`minus`], and
+//! [`difference`] cannot report a changed link. On the retail database
+//! the 2,000-link `order` relationship is in neither `union`'s nor
+//! `intersect`'s result (pinned by `f9_set_operations_see_the_edit_at_scale`
+//! in `tests/tests/paper_figures.rs`).
 
 //! Implementation note: each relation's mappings are (or become) a
 //! persistent key-ordered map, and the set operations run as the storage
@@ -120,7 +128,9 @@ fn data_equal(ta: &TupleF, tb: &TupleF, err: &mut Option<FdmError>) -> bool {
 /// Relation-wise set union of two databases: every relation name present
 /// in either input appears in the output with the union of its mappings.
 /// When both inputs map the same key (to equal or different data), the
-/// left input's tuple wins — the result must remain a function.
+/// left input's tuple wins — the result must remain a function. Entries
+/// that are not relations (relationship functions among them) are left
+/// out.
 pub fn union(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
     let mut out = DatabaseF::new(format!("({} union {})", a.name(), b.name()));
     let mut names: Vec<Name> = Vec::new();
@@ -158,7 +168,7 @@ pub fn union(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
 
 /// Relation-wise intersection: only relation names present in both inputs
 /// appear, holding the tuples common to both (same key, data-equal
-/// tuples).
+/// tuples). Entries that are not relations are left out.
 pub fn intersect(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
     let mut out = DatabaseF::new(format!("({} ∩ {})", a.name(), b.name()));
     for (name, entry) in a.iter() {
@@ -182,6 +192,7 @@ pub fn intersect(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
 
 /// Relation-wise difference `a − b`: relations of `a` minus the tuples
 /// (by data equality) that also appear in `b`'s same-named relation.
+/// Entries that are not relations are left out.
 pub fn minus(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
     let mut out = DatabaseF::new(format!("({} − {})", a.name(), b.name()));
     for (name, entry) in a.iter() {
@@ -210,7 +221,8 @@ pub fn minus(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
 /// relation name in either input, two output entries —
 /// `"<rel>.added"` (in `b` but not `a`) and `"<rel>.removed"` (in `a` but
 /// not `b`). Unchanged tuples appear nowhere: the result "just shows
-/// changes".
+/// changes". Only relations are compared: a link added to or removed
+/// from a relationship function shows up nowhere.
 pub fn difference(a: &DatabaseF, b: &DatabaseF) -> Result<DatabaseF> {
     let removed = minus(a, b)?;
     let added = minus(b, a)?;

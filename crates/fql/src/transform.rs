@@ -179,17 +179,6 @@ pub fn distinct(rel: &RelationF) -> Result<RelationF> {
     out.build()
 }
 
-/// Semi-join on the relation's *key* rather than an attribute.
-pub fn semijoin_keys(rel: &RelationF, keys: &BTreeSet<Value>) -> Result<RelationF> {
-    let mut out = rel.builder_like();
-    for (key, tuple) in rel.tuples()? {
-        if keys.contains(&key) {
-            out.push_arc(key, tuple);
-        }
-    }
-    out.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,8 +315,6 @@ mod tests {
         assert_eq!(semi.len(), 2);
         assert_eq!(anti.len(), 1);
         assert_eq!(semi.len() + anti.len(), rel.len());
-        let by_key: BTreeSet<Value> = [Value::Int(1)].into_iter().collect();
-        assert_eq!(semijoin_keys(&rel, &by_key).unwrap().len(), 1);
     }
 
     #[test]

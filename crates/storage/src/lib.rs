@@ -15,9 +15,6 @@
 //! * [`PMap`] — persistent ordered map (AVL tree with `Arc`-shared nodes,
 //!   order statistics, range scans).
 //! * [`PSet`] — persistent ordered set, a thin wrapper over [`PMap`].
-//! * [`PMultiMap`] — persistent ordered multimap (`PMap<K, PSet<V>>`),
-//!   the shape of a non-unique secondary index (the paper's `R3` relation
-//!   function returning a *set* of tuple functions, §2.4).
 //! * [`VersionedRoot`] — a concurrent cell holding the current committed
 //!   root, lane-sharded so readers on different threads share no lock
 //!   word: snapshot loads, borrowed reads, and atomic compare-and-swap
@@ -29,23 +26,19 @@
 //! repeated `insert` costs O(n log n) time and allocates a fresh
 //! root-to-leaf path per entry; query operators that emit whole results
 //! should instead hand a sorted run to `PMap::from_sorted_vec` /
-//! `PSet::from_sorted_vec` / `PMultiMap::from_sorted_vec` (or the
-//! `from_sorted_iter` variants), which assemble a height-balanced tree
-//! bottom-up in **O(n)** with exactly one node allocation per entry. The
-//! ordering contract is checked by `debug_assert` only, so release builds
-//! pay nothing. `fdm-core`'s `RelationBuilder` is the relation-level
-//! wrapper every FQL operator builds its output through.
+//! `PSet::from_sorted_vec` (or the `from_sorted_iter` variants), which
+//! assemble a height-balanced tree bottom-up in **O(n)** with exactly one
+//! node allocation per entry. The ordering contract is checked by
+//! `debug_assert` only, so release builds pay nothing. `fdm-core`'s
+//! `RelationBuilder` is the relation-level wrapper every FQL operator
+//! builds its output through.
 
 #![warn(missing_docs)]
 
 pub mod pmap;
-pub mod pmultimap;
 pub mod pset;
 pub mod version;
 
 pub use pmap::PMap;
-pub use pmultimap::PMultiMap;
 pub use pset::PSet;
-pub use version::{
-    splitmix64, Backoff, SharedRoot, Snapshot, Version, VersionConflict, VersionedRoot,
-};
+pub use version::{splitmix64, Backoff, Snapshot, Version, VersionConflict, VersionedRoot};

@@ -9,7 +9,7 @@
 
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// The splitmix64 finalizer: a fast, high-quality 64-bit avalanche.
@@ -282,13 +282,11 @@ impl<T: Clone> VersionedRoot<T> {
     }
 }
 
-/// Shared handle alias: the common way to pass a root between threads.
-pub type SharedRoot<T> = Arc<VersionedRoot<T>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::PMap;
+    use std::sync::Arc;
 
     #[test]
     fn splitmix64_matches_the_reference_finalizer() {

@@ -7,7 +7,7 @@
 //! perfectly interleaved keys, one entry against 64k, an empty side, and
 //! two handles on the same tree.
 
-use fdm_storage::{PMap, PMultiMap, PSet};
+use fdm_storage::{PMap, PSet};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -499,24 +499,6 @@ proptest! {
     }
 
     #[test]
-    fn pmultimap_from_sorted_equals_inserts(
-        pairs in prop::collection::btree_set(((-20i64..20), (-20i64..20)), 0..120)
-    ) {
-        let sorted: Vec<(i64, i64)> = pairs.iter().copied().collect();
-        let bulk = PMultiMap::from_sorted_vec(sorted.clone());
-        let mut incremental: PMultiMap<i64, i64> = PMultiMap::new();
-        for (k, v) in &sorted {
-            incremental = incremental.insert(*k, *v).0;
-        }
-        prop_assert_eq!(bulk.total_len(), incremental.total_len());
-        prop_assert_eq!(bulk.key_len(), incremental.key_len());
-        let b: Vec<_> = bulk.iter_flat().map(|(k, v)| (*k, *v)).collect();
-        let i: Vec<_> = incremental.iter_flat().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(&b, &i);
-        prop_assert_eq!(b, sorted);
-    }
-
-    #[test]
     fn pset_merge_setops_match_per_element(
         a in prop::collection::btree_set(-60i64..60, 0..60),
         b in prop::collection::btree_set(-60i64..60, 0..60),
@@ -572,70 +554,5 @@ proptest! {
         prop_assert!(pa.merge_union(&pb).check_invariants());
         prop_assert!(pa.merge_intersection(&pb).check_invariants());
         prop_assert!(pa.merge_difference(&pb).check_invariants());
-    }
-
-    #[test]
-    fn pmultimap_merge_setops_match_per_pair(
-        pa in prop::collection::vec(((-15i64..15), (-15i64..15)), 0..80),
-        pb in prop::collection::vec(((-15i64..15), (-15i64..15)), 0..80),
-    ) {
-        let mut a: PMultiMap<i64, i64> = PMultiMap::new();
-        for (k, v) in pa.iter().copied() {
-            a = a.insert(k, v).0;
-        }
-        let mut b: PMultiMap<i64, i64> = PMultiMap::new();
-        for (k, v) in pb.iter().copied() {
-            b = b.insert(k, v).0;
-        }
-        // union ≡ inserting every pair of b into a
-        let mut want_union = a.clone();
-        for (k, v) in b.iter_flat() {
-            want_union = want_union.insert(*k, *v).0;
-        }
-        let u = a.merge_union(&b);
-        prop_assert_eq!(u.total_len(), want_union.total_len());
-        prop_assert_eq!(
-            u.iter_flat().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            want_union.iter_flat().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-        );
-        // intersection / difference ≡ pair-level set semantics
-        let a_pairs: BTreeSet<(i64, i64)> = a.iter_flat().map(|(k, v)| (*k, *v)).collect();
-        let b_pairs: BTreeSet<(i64, i64)> = b.iter_flat().map(|(k, v)| (*k, *v)).collect();
-        let i = a.merge_intersection(&b);
-        prop_assert_eq!(
-            i.iter_flat().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            a_pairs.intersection(&b_pairs).copied().collect::<Vec<_>>()
-        );
-        let d = a.merge_difference(&b);
-        prop_assert_eq!(
-            d.iter_flat().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            a_pairs.difference(&b_pairs).copied().collect::<Vec<_>>()
-        );
-        let itotal: usize = i.iter().map(|(_, s)| s.len()).sum();
-        prop_assert_eq!(i.total_len(), itotal);
-        let dtotal: usize = d.iter().map(|(_, s)| s.len()).sum();
-        prop_assert_eq!(d.total_len(), dtotal);
-    }
-
-    #[test]
-    fn pmultimap_matches_model(
-        pairs in prop::collection::vec(((-20i64..20), (-20i64..20)), 0..120)
-    ) {
-        let mut model: BTreeMap<i64, BTreeSet<i64>> = BTreeMap::new();
-        let mut mm: PMultiMap<i64, i64> = PMultiMap::new();
-        for (k, v) in pairs {
-            let (next, was_new) = mm.insert(k, v);
-            let model_new = model.entry(k).or_default().insert(v);
-            prop_assert_eq!(was_new, model_new);
-            mm = next;
-        }
-        let total: usize = model.values().map(|s| s.len()).sum();
-        prop_assert_eq!(mm.total_len(), total);
-        prop_assert_eq!(mm.key_len(), model.len());
-        for (k, set) in &model {
-            let got: Vec<_> = mm.get(k).unwrap().iter().copied().collect();
-            let want: Vec<_> = set.iter().copied().collect();
-            prop_assert_eq!(got, want);
-        }
     }
 }

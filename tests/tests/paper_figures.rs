@@ -1,16 +1,73 @@
 //! Every artifact of the paper — the §2.2 table and Figures 1–11 — as an
 //! executable, asserted scenario. This is the reproduction's ground
 //! truth: if a figure's semantics drifted, a test here breaks.
+//!
+//! The second half, "shapes at scale", checks the shape each figure
+//! claims on generated retail data, counting rows, cells, NULLs and
+//! allocated bytes — never time.
 
 use fdm_core::{
-    apply1, DatabaseF, Domain, FnValue, Function, Participant, RelationF, RelationshipF,
-    SharedDomain, TupleF, Value, ValueType,
+    apply1, DatabaseF, Domain, FdmError, FnValue, Function, Participant, RelationBuilder,
+    RelationF, RelationshipF, SharedDomain, TupleF, Value, ValueType,
 };
 use fdm_expr::Params;
 use fdm_fql::prelude::*;
 use fdm_fql::testutil::retail_db;
-use fdm_fql::{aggregate, group};
+use fdm_fql::{aggregate, cube, group, Query};
+use fdm_relational::{
+    cube as rel_cube, group_by, grouping_sets as rel_grouping_sets, outer_join, select, Agg, Cell,
+    GroupingSet, OuterSide,
+};
 use fdm_txn::Store;
+use fdm_workload::{generate, to_fdm, to_relational, RetailConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell as CountCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+// ------------------------------------------------ counting allocator
+
+thread_local! {
+    /// Bytes this thread has allocated so far (tests run on threads of
+    /// their own); a `realloc` counts the bytes it grew by.
+    static ALLOCATED: CountCell<usize> = const { CountCell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a thread-local `Cell`
+// with a const initializer and no destructor, so touching it neither
+// allocates nor can run during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.with(|n| n.set(n.get() + new_size.saturating_sub(layout.size())));
+        // SAFETY: as for `dealloc`; the caller vouches for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Runs `f` and returns its result with the bytes it allocated on this
+/// thread.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATED.with(CountCell::get);
+    let out = f();
+    (out, ALLOCATED.with(CountCell::get) - before)
+}
 
 /// §2.2 table: tuple, relation, database, set-of-databases are all the
 /// same construct — a function — and can be called uniformly.
@@ -73,7 +130,15 @@ fn f1_erm_vs_fdm() {
         .domain
         .same_as(db.shared_domain("products.pid").unwrap()));
 
+    // one schema, two targets: 2 relations + 1 relationship function over
+    // 2 shared domains, against 3 tables + 2 FK constraints
+    assert_eq!(db.len(), 3);
+    assert_eq!(db.relations().count(), 2);
+    assert_eq!(db.relationships().count(), 1);
+    assert_eq!(db.shared_domains().count(), 2);
+
     let rel = fdm_erm::compile_to_relational(&schema);
+    assert_eq!(rel.tables.len(), 3);
     assert!(rel.table("order").is_some(), "classical: junction table");
     assert_eq!(
         rel.foreign_keys.len(),
@@ -453,4 +518,473 @@ fn s44_views() {
     assert_eq!(view.eval(&db).unwrap().len(), 2);
     let db_m = materialize_view(&db, &view).unwrap();
     assert_eq!(db_m.relation("oldies").unwrap().len(), 2);
+}
+
+// ---------------------------------------------------- shapes at scale
+//
+// The paper reports no numbers: each figure claims a *shape*. The tests
+// below check those shapes on generated retail data against the
+// from-scratch relational baseline, comparing counts only, never clocks.
+// Sizes: 2,000 orders, and a 500-customer fan-out sweep over {1, 4, 16}.
+
+/// The standard retail data at 2,000 orders: 400 customers, 80 products.
+fn retail_2k() -> RetailConfig {
+    RetailConfig {
+        customers: 400,
+        products: 80,
+        orders: 2_000,
+        product_skew: 1.0,
+        inactive_customers: 0.2,
+        seed: 0xFD17,
+    }
+}
+
+/// 500 customers, 80% of them active, with `fanout` orders per active
+/// customer on average: the Fig. 5/6/7 sweep.
+fn fanout_500(fanout: usize) -> RetailConfig {
+    RetailConfig {
+        customers: 500,
+        products: 125,
+        orders: 500 * fanout * 4 / 5,
+        product_skew: 1.0,
+        inactive_customers: 0.2,
+        seed: 0xFA0,
+    }
+}
+
+const FANOUTS: [usize; 3] = [1, 4, 16];
+
+fn int_keys(rel: &RelationF) -> Vec<i64> {
+    rel.stored_keys()
+        .into_iter()
+        .map(|k| k.as_int("key").unwrap())
+        .collect()
+}
+
+fn int_cell(c: &Cell) -> i64 {
+    match c {
+        Cell::Int(i) => *i,
+        other => panic!("expected an integer cell, got {other:?}"),
+    }
+}
+
+/// Attribute values over a relation function's tuples: `(rows, cells)`.
+fn rows_and_cells(rel: &RelationF) -> (usize, usize) {
+    let tuples = rel.tuples().unwrap();
+    let cells = tuples.iter().map(|(_, t)| t.attr_count()).sum();
+    (tuples.len(), cells)
+}
+
+/// Fig. 4a at scale: the five costumes select the same *key set*, and it
+/// is the relational σ's.
+#[test]
+fn f4a_costumes_select_one_key_set_at_scale() {
+    let data = generate(&retail_2k());
+    let db = to_fdm(&data);
+    let rel = to_relational(&data);
+    let customers = db.relation("customers").unwrap();
+    let by_fn = filter_fn(&customers, |t| Ok(t.get("age")?.as_int("age")? > 42)).unwrap();
+    let by_kwargs = filter_kwargs(&customers, &[("age__gt", Value::Int(42))]).unwrap();
+    let by_attr = filter_attr(&customers, "age", fdm_expr::GT, 42).unwrap();
+    let by_text = filter_expr(&customers, "age>$foo", Params::new().set("foo", 42)).unwrap();
+    let sql = select(&rel.customers, |s, r| {
+        let i = s.index_of("age")?;
+        r[i].sql_cmp(&Cell::Int(42))
+            .map(|o| o == std::cmp::Ordering::Greater)
+    });
+    let mut sql_keys: Vec<i64> = sql.rows().iter().map(|r| int_cell(&r[0])).collect();
+    sql_keys.sort_unstable();
+    assert!(!sql_keys.is_empty() && sql_keys.len() < customers.len());
+    for (costume, out) in [
+        ("closure", &by_fn),
+        ("kwargs", &by_kwargs),
+        ("filter_attr", &by_attr),
+        ("textual $param", &by_text),
+    ] {
+        assert_eq!(int_keys(out), sql_keys, "{costume} selects σ's keys");
+    }
+}
+
+/// Fig. 4b/c at scale: unrolled `group` + `aggregate`, fused
+/// `group_and_aggregate` and SQL `GROUP BY` give the same groups with the
+/// same counts.
+#[test]
+fn f4bc_group_by_three_ways_agree_at_scale() {
+    let data = generate(&retail_2k());
+    let db = to_fdm(&data);
+    let rel = to_relational(&data);
+    let customers = db.relation("customers").unwrap();
+    let counts = |r: &RelationF| -> BTreeMap<i64, i64> {
+        r.tuples()
+            .unwrap()
+            .iter()
+            .map(|(_, t)| {
+                let age = t.get("age").unwrap().as_int("age").unwrap();
+                (age, t.get("count").unwrap().as_int("count").unwrap())
+            })
+            .collect()
+    };
+    let groups = group(&customers, &["age"]).unwrap();
+    let unrolled = counts(&aggregate(&groups, &[("count", AggSpec::Count)]).unwrap());
+    let fused =
+        counts(&group_and_aggregate(&customers, &["age"], &[("count", AggSpec::Count)]).unwrap());
+    let sql_out = group_by(&rel.customers, &["age"], &[Agg::CountStar]);
+    let sql: BTreeMap<i64, i64> = sql_out
+        .rows()
+        .iter()
+        .map(|r| (int_cell(&r[0]), int_cell(&r[1])))
+        .collect();
+    assert!(sql.len() > 1);
+    assert_eq!(sql.values().sum::<i64>(), customers.len() as i64);
+    assert_eq!(unrolled, sql, "group; aggregate ≡ GROUP BY");
+    assert_eq!(fused, sql, "group_and_aggregate ≡ GROUP BY");
+}
+
+/// Figs. 5/6 at scale: the denormalized join repeats what the
+/// subdatabase stores once, and the repetition grows with fan-out.
+#[test]
+fn f5_f6_join_repeats_what_the_subdatabase_stores_once() {
+    let mut blowups = Vec::new();
+    for fanout in FANOUTS {
+        let data = generate(&fanout_500(fanout));
+        let db = to_fdm(&data);
+        let (_, join_values) = rows_and_cells(&join(&db).unwrap());
+        let reduced = reduce_db(&db).unwrap();
+        let customers = reduced.relation("customers").unwrap();
+        // each entity stores its key plus three attributes, each link its
+        // two keys plus two attributes
+        let c = customers.len();
+        let p = reduced.relation("products").unwrap().len();
+        let o = reduced.relationship("order").unwrap().len();
+        let sub_values = 4 * (c + p + o);
+        assert!(
+            join_values > sub_values,
+            "fan-out {fanout}: join {join_values} values vs subDB {sub_values}"
+        );
+        blowups.push(join_values as f64 / sub_values as f64);
+        // every participating customer, each once
+        let participating: BTreeSet<i64> = data.orders.iter().map(|o| o.0).collect();
+        assert_eq!(
+            int_keys(&customers),
+            participating.into_iter().collect::<Vec<_>>()
+        );
+    }
+    assert!(
+        blowups.windows(2).all(|w| w[0] < w[1]),
+        "blow-up rises strictly with fan-out: {blowups:?}"
+    );
+}
+
+/// Fig. 6 ablation at scale: the optimizer's plan pushes the predicate
+/// below the join, so it produces fewer intermediate rows than the
+/// declared plan, with the same keyed result.
+#[test]
+fn f6_optimized_plan_moves_fewer_rows_at_scale() {
+    let db = to_fdm(&generate(&retail_2k()));
+    let orders = db
+        .relationship("order")
+        .unwrap()
+        .to_relation()
+        .renamed("orders_rel");
+    let db = db.with_relation(orders);
+    let q = Query::scan("orders_rel")
+        .join("customers", "cid", "cid")
+        .filter("date > $d", Params::new().set("d", "2026-09"));
+    let (declared, declared_stats) = q.eval_with_stats(&db).unwrap();
+    let (optimized, optimized_stats) = q.optimize().eval_with_stats(&db).unwrap();
+    assert!(
+        optimized_stats.total_intermediate() < declared_stats.total_intermediate(),
+        "optimized {} vs declared {}",
+        optimized_stats.total_intermediate(),
+        declared_stats.total_intermediate()
+    );
+    let (a, b) = (declared.tuples().unwrap(), optimized.tuples().unwrap());
+    assert!(!a.is_empty());
+    assert_eq!(a.len(), b.len());
+    for ((ka, ta), (kb, tb)) in a.iter().zip(&b) {
+        assert_eq!(ka, kb);
+        assert!(ta.eq_data(tb), "row {ka} differs");
+    }
+}
+
+/// Fig. 7 at scale: the SQL left outer join pads unmatched customers
+/// with NULLs; FDM's `outer` splits them into a relation of their own,
+/// and every output tuple keeps exactly its relation's attributes.
+#[test]
+fn f7_outer_splits_what_sql_pads_at_scale() {
+    for fanout in FANOUTS {
+        let data = generate(&fanout_500(fanout));
+        let db = to_fdm(&data);
+        let rel = to_relational(&data);
+        let sql = outer_join(&rel.customers, &rel.orders, "cid", "cid", OuterSide::Left);
+        let date = sql.schema().index_of("date").unwrap();
+        let padded = sql.rows().iter().filter(|r| r[date].is_null()).count();
+        assert!(
+            sql.null_count() > 0,
+            "fan-out {fanout}: SQL pads with NULLs"
+        );
+
+        let out = outer(&db, &["customers"]).unwrap();
+        let inner = out.relation("customers.inner").unwrap();
+        let unmatched = out.relation("customers.outer").unwrap();
+        assert_eq!(unmatched.len(), padded, "fan-out {fanout}");
+        assert_eq!(inner.len() + unmatched.len(), data.customers.len());
+        for side in [&inner, &unmatched] {
+            for (_, t) in side.tuples().unwrap() {
+                let names: Vec<_> = t.attr_names().map(|n| n.to_string()).collect();
+                assert_eq!(names, ["name", "age", "state"], "fan-out {fanout}");
+            }
+        }
+    }
+}
+
+/// Fig. 8 at scale: grouping sets and cube give one relation function per
+/// grouping with no NULLs, the same rows as SQL, and fewer cells than
+/// SQL's one NULL-filled relation.
+#[test]
+fn f8_grouping_sets_carry_no_nulls_at_scale() {
+    let data = generate(&retail_2k());
+    let db = to_fdm(&data);
+    let rel = to_relational(&data);
+    let customers = db.relation("customers").unwrap();
+    // FDM has no NULL: each grouping's rows carry exactly its own
+    // attributes. `padded` counts what would stand in for one: a row whose
+    // attributes differ from its relation's first row, or a unit value.
+    let fdm_shape = |out: &DatabaseF| -> (usize, usize, usize) {
+        let (mut rows, mut cells, mut padded) = (0, 0, 0);
+        for (_, r) in out.relations() {
+            let (n, c) = rows_and_cells(r);
+            rows += n;
+            cells += c;
+            let tuples = r.tuples().unwrap();
+            let schema: Vec<_> = tuples[0].1.attr_names().cloned().collect();
+            for (_, t) in &tuples {
+                let names: Vec<_> = t.attr_names().cloned().collect();
+                padded += usize::from(names != schema);
+                padded += names
+                    .iter()
+                    .filter(|a| t.get(a).unwrap() == Value::Unit)
+                    .count();
+            }
+        }
+        (rows, cells, padded)
+    };
+
+    let gsets = grouping_sets(
+        &customers,
+        &[
+            GroupingSpec::new("age_cc", &["age"], &[("count", AggSpec::Count)]),
+            GroupingSpec::new(
+                "state_age_cc",
+                &["state", "age"],
+                &[("count", AggSpec::Count)],
+            ),
+            GroupingSpec::new("global_min", &[], &[("min", AggSpec::Min("age".into()))]),
+        ],
+    )
+    .unwrap();
+    let sql_gsets = rel_grouping_sets(
+        &rel.customers,
+        &[
+            GroupingSet {
+                by: vec!["age".into()],
+                aggs: vec![Agg::CountStar],
+            },
+            GroupingSet {
+                by: vec!["state".into(), "age".into()],
+                aggs: vec![Agg::CountStar],
+            },
+            GroupingSet {
+                by: vec![],
+                aggs: vec![Agg::Min("age".into())],
+            },
+        ],
+    );
+    let fdm_cube = cube(&customers, &["state", "age"], &[("count", AggSpec::Count)]).unwrap();
+    let sql_cube = rel_cube(&rel.customers, &["state", "age"], &[Agg::CountStar]);
+
+    for (what, fdm, groupings, sql) in [
+        ("grouping sets", &gsets, 3, &sql_gsets),
+        ("cube", &fdm_cube, 4, &sql_cube),
+    ] {
+        let (rows, cells, padded) = fdm_shape(fdm);
+        assert_eq!(
+            fdm.relations().count(),
+            groupings,
+            "{what}: one fn per grouping"
+        );
+        assert_eq!(padded, 0, "{what}: FDM pads nothing");
+        assert_eq!(rows, sql.len(), "{what}: same rows as SQL");
+        assert!(sql.null_count() > 0, "{what}: SQL fills with NULLs");
+        assert!(
+            cells < sql.cell_count(),
+            "{what}: FDM {cells} cells vs SQL {}",
+            sql.cell_count()
+        );
+    }
+}
+
+/// Fig. 9 at scale: 50 upserts to a deep copy, seen through each
+/// database-level set operation.
+///
+/// The operations are *relation-wise*: relationship functions (here the
+/// `order` links) are in none of their results, so `difference` cannot
+/// report a changed link. ROADMAP lists this as an open item.
+#[test]
+fn f9_set_operations_see_the_edit_at_scale() {
+    let db = to_fdm(&generate(&retail_2k()));
+    let base = db.relation("customers").unwrap().len();
+    let mut edited = deep_copy(&db).unwrap();
+    for i in 0..50i64 {
+        let tuple = TupleF::builder("c")
+            .attr("name", format!("new{i}"))
+            .attr("age", 20 + i)
+            .attr("state", "NV")
+            .build();
+        edited = db_upsert(&edited, "customers", Value::Int(1_000_000 + i), tuple).unwrap();
+    }
+    let customers = |d: &DatabaseF| d.relation("customers").unwrap().len();
+
+    let diff = difference(&db, &edited).unwrap();
+    assert_eq!(diff.relation("customers.added").unwrap().len(), 50);
+    assert!(!diff.contains("customers.removed"));
+    assert_eq!(diff.len(), 1, "only the customers changed");
+    let u = union(&db, &edited).unwrap();
+    assert_eq!(customers(&u), base + 50);
+    let i = intersect(&db, &edited).unwrap();
+    assert_eq!(customers(&i), base);
+    assert_eq!(minus(&edited, &db).unwrap().total_tuples(), 50);
+
+    // relation-wise scope: no result carries the relationship
+    let products = db.relation("products").unwrap().len();
+    assert!(!u.contains("order") && !i.contains("order"));
+    assert_eq!(u.total_tuples(), base + 50 + products);
+    assert_eq!(i.total_tuples(), base + products);
+    let order = db.relationship("order").unwrap();
+    let (cid, pid) = (Value::Int(1), Value::Int(1));
+    let relinked = if order.relates(&[cid.clone(), pid.clone()]) {
+        order.remove(&[cid, pid]).unwrap()
+    } else {
+        order.insert_link(&[cid, pid]).unwrap()
+    };
+    let relinked = db.with_relationship(relinked);
+    assert!(
+        difference(&db, &relinked).unwrap().is_empty(),
+        "a changed link is invisible to difference"
+    );
+}
+
+/// Fig. 10 at scale: an update shares structure with the version it
+/// updates. Measured in bytes allocated, not time: one `db_update_attr`
+/// copies one root-to-leaf path, a `deep_copy` copies everything.
+#[test]
+fn f10_updates_allocate_a_path_not_a_copy() {
+    let accounts = |n: i64| {
+        let mut rel = RelationBuilder::new("accounts", &["id"]);
+        for i in 0..n {
+            let t = rel.tuple("a").attr("balance", 100i64).build();
+            rel.push(Value::Int(i), t);
+        }
+        DatabaseF::new("bank").with_relation(rel.build().unwrap())
+    };
+    // mean bytes of one update over many keys, and bytes of one deep copy
+    let measure = |n: i64| -> (usize, usize) {
+        const UPDATES: i64 = 64;
+        let mut db = accounts(n);
+        let (_, update_bytes) = allocated_by(|| {
+            for i in 0..UPDATES {
+                let key = Value::Int(i * (n / UPDATES));
+                db = db_update_attr(&db, "accounts", &key, "balance", i).unwrap();
+            }
+        });
+        let (copy, copy_bytes) = allocated_by(|| deep_copy(&db).unwrap());
+        assert_eq!(copy.total_tuples(), n as usize);
+        (update_bytes / UPDATES as usize, copy_bytes)
+    };
+    let (update_1k, copy_1k) = measure(1_000);
+    let (update_10k, copy_10k) = measure(10_000);
+    assert!(
+        update_10k * 100 <= copy_10k,
+        "10k rows: update {update_10k} B vs deep copy {copy_10k} B"
+    );
+    assert!(
+        update_10k < 2 * update_1k,
+        "an update grows with the path: {update_1k} → {update_10k} B"
+    );
+    assert!(
+        copy_10k >= 5 * copy_1k,
+        "a copy grows with the data: {copy_1k} → {copy_10k} B"
+    );
+}
+
+/// Fig. 11 at scale: 2,000 transfers over 64 accounts at 1 and 4 threads.
+/// Money is conserved, every transaction either commits or loses a
+/// first-committer-wins conflict, and one thread never conflicts.
+#[test]
+fn f11_transfers_conserve_money_at_scale() {
+    const ACCOUNTS: u64 = 64;
+    const TRANSFERS: usize = 2_000;
+    for threads in [1usize, 4] {
+        let mut rel = RelationBuilder::new("accounts", &["id"]);
+        for i in 0..ACCOUNTS as i64 {
+            let t = rel.tuple("a").attr("balance", 1000i64).build();
+            rel.push(Value::Int(i), t);
+        }
+        let store = Store::new(DatabaseF::new("bank").with_relation(rel.build().unwrap()));
+        let committed = AtomicUsize::new(0);
+        let conflicted = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for tid in 0..threads {
+                let (store, committed, conflicted) = (&store, &committed, &conflicted);
+                s.spawn(move || {
+                    let mut x = (tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut next = move || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x % ACCOUNTS
+                    };
+                    for _ in 0..TRANSFERS / threads {
+                        let from = next() as i64;
+                        let to = (from + 1 + (next() % (ACCOUNTS - 1)) as i64) % ACCOUNTS as i64;
+                        let mut txn = store.begin();
+                        txn.modify_attr("accounts", &Value::Int(from), "balance", |v| {
+                            v.sub(&Value::Int(1))
+                        })
+                        .unwrap();
+                        txn.modify_attr("accounts", &Value::Int(to), "balance", |v| {
+                            v.add(&Value::Int(1))
+                        })
+                        .unwrap();
+                        match txn.commit() {
+                            Ok(_) => committed.fetch_add(1, Ordering::Relaxed),
+                            Err(FdmError::TransactionConflict { .. }) => {
+                                conflicted.fetch_add(1, Ordering::Relaxed)
+                            }
+                            Err(e) => panic!("transfer failed: {e}"),
+                        };
+                    }
+                });
+            }
+        });
+        let total: i64 = store
+            .snapshot()
+            .relation("accounts")
+            .unwrap()
+            .tuples()
+            .unwrap()
+            .iter()
+            .map(|(_, t)| t.get("balance").unwrap().as_int("balance").unwrap())
+            .sum();
+        let (committed, conflicted) = (committed.into_inner(), conflicted.into_inner());
+        assert_eq!(
+            total,
+            ACCOUNTS as i64 * 1000,
+            "{threads} threads: money conserved"
+        );
+        assert_eq!(committed + conflicted, TRANSFERS, "{threads} threads");
+        if threads == 1 {
+            assert_eq!(conflicted, 0, "a lone writer never conflicts");
+        }
+    }
 }
