@@ -87,7 +87,7 @@ pub enum FdmError {
         /// The conflicting `(relation, key)` pairs in display form; a
         /// whole-entry conflict is reported as `(entry, "*")`. Empty when
         /// the conflict is not key-granular (e.g. the snapshot predates
-        /// the retained commit log).
+        /// the retained history).
         keys: Vec<(String, String)>,
     },
     /// A commit exhausted its retry budget: every attempt hit a transient

@@ -22,7 +22,7 @@
 //!    sequence — a gap is [`DurabilityError::VersionGap`].
 //! 4. **Replay.** The caller (the transaction store) applies the
 //!    surviving commits through its normal commit machinery, rebuilding
-//!    the in-memory root, history, and commit log.
+//!    the in-memory root and history.
 //!
 //! The contract proven by the crash-sweep tests: for *every* crash
 //! point, this procedure yields exactly a prefix of the committed

@@ -1058,6 +1058,15 @@ impl MaintainedView {
         Ok(changes.len())
     }
 
+    /// Re-materializes the plan against `db`, for a view whose missed
+    /// deltas are no longer to be had: the view then stands for `db`.
+    /// Keeps its counters and counts one fallback recompute.
+    pub fn rebuild(&mut self, db: &DatabaseF) -> Result<()> {
+        self.root = Self::with_plan(&self.name, self.plan.clone(), db)?.root;
+        self.stats.fallback_recomputes += 1;
+        Ok(())
+    }
+
     /// The maintained result, renamed to the view's name.
     pub fn relation(&self) -> RelationF {
         self.root.kept().renamed(&self.name)

@@ -3,8 +3,8 @@
 //!
 //! The serving workload is dominated by tiny transactions (a single
 //! read-modify-write of one tuple). Committed one at a time, each pays a
-//! turn in the commit sequencer, a commit-log entry, a history record,
-//! and — on a durable store — its own WAL record and, under
+//! turn in the commit sequencer, a commit record in the history, and —
+//! on a durable store — its own WAL record and, under
 //! [`SyncPolicy::Always`](fdm_durability::SyncPolicy), its own wait for
 //! an fsync. [`Store::commit_batch`] amortizes all of that: a *group* of
 //! transactions whose write sets are pairwise disjoint is validated,
@@ -21,7 +21,7 @@
 //! * A member whose write set overlaps a commit made since its snapshot
 //!   fails with exactly the [`FdmError::TransactionConflict`] the
 //!   one-at-a-time path raises — first committer wins, validated against
-//!   the same commit log at flush time.
+//!   the same history records at flush time.
 //! * A member whose write set overlaps an **earlier member of the same
 //!   batch** also fails with `TransactionConflict`: submitted one at a
 //!   time, the earlier transaction would have committed first and the

@@ -2,36 +2,33 @@
 //!
 //! [`Store::register_view`](crate::Store::register_view) compiles an FQL
 //! plan into a [`MaintainedView`] (see `fdm-fql`'s `ivm` module) and
-//! subscribes it to the store's commit stream. The [`DbDelta`] of version
-//! v is a property of the commit, not of a view: `ViewCatalog::observe`
-//! computes it once — from the commit's own writes when its working copy
-//! installed as it is (each staged write remembered the tuple it
-//! replaced), else by looking the written keys up in the roots on either
-//! side of the install — and every view applies that same delta *under
-//! the version watermark the commit installed*, so reading a view always
-//! answers "the view as of version v" for a concrete, known v.
+//! subscribes it to the store's commit stream. The catalog keeps no copy
+//! of that stream: a view at watermark w reads the records of versions
+//! w + 1, w + 2, … straight from the store's [`History`], whose ring is
+//! gapless up to its head. The [`DbDelta`] of version v is read off its
+//! record (`CommitRecord::delta`) once per drain and applied by every
+//! view that needs it *under the version watermark the commit
+//! installed*, so reading a view always answers "the view as of version
+//! v" for a concrete, known v. A delta with an entry rewritten whole is
+//! applied over the root of v (`History::as_of`); a row delta is never
+//! read against a root, so none is built for it.
 //!
-//! Commits can reach the catalog out of version order (they install in
-//! order under the commit sequencer, but reach the catalog after it is
-//! released), so the catalog buffers `(version, delta, root)` entries
-//! and advances each view only through a *contiguous* version prefix — a
-//! view's watermark never jumps a gap that a straggling committer might
-//! still fill.
+//! A view whose next record has left the ring is rebuilt over the oldest
+//! retained version and drains forward from there, counted as one
+//! fallback recompute. So a view that is never refreshed pins nothing.
 //!
 //! Maintenance errors never fail the commit that triggered them: the
 //! commit is already installed and durable by the time the catalog sees
 //! it. A failing view is instead *poisoned* — its error is remembered
 //! and surfaced on the next read — while other views keep advancing.
 
-use crate::writeset::Op;
-use fdm_core::delta::{DbDelta, EntryDelta, TupleChange};
-use fdm_core::{DatabaseF, FdmError, Name, Result, TupleF, Value};
+use crate::history::{CommitRecord, History};
+use fdm_core::delta::DbDelta;
+use fdm_core::{DatabaseF, FdmError, Result};
 use fdm_fql::ivm::{IvmStats, MaintainedView};
 use fdm_fql::plan::Query;
 use fdm_storage::Version;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// When a registered view is brought forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +53,24 @@ struct RegisteredView {
     error: Option<String>,
 }
 
+impl RegisteredView {
+    /// `true` if a drain of `mode` views (all when `None`) up to `up_to`
+    /// moves this view.
+    fn behind(&self, mode: Option<RefreshMode>, up_to: Version) -> bool {
+        self.error.is_none() && mode.is_none_or(|m| self.mode == m) && self.watermark < up_to
+    }
+
+    /// Applies the delta of version `v`, or poisons the view.
+    fn apply(&mut self, v: Version, db: &DatabaseF, delta: &DbDelta) {
+        match self.view.apply(db, delta) {
+            Ok(_) => self.watermark = v,
+            Err(e) => self.error = Some(format!("applying delta for v{v}: {e}")),
+        }
+    }
+}
+
 #[derive(Default)]
 struct CatalogInner {
-    /// Commits not yet consumed by every view, keyed by version:
-    /// `(the commit's delta, the root it installed)`.
-    pending: BTreeMap<Version, (DbDelta, DatabaseF)>,
     /// Commit deltas built so far (a statistic).
     deltas_built: u64,
     views: Vec<RegisteredView>,
@@ -71,48 +81,28 @@ struct CatalogInner {
 /// All state sits behind one mutex: view maintenance is serialized with
 /// respect to itself, which is what makes "apply each commit's delta
 /// exactly once, in version order" trivially correct. Commits on a store
-/// with no registered views pay one uncontended lock and return.
+/// with no eager view pay one uncontended lock and return.
 #[derive(Default)]
 pub struct ViewCatalog {
     inner: Mutex<CatalogInner>,
 }
 
 impl ViewCatalog {
-    /// Feeds one installed commit — `before` is the root it replaced,
-    /// `after` the one it installed, `replaced` (when the commit vouches
-    /// for them) the tuple each of its `ops` replaced — to the catalog.
-    /// Called from the store's commit bookkeeping *after* the root is
-    /// installed and the commit is in the time-travel history. Never fails
-    /// the commit: per-view errors poison that view only. The delta is
-    /// built outside the lock, and not at all while no view is registered:
-    /// one registered after that check snapshots at or past `version` and
-    /// never needs it.
-    pub(crate) fn observe(
-        &self,
-        version: Version,
-        ops: &[Op],
-        replaced: Option<&[Option<Arc<TupleF>>]>,
-        before: &DatabaseF,
-        after: &DatabaseF,
-    ) {
-        if self.inner.lock().views.is_empty() {
-            return;
-        }
-        let delta = match replaced {
-            Some(replaced) => delta_from_writes(ops, replaced),
-            None => delta_from_ops(before, after, ops),
-        };
+    /// Brings the eager views forward to `version`, which the calling
+    /// committer installed as `db`. Called from the store's commit
+    /// bookkeeping *after* the root is installed. Never fails the commit:
+    /// per-view errors poison that view only, and a `version` the ring has
+    /// already evicted is left to the committer of a newer one.
+    pub(crate) fn observe(&self, history: &History, version: Version, db: &DatabaseF) {
         let mut inner = self.inner.lock();
-        inner.deltas_built += 1;
-        inner.pending.insert(version, (delta, after.clone()));
-        inner.drain(Some(RefreshMode::Eager), Version::MAX);
-        inner.prune();
+        let _ = inner.drain(history, Some(RefreshMode::Eager), version, (version, db));
     }
 
     /// Registers a view against the store's current snapshot, taken
     /// *while holding the catalog lock* so no commit can slip between
-    /// the initial materialization and the subscription. Returns the
-    /// version the view starts at.
+    /// the initial materialization and the subscription: a commit newer
+    /// than the snapshot observes after the lock is released, and drains
+    /// its own record. Returns the version the view starts at.
     pub(crate) fn register(
         &self,
         name: &str,
@@ -121,9 +111,6 @@ impl ViewCatalog {
         snapshot: impl FnOnce() -> (Version, DatabaseF),
     ) -> Result<Version> {
         let mut inner = self.inner.lock();
-        // Any commit whose observe() completed before we took the lock
-        // has version <= v0 (install precedes observe); later commits
-        // will be drained from `pending` by watermark order.
         let (v0, db0) = snapshot();
         if inner.views.iter().any(|rv| rv.view.name() == name) {
             return Err(FdmError::Expr(format!(
@@ -137,21 +124,20 @@ impl ViewCatalog {
             mode,
             error: None,
         });
-        if mode == RefreshMode::Eager {
-            inner.drain(Some(RefreshMode::Eager), Version::MAX);
-        }
-        inner.prune();
         Ok(v0)
     }
 
     /// Brings **every** view (eager and manual) forward through the
-    /// contiguous pending prefix, up to at most `version`. Returns the
-    /// minimum watermark across healthy views afterwards — the version
-    /// every view is guaranteed to reflect.
-    pub(crate) fn refresh_to(&self, version: Version) -> Result<Version> {
+    /// history's records, up to at most `version`. Returns the minimum
+    /// watermark across healthy views afterwards — the version every view
+    /// is guaranteed to reflect — or, when a view would have to move to a
+    /// `version` the ring no longer holds, [`FdmError::VersionEvicted`],
+    /// with no view moved.
+    pub(crate) fn refresh_to(&self, history: &History, version: Version) -> Result<Version> {
         let mut inner = self.inner.lock();
-        inner.drain(None, version);
-        inner.prune();
+        if let Some((head_v, head)) = history.latest() {
+            inner.drain(history, None, version, (head_v, &head))?;
+        }
         let floor = inner
             .views
             .iter()
@@ -202,160 +188,105 @@ impl ViewCatalog {
 }
 
 impl CatalogInner {
-    /// Advances views (those matching `mode`, or all when `None`)
-    /// through the contiguous prefix of `pending`, stopping at `up_to`.
-    fn drain(&mut self, mode: Option<RefreshMode>, up_to: Version) {
-        for rv in &mut self.views {
-            if rv.error.is_some() || mode.is_some_and(|m| rv.mode != m) {
-                continue;
-            }
-            loop {
-                let next = rv.watermark + 1;
-                if next > up_to {
-                    break;
+    /// Advances the views of `mode` (all when `None`) through the
+    /// history's records up to `up_to`; `installed` is a version with its
+    /// root at hand. Each record's delta is built once and applied by every
+    /// view waiting for it. A view whose next record has left the ring is
+    /// first rebuilt over the oldest retained version; if that is newer
+    /// than `up_to`, nothing moves and the eviction is the answer.
+    fn drain(
+        &mut self,
+        history: &History,
+        mode: Option<RefreshMode>,
+        up_to: Version,
+        installed: (Version, &DatabaseF),
+    ) -> Result<()> {
+        'drain: loop {
+            let behind = self.views.iter().filter(|rv| rv.behind(mode, up_to));
+            let Some(from) = behind.map(|rv| rv.watermark).min() else {
+                return Ok(());
+            };
+            let records = match history.records(from, up_to) {
+                Ok(records) => records,
+                Err(FdmError::VersionEvicted {
+                    oldest: Some(oldest),
+                    ..
+                }) if oldest <= up_to => {
+                    self.rebuild(history, mode, oldest);
+                    continue;
                 }
-                let Some((delta, db)) = self.pending.get(&next) else {
-                    break; // gap: a straggling committer may still fill it
+                Err(FdmError::VersionEvicted { oldest, newest, .. }) => {
+                    return Err(FdmError::VersionEvicted {
+                        version: up_to,
+                        oldest,
+                        newest,
+                    })
+                }
+                Err(e) => return Err(e),
+            };
+            for (v, record) in records {
+                let delta = record.delta();
+                self.deltas_built += 1;
+                let Some(db) = root_for(history, &record, v, installed) else {
+                    continue 'drain; // evicted meanwhile: the next round rebuilds
                 };
-                match rv.view.apply(db, delta) {
-                    Ok(_) => rv.watermark = next,
-                    Err(e) => {
-                        rv.error = Some(format!("applying delta for v{next}: {e}"));
-                        break;
+                for rv in &mut self.views {
+                    if rv.behind(mode, up_to) && rv.watermark + 1 == v {
+                        rv.apply(v, &db, &delta);
                     }
                 }
             }
+            return Ok(());
         }
     }
 
-    /// Drops pending commits every healthy view has consumed. Poisoned
-    /// views never hold entries back — they will not advance again.
-    fn prune(&mut self) {
-        if self.views.is_empty() {
-            self.pending.clear();
-            return;
-        }
-        let floor = self
-            .views
-            .iter()
-            .filter(|rv| rv.error.is_none())
-            .map(|rv| rv.watermark)
-            .min()
-            .unwrap_or(Version::MAX);
-        self.pending.retain(|v, _| *v > floor);
-    }
-}
-
-/// Translates a commit's recorded ops into the [`DbDelta`] the IVM layer
-/// consumes, using the committed roots on either side of the commit to
-/// resolve each touched key's old/new tuple. Point writes become
-/// [`EntryDelta::Rows`]; whole-entry rebinds ([`Op::Assign`] /
-/// [`Op::Drop`]) become [`EntryDelta::Replaced`], which the view layer
-/// handles with a scoped recompute.
-fn delta_from_ops(base: &DatabaseF, after: &DatabaseF, ops: &[Op]) -> DbDelta {
-    let mut touched: BTreeMap<Name, BTreeSet<Value>> = BTreeMap::new();
-    let mut replaced: BTreeSet<Name> = BTreeSet::new();
-    for op in ops {
-        match op {
-            Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => {
-                touched.entry(rel.clone()).or_default().insert(key.clone());
-            }
-            Op::Assign { name, .. } | Op::Drop { name } => {
-                replaced.insert(name.clone());
-            }
-        }
-    }
-    let mut entries: Vec<(Name, EntryDelta)> = Vec::new();
-    for (rel, keys) in touched {
-        if replaced.contains(&rel) {
-            continue; // the rebind supersedes the point writes
-        }
-        let (old_rel, new_rel) = (base.relation(&rel), after.relation(&rel));
-        let (Ok(old_rel), Ok(new_rel)) = (old_rel, new_rel) else {
-            // the entry appeared, vanished, or changed kind mid-commit —
-            // too coarse for a row delta
-            entries.push((rel, EntryDelta::Replaced));
-            continue;
+    /// Rebuilds every view of `mode` whose next record precedes `oldest`
+    /// over the root of `oldest`, keeping its counters and counting one
+    /// fallback recompute.
+    fn rebuild(&mut self, history: &History, mode: Option<RefreshMode>, oldest: Version) {
+        let Ok(db) = history.as_of(oldest) else {
+            return; // evicted meanwhile: the next round sees the new window
         };
-        let mut changes = Vec::new();
-        for key in keys {
-            let old = old_rel.lookup(&key);
-            let new = new_rel.lookup(&key);
-            changes.extend(change(key, old, new));
-        }
-        if !changes.is_empty() {
-            entries.push((rel, EntryDelta::Rows(changes)));
-        }
-    }
-    for name in replaced {
-        entries.push((name, EntryDelta::Replaced));
-    }
-    DbDelta { entries }
-}
-
-/// One key's transition, `None` when it is none: absent on both sides,
-/// or the same data ([`TupleF::same_data`]).
-fn change(key: Value, old: Option<Arc<TupleF>>, new: Option<Arc<TupleF>>) -> Option<TupleChange> {
-    match (&old, &new) {
-        (None, None) => None,
-        (Some(o), Some(n)) if o.same_data(n) => None,
-        _ => Some(TupleChange { key, old, new }),
-    }
-}
-
-/// [`delta_from_ops`] for a commit whose working copy installed as it is,
-/// read off its own writes with no root lookup: `replaced[i]` is the tuple
-/// `ops[i]` replaced, so a key's old side is what its first write
-/// replaced and its new side what its last write left. The same delta,
-/// entry for entry (`commit_delta_equals_between`).
-fn delta_from_writes(ops: &[Op], replaced: &[Option<Arc<TupleF>>]) -> DbDelta {
-    let mut rebound: BTreeSet<&Name> = BTreeSet::new();
-    // every point write as (relation, key, op index), in that order
-    let mut writes: Vec<(&Name, &Value, usize)> = Vec::with_capacity(ops.len());
-    for (at, op) in ops.iter().enumerate() {
-        match op {
-            Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => writes.push((rel, key, at)),
-            Op::Assign { name, .. } | Op::Drop { name } => {
-                rebound.insert(name);
+        for rv in &mut self.views {
+            if rv.behind(mode, oldest) && rv.watermark + 1 < oldest {
+                match rv.view.rebuild(&db) {
+                    Ok(()) => rv.watermark = oldest,
+                    Err(e) => rv.error = Some(format!("rebuilding at v{oldest}: {e}")),
+                }
             }
         }
     }
-    writes.sort_unstable();
-    let mut entries: Vec<(Name, EntryDelta)> = Vec::new();
-    for of_rel in writes.chunk_by(|a, b| a.0 == b.0) {
-        let rel = of_rel[0].0;
-        if rebound.contains(rel) {
-            continue; // the rebind supersedes the point writes
-        }
-        let mut changes = Vec::new();
-        for of_key in of_rel.chunk_by(|a, b| a.1 == b.1) {
-            let ((_, key, first), (.., last)) = (of_key[0], of_key[of_key.len() - 1]);
-            let new = match &ops[last] {
-                Op::Upsert { tuple, .. } => Some(Arc::clone(tuple)),
-                _ => None,
-            };
-            changes.extend(change(key.clone(), replaced[first].clone(), new));
-        }
-        if !changes.is_empty() {
-            entries.push((rel.clone(), EntryDelta::Rows(changes)));
-        }
+}
+
+/// The root a view reads the delta of version `v` against: the one at
+/// hand when `v` is its version; else, when the record rewrote an entry
+/// whole, `as_of(v)` — `None` if the ring has evicted it meanwhile. A row
+/// delta is never read against a root, so it is handed the one at hand
+/// and no root is built for it.
+fn root_for(
+    history: &History,
+    record: &CommitRecord,
+    v: Version,
+    (at, db): (Version, &DatabaseF),
+) -> Option<DatabaseF> {
+    if v == at || !record.rewrites_whole() {
+        return Some(db.clone());
     }
-    for name in rebound {
-        entries.push((name.clone(), EntryDelta::Replaced));
-    }
-    DbDelta { entries }
+    history.as_of(v).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::Store;
-    use fdm_core::TupleF;
+    use crate::writeset::{apply_ops_replacing, Op};
+    use fdm_core::delta::EntryDelta;
+    use fdm_core::{Name, TupleF, Value};
     use fdm_fql::prelude::Params;
     use fdm_fql::testutil::retail_db;
-    use fdm_fql::update::db_upsert;
     use fdm_fql::DynamicView;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     fn olds_query() -> Query {
@@ -527,12 +458,11 @@ mod tests {
         /// nothing else may differ. A view fed the delta lands on the
         /// recompute.
         ///
-        /// Both builders are checked — the lookups into the two roots and
-        /// the read-off of the transaction's own writes — and then the
-        /// store's three paths to them: a working copy that installs as it
-        /// is (its own writes), one that replays because a commit landed
-        /// between its snapshot and its install, and a `commit_batch`
-        /// group (both lookups).
+        /// The record's delta is checked on its own, and then on the
+        /// store's three paths to a record: a working copy that installs as
+        /// it is (what its own writes replaced), one that replays because a
+        /// commit landed between its snapshot and its install, and a
+        /// `commit_batch` group (what the replay replaced).
         #[test]
         fn commit_delta_equals_between(steps in steps()) {
             let before = retail_db();
@@ -555,8 +485,8 @@ mod tests {
                     ops.push(op);
                 }
             }
-            matches_between(&delta_from_ops(&before, &after, &ops), &before, &after, &rebound);
-            matches_between(&delta_from_writes(&ops, &replaced), &before, &after, &rebound);
+            let record = CommitRecord::new(&before, &after, ops, replaced);
+            matches_between(&record.delta(), &before, &after, &rebound);
 
             // a ledger no drawn step touches, for the writer that lands
             // beside or between
@@ -566,7 +496,7 @@ mod tests {
             };
             for path in ["as it is", "replayed", "batched"] {
                 let store = Store::new(shop.clone());
-                // a manual view keeps every commit's delta pending
+                // a manual view that never moves: the record is all there is
                 store.register_view_with("late", olds_query(), RefreshMode::Manual).unwrap();
                 let mut txn = store.begin();
                 let rebound = stage(&mut txn, &steps);
@@ -586,7 +516,8 @@ mod tests {
                     }
                 }
                 let head = store.version();
-                let ours = store.views.inner.lock().pending.get(&head).map(|(d, _)| d.clone());
+                let record = store.history().records(head.saturating_sub(1), head).unwrap().pop();
+                let ours = record.map(|(_, record)| record.delta());
                 match ours {
                     Some(ours) => {
                         let before = store.as_of(head - 1).unwrap();
@@ -664,43 +595,36 @@ mod tests {
         assert!(store.view_stats("olds").unwrap().deltas_applied >= 1);
     }
 
+    /// Replaces `out_of_order_commits_buffer_behind_the_gap`: commits
+    /// reach the catalog out of version order, but the ring holds every
+    /// record up to its head, so the later committer drains both, in
+    /// order, and the straggler finds nothing left to do.
     #[test]
-    fn out_of_order_commits_buffer_behind_the_gap() {
+    fn out_of_order_commits_drain_from_the_ring() {
         let db0 = retail_db();
+        let history = History::new(8);
+        history.push(0, db0.clone(), None);
         let catalog = ViewCatalog::default();
         catalog
             .register("olds", olds_query(), RefreshMode::Eager, || {
                 (0, db0.clone())
             })
             .unwrap();
+        let mut db = db0;
+        for (v, op) in [(1, upsert_op(9, "Zoe", 70)), (2, upsert_op(10, "Yan", 61))] {
+            let (after, replaced) = apply_ops_replacing(&db, std::slice::from_ref(&op)).unwrap();
+            let record = CommitRecord::new(&db, &after, vec![op], replaced);
+            history.push(v, after.clone(), Some(Arc::new(record)));
+            db = after;
+        }
 
-        let db1 = db_upsert(
-            &db0,
-            "customers",
-            Value::Int(9),
-            (*customer(9, "Zoe", 70)).clone(),
-        )
-        .unwrap();
-        let db2 = db_upsert(
-            &db1,
-            "customers",
-            Value::Int(10),
-            (*customer(10, "Yan", 61)).clone(),
-        )
-        .unwrap();
-
-        // v2 arrives first: the view must NOT jump the v1 gap
-        catalog.observe(2, &[upsert_op(10, "Yan", 61)], None, &db1, &db2);
-        let (v, rel) = catalog.read("olds").unwrap();
-        assert_eq!((v, rel.len()), (0, 2), "gap holds the watermark at v0");
-
-        // the straggler fills the gap: both drain, in order, each through
-        // the delta its own commit built
-        catalog.observe(1, &[upsert_op(9, "Zoe", 70)], None, &db0, &db1);
+        catalog.observe(&history, 2, &db);
         let (v, rel) = catalog.read("olds").unwrap();
         assert_eq!(v, 2);
-        assert_eq!(keyed(&rel), keyed(&olds_query().eval(&db2).unwrap()));
-        assert!(catalog.inner.lock().pending.is_empty(), "all consumed");
+        assert_eq!(keyed(&rel), keyed(&olds_query().eval(&db).unwrap()));
+        catalog.observe(&history, 1, &history.as_of(1).unwrap());
+        assert_eq!(catalog.read("olds").unwrap().0, 2);
+        assert_eq!(catalog.inner.lock().deltas_built, 2, "one delta per record");
     }
 
     /// The delta of a version is built once per commit — not once per
@@ -723,7 +647,6 @@ mod tests {
         commit(9);
         commit(10);
         assert_eq!(built(), 0, "no view, no delta");
-        assert!(store.views.inner.lock().pending.is_empty());
 
         store.register_view("olds", olds_query()).unwrap();
         store
@@ -734,11 +657,10 @@ mod tests {
             .unwrap();
         let head = commit(11).max(commit(12)).max(commit(13));
         assert_eq!(built(), 3, "three commits, three views, three deltas");
-        // the manual view has not consumed them: the deltas wait for it
-        assert_eq!(store.views.inner.lock().pending.len(), 3);
+        // the manual view has not consumed them: a refresh reads the
+        // deltas it missed off the records, once each
         assert_eq!(store.refresh_views_to(head).unwrap(), head);
-        assert_eq!(built(), 3, "a refresh re-reads the stored deltas");
-        assert!(store.views.inner.lock().pending.is_empty());
+        assert_eq!(built(), 6, "a refresh builds each missed delta once");
         for name in ["olds", "late"] {
             let (v, rel) = store.view(name).unwrap();
             assert_eq!(v, head);

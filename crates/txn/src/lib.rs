@@ -13,13 +13,14 @@
 //!
 //! The commit path is built for concurrency (see `docs/TRANSACTIONS.md`
 //! at the repo root): every write takes its turn in one short commit
-//! sequencer, so versions reach the commit log, the history and the WAL
-//! in order and no install is lost to a race; genuine write-write
-//! conflicts surface as typed errors carrying the conflicting keys,
-//! [`Store::run`] re-derives read-modify-write transactions from fresh
-//! snapshots under a [`CommitPolicy`] with deterministic seeded backoff,
-//! and every commit is recorded into a bounded [`History`] serving
-//! [`Store::as_of`] time-travel reads. Building with the
+//! sequencer, so versions reach the history and the WAL in order and no
+//! install is lost to a race; genuine write-write conflicts surface as
+//! typed errors carrying the conflicting keys, [`Store::run`] re-derives
+//! read-modify-write transactions from fresh snapshots under a
+//! [`CommitPolicy`] with deterministic seeded backoff, and every commit
+//! pushes one record into a bounded [`History`] — the one ring that
+//! conflict validation, [`Store::as_of`] time-travel reads and view
+//! maintenance all read. Building with the
 //! `fault-injection` feature (or in tests) adds `FaultPlan` hooks that
 //! force conflicts, delays, and poisoned write sets at chosen versions.
 //!

@@ -1,12 +1,12 @@
 //! The transactional store: a versioned root holding the committed
-//! database function, the commit sequencer every install runs under —
-//! with the commit log it guards, used for snapshot-isolation validation
-//! — and the bounded version history behind time-travel reads.
+//! database function, the commit sequencer every install runs under, and
+//! the bounded ring of commit records behind snapshot-isolation
+//! validation, time-travel reads and view maintenance.
 
 use crate::catalog::{RefreshMode, ViewCatalog};
-use crate::history::History;
+use crate::history::{CommitRecord, History};
 use crate::txn::Transaction;
-use crate::writeset::{apply_ops_replacing, undo_ops, Op, WriteSet};
+use crate::writeset::{apply_ops_replacing, Op, WriteSet};
 use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_durability::{
     check_record_payload, encode_ops, list_checkpoints, prune_checkpoints, recover,
@@ -15,7 +15,6 @@ use fdm_durability::{
 use fdm_storage::VersionedRoot;
 use fdm_storage::{Backoff, Version};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -131,14 +130,15 @@ pub struct StoreConfig {
     /// Default policy used by [`Transaction::commit`] and
     /// [`Store::run`].
     pub policy: CommitPolicy,
-    /// Versions retained for [`Store::as_of`] time travel. Each retained
-    /// version costs its commit's undo — the recorded ops inverted, with
-    /// the tuples they replaced — not a root: the path a commit superseded
-    /// is freed a few commits later, and a past root is built only when
-    /// asked for.
+    /// Versions retained, each with the record of the commit that made
+    /// it — the one retention bound. Conflict validation reaches back this
+    /// many commits, [`Store::as_of`] answers this many versions, and a
+    /// view that falls further behind is rebuilt. A retained version costs
+    /// its record — the ops, the tuples they replaced, and the old value
+    /// of an entry rewritten whole — not a root: the path a commit
+    /// superseded is freed a few commits later, and a past root is built
+    /// only when asked for.
     pub history_capacity: usize,
-    /// Commit-log entries retained for conflict validation.
-    pub log_cap: usize,
     /// Durability section: directory, fsync cadence (group commit),
     /// segment rotation, checkpoint retention. `None` (the default) is a
     /// purely in-memory store. Durable stores are built with
@@ -152,8 +152,7 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             policy: CommitPolicy::default(),
-            history_capacity: 1024,
-            log_cap: 4096,
+            history_capacity: 4096,
             durability: None,
         }
     }
@@ -186,13 +185,13 @@ pub(crate) struct Durable {
 /// writers merge (their recorded operations replay onto the latest root);
 /// overlapping writers lose with [`FdmError::TransactionConflict`] —
 /// first committer wins. Commits take turns in one short **commit
-/// sequencer** (validate, build, install, log — nothing that sleeps or
-/// makes a syscall), so versions reach the commit log, the history and
-/// the WAL in order by construction and no install is ever lost to a
-/// race.
+/// sequencer** (validate, build, record, install — nothing that sleeps
+/// or makes a syscall), so versions reach the history and the WAL in
+/// order by construction and no install is ever lost to a race.
 ///
-/// Every commit is also recorded into a bounded [`History`], so
-/// [`Store::as_of`] serves time-travel reads without blocking writers.
+/// Every commit pushes one record into a bounded [`History`], which
+/// validation, [`Store::as_of`] time travel and the view catalog all
+/// read, without blocking writers.
 ///
 /// # Examples
 ///
@@ -225,16 +224,13 @@ pub(crate) struct Durable {
 pub struct Store {
     pub(crate) root: Arc<VersionedRoot<DatabaseF>>,
     /// The **commit sequencer**: the one lock every install runs under
-    /// ([`Store::install`]), guarding the commit log. Acquire it through
-    /// [`Store::sequencer`] only.
-    pub(crate) sequencer: Mutex<CommitLog>,
-    /// Maximum retained commit-log entries.
-    pub(crate) log_cap: usize,
+    /// ([`Store::install`]). Acquire it through [`Store::sequencer`] only.
+    pub(crate) sequencer: Mutex<()>,
     /// Default commit policy (see [`Transaction::commit_with`] to
     /// override per commit).
     pub(crate) policy: CommitPolicy,
-    /// The head root and each retained version's undo, for time travel;
-    /// every write commit pushes one.
+    /// The head root and each retained version's commit record; every
+    /// write commit pushes one.
     pub(crate) history: History,
     /// The WAL + checkpoint machinery, when this store is durable.
     pub(crate) durable: Option<Durable>,
@@ -245,15 +241,6 @@ pub struct Store {
     #[cfg(any(test, feature = "fault-injection"))]
     pub(crate) faults: Mutex<Option<Arc<FaultPlan>>>,
 }
-
-/// The commit log: `(version, write set)` of the newest commits, oldest
-/// first. Only the sequencer's holder appends, one entry per installed
-/// version, so it is gapless and ends at the store's current version.
-/// Trimming below the oldest version any conflict check can need would
-/// require tracking active transactions; we keep a bounded tail instead,
-/// which is correct as long as snapshots are not older than the tail —
-/// enforced in commit validation.
-pub(crate) type CommitLog = VecDeque<(Version, Arc<WriteSet>)>;
 
 /// `try_lock` rounds a committer spins for the sequencer before it starts
 /// yielding. The section is a few microseconds, a futex wake 50–90 µs on
@@ -268,7 +255,7 @@ pub(crate) struct Member {
     /// Where its result goes in the caller's outcome slice.
     pub(crate) index: usize,
     pub(crate) base_version: Version,
-    pub(crate) writes: Arc<WriteSet>,
+    pub(crate) writes: WriteSet,
     /// Its recorded operations, as a range of [`Group::ops`].
     ops: Range<usize>,
 }
@@ -278,10 +265,9 @@ pub(crate) struct Member {
 #[derive(Default)]
 pub(crate) struct Group {
     pub(crate) members: Vec<Member>,
-    /// Every member's recorded operations, in member order.
+    /// Every member's recorded operations, in member order; they move
+    /// into the commit's record at install.
     pub(crate) ops: Vec<Op>,
-    /// Union of the members' write sets ([`Group::union_writes`]).
-    writes: Arc<WriteSet>,
     /// The encoded `ops`, on a durable store ([`Store::seal`]).
     payload: Option<Vec<u8>>,
 }
@@ -299,23 +285,9 @@ impl Group {
         self.members.push(Member {
             index,
             base_version,
-            writes: Arc::new(writes),
+            writes,
             ops: start..self.ops.len(),
         });
-    }
-
-    /// Sets `writes` to the union of the members' write sets.
-    fn union_writes(&mut self) {
-        self.writes = match self.members.as_slice() {
-            [only] => Arc::clone(&only.writes),
-            members => {
-                let mut union = WriteSet::default();
-                for m in members {
-                    union.merge(&m.writes);
-                }
-                Arc::new(union)
-            }
-        };
     }
 
     /// Drops the operations of members no longer in the group.
@@ -337,22 +309,13 @@ pub(crate) struct Working {
     /// The tuple each recorded op replaced, beside it (see
     /// `Transaction`).
     pub(crate) replaced: Vec<Option<Arc<TupleF>>>,
-    /// `false` when the commit's delta cannot trust `replaced`.
-    pub(crate) plain: bool,
 }
 
 /// What [`Store::install`] hands to the post-install steps.
 pub(crate) struct Installed {
     pub(crate) version: Version,
-    /// The root the install replaced — with `db`, the two sides of the
-    /// commit's delta.
-    before: DatabaseF,
+    /// The root the install made current.
     db: DatabaseF,
-    /// The tuple each of the group's ops replaced, when the working copy
-    /// installed as it is and wrote only plain stored maps: the commit's
-    /// delta is then read off its own writes. `None` for a replayed group
-    /// and a batch, whose delta looks its keys up in `before` and `db`.
-    replaced: Option<Vec<Option<Arc<TupleF>>>>,
     /// The WAL's answer to the enqueue, on a durable store: `Ok(true)`
     /// means this committer closes its WAL group.
     wal: Option<Result<bool, DurabilityError>>,
@@ -403,11 +366,10 @@ impl Store {
         durable: Option<Durable>,
     ) -> Arc<Store> {
         let history = History::new(config.history_capacity);
-        history.record(version, db.clone());
+        history.push(version, db.clone(), None);
         Arc::new(Store {
             root: Arc::new(VersionedRoot::with_version(db, version)),
-            sequencer: Mutex::new(VecDeque::new()),
-            log_cap: config.log_cap.max(1),
+            sequencer: Mutex::new(()),
             policy: config.policy,
             history,
             durable,
@@ -475,9 +437,9 @@ impl Store {
     /// a crash, and silently dropping acknowledged commits is worse than
     /// refusing to open.
     ///
-    /// Every replayed commit is recorded into the commit log and the
-    /// time-travel history, so conflict validation and [`Store::as_of`]
-    /// behave exactly as if the store had never restarted.
+    /// Every replayed commit pushes its record into the history, so
+    /// conflict validation and [`Store::as_of`] behave exactly as if the
+    /// store had never restarted.
     pub fn open_with(config: StoreConfig) -> Result<Arc<Store>, DurabilityError> {
         let dcfg = config
             .durability
@@ -505,12 +467,11 @@ impl Store {
             let mut group = Group::default();
             let ops: Vec<Op> = commit.ops.into_iter().map(Op::from).collect();
             group.push(0, commit.version - 1, WriteSet::from_ops(&ops), ops);
-            group.union_writes();
             let replayed = match store.install(&mut group, None, &mut [None]) {
                 // nothing was enqueued, so this is the catalog bookkeeping
                 // alone
                 Ok(Some(installed)) if installed.version == commit.version => {
-                    store.record_commit(installed, &group)
+                    store.record_commit(installed)
                 }
                 Ok(_) => Err(FdmError::Other(format!(
                     "it does not follow v{}",
@@ -551,9 +512,11 @@ impl Store {
     /// version ≤ `version`, from the store's [`History`]. Errors with
     /// [`FdmError::VersionEvicted`] below the retained window. The head,
     /// or a version asked for before, is one clone; any other version is
-    /// built once by applying undos to the nearest newer root the history
-    /// knows, and kept until it is evicted. Never blocks writers: the
-    /// history read lock is held only to clone a root and the undos.
+    /// built once by applying the records' undos to the nearest newer root
+    /// the history knows, and kept until it is evicted. Never takes the
+    /// sequencer: the history read lock is held only to clone a root and
+    /// the records. A version a reader has seen is already in the history:
+    /// a commit pushes its record before it installs its root.
     pub fn as_of(&self, version: Version) -> Result<DatabaseF> {
         self.history.as_of(version)
     }
@@ -563,9 +526,11 @@ impl Store {
         &self.history
     }
 
-    /// Bounds the time-travel log to the newest `keep_last_n` versions;
-    /// returns how many entries were evicted. They are freed after the
-    /// history lock is released, so commits do not wait on the frees.
+    /// Bounds the history to the newest `keep_last_n` versions; returns
+    /// how many entries were evicted. A transaction whose snapshot is older
+    /// than the kept window then fails validation, and a view behind it is
+    /// rebuilt. They are freed after the history lock is released, so
+    /// commits do not wait on the frees.
     pub fn compact_history(&self, keep_last_n: usize) -> usize {
         self.history.compact(keep_last_n)
     }
@@ -584,7 +549,8 @@ impl Store {
     /// [`Store::register_view`] with an explicit [`RefreshMode`]:
     /// [`RefreshMode::Manual`] views are advanced only by
     /// [`Store::refresh_views_to`], keeping the commit path free of
-    /// maintenance work while the catalog buffers the deltas.
+    /// maintenance work; a refresh reads the commits it missed from the
+    /// history, and a view behind the history is rebuilt.
     pub fn register_view_with(
         &self,
         name: &str,
@@ -610,13 +576,16 @@ impl Store {
     }
 
     /// Brings every registered view — manual and eager — forward through
-    /// the buffered commits, up to at most `version`. Returns the
-    /// minimum watermark across healthy views: the version all of them
-    /// are guaranteed to reflect (which may exceed `version` if they
-    /// were already ahead, or fall short of it if a commit in between
-    /// has installed but not yet reached its post-install bookkeeping).
+    /// the history's records, up to at most `version`. Returns the minimum
+    /// watermark across healthy views: the version all of them are
+    /// guaranteed to reflect (which may exceed `version` if they were
+    /// already ahead, or fall short of it if `version` is not committed
+    /// yet). A view whose next record has left the history is first
+    /// rebuilt over the oldest retained version; when `version` itself is
+    /// older than that, no view moves and the answer is
+    /// [`FdmError::VersionEvicted`] naming the window.
     pub fn refresh_views_to(&self, version: Version) -> Result<Version> {
-        self.views.refresh_to(version)
+        self.views.refresh_to(&self.history, version)
     }
 
     /// Begins a transaction on the current snapshot (paper Fig. 11
@@ -724,17 +693,17 @@ impl Store {
         txn.commit()
     }
 
-    /// Number of commits retained in the validation log.
+    /// Number of commits whose records validation can read.
     pub fn log_len(&self) -> usize {
-        self.sequencer().len()
+        self.log_versions().len()
     }
 
-    /// The versions in the validation log, oldest first, read with the
-    /// commit sequencer held: gapless, and ending at a version no older
-    /// than any [`Store::version`] read before the call — a version is
-    /// never installed without being logged in the same critical section.
+    /// The versions whose commit records the history retains, oldest
+    /// first: gapless, and ending at a version no older than any
+    /// [`Store::version`] read before the call — a commit pushes its
+    /// record before it installs its root.
     pub fn log_versions(&self) -> Vec<Version> {
-        self.sequencer().iter().map(|(v, _)| *v).collect()
+        self.history.committed()
     }
 
     /// Point read of one tuple at the current version:
@@ -773,16 +742,16 @@ impl Store {
 
     /// Acquires the commit sequencer: bounded `try_lock` spinning, then
     /// yielding, then a blocking `lock` (see [`SEQUENCER_SPINS`]).
-    pub(crate) fn sequencer(&self) -> MutexGuard<'_, CommitLog> {
+    pub(crate) fn sequencer(&self) -> MutexGuard<'_, ()> {
         for _ in 0..SEQUENCER_SPINS {
-            if let Some(log) = self.sequencer.try_lock() {
-                return log;
+            if let Some(turn) = self.sequencer.try_lock() {
+                return turn;
             }
             std::hint::spin_loop();
         }
         for _ in 0..SEQUENCER_YIELDS {
-            if let Some(log) = self.sequencer.try_lock() {
-                return log;
+            if let Some(turn) = self.sequencer.try_lock() {
+                return turn;
             }
             std::thread::yield_now();
         }
@@ -790,40 +759,36 @@ impl Store {
     }
 
     /// First-committer-wins validation of a write set staged at snapshot
-    /// `base` against the commits in `(base, current]`, with the sequencer
-    /// held. The log is gapless and ends at `current` — a version is
-    /// installed and logged in one critical section — so those commits
-    /// are exactly its last `current - base` entries. Only a log that has
-    /// trimmed them away makes a snapshot too old to validate.
-    fn validate(
-        &self,
-        log: &CommitLog,
-        base: Version,
-        current: Version,
-        writes: &WriteSet,
-    ) -> Result<()> {
-        let since = (current - base) as usize;
-        if since > log.len() {
-            return Err(FdmError::TransactionConflict {
+    /// `base` against the records of the commits in `(base, current]`,
+    /// with the sequencer held. The history is gapless and ends at
+    /// `current`; only a history that has evicted one of them makes a
+    /// snapshot too old to validate.
+    fn validate(&self, base: Version, current: Version, writes: &WriteSet) -> Result<()> {
+        let conflict = self.history.scan(base, current, |v, record| {
+            let ops = record.ops();
+            ops.iter()
+                .any(|op| writes.overlaps(op))
+                .then(|| (v, WriteSet::from_ops(ops)))
+        });
+        let conflict = conflict.map_err(|_| {
+            let oldest = self.history.oldest().unwrap_or(current);
+            FdmError::TransactionConflict {
                 detail: format!(
-                    "snapshot v{base} is older than the retained commit log (oldest v{})",
-                    current + 1 - log.len() as Version
+                    "snapshot v{base} is older than the retained history (oldest v{oldest})"
                 ),
                 keys: Vec::new(),
-            });
-        }
-        for (v, ws) in log.range(log.len() - since..) {
-            if writes.conflicts_with(ws) {
-                return Err(FdmError::TransactionConflict {
-                    detail: format!(
-                        "write-write conflict with commit v{v} on {}",
-                        writes.describe_overlap(ws)
-                    ),
-                    keys: writes.conflict_keys(ws),
-                });
             }
+        })?;
+        match conflict {
+            Some((v, theirs)) => Err(FdmError::TransactionConflict {
+                detail: format!(
+                    "write-write conflict with commit v{v} on {}",
+                    writes.describe_overlap(&theirs)
+                ),
+                keys: writes.conflict_keys(&theirs),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Commits `group` as one version — the path every write takes:
@@ -885,7 +850,7 @@ impl Store {
             return Ok(None);
         };
         let version = installed.version;
-        self.record_commit(installed, group)?;
+        self.record_commit(installed)?;
         Ok(Some(CommitOutcome {
             version,
             attempts,
@@ -893,10 +858,9 @@ impl Store {
         }))
     }
 
-    /// Fills in what the group installs and logs as a whole: the union of
-    /// its members' write sets and, on a durable store, the WAL payload.
+    /// Fills in what the group logs as a whole: on a durable store, the
+    /// WAL payload.
     fn seal(&self, group: &mut Group) -> Result<()> {
-        group.union_writes();
         group.payload = self.encode_for_wal(&group.ops)?;
         Ok(())
     }
@@ -935,16 +899,18 @@ impl Store {
 
     /// **The install routine** — the one commit transition, run by one
     /// committer at a time under the sequencer: load the root, validate
-    /// every member against the log (a loser gets its terminal conflict
-    /// and leaves the group), build the candidate — `working` as it is
-    /// when the root has not moved since its snapshot, else the group's
-    /// ops replayed onto the current root — build its undo from what each
-    /// op replaced, install it, append to the commit log, push the undo
-    /// and the new head to the history, enqueue the WAL record. Memory
-    /// only: no sleep, no syscall, no view maintenance, no checkpoint, no
-    /// second replay, and the superseded head the history hands back and
-    /// what the log and the history evict are dropped after release. The candidate moves into
-    /// `Installed`; the root and the history each take one clone of it.
+    /// every member against the history's records (a loser gets its
+    /// terminal conflict and leaves the group), build the candidate —
+    /// `working` as it is when the root has not moved since its snapshot,
+    /// else the group's ops replayed onto the current root — build the
+    /// commit's record from the ops and what each replaced, push the
+    /// record and the new head to the history, *then* install the root
+    /// (so a version any reader sees is already in the history), enqueue
+    /// the WAL record. Memory only: no sleep, no syscall, no view
+    /// maintenance, no checkpoint, no second replay, and the superseded
+    /// head and the record the history hands back are dropped after
+    /// release. The candidate moves into `Installed`; the root and the
+    /// history each take one clone of it.
     ///
     /// `Ok(None)`: no member survived validation and nothing installed.
     pub(crate) fn install(
@@ -953,18 +919,18 @@ impl Store {
         working: Option<Working>,
         outcomes: &mut [Option<Result<CommitOutcome>>],
     ) -> Result<Option<Installed>> {
-        let mut log = self.sequencer();
+        let turn = self.sequencer();
         let current = self.root.load();
         let submitted = group.members.len();
-        group.members.retain(|m| {
-            match self.validate(&log, m.base_version, current.version, &m.writes) {
+        group.members.retain(
+            |m| match self.validate(m.base_version, current.version, &m.writes) {
                 Ok(()) => true,
                 Err(e) => {
                     outcomes[m.index] = Some(Err(e));
                     false
                 }
-            }
-        });
+            },
+        );
         if group.members.is_empty() {
             return Ok(None);
         }
@@ -974,43 +940,33 @@ impl Store {
             group.compact();
             self.seal(group)?;
         }
-        let (db, replaced, plain) = match working {
-            Some(w) if group.members[0].base_version == current.version => {
-                (w.db, w.replaced, w.plain)
-            }
-            _ => {
-                let (db, replaced) = apply_ops_replacing(&current.value, &group.ops)?;
-                (db, replaced, false)
-            }
+        let (db, replaced) = match working {
+            Some(w) if group.members[0].base_version == current.version => (w.db, w.replaced),
+            _ => apply_ops_replacing(&current.value, &group.ops)?,
         };
-        let undo = undo_ops(&current.value, &db, &group.ops, &replaced);
-        let version = self
-            .root
+        let ops = std::mem::take(&mut group.ops);
+        let record = CommitRecord::new(&current.value, &db, ops, replaced);
+        let version = current.version + 1;
+        let retired = self
+            .history
+            .push(version, db.clone(), Some(Arc::new(record)));
+        self.root
             .try_install(current.version, db.clone())
             .expect("only the sequencer's holder installs");
-        log.push_back((version, Arc::clone(&group.writes)));
-        let trimmed = (log.len() > self.log_cap).then(|| log.pop_front());
-        let retired = self.history.push(version, db.clone(), Some(undo));
         let wal = match (&self.durable, &group.payload) {
             (Some(d), Some(payload)) => Some(d.wal.enqueue(version, payload)),
             _ => None,
         };
-        drop(log);
-        drop((trimmed, retired));
-        Ok(Some(Installed {
-            version,
-            before: current.value,
-            db,
-            replaced: plain.then_some(replaced),
-            wal,
-        }))
+        drop(turn);
+        drop(retired);
+        Ok(Some(Installed { version, db, wal }))
     }
 
     /// What follows an install, with the sequencer released: view
     /// maintenance and — on a durable store — the closing of the WAL
     /// group and the checkpoint cadence. Concurrent committers may run
-    /// these steps out of version order; the catalog's contiguous
-    /// watermark absorbs that.
+    /// these steps out of version order; the catalog drains the history's
+    /// gapless records, so that does not matter.
     ///
     /// A WAL record is written and fsynced by the committer that closes
     /// its group ([`Wal::complete`]): under
@@ -1022,21 +978,13 @@ impl Store {
     /// checkpoint failure is surfaced as [`FdmError::Durability`] — the
     /// memory state may be ahead of the log, exactly as after a crash,
     /// and recovery replays the durable prefix.
-    fn record_commit(&self, installed: Installed, group: &Group) -> Result<()> {
-        let Installed {
-            version,
-            before,
-            db,
-            replaced,
-            wal,
-        } = installed;
+    fn record_commit(&self, installed: Installed) -> Result<()> {
+        let Installed { version, db, wal } = installed;
         // Maintain registered views before the WAL section: the commit is
         // installed and in the history, so views must see it even if the
         // durability acknowledgement below fails. Per-view maintenance
         // errors never fail the commit (they poison that view only).
-        let replaced = replaced.as_deref();
-        self.views
-            .observe(version, &group.ops, replaced, &before, &db);
+        self.views.observe(&self.history, version, &db);
         let (Some(d), Some(enqueued)) = (self.durable.as_ref(), wal) else {
             return Ok(());
         };
@@ -1489,7 +1437,7 @@ mod tests {
             .get("balance")
             .unwrap();
         assert_eq!(bal, Value::Int(105));
-        // history and commit log were rebuilt: time travel + new commits work
+        // the history was rebuilt: time travel + new commits work
         assert_eq!(
             back.as_of(2)
                 .unwrap()
@@ -1753,6 +1701,32 @@ mod tests {
             assert_eq!(committed.unwrap(), 12);
         });
         assert_eq!(store.history().versions(), vec![11, 12]);
+    }
+
+    /// A commit pushes its record and head to the history before it
+    /// installs its root: a reader that has seen version v finds v in the
+    /// history, so `as_of(v)` never answers v − 1. With the history's
+    /// write lock held, a commit cannot make its version visible.
+    #[test]
+    fn a_version_is_in_the_history_before_it_is_visible() {
+        let store = bank();
+        let ring = store.history.inner.write();
+        std::thread::scope(|s| {
+            let store = &store;
+            s.spawn(move || {
+                store
+                    .run(|txn| txn.update_attr("accounts", &Value::Int(1), "balance", 5))
+                    .unwrap()
+            });
+            let until = Instant::now() + Duration::from_millis(50);
+            while Instant::now() < until {
+                assert_eq!(store.version(), 0, "visible before it is in the history");
+                std::thread::yield_now();
+            }
+            drop(ring);
+        });
+        let diff = fdm_fql::difference(&store.as_of(1).unwrap(), &store.snapshot()).unwrap();
+        assert!(diff.is_empty(), "as_of(1) ≡ snapshot(): {diff:?}");
     }
 
     /// Regression pin for the sequencer's locking discipline: `begin()`,

@@ -28,13 +28,9 @@ pub struct Transaction {
     ops: Vec<Op>,
     /// Beside each recorded op, the tuple its point write replaced in the
     /// working copy's stored map (`None` for an insert and for an entry
-    /// op): the commit's undo and, when `plain`, the old side of its
-    /// delta, when the working copy installs as it is.
+    /// op): what the commit's record keeps when the working copy installs
+    /// as it is.
     replaced: Vec<Option<Arc<TupleF>>>,
-    /// `false` once a point write met a relation that is not one plain
-    /// stored map, where what the map held need not be what a lookup
-    /// answers.
-    plain: bool,
 }
 
 impl Transaction {
@@ -46,7 +42,6 @@ impl Transaction {
             writes: WriteSet::default(),
             ops: Vec::new(),
             replaced: Vec::new(),
-            plain: true,
         }
     }
 
@@ -58,23 +53,19 @@ impl Transaction {
         op: Op,
         write: impl FnOnce(&RelationF) -> Result<(RelationF, Option<Arc<TupleF>>)>,
     ) -> Result<()> {
-        let current = self.working.relation_ref(rel)?;
-        let plain = current.is_plain_stored();
-        let (written, old) = write(current)?;
+        let (written, old) = write(self.working.relation_ref(rel)?)?;
         self.working = self.working.with_entry(rel, FnValue::from(written));
         if let Op::Upsert { rel, key, .. } | Op::Delete { rel, key } = &op {
             self.writes.touch_key(rel, key);
         }
-        self.record(op, old, plain);
+        self.record(op, old);
         Ok(())
     }
 
-    /// Records `op`; `old` is what it replaced, which the commit's delta
-    /// can trust only where the relation was `plain`.
-    fn record(&mut self, op: Op, old: Option<Arc<TupleF>>, plain: bool) {
+    /// Records `op` beside `old`, the tuple it replaced.
+    fn record(&mut self, op: Op, old: Option<Arc<TupleF>>) {
         self.ops.push(op);
         self.replaced.push(old);
-        self.plain &= plain;
     }
 
     /// The version this transaction's snapshot was taken at.
@@ -171,7 +162,7 @@ impl Transaction {
         self.working = self.working.with_entry(name, fv.clone());
         let n = Name::from(name);
         self.writes.touch_entry(&n);
-        self.record(Op::Assign { name: n, value: fv }, None, true);
+        self.record(Op::Assign { name: n, value: fv }, None);
         Ok(())
     }
 
@@ -180,7 +171,7 @@ impl Transaction {
         self.working = self.working.without_entry(name)?;
         let n = Name::from(name);
         self.writes.touch_entry(&n);
-        self.record(Op::Drop { name: n }, None, true);
+        self.record(Op::Drop { name: n }, None);
         Ok(())
     }
 
@@ -241,7 +232,6 @@ impl Transaction {
         let working = Working {
             db: self.working,
             replaced: self.replaced,
-            plain: self.plain,
         };
         let mut outcome = [None];
         self.store
@@ -313,9 +303,9 @@ mod tests {
 
     /// Replaces `unrecorded_winner_blocks_validation`. The lost update of
     /// benchmark finding 4 needed a version that was installed but not yet
-    /// in the commit log; the sequencer installs and logs in one critical
-    /// section, so with it free every version up to the store's is logged
-    /// — and a stale overlapping writer meets the ordinary terminal
+    /// in the commit log; the sequencer pushes a version's record before it
+    /// installs its root, so every version up to the store's is in the
+    /// ring — and a stale overlapping writer meets the ordinary terminal
     /// conflict on the single path and the batched one, while a disjoint
     /// stale writer replays cleanly.
     #[test]

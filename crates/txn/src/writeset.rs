@@ -2,7 +2,7 @@
 
 use fdm_core::{DatabaseF, FnValue, Name, Result, TupleF, Value};
 use fdm_durability::WalOp;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// What a transaction wrote: per-relation keys, or whole entries.
@@ -11,15 +11,15 @@ use std::sync::Arc;
 /// pair, or one of them replaced a whole entry the other touched at all.
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
-    /// `(relation, key)` point writes.
-    keys: BTreeSet<(Name, Value)>,
+    /// Point writes: per relation, the keys written.
+    keys: BTreeMap<Name, BTreeSet<Value>>,
     /// Whole-entry replacements (`DB(name) := f`).
     entries: BTreeSet<Name>,
 }
 
 impl WriteSet {
-    /// The write set a list of recorded operations touches — used when
-    /// rebuilding commit-log entries from recovered WAL records.
+    /// The write set a list of recorded operations touches — what a
+    /// recovered WAL record and a conflicting commit's record report.
     pub fn from_ops(ops: &[Op]) -> WriteSet {
         let mut ws = WriteSet::default();
         for op in ops {
@@ -33,7 +33,10 @@ impl WriteSet {
 
     /// Records a point write.
     pub fn touch_key(&mut self, rel: &Name, key: &Value) {
-        self.keys.insert((rel.clone(), key.clone()));
+        self.keys
+            .entry(rel.clone())
+            .or_default()
+            .insert(key.clone());
     }
 
     /// Records a whole-entry replacement.
@@ -48,36 +51,47 @@ impl WriteSet {
 
     /// Number of point writes plus entry replacements.
     pub fn len(&self) -> usize {
-        self.keys.len() + self.entries.len()
+        self.keys.values().map(BTreeSet::len).sum::<usize>() + self.entries.len()
     }
 
-    /// Folds `other`'s writes into this set — the batch committer's
-    /// union of every coalesced member's writes, recorded as one commit.
-    pub fn merge(&mut self, other: &WriteSet) {
-        self.keys.extend(other.keys.iter().cloned());
-        self.entries.extend(other.entries.iter().cloned());
+    /// `true` if `op` writes what this set wrote: the same key, or an
+    /// entry one side replaced whole — the test validation runs against
+    /// each retained commit's ops, by lookup, with nothing cloned.
+    pub(crate) fn overlaps(&self, op: &Op) -> bool {
+        match op {
+            Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => {
+                self.entries.contains(rel) || self.keys.get(rel).is_some_and(|k| k.contains(key))
+            }
+            Op::Assign { name, .. } | Op::Drop { name } => {
+                self.entries.contains(name) || self.keys.contains_key(name)
+            }
+        }
+    }
+
+    /// The entries one side replaced whole and the other touched at all.
+    fn entry_overlaps<'a>(&'a self, other: &'a WriteSet) -> impl Iterator<Item = &'a Name> {
+        let touched = |e: &&Name| other.entries.contains(*e) || other.keys.contains_key(*e);
+        let ours = self.entries.iter().filter(touched);
+        ours.chain(other.entries.iter().filter(|e| self.keys.contains_key(*e)))
+    }
+
+    /// The `(relation, key)` pairs both sets wrote, in order.
+    fn key_overlaps<'a>(
+        &'a self,
+        other: &'a WriteSet,
+    ) -> impl Iterator<Item = (&'a Name, &'a Value)> {
+        self.keys.iter().flat_map(move |(rel, keys)| {
+            let theirs = other.keys.get(rel);
+            let both = keys
+                .iter()
+                .filter(move |k| theirs.is_some_and(|t| t.contains(*k)));
+            both.map(move |k| (rel, k))
+        })
     }
 
     /// Write-write conflict test.
     pub fn conflicts_with(&self, other: &WriteSet) -> bool {
-        // entry-level vs anything touching that entry
-        for e in &self.entries {
-            if other.entries.contains(e) || other.keys.iter().any(|(r, _)| r == e) {
-                return true;
-            }
-        }
-        for e in &other.entries {
-            if self.keys.iter().any(|(r, _)| r == e) {
-                return true;
-            }
-        }
-        // key-level overlap (both sorted sets; intersect the smaller)
-        let (small, large) = if self.keys.len() <= other.keys.len() {
-            (&self.keys, &other.keys)
-        } else {
-            (&other.keys, &self.keys)
-        };
-        small.iter().any(|k| large.contains(k))
+        self.entry_overlaps(other).next().is_some() || self.key_overlaps(other).next().is_some()
     }
 
     /// Every conflicting pair with `other`, in display form, for the
@@ -86,49 +100,27 @@ impl WriteSet {
     /// as `(entry, "*")`.
     pub fn conflict_keys(&self, other: &WriteSet) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
-        let mut push_entry = |e: &Name| {
+        for e in self.entry_overlaps(other) {
             let pair = (e.to_string(), "*".to_string());
             if !out.contains(&pair) {
                 out.push(pair);
             }
-        };
-        for e in &self.entries {
-            if other.entries.contains(e) || other.keys.iter().any(|(r, _)| r == e) {
-                push_entry(e);
-            }
         }
-        for e in &other.entries {
-            if self.keys.iter().any(|(r, _)| r == e) {
-                push_entry(e);
-            }
-        }
-        for k in &self.keys {
-            if other.keys.contains(k) {
-                out.push((k.0.to_string(), k.1.to_string()));
-            }
-        }
+        let keys = self.key_overlaps(other);
+        out.extend(keys.map(|(rel, k)| (rel.to_string(), k.to_string())));
         out
     }
 
     /// Human-readable description of the first overlap with `other`
     /// (for conflict error messages).
     pub fn describe_overlap(&self, other: &WriteSet) -> String {
-        for e in &self.entries {
-            if other.entries.contains(e) || other.keys.iter().any(|(r, _)| r == e) {
-                return format!("entry '{e}'");
-            }
+        if let Some(e) = self.entry_overlaps(other).next() {
+            return format!("entry '{e}'");
         }
-        for e in &other.entries {
-            if self.keys.iter().any(|(r, _)| r == e) {
-                return format!("entry '{e}'");
-            }
+        match self.key_overlaps(other).next() {
+            Some((rel, k)) => format!("{rel}[{k}]"),
+            None => "(no overlap)".to_string(),
         }
-        for k in &self.keys {
-            if other.keys.contains(k) {
-                return format!("{}[{}]", k.0, k.1);
-            }
-        }
-        "(no overlap)".to_string()
     }
 }
 
@@ -176,7 +168,7 @@ pub(crate) fn apply_ops(base: &DatabaseF, ops: &[Op]) -> Result<DatabaseF> {
 
 /// [`apply_ops`], also handing back the tuple each op replaced in the
 /// stored map it wrote (`None` for an insert and for an entry op) — what
-/// the commit path builds a replayed group's undo from.
+/// the commit path builds a replayed group's record from.
 pub(crate) fn apply_ops_replacing(
     base: &DatabaseF,
     ops: &[Op],
@@ -211,74 +203,6 @@ fn replay(
         replaced(old);
     }
     Ok(db)
-}
-
-/// The undo of `ops`, which turned `before` into `after`: the ops that
-/// turn `after` back into `before`. `replaced[i]` is the tuple `ops[i]`
-/// replaced.
-///
-/// A point write on a plain stored map is undone by the inverse point
-/// write, in reverse order, so the undo passes back through the forward
-/// states and a unique constraint holds at every step. Any other write —
-/// an `Assign` or a `Drop`, or a point write on a relation that is not
-/// one plain stored map, where what the map held need not be all there
-/// is — undoes its entry whole: the undo rebinds the entry's value in
-/// `before`, or drops it if only `after` has one.
-pub(crate) fn undo_ops(
-    before: &DatabaseF,
-    after: &DatabaseF,
-    ops: &[Op],
-    replaced: &[Option<Arc<TupleF>>],
-) -> Vec<Op> {
-    let mut whole: Vec<&Name> = Vec::new();
-    for op in ops {
-        let name = match op {
-            Op::Upsert { rel, .. } | Op::Delete { rel, .. }
-                if before.relation_ref(rel).is_ok_and(|r| r.is_plain_stored()) =>
-            {
-                continue
-            }
-            Op::Upsert { rel: name, .. }
-            | Op::Delete { rel: name, .. }
-            | Op::Assign { name, .. }
-            | Op::Drop { name } => name,
-        };
-        if !whole.contains(&name) {
-            whole.push(name);
-        }
-    }
-    let mut undo = Vec::with_capacity(ops.len());
-    for (op, old) in ops.iter().zip(replaced).rev() {
-        let (Op::Upsert { rel, key, .. } | Op::Delete { rel, key }) = op else {
-            continue;
-        };
-        if whole.contains(&rel) {
-            continue;
-        }
-        undo.push(match old {
-            Some(tuple) => Op::Upsert {
-                rel: rel.clone(),
-                key: key.clone(),
-                tuple: Arc::clone(tuple),
-            },
-            None => Op::Delete {
-                rel: rel.clone(),
-                key: key.clone(),
-            },
-        });
-    }
-    undo.extend(whole.into_iter().filter_map(|name| {
-        match before.entry(name) {
-            Ok(value) => Some(Op::Assign {
-                name: name.clone(),
-                value: value.clone(),
-            }),
-            Err(_) => after
-                .contains(name)
-                .then(|| Op::Drop { name: name.clone() }),
-        }
-    }));
-    undo
 }
 
 // The WAL stores its own op type (`fdm-durability` cannot depend on this
@@ -398,6 +322,32 @@ mod tests {
             "entry overlap is symmetric and not duplicated"
         );
         assert!(a.conflict_keys(&WriteSet::default()).is_empty());
+    }
+
+    /// Validation's per-op test answers what the set-against-set test
+    /// answers for the set those ops touch.
+    #[test]
+    fn overlaps_agrees_with_conflicts_with() {
+        let ops = [
+            Op::Delete {
+                rel: n("accounts"),
+                key: Value::Int(1),
+            },
+            Op::Drop { name: n("orders") },
+        ];
+        let theirs = WriteSet::from_ops(&ops);
+        let mut key = WriteSet::default();
+        key.touch_key(&n("accounts"), &Value::Int(1));
+        let mut entry = WriteSet::default();
+        entry.touch_entry(&n("accounts"));
+        let mut by_entry = WriteSet::default();
+        by_entry.touch_key(&n("orders"), &Value::Int(5));
+        let mut other = WriteSet::default();
+        other.touch_key(&n("accounts"), &Value::Int(2));
+        for ours in [key, entry, by_entry, other] {
+            let per_op = ops.iter().any(|op| ours.overlaps(op));
+            assert_eq!(per_op, ours.conflicts_with(&theirs), "{ours:?}");
+        }
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Time travel: querying the past for free.
 //!
-//! Because the database function is a persistent value, retaining history
-//! costs one root pointer per version — unchanged data is shared. This
-//! example keeps every commit, queries a past version, and diffs two
-//! points in time with the Fig. 9 set operations.
+//! Because the database function is a persistent value, the store keeps
+//! one root, the newest, and per retained version the record of the
+//! commit that made it — its ops and the tuples they replaced — so a
+//! version costs what its commit wrote, and unchanged data is shared. A
+//! past root is rebuilt from the records when asked for. This example
+//! queries a past version and diffs two points in time with the Fig. 9
+//! set operations.
 //!
 //! Run with: `cargo run -p fdm-examples --bin time_travel`
 
 use fdm_core::{DatabaseF, RelationF, TupleF, Value};
 use fdm_fql::prelude::*;
-use fdm_txn::{History, Store};
-use std::sync::Arc;
+use fdm_txn::Store;
 
 fn main() -> fdm_core::Result<()> {
     let products = RelationF::new("products", &["pid"])
@@ -29,8 +31,6 @@ fn main() -> fdm_core::Result<()> {
                 .build(),
         )?;
     let store = Store::new(DatabaseF::new("shop").with_relation(products));
-    let history = Arc::new(History::new(64));
-    history.record(store.version(), store.snapshot());
 
     // a week of price changes and catalog churn, one commit per "day"
     let days: &[(&str, i64, f64)] = &[
@@ -54,12 +54,11 @@ fn main() -> fdm_core::Result<()> {
             )?;
         }
         let v = txn.commit()?;
-        history.record(v, store.snapshot());
         println!("committed {day} as version {v}");
     }
 
     // ── query a past version like any other database ─────────────────────
-    let monday = history.as_of(1)?;
+    let monday = store.as_of(1)?;
     let keyboard_mon = monday
         .relation("products")?
         .lookup(&Value::Int(1))
@@ -84,7 +83,7 @@ fn main() -> fdm_core::Result<()> {
     println!("products under 20 on monday: {}", cheap_then.len());
 
     // ── diff two versions with Fig. 9 machinery ──────────────────────────
-    let diff = difference(&history.as_of(1)?, &history.as_of(5)?)?;
+    let diff = difference(&store.as_of(1)?, &store.as_of(5)?)?;
     println!("\nchanges between monday and friday:");
     for (name, entry) in diff.iter() {
         let n = entry.as_relation().map(|r| r.len()).unwrap_or(0);
@@ -93,7 +92,7 @@ fn main() -> fdm_core::Result<()> {
     let added = diff.relation("products.added")?;
     // webcam appeared + both repriced tuples count as added/removed pairs
     assert!(!added.is_empty());
-    assert!(history.versions().len() >= 6);
-    println!("\nretained versions: {:?}", history.versions());
+    assert!(store.history().versions().len() >= 6);
+    println!("\nretained versions: {:?}", store.history().versions());
     Ok(())
 }

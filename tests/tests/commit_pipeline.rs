@@ -365,12 +365,12 @@ fn a_group_commit_is_not_starved_by_single_committers() {
     // in every round, at the parent commit too); with more busy threads
     // than that CPU can hold, some run truly beside the group.
     const SINGLE_COMMITTERS: i64 = 3;
-    // a commit log no preempted round can fall out of: validation must
-    // never answer "snapshot older than the retained log" here
+    // a history no preempted round can fall out of: validation must
+    // never answer "snapshot older than the retained history" here
     let store = Store::with_config(
         ledger(KEYS),
         StoreConfig {
-            log_cap: 1 << 20,
+            history_capacity: 1 << 20,
             ..StoreConfig::default()
         },
     );

@@ -6,9 +6,8 @@ use fdm_core::{TupleF, Value};
 use fdm_expr::Params;
 use fdm_fql::prelude::*;
 use fdm_fql::Query;
-use fdm_txn::{History, Store};
+use fdm_txn::Store;
 use fdm_workload::{generate, to_fdm, RetailConfig};
-use std::sync::Arc;
 
 #[test]
 fn scalar_functions_inside_fql_filters() {
@@ -99,8 +98,6 @@ fn plan_with_order_and_limit() {
 fn history_supports_as_of_queries_after_churn() {
     let db = to_fdm(&generate(&RetailConfig::small()));
     let store = Store::new(db);
-    let history = Arc::new(History::new(32));
-    history.record(store.version(), store.snapshot());
 
     let mut sizes = vec![store.snapshot().relation("customers").unwrap().len()];
     for i in 0..10i64 {
@@ -115,13 +112,12 @@ fn history_supports_as_of_queries_after_churn() {
                 .build(),
         )
         .unwrap();
-        let v = txn.commit().unwrap();
-        history.record(v, store.snapshot());
+        txn.commit().unwrap();
         sizes.push(store.snapshot().relation("customers").unwrap().len());
     }
     // each recorded version reflects exactly its commit point
     for (i, &size) in sizes.iter().enumerate() {
-        let past = history.as_of(i as u64).unwrap();
+        let past = store.as_of(i as u64).unwrap();
         assert_eq!(
             past.relation("customers").unwrap().len(),
             size,
@@ -129,7 +125,7 @@ fn history_supports_as_of_queries_after_churn() {
         );
     }
     // a full FQL query against an old version
-    let v3 = history.as_of(3).unwrap();
+    let v3 = store.as_of(3).unwrap();
     let nv = filter_expr(
         v3.relation("customers").unwrap().as_ref(),
         "state == $s",

@@ -1,15 +1,19 @@
 //! Time-travel history: replay round-trips, compaction windows, a
 //! property test that interleaved commit logs always replay to the live
 //! root, a differential property test that `as_of` rebuilds every
-//! retained version from the undos the history keeps, and a byte count
-//! of what one retained version keeps live.
+//! retained version from the undos the history keeps, and byte counts
+//! of what one retained version keeps live and of what a view that is
+//! never refreshed adds per commit.
 //!
 //! CI runs this suite at `PROPTEST_CASES=512`.
 
 use fdm_core::{Constraint, DatabaseF, Domain, FdmError, FnValue, RelationBuilder, RelationF};
 use fdm_core::{TupleF, Value};
-use fdm_fql::{db_upsert, difference};
-use fdm_txn::{BatchPolicy, DurabilityConfig, Store, StoreConfig, Transaction, Version};
+use fdm_expr::Params;
+use fdm_fql::{db_upsert, difference, Query};
+use fdm_tests::canonical_rows;
+use fdm_txn::Version;
+use fdm_txn::{BatchPolicy, DurabilityConfig, RefreshMode, Store, StoreConfig, Transaction};
 use fdm_workload::{retail_store, run_writers, CommitRecord, MixedConfig, RetailConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -256,6 +260,75 @@ fn a_retained_version_keeps_its_undo_not_its_root() {
         per_version <= 512,
         "each retained version keeps {per_version} B live"
     );
+}
+
+/// The view that [`a_view_that_is_never_refreshed_pins_nothing`] leaves
+/// behind.
+fn lazy_query() -> Query {
+    Query::scan("r").filter("b > 0", Params::new())
+}
+
+/// The heap per commit a store over a 2^15-row relation, retaining 64
+/// versions, keeps live over 2048 one-row upserts after 256 warm-up ones —
+/// with a Manual view over the relation that is never refreshed, or
+/// without. Returns the store too, so the count is taken with it alive.
+fn live_heap_per_commit(with_view: bool) -> (isize, Arc<Store>) {
+    const ROWS: i64 = 1 << 15;
+    const WARM: i64 = 256;
+    const COUNTED: i64 = 2048;
+    let row = |a: i64, b: i64| TupleF::builder("t").attr("a", a).attr("b", b).build();
+    let mut rows = RelationBuilder::new("r", &["k"]);
+    for k in 0..ROWS {
+        rows.push(Value::Int(k), row(k, 0));
+    }
+    let db = DatabaseF::new("d").with_relation(rows.build().unwrap());
+    let config = StoreConfig {
+        history_capacity: 64,
+        ..StoreConfig::default()
+    };
+    let store = Store::with_config(db, config);
+    if with_view {
+        store
+            .register_view_with("lazy", lazy_query(), RefreshMode::Manual)
+            .unwrap();
+    }
+    let upsert = |i: i64| {
+        store
+            .upsert_one("r", Value::Int(i * 7919 % ROWS), row(i, 1))
+            .unwrap()
+    };
+    for i in 0..WARM {
+        upsert(i);
+    }
+    let before = LIVE.with(Cell::get);
+    for i in WARM..WARM + COUNTED {
+        upsert(i);
+    }
+    ((LIVE.with(Cell::get) - before) / COUNTED as isize, store)
+}
+
+/// A Manual view that is never refreshed holds no root, no delta and no
+/// record per commit: the store with it keeps at most 64 B per commit more
+/// live than the one without. (When the catalog kept a root and a delta per
+/// commit until the slowest view passed it, that was ≈ 2,050 B.) Refreshed
+/// at last, the view — rebuilt over the oldest retained version, then
+/// drained — equals a recompute.
+#[test]
+fn a_view_that_is_never_refreshed_pins_nothing() {
+    let (plain, _) = live_heap_per_commit(false);
+    let (viewed, store) = live_heap_per_commit(true);
+    assert!(
+        viewed - plain <= 64,
+        "the view keeps {} B live per commit ({viewed} B against {plain} B)",
+        viewed - plain
+    );
+    let head = store.version();
+    assert_eq!(store.refresh_views_to(head).unwrap(), head);
+    let (at, rel) = store.view("lazy").unwrap();
+    assert_eq!(at, head);
+    let fresh = lazy_query().eval(&store.snapshot()).unwrap();
+    assert_eq!(canonical_rows(&rel), canonical_rows(&fresh));
+    assert!(store.view_stats("lazy").unwrap().fallback_recomputes >= 1);
 }
 
 // ------------------------------------------------ as_of ≡ captured snapshots

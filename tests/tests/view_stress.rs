@@ -19,18 +19,24 @@
 //!    tracks from there.
 //! 5. **One delta per commit serves every view** — views registered at
 //!    different versions, one of them manual and refreshed 16+ commits
-//!    late, all apply the delta each commit built once (the catalog keeps
-//!    it until the slowest healthy view has consumed it).
+//!    late, all apply the delta of each commit's record (the history's
+//!    ring keeps the record; the catalog keeps nothing per commit).
+//! 6. **A view behind a short ring is rebuilt** — with a two-version
+//!    history, the eager view still ends at the head; a manual view far
+//!    behind is rebuilt over the oldest retained version and drained to
+//!    the head; a refresh below the ring is a typed error that moves
+//!    nothing.
 //!
 //! Thread count is `THREADS` from the environment (default 4); the CI
-//! `view-stress` job runs this file at 1 and 4.
+//! `view-stress` job runs this file at 1 and 4, and the short-ring test
+//! 25 times more at 4.
 
-use fdm_core::RelationF;
+use fdm_core::{FdmError, RelationF};
 use fdm_expr::Params;
 use fdm_fql::plan::Query;
 use fdm_fql::AggSpec;
 use fdm_tests::canonical_rows;
-use fdm_txn::{FaultPlan, RefreshMode, Store};
+use fdm_txn::{FaultPlan, RefreshMode, Store, StoreConfig};
 use fdm_workload::{retail_store, run_writers, MixedConfig, RetailConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -221,4 +227,45 @@ fn registration_mid_stream_starts_consistent() {
     let (v, rel) = store.view("late").unwrap();
     assert_eq!(v, head);
     assert_rows_equal(&rel, &hot_query(), &store.snapshot(), "late registration");
+}
+
+#[test]
+fn a_view_behind_a_short_ring_is_rebuilt() {
+    let base = retail_store(&RetailConfig::small()).snapshot();
+    let config = StoreConfig {
+        history_capacity: 2,
+        ..StoreConfig::default()
+    };
+    let store = Store::with_config(base, config);
+    store.register_view("hot", hot_query()).unwrap();
+    store
+        .register_view_with("by_state", by_state_query(), RefreshMode::Manual)
+        .unwrap();
+    run_writers(&store, &mixed_config());
+    let head = store.version();
+
+    let (v, rel) = store.view("hot").unwrap();
+    assert_eq!(v, head, "the eager view reaches the head");
+    assert_rows_equal(&rel, &hot_query(), &store.snapshot(), "eager, short ring");
+
+    let oldest = store.history().oldest().unwrap();
+    let below = oldest - 1;
+    let err = store.refresh_views_to(below).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            FdmError::VersionEvicted { version, oldest: Some(o), newest: Some(n) }
+                if (version, o, n) == (below, oldest, head)
+        ),
+        "{err:?}"
+    );
+    assert_eq!(store.view("by_state").unwrap().0, 0, "nothing moved");
+
+    assert_eq!(store.refresh_views_to(head).unwrap(), head);
+    let (v, rel) = store.view("by_state").unwrap();
+    assert_eq!(v, head);
+    let at_head = store.as_of(head).unwrap();
+    assert_rows_equal(&rel, &by_state_query(), &at_head, "manual, short ring");
+    let stats = store.view_stats("by_state").unwrap();
+    assert!(stats.fallback_recomputes >= 1, "{stats:?}");
 }
