@@ -36,8 +36,16 @@ use std::sync::Arc;
 /// let r = db.relation("customers").unwrap();
 /// assert_eq!(r.len(), 1);
 /// ```
+///
+/// A `DatabaseF` is one pointer: cloning it — what every snapshot and
+/// transaction does — touches one reference count.
 #[derive(Clone)]
 pub struct DatabaseF {
+    parts: Arc<Parts>,
+}
+
+/// What a [`DatabaseF`] holds behind its one pointer.
+struct Parts {
     name: Name,
     entries: PMap<Name, FnValue>,
     /// The named shared domains of this schema (foreign-key links live
@@ -46,38 +54,49 @@ pub struct DatabaseF {
 }
 
 impl DatabaseF {
+    fn from_parts(
+        name: Name,
+        entries: PMap<Name, FnValue>,
+        domains: PMap<Name, SharedDomain>,
+    ) -> Self {
+        DatabaseF {
+            parts: Arc::new(Parts {
+                name,
+                entries,
+                domains,
+            }),
+        }
+    }
+
     /// Creates an empty database function.
     pub fn new(name: impl AsRef<str>) -> DatabaseF {
-        DatabaseF {
-            name: Arc::from(name.as_ref()),
-            entries: PMap::new(),
-            domains: PMap::new(),
-        }
+        DatabaseF::from_parts(Arc::from(name.as_ref()), PMap::new(), PMap::new())
     }
 
     /// The database function's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.parts.name
     }
 
     /// Number of entries (relations, tuples, nested databases, ...).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.parts.entries.len()
     }
 
     /// `true` if the database has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.parts.entries.is_empty()
     }
 
     /// Entry names in sorted order.
     pub fn names(&self) -> Vec<Name> {
-        self.entries.keys().cloned().collect()
+        self.parts.entries.keys().cloned().collect()
     }
 
     /// Looks up an entry of any function kind.
     pub fn entry(&self, name: &str) -> Result<&FnValue> {
-        self.entries
+        self.parts
+            .entries
             .get(name)
             .ok_or_else(|| FdmError::NoSuchRelation {
                 name: name.to_string(),
@@ -86,7 +105,7 @@ impl DatabaseF {
 
     /// `true` if an entry exists under `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.parts.entries.contains_key(name)
     }
 
     /// Looks up a relation function entry.
@@ -140,11 +159,7 @@ impl DatabaseF {
     /// The in-place assignment `DB(name) := f` (paper §4.4): returns a new
     /// database with `name` bound to `f`, replacing any previous binding.
     pub fn with_entry(&self, name: impl AsRef<str>, f: impl Into<FnValue>) -> DatabaseF {
-        DatabaseF {
-            name: self.name.clone(),
-            entries: self.entries.insert(Arc::from(name.as_ref()), f.into()).0,
-            domains: self.domains.clone(),
-        }
+        self.with_entry_named(Arc::from(name.as_ref()), f.into())
     }
 
     /// Adds a relation function under its own name.
@@ -160,55 +175,53 @@ impl DatabaseF {
     }
 
     fn with_entry_named(&self, name: Name, f: FnValue) -> DatabaseF {
-        DatabaseF {
-            name: self.name.clone(),
-            entries: self.entries.insert(name, f).0,
-            domains: self.domains.clone(),
-        }
+        let entries = self.parts.entries.insert(name, f).0;
+        DatabaseF::from_parts(self.parts.name.clone(), entries, self.parts.domains.clone())
     }
 
     /// Removes an entry; fails if absent.
     pub fn without_entry(&self, name: &str) -> Result<DatabaseF> {
-        let (entries, old) = self.entries.remove(name);
+        let (entries, old) = self.parts.entries.remove(name);
         if old.is_none() {
             return Err(FdmError::NoSuchRelation {
                 name: name.to_string(),
             });
         }
-        Ok(DatabaseF {
-            name: self.name.clone(),
+        Ok(DatabaseF::from_parts(
+            self.parts.name.clone(),
             entries,
-            domains: self.domains.clone(),
-        })
+            self.parts.domains.clone(),
+        ))
     }
 
     /// Registers a named shared domain in the schema.
     pub fn with_domain(&self, domain: SharedDomain) -> DatabaseF {
-        DatabaseF {
-            name: self.name.clone(),
-            entries: self.entries.clone(),
-            domains: self.domains.insert(Arc::from(domain.name()), domain).0,
-        }
+        let domains = self
+            .parts
+            .domains
+            .insert(Arc::from(domain.name()), domain)
+            .0;
+        DatabaseF::from_parts(self.parts.name.clone(), self.parts.entries.clone(), domains)
     }
 
     /// Looks up a named shared domain.
     pub fn shared_domain(&self, name: &str) -> Option<&SharedDomain> {
-        self.domains.get(name)
+        self.parts.domains.get(name)
     }
 
     /// All shared domains.
     pub fn shared_domains(&self) -> impl Iterator<Item = (&Name, &SharedDomain)> + '_ {
-        self.domains.iter()
+        self.parts.domains.iter()
     }
 
     /// Iterates `(name, entry)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&Name, &FnValue)> + '_ {
-        self.entries.iter()
+        self.parts.entries.iter()
     }
 
     /// Iterates only the relation-function entries.
     pub fn relations(&self) -> impl Iterator<Item = (&Name, &Arc<RelationF>)> + '_ {
-        self.entries.iter().filter_map(|(n, e)| match e {
+        self.parts.entries.iter().filter_map(|(n, e)| match e {
             FnValue::Relation(r) => Some((n, r)),
             _ => None,
         })
@@ -216,7 +229,7 @@ impl DatabaseF {
 
     /// Iterates only the relationship-function entries.
     pub fn relationships(&self) -> impl Iterator<Item = (&Name, &Arc<RelationshipF>)> + '_ {
-        self.entries.iter().filter_map(|(n, e)| match e {
+        self.parts.entries.iter().filter_map(|(n, e)| match e {
             FnValue::Relationship(r) => Some((n, r)),
             _ => None,
         })
@@ -224,15 +237,15 @@ impl DatabaseF {
 
     /// Renames the database function.
     pub fn renamed(&self, name: impl AsRef<str>) -> DatabaseF {
-        let mut db = self.clone();
-        db.name = Arc::from(name.as_ref());
-        db
+        let name = Arc::from(name.as_ref());
+        DatabaseF::from_parts(name, self.parts.entries.clone(), self.parts.domains.clone())
     }
 
     /// Total number of stored tuples across all relation and relationship
     /// entries (diagnostic; nested databases are counted recursively).
     pub fn total_tuples(&self) -> usize {
-        self.entries
+        self.parts
+            .entries
             .values()
             .map(|e| match e {
                 FnValue::Relation(r) => r.len(),
@@ -247,7 +260,7 @@ impl DatabaseF {
 
 impl Function for DatabaseF {
     fn fn_name(&self) -> &str {
-        &self.name
+        &self.parts.name
     }
 
     fn arity(&self) -> usize {
@@ -255,13 +268,13 @@ impl Function for DatabaseF {
     }
 
     fn domain(&self) -> Domain {
-        Domain::enumerated(self.entries.keys().map(|n| Value::Str(Text::from(n))))
+        Domain::enumerated(self.parts.entries.keys().map(|n| Value::Str(Text::from(n))))
     }
 
     fn apply(&self, args: &[Value]) -> Result<Value> {
         if args.len() != 1 {
             return Err(FdmError::ArityMismatch {
-                function: self.name.to_string(),
+                function: self.parts.name.to_string(),
                 expected: 1,
                 found: args.len(),
             });
@@ -273,8 +286,8 @@ impl Function for DatabaseF {
 
 impl fmt::Debug for DatabaseF {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "DatabaseF({} {{", self.name)?;
-        for (i, (n, e)) in self.entries.iter().enumerate() {
+        write!(f, "DatabaseF({} {{", self.parts.name)?;
+        for (i, (n, e)) in self.parts.entries.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -327,6 +340,15 @@ mod tests {
         assert!(matches!(v, Value::Fn(FnValue::Tuple(_))));
         let err = apply1(&db, &Value::str("nope")).unwrap_err();
         assert!(matches!(err, FdmError::NoSuchRelation { .. }));
+    }
+
+    /// A snapshot clones one pointer, so it touches one reference count.
+    #[test]
+    fn a_database_is_one_pointer() {
+        assert_eq!(
+            std::mem::size_of::<DatabaseF>(),
+            std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -12,12 +12,22 @@
 //! unary   := 'not' unary | '-' unary | primary
 //! primary := int | float | string | 'true' | 'false' | ident | $param | '(' expr ')'
 //! ```
+//!
+//! Binding, evaluating, printing and dropping an [`Expr`] all recurse on
+//! the tree, so the parser bounds its depth: an expression nesting deeper
+//! than [`MAX_DEPTH`] levels — parentheses, call arguments and unary
+//! operators around an operand, plus the operand's own tree, where a chain
+//! `a + b + c` is as deep as it is long — is a typed
+//! [`ExprError::Parse`], not a stack overflow.
 
 use crate::ast::{BinOp, Expr};
 use crate::error::ExprError;
 use crate::token::{lex, Token, TokenKind};
 use fdm_core::Value;
 use std::sync::Arc;
+
+/// The deepest expression [`parse`] accepts, in levels.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parses a predicate/expression source string into an [`Expr`].
 ///
@@ -34,8 +44,9 @@ pub fn parse(src: &str) -> Result<Expr, ExprError> {
         tokens,
         pos: 0,
         src_len: src.len(),
+        nesting: 0,
     };
-    let e = p.parse_expr(0)?;
+    let (e, _) = p.parse_expr(0)?;
     if let Some(t) = p.peek() {
         return Err(ExprError::parse(
             t.offset,
@@ -49,7 +60,13 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     src_len: usize,
+    /// Parentheses, call arguments and unary operators open around the
+    /// operand being parsed.
+    nesting: usize,
 }
+
+/// A parsed expression and the depth of its tree (a leaf is 1).
+type Parsed = (Expr, usize);
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
@@ -87,8 +104,32 @@ impl Parser {
         })
     }
 
-    fn parse_expr(&mut self, min_prec: u8) -> Result<Expr, ExprError> {
-        let mut lhs = self.parse_unary()?;
+    /// Fails at `offset` when a tree `depth` levels deep, under the open
+    /// nesting, would pass [`MAX_DEPTH`].
+    fn check_depth(&self, offset: usize, depth: usize) -> Result<(), ExprError> {
+        if self.nesting + depth > MAX_DEPTH {
+            return Err(ExprError::parse(
+                offset,
+                format!("expression nests deeper than {MAX_DEPTH} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Parsed, ExprError>,
+    ) -> Result<Parsed, ExprError> {
+        self.check_depth(self.offset(), 1)?;
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    fn parse_expr(&mut self, min_prec: u8) -> Result<Parsed, ExprError> {
+        let (mut lhs, mut depth) = self.parse_unary()?;
         while let Some(t) = self.peek() {
             let Some(op) = Self::infix_op(&t.kind) else {
                 break;
@@ -97,42 +138,40 @@ impl Parser {
             if prec < min_prec {
                 break;
             }
+            let offset = t.offset;
             self.next();
             // left-associative: require strictly higher precedence on the right
-            let rhs = self.parse_expr(prec + 1)?;
+            let (rhs, rhs_depth) = self.parse_expr(prec + 1)?;
+            depth = 1 + depth.max(rhs_depth);
+            self.check_depth(offset, depth)?;
             lhs = Expr::bin(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ExprError> {
-        match self.peek().map(|t| t.kind.clone()) {
-            Some(TokenKind::Ident(s)) if s == "not" => {
-                self.next();
-                let inner = self.parse_unary()?;
-                Ok(Expr::Not(Arc::new(inner)))
-            }
-            Some(TokenKind::Minus) => {
-                self.next();
-                let inner = self.parse_unary()?;
-                Ok(Expr::Neg(Arc::new(inner)))
-            }
-            _ => self.parse_primary(),
-        }
+    fn parse_unary(&mut self) -> Result<Parsed, ExprError> {
+        let wrap: fn(Arc<Expr>) -> Expr = match self.peek().map(|t| &t.kind) {
+            Some(TokenKind::Ident(s)) if s == "not" => Expr::Not,
+            Some(TokenKind::Minus) => Expr::Neg,
+            _ => return self.parse_primary(),
+        };
+        self.next();
+        let (inner, depth) = self.nested(Self::parse_unary)?;
+        Ok((wrap(Arc::new(inner)), depth + 1))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ExprError> {
+    fn parse_primary(&mut self) -> Result<Parsed, ExprError> {
         let offset = self.offset();
         let Some(t) = self.next() else {
             return Err(ExprError::parse(offset, "unexpected end of input"));
         };
         match t.kind {
-            TokenKind::Int(i) => Ok(Expr::Lit(Value::Int(i))),
-            TokenKind::Float(x) => Ok(Expr::Lit(Value::Float(x))),
-            TokenKind::Str(s) => Ok(Expr::Lit(Value::str(s))),
-            TokenKind::Param(p) => Ok(Expr::Param(Arc::from(p.as_str()))),
-            TokenKind::Ident(s) if s == "true" => Ok(Expr::Lit(Value::Bool(true))),
-            TokenKind::Ident(s) if s == "false" => Ok(Expr::Lit(Value::Bool(false))),
+            TokenKind::Int(i) => Ok((Expr::Lit(Value::Int(i)), 1)),
+            TokenKind::Float(x) => Ok((Expr::Lit(Value::Float(x)), 1)),
+            TokenKind::Str(s) => Ok((Expr::Lit(Value::str(s)), 1)),
+            TokenKind::Param(p) => Ok((Expr::Param(Arc::from(p.as_str())), 1)),
+            TokenKind::Ident(s) if s == "true" => Ok((Expr::Lit(Value::Bool(true)), 1)),
+            TokenKind::Ident(s) if s == "false" => Ok((Expr::Lit(Value::Bool(false)), 1)),
             TokenKind::Ident(s) if s == "and" || s == "or" || s == "not" => Err(ExprError::parse(
                 t.offset,
                 format!("keyword '{s}' cannot start an expression"),
@@ -147,7 +186,7 @@ impl Parser {
                     })
                 ) {
                     self.next(); // consume '('
-                    let mut args = Vec::new();
+                    let (mut args, mut depth) = (Vec::new(), 1);
                     if !matches!(
                         self.peek(),
                         Some(Token {
@@ -156,7 +195,9 @@ impl Parser {
                         })
                     ) {
                         loop {
-                            args.push(Arc::new(self.parse_expr(0)?));
+                            let (arg, arg_depth) = self.nested(|p| p.parse_expr(0))?;
+                            depth = depth.max(arg_depth + 1);
+                            args.push(Arc::new(arg));
                             match self.next() {
                                 Some(Token {
                                     kind: TokenKind::Comma,
@@ -183,15 +224,16 @@ impl Parser {
                     } else {
                         self.next(); // consume ')'
                     }
-                    return Ok(Expr::Call {
+                    let call = Expr::Call {
                         name: Arc::from(s.as_str()),
                         args,
-                    });
+                    };
+                    return Ok((call, depth));
                 }
-                Ok(Expr::attr(&s))
+                Ok((Expr::attr(&s), 1))
             }
             TokenKind::LParen => {
-                let inner = self.parse_expr(0)?;
+                let inner = self.nested(|p| p.parse_expr(0))?;
                 match self.next() {
                     Some(Token {
                         kind: TokenKind::RParen,

@@ -12,8 +12,8 @@
 //!
 //! Provided containers:
 //!
-//! * [`PMap`] — persistent ordered map (AVL tree with `Arc`-shared nodes,
-//!   order statistics, range scans).
+//! * [`PMap`] — persistent ordered map (a B+-tree of 8-wide `Arc`-shared
+//!   nodes: order statistics, range scans over contiguous leaves).
 //! * [`PSet`] — persistent ordered set, a thin wrapper over [`PMap`].
 //! * [`VersionedRoot`] — a concurrent cell holding the current committed
 //!   root, lane-sharded so readers on different threads share no lock
@@ -27,8 +27,8 @@
 //! root-to-leaf path per entry; query operators that emit whole results
 //! should instead hand a sorted run to `PMap::from_sorted_vec` /
 //! `PSet::from_sorted_vec` (or the `from_sorted_iter` variants), which
-//! assemble a height-balanced tree bottom-up in **O(n)** with exactly one
-//! node allocation per entry. The ordering contract is checked by
+//! assemble the tree bottom-up in **O(n)** from full nodes, about one node
+//! allocation per seven entries. The ordering contract is checked by
 //! `debug_assert` only, so release builds pay nothing. `fdm-core`'s
 //! `RelationBuilder` is the relation-level wrapper every FQL operator
 //! builds its output through.

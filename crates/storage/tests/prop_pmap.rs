@@ -1,11 +1,14 @@
 //! Property-based differential tests: `PMap` against `std::collections::BTreeMap`
 //! as the reference model, plus structural-sharing/snapshot properties.
 //!
-//! The join-based bulk set algebra (`merge_*`, `split`, `join`, `diff`) is
-//! pinned against per-element insert/lookup/remove oracles, on random
-//! inputs and on the adversarial shapes a merge can meet: disjoint ranges,
-//! perfectly interleaved keys, one entry against 64k, an empty side, and
-//! two handles on the same tree.
+//! The bulk set algebra (`merge_*`, `split`, `join`, `diff`) is pinned
+//! against per-element insert/lookup/remove oracles, on random inputs and
+//! on the adversarial shapes a merge can meet: disjoint ranges, perfectly
+//! interleaved keys, one entry against 64k, an empty side, and two handles
+//! on the same tree. Deep trees of up to ~5,000 entries (at least three
+//! levels) are pinned against `BTreeMap`: runs of removes that underflow
+//! and merge nodes, scans and order statistics across leaf boundaries, and
+//! merges with an edited copy that allocate per edit.
 
 use fdm_storage::{PMap, PSet};
 use proptest::prelude::*;
@@ -82,7 +85,7 @@ fn difference_by_remove(
 }
 
 /// Every join-based operation on `(a, b)` against its per-element oracle:
-/// same entries, AVL + size invariants after every operation, and each
+/// same entries, B+-tree invariants after every operation, and each
 /// `_with` combiner fired exactly once per shared key, in ascending key
 /// order, with `a`'s value first.
 fn check_bulk_ops(a: &Map, b: &Map, ctx: &str) {
@@ -93,7 +96,7 @@ fn check_bulk_ops(a: &Map, b: &Map, ctx: &str) {
     let check = |got: Map, want: Map, op: &str| {
         assert!(
             got.check_invariants(),
-            "{ctx}: {op} broke the AVL invariants"
+            "{ctx}: {op} broke the B+-tree invariants"
         );
         assert_eq!(got.len(), want.len(), "{ctx}: {op} len");
         assert!(
@@ -432,13 +435,15 @@ proptest! {
         prop_assert_eq!(&b, &i);
         prop_assert_eq!(b, sorted);
         prop_assert_eq!(bulk, incremental);
-        // AVL height/size invariants hold on the bulk-built tree, and its
-        // height respects the AVL bound
+        // the B+-tree invariants hold on the bulk-built tree, and its height
+        // respects the B+-tree bound: below a root of two or more children
+        // every node holds at least half of a fan-out of at least 8, so h
+        // levels hold at least 2 · 4^(h − 1) entries
         prop_assert!(bulk.check_invariants());
         if !bulk.is_empty() {
-            let bound = (1.45 * ((bulk.len() + 2) as f64).log2()).ceil() as usize;
+            let bound = 1 + (bulk.len() / 2).max(1).ilog(4) as usize;
             prop_assert!(bulk.tree_height() <= bound,
-                "height {} exceeds AVL bound {bound} for {} entries",
+                "height {} exceeds B+-tree bound {bound} for {} entries",
                 bulk.tree_height(), bulk.len());
         }
         // point lookups and order statistics agree
@@ -554,5 +559,223 @@ proptest! {
         prop_assert!(pa.merge_union(&pb).check_invariants());
         prop_assert!(pa.merge_intersection(&pb).check_invariants());
         prop_assert!(pa.merge_difference(&pb).check_invariants());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Deep trees: maps of up to ~5,000 entries stand three to five levels deep,
+// so splits, borrows and merges happen on inner nodes too, and scans cross
+// many leaf boundaries. The oracles are `BTreeMap`s.
+// ---------------------------------------------------------------------------
+
+type Model = BTreeMap<i64, i64>;
+
+/// `n` entries `3i -> i`, bulk-built: every leaf full, so the first insert
+/// into a leaf splits it and removes soon underflow.
+fn deep(n: usize) -> (Map, Model) {
+    let model: Model = (0..n as i64).map(|i| (3 * i, i)).collect();
+    (
+        Map::from_sorted_vec(model.clone().into_iter().collect()),
+        model,
+    )
+}
+
+fn model_entries(m: &Model) -> Vec<(i64, i64)> {
+    m.iter().map(|(k, v)| (*k, *v)).collect()
+}
+
+/// Every merge of `a` and `b` against `BTreeMap` set algebra, with each
+/// combiner called once per shared key, in ascending order.
+fn check_against_model(a: &Map, b: &Map, ma: &Model, mb: &Model, ctx: &str) {
+    let shared: Vec<(i64, i64, i64)> = ma
+        .iter()
+        .filter_map(|(k, x)| mb.get(k).map(|y| (*k, *x, *y)))
+        .collect();
+    let check = |got: &Map, want: Model, op: &str| {
+        assert!(got.check_invariants(), "{ctx}: {op} broke the invariants");
+        assert_eq!(entries(got), model_entries(&want), "{ctx}: {op}");
+    };
+    let mut union = mb.clone();
+    union.extend(ma.clone());
+    check(&a.merge_union(b), union.clone(), "merge_union");
+    let inter: Model = ma
+        .iter()
+        .filter(|(k, _)| mb.contains_key(k))
+        .map(|(k, v)| (*k, *v))
+        .collect();
+    check(&a.merge_intersection(b), inter, "merge_intersection");
+    let minus: Model = ma
+        .iter()
+        .filter(|(k, _)| !mb.contains_key(k))
+        .map(|(k, v)| (*k, *v))
+        .collect();
+    check(&a.merge_difference(b), minus.clone(), "merge_difference");
+
+    let mut calls = Vec::new();
+    let got = a.merge_union_with(b, |k, x, y| {
+        calls.push((*k, *x, *y));
+        x.wrapping_sub(*y)
+    });
+    let mut want = union;
+    for (k, x, y) in &shared {
+        want.insert(*k, x.wrapping_sub(*y));
+    }
+    check(&got, want, "merge_union_with");
+    assert_eq!(calls, shared, "{ctx}: merge_union_with combiner calls");
+    let keep = |k: &i64| k % 2 == 0;
+    let mut calls = Vec::new();
+    let got = a.merge_intersection_with(b, |k, x, _| {
+        calls.push(*k);
+        keep(k).then_some(*x)
+    });
+    let want: Model = shared
+        .iter()
+        .filter(|(k, _, _)| keep(k))
+        .map(|(k, x, _)| (*k, *x))
+        .collect();
+    check(&got, want, "merge_intersection_with");
+    assert!(
+        calls.iter().copied().eq(shared.iter().map(|(k, _, _)| *k)),
+        "{ctx}: merge_intersection_with combiner calls"
+    );
+    let mut calls = Vec::new();
+    let got = a.merge_difference_with(b, |k, x, _| {
+        calls.push(*k);
+        keep(k).then_some(*x)
+    });
+    let mut want = minus;
+    want.extend(
+        shared
+            .iter()
+            .filter(|(k, _, _)| keep(k))
+            .map(|(k, x, _)| (*k, *x)),
+    );
+    check(&got, want, "merge_difference_with");
+    assert!(
+        calls.iter().copied().eq(shared.iter().map(|(k, _, _)| *k)),
+        "{ctx}: merge_difference_with combiner calls"
+    );
+
+    // diff: exactly the keys whose entries differ, ascending
+    let want: Vec<(i64, Option<i64>, Option<i64>)> = ma
+        .keys()
+        .chain(mb.keys())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .map(|k| (*k, ma.get(k).copied(), mb.get(k).copied()))
+        .filter(|(_, x, y)| x != y)
+        .collect();
+    let got: Vec<_> = a
+        .diff(b)
+        .map(|(k, x, y)| (*k, x.copied(), y.copied()))
+        .filter(|(_, x, y)| x != y)
+        .collect();
+    assert_eq!(got, want, "{ctx}: diff");
+}
+
+proptest! {
+    #[test]
+    fn deep_removal_runs_match_btreemap(
+        n in 1_000usize..5_000,
+        start in 0usize..5_000,
+        run in 1usize..1_500,
+        stride in 1usize..4,
+        scrambled in any::<bool>(),
+    ) {
+        let (bulk, mut model) = deep(n);
+        // bulk-built (full leaves) or insert-built (leaves split half full)
+        let mut map = if scrambled {
+            let k = |i: usize| 3 * ((i * 7919) % n) as i64;
+            Map::from_iter((0..n).map(|i| (k(i), k(i) / 3)))
+        } else {
+            bulk
+        };
+        prop_assert!(map.tree_height() >= 3, "{} entries, height {}", n, map.tree_height());
+        for j in 0..run {
+            let key = 3 * (start + j * stride) as i64;
+            let (next, old) = map.remove(&key);
+            prop_assert_eq!(old, model.remove(&key));
+            map = next;
+            prop_assert_eq!(map.len(), model.len());
+            if j % 97 == 0 {
+                prop_assert!(map.check_invariants(), "after removing {}", key);
+            }
+        }
+        prop_assert!(map.check_invariants());
+        prop_assert_eq!(entries(&map), model_entries(&model));
+    }
+
+    #[test]
+    fn deep_range_nth_rank_cross_leaf_boundaries(
+        n in 1_000usize..5_000,
+        at in 0usize..5_000,
+        width in 1i64..300,
+        holes in 0usize..400,
+    ) {
+        let (mut map, mut model) = deep(n);
+        // a run of removes leaves some leaves below full and merges others
+        for j in 0..holes {
+            let key = 3 * ((at + 5 * j) % n) as i64;
+            map = map.remove(&key).0;
+            model.remove(&key);
+        }
+        let at = at % n;
+        let lo = 3 * at as i64 - 1;
+        for (lo, hi) in [(lo, lo + 3 * width), (lo + 1, lo + 1 + 3 * width), (lo + 1, lo + 1)] {
+            let got: Vec<i64> = map.range(Some(&lo), Some(&hi)).map(|(k, _)| *k).collect();
+            let want: Vec<i64> = model.range(lo..=hi).map(|(k, _)| *k).collect();
+            prop_assert_eq!(got, want, "range({}, {})", lo, hi);
+        }
+        let keys: Vec<i64> = model.keys().copied().collect();
+        let window = at.saturating_sub(40)..(at + 40).min(keys.len());
+        for i in window {
+            let k = keys[i];
+            prop_assert_eq!(map.nth(i), Some((&k, &model[&k])));
+            prop_assert_eq!(map.rank(&k), i);
+            prop_assert_eq!(map.rank(&(k + 1)), i + 1);
+        }
+        prop_assert_eq!(map.nth(keys.len()), None);
+    }
+
+    #[test]
+    fn deep_merges_with_an_edited_copy_allocate_per_edit(
+        n in 1_000usize..5_000,
+        edits in prop::collection::vec((0i64..5_000, 0u8..3), 1..16),
+    ) {
+        let (base, base_model) = deep(n);
+        let (mut edited, mut model) = (base.clone(), base_model.clone());
+        for (k, op) in &edits {
+            match op {
+                0 => {
+                    edited = edited.insert(3 * k + 1, -1).0;
+                    model.insert(3 * k + 1, -1);
+                }
+                1 => {
+                    edited = edited.remove(&(3 * k)).0;
+                    model.remove(&(3 * k));
+                }
+                _ => {
+                    edited = edited.insert(3 * k, -2).0;
+                    model.insert(3 * k, -2);
+                }
+            }
+        }
+        check_against_model(&base, &edited, &base_model, &model, "base vs edited");
+        check_against_model(&edited, &base, &model, &base_model, "edited vs base");
+        // a merge of the two shares everything off the edited paths
+        let budget = 3 * edits.len() * base.tree_height();
+        for (what, result) in [
+            ("base ∪ edited", base.merge_union(&edited)),
+            ("base ∩ edited", base.merge_intersection(&edited)),
+            ("base − edited", base.merge_difference(&edited)),
+            ("edited − base", edited.merge_difference(&base)),
+        ] {
+            let fresh = result.fresh_nodes(&base);
+            prop_assert!(
+                fresh <= budget,
+                "{}: {} fresh nodes for {} edits, budget 3·m·height = {}",
+                what, fresh, edits.len(), budget
+            );
+        }
     }
 }
