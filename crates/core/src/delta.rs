@@ -9,6 +9,10 @@
 //! where an entry was rebound wholesale — and propagated through
 //! maintained query plans instead of recomputing them.
 //!
+//! A commit's own writes travel as [`Op`]s: the transaction stages them,
+//! the commit's record keeps them, the WAL stores them, and
+//! [`apply_ops`] replays them onto a root.
+//!
 //! Diffing leans on two things. Structure sharing: versions of a stored
 //! relation share every subtree no write touched, and
 //! [`fdm_storage::PMap::diff`] skips shared subtrees whole, so a diff costs
@@ -19,6 +23,7 @@
 //! steady state, the same trick the merge setops use.
 
 use crate::error::{Name, Result};
+use crate::function::FnValue;
 use crate::relation::RelationF;
 use crate::tuple::TupleF;
 use crate::value::Value;
@@ -101,7 +106,6 @@ impl DbDelta {
     /// [`EntryDelta::Replaced`]. Non-relation entries that are untouched
     /// (same underlying value on both sides) are skipped.
     pub fn between(before: &DatabaseF, after: &DatabaseF) -> Result<DbDelta> {
-        use crate::function::FnValue;
         let mut entries: Vec<(Name, EntryDelta)> = Vec::new();
         let mut seen: Vec<&Name> = Vec::new();
         for (name, b) in before.iter() {
@@ -188,6 +192,74 @@ pub fn diff_relations(old: &RelationF, new: &RelationF) -> Result<Vec<TupleChang
         (Some(a), Some(b)) => changes(a.diff(b)),
         _ => changes(walk_sorted(&old.tuples()?, &new.tuples()?)),
     })
+}
+
+/// One recorded write: what a transaction stages, a commit's record
+/// keeps and a WAL record stores. [`apply_ops`] replays a list of them
+/// onto a root.
+#[derive(Debug, Clone)]
+pub enum Op {
+    /// Insert-or-replace one tuple.
+    Upsert {
+        /// Relation entry name.
+        rel: Name,
+        /// Tuple key.
+        key: Value,
+        /// The final tuple value as of commit time.
+        tuple: Arc<TupleF>,
+    },
+    /// Delete one tuple.
+    Delete {
+        /// Relation entry name.
+        rel: Name,
+        /// Tuple key.
+        key: Value,
+    },
+    /// Replace (or create) a whole database entry.
+    Assign {
+        /// Entry name.
+        name: Name,
+        /// The new function bound under `name`.
+        value: FnValue,
+    },
+    /// Remove a whole database entry.
+    Drop {
+        /// Entry name.
+        name: Name,
+    },
+}
+
+/// Applies `ops` onto `base`, in order, handing `replaced` the tuple each
+/// op replaced in the stored map it wrote (`None` for an insert and for
+/// an entry op). This is the one replay path: the snapshot-isolation
+/// merge (disjoint writers replaying onto a newer root), crash recovery
+/// (WAL records onto a checkpoint) and time travel (undos onto a newer
+/// version) all run it.
+pub fn apply_ops(
+    base: &DatabaseF,
+    ops: &[Op],
+    mut replaced: impl FnMut(Option<Arc<TupleF>>),
+) -> Result<DatabaseF> {
+    let mut db = base.clone();
+    for op in ops {
+        let (next, old) = match op {
+            Op::Upsert { rel, key, tuple } => {
+                let (r, old) = db
+                    .relation_ref(rel)?
+                    .upsert_replacing(key.clone(), Arc::clone(tuple))?;
+                (db.with_entry(rel, FnValue::from(r)), old)
+            }
+            Op::Delete { rel, key } => {
+                let (r, old) = db.relation_ref(rel)?.delete_replacing(key)?;
+                (db.with_entry(rel, FnValue::from(r)), old)
+            }
+            Op::Assign { name, value } => (db.with_entry(name, value.clone()), None),
+            Op::Drop { name } => (db.without_entry(name)?, None),
+        };
+        db = next;
+        replaced(old);
+    }
+    Ok(db)
 }
 
 #[cfg(test)]

@@ -129,6 +129,12 @@ pub enum FdmError {
     },
     /// Error raised by the expression sub-language (parse/bind/eval).
     Expr(String),
+    /// A query plan chains more operators than planning and evaluation
+    /// take: both recurse once per operator.
+    PlanTooDeep {
+        /// The most operators a plan may chain.
+        limit: usize,
+    },
     /// Anything else (used sparingly, e.g. by user-defined computed
     /// functions that fail).
     Other(String),
@@ -225,6 +231,9 @@ impl fmt::Display for FdmError {
             },
             FdmError::Durability { detail } => write!(f, "durability error: {detail}"),
             FdmError::Expr(msg) => write!(f, "expression error: {msg}"),
+            FdmError::PlanTooDeep { limit } => {
+                write!(f, "query plan chains more than {limit} operators")
+            }
             FdmError::Other(msg) => write!(f, "{msg}"),
         }
     }

@@ -156,7 +156,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(Version, PathBuf)>> {
 
 /// Loads and validates one checkpoint file: magic, length, CRC, and
 /// agreement between the payload version and the file name.
-pub fn load_checkpoint(path: &Path) -> Result<(Version, DatabaseF)> {
+pub(crate) fn load_checkpoint(path: &Path) -> Result<(Version, DatabaseF)> {
     let file_name = path
         .file_name()
         .and_then(|n| n.to_str())

@@ -30,52 +30,16 @@
 
 use crate::error::{DurabilityError, Result};
 use fdm_core::{
-    Constraint, DatabaseF, Domain, FnValue, Name, Participant, RelationF, RelationshipF, Shape,
+    Constraint, DatabaseF, Domain, FnValue, Name, Op, Participant, RelationF, RelationshipF, Shape,
     SharedDomain, TupleF, Value, ValueType,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One logged operation of a committed writeset — the durable mirror of
-/// the transaction layer's op list. `fdm-txn` converts its own ops to and
-/// from this type 1:1; keeping a separate type here avoids a dependency
-/// cycle (txn depends on durability, not the other way around).
-#[derive(Clone, Debug)]
-pub enum WalOp {
-    /// Insert or replace one tuple under `key` in relation `rel`.
-    Upsert {
-        /// Target relation function.
-        rel: Name,
-        /// Primary key value.
-        key: Value,
-        /// The new tuple.
-        tuple: Arc<TupleF>,
-    },
-    /// Delete the tuple under `key` from relation `rel`.
-    Delete {
-        /// Target relation function.
-        rel: Name,
-        /// Primary key value.
-        key: Value,
-    },
-    /// Assign a whole database entry (relation, tuple, nested database…).
-    Assign {
-        /// Entry name.
-        name: Name,
-        /// The assigned function value.
-        value: FnValue,
-    },
-    /// Drop a whole database entry.
-    Drop {
-        /// Entry name.
-        name: Name,
-    },
-}
-
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the checksum
 /// guarding every WAL record and checkpoint payload. Implemented locally
 /// because the build environment vendors no external crates.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     const fn table() -> [u32; 256] {
         let mut t = [0u32; 256];
         let mut i = 0;
@@ -103,18 +67,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Encodes a committed writeset for a WAL record payload.
-pub fn encode_ops(ops: &[WalOp]) -> Result<Vec<u8>> {
+/// Encodes a commit's writeset for a WAL record payload: the same
+/// [`Op`]s the transaction staged and the commit replays, op by op, each
+/// as its tag (upsert 0, delete 1, assign 2, drop 3) and its fields.
+pub fn encode_ops(ops: &[Op]) -> Result<Vec<u8>> {
     let mut e = Encoder::new();
     e.u32(ops.len() as u32);
     for op in ops {
-        e.wal_op(op)?;
+        e.op(op)?;
     }
     Ok(e.buf)
 }
 
-/// Decodes a WAL record payload back into its writeset.
-pub fn decode_ops(bytes: &[u8]) -> Result<Vec<WalOp>> {
+/// Decodes a WAL record payload back into the commit's [`Op`]s.
+pub fn decode_ops(bytes: &[u8]) -> Result<Vec<Op>> {
     OpsDecoder::default().decode(bytes)
 }
 
@@ -128,13 +94,13 @@ pub(crate) struct OpsDecoder {
 }
 
 impl OpsDecoder {
-    pub(crate) fn decode(&mut self, bytes: &[u8]) -> Result<Vec<WalOp>> {
+    pub(crate) fn decode(&mut self, bytes: &[u8]) -> Result<Vec<Op>> {
         let mut d = Decoder::new(bytes);
         d.last_shape = self.last_shape.take();
         let n = d.count()?;
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
-            ops.push(d.wal_op()?);
+            ops.push(d.op()?);
         }
         d.finish()?;
         self.last_shape = d.last_shape;
@@ -157,12 +123,21 @@ pub fn decode_database(bytes: &[u8]) -> Result<DatabaseF> {
     Ok(db)
 }
 
+/// How deep values, functions and domains may nest inside each other in
+/// one payload. Both directions recurse once per level: the encoder
+/// refuses a deeper value before it is logged, and the decoder refuses a
+/// deeper payload — a record whose CRC holds over garbage — before it
+/// overflows the stack.
+pub const MAX_NESTING: usize = 256;
+
 // ---------------------------------------------------------------- encoder
 
 struct Encoder {
     buf: Vec<u8>,
     /// Interned shared domains, in definition order (identity = `same_as`).
     domains: Vec<SharedDomain>,
+    /// Nesting levels entered so far ([`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Encoder {
@@ -170,7 +145,21 @@ impl Encoder {
         Encoder {
             buf: Vec::new(),
             domains: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Enters one nesting level; the caller leaves it on success. On an
+    /// error the whole encoding is abandoned, so the count no longer
+    /// matters.
+    fn enter(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(DurabilityError::Unserializable {
+                what: format!("a value nested deeper than {MAX_NESTING} levels"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn u8(&mut self, v: u8) {
@@ -201,6 +190,7 @@ impl Encoder {
     }
 
     fn value(&mut self, v: &Value) -> Result<()> {
+        self.enter()?;
         match v {
             Value::Unit => self.u8(0),
             Value::Bool(b) => {
@@ -231,11 +221,13 @@ impl Encoder {
                 self.fn_value(f)?;
             }
         }
+        self.depth -= 1;
         Ok(())
     }
 
     fn fn_value(&mut self, f: &FnValue) -> Result<()> {
-        match f {
+        self.enter()?;
+        let out = match f {
             FnValue::Tuple(t) => {
                 self.u8(0);
                 self.tuple(t)
@@ -255,7 +247,9 @@ impl Encoder {
             FnValue::Lambda(_) => Err(DurabilityError::Unserializable {
                 what: "λ function (closures have no byte representation)".into(),
             }),
-        }
+        };
+        self.depth -= 1;
+        out
     }
 
     /// Canonical tuple encoding: attributes in name order — the shape's
@@ -308,7 +302,8 @@ impl Encoder {
     }
 
     fn domain(&mut self, d: &Domain) -> Result<()> {
-        match d {
+        self.enter()?;
+        let out = match d {
             Domain::Typed(t) => {
                 self.u8(0);
                 self.value_type(*t);
@@ -345,7 +340,9 @@ impl Encoder {
                 }
                 Ok(())
             }
-        }
+        };
+        self.depth -= 1;
+        out
     }
 
     /// Interned shared-domain encoding: first occurrence defines, later
@@ -437,25 +434,25 @@ impl Encoder {
         Ok(())
     }
 
-    fn wal_op(&mut self, op: &WalOp) -> Result<()> {
+    fn op(&mut self, op: &Op) -> Result<()> {
         match op {
-            WalOp::Upsert { rel, key, tuple } => {
+            Op::Upsert { rel, key, tuple } => {
                 self.u8(0);
                 self.str(rel);
                 self.value(key)?;
                 self.tuple(tuple)
             }
-            WalOp::Delete { rel, key } => {
+            Op::Delete { rel, key } => {
                 self.u8(1);
                 self.str(rel);
                 self.value(key)
             }
-            WalOp::Assign { name, value } => {
+            Op::Assign { name, value } => {
                 self.u8(2);
                 self.str(name);
                 self.fn_value(value)
             }
-            WalOp::Drop { name } => {
+            Op::Drop { name } => {
                 self.u8(3);
                 self.str(name);
                 Ok(())
@@ -479,6 +476,8 @@ struct Decoder<'a> {
     last_shape: Option<Arc<Shape>>,
     /// The attribute names of the tuple being decoded (reused).
     names: Vec<&'a str>,
+    /// Nesting levels entered so far ([`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Decoder<'a> {
@@ -490,7 +489,18 @@ impl<'a> Decoder<'a> {
             shapes: HashMap::new(),
             last_shape: None,
             names: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Enters one nesting level; the caller leaves it on success (an
+    /// error abandons the whole payload).
+    fn enter(&mut self) -> Result<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.corrupt(format!("values nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> DurabilityError {
@@ -565,7 +575,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
+        self.enter()?;
+        let v = match self.u8()? {
             0 => Value::Unit,
             1 => Value::Bool(self.u8()? != 0),
             2 => Value::Int(self.i64()?),
@@ -581,17 +592,22 @@ impl<'a> Decoder<'a> {
             }
             6 => Value::Fn(self.fn_value()?),
             t => return Err(self.corrupt(format!("unknown value tag {t}"))),
-        })
+        };
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn fn_value(&mut self) -> Result<FnValue> {
-        Ok(match self.u8()? {
+        self.enter()?;
+        let f = match self.u8()? {
             0 => FnValue::Tuple(Arc::new(self.tuple()?)),
             1 => FnValue::Relation(Arc::new(self.relation()?)),
             2 => FnValue::Relationship(Arc::new(self.relationship()?)),
             3 => FnValue::Database(Arc::new(self.database()?)),
             t => return Err(self.corrupt(format!("unknown function tag {t}"))),
-        })
+        };
+        self.depth -= 1;
+        Ok(f)
     }
 
     fn tuple(&mut self) -> Result<TupleF> {
@@ -655,7 +671,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn domain(&mut self) -> Result<Domain> {
-        Ok(match self.u8()? {
+        self.enter()?;
+        let d = match self.u8()? {
             0 => Domain::Typed(self.value_type()?),
             1 => {
                 let n = self.count()?;
@@ -676,7 +693,9 @@ impl<'a> Decoder<'a> {
                 Domain::Product(ds)
             }
             t => return Err(self.corrupt(format!("unknown domain tag {t}"))),
-        })
+        };
+        self.depth -= 1;
+        Ok(d)
     }
 
     fn shared_domain(&mut self) -> Result<SharedDomain> {
@@ -790,25 +809,25 @@ impl<'a> Decoder<'a> {
         Ok(db)
     }
 
-    fn wal_op(&mut self) -> Result<WalOp> {
+    fn op(&mut self) -> Result<Op> {
         Ok(match self.u8()? {
             0 => {
                 let rel = self.name()?;
                 let key = self.value()?;
                 let tuple = Arc::new(self.tuple()?);
-                WalOp::Upsert { rel, key, tuple }
+                Op::Upsert { rel, key, tuple }
             }
             1 => {
                 let rel = self.name()?;
                 let key = self.value()?;
-                WalOp::Delete { rel, key }
+                Op::Delete { rel, key }
             }
             2 => {
                 let name = self.name()?;
                 let value = self.fn_value()?;
-                WalOp::Assign { name, value }
+                Op::Assign { name, value }
             }
-            3 => WalOp::Drop { name: self.name()? },
+            3 => Op::Drop { name: self.name()? },
             t => return Err(self.corrupt(format!("unknown op tag {t}"))),
         })
     }
@@ -947,32 +966,74 @@ mod tests {
     #[test]
     fn ops_roundtrip() {
         let ops = vec![
-            WalOp::Upsert {
+            Op::Upsert {
                 rel: Name::from("customers"),
                 key: Value::Int(7),
                 tuple: Arc::new(TupleF::builder("c").attr("name", "Eve").build()),
             },
-            WalOp::Delete {
+            Op::Delete {
                 rel: Name::from("customers"),
                 key: Value::Int(1),
             },
-            WalOp::Assign {
+            Op::Assign {
                 name: Name::from("flag"),
                 value: FnValue::Tuple(Arc::new(TupleF::builder("f").attr("on", true).build())),
             },
-            WalOp::Drop {
+            Op::Drop {
                 name: Name::from("old"),
             },
         ];
         let bytes = encode_ops(&ops).unwrap();
         let back = decode_ops(&bytes).unwrap();
         assert_eq!(back.len(), 4);
-        assert!(matches!(&back[0], WalOp::Upsert { rel, key, tuple }
+        assert!(matches!(&back[0], Op::Upsert { rel, key, tuple }
             if rel.as_ref() == "customers" && *key == Value::Int(7)
                 && tuple.get("name").unwrap() == Value::str("Eve")));
-        assert!(matches!(&back[3], WalOp::Drop { name } if name.as_ref() == "old"));
+        assert!(matches!(&back[3], Op::Drop { name } if name.as_ref() == "old"));
         // canonical
         assert_eq!(bytes, encode_ops(&back).unwrap());
+    }
+
+    /// A delete keyed by `lists` one-element lists nested around a unit,
+    /// as an op and as the payload it encodes to.
+    fn nested_delete(lists: usize) -> (Op, Vec<u8>) {
+        let mut key = Value::Unit;
+        let mut bytes = vec![1, 0, 0, 0, 1, 1, 0, 0, 0, b'r'];
+        for _ in 0..lists {
+            key = Value::list([key]);
+            bytes.extend_from_slice(&[5, 1, 0, 0, 0]);
+        }
+        bytes.push(0);
+        let rel = Name::from("r");
+        (Op::Delete { rel, key }, bytes)
+    }
+
+    #[test]
+    fn nesting_is_bounded_both_ways() {
+        // at the bound: the list levels plus the unit fill MAX_NESTING
+        let (op, bytes) = nested_delete(MAX_NESTING - 1);
+        assert_eq!(encode_ops(std::slice::from_ref(&op)).unwrap(), bytes);
+        assert_eq!(decode_ops(&bytes).unwrap().len(), 1);
+        // one past it: refused before it is logged, and as a payload
+        let (op, bytes) = nested_delete(MAX_NESTING);
+        assert!(matches!(
+            encode_ops(&[op]),
+            Err(DurabilityError::Unserializable { .. })
+        ));
+        assert!(matches!(
+            decode_ops(&bytes),
+            Err(DurabilityError::Corrupt { .. })
+        ));
+        // far past it: a payload decodes no deeper than the bound
+        let mut deep = bytes[..10].to_vec();
+        for _ in 0..100_000 {
+            deep.extend_from_slice(&[5, 1, 0, 0, 0]);
+        }
+        deep.push(0);
+        assert!(matches!(
+            decode_ops(&deep),
+            Err(DurabilityError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! acknowledged (fsynced) commit.**
 //!
 //! This crate deliberately knows nothing about transactions: it stores
-//! and returns [`WalOp`]s; `fdm-txn` converts them to and from its own
-//! writeset ops and drives replay through its commit validation.
+//! and returns `fdm-core`'s [`fdm_core::Op`]s, the same ops a transaction
+//! stages and a commit replays, and `fdm-txn` drives their replay through
+//! its commit machinery.
 
 #![warn(missing_docs)]
 
@@ -46,15 +47,13 @@ pub mod wal;
 
 #[cfg(any(test, feature = "fault-injection"))]
 pub use checkpoint::write_checkpoint_faulty;
-pub use checkpoint::{list_checkpoints, load_checkpoint, prune_checkpoints, write_checkpoint};
-pub use codec::{decode_database, decode_ops, encode_database, encode_ops, WalOp};
+pub use checkpoint::{list_checkpoints, prune_checkpoints, write_checkpoint};
+pub use codec::{decode_database, decode_ops, encode_database, encode_ops};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use crash::CrashPlan;
 pub use error::DurabilityError;
-pub use recovery::{recover, verify_integrity, IntegrityReport, Recovered, WalCommit};
-pub use wal::{
-    check_record_payload, AppendAck, DurabilityConfig, SyncPolicy, Wal, MAX_RECORD_BYTES,
-};
+pub use recovery::{recover, verify_integrity, IntegrityReport, Recovered};
+pub use wal::{check_record_payload, DurabilityConfig, SyncPolicy, Wal, MAX_RECORD_BYTES};
 
 /// Commit version number (re-exported from `fdm-storage` for convenience).
 pub type Version = fdm_storage::Version;

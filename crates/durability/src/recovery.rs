@@ -29,24 +29,15 @@
 //! history, and the prefix covers every commit whose fsync completed.
 
 use crate::checkpoint::{list_checkpoints, load_checkpoint};
-use crate::codec::{crc32, OpsDecoder, WalOp};
+use crate::codec::{crc32, OpsDecoder};
 use crate::error::{DurabilityError, Result};
 use crate::wal::{
     parse_segment_name, DurabilityConfig, MAX_RECORD_BYTES, RECORD_HEADER, WAL_MAGIC,
 };
-use fdm_core::DatabaseF;
+use fdm_core::{DatabaseF, Op};
 use fdm_storage::Version;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// One commit recovered from the WAL, ready for replay.
-#[derive(Clone, Debug)]
-pub struct WalCommit {
-    /// The commit's version.
-    pub version: Version,
-    /// Its decoded writeset.
-    pub ops: Vec<WalOp>,
-}
 
 /// Everything recovery found in a durability directory.
 ///
@@ -57,8 +48,9 @@ pub struct Recovered {
     pub checkpoint_version: Version,
     /// The checkpointed database value.
     pub db: DatabaseF,
-    /// Commits after the checkpoint, gapless and version-ordered.
-    pub commits: Vec<WalCommit>,
+    /// Commits after the checkpoint, gapless and version-ordered: each
+    /// one's version and decoded writeset.
+    pub commits: Vec<(Version, Vec<Op>)>,
     /// `true` if a torn tail was found (and will be truncated on resume).
     pub torn: bool,
     /// The next version the resumed WAL should expect.
@@ -301,17 +293,10 @@ pub fn recover(cfg: &DurabilityConfig) -> Result<Recovered> {
                 found: *v,
             });
         }
-        commits.push(WalCommit {
-            version: *v,
-            ops: decoder.decode(ops_bytes)?,
-        });
+        commits.push((*v, decoder.decode(ops_bytes)?));
     }
 
-    let next_version = commits
-        .last()
-        .map(|c| c.version)
-        .unwrap_or(checkpoint_version)
-        + 1;
+    let next_version = commits.last().map_or(checkpoint_version, |c| c.0) + 1;
     Ok(Recovered {
         checkpoint_version,
         db,
@@ -349,7 +334,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::write_checkpoint;
     use crate::codec::encode_ops;
-    use crate::wal::{build_record, segment_path, Wal};
+    use crate::wal::{append, build_record, segment_path, Wal};
     use fdm_core::{Name, RelationF, TupleF, Value};
     use std::sync::Arc;
 
@@ -365,7 +350,7 @@ mod tests {
     }
 
     fn upsert(k: i64, v: i64) -> Vec<u8> {
-        encode_ops(&[WalOp::Upsert {
+        encode_ops(&[Op::Upsert {
             rel: Name::from("r"),
             key: Value::Int(k),
             tuple: Arc::new(TupleF::builder("t").attr("v", v).build()),
@@ -380,7 +365,7 @@ mod tests {
         write_checkpoint(&dir, 0, &base_db()).unwrap();
         let wal = Wal::create(&cfg, 1).unwrap();
         for v in 1..=n {
-            wal.append(v, &upsert(v as i64, (v * 10) as i64)).unwrap();
+            append(&wal, v, &upsert(v as i64, (v * 10) as i64)).unwrap();
         }
         (dir, cfg)
     }
@@ -475,7 +460,7 @@ mod tests {
         let dir = scratch("nockpt");
         let cfg = DurabilityConfig::new(&dir);
         let wal = Wal::create(&cfg, 1).unwrap();
-        wal.append(1, &upsert(1, 10)).unwrap();
+        append(&wal, 1, &upsert(1, 10)).unwrap();
         assert!(matches!(
             recover(&cfg).unwrap_err(),
             DurabilityError::CheckpointMissing { .. }
@@ -507,7 +492,7 @@ mod tests {
         write_checkpoint(&dir, 4, &base_db()).unwrap();
         let rec = recover(&cfg).unwrap();
         assert_eq!(rec.checkpoint_version, 4);
-        let versions: Vec<Version> = rec.commits.iter().map(|c| c.version).collect();
+        let versions: Vec<Version> = rec.commits.iter().map(|c| c.0).collect();
         assert_eq!(versions, vec![5, 6]);
         let _ = std::fs::remove_dir_all(&dir);
     }

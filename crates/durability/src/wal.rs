@@ -161,20 +161,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Result of one [`Wal::append`]: where this commit stands relative to
-/// the durable watermark.
-#[derive(Clone, Copy, Debug)]
-pub struct AppendAck {
-    /// The appended version.
-    pub version: Version,
-    /// `true` if this version is already on the medium (its fsync ran).
-    /// Under group commit, `false` means the group's closer or an
-    /// explicit [`Wal::sync`] will make it durable.
-    pub durable: bool,
-    /// The highest version known durable after this append.
-    pub synced_version: Version,
-}
-
 /// Path of the segment whose first record is `start`.
 pub(crate) fn segment_path(dir: &Path, start: Version) -> PathBuf {
     dir.join(format!("wal-{start:020}.seg"))
@@ -186,6 +172,31 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<Version> {
         .strip_suffix(".seg")?
         .parse()
         .ok()
+}
+
+/// Where one appended commit stands relative to the durable watermark.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct Appended {
+    /// `true` if the version is already on the medium (its fsync ran).
+    pub(crate) durable: bool,
+    /// The highest version known durable after the append.
+    pub(crate) synced_version: Version,
+}
+
+/// [`Wal::enqueue`] then, if the record closes its group,
+/// [`Wal::complete`]: the whole append, for a test with no lock to
+/// release in between.
+#[cfg(test)]
+pub(crate) fn append(wal: &Wal, version: Version, ops_payload: &[u8]) -> Result<Appended> {
+    if wal.enqueue(version, ops_payload)? {
+        wal.complete(version)?;
+    }
+    let synced_version = wal.synced_version();
+    Ok(Appended {
+        durable: synced_version >= version,
+        synced_version,
+    })
 }
 
 /// The on-disk bytes of one record.
@@ -380,21 +391,6 @@ impl Wal {
     /// is buffered itself.
     pub fn complete(&self, version: Version) -> Result<()> {
         self.close_through(version, self.cfg.sync != SyncPolicy::Never)
-    }
-
-    /// [`Wal::enqueue`] then, if the record closes its group,
-    /// [`Wal::complete`] — the whole append for a caller that has no
-    /// lock to release in between.
-    pub fn append(&self, version: Version, ops_payload: &[u8]) -> Result<AppendAck> {
-        if self.enqueue(version, ops_payload)? {
-            self.complete(version)?;
-        }
-        let synced_version = self.synced_version();
-        Ok(AppendAck {
-            version,
-            durable: synced_version >= version,
-            synced_version,
-        })
     }
 
     /// Forces a write and an fsync, making every enqueued record durable.
@@ -612,16 +608,16 @@ mod tests {
         let wal = Wal::create(&cfg, 1).unwrap();
         let payload = encode_ops(&[]).unwrap();
         for wrong in [2, 0, 7] {
-            let err = wal.append(wrong, &payload).unwrap_err();
+            let err = append(&wal, wrong, &payload).unwrap_err();
             assert!(matches!(err, DurabilityError::Corrupt { .. }), "{err}");
         }
-        let ack = wal.append(1, &payload).unwrap();
+        let ack = append(&wal, 1, &payload).unwrap();
         assert!(ack.durable);
         assert!(
-            wal.append(1, &payload).is_err(),
+            append(&wal, 1, &payload).is_err(),
             "a duplicate is out of order too"
         );
-        assert!(wal.append(2, &payload).unwrap().durable);
+        assert!(append(&wal, 2, &payload).unwrap().durable);
         assert_eq!(versions_on_disk(&dir, 1), vec![1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -635,15 +631,15 @@ mod tests {
         plan.drop_fsync(); // counts every fsync the writer asks for
         wal.install_crash_plan(Arc::clone(&plan));
         let payload = encode_ops(&[]).unwrap();
-        assert!(!wal.append(1, &payload).unwrap().durable);
-        assert!(!wal.append(2, &payload).unwrap().durable);
+        assert!(!append(&wal, 1, &payload).unwrap().durable);
+        assert!(!append(&wal, 2, &payload).unwrap().durable);
         assert_eq!(plan.written_bytes(), 0, "an open group is memory only");
-        let ack = wal.append(3, &payload).unwrap();
+        let ack = append(&wal, 3, &payload).unwrap();
         assert!(ack.durable, "the third append closes the group");
         assert_eq!(ack.synced_version, 3);
         assert_eq!(plan.fsyncs_dropped.load(Ordering::SeqCst), 1);
         // explicit sync closes a partial group
-        assert!(!wal.append(4, &payload).unwrap().durable);
+        assert!(!append(&wal, 4, &payload).unwrap().durable);
         wal.sync().unwrap();
         assert_eq!(wal.synced_version(), 4);
         assert_eq!(plan.fsyncs_dropped.load(Ordering::SeqCst), 2);
@@ -658,7 +654,7 @@ mod tests {
         let wal = Wal::create(&cfg, 1).unwrap();
         let payload = encode_ops(&[]).unwrap();
         for v in 1..=10 {
-            wal.append(v, &payload).unwrap();
+            append(&wal, v, &payload).unwrap();
         }
         let mut segs: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -683,7 +679,7 @@ mod tests {
                 .with_sync(sync);
             let wal = Wal::create(&cfg, 1).unwrap();
             for v in 1..=10 {
-                wal.append(v, &payload).unwrap();
+                append(&wal, v, &payload).unwrap();
             }
             wal.sync().unwrap();
             let mut segs: Vec<(Version, u64)> = std::fs::read_dir(&dir)
@@ -719,11 +715,11 @@ mod tests {
         let cfg = DurabilityConfig::new(&dir);
         let wal = Wal::create(&cfg, 1).unwrap();
         let big = vec![0u8; MAX_RECORD_BYTES as usize];
-        let err = wal.append(1, &big).unwrap_err();
+        let err = append(&wal, 1, &big).unwrap_err();
         assert!(matches!(err, DurabilityError::TooLarge { .. }), "{err}");
         assert_eq!(wal.synced_version(), 0);
         let payload = encode_ops(&[]).unwrap();
-        assert!(wal.append(1, &payload).unwrap().durable);
+        assert!(append(&wal, 1, &payload).unwrap().durable);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -737,7 +733,7 @@ mod tests {
         let wal = Wal::create(&cfg, 1).unwrap();
         let payload = encode_ops(&[]).unwrap();
         for v in 1..=5 {
-            assert!(!wal.append(v, &payload).unwrap().durable);
+            assert!(!append(&wal, v, &payload).unwrap().durable);
         }
         assert!(versions_on_disk(&dir, 1).is_empty(), "still buffered");
         drop(wal);
@@ -755,16 +751,16 @@ mod tests {
         let plan = CrashPlan::new();
         wal.install_crash_plan(Arc::clone(&plan));
         let payload = encode_ops(&[]).unwrap();
-        wal.append(1, &payload).unwrap();
-        wal.append(2, &payload).unwrap();
+        append(&wal, 1, &payload).unwrap();
+        append(&wal, 2, &payload).unwrap();
         let group_bytes = plan.written_bytes();
         plan.cut_write_at(group_bytes + 3); // dies 3 bytes into the next group
-        wal.append(3, &payload).unwrap();
-        let err = wal.append(4, &payload).unwrap_err();
+        append(&wal, 3, &payload).unwrap();
+        let err = append(&wal, 4, &payload).unwrap_err();
         assert_eq!(err, DurabilityError::Crashed);
         // the failure is sticky: later appends and syncs fail the same way
         assert_eq!(
-            wal.append(5, &payload).unwrap_err(),
+            append(&wal, 5, &payload).unwrap_err(),
             DurabilityError::Crashed
         );
         assert_eq!(wal.sync().unwrap_err(), DurabilityError::Crashed);

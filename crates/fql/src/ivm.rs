@@ -1036,6 +1036,7 @@ impl MaintainedView {
         plan: Query,
         db: &DatabaseF,
     ) -> Result<MaintainedView> {
+        plan.check_depth()?;
         let root = Node::build(&plan, db, true)?;
         Ok(MaintainedView {
             name: name.into(),

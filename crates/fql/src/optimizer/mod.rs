@@ -169,9 +169,16 @@ impl Optimizer {
         Ok(out)
     }
 
+    /// The fixpoint loop. A plan deeper than
+    /// [`crate::plan::MAX_PLAN_DEPTH`] comes back as [`Query::Invalid`]
+    /// without a rule seeing it: every rule recurses once per operator.
     fn drive(&self, plan: Query, ctx: &PlanContext) -> (Query, OptimizeTrace) {
-        let mut q = plan;
         let mut trace = OptimizeTrace::default();
+        if let Err(e) = plan.check_depth() {
+            let message = e.to_string();
+            return (Query::Invalid { message }, trace);
+        }
+        let mut q = plan;
         for pass in 1..=Self::MAX_PASSES {
             trace.passes = pass;
             let mut fired = false;

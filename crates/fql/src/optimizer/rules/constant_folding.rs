@@ -39,24 +39,20 @@ impl OptimizationRule for ConstantFoldingExpr {
 }
 
 fn fold_plan(q: Query) -> (Query, bool) {
-    match q {
-        Query::Filter { input, pred } => {
-            let (inner, c_in) = fold_plan(*input);
-            let (folded, c_pred) = fold_expr(&pred);
-            if matches!(folded, Expr::Lit(Value::Bool(true))) {
-                // the filter keeps every tuple under its own key — drop it
-                return (inner, true);
-            }
-            (
-                Query::Filter {
-                    input: Box::new(inner),
-                    pred: if c_pred { folded } else { pred },
-                },
-                c_in || c_pred,
-            )
+    let (mut q, c_in) = q.map_input(fold_plan);
+    let Query::Filter { pred, .. } = &mut q else {
+        return (q, c_in);
+    };
+    let (folded, c_pred) = fold_expr(pred);
+    if matches!(folded, Expr::Lit(Value::Bool(true))) {
+        // the filter keeps every tuple under its own key — drop it
+        if let Some(inner) = q.take_input() {
+            return (inner, true);
         }
-        other => other.map_input(fold_plan),
+    } else if c_pred {
+        *pred = folded;
     }
+    (q, c_in || c_pred)
 }
 
 /// `true` when evaluating `e` needs no tuple, no parameters, and no

@@ -75,18 +75,19 @@ fn reorder(q: Query, ctx: &PlanContext) -> (Query, bool) {
 fn collect_chain(mut q: Query) -> (Vec<JoinSpec>, Query) {
     let mut specs = Vec::new();
     while let Query::Join {
-        input,
         rel,
         input_attr,
         rel_attr,
-    } = q
+        ..
+    } = &mut q
     {
         specs.push(JoinSpec {
-            rel,
-            input_attr,
-            rel_attr,
+            rel: std::mem::take(rel),
+            input_attr: std::mem::take(input_attr),
+            rel_attr: std::mem::take(rel_attr),
         });
-        q = *input;
+        let Some(input) = q.take_input() else { break };
+        q = input;
     }
     specs.reverse();
     (specs, q)

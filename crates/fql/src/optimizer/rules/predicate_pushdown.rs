@@ -36,54 +36,41 @@ impl OptimizationRule for PredicatePushdown {
 
 /// One bottom-up pushdown step; the fixpoint driver repeats it until the
 /// plan is quiet.
-fn push_down_once(q: Query) -> (Query, bool) {
-    let Query::Filter { input, pred } = q else {
+fn push_down_once(mut q: Query) -> (Query, bool) {
+    let Query::Filter { input, pred } = &mut q else {
         return q.map_input(push_down_once);
     };
-    let pushed = match *input {
-        // fuse adjacent filters
-        Query::Filter {
-            input: inner,
-            pred: p2,
-        } => Query::Filter {
-            input: inner,
-            pred: Expr::bin(BinOp::And, p2, pred),
-        },
+    match &mut **input {
+        // fuse adjacent filters: the one below takes both predicates
+        Query::Filter { pred: p2, .. } => {
+            *p2 = Expr::bin(BinOp::And, take(p2), take(pred));
+            let fused = q.take_input();
+            return (fused.unwrap_or(q), true);
+        }
         // push below project when the predicate only uses projected
         // attributes
-        Query::Project {
-            input: inner,
-            attrs,
-        } if reads_only(&pred, &attrs) => Query::Project {
-            input: Box::new(Query::Filter { input: inner, pred }),
-            attrs,
-        },
+        Query::Project { attrs, .. } if reads_only(pred, attrs) => {}
         // push below join when the predicate never references the joined
         // relation's (prefixed) attributes
-        Query::Join {
-            input: inner,
-            rel,
-            input_attr,
-            rel_attr,
-        } if !reads_from(&pred, &rel) => Query::Join {
-            input: Box::new(Query::Filter { input: inner, pred }),
-            rel,
-            input_attr,
-            rel_attr,
-        },
+        Query::Join { rel, .. } if !reads_from(pred, rel) => {}
         // NOTE: a filter is deliberately NOT pushed below an OrderBy. The
         // sort assigns rank keys; filtering before vs after ranking yields
         // different keys (contiguous vs gapped), and the optimizer must
         // never change observable results — only their cost.
-        other => {
-            let filter = Query::Filter {
-                input: Box::new(other),
-                pred,
-            };
-            return filter.map_input(push_down_once);
-        }
+        _ => return q.map_input(push_down_once),
+    }
+    // swap the filter and the operator it reads: the filter takes that
+    // operator's input, and the operator reads the filter
+    let Some(below) = q.take_input() else {
+        return (q, false);
     };
+    let (pushed, _) = below.map_input(|inner| q.map_input(|_| (inner, true)));
     (pushed, true)
+}
+
+/// Moves `e` out, leaving a literal that allocates nothing in its place.
+fn take(e: &mut Expr) -> Expr {
+    std::mem::replace(e, Expr::Lit(fdm_core::Value::Unit))
 }
 
 /// `true` when every attribute `pred` reads is one of `attrs`.

@@ -72,29 +72,20 @@ impl Needed {
     }
 }
 
-fn prune(q: Query, needed: &Needed) -> (Query, bool) {
-    let (q, narrowed) = match q {
-        Query::Project { input, attrs } => {
-            let kept: Vec<String> = match needed {
-                Needed::All => attrs.clone(),
-                Needed::Attrs(set) => {
-                    let kept: Vec<String> = attrs
-                        .iter()
-                        .filter(|a| set.contains(a.as_str()))
-                        .cloned()
-                        .collect();
-                    if kept.is_empty() {
-                        attrs.clone()
-                    } else {
-                        kept
-                    }
-                }
-            };
-            let narrowed = kept.len() < attrs.len();
-            (Query::Project { input, attrs: kept }, narrowed)
+fn prune(mut q: Query, needed: &Needed) -> (Query, bool) {
+    let mut narrowed = false;
+    if let (Query::Project { attrs, .. }, Needed::Attrs(set)) = (&mut q, needed) {
+        let kept: Vec<String> = attrs
+            .iter()
+            .filter(|a| set.contains(a.as_str()))
+            .cloned()
+            .collect();
+        // a projection onto nothing keeps its attributes
+        narrowed = !kept.is_empty() && kept.len() < attrs.len();
+        if narrowed {
+            *attrs = kept;
         }
-        other => (other, false),
-    };
+    }
     // what this operator and everything above it read of its input
     let child_needed = match &q {
         // below a projection only its own (possibly narrowed) output

@@ -54,6 +54,14 @@ use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_expr::{Expr, Params};
 use std::sync::Arc;
 
+/// The most operators one plan may chain, its leaf included. Planning,
+/// evaluation and view maintenance recurse once per operator, so a
+/// deeper plan could overflow the stack: a builder that would pass the
+/// limit returns [`Query::Invalid`] instead, and [`Query::eval`],
+/// [`Query::eval_with_stats`], [`Query::estimated_rows`] and the
+/// optimizer refuse a deeper plan built from the variants directly.
+pub const MAX_PLAN_DEPTH: usize = 64;
+
 /// A lazy, optimizable FQL expression producing a relation function.
 ///
 /// # Examples
@@ -180,59 +188,62 @@ impl Query {
         params.bind(&fdm_expr::parse(src)?)
     }
 
+    /// `node` over this plan, or [`Query::Invalid`] when that would chain
+    /// more than [`MAX_PLAN_DEPTH`] operators — every builder's one step.
+    fn then(self, node: impl FnOnce(Box<Query>) -> Query) -> Query {
+        if self.chain().nth(MAX_PLAN_DEPTH - 1).is_some() {
+            return Query::Invalid {
+                message: too_deep().to_string(),
+            };
+        }
+        node(Box::new(self))
+    }
+
     /// Adds a filter from an already-bound expression.
     pub fn filter_expr(self, pred: Expr) -> Query {
-        Query::Filter {
-            input: Box::new(self),
-            pred,
-        }
+        self.then(|input| Query::Filter { input, pred })
     }
 
     /// Adds a projection.
     pub fn project(self, attrs: &[&str]) -> Query {
-        Query::Project {
-            input: Box::new(self),
-            attrs: attrs.iter().map(|s| s.to_string()).collect(),
-        }
+        let attrs = attrs.iter().map(|s| s.to_string()).collect();
+        self.then(|input| Query::Project { input, attrs })
     }
 
     /// Adds a left-deep equi-join with a base relation.
     pub fn join(self, rel: &str, input_attr: &str, rel_attr: &str) -> Query {
-        Query::Join {
-            input: Box::new(self),
+        self.then(|input| Query::Join {
+            input,
             rel: rel.to_string(),
             input_attr: input_attr.to_string(),
             rel_attr: rel_attr.to_string(),
-        }
+        })
     }
 
     /// Adds grouping + aggregation.
     pub fn group_agg(self, by: &[&str], aggs: &[(&str, AggSpec)]) -> Query {
-        Query::GroupAgg {
-            input: Box::new(self),
+        self.then(|input| Query::GroupAgg {
+            input,
             by: by.iter().map(|s| s.to_string()).collect(),
             aggs: aggs
                 .iter()
                 .map(|(n, a)| (n.to_string(), a.clone()))
                 .collect(),
-        }
+        })
     }
 
     /// Adds an order-by (rank-keyed output).
     pub fn order_by(self, attr: &str, order: crate::transform::Order) -> Query {
-        Query::OrderBy {
-            input: Box::new(self),
+        self.then(|input| Query::OrderBy {
+            input,
             attr: attr.to_string(),
             order,
-        }
+        })
     }
 
     /// Adds a limit.
     pub fn limit(self, k: usize) -> Query {
-        Query::Limit {
-            input: Box::new(self),
-            k,
-        }
+        self.then(|input| Query::Limit { input, k })
     }
 
     /// Rewrites the plan without database statistics: constant folding,
@@ -273,6 +284,7 @@ impl Query {
 
     /// Executes the plan against a database function.
     pub fn eval(&self, db: &DatabaseF) -> Result<RelationF> {
+        self.check_depth()?;
         Op::lower(self, db, true)?.collect(&mut Vec::new())
     }
 
@@ -281,11 +293,22 @@ impl Query {
     /// operator counts the rows it hands on; none is materialized to be
     /// counted.
     pub fn eval_with_stats(&self, db: &DatabaseF) -> Result<(RelationF, QueryStats)> {
+        self.check_depth()?;
         let mut counts = Vec::new();
         let rel = Op::lower(self, db, true)?.collect(&mut counts)?;
         let operators: Vec<String> = self.chain().map(Query::describe).collect();
         let produced = operators.into_iter().rev().zip(counts).collect();
         Ok((rel, QueryStats { produced }))
+    }
+
+    /// [`FdmError::PlanTooDeep`] for a plan chaining more than
+    /// [`MAX_PLAN_DEPTH`] operators — the check every recursive walk of a
+    /// plan runs first. It walks at most that many.
+    pub(crate) fn check_depth(&self) -> Result<()> {
+        match self.chain().nth(MAX_PLAN_DEPTH) {
+            Some(_) => Err(too_deep()),
+            None => Ok(()),
+        }
     }
 
     /// The plan this operator reads, or `None` for a leaf.
@@ -306,19 +329,33 @@ impl Query {
     /// the one plan walk every optimizer rule shares: a rule matches the
     /// operators it rewrites and hands every other one to `map_input`.
     pub fn map_input(mut self, f: impl FnOnce(Query) -> (Query, bool)) -> (Query, bool) {
-        let input = match &mut self {
-            Query::Scan { .. } | Query::Invalid { .. } => return (self, false),
+        let Some(slot) = self.input_mut() else {
+            return (self, false);
+        };
+        let (next, changed) = f(take(slot));
+        *slot = next;
+        (self, changed)
+    }
+
+    /// The plan this operator reads, mutably, or `None` for a leaf.
+    fn input_mut(&mut self) -> Option<&mut Query> {
+        match self {
+            Query::Scan { .. } | Query::Invalid { .. } => None,
             Query::Filter { input, .. }
             | Query::Project { input, .. }
             | Query::Join { input, .. }
             | Query::GroupAgg { input, .. }
             | Query::OrderBy { input, .. }
-            | Query::Limit { input, .. } => &mut **input,
-        };
-        // an empty scan holds the slot while `f` runs; it allocates nothing
-        let (next, changed) = f(std::mem::replace(input, Query::Scan { rel: String::new() }));
-        *input = next;
-        (self, changed)
+            | Query::Limit { input, .. } => Some(input),
+        }
+    }
+
+    /// Takes the plan this operator reads out of it, leaving an empty scan
+    /// in its place; `None` for a leaf. A `Query` drops its own chain, so
+    /// a rule cannot move an input out by pattern: it takes the input and
+    /// rebuilds the operator around something else.
+    pub fn take_input(&mut self) -> Option<Query> {
+        self.input_mut().map(take)
     }
 
     /// This operator, then the one it reads, and so on down to the leaf.
@@ -374,29 +411,33 @@ impl Query {
     /// [`Self::optimize_for`]'s join reordering); they never change what
     /// a plan produces.
     pub fn estimated_rows(&self, db: &DatabaseF) -> Result<f64> {
+        self.check_depth()?;
+        self.estimate(db)
+    }
+
+    /// [`Self::estimated_rows`] of a plan whose depth is checked.
+    fn estimate(&self, db: &DatabaseF) -> Result<f64> {
         use fdm_core::stats::{DEFAULT_DISTINCT_FRACTION, DEFAULT_FILTER_SELECTIVITY};
         Ok(match self {
             Query::Scan { rel } => {
                 fdm_core::RelationStats::of(db.relation(rel)?.as_ref()).rows as f64
             }
-            Query::Filter { input, .. } => input.estimated_rows(db)? * DEFAULT_FILTER_SELECTIVITY,
-            Query::Project { input, .. } | Query::OrderBy { input, .. } => {
-                input.estimated_rows(db)?
-            }
+            Query::Filter { input, .. } => input.estimate(db)? * DEFAULT_FILTER_SELECTIVITY,
+            Query::Project { input, .. } | Query::OrderBy { input, .. } => input.estimate(db)?,
             Query::Join {
                 input,
                 rel,
                 rel_attr,
                 ..
             } => {
-                let left = input.estimated_rows(db)?;
+                let left = input.estimate(db)?;
                 let right = db.relation(rel)?;
                 let rows = fdm_core::RelationStats::of(&right).rows;
                 let distinct = fdm_core::estimate_distinct(&right, rel_attr).max(1);
                 left * rows as f64 / distinct as f64
             }
             Query::GroupAgg { input, by, .. } => {
-                let rows = input.estimated_rows(db)?;
+                let rows = input.estimate(db)?;
                 if rows <= 1.0 {
                     rows
                 } else if let Some(base) = input.base_scan() {
@@ -416,7 +457,7 @@ impl Query {
                     (rows / DEFAULT_DISTINCT_FRACTION as f64).max(1.0)
                 }
             }
-            Query::Limit { input, k } => input.estimated_rows(db)?.min(*k as f64),
+            Query::Limit { input, k } => input.estimate(db)?.min(*k as f64),
             Query::Invalid { message } => return Err(FdmError::Expr(message.clone())),
         })
     }
@@ -437,9 +478,10 @@ impl Query {
     /// operator (`~N rows`) — the cost-model view of the plan, next to
     /// [`Self::eval_with_stats`]'s measured one.
     pub fn explain_with_cost(&self, db: &DatabaseF) -> Result<String> {
+        self.check_depth()?;
         let mut s = String::new();
         for (depth, q) in self.chain().enumerate() {
-            let rows = q.estimated_rows(db)?;
+            let rows = q.estimate(db)?;
             s.push_str(&format!(
                 "{}{}  ~{rows:.0} rows\n",
                 "  ".repeat(depth),
@@ -454,6 +496,31 @@ impl Query {
         let lines = self.chain().enumerate();
         let lines = lines.map(|(depth, q)| format!("{}{}\n", "  ".repeat(depth), q.describe()));
         lines.collect()
+    }
+}
+
+impl Drop for Query {
+    /// Unlinks the chain one operator at a time: the derived drop would
+    /// recurse once per operator, and a plan built from the variants
+    /// directly has no depth limit.
+    fn drop(&mut self) {
+        let mut next = self.take_input();
+        while let Some(mut q) = next {
+            next = q.take_input();
+        }
+    }
+}
+
+/// Moves the plan in `slot` out; an empty scan, which allocates nothing,
+/// holds the slot.
+fn take(slot: &mut Query) -> Query {
+    std::mem::replace(slot, Query::Scan { rel: String::new() })
+}
+
+/// The error a plan deeper than [`MAX_PLAN_DEPTH`] gets.
+fn too_deep() -> FdmError {
+    FdmError::PlanTooDeep {
+        limit: MAX_PLAN_DEPTH,
     }
 }
 

@@ -39,6 +39,7 @@
 
 use crate::store::{CommitOutcome, CommitPolicy, Group, Store};
 use crate::txn::Transaction;
+use crate::writeset::WriteSet;
 use fdm_core::{FdmError, Result};
 use std::sync::Arc;
 
@@ -94,8 +95,8 @@ impl Store {
         let mut outcomes: Vec<Option<Result<CommitOutcome>>> = (0..n).map(|_| None).collect();
         let mut group = Group::default();
         for (index, txn) in txns.into_iter().enumerate() {
-            let (base_version, writes, ops) = txn.into_parts();
-            if writes.is_empty() {
+            let (base_version, ops) = txn.into_parts();
+            if ops.is_empty() {
                 // read-only: commits trivially at its own snapshot, no
                 // version bump — identical to Transaction::commit_with
                 outcomes[index] = Some(Ok(CommitOutcome {
@@ -108,11 +109,12 @@ impl Store {
             // first-committer-wins *inside* the batch: an overlap with an
             // earlier member is the conflict sequential submission would
             // have raised after that member committed
-            if let Some(winner) = group
+            let winner = group
                 .members
                 .iter()
-                .find(|m| m.writes.conflicts_with(&writes))
-            {
+                .find(|m| ops.iter().any(|op| m.writes.overlaps(op)));
+            if let Some(winner) = winner {
+                let writes = WriteSet::from_ops(&ops);
                 outcomes[index] = Some(Err(FdmError::TransactionConflict {
                     detail: format!(
                         "write-write conflict with batched transaction #{} on {}",
@@ -130,7 +132,7 @@ impl Store {
                 let full = std::mem::take(&mut group);
                 self.commit_group(full, None, &policy.commit, &mut outcomes);
             }
-            group.push(index, base_version, writes, ops);
+            group.push(index, base_version, ops);
         }
         self.commit_group(group, None, &policy.commit, &mut outcomes);
         outcomes

@@ -279,9 +279,8 @@ fn root_for(
 mod tests {
     use super::*;
     use crate::store::Store;
-    use crate::writeset::{apply_ops_replacing, Op};
     use fdm_core::delta::EntryDelta;
-    use fdm_core::{Name, TupleF, Value};
+    use fdm_core::{apply_ops, Name, Op, TupleF, Value};
     use fdm_fql::prelude::Params;
     use fdm_fql::testutil::retail_db;
     use fdm_fql::DynamicView;
@@ -481,7 +480,7 @@ mod tests {
                             None
                         }
                     });
-                    after = crate::writeset::apply_ops(&after, std::slice::from_ref(&op)).unwrap();
+                    after = apply_ops(&after, std::slice::from_ref(&op), |_| {}).unwrap();
                     ops.push(op);
                 }
             }
@@ -612,7 +611,9 @@ mod tests {
             .unwrap();
         let mut db = db0;
         for (v, op) in [(1, upsert_op(9, "Zoe", 70)), (2, upsert_op(10, "Yan", 61))] {
-            let (after, replaced) = apply_ops_replacing(&db, std::slice::from_ref(&op)).unwrap();
+            let mut replaced = Vec::new();
+            let after =
+                apply_ops(&db, std::slice::from_ref(&op), |old| replaced.push(old)).unwrap();
             let record = CommitRecord::new(&db, &after, vec![op], replaced);
             history.push(v, after.clone(), Some(Arc::new(record)));
             db = after;
@@ -740,9 +741,10 @@ mod tests {
         let store = Store::new(retail_db());
         store.register_view("olds", olds_query()).unwrap();
         // rebind `customers` wholesale: one extra senior, one junior
-        let rebound = crate::writeset::apply_ops(
+        let rebound = apply_ops(
             &store.snapshot(),
             &[upsert_op(9, "Zoe", 70), upsert_op(10, "Kid", 12)],
+            |_| {},
         )
         .unwrap()
         .relation("customers")

@@ -13,9 +13,8 @@
 //! by a commit. It is an FDM extension the paper's model makes nearly
 //! trivial (no boundary between data that is *current* and *past*).
 
-use crate::writeset::{apply_ops, Op};
 use fdm_core::delta::{DbDelta, EntryDelta, TupleChange};
-use fdm_core::{DatabaseF, FdmError, Name, Result, TupleF, Value};
+use fdm_core::{apply_ops, DatabaseF, FdmError, Name, Op, Result, TupleF, Value};
 use fdm_storage::Version;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
@@ -368,7 +367,7 @@ impl History {
         };
         let mut db = start;
         for record in records.iter().rev() {
-            db = apply_ops(&db, &record.undo())?;
+            db = apply_ops(&db, &record.undo(), |_| {})?;
         }
         let kept = {
             let g = self.inner.read();

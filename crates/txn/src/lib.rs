@@ -55,7 +55,7 @@ pub mod fault;
 pub mod history;
 pub mod store;
 pub mod txn;
-pub mod writeset;
+mod writeset;
 
 pub use batch::BatchPolicy;
 pub use catalog::{RefreshMode, ViewCatalog};
@@ -68,4 +68,3 @@ pub use fdm_storage::Version;
 pub use history::History;
 pub use store::{CommitOutcome, CommitPolicy, Store, StoreConfig};
 pub use txn::Transaction;
-pub use writeset::{Op, WriteSet};

@@ -6,11 +6,11 @@
 use crate::catalog::{RefreshMode, ViewCatalog};
 use crate::history::{CommitRecord, History};
 use crate::txn::Transaction;
-use crate::writeset::{apply_ops_replacing, Op, WriteSet};
-use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
+use crate::writeset::WriteSet;
+use fdm_core::{apply_ops, DatabaseF, FdmError, Op, RelationF, Result, TupleF, Value};
 use fdm_durability::{
     check_record_payload, encode_ops, list_checkpoints, prune_checkpoints, recover,
-    write_checkpoint, DurabilityConfig, DurabilityError, IntegrityReport, Wal, WalOp,
+    write_checkpoint, DurabilityConfig, DurabilityError, IntegrityReport, Wal,
 };
 use fdm_storage::VersionedRoot;
 use fdm_storage::{Backoff, Version};
@@ -255,6 +255,7 @@ pub(crate) struct Member {
     /// Where its result goes in the caller's outcome slice.
     pub(crate) index: usize,
     pub(crate) base_version: Version,
+    /// What its ops touch, for validation.
     pub(crate) writes: WriteSet,
     /// Its recorded operations, as a range of [`Group::ops`].
     ops: Range<usize>,
@@ -273,14 +274,10 @@ pub(crate) struct Group {
 }
 
 impl Group {
-    pub(crate) fn push(
-        &mut self,
-        index: usize,
-        base_version: Version,
-        writes: WriteSet,
-        ops: Vec<Op>,
-    ) {
+    /// Adds a transaction staged at `base_version` that recorded `ops`.
+    pub(crate) fn push(&mut self, index: usize, base_version: Version, ops: Vec<Op>) {
         let start = self.ops.len();
+        let writes = WriteSet::from_ops(&ops);
         self.ops.extend(ops);
         self.members.push(Member {
             index,
@@ -461,16 +458,15 @@ impl Store {
                 plan: Mutex::new(None),
             }),
         );
-        for commit in rec.commits {
+        for (version, ops) in rec.commits {
             // the same install routine live commits use, minus the WAL
             // append: these records are already on disk
             let mut group = Group::default();
-            let ops: Vec<Op> = commit.ops.into_iter().map(Op::from).collect();
-            group.push(0, commit.version - 1, WriteSet::from_ops(&ops), ops);
+            group.push(0, version - 1, ops);
             let replayed = match store.install(&mut group, None, &mut [None]) {
                 // nothing was enqueued, so this is the catalog bookkeeping
                 // alone
-                Ok(Some(installed)) if installed.version == commit.version => {
+                Ok(Some(installed)) if installed.version == version => {
                     store.record_commit(installed)
                 }
                 Ok(_) => Err(FdmError::Other(format!(
@@ -480,7 +476,7 @@ impl Store {
                 Err(e) => Err(e),
             };
             replayed.map_err(|e| DurabilityError::Corrupt {
-                detail: format!("replaying recovered commit v{}: {e}", commit.version),
+                detail: format!("replaying recovered commit v{version}: {e}"),
             })?;
         }
         Ok(store)
@@ -942,7 +938,11 @@ impl Store {
         }
         let (db, replaced) = match working {
             Some(w) if group.members[0].base_version == current.version => (w.db, w.replaced),
-            _ => apply_ops_replacing(&current.value, &group.ops)?,
+            _ => {
+                let mut replaced = Vec::with_capacity(group.ops.len());
+                let db = apply_ops(&current.value, &group.ops, |old| replaced.push(old))?;
+                (db, replaced)
+            }
         };
         let ops = std::mem::take(&mut group.ops);
         let record = CommitRecord::new(&current.value, &db, ops, replaced);
@@ -1017,8 +1017,7 @@ impl Store {
         if self.durable.is_none() {
             return Ok(None);
         }
-        let wal_ops: Vec<WalOp> = ops.iter().map(WalOp::from).collect();
-        let payload = encode_ops(&wal_ops).map_err(durability)?;
+        let payload = encode_ops(ops).map_err(durability)?;
         check_record_payload(payload.len()).map_err(durability)?;
         Ok(Some(payload))
     }

@@ -13,8 +13,7 @@
 //! [`FdmError::TransactionConflict`] — first committer wins.
 
 use crate::store::{CommitOutcome, CommitPolicy, Group, Store, Working};
-use crate::writeset::{Op, WriteSet};
-use fdm_core::{DatabaseF, FdmError, FnValue, Name, RelationF, Result, TupleF, Value};
+use fdm_core::{DatabaseF, FdmError, FnValue, Name, Op, RelationF, Result, TupleF, Value};
 use fdm_storage::Version;
 use std::sync::Arc;
 
@@ -24,7 +23,8 @@ pub struct Transaction {
     base_version: Version,
     /// The working database: snapshot + own writes (read-your-writes).
     working: DatabaseF,
-    writes: WriteSet,
+    /// What it wrote, in order: the ops a replay reapplies, the WAL
+    /// record stores and validation derives the write set from.
     ops: Vec<Op>,
     /// Beside each recorded op, the tuple its point write replaced in the
     /// working copy's stored map (`None` for an insert and for an entry
@@ -39,7 +39,6 @@ impl Transaction {
             store,
             base_version,
             working: snapshot,
-            writes: WriteSet::default(),
             ops: Vec::new(),
             replaced: Vec::new(),
         }
@@ -55,9 +54,6 @@ impl Transaction {
     ) -> Result<()> {
         let (written, old) = write(self.working.relation_ref(rel)?)?;
         self.working = self.working.with_entry(rel, FnValue::from(written));
-        if let Op::Upsert { rel, key, .. } | Op::Delete { rel, key } = &op {
-            self.writes.touch_key(rel, key);
-        }
         self.record(op, old);
         Ok(())
     }
@@ -161,7 +157,6 @@ impl Transaction {
         let fv = f.into();
         self.working = self.working.with_entry(name, fv.clone());
         let n = Name::from(name);
-        self.writes.touch_entry(&n);
         self.record(Op::Assign { name: n, value: fv }, None);
         Ok(())
     }
@@ -170,7 +165,6 @@ impl Transaction {
     pub fn drop_entry(&mut self, name: &str) -> Result<()> {
         self.working = self.working.without_entry(name)?;
         let n = Name::from(name);
-        self.writes.touch_entry(&n);
         self.record(Op::Drop { name: n }, None);
         Ok(())
     }
@@ -220,7 +214,7 @@ impl Transaction {
     ///   [`FdmError::TransactionRetriesExhausted`] and exceeding
     ///   `policy.timeout` yields [`FdmError::TransactionTimeout`].
     pub fn commit_with(self, policy: &CommitPolicy) -> Result<CommitOutcome> {
-        if self.writes.is_empty() {
+        if self.ops.is_empty() {
             return Ok(CommitOutcome {
                 version: self.base_version,
                 attempts: 0,
@@ -228,7 +222,7 @@ impl Transaction {
             });
         }
         let mut group = Group::default();
-        group.push(0, self.base_version, self.writes, self.ops);
+        group.push(0, self.base_version, self.ops);
         let working = Working {
             db: self.working,
             replaced: self.replaced,
@@ -243,8 +237,8 @@ impl Transaction {
     /// Decomposes the transaction into its commit ingredients — the
     /// batch committer's entry point ([`crate::batch`]); the transaction
     /// is consumed, exactly like `commit`.
-    pub(crate) fn into_parts(self) -> (Version, WriteSet, Vec<Op>) {
-        (self.base_version, self.writes, self.ops)
+    pub(crate) fn into_parts(self) -> (Version, Vec<Op>) {
+        (self.base_version, self.ops)
     }
 }
 

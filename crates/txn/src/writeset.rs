@@ -1,16 +1,15 @@
-//! Write sets and recorded operations for snapshot-isolation commits.
+//! Write sets for snapshot-isolation commits: what a list of recorded
+//! [`Op`]s touches, and whether two such lists conflict.
 
-use fdm_core::{DatabaseF, FnValue, Name, Result, TupleF, Value};
-use fdm_durability::WalOp;
+use fdm_core::{Name, Op, Value};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// What a transaction wrote: per-relation keys, or whole entries.
 ///
 /// Two write sets **conflict** when they touch the same `(relation, key)`
 /// pair, or one of them replaced a whole entry the other touched at all.
 #[derive(Debug, Default, Clone)]
-pub struct WriteSet {
+pub(crate) struct WriteSet {
     /// Point writes: per relation, the keys written.
     keys: BTreeMap<Name, BTreeSet<Value>>,
     /// Whole-entry replacements (`DB(name) := f`).
@@ -18,9 +17,9 @@ pub struct WriteSet {
 }
 
 impl WriteSet {
-    /// The write set a list of recorded operations touches — what a
-    /// recovered WAL record and a conflicting commit's record report.
-    pub fn from_ops(ops: &[Op]) -> WriteSet {
+    /// The write set a list of recorded operations touches: a committing
+    /// transaction's, a recovered WAL record's, or a conflicting commit's.
+    pub(crate) fn from_ops(ops: &[Op]) -> WriteSet {
         let mut ws = WriteSet::default();
         for op in ops {
             match op {
@@ -32,7 +31,7 @@ impl WriteSet {
     }
 
     /// Records a point write.
-    pub fn touch_key(&mut self, rel: &Name, key: &Value) {
+    fn touch_key(&mut self, rel: &Name, key: &Value) {
         self.keys
             .entry(rel.clone())
             .or_default()
@@ -40,23 +39,14 @@ impl WriteSet {
     }
 
     /// Records a whole-entry replacement.
-    pub fn touch_entry(&mut self, name: &Name) {
+    fn touch_entry(&mut self, name: &Name) {
         self.entries.insert(name.clone());
     }
 
-    /// `true` if nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.entries.is_empty()
-    }
-
-    /// Number of point writes plus entry replacements.
-    pub fn len(&self) -> usize {
-        self.keys.values().map(BTreeSet::len).sum::<usize>() + self.entries.len()
-    }
-
     /// `true` if `op` writes what this set wrote: the same key, or an
-    /// entry one side replaced whole — the test validation runs against
-    /// each retained commit's ops, by lookup, with nothing cloned.
+    /// entry one side replaced whole. Validation runs it against each
+    /// retained commit's ops and a batch against each candidate's, by
+    /// lookup, with nothing cloned.
     pub(crate) fn overlaps(&self, op: &Op) -> bool {
         match op {
             Op::Upsert { rel, key, .. } | Op::Delete { rel, key } => {
@@ -89,8 +79,10 @@ impl WriteSet {
         })
     }
 
-    /// Write-write conflict test.
-    pub fn conflicts_with(&self, other: &WriteSet) -> bool {
+    /// Write-write conflict test, set against set: the reference the
+    /// per-op [`WriteSet::overlaps`] that validation runs is tested against.
+    #[cfg(test)]
+    fn conflicts_with(&self, other: &WriteSet) -> bool {
         self.entry_overlaps(other).next().is_some() || self.key_overlaps(other).next().is_some()
     }
 
@@ -98,7 +90,7 @@ impl WriteSet {
     /// structured `keys` field of `FdmError::TransactionConflict`:
     /// key-granular conflicts as `(relation, key)`, whole-entry conflicts
     /// as `(entry, "*")`.
-    pub fn conflict_keys(&self, other: &WriteSet) -> Vec<(String, String)> {
+    pub(crate) fn conflict_keys(&self, other: &WriteSet) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
         for e in self.entry_overlaps(other) {
             let pair = (e.to_string(), "*".to_string());
@@ -113,7 +105,7 @@ impl WriteSet {
 
     /// Human-readable description of the first overlap with `other`
     /// (for conflict error messages).
-    pub fn describe_overlap(&self, other: &WriteSet) -> String {
+    pub(crate) fn describe_overlap(&self, other: &WriteSet) -> String {
         if let Some(e) = self.entry_overlaps(other).next() {
             return format!("entry '{e}'");
         }
@@ -124,126 +116,12 @@ impl WriteSet {
     }
 }
 
-/// A recorded change, replayable onto a newer committed root when the
-/// write sets are disjoint (the snapshot-isolation merge path).
-#[derive(Debug, Clone)]
-pub enum Op {
-    /// Insert-or-replace one tuple.
-    Upsert {
-        /// Relation entry name.
-        rel: Name,
-        /// Tuple key.
-        key: Value,
-        /// The final tuple value as of commit time.
-        tuple: Arc<TupleF>,
-    },
-    /// Delete one tuple.
-    Delete {
-        /// Relation entry name.
-        rel: Name,
-        /// Tuple key.
-        key: Value,
-    },
-    /// Replace (or create) a whole database entry.
-    Assign {
-        /// Entry name.
-        name: Name,
-        /// The new function bound under `name`.
-        value: FnValue,
-    },
-    /// Remove a whole database entry.
-    Drop {
-        /// Entry name.
-        name: Name,
-    },
-}
-
-/// Applies recorded operations onto a committed root, in order — the
-/// single replay path shared by the snapshot-isolation merge (disjoint
-/// writers replaying onto a newer root), crash recovery (replaying WAL
-/// records onto a checkpoint) and time travel (applying undos).
-pub(crate) fn apply_ops(base: &DatabaseF, ops: &[Op]) -> Result<DatabaseF> {
-    replay(base, ops, |_| {})
-}
-
-/// [`apply_ops`], also handing back the tuple each op replaced in the
-/// stored map it wrote (`None` for an insert and for an entry op) — what
-/// the commit path builds a replayed group's record from.
-pub(crate) fn apply_ops_replacing(
-    base: &DatabaseF,
-    ops: &[Op],
-) -> Result<(DatabaseF, Vec<Option<Arc<TupleF>>>)> {
-    let mut replaced = Vec::with_capacity(ops.len());
-    let db = replay(base, ops, |old| replaced.push(old))?;
-    Ok((db, replaced))
-}
-
-fn replay(
-    base: &DatabaseF,
-    ops: &[Op],
-    mut replaced: impl FnMut(Option<Arc<TupleF>>),
-) -> Result<DatabaseF> {
-    let mut db = base.clone();
-    for op in ops {
-        let (next, old) = match op {
-            Op::Upsert { rel, key, tuple } => {
-                let (r, old) = db
-                    .relation_ref(rel)?
-                    .upsert_replacing(key.clone(), Arc::clone(tuple))?;
-                (db.with_entry(rel, FnValue::from(r)), old)
-            }
-            Op::Delete { rel, key } => {
-                let (r, old) = db.relation_ref(rel)?.delete_replacing(key)?;
-                (db.with_entry(rel, FnValue::from(r)), old)
-            }
-            Op::Assign { name, value } => (db.with_entry(name.as_ref(), value.clone()), None),
-            Op::Drop { name } => (db.without_entry(name)?, None),
-        };
-        db = next;
-        replaced(old);
-    }
-    Ok(db)
-}
-
-// The WAL stores its own op type (`fdm-durability` cannot depend on this
-// crate), mirroring [`Op`] field for field; the conversions are lossless
-// in both directions.
-
-impl From<&Op> for WalOp {
-    fn from(op: &Op) -> WalOp {
-        match op {
-            Op::Upsert { rel, key, tuple } => WalOp::Upsert {
-                rel: rel.clone(),
-                key: key.clone(),
-                tuple: Arc::clone(tuple),
-            },
-            Op::Delete { rel, key } => WalOp::Delete {
-                rel: rel.clone(),
-                key: key.clone(),
-            },
-            Op::Assign { name, value } => WalOp::Assign {
-                name: name.clone(),
-                value: value.clone(),
-            },
-            Op::Drop { name } => WalOp::Drop { name: name.clone() },
-        }
-    }
-}
-
-impl From<WalOp> for Op {
-    fn from(op: WalOp) -> Op {
-        match op {
-            WalOp::Upsert { rel, key, tuple } => Op::Upsert { rel, key, tuple },
-            WalOp::Delete { rel, key } => Op::Delete { rel, key },
-            WalOp::Assign { name, value } => Op::Assign { name, value },
-            WalOp::Drop { name } => Op::Drop { name },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use fdm_core::{apply_ops, DatabaseF, TupleF};
+    use std::sync::Arc;
 
     fn n(s: &str) -> Name {
         Name::from(s)
@@ -350,14 +228,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn emptiness() {
-        let a = WriteSet::default();
-        assert!(a.is_empty());
-        assert_eq!(a.len(), 0);
-        assert!(!a.conflicts_with(&a.clone()));
-    }
-
     /// Staging, the recorded op (so the WAL record) and a replay all hold
     /// the *same* tuple: nothing on the commit path deep-clones it.
     #[test]
@@ -373,12 +243,12 @@ mod tests {
         )
         .unwrap();
         let staged = txn.get("r", &Value::Int(1)).unwrap().unwrap();
-        let (_, _, ops) = txn.into_parts();
+        let (_, ops) = txn.into_parts();
         let Op::Upsert { tuple, .. } = &ops[0] else {
             panic!("an upsert was recorded");
         };
         assert!(Arc::ptr_eq(tuple, &staged), "staging shares the op's tuple");
-        let replayed = apply_ops(&store.snapshot(), &ops).unwrap();
+        let replayed = apply_ops(&store.snapshot(), &ops, |_| {}).unwrap();
         let stored = replayed
             .relation("r")
             .unwrap()

@@ -89,26 +89,18 @@ impl OptimizationRule for CollapseLimits {
     fn apply(&self, plan: &Query, _ctx: &PlanContext) -> Option<Query> {
         // one collapse per firing; every other operator is walked through
         // the same `Query::map_input` the built-in rules use
-        fn collapse(q: Query) -> (Query, bool) {
-            let Query::Limit { input, k } = q else {
+        fn collapse(mut q: Query) -> (Query, bool) {
+            let Query::Limit { input, k } = &mut q else {
                 return q.map_input(collapse);
             };
-            match *input {
-                Query::Limit {
-                    input: inner,
-                    k: k2,
-                } => (
-                    Query::Limit {
-                        input: inner,
-                        k: k.min(k2),
-                    },
-                    true,
-                ),
-                other => Query::Limit {
-                    input: Box::new(other),
-                    k,
-                }
-                .map_input(collapse),
+            let Query::Limit { k: k2, .. } = &mut **input else {
+                return q.map_input(collapse);
+            };
+            // the lower limit takes the smaller bound and replaces this one
+            *k2 = (*k).min(*k2);
+            match q.take_input() {
+                Some(lower) => (lower, true),
+                None => (q, false),
             }
         }
         let (next, changed) = collapse(plan.clone());

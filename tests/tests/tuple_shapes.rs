@@ -26,7 +26,7 @@ use fdm_core::{
     DatabaseF, Domain, FdmError, Name, Participant, RelationBuilder, RelationF,
     RelationshipBuilder, Shape, SharedDomain, TupleF, Value, ValueType,
 };
-use fdm_durability::{decode_ops, encode_ops, WalOp};
+use fdm_durability::{decode_ops, encode_ops};
 use fdm_expr::{BinOp, Expr};
 use fdm_fql::filter::with_inlined_keys;
 use fdm_fql::{join, AggSpec, Query};
@@ -172,8 +172,8 @@ fn ref_encoded(tuple_name: &str, attrs: &Attrs) -> Vec<u8> {
     buf
 }
 
-fn upsert_of(t: &TupleF) -> Vec<WalOp> {
-    vec![WalOp::Upsert {
+fn upsert_of(t: &TupleF) -> Vec<fdm_core::Op> {
+    vec![fdm_core::Op::Upsert {
         rel: Name::from("r"),
         key: Value::Int(1),
         tuple: Arc::new(t.clone()),
@@ -324,7 +324,7 @@ proptest! {
         assert_is(&TupleF::from_shape("t", shape, values), "t", &list, "from_shape");
         // through the codec: names come back in canonical order
         let bytes = encode_ops(&upsert_of(&built("t", &list))).unwrap();
-        let WalOp::Upsert { tuple, .. } = decode_ops(&bytes).unwrap().remove(0) else {
+        let fdm_core::Op::Upsert { tuple, .. } = decode_ops(&bytes).unwrap().remove(0) else {
             panic!("an upsert")
         };
         assert_is(&tuple, "t", &ref_canonical(&list), "decoded");

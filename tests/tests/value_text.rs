@@ -10,8 +10,8 @@
 //! in `value.rs`. CI runs this suite at `PROPTEST_CASES=512`.
 
 use fdm_core::fxhash::FxHasher;
-use fdm_core::{Name, Text, TupleF, Value};
-use fdm_durability::{decode_ops, encode_ops, WalOp};
+use fdm_core::{Name, Op, Text, TupleF, Value};
+use fdm_durability::{decode_ops, encode_ops};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
@@ -119,7 +119,7 @@ proptest! {
         assert_like_string(&sum, &format!("{a}{b}"));
 
         // the codec writes the string's bytes and decodes the same value
-        let op = WalOp::Upsert {
+        let op = Op::Upsert {
             rel: Name::from("r"),
             key: va.clone(),
             tuple: Arc::new(TupleF::builder("t").build()),
@@ -127,7 +127,7 @@ proptest! {
         let bytes = encode_ops(std::slice::from_ref(&op)).unwrap();
         prop_assert_eq!(&bytes, &oracle_encoded(&a));
         let decoded = decode_ops(&bytes).unwrap();
-        let [WalOp::Upsert { key, .. }] = decoded.as_slice() else {
+        let [Op::Upsert { key, .. }] = decoded.as_slice() else {
             panic!("one upsert decodes to one upsert")
         };
         assert_like_string(key, &a);
