@@ -147,6 +147,26 @@ impl Expr {
         out
     }
 
+    /// The depth of the tree, a leaf being 1 — the measure
+    /// [`crate::parser::MAX_DEPTH`] bounds. It walks with a stack of its
+    /// own, so a tree built deeper than the parser allows is measured too.
+    pub fn depth(&self) -> usize {
+        let mut deepest = 0;
+        let mut todo = vec![(self, 1)];
+        while let Some((e, depth)) = todo.pop() {
+            deepest = deepest.max(depth);
+            match e {
+                Expr::Attr(_) | Expr::Lit(_) | Expr::Param(_) => {}
+                Expr::Bin { lhs, rhs, .. } => {
+                    todo.extend([(&**lhs, depth + 1), (&**rhs, depth + 1)])
+                }
+                Expr::Not(e) | Expr::Neg(e) => todo.push((e, depth + 1)),
+                Expr::Call { args, .. } => todo.extend(args.iter().map(|a| (&**a, depth + 1))),
+            }
+        }
+        deepest
+    }
+
     fn walk_attrs(&self, out: &mut Vec<Arc<str>>) {
         match self {
             Expr::Attr(a) => out.push(a.clone()),
@@ -237,6 +257,19 @@ mod tests {
         assert_eq!(attrs, vec!["age", "state"]);
         let params: Vec<_> = e.unbound_params().iter().map(|p| p.to_string()).collect();
         assert_eq!(params, vec!["min"]);
+    }
+
+    #[test]
+    fn depth_counts_levels_as_the_parser_bounds_them() {
+        let depth = |src: &str| crate::parse(src).unwrap().depth();
+        assert_eq!(depth("x"), 1);
+        assert_eq!(depth("(((x)))"), 1, "parentheses build no node");
+        assert_eq!(depth("not not x"), 3);
+        assert_eq!(depth("a + b + c > 1"), 4);
+        assert_eq!(depth("abs(a - 1) == 2"), 4);
+        let at_bound = format!("x{}", " + x".repeat(crate::parser::MAX_DEPTH - 1));
+        assert_eq!(depth(&at_bound), crate::parser::MAX_DEPTH);
+        assert!(crate::parse(&format!("{at_bound} + x")).is_err());
     }
 
     #[test]

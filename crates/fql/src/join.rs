@@ -19,10 +19,21 @@
 //! [`TupleF::from_shape`] and [`fdm_core::RelationBuilder`]'s O(n) bulk
 //! path.
 //!
+//! **One pass.** The schema join builds its output as it probes:
+//! - the last relationship's rows go straight into the `join_result`
+//!   builder, presized from its entry count; an earlier relationship keeps
+//!   working rows only because later ones probe by their bound keys;
+//! - each distinct participant key is looked up once, through a memo that
+//!   checks the last key first, and its tuple's values (computed ones
+//!   evaluated) go once into an arena that every row copies its slice
+//!   from;
+//! - entries are joined `CHUNK` (32) at a time, each chunk's key lists and
+//!   tuples touched first so that their fetches overlap — the group
+//!   prefetching `physical.rs`'s scan does, through the same helper.
+//!
 //! The schema join and [`join_on`] run their probe side through the one
-//! `probe` loop here; the plan's `Query::Join` streams its probe side
-//! through the physical layer (`physical.rs`) and shares `RowJoiner`'s
-//! output shapes.
+//! `probe` loop here; the plan's `Query::Join` streams its probe side through the physical
+//! layer (`physical.rs`) and shares `RowJoiner`'s output shapes.
 //!
 //! **Join order** is cost-modeled: among the relationships connected to
 //! the already-bound relations, [`join`] binds the one with the smallest
@@ -34,6 +45,7 @@
 //! order (pinned by `tests/tests/join_planning.rs`), with row numbering
 //! and attribute order following the executed order.
 
+use crate::physical::{touch, CHUNK};
 use fdm_core::{
     DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, RelationshipF, Result, Shape,
     ShapeMemo, TupleF, Value,
@@ -171,44 +183,61 @@ impl RowJoiner {
     }
 }
 
-/// The probe loop every join shares: for each `left` item, `emit` the
-/// output rows of its `matches` (indices into the build side; empty for
-/// none), in order.
+/// The probe loop every join shares: for each `left` item, `emit` each of
+/// its `matches` (indices into the build side), in order.
 ///
-/// Sequential by measurement, not by omission: chunking whichever side is
-/// large across threads (the left items, or the one seed row's 60k
-/// matches of a schema join) ran the Fig. 6 join at 0.75× and the fig13
-/// chain at 0.81× of this loop on the 2-vCPU bench host (PR 19,
-/// `CHANGES.md`).
-pub(crate) fn probe<'m, L, R>(
+/// Matches go [`CHUNK`] at a time, and every build row of a chunk —
+/// `build(at)` names its key parts and tuple — is touched before the first
+/// is emitted: the fetches overlap, where one by one each would wait on
+/// memory behind the previous row's work (group prefetching, as
+/// [`crate::physical`]'s scan does).
+///
+/// The loop stays on one thread by measurement: chunking whichever side is
+/// large across threads (the left items, or the one seed row's 60k matches
+/// of a schema join) ran the Fig. 6 join at 0.75× and the fig13 chain at
+/// 0.81× of it on a 2-vCPU host (`CHANGES.md`).
+pub(crate) fn probe<'m, 'b, L>(
     left: &[L],
     mut matches: impl FnMut(&L) -> Result<&'m [usize]>,
-    mut emit: impl FnMut(&L, &[usize], &mut Vec<R>) -> Result<()>,
-) -> Result<Vec<R>> {
-    let mut out = Vec::new();
+    build: impl Fn(usize) -> (&'b [Value], &'b TupleF),
+    mut emit: impl FnMut(&L, usize) -> Result<()>,
+) -> Result<()> {
     for l in left {
-        let hits = matches(l)?;
-        out.reserve(hits.len());
-        emit(l, hits, &mut out)?;
+        for chunk in matches(l)?.chunks(CHUNK) {
+            touch(chunk.iter().map(|&at| build(at)));
+            for &at in chunk {
+                emit(l, at)?;
+            }
+        }
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Builds the `join_result` relation from denormalized rows through the
-/// bulk fast path (row ids ascend, so no sort happens; the value vectors
-/// move straight into the tuples).
-fn rows_to_relation(rows: impl IntoIterator<Item = Row>) -> Result<RelationF> {
-    let rows = rows.into_iter();
-    let mut out = RelationBuilder::new("join_result", &["row"]).with_capacity(rows.size_hint().0);
-    // every row is named alike, as `Query::Join` names its rows: one name
-    let name = Name::from("j");
-    for (i, (shape, values)) in rows.enumerate() {
-        out.push(
-            Value::Int(i as i64),
-            TupleF::from_shape(name.clone(), shape, values),
-        );
+/// The `join_result` relation, built as its rows arrive: numbered in
+/// arrival order, so ids ascend and the bulk build sorts nothing, and all
+/// named alike, as `Query::Join` names its rows.
+struct Output {
+    rows: RelationBuilder,
+    name: Name,
+}
+
+impl Output {
+    fn with_capacity(n: usize) -> Output {
+        Output {
+            rows: RelationBuilder::new("join_result", &["row"]).with_capacity(n),
+            name: Name::from("j"),
+        }
     }
-    out.build()
+
+    fn push(&mut self, shape: Arc<Shape>, values: Vec<Value>) {
+        let id = Value::Int(self.rows.len() as i64);
+        let tuple = TupleF::from_shape(self.name.clone(), shape, values);
+        self.rows.push(id, tuple);
+    }
+
+    fn build(self) -> Result<RelationF> {
+        self.rows.build()
+    }
 }
 
 /// Joins the subdatabase along its relationship functions, producing one
@@ -249,7 +278,7 @@ pub fn join(db: &DatabaseF) -> Result<RelationF> {
     // relationship first keeps the working row set small for every later
     // probe. Ties keep declaration order (`min_by` returns the first
     // minimum).
-    while !pending.is_empty() {
+    loop {
         let connected = |rsf: &RelationshipF| {
             rsf.participants()
                 .iter()
@@ -293,13 +322,31 @@ pub fn join(db: &DatabaseF) -> Result<RelationF> {
             .unwrap_or(0)
         });
         let (rname, rsf) = pending.remove(idx);
-        // The bound keys only exist to connect later relationships; the
-        // last one can skip maintaining them.
-        let need_bound = !pending.is_empty();
-        rows = join_one_relationship(db, &rname, &rsf, rows, &mut bound_rels, need_bound)?;
+        // The last relationship's rows are the output; the bound keys only
+        // exist to connect later relationships, so it keeps none.
+        if pending.is_empty() {
+            let mut out = Output::with_capacity(rsf.len());
+            join_one_relationship(
+                db,
+                &rname,
+                &rsf,
+                &rows,
+                &mut bound_rels,
+                false,
+                |s, v, _| out.push(s.clone(), v),
+            )?;
+            return out.build();
+        }
+        let mut next = Vec::new();
+        join_one_relationship(db, &rname, &rsf, &rows, &mut bound_rels, true, |s, v, b| {
+            next.push(JoinRow {
+                shape: s.clone(),
+                values: v,
+                bound: b,
+            })
+        })?;
+        rows = next;
     }
-
-    rows_to_relation(rows.into_iter().map(|r| (r.shape, r.values)))
 }
 
 /// A partially joined row of the schema join: the denormalized values so
@@ -313,21 +360,86 @@ struct JoinRow {
     bound: Vec<Value>,
 }
 
-/// Extends each working row with the matching entries of one relationship.
+/// Participant tuples, each resolved once: their values back to back
+/// (computed ones evaluated), and per tuple where its run starts and ends
+/// and the shape it came with. An output row copies its tuple's run.
+#[derive(Default)]
+struct Arena {
+    values: Vec<Value>,
+    tuples: Vec<(usize, usize, Arc<Shape>)>,
+}
+
+impl Arena {
+    /// Appends `tuple`'s values and says where they went.
+    fn add(&mut self, tuple: &TupleF) -> Result<usize> {
+        let start = self.values.len();
+        tuple.values_into(&mut self.values)?;
+        let end = self.values.len();
+        self.tuples.push((start, end, tuple.shape().clone()));
+        Ok(self.tuples.len() - 1)
+    }
+
+    fn values(&self, at: usize) -> &[Value] {
+        let (start, end, _) = self.tuples[at];
+        &self.values[start..end]
+    }
+
+    fn shape(&self, at: usize) -> &Arc<Shape> {
+        &self.tuples[at].2
+    }
+}
+
+/// Resolves one participant position's keys to [`Arena`] tuples, each
+/// distinct key once; `None` is a dangling key.
+struct Resolver<'r, 'e> {
+    rel: &'r RelationF,
+    seen: FxHashMap<Value, Option<usize>>,
+    /// The key resolved last, checked before the memo: entries that share
+    /// a participant tend to sit together.
+    last: Option<(&'e Value, Option<usize>)>,
+}
+
+impl<'r, 'e> Resolver<'r, 'e> {
+    fn resolve(&mut self, key: &'e Value, arena: &mut Arena) -> Result<Option<usize>> {
+        if let Some((last, hit)) = self.last {
+            if last == key {
+                return Ok(hit);
+            }
+        }
+        let hit = match self.seen.get(key) {
+            Some(&hit) => hit,
+            None => {
+                let hit = match self.rel.lookup(key) {
+                    Some(tuple) => Some(arena.add(&tuple)?),
+                    None => None,
+                };
+                self.seen.insert(key.clone(), hit);
+                hit
+            }
+        };
+        self.last = Some((key, hit));
+        Ok(hit)
+    }
+}
+
+/// Extends each working row with the matching entries of one relationship
+/// and hands every extended row — its shape, values and (if `need_bound`)
+/// bound keys — to `sink`, in order.
 ///
 /// Entries are indexed by the participants the rows have already bound
 /// (hash build over the relationship side), so each row probes once instead
-/// of scanning every entry; unbound participants are then bound by key
-/// lookup into their relations (inner join: a dangling key drops the
-/// entry) and their relations appended to `bound_rels`.
+/// of scanning every entry; unbound participants are then bound through
+/// their [`Resolver`]s (inner join: a dangling key drops the entry) and
+/// their relations appended to `bound_rels`.
 fn join_one_relationship(
     db: &DatabaseF,
     rname: &str,
     rsf: &RelationshipF,
-    rows: Vec<JoinRow>,
+    rows: &[JoinRow],
     bound_rels: &mut Vec<Name>,
     need_bound: bool,
-) -> Result<Vec<JoinRow>> {
+    mut sink: impl FnMut(&Arc<Shape>, Vec<Value>, Vec<Value>),
+) -> Result<()> {
     // Resolve participant relations.
     let mut parts: Vec<(Name, Arc<RelationF>)> = Vec::with_capacity(rsf.participants().len());
     for p in rsf.participants() {
@@ -394,29 +506,40 @@ fn join_one_relationship(
         }
     }
 
+    // One resolver per newly bound participant, its memo presized for
+    // every distinct key the entries could name.
+    let mut resolvers: Vec<Resolver> = unbound_positions
+        .iter()
+        .map(|&i| {
+            let rel = &*parts[i].1;
+            let seen = FxHashMap::with_capacity_and_hasher(
+                rel.len().min(entries.len()),
+                Default::default(),
+            );
+            Resolver {
+                rel,
+                seen,
+                last: None,
+            }
+        })
+        .collect();
+    let mut arena = Arena::default();
+
     // Participant key names (`customers.cid`) formatted once, not per row.
     let key_names: Vec<Name> = rsf
         .participants()
         .iter()
         .map(|p| Name::from(format!("{}.{}", p.function, p.key).as_str()))
         .collect();
-
-    // Memoization across the probe: the participant tuples already looked
-    // up (participant keys repeat across many entries; `None` caches a
-    // dangling key) — held as indices into `tuples`, not `Arc` clones, so
-    // an output row touches no participant refcount — the interned
-    // qualified names, and the output shape per combination of input
-    // shapes.
+    // The interned qualified names, the arena tuples of the entry at hand,
+    // and the output shape per combination of input shapes.
     let mut part_quals: Vec<Qualifier> = parts.iter().map(|(p, _)| Qualifier::new(p)).collect();
     let mut rel_qual = Qualifier::new(rname);
-    let mut part_cache: Vec<FxHashMap<Value, Option<usize>>> =
-        parts.iter().map(|_| FxHashMap::default()).collect();
-    let mut tuples: Vec<Arc<TupleF>> = Vec::new();
-    let mut scratch: Vec<usize> = Vec::new();
+    let mut found: Vec<usize> = Vec::with_capacity(unbound_positions.len());
     let mut shapes: ShapeMemo<Arc<Shape>> = ShapeMemo::new();
 
     probe(
-        &rows,
+        rows,
         // With nothing bound every row matches every entry; otherwise the
         // hash index filters by the row's bound keys.
         |row| {
@@ -426,71 +549,50 @@ fn join_one_relationship(
             let probe = probe_key(&mut bound_positions.iter().map(|&(_, b)| row.bound[b].clone()));
             Ok(index.get(&probe).map_or(&[][..], Vec::as_slice))
         },
-        |row, matches, next| {
-            'entry: for &ei in matches {
-                let (args, rattrs) = entries[ei];
-                // Resolve every unbound participant to its tuple first
-                // (inner join: a dangling key drops the entry before any
-                // row is allocated).
-                scratch.clear();
-                for &i in &unbound_positions {
-                    let arg = &args[i];
-                    let cached = match part_cache[i].get(arg) {
-                        Some(c) => *c,
-                        None => {
-                            let found = match parts[i].1.lookup(arg) {
-                                Some(tuple) => {
-                                    tuples.push(frozen(tuple)?);
-                                    Some(tuples.len() - 1)
-                                }
-                                None => None,
-                            };
-                            part_cache[i].insert(arg.clone(), found);
-                            found
-                        }
-                    };
-                    match cached {
-                        Some(at) => scratch.push(at),
-                        None => continue 'entry,
-                    }
+        |ei| (entries[ei].0, &**entries[ei].1),
+        |row, ei| {
+            let (args, rattrs) = entries[ei];
+            // Resolve every unbound participant first (inner join: a
+            // dangling key drops the entry before any row is allocated).
+            found.clear();
+            for (resolver, &i) in resolvers.iter_mut().zip(&unbound_positions) {
+                match resolver.resolve(&args[i], &mut arena)? {
+                    Some(at) => found.push(at),
+                    None => return Ok(()),
                 }
-                // The output shape: the row so far, then per newly bound
-                // participant its key and its tuple's attributes, then the
-                // relationship's own — all qualified, derived once per
-                // combination of the shapes involved.
-                let found = scratch.iter().map(|&at| tuples[at].shape());
-                let inputs = [&row.shape]
-                    .into_iter()
-                    .chain(found)
-                    .chain([rattrs.shape()]);
-                let shape = shapes.get_or_derive(inputs, || {
-                    let mut names = Vec::new();
-                    for (&i, &at) in unbound_positions.iter().zip(&scratch) {
-                        names.push(key_names[i].clone());
-                        names.extend(tuples[at].attr_names().map(|n| part_quals[i].name(n)));
-                    }
-                    names.extend(rattrs.attr_names().map(|n| rel_qual.name(n)));
-                    row.shape.with_names(names)
-                });
-                let mut values = Vec::with_capacity(shape.len());
-                values.extend_from_slice(&row.values);
-                for (&i, &at) in unbound_positions.iter().zip(&scratch) {
-                    values.push(args[i].clone());
-                    tuples[at].values_into(&mut values)?;
-                }
-                rattrs.values_into(&mut values)?;
-                let mut bound = Vec::new();
-                if need_bound {
-                    bound.reserve_exact(row.bound.len() + unbound_positions.len());
-                    bound.extend_from_slice(&row.bound);
-                    bound.extend(unbound_positions.iter().map(|&i| args[i].clone()));
-                }
-                next.push(JoinRow {
-                    shape: shape.clone(),
-                    values,
-                    bound,
-                });
             }
+            // The output shape: the row so far, then per newly bound
+            // participant its key and its tuple's attributes, then the
+            // relationship's own — all qualified, derived once per
+            // combination of the shapes involved.
+            let inputs = [&row.shape]
+                .into_iter()
+                .chain(found.iter().map(|&at| arena.shape(at)))
+                .chain([rattrs.shape()]);
+            let shape = shapes.get_or_derive(inputs, || {
+                let mut names = Vec::new();
+                for (&i, &at) in unbound_positions.iter().zip(&found) {
+                    names.push(key_names[i].clone());
+                    let qual = &mut part_quals[i];
+                    names.extend(arena.shape(at).names().iter().map(|n| qual.name(n)));
+                }
+                names.extend(rattrs.attr_names().map(|n| rel_qual.name(n)));
+                row.shape.with_names(names)
+            });
+            let mut values = Vec::with_capacity(shape.len());
+            values.extend_from_slice(&row.values);
+            for (&i, &at) in unbound_positions.iter().zip(&found) {
+                values.push(args[i].clone());
+                values.extend_from_slice(arena.values(at));
+            }
+            rattrs.values_into(&mut values)?;
+            let mut bound = Vec::new();
+            if need_bound {
+                bound.reserve_exact(row.bound.len() + unbound_positions.len());
+                bound.extend_from_slice(&row.bound);
+                bound.extend(unbound_positions.iter().map(|&i| args[i].clone()));
+            }
+            sink(shape, values, bound);
             Ok(())
         },
     )
@@ -577,7 +679,8 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
         }
         let probe_q = format!("{probe_rel}.{probe_attr}");
         let mut joiner = RowJoiner::new(build_rel);
-        rows = probe(
+        let mut next = Vec::new();
+        probe(
             &rows,
             |(shape, values)| {
                 let hits = shape
@@ -585,17 +688,21 @@ pub fn join_on(db: &DatabaseF, conditions: &[JoinOn]) -> Result<RelationF> {
                     .and_then(|at| table.get(&values[at]));
                 Ok(hits.map_or(&[][..], Vec::as_slice))
             },
-            |(shape, values), hits, out| {
-                for &bi in hits {
-                    out.push(joiner.row(shape, values, &build_rows[bi])?);
-                }
+            |bi| (&[][..], &*build_rows[bi]),
+            |(shape, values), bi| {
+                next.push(joiner.row(shape, values, &build_rows[bi])?);
                 Ok(())
             },
         )?;
+        rows = next;
         bound.push(Name::from(build_rel.as_str()));
     }
 
-    rows_to_relation(rows)
+    let mut out = Output::with_capacity(rows.len());
+    for (shape, values) in rows {
+        out.push(shape, values);
+    }
+    out.build()
 }
 
 #[cfg(test)]

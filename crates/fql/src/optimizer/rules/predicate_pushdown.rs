@@ -2,13 +2,16 @@
 
 use crate::optimizer::{OptimizationRule, PlanContext};
 use crate::plan::Query;
+use fdm_expr::parser::MAX_DEPTH;
 use fdm_expr::{BinOp, Expr};
 
 /// Fuses adjacent filters and pushes predicates down through projections
 /// and joins (never through sorts), one rewrite per firing — the
 /// statistics-free heart of the optimizer.
 ///
-/// * adjacent `Filter(Filter(..))` pairs fuse into one `and` predicate;
+/// * adjacent `Filter(Filter(..))` pairs fuse into one `and` predicate,
+///   as long as it stays within [`MAX_DEPTH`], the parser's bound: every
+///   walk of a predicate recurses once per level;
 /// * a filter moves below a `Project` when it references only projected
 ///   attributes;
 /// * a filter moves below a `Join` when it never references the joined
@@ -41,8 +44,9 @@ fn push_down_once(mut q: Query) -> (Query, bool) {
         return q.map_input(push_down_once);
     };
     match &mut **input {
-        // fuse adjacent filters: the one below takes both predicates
-        Query::Filter { pred: p2, .. } => {
+        // fuse adjacent filters: the one below takes both predicates,
+        // unless their `and` would nest deeper than a parsed predicate may
+        Query::Filter { pred: p2, .. } if p2.depth().max(pred.depth()) < MAX_DEPTH => {
             *p2 = Expr::bin(BinOp::And, take(p2), take(pred));
             let fused = q.take_input();
             return (fused.unwrap_or(q), true);
@@ -107,6 +111,30 @@ mod tests {
         assert!(filter_line > join_line, "{plan}");
         // at the fixpoint the rule reports "nothing to do"
         assert!(PredicatePushdown.apply(&pushed, &ctx).is_none());
+    }
+
+    #[test]
+    fn fusion_stops_at_the_parser_bound() {
+        let ctx = PlanContext::without_stats();
+        let deep = format!("v >= 0{}", " and v >= 0".repeat(MAX_DEPTH - 3));
+        let q = Query::scan("r")
+            .filter(&deep, Params::new())
+            .filter("v < 5", Params::new());
+        let fused = PredicatePushdown
+            .apply(&q, &ctx)
+            .expect("one level to spare");
+        let Query::Filter { pred, input } = &fused else {
+            panic!("{}", fused.explain())
+        };
+        assert_eq!(pred.depth(), MAX_DEPTH);
+        assert!(matches!(**input, Query::Scan { .. }));
+        // a level deeper, the two filters stay apart
+        let q = fused.filter("v > 1", Params::new());
+        assert!(
+            PredicatePushdown.apply(&q, &ctx).is_none(),
+            "{}",
+            q.explain()
+        );
     }
 
     #[test]

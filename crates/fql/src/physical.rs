@@ -633,14 +633,8 @@ pub(crate) fn scan(rel: &RelationF, inline: bool, sink: &mut dyn FnMut(Row<'_>))
         if chunk.is_empty() {
             return Ok(map.len());
         }
-        // Touch every tuple of the chunk before handing any on: the
-        // fetches overlap in this tight loop, where one by one, behind a
-        // row's trip through the operators, each would wait on memory.
-        for (_, t) in &chunk {
-            if t.attr_count() > 0 {
-                std::hint::black_box(t.stored(0));
-            }
-        }
+        // the keys sit in the map's leaves, read as the chunk was filled
+        touch(chunk.iter().map(|&(_, t)| (&[][..], &**t)));
         for (key, t) in chunk.drain(..) {
             let body = match &mut inliner {
                 // a computed attribute may read the key: inline first
@@ -658,8 +652,23 @@ pub(crate) fn scan(rel: &RelationF, inline: bool, sink: &mut dyn FnMut(Row<'_>))
     }
 }
 
-/// Rows a scan reads (and touches) at a time.
-const CHUNK: usize = 32;
+/// Rows a scan or a join reads (and touches) at a time.
+pub(crate) const CHUNK: usize = 32;
+
+/// Touches every row of a chunk before any is handed on: the fetches
+/// overlap in this tight loop, where one by one, behind a row's trip
+/// through the operators, each would wait on memory. A row is its key
+/// parts (a join's entry keeps them in a list of their own) and its tuple.
+pub(crate) fn touch<'a>(chunk: impl IntoIterator<Item = (&'a [Value], &'a TupleF)>) {
+    for (key, t) in chunk {
+        if let Some(part) = key.first() {
+            std::hint::black_box(std::mem::discriminant(part));
+        }
+        if t.attr_count() > 0 {
+            std::hint::black_box(t.stored(0));
+        }
+    }
+}
 
 /// A join's build side.
 enum Build<'r> {

@@ -52,6 +52,7 @@ use crate::optimizer::Optimizer;
 use crate::physical::Op;
 use fdm_core::{DatabaseF, FdmError, RelationF, Result, TupleF, Value};
 use fdm_expr::{Expr, Params};
+use std::fmt;
 use std::sync::Arc;
 
 /// The most operators one plan may chain, its leaf included. Planning,
@@ -77,7 +78,6 @@ pub const MAX_PLAN_DEPTH: usize = 64;
 /// let out = q.optimize().eval(&retail_db()).unwrap();
 /// assert_eq!(out.len(), 2);
 /// ```
-#[derive(Debug, Clone)]
 pub enum Query {
     /// Scan a relation entry of the database.
     Scan {
@@ -499,6 +499,115 @@ impl Query {
     }
 }
 
+impl Query {
+    /// This operator alone: its own fields, over an empty scan where it
+    /// reads an input.
+    fn copy_node(&self) -> Query {
+        let hole = || Box::new(Query::scan(""));
+        match self {
+            Query::Scan { rel } => Query::Scan { rel: rel.clone() },
+            Query::Filter { pred, .. } => Query::Filter {
+                input: hole(),
+                pred: pred.clone(),
+            },
+            Query::Project { attrs, .. } => Query::Project {
+                input: hole(),
+                attrs: attrs.clone(),
+            },
+            Query::Join {
+                rel,
+                input_attr,
+                rel_attr,
+                ..
+            } => Query::Join {
+                input: hole(),
+                rel: rel.clone(),
+                input_attr: input_attr.clone(),
+                rel_attr: rel_attr.clone(),
+            },
+            Query::GroupAgg { by, aggs, .. } => Query::GroupAgg {
+                input: hole(),
+                by: by.clone(),
+                aggs: aggs.clone(),
+            },
+            Query::OrderBy { attr, order, .. } => Query::OrderBy {
+                input: hole(),
+                attr: attr.clone(),
+                order: *order,
+            },
+            Query::Limit { k, .. } => Query::Limit {
+                input: hole(),
+                k: *k,
+            },
+            Query::Invalid { message } => Query::Invalid {
+                message: message.clone(),
+            },
+        }
+    }
+}
+
+impl Clone for Query {
+    /// Copies the chain one operator at a time, each copy filling the hole
+    /// its parent's copy left: the derived clone would recurse once per
+    /// operator, and a plan built from the variants directly has no depth
+    /// limit.
+    fn clone(&self) -> Query {
+        let mut out = self.copy_node();
+        let mut at = &mut out;
+        for next in self.chain().skip(1) {
+            let Some(hole) = at.input_mut() else { break };
+            *hole = next.copy_node();
+            at = hole;
+        }
+        out
+    }
+}
+
+impl fmt::Debug for Query {
+    /// One operator per line, from this one down to its leaf, each with
+    /// its own fields: the derived format would recurse once per operator.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (depth, q) in self.chain().enumerate() {
+            if depth > 0 {
+                f.write_str("\n")?;
+            }
+            match q {
+                Query::Scan { rel } => f.debug_struct("Scan").field("rel", rel).finish(),
+                Query::Filter { pred, .. } => f.debug_struct("Filter").field("pred", pred).finish(),
+                Query::Project { attrs, .. } => {
+                    f.debug_struct("Project").field("attrs", attrs).finish()
+                }
+                Query::Join {
+                    rel,
+                    input_attr,
+                    rel_attr,
+                    ..
+                } => f
+                    .debug_struct("Join")
+                    .field("rel", rel)
+                    .field("input_attr", input_attr)
+                    .field("rel_attr", rel_attr)
+                    .finish(),
+                Query::GroupAgg { by, aggs, .. } => f
+                    .debug_struct("GroupAgg")
+                    .field("by", by)
+                    .field("aggs", aggs)
+                    .finish(),
+                Query::OrderBy { attr, order, .. } => f
+                    .debug_struct("OrderBy")
+                    .field("attr", attr)
+                    .field("order", order)
+                    .finish(),
+                Query::Limit { k, .. } => f.debug_struct("Limit").field("k", k).finish(),
+                Query::Invalid { message } => {
+                    f.debug_struct("Invalid").field("message", message).finish()
+                }
+            }?;
+        }
+        Ok(())
+    }
+}
+
 impl Drop for Query {
     /// Unlinks the chain one operator at a time: the derived drop would
     /// recurse once per operator, and a plan built from the variants
@@ -842,6 +951,29 @@ mod tests {
             };
             assert_eq!(h, t.fingerprint().unwrap().hash() as i64);
         }
+    }
+
+    #[test]
+    fn clone_and_debug_walk_the_chain() {
+        let q = Query::scan("customers")
+            .filter("age > 40", Params::new())
+            .join("orders", "cid", "cid")
+            .group_agg(&["state"], &[("n", AggSpec::Count)])
+            .order_by("n", crate::transform::Order::Desc)
+            .limit(3)
+            .project(&["state"]);
+        let copy = q.clone();
+        assert_eq!(copy.explain(), q.explain());
+        let text = format!("{copy:?}");
+        assert_eq!(text, format!("{q:?}"));
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 7, "{text}");
+        assert!(lines[0].starts_with("Project"), "{text}");
+        assert!(
+            lines[3].starts_with("GroupAgg") && lines[3].contains("Count"),
+            "{text}"
+        );
+        assert_eq!(lines[6], r#"Scan { rel: "customers" }"#);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Deep inputs never abort the process.
 //!
-//! Decoding a WAL payload, planning, evaluating and dropping a query all
-//! recurse once per nesting level. Without a bound, a deep enough input
-//! overflows the stack, and a stack overflow is not a panic: it aborts
-//! the whole process. Each case here runs on a thread with a 2 MiB stack,
+//! Decoding a WAL payload, planning, evaluating, cloning, formatting and
+//! dropping a query, and every walk of a predicate, recurse once per
+//! nesting level. Without a bound, a deep enough input overflows the
+//! stack, and a stack overflow is not a panic: it aborts the whole
+//! process. Each case here runs on a thread with a 2 MiB stack,
 //! the default for test threads, and asserts that a deep input comes back
 //! `Ok` or as a typed `Err`, and that an input just under each bound still
 //! decodes or evaluates.
@@ -14,6 +15,7 @@
 use fdm_core::{DatabaseF, FdmError, RelationF, TupleF, Value};
 use fdm_durability::codec::MAX_NESTING;
 use fdm_durability::{decode_ops, write_checkpoint, DurabilityConfig, DurabilityError, Wal};
+use fdm_expr::parser::MAX_DEPTH;
 use fdm_expr::Params;
 use fdm_fql::plan::MAX_PLAN_DEPTH;
 use fdm_fql::Query;
@@ -198,5 +200,58 @@ fn the_measured_plans_answer() {
         let deep = direct_chain(200_000);
         assert!(deep.eval(&db).is_err());
         assert!(matches!(deep.optimize_for(&db), Query::Invalid { .. }));
+    });
+}
+
+/// A predicate as deep as the parser allows: `v >= 0` under a
+/// left-leaning chain of `and`s, one level per `and`.
+fn bound_deep_predicate() -> String {
+    let mut src = String::from("v >= 0");
+    for _ in 2..MAX_DEPTH {
+        src.push_str(" and v >= 0");
+    }
+    src
+}
+
+/// A full-depth plan whose predicates each sit at the parser bound:
+/// filter fusion must not build one predicate deeper than the parser
+/// would accept.
+#[test]
+fn bound_deep_filters_fuse_within_the_parser_bound() {
+    on_small_stack(|| {
+        let db = small_db();
+        let src = bound_deep_predicate();
+        assert!(
+            fdm_expr::parse(&src).is_ok(),
+            "the predicate is at the bound"
+        );
+        let mut q = Query::scan("r");
+        for _ in 1..MAX_PLAN_DEPTH {
+            q = q.filter(&src, Params::new());
+        }
+        assert_eq!(q.explain().lines().count(), MAX_PLAN_DEPTH);
+        let planned = q.optimize_for(&db);
+        let mut at = &planned;
+        while let Query::Filter { input, pred } = at {
+            assert!(
+                pred.depth() <= MAX_DEPTH,
+                "a fused predicate is {} deep",
+                pred.depth()
+            );
+            at = input;
+        }
+        assert!(matches!(at, Query::Scan { .. }), "{}", planned.explain());
+        assert_eq!(planned.eval(&db).unwrap().len(), 10);
+    });
+}
+
+/// A plan built from the variants directly clones and formats in a loop.
+#[test]
+fn a_deep_direct_plan_clones_and_formats() {
+    on_small_stack(|| {
+        let q = direct_chain(200_000);
+        let text = format!("{:?}", q.clone());
+        assert_eq!(text.lines().count(), 200_000, "one operator per line");
+        assert_eq!(text, format!("{q:?}"));
     });
 }
