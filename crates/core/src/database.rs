@@ -10,7 +10,9 @@
 //! `DatabaseF` is persistent: `with_entry`/`without_entry` return a new
 //! database sharing everything untouched. This is the enabling property
 //! for FQL's in-place usage (`DB('myAwesomeView') := foo`, §4.4) and for
-//! snapshot transactions.
+//! snapshot transactions. Both are a clone followed by the owned edit
+//! that [`crate::apply_op`] also runs, which copies only what another
+//! database value still holds.
 
 use crate::domain::{Domain, SharedDomain};
 use crate::error::{FdmError, Name, Result};
@@ -45,6 +47,7 @@ pub struct DatabaseF {
 }
 
 /// What a [`DatabaseF`] holds behind its one pointer.
+#[derive(Clone)]
 struct Parts {
     name: Name,
     entries: PMap<Name, FnValue>,
@@ -175,23 +178,43 @@ impl DatabaseF {
     }
 
     fn with_entry_named(&self, name: Name, f: FnValue) -> DatabaseF {
-        let entries = self.parts.entries.insert(name, f).0;
-        DatabaseF::from_parts(self.parts.name.clone(), entries, self.parts.domains.clone())
+        let mut db = self.clone();
+        db.set_entry(name, f);
+        db
     }
 
     /// Removes an entry; fails if absent.
     pub fn without_entry(&self, name: &str) -> Result<DatabaseF> {
-        let (entries, old) = self.parts.entries.remove(name);
-        if old.is_none() {
-            return Err(FdmError::NoSuchRelation {
-                name: name.to_string(),
-            });
+        let mut db = self.clone();
+        db.unset_entry(name)?;
+        Ok(db)
+    }
+
+    /// Binds `name` to `f` in this database — the owned edit behind
+    /// [`Self::with_entry`]: what this value shares with other databases
+    /// is copied, what it holds alone is edited in place.
+    pub(crate) fn set_entry(&mut self, name: Name, f: FnValue) {
+        Arc::make_mut(&mut self.parts).entries.set(name, f);
+    }
+
+    /// Removes the entry `name` from this database (the owned edit behind
+    /// [`Self::without_entry`]); fails, changing nothing, if it is absent.
+    pub(crate) fn unset_entry(&mut self, name: &str) -> Result<()> {
+        self.entry(name)?;
+        Arc::make_mut(&mut self.parts).entries.unset(name);
+        Ok(())
+    }
+
+    /// The relation entry `name`, to edit in place: the database, its
+    /// entries map and the relation are each copied only while another
+    /// value still holds them. Fails, copying nothing, like
+    /// [`Self::relation_ref`].
+    pub(crate) fn relation_mut(&mut self, name: &str) -> Result<&mut RelationF> {
+        self.relation_ref(name)?;
+        match Arc::make_mut(&mut self.parts).entries.get_mut(name) {
+            Some(FnValue::Relation(rel)) => Ok(Arc::make_mut(rel)),
+            _ => unreachable!("the entry was just read as a relation"),
         }
-        Ok(DatabaseF::from_parts(
-            self.parts.name.clone(),
-            entries,
-            self.parts.domains.clone(),
-        ))
     }
 
     /// Registers a named shared domain in the schema.

@@ -9,9 +9,10 @@
 //! where an entry was rebound wholesale — and propagated through
 //! maintained query plans instead of recomputing them.
 //!
-//! A commit's own writes travel as [`Op`]s: the transaction stages them,
-//! the commit's record keeps them, the WAL stores them, and
-//! [`apply_ops`] replays them onto a root.
+//! A commit's own writes travel as [`Op`]s: the transaction stages them
+//! with [`apply_op`], the commit's record keeps them, the WAL stores
+//! them, and [`apply_ops`] replays them onto a root with the same
+//! [`apply_op`].
 //!
 //! Diffing leans on two things. Structure sharing: versions of a stored
 //! relation share every subtree no write touched, and
@@ -229,12 +230,32 @@ pub enum Op {
     },
 }
 
-/// Applies `ops` onto `base`, in order, handing `replaced` the tuple each
-/// op replaced in the stored map it wrote (`None` for an insert and for
-/// an entry op). This is the one replay path: the snapshot-isolation
-/// merge (disjoint writers replaying onto a newer root), crash recovery
-/// (WAL records onto a checkpoint) and time travel (undos onto a newer
-/// version) all run it.
+/// Applies one op to `db` in place and returns the tuple it replaced in
+/// the stored map it wrote (`None` for an insert, a multi-body delete and
+/// an entry op). This is the one write path: a transaction stages its
+/// writes through it, and [`apply_ops`] replays with it. What `db` shares
+/// with other database values is copied, what it holds alone is edited in
+/// place, so a value taken from `db` before never changes. A failing op
+/// leaves `db`'s contents as they were.
+pub fn apply_op(db: &mut DatabaseF, op: &Op) -> Result<Option<Arc<TupleF>>> {
+    match op {
+        Op::Upsert { rel, key, tuple } => db.relation_mut(rel)?.set(key.clone(), Arc::clone(tuple)),
+        Op::Delete { rel, key } => db.relation_mut(rel)?.unset(key),
+        Op::Assign { name, value } => {
+            db.set_entry(name.clone(), value.clone());
+            Ok(None)
+        }
+        Op::Drop { name } => db.unset_entry(name).map(|()| None),
+    }
+}
+
+/// Applies `ops` onto a copy of `base`, in order, handing `replaced` the
+/// tuple each op replaced ([`apply_op`]). This is the one replay: the
+/// snapshot-isolation merge (disjoint writers replaying onto a newer
+/// root), crash recovery (WAL records onto a checkpoint) and time travel
+/// (undos onto a newer version) all run it. The first op copies the
+/// paths it touches out of `base`; the ops after it edit those copies in
+/// place.
 pub fn apply_ops(
     base: &DatabaseF,
     ops: &[Op],
@@ -242,22 +263,7 @@ pub fn apply_ops(
 ) -> Result<DatabaseF> {
     let mut db = base.clone();
     for op in ops {
-        let (next, old) = match op {
-            Op::Upsert { rel, key, tuple } => {
-                let (r, old) = db
-                    .relation_ref(rel)?
-                    .upsert_replacing(key.clone(), Arc::clone(tuple))?;
-                (db.with_entry(rel, FnValue::from(r)), old)
-            }
-            Op::Delete { rel, key } => {
-                let (r, old) = db.relation_ref(rel)?.delete_replacing(key)?;
-                (db.with_entry(rel, FnValue::from(r)), old)
-            }
-            Op::Assign { name, value } => (db.with_entry(name, value.clone()), None),
-            Op::Drop { name } => (db.without_entry(name)?, None),
-        };
-        db = next;
-        replaced(old);
+        replaced(apply_op(&mut db, op)?);
     }
     Ok(db)
 }

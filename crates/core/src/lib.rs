@@ -77,7 +77,7 @@ pub mod value;
 
 pub use constraint::Constraint;
 pub use database::DatabaseF;
-pub use delta::{apply_ops, diff_relations, DbDelta, EntryDelta, Op, TupleChange};
+pub use delta::{apply_op, apply_ops, diff_relations, DbDelta, EntryDelta, Op, TupleChange};
 pub use domain::{Domain, SharedDomain};
 pub use error::{FdmError, Name, Result};
 pub use fdm_storage::splitmix64;

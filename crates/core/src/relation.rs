@@ -13,9 +13,11 @@
 //! * **hybrid** ([`RelationF::with_fallback`]) — stored tuples with a
 //!   computed fallback (the paper's `R4`).
 //!
-//! All mutating operations are persistent: they return a new `RelationF`
-//! sharing structure with the old one, which is what makes snapshot
-//! transactions (Fig. 11) cheap.
+//! All public mutating operations are persistent: they return a new
+//! `RelationF` sharing structure with the old one, which is what makes
+//! snapshot transactions (Fig. 11) cheap. Each point write is a clone
+//! followed by one of the crate's two owned edits (an upsert and a
+//! delete), which [`crate::apply_op`] runs on relations in place.
 
 use crate::constraint::Constraint;
 use crate::domain::Domain;
@@ -77,11 +79,11 @@ pub struct RelationF {
     unique_indexes: Arc<[PMap<Value, Value>]>,
     body: Body,
     /// Lazily computed per-attribute distinct-count sketches
-    /// ([`AttrSketches`]), under the same freshness-by-construction
-    /// contract as the tuple fingerprint cache: every construction and
-    /// mutation path starts a fresh empty cell, so a filled cache always
-    /// describes exactly this value's stored tuples. `Clone` carries a
-    /// filled cache over, which is sound — the clone's body is identical.
+    /// ([`AttrSketches`]), under the same freshness contract as the tuple
+    /// fingerprint cache: every construction path starts a fresh empty
+    /// cell and every edit empties it, so a filled cache always describes
+    /// exactly this value's stored tuples. `Clone` carries a filled cache
+    /// over, which is sound — the clone's body is identical.
     sketches: OnceLock<Arc<AttrSketches>>,
 }
 
@@ -132,16 +134,12 @@ impl RelationF {
         domain: Domain,
         fallback: impl Fn(&Value) -> Result<Value> + Send + Sync + 'static,
     ) -> Result<RelationF> {
-        let map = match &self.body {
-            Body::Unique(map) => map.clone(),
-            Body::Hybrid { map, .. } => map.clone(),
-            _ => {
-                return Err(FdmError::Other(format!(
-                    "relation function '{}' cannot take a fallback (not a unique stored body)",
-                    self.name
-                )))
-            }
-        };
+        let map = self.point_map().cloned().ok_or_else(|| {
+            FdmError::Other(format!(
+                "relation function '{}' cannot take a fallback (not a unique stored body)",
+                self.name
+            ))
+        })?;
         Ok(RelationF {
             name: self.name.clone(),
             key_attrs: self.key_attrs.clone(),
@@ -165,14 +163,13 @@ impl RelationF {
             let mut idx = PMap::new();
             for (key, tuple) in self.iter_stored() {
                 if let Some(uk) = constraint.unique_key(&tuple) {
-                    let (next, old) = idx.insert(uk.clone(), key.clone());
-                    if old.is_some() {
+                    if idx.contains_key(&uk) {
                         return Err(FdmError::ConstraintViolation {
                             constraint: constraint.to_string(),
                             detail: format!("existing data has duplicate value {uk}"),
                         });
                     }
-                    idx = next;
+                    idx.set(uk, key);
                 }
             }
             indexes.push(idx);
@@ -228,9 +225,8 @@ impl RelationF {
     /// computing them on first use from the stored tuples' cached
     /// fingerprints (an O(n) scan, amortized: every later call on this
     /// value — and on any clone sharing the cache — is O(1)). Mutations
-    /// never see a stale cache: each mutation path constructs a new
-    /// `RelationF` with a fresh empty cell (freshness by construction,
-    /// exactly like the tuple fingerprint cache). Computed bodies have no
+    /// never see a stale cache: each edit empties the cell, and each
+    /// construction path starts an empty one. Computed bodies have no
     /// enumerable stored part and sketch empty.
     pub fn attr_sketches(&self) -> &AttrSketches {
         self.sketches
@@ -281,6 +277,20 @@ impl RelationF {
     pub fn stored_map(&self) -> Option<&PMap<Value, Arc<TupleF>>> {
         match &self.body {
             Body::Unique(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    /// [`Self::stored_map`] to edit in place with the owned [`PMap`] edits,
+    /// for a plain stored body without constraints (`None` otherwise: a
+    /// constrained body keeps unique indexes beside its map). Empties the
+    /// sketch cache, which the edits may make stale.
+    pub fn stored_map_mut(&mut self) -> Option<&mut PMap<Value, Arc<TupleF>>> {
+        match &mut self.body {
+            Body::Unique(map) if self.constraints.is_empty() => {
+                self.sketches = OnceLock::new();
+                Some(map)
+            }
             _ => None,
         }
     }
@@ -500,50 +510,46 @@ impl RelationF {
         }
     }
 
-    /// Validates `tuple` for storage under `key` and returns the unique
-    /// indexes as they stand afterwards. `old` is the tuple `key` held
-    /// before (a replace): its unique values leave the indexes first, so
-    /// the outcome — including which constraint fails first — is that of
-    /// deleting `old` and then inserting `tuple`.
-    fn check_constraints(
-        &self,
-        key: &Value,
-        old: Option<&TupleF>,
-        tuple: &TupleF,
-    ) -> Result<Vec<PMap<Value, Value>>> {
-        let mut new_indexes = Vec::with_capacity(self.unique_indexes.len());
+    /// The error a write gets from a body it does not apply to.
+    fn unsupported(&self, what: &str) -> FdmError {
+        FdmError::Other(format!(
+            "{what} unsupported for this body of '{}'",
+            self.name
+        ))
+    }
+
+    /// The key → tuple map of a unique or hybrid body: the map a point
+    /// write edits (`None` for multi and computed bodies).
+    fn point_map(&self) -> Option<&PMap<Value, Arc<TupleF>>> {
+        match &self.body {
+            Body::Unique(map) | Body::Hybrid { map, .. } => Some(map),
+            _ => None,
+        }
+    }
+
+    /// Checks `tuple` for storage under `key` in place of `old`, the tuple
+    /// `key` holds now: the outcome, including which constraint fails
+    /// first, is that of deleting `old` and then inserting `tuple`.
+    fn check_constraints(&self, key: &Value, old: Option<&TupleF>, tuple: &TupleF) -> Result<()> {
         let mut uniq_i = 0usize;
         for c in self.constraints.iter() {
             match c {
                 Constraint::Unique(_) => {
                     let idx = &self.unique_indexes[uniq_i];
                     uniq_i += 1;
-                    let new_uk = c.unique_key(tuple);
-                    let idx = match old.and_then(|o| c.unique_key(o)) {
-                        // the tuple keeps its own unique value: the
-                        // index already says `uk -> key`
-                        Some(old_uk) if Some(&old_uk) == new_uk.as_ref() => {
-                            new_indexes.push(idx.clone());
-                            continue;
-                        }
-                        Some(old_uk) => idx.remove(&old_uk).0,
-                        None => idx.clone(),
+                    let Some(uk) = c.unique_key(tuple) else {
+                        continue;
                     };
-                    match new_uk {
-                        Some(uk) => {
-                            if let Some(existing) = idx.get(&uk) {
-                                if existing != key {
-                                    return Err(FdmError::ConstraintViolation {
-                                        constraint: c.to_string(),
-                                        detail: format!(
-                                            "value {uk} already present under key {existing}"
-                                        ),
-                                    });
-                                }
-                            }
-                            new_indexes.push(idx.insert(uk, key.clone()).0);
-                        }
-                        None => new_indexes.push(idx),
+                    // a tuple that keeps its own unique value collides with
+                    // nothing: the index already says `uk -> key`
+                    if old.and_then(|o| c.unique_key(o)).as_ref() == Some(&uk) {
+                        continue;
+                    }
+                    if let Some(existing) = idx.get(&uk).filter(|k| *k != key) {
+                        return Err(FdmError::ConstraintViolation {
+                            constraint: c.to_string(),
+                            detail: format!("value {uk} already present under key {existing}"),
+                        });
                     }
                 }
                 Constraint::AttrDomain { attr, domain } => {
@@ -558,18 +564,68 @@ impl RelationF {
                 }
             }
         }
-        Ok(new_indexes)
+        Ok(())
     }
 
-    fn rebuild(&self, body: Body, unique_indexes: Vec<PMap<Value, Value>>) -> RelationF {
-        RelationF {
-            name: self.name.clone(),
-            key_attrs: self.key_attrs.clone(),
-            constraints: self.constraints.clone(),
-            unique_indexes: unique_indexes.into(),
-            body,
-            sketches: OnceLock::new(),
+    /// Moves the unique indexes from `old` to `new` under `key`: the
+    /// unique values of `old` leave them and those of `new` enter.
+    fn reindex(&mut self, key: &Value, old: Option<&TupleF>, new: Option<&TupleF>) {
+        if self.unique_indexes.is_empty() {
+            return;
         }
+        let uniques = self
+            .constraints
+            .iter()
+            .filter(|c| matches!(c, Constraint::Unique(_)));
+        for (c, idx) in uniques.zip(Arc::make_mut(&mut self.unique_indexes)) {
+            let (was, now) = (
+                old.and_then(|t| c.unique_key(t)),
+                new.and_then(|t| c.unique_key(t)),
+            );
+            if was != now {
+                was.map(|uk| idx.unset(&uk));
+                now.map(|uk| idx.set(uk, key.clone()));
+            }
+        }
+    }
+
+    /// `rel[key] = tuple` in this relation, handing back the tuple `key`
+    /// held before: the owned upsert under [`Self::upsert_arc`],
+    /// [`Self::insert_arc`] and [`crate::apply_op`]. It checks the
+    /// constraints before it writes anything, so on an error the relation
+    /// is unchanged; what it shares with other values is copied, what it
+    /// holds alone is edited in place.
+    pub(crate) fn set(&mut self, key: Value, tuple: Arc<TupleF>) -> Result<Option<Arc<TupleF>>> {
+        let map = self.point_map().ok_or_else(|| self.unsupported("upsert"))?;
+        if !self.constraints.is_empty() {
+            let old = map.get(&key).cloned();
+            self.check_constraints(&key, old.as_deref(), &tuple)?;
+            self.reindex(&key, old.as_deref(), Some(&tuple));
+        }
+        self.sketches = OnceLock::new();
+        match &mut self.body {
+            Body::Unique(map) | Body::Hybrid { map, .. } => Ok(map.set(key, tuple)),
+            _ => unreachable!("a point map was found above"),
+        }
+    }
+
+    /// `del rel[key]` in this relation, handing back the tuple it removed
+    /// (`None` for a multi body, whose key held a group): the owned delete
+    /// under [`Self::delete`] and [`crate::apply_op`]. Fails, changing
+    /// nothing, where the function is not defined.
+    pub(crate) fn unset(&mut self, key: &Value) -> Result<Option<Arc<TupleF>>> {
+        let old = match &mut self.body {
+            Body::Unique(map) | Body::Hybrid { map, .. } => map.unset(key).map(Some),
+            Body::Multi(map) => map.unset(key).map(|_| None),
+            Body::Computed { .. } => return Err(self.unsupported("delete")),
+        };
+        let old = old.ok_or_else(|| FdmError::Undefined {
+            function: self.name.to_string(),
+            input: key.to_string(),
+        })?;
+        self.reindex(key, old.as_deref(), None);
+        self.sketches = OnceLock::new();
+        Ok(old)
     }
 
     /// Inserts a tuple under `key`. Fails on duplicate keys (the function
@@ -581,77 +637,59 @@ impl RelationF {
 
     /// [`Self::insert`] taking an already-shared tuple.
     pub fn insert_arc(&self, key: Value, tuple: Arc<TupleF>) -> Result<RelationF> {
-        match &self.body {
-            Body::Unique(map) => {
-                if map.contains_key(&key) {
-                    return Err(FdmError::DuplicateKey {
-                        relation: self.name.to_string(),
-                        key: key.to_string(),
-                    });
-                }
-                let indexes = self.check_constraints(&key, None, &tuple)?;
-                let map = map.insert(key, tuple).0;
-                Ok(self.rebuild(Body::Unique(map), indexes))
-            }
+        let mut rel = self.clone();
+        match &mut rel.body {
             Body::Multi(map) => {
-                let group = map.get(&key).cloned().unwrap_or_else(|| Arc::from([]));
-                let mut g: Vec<Arc<TupleF>> = group.to_vec();
-                g.push(tuple);
-                let map = map.insert(key, g.into()).0;
-                Ok(self.rebuild(Body::Multi(map), self.unique_indexes.to_vec()))
+                let mut group = map.get(&key).map_or_else(Vec::new, |g| g.to_vec());
+                group.push(tuple);
+                map.set(key, group.into());
+                rel.sketches = OnceLock::new();
+                return Ok(rel);
             }
-            Body::Computed { .. } => Err(FdmError::Other(format!(
-                "cannot insert into fully computed relation function '{}'",
-                self.name
-            ))),
-            Body::Hybrid {
-                map,
-                domain,
-                fallback,
-            } => {
-                if map.contains_key(&key) {
-                    return Err(FdmError::DuplicateKey {
-                        relation: self.name.to_string(),
-                        key: key.to_string(),
-                    });
-                }
-                let indexes = self.check_constraints(&key, None, &tuple)?;
-                let map = map.insert(key, tuple).0;
-                Ok(self.rebuild(
-                    Body::Hybrid {
-                        map,
-                        domain: domain.clone(),
-                        fallback: fallback.clone(),
-                    },
-                    indexes,
-                ))
+            Body::Computed { .. } => return Err(self.unsupported("insert")),
+            Body::Unique(map) | Body::Hybrid { map, .. } if map.contains_key(&key) => {
+                return Err(FdmError::DuplicateKey {
+                    relation: self.name.to_string(),
+                    key: key.to_string(),
+                })
             }
+            _ => {}
         }
+        rel.set(key, tuple)?;
+        Ok(rel)
     }
 
     /// Inserts a tuple under an automatically assigned integer key (paper
     /// Fig. 10: `customers.add({...})`). Returns the new relation and the
     /// assigned key.
     pub fn insert_auto(&self, tuple: TupleF) -> Result<(RelationF, Value)> {
-        let next = match &self.body {
-            Body::Unique(map) | Body::Hybrid { map, .. } => match map.last() {
-                Some((Value::Int(i), _)) => Value::Int(i + 1),
-                Some((other, _)) => {
-                    return Err(FdmError::Other(format!(
-                        "auto-id insert needs integer keys, relation '{}' has key {other}",
-                        self.name
-                    )))
-                }
-                None => Value::Int(1),
-            },
-            _ => {
-                return Err(FdmError::Other(format!(
-                    "auto-id insert unsupported for this body of '{}'",
-                    self.name
-                )))
+        let key = self.auto_key()?;
+        Ok((self.insert(key.clone(), tuple)?, key))
+    }
+
+    /// The key [`Self::insert_auto`] assigns: one past the last stored
+    /// key, which must be an integer, or 1 in an empty relation. Fails
+    /// with [`FdmError::ConstraintViolation`] when the last key is
+    /// `i64::MAX`, which no integer key follows.
+    pub fn auto_key(&self) -> Result<Value> {
+        let map = self
+            .point_map()
+            .ok_or_else(|| self.unsupported("auto-id insert"))?;
+        match map.last() {
+            None => Ok(Value::Int(1)),
+            Some((Value::Int(i), _)) => {
+                i.checked_add(1)
+                    .map(Value::Int)
+                    .ok_or_else(|| FdmError::ConstraintViolation {
+                        constraint: format!("auto id of '{}'", self.name),
+                        detail: format!("no integer key follows the last key {i}"),
+                    })
             }
-        };
-        Ok((self.insert(next.clone(), tuple)?, next))
+            Some((other, _)) => Err(FdmError::Other(format!(
+                "auto-id insert needs integer keys, relation '{}' has key {other}",
+                self.name
+            ))),
+        }
     }
 
     /// Replaces the tuple under `key` (paper Fig. 10:
@@ -661,46 +699,15 @@ impl RelationF {
         self.upsert_arc(key, Arc::new(tuple))
     }
 
-    /// [`Self::upsert`] taking an already-shared tuple. One path copy:
-    /// the single [`PMap::insert`] hands back the tuple it replaced, and
-    /// that is all the unique indexes need to stay in step — the result
-    /// (contents, index state, first error) is that of `delete` followed
-    /// by `insert`, pinned by the `upsert_matches_delete_then_insert`
-    /// proptest below.
+    /// [`Self::upsert`] taking an already-shared tuple: the owned upsert
+    /// on a clone, so one path copy. The tuple it replaces is all the
+    /// unique indexes need to stay in step — the result (contents, index
+    /// state, first error) is that of `delete` followed by `insert`,
+    /// pinned by the `upsert_matches_delete_then_insert` proptest below.
     pub fn upsert_arc(&self, key: Value, tuple: Arc<TupleF>) -> Result<RelationF> {
-        self.upsert_replacing(key, tuple).map(|(rel, _)| rel)
-    }
-
-    /// [`Self::upsert_arc`], also handing back the tuple the write
-    /// replaced in the stored map (`None` when the key was unset there) —
-    /// what the single path copy found, at no extra descent.
-    pub fn upsert_replacing(
-        &self,
-        key: Value,
-        tuple: Arc<TupleF>,
-    ) -> Result<(RelationF, Option<Arc<TupleF>>)> {
-        let stored = match &self.body {
-            Body::Unique(map) | Body::Hybrid { map, .. } => map,
-            _ => {
-                return Err(FdmError::Other(format!(
-                    "upsert unsupported for this body of '{}'",
-                    self.name
-                )))
-            }
-        };
-        let (map, old) = stored.insert(key.clone(), Arc::clone(&tuple));
-        let indexes = self.check_constraints(&key, old.as_deref(), &tuple)?;
-        let body = match &self.body {
-            Body::Hybrid {
-                domain, fallback, ..
-            } => Body::Hybrid {
-                map,
-                domain: domain.clone(),
-                fallback: fallback.clone(),
-            },
-            _ => Body::Unique(map),
-        };
-        Ok((self.rebuild(body, indexes), old))
+        let mut rel = self.clone();
+        rel.set(key, tuple)?;
+        Ok(rel)
     }
 
     /// Updates one attribute of the tuple under `key` (paper Fig. 10:
@@ -734,72 +741,9 @@ impl RelationF {
     /// Deletes the tuple under `key` (paper Fig. 10: `del customers[3]`).
     /// Fails if the function is not defined there.
     pub fn delete(&self, key: &Value) -> Result<RelationF> {
-        self.delete_replacing(key).map(|(rel, _)| rel)
-    }
-
-    /// [`Self::delete`], also handing back the tuple it removed from the
-    /// stored map — `None` for a multi body, whose key held a group.
-    pub fn delete_replacing(&self, key: &Value) -> Result<(RelationF, Option<Arc<TupleF>>)> {
-        match &self.body {
-            Body::Unique(map) => {
-                let (map, old) = map.remove(key);
-                let old = old.ok_or_else(|| FdmError::Undefined {
-                    function: self.name.to_string(),
-                    input: key.to_string(),
-                })?;
-                let indexes = self.drop_from_unique_indexes(&old);
-                Ok((self.rebuild(Body::Unique(map), indexes), Some(old)))
-            }
-            Body::Multi(map) => {
-                let (map, old) = map.remove(key);
-                if old.is_none() {
-                    return Err(FdmError::Undefined {
-                        function: self.name.to_string(),
-                        input: key.to_string(),
-                    });
-                }
-                let rel = self.rebuild(Body::Multi(map), self.unique_indexes.to_vec());
-                Ok((rel, None))
-            }
-            Body::Computed { .. } => Err(FdmError::Other(format!(
-                "cannot delete from fully computed relation function '{}'",
-                self.name
-            ))),
-            Body::Hybrid {
-                map,
-                domain,
-                fallback,
-            } => {
-                let (map, old) = map.remove(key);
-                let old = old.ok_or_else(|| FdmError::Undefined {
-                    function: self.name.to_string(),
-                    input: key.to_string(),
-                })?;
-                let indexes = self.drop_from_unique_indexes(&old);
-                let body = Body::Hybrid {
-                    map,
-                    domain: domain.clone(),
-                    fallback: fallback.clone(),
-                };
-                Ok((self.rebuild(body, indexes), Some(old)))
-            }
-        }
-    }
-
-    fn drop_from_unique_indexes(&self, tuple: &TupleF) -> Vec<PMap<Value, Value>> {
-        let mut out = Vec::with_capacity(self.unique_indexes.len());
-        let mut uniq_i = 0;
-        for c in self.constraints.iter() {
-            if let Constraint::Unique(_) = c {
-                let idx = &self.unique_indexes[uniq_i];
-                uniq_i += 1;
-                match c.unique_key(tuple) {
-                    Some(uk) => out.push(idx.remove(&uk).0),
-                    None => out.push(idx.clone()),
-                }
-            }
-        }
-        out
+        let mut rel = self.clone();
+        rel.unset(key)?;
+        Ok(rel)
     }
 
     /// Builds an **alternative relation function** keyed by `attr` — the

@@ -7,12 +7,14 @@
 //! only what its delta rule reads back. Feeding a base-table [`DbDelta`]
 //! into [`MaintainedView::apply`] walks the tree bottom-up; every node
 //! translates its input's row changes into its own, and a node that keeps
-//! its output batches them into it through the join-based merge setops
-//! ([`fdm_storage::PMap::merge_union`] / `merge_difference`): k rows
-//! against an n-row output cost O(k · log(n/k + 1)), and the new output
-//! shares every untouched subtree with the previous one — one copied path
-//! per changed row, never a rebuild (`one_row_deltas_allocate_logarithmically`
-//! in `tests/tests/view_maintenance.rs`).
+//! its output edits them into it in place ([`fdm_storage::PMap::set`] /
+//! [`fdm_storage::PMap::unset`] through [`RelationF::stored_map_mut`]):
+//! k rows against an n-row output cost O(k · log n), and the new output
+//! shares every untouched subtree with the previous one — at most one
+//! copied path per changed row, and none where no reader holds the
+//! previous output, never a rebuild
+//! (`one_row_deltas_allocate_logarithmically` in
+//! `tests/tests/view_maintenance.rs`).
 //!
 //! Per-operator delta rules:
 //!
@@ -70,7 +72,6 @@ use fdm_core::{
     DatabaseF, FdmError, FxHashMap, Name, RelationBuilder, RelationF, Result, Shape, TupleF, Value,
 };
 use fdm_expr::{Compiled, Expr};
-use fdm_storage::PMap;
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -230,34 +231,27 @@ enum Node {
     Fallback { input: Box<Node>, out: RelationF },
 }
 
-/// Batches a node's output changes into its materialized relation via
-/// the join-based merge setops: one `merge_union` for inserts/updates, one
-/// `merge_difference` for removes. For k changes against n rows that is
-/// O(k · log(n/k + 1)) time and allocation; every subtree of the previous
-/// output no change falls into is shared, not copied. No change leaves the
-/// relation as it is.
+/// Folds a node's output changes into its materialized relation in place
+/// through [`RelationF::stored_map_mut`]: a change with a new tuple sets
+/// it, one without unsets its key. An output that is not a plain,
+/// unconstrained stored body is turned into one first. Each edit copies
+/// only the nodes a reader of an earlier output still holds, once per
+/// batch, and edits the rest in place; every subtree no change falls into
+/// stays shared. No change leaves the relation as it is.
 fn apply_changes(out: &mut RelationF, changes: &[TupleChange]) -> Result<()> {
     if changes.is_empty() {
         return Ok(());
     }
-    let base = key_map(out)?;
-    let mut sorted: Vec<&TupleChange> = changes.iter().collect();
-    sorted.sort_by(|a, b| a.key.cmp(&b.key));
-    let mut ups: Vec<(Value, Arc<TupleF>)> = Vec::new();
-    let mut dels: Vec<(Value, Arc<TupleF>)> = Vec::new();
-    for c in sorted {
-        match (&c.new, &c.old) {
-            (Some(t), _) => ups.push((c.key.clone(), t.clone())),
-            (None, Some(t)) => dels.push((c.key.clone(), t.clone())),
-            (None, None) => {}
+    if out.stored_map_mut().is_none() {
+        *out = out.with_stored_map(key_map(out)?);
+    }
+    let map = out.stored_map_mut().expect("a plain stored body");
+    for c in changes {
+        match &c.new {
+            Some(t) => drop(map.set(c.key.clone(), Arc::clone(t))),
+            None => drop(map.unset(&c.key)),
         }
     }
-    // left-biased union: a changed key's new tuple wins over the old one
-    let mut merged = PMap::from_sorted_vec(ups).merge_union(&base);
-    if !dels.is_empty() {
-        merged = merged.merge_difference(&PMap::from_sorted_vec(dels));
-    }
-    *out = out.with_stored_map(merged);
     Ok(())
 }
 

@@ -1,10 +1,14 @@
 //! A persistent ordered map implemented as a B+-tree with `Arc`-shared
 //! nodes.
 //!
-//! Every mutating operation (`insert`, `remove`, ...) returns a *new* map
-//! that shares all untouched subtrees with the original. Cloning a map is
-//! O(1). This is the backbone of FDM relation functions and database
-//! functions: a "snapshot" of a relation is just a clone of its root.
+//! There is one way to write: the owned edits [`PMap::set`],
+//! [`PMap::unset`] and [`PMap::get_mut`] take `&mut self` and copy a node
+//! only while another map still holds it. The persistent forms (`insert`,
+//! `remove`, `update_with`) are "clone, then edit": they return a *new*
+//! map that shares all untouched subtrees with the original. Cloning a map
+//! is O(1). This is the backbone of FDM relation functions and database
+//! functions: a "snapshot" of a relation is just a clone of its root, and
+//! no edit of any other clone changes it.
 //!
 //! **Layout.** A leaf holds up to `W` = 8 entries in key order, its keys
 //! in one inline array and its values in another; an inner node holds up
@@ -16,8 +20,9 @@
 //! An update copies one root-to-leaf path of `W`-wide nodes, plus a
 //! sibling per level where a node splits, borrows or merges. Copying is
 //! copy-on-write (`Arc::make_mut`): a node the map holds alone — while
-//! `from_iter` builds it, or a merge applies its batch of edits — is
-//! edited in place.
+//! `from_iter` builds it, a merge applies its batch of edits, or a caller
+//! edits a map it owns — is edited in place, so a run of owned edits
+//! copies each shared node once, not once per edit.
 //!
 //! **Bulk set algebra.** `merge_union` / `merge_intersection` /
 //! `merge_difference`, their `_with` variants, and [`PMap::diff`] keep the
@@ -351,27 +356,29 @@ fn insert<K: Ord + Clone, V: Clone>(
     }
 }
 
-/// Removes `key`, which must be present below `node`, and returns its
-/// value; copies shared nodes and edits fresh ones like [`insert`]. The
-/// node may be left with fewer than `MIN` slots (a root leaf with none).
-fn remove<K, V, Q>(node: &mut Arc<Node<K, V>>, key: &Q) -> V
+/// Removes `key` from below `node` and returns its value, or `None` when
+/// it is absent; copies shared nodes and edits fresh ones like
+/// [`insert`]. The node may be left with fewer than `MIN` slots (a root
+/// leaf with none).
+fn remove<K, V, Q>(node: &mut Arc<Node<K, V>>, key: &Q) -> Option<V>
 where
     K: Ord + Clone + Borrow<Q>,
     V: Clone,
     Q: Ord + ?Sized,
 {
     let node = Arc::make_mut(node);
-    node.size -= 1;
     match &mut node.kind {
         Kind::Leaf(vals) => {
-            let i = node.keys.search(key).expect("the key is present");
+            let i = node.keys.search(key).ok()?;
             node.keys.remove(i);
-            vals.remove(i)
+            node.size -= 1;
+            Some(vals.remove(i))
         }
         Kind::Inner(kids) => {
             let i = node.keys.child_for(key);
             let was_smallest = node.keys[i].borrow() == key;
-            let old = remove(&mut kids[i], key);
+            let old = remove(&mut kids[i], key)?;
+            node.size -= 1;
             if was_smallest {
                 // a child held at least `MIN` slots, so it keeps one
                 node.keys[i] = kids[i].keys[0].clone();
@@ -379,7 +386,7 @@ where
             if kids[i].len() < MIN {
                 rebalance(&mut node.keys, kids, i.saturating_sub(1));
             }
-            old
+            Some(old)
         }
     }
 }
@@ -652,8 +659,10 @@ fn merge_join<'a, K: Ord + 'a, A, B>(
 /// A persistent (immutable, structurally shared) ordered map.
 ///
 /// * `clone` is O(1) and shares the whole tree.
-/// * `insert` / `remove` are O(log n) time and allocation and return a new
-///   map; the receiver is unchanged.
+/// * `set` / `unset` / `get_mut` edit this map: O(log n) time, allocating
+///   only for the nodes it shares with another map (and for splits).
+/// * `insert` / `remove` are the same edits on a clone: O(log n) time and
+///   allocation, returning a new map; the receiver is unchanged.
 /// * Iteration is in key order.
 ///
 /// # Examples
@@ -668,6 +677,12 @@ fn merge_join<'a, K: Ord + 'a, A, B>(
 /// assert_eq!(m1.len(), 1);
 /// assert_eq!(m2.get(&2), Some(&"two"));
 /// assert_eq!(m1.get(&2), None);
+///
+/// // owned edits leave every other clone as it was
+/// let mut m3 = m2.clone();
+/// m3.set(3, "three");
+/// assert_eq!(m3.unset(&1), Some("one"));
+/// assert_eq!((m2.len(), m3.len()), (2, 2));
 /// ```
 pub struct PMap<K, V> {
     root: Link<K, V>,
@@ -818,7 +833,8 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Inserts `key -> val`, returning the new map and the previous value
-    /// for `key` if one existed. The receiver is unchanged.
+    /// for `key` if one existed. The receiver is unchanged: this is
+    /// [`Self::set`] on a clone.
     pub fn insert(&self, key: K, val: V) -> (Self, Option<V>) {
         let mut m = self.clone();
         let old = m.set(key, val);
@@ -826,7 +842,8 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Removes `key`, returning the new map and the removed value if it was
-    /// present. The receiver is unchanged.
+    /// present. The receiver is unchanged: this is [`Self::unset`] on a
+    /// clone, and an absent key gives back the map itself.
     pub fn remove<Q>(&self, key: &Q) -> (Self, Option<V>)
     where
         K: Borrow<Q>,
@@ -837,12 +854,15 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         }
         let mut m = self.clone();
         let old = m.unset(key);
-        (m, Some(old))
+        (m, old)
     }
 
-    /// [`Self::insert`] into this map: the nodes it shares with other maps
-    /// are copied, the ones it holds alone are edited in place.
-    fn set(&mut self, key: K, val: V) -> Option<V> {
+    /// Sets `key -> val` in this map, returning the previous value (the new
+    /// key then replaces the stored one). The owned edit: a node this map
+    /// shares with another map is copied on the way down, a node it holds
+    /// alone is edited in place, so a map nobody else holds allocates only
+    /// for splits, and a clone taken earlier never changes.
+    pub fn set(&mut self, key: K, val: V) -> Option<V> {
         let Some(root) = &mut self.root else {
             self.root = Some(Node::build(iter::once((key, Item::Entry(val)))));
             return None;
@@ -855,17 +875,36 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         old
     }
 
-    /// [`Self::remove`] of a present `key` from this map, copying like
-    /// [`Self::set`].
-    fn unset<Q>(&mut self, key: &Q) -> V
+    /// Removes `key` from this map, returning its value (`None` when it is
+    /// absent), copying shared nodes like [`Self::set`]. An absent key
+    /// leaves the entries as they are, though a path this map shared may
+    /// have been copied on the way down.
+    pub fn unset<Q>(&mut self, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let mut root = self.root.take().expect("the key is present");
+        let mut root = self.root.take()?;
         let old = remove(&mut root, key);
         self.root = (root.len() > 0).then(|| collapse(root));
         old
+    }
+
+    /// The value at `key`, to edit in place: the path down to it is copied
+    /// where this map shares it, like [`Self::set`] (also when `key` turns
+    /// out absent).
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let mut node = Arc::make_mut(self.root.as_mut()?);
+        loop {
+            match &mut node.kind {
+                Kind::Inner(kids) => node = Arc::make_mut(&mut kids[node.keys.child_for(key)]),
+                Kind::Leaf(vals) => return Some(&mut vals[node.keys.search(key).ok()?]),
+            }
+        }
     }
 
     /// Applies `f` to the value at `key` if present; returns the new map and
@@ -1581,6 +1620,33 @@ mod tests {
         assert_eq!(m.rank(&1), 1);
         assert_eq!(m.rank(&-5), 0);
         assert_eq!(m.rank(&1000), 50);
+    }
+
+    #[test]
+    fn owned_edits_copy_a_shared_path_once_and_spare_clones() {
+        let base: PMap<u64, u64> = PMap::from_sorted_vec((0..4096).map(|i| (i, i)).collect());
+        let mut m = base.clone();
+        *m.get_mut(&7).unwrap() = 70;
+        let path = m.fresh_nodes(&base);
+        assert_eq!(path, base.tree_height(), "one root-to-leaf path");
+        // the path is this map's alone now: edits along it allocate nothing
+        *m.get_mut(&6).unwrap() = 60;
+        assert_eq!(m.set(5, 50), Some(5));
+        assert_eq!(m.fresh_nodes(&base), path);
+        assert_eq!(m.get_mut(&5000), None);
+        assert_eq!(m.unset(&5000), None, "an absent key");
+        assert_eq!(m.unset(&0), Some(0));
+        assert_eq!(m.set(9000, 1), None);
+        assert!(m.check_invariants());
+        assert_eq!(m.len(), 4096);
+        assert_eq!(
+            (m.get(&0), m.get(&5), m.get(&9000)),
+            (None, Some(&50), Some(&1))
+        );
+        // the clone the edits started from never changed
+        assert!(base.iter().all(|(k, v)| k == v) && base.len() == 4096);
+        let mut empty: PMap<u64, u64> = PMap::new();
+        assert_eq!((empty.unset(&1), empty.get_mut(&1)), (None, None));
     }
 
     #[test]

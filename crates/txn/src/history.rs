@@ -14,7 +14,7 @@
 //! trivial (no boundary between data that is *current* and *past*).
 
 use fdm_core::delta::{DbDelta, EntryDelta, TupleChange};
-use fdm_core::{apply_ops, DatabaseF, FdmError, Name, Op, Result, TupleF, Value};
+use fdm_core::{apply_op, DatabaseF, FdmError, Name, Op, Result, TupleF, Value};
 use fdm_storage::Version;
 use parking_lot::RwLock;
 use std::collections::VecDeque;
@@ -365,9 +365,13 @@ impl History {
                 .expect("the newest entry's root");
             (entry.version, start, records)
         };
+        // the first undo copies what it touches out of `start`; the rest
+        // edit those copies in place
         let mut db = start;
         for record in records.iter().rev() {
-            db = apply_ops(&db, &record.undo(), |_| {})?;
+            for op in &record.undo() {
+                apply_op(&mut db, op)?;
+            }
         }
         let kept = {
             let g = self.inner.read();

@@ -4,7 +4,9 @@
 //! changes to it **immediately** — "note the absence of an explicit
 //! save()-method: changes are applied immediately to the snapshot"
 //! (Fig. 10 caption). Persistence makes this safe: the working copy
-//! shares structure with the committed root but never disturbs it.
+//! shares structure with the committed root but never disturbs it. Each
+//! write is an [`Op`] applied in place by [`apply_op`]: the first write
+//! to a path copies it out of the snapshot, later writes edit the copy.
 //!
 //! `commit()` takes its turn in the store's commit sequencer and
 //! validates the write set against everything committed since the
@@ -13,7 +15,7 @@
 //! [`FdmError::TransactionConflict`] — first committer wins.
 
 use crate::store::{CommitOutcome, CommitPolicy, Group, Store, Working};
-use fdm_core::{DatabaseF, FdmError, FnValue, Name, Op, RelationF, Result, TupleF, Value};
+use fdm_core::{apply_op, DatabaseF, FdmError, FnValue, Name, Op, Result, TupleF, Value};
 use fdm_storage::Version;
 use std::sync::Arc;
 
@@ -44,24 +46,15 @@ impl Transaction {
         }
     }
 
-    /// Rebinds relation `rel` of the working copy to what `write` makes of
-    /// it, and records `op` beside the tuple the write replaced.
-    fn write(
-        &mut self,
-        rel: &str,
-        op: Op,
-        write: impl FnOnce(&RelationF) -> Result<(RelationF, Option<Arc<TupleF>>)>,
-    ) -> Result<()> {
-        let (written, old) = write(self.working.relation_ref(rel)?)?;
-        self.working = self.working.with_entry(rel, FnValue::from(written));
-        self.record(op, old);
-        Ok(())
-    }
-
-    /// Records `op` beside `old`, the tuple it replaced.
-    fn record(&mut self, op: Op, old: Option<Arc<TupleF>>) {
+    /// Applies `op` to the working copy in place ([`apply_op`], the
+    /// routine replay and recovery run too) and records it beside the
+    /// tuple it replaced. A failing op records nothing and leaves the
+    /// working copy as it was.
+    fn stage(&mut self, op: Op) -> Result<()> {
+        let old = apply_op(&mut self.working, &op)?;
         self.ops.push(op);
         self.replaced.push(old);
+        Ok(())
     }
 
     /// The version this transaction's snapshot was taken at.
@@ -96,24 +89,19 @@ impl Transaction {
     pub fn upsert(&mut self, rel: &str, key: Value, tuple: TupleF) -> Result<()> {
         // one shared tuple for the working copy, the recorded op (and so
         // the WAL record) and any replay
-        let tuple = Arc::new(tuple);
-        let staged = Arc::clone(&tuple);
-        let written = key.clone();
-        let op = Op::Upsert {
+        self.stage(Op::Upsert {
             rel: Name::from(rel),
             key,
-            tuple,
-        };
-        self.write(rel, op, |r| r.upsert_replacing(written, staged))
+            tuple: Arc::new(tuple),
+        })
     }
 
     /// `del rel[key]`.
     pub fn delete(&mut self, rel: &str, key: &Value) -> Result<()> {
-        let op = Op::Delete {
+        self.stage(Op::Delete {
             rel: Name::from(rel),
             key: key.clone(),
-        };
-        self.write(rel, op, |r| r.delete_replacing(key))
+        })
     }
 
     /// `rel[key][attr] = value`.
@@ -143,10 +131,10 @@ impl Transaction {
         self.upsert(rel, key.clone(), t.with_attr(attr, new))
     }
 
-    /// Auto-id insert; returns the assigned key.
+    /// Auto-id insert ([`fdm_core::RelationF::insert_auto`]'s key, staged as one
+    /// upsert); returns the assigned key.
     pub fn add(&mut self, rel: &str, tuple: TupleF) -> Result<Value> {
-        let r = self.working.relation(rel)?;
-        let (_, key) = r.insert_auto(tuple.clone())?;
+        let key = self.working.relation_ref(rel)?.auto_key()?;
         self.upsert(rel, key.clone(), tuple)?;
         Ok(key)
     }
@@ -154,19 +142,17 @@ impl Transaction {
     /// `DB(name) := f` — whole-entry assignment (in-place FQL, §4.4).
     /// Conflicts with *any* concurrent write touching `name`.
     pub fn assign(&mut self, name: &str, f: impl Into<FnValue>) -> Result<()> {
-        let fv = f.into();
-        self.working = self.working.with_entry(name, fv.clone());
-        let n = Name::from(name);
-        self.record(Op::Assign { name: n, value: fv }, None);
-        Ok(())
+        self.stage(Op::Assign {
+            name: Name::from(name),
+            value: f.into(),
+        })
     }
 
     /// Removes a whole entry.
     pub fn drop_entry(&mut self, name: &str) -> Result<()> {
-        self.working = self.working.without_entry(name)?;
-        let n = Name::from(name);
-        self.record(Op::Drop { name: n }, None);
-        Ok(())
+        self.stage(Op::Drop {
+            name: Name::from(name),
+        })
     }
 
     /// Number of recorded write operations.

@@ -10,7 +10,9 @@
 //! decodes or evaluates.
 //!
 //! The depths come from the vendored `proptest` shim. Run the suite in a
-//! release build as well: frame sizes differ between the two profiles.
+//! release build as well: frame sizes differ between the two profiles,
+//! and so does integer overflow, which the last case here meets at the
+//! largest key.
 
 use fdm_core::{DatabaseF, FdmError, RelationF, TupleF, Value};
 use fdm_durability::codec::MAX_NESTING;
@@ -254,4 +256,26 @@ fn a_deep_direct_plan_clones_and_formats() {
         assert_eq!(text.lines().count(), 200_000, "one operator per line");
         assert_eq!(text, format!("{q:?}"));
     });
+}
+
+/// An auto id after the largest integer key is a typed error, not a
+/// panic (debug) nor a key wrapped below every other (release): through
+/// the relation, through FQL's `db_add` and through a transaction, each
+/// leaving the relation as it was.
+#[test]
+fn an_auto_id_past_the_largest_key_is_refused() {
+    let t = || TupleF::builder("t").attr("v", 0).build();
+    const LAST: Value = Value::Int(i64::MAX);
+    let rel = RelationF::new("r", &["k"]).insert(LAST, t()).unwrap();
+    let refused = |e: FdmError| matches!(e, FdmError::ConstraintViolation { .. });
+    assert!(refused(rel.insert_auto(t()).unwrap_err()));
+    assert_eq!(rel.stored_keys(), [LAST]);
+    let db = DatabaseF::new("db").with_relation(rel);
+    assert!(refused(fdm_fql::db_add(&db, "r", t()).unwrap_err()));
+    assert_eq!(db.relation("r").unwrap().stored_keys(), [LAST]);
+    let store = Store::new(db);
+    let mut txn = store.begin();
+    assert!(refused(txn.add("r", t()).unwrap_err()));
+    assert_eq!(txn.write_count(), 0);
+    assert_eq!(txn.db().relation("r").unwrap().stored_keys(), [LAST]);
 }

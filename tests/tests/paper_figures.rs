@@ -7,8 +7,8 @@
 //! allocated bytes — never time.
 
 use fdm_core::{
-    apply1, DatabaseF, Domain, FdmError, FnValue, Function, Participant, RelationBuilder,
-    RelationF, RelationshipF, SharedDomain, TupleF, Value, ValueType,
+    apply1, apply_ops, DatabaseF, Domain, FdmError, FnValue, Function, Name, Op, Participant,
+    RelationBuilder, RelationF, RelationshipF, SharedDomain, TupleF, Value, ValueType,
 };
 use fdm_expr::Params;
 use fdm_fql::prelude::*;
@@ -24,6 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell as CountCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 // ------------------------------------------------ counting allocator
 
@@ -915,6 +916,102 @@ fn f10_updates_allocate_a_path_not_a_copy() {
         copy_10k >= 5 * copy_1k,
         "a copy grows with the data: {copy_1k} → {copy_10k} B"
     );
+}
+
+/// 2^16 accounts under keys `0..2^16`, the relation the counted Fig. 10
+/// write pins below append to.
+const BANK_ROWS: i64 = 1 << 16;
+
+/// Writes per measured group in the counted Fig. 10 pins.
+const GROUP: i64 = 64;
+
+fn bank() -> DatabaseF {
+    let mut rel = RelationBuilder::new("accounts", &["id"]);
+    for i in 0..BANK_ROWS {
+        let t = rel.tuple("a").attr("balance", 100i64).build();
+        rel.push(Value::Int(i), t);
+    }
+    DatabaseF::new("bank").with_relation(rel.build().unwrap())
+}
+
+/// The tuples the counted pins write, built before anything is measured.
+fn balances() -> Vec<TupleF> {
+    (0..GROUP)
+        .map(|i| TupleF::builder("a").attr("balance", i).build())
+        .collect()
+}
+
+/// Fig. 10 writes in one group copy each shared node once: 64 upserts
+/// appended to a 2^16-row relation as one `apply_ops` group allocate at
+/// most a quarter of what 64 one-op groups allocate. The group's first op
+/// copies the paths it touches out of the shared root; the ops after it
+/// edit those copies in place. One-op groups copy the paths again per op.
+#[test]
+fn f10_a_group_of_writes_copies_shared_nodes_once() {
+    let db = bank();
+    let ops: Vec<Op> = balances()
+        .into_iter()
+        .zip(BANK_ROWS..)
+        .map(|(t, key)| Op::Upsert {
+            rel: Name::from("accounts"),
+            key: Value::Int(key),
+            tuple: Arc::new(t),
+        })
+        .collect();
+    let (grouped, group_bytes) = allocated_by(|| apply_ops(&db, &ops, |_| {}).unwrap());
+    let (single, single_bytes) = allocated_by(|| {
+        let mut out = db.clone();
+        for op in &ops {
+            out = apply_ops(&out, std::slice::from_ref(op), |_| {}).unwrap();
+        }
+        out
+    });
+    let rows = |db: &DatabaseF| -> Vec<(Value, Value)> {
+        let rel = db.relation("accounts").unwrap();
+        let balance = |(k, t): (Value, Arc<TupleF>)| (k, t.get("balance").unwrap());
+        rel.iter_stored().map(balance).collect()
+    };
+    assert_eq!(rows(&grouped), rows(&single));
+    assert_eq!(rows(&grouped).len(), (BANK_ROWS + GROUP) as usize);
+    assert_eq!(db.relation("accounts").unwrap().len(), BANK_ROWS as usize);
+    assert!(
+        group_bytes * 4 <= single_bytes,
+        "one group {group_bytes} B vs {GROUP} one-op groups {single_bytes} B"
+    );
+}
+
+/// A transaction stages its writes the same way: 64 `Transaction::upsert`s
+/// (or `add`s) of appended keys staged in one transaction allocate at most
+/// a quarter of what 64 one-write transactions allocate, and the snapshot
+/// they started from is unchanged.
+#[test]
+fn f10_a_transaction_stages_its_writes_in_place() {
+    let store = Store::new(bank());
+    type Stage = fn(&mut fdm_txn::Transaction, i64, TupleF);
+    let upsert: Stage = |t, key, tuple| t.upsert("accounts", Value::Int(key), tuple).unwrap();
+    let add: Stage = |t, _, tuple| drop(t.add("accounts", tuple).unwrap());
+    for (what, stage) in [("upsert", upsert), ("add", add)] {
+        let (for_one, for_many) = (balances(), balances());
+        let (one, one_bytes) = allocated_by(|| {
+            let mut txn = store.begin();
+            for (t, key) in for_one.into_iter().zip(BANK_ROWS..) {
+                stage(&mut txn, key, t);
+            }
+            txn
+        });
+        let (_, many_bytes) = allocated_by(|| {
+            for (t, key) in for_many.into_iter().zip(BANK_ROWS..) {
+                stage(&mut store.begin(), key, t);
+            }
+        });
+        let staged = one.db().relation("accounts").unwrap();
+        assert_eq!(staged.len(), (BANK_ROWS + GROUP) as usize, "{what}");
+        assert_eq!(store.snapshot().total_tuples(), BANK_ROWS as usize);
+        assert!(
+            one_bytes * 4 <= many_bytes,
+            "{what}: one transaction {one_bytes} B vs {GROUP} one-write transactions {many_bytes} B"
+        );
+    }
 }
 
 /// Fig. 11 at scale: 2,000 transfers over 64 accounts at 1 and 4 threads.
